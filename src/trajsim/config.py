@@ -226,7 +226,7 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         utility = d2d_doc.get("utility", "squared")
         if utility not in ("squared", "huber"):
             raise SchemaError("d2d.utility", f"must be squared or huber, got {utility!r}")
-        alpha_min = float(d2d_doc.get("alpha_min", 0.5))
+        alpha_min = float(d2d_doc.get("alpha_min", 0.05))
         if not 0.0 < alpha_min <= 1.0:
             raise SchemaError("d2d.alpha_min", "must be in (0, 1]")
         return ScenarioConfig(

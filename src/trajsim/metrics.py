@@ -104,26 +104,29 @@ class OfflineSolution:
     converged: bool
     max_violation: float
     warning: str | None = None
+    # momentum restarts taken by the accelerated ascent
+    restarts: int = 0
 
 
 def _rebuild(start: Point, centers: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Waypoints from start + per-slot displacements ``center + z``."""
-    T = len(z) + 1
-    x = np.empty((T, 2))
+    x = np.empty((len(z) + 1, 2))
     x[0] = start
-    if T > 1:
-        np.cumsum(centers + z, axis=0, out=x[1:])
-        x[1:] += x[0]
+    rest = x[1:]
+    np.add.accumulate(centers + z, axis=0, out=rest)
+    rest += x[0]
     return x
 
 
-def _clamp_balls(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def _clamp_balls(z: np.ndarray, radii: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Radial clamp of each row of ``z`` into its ball: ``z * r / max(|z|, r)``.
+
+    ``floors`` is ``max(radii, tiny)``: a zero-radius cap then scales its
+    displacement by ``0 / max(|z|, tiny) == 0`` instead of ``0 / 0``.  Rows
+    inside their ball are scaled by exactly 1.
+    """
     n = np.hypot(z[:, 0], z[:, 1])
-    mask = n > radii
-    if mask.any():
-        z = z.copy()
-        z[mask] *= (radii[mask] / n[mask])[:, None]
-    return z
+    return z * (radii / np.maximum(n, floors))[:, None]
 
 
 def solve_offline(
@@ -160,9 +163,10 @@ def solve_offline(
         return OfflineSolution(pts, us.total(pts), 0, True, 0.0)
     centers = np.array([c.center for c in problem.caps])
     radii = np.array([c.radius for c in problem.caps])
+    floors = np.maximum(radii, np.finfo(float).tiny)
     if x0 is not None and len(x0) == T:
         xa = np.asarray(x0, dtype=float)
-        z = _clamp_balls(xa[1:] - xa[:-1] - centers, radii)
+        z = _clamp_balls(xa[1:] - xa[:-1] - centers, radii, floors)
     else:
         z = np.zeros((T - 1, 2))
     if step is None:
@@ -172,15 +176,12 @@ def solve_offline(
         step = 1.0 / (problem.smoothness * sigma * sigma)
 
     def value_of(zz: np.ndarray) -> float:
-        x = _rebuild(problem.start, centers, zz)
-        return us.total([(p[0], p[1]) for p in x]) if us.batch_value is None else float(
-            us.batch_value(x)
-        )
+        return us.total(_rebuild(problem.start, centers, zz))
 
     def grad_z(zz: np.ndarray) -> np.ndarray:
         x = _rebuild(problem.start, centers, zz)
         gx = us.gradient_array(x)
-        suffix = np.cumsum(gx[::-1], axis=0)[::-1]
+        suffix = np.add.accumulate(gx[::-1], axis=0)[::-1]
         return suffix[1:]
 
     z_prev = z
@@ -188,15 +189,17 @@ def solve_offline(
     f_curr = value_of(z)
     flat_streak = 0
     iterations = 0
+    restarts = 0
     for iterations in range(1, max_iter + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
         y = z + ((t_k - 1.0) / t_next) * (z - z_prev)
-        z_new = _clamp_balls(y + step * grad_z(y), radii)
+        z_new = _clamp_balls(y + step * grad_z(y), radii, floors)
         f_new = value_of(z_new)
         if f_new < f_curr:
             # momentum overshoot: restart from a plain projected step
+            restarts += 1
             t_next = 1.0
-            z_new = _clamp_balls(z + step * grad_z(z), radii)
+            z_new = _clamp_balls(z + step * grad_z(z), radii, floors)
             f_new = value_of(z_new)
         z_prev, z, t_k = z, z_new, t_next
         if abs(f_new - f_curr) <= tol * (1.0 + abs(f_new)):
@@ -224,6 +227,7 @@ def solve_offline(
         converged=converged,
         max_violation=violation,
         warning=warning,
+        restarts=restarts,
     )
 
 
@@ -384,7 +388,8 @@ def gradient_variation(
     region is a box, the inner maximum of the (convex) squared norm is
     attained at a vertex and evaluated exactly; otherwise it is estimated by
     Monte Carlo over ``n_samples`` points of the region, with the sample
-    count reported.
+    count reported.  The Monte-Carlo branch evaluates each sample at every
+    slot through :meth:`UtilitySequence.gradient_array`.
     """
     if utilities.affine_diffs is not None and isinstance(region, Box2D):
         corners = region.vertices()
@@ -396,14 +401,17 @@ def gradient_variation(
         return GradientVariation(value=total, exact=True, n_samples=0)
     rng = np.random.default_rng(seed)
     samples = _region_samples(region, n_samples, rng)
+    # one sample at a time over all slots, keeping a running max per pair
+    worst = np.zeros(max(utilities.horizon - 1, 0))
+    x = np.empty((utilities.horizon, 2))
+    for p in samples:
+        x[:] = p
+        g = utilities.gradient_array(x)
+        diff = g[1:] - g[:-1]
+        np.maximum(worst, diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1], out=worst)
     total = 0.0
-    grads = utilities.gradients
-    for g_now, g_next in zip(grads, grads[1:]):
-        worst = 0.0
-        for p in samples:
-            diff = sub(g_next(p), g_now(p))
-            worst = max(worst, norm_sq(diff))
-        total += worst
+    for w in worst.tolist():
+        total += w
     return GradientVariation(value=total, exact=False, n_samples=len(samples))
 
 
@@ -511,6 +519,8 @@ class RegretReport:
     final_goal_distance: float
     solver_converged: bool = True
     solver_warning: str | None = None
+    solver_iterations: int = 0
+    solver_restarts: int = 0
 
     @property
     def energy_conserved(self) -> float:
@@ -550,4 +560,6 @@ def build_regret_report(
         final_goal_distance=dist(online_traj[-1], goal),
         solver_converged=sol.converged,
         solver_warning=sol.warning,
+        solver_iterations=sol.iterations,
+        solver_restarts=sol.restarts,
     )

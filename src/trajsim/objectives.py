@@ -115,12 +115,16 @@ def d2d_step_size(
     Returns ``margin * max(gbar / (v_max * alpha_t), L)``.  The admissible
     interval is open on the right at ``gbar / (v_max * alpha_min)``; if the
     chosen value reaches it, the interval is empty for these constants and
-    :class:`EmptyStepInterval` is raised.
+    :class:`EmptyStepInterval` is raised.  A zero ``gbar`` means every
+    gradient so far was zero, so the step is zero for any rate and the agent
+    holds its position; ``margin * L`` is returned.
     """
-    if gbar <= 0.0:
-        raise ValueError("gbar must be positive")
+    if gbar < 0.0:
+        raise ValueError("gbar must be nonnegative")
     if not 0.0 < alpha_min <= alpha_t <= 1.0:
         raise ValueError(f"need 0 < alpha_min <= alpha_t <= 1, got {alpha_min}, {alpha_t}")
+    if gbar == 0.0:
+        return margin * L
     lower = max(gbar / (v_max * alpha_t), L)
     upper = gbar / (v_max * alpha_min)
     chosen = margin * lower

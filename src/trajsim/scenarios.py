@@ -368,17 +368,20 @@ class _OceanDriver:
         return SlotPlan(grad_true=grad_true, grad_observed=grad_obs, gamma=gamma, slack=slack)
 
 
-def _d2d_utility_sequence(driver: _D2DDriver) -> UtilitySequence:
-    cfg = driver.cfg
-    v = cfg.v_slot
-    leads = driver.leads_true + [driver.lead(driver.horizon, driver.peers[-1])]
-    values = tuple(
-        (lambda x, e=e: obj.d2d_utility(x, e, v, cfg.mu, cfg.utility_kind)) for e in leads
-    )
-    if cfg.utility_kind == "squared":
+def d2d_utility_sequence(
+    leads: Sequence[Point], v: float, mu: float, kind: str = "squared"
+) -> UtilitySequence:
+    """Commute utilities chasing one leading-path point per slot.
+
+    ``v`` is the per-slot displacement cap and ``mu`` the curvature of the
+    robust penalty.  Both kinds carry batch forms over ``(T, 2)`` arrays;
+    the batch gradients equal the per-slot ones exactly.
+    """
+    lead_arr = np.asarray(leads, dtype=float)
+    values = tuple((lambda x, e=e: obj.d2d_utility(x, e, v, mu, kind)) for e in leads)
+    if kind == "squared":
         grads = tuple((lambda x, e=e: sub(e, x)) for e in leads)
         diffs = tuple((0.0, sub(b, a)) for a, b in zip(leads, leads[1:]))
-        lead_arr = np.asarray(leads, dtype=float)
 
         def batch_value(x: np.ndarray) -> float:
             d = x - lead_arr
@@ -394,8 +397,36 @@ def _d2d_utility_sequence(driver: _D2DDriver) -> UtilitySequence:
             batch_value=batch_value,
             batch_gradient=batch_gradient,
         )
-    grads = tuple((lambda x, e=e: obj.d2d_gradient(x, e, v, cfg.mu)) for e in leads)
-    return UtilitySequence(values=values, gradients=grads, affine_diffs=None)
+    grads = tuple((lambda x, e=e: obj.d2d_gradient(x, e, v, mu)) for e in leads)
+    # the elementwise arithmetic of obj.huber_value and obj.d2d_gradient
+    offset = (1.0 - mu) * v * v / 2.0
+
+    def huber_batch_value(x: np.ndarray) -> float:
+        # np.hypot may differ from math.hypot in the last bit; the value only
+        # steers the ascent, and its pairwise sum rounds differently anyway
+        dx = x - lead_arr
+        d = np.hypot(dx[:, 0], dx[:, 1])
+        far = v * (1.0 - mu) * d + 0.5 * mu * d * d - offset
+        return -float(np.sum(np.where(d <= v, 0.5 * d * d, far)))
+
+    def huber_batch_gradient(x: np.ndarray) -> np.ndarray:
+        pull = lead_arr - x
+        # math.hypot, not np.hypot: they can differ in the last bit, and this
+        # must equal the per-slot gradients exactly (G_T is built from it)
+        n = np.fromiter(
+            map(math.hypot, pull[:, 0].tolist(), pull[:, 1].tolist()), float, len(pull)
+        )
+        # v / max(n, v) is exactly 1 inside the cap
+        capped = pull * (v / np.maximum(n, v))[:, None]
+        return mu * pull + (1.0 - mu) * capped
+
+    return UtilitySequence(
+        values=values,
+        gradients=grads,
+        affine_diffs=None,
+        batch_value=huber_batch_value,
+        batch_gradient=huber_batch_gradient,
+    )
 
 
 def _ocean_utility_sequence(
@@ -478,7 +509,8 @@ def run_d2d(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = T
     t0 = time.perf_counter()
     driver = _D2DDriver(config)
     traj, records = run_episode(driver, mode)
-    utilities = _d2d_utility_sequence(driver)
+    leads = driver.leads_true + [driver.lead(driver.horizon, driver.peers[-1])]
+    utilities = d2d_utility_sequence(leads, config.v_slot, config.mu, config.utility_kind)
     rate_series = [
         obj.rate(x, y, config.alpha_p, config.bandwidth_hz, config.noise_power)
         for x, y in zip(traj, driver.peers)

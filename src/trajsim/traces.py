@@ -179,5 +179,7 @@ def write_regret_report(rr: RegretReport, path: Path) -> None:
         "online_utility_total": sum(rr.online_utilities),
         "solver_converged": rr.solver_converged,
         "solver_warning": rr.solver_warning,
+        "solver_iterations": rr.solver_iterations,
+        "solver_restarts": rr.solver_restarts,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import trajsim
 from trajsim.cli import main
+from trajsim.traces import read_trace
 
 D2D_DOC = {
     "kind": "d2d",
@@ -35,6 +41,16 @@ def write(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc), encoding="utf-8")
     return str(p)
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's trajsim."""
+    src = str(Path(trajsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestRunCommand:
@@ -87,6 +103,26 @@ class TestRunCommand:
         cfg = write(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_zero_gradient_holds_position(self, tmp_path):
+        # start, goal and peer coincide: every gradient is exactly zero
+        here = [3.0, 4.0]
+        doc = {
+            "kind": "d2d",
+            "start_m": here,
+            "goal_m": here,
+            "peer": {"from_m": here, "to_m": here, "speed_mps": 0.0, "noise_std_m": 0.0},
+            "v_max_mps": 1.0,
+            "delta_slots": 4,
+        }
+        cfg = write(tmp_path, doc)
+        out = tmp_path / "out"
+        proc = run_python("-m", "trajsim.cli", "run", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = read_trace(out / "trace.csv")
+        assert len(rows) == 5
+        assert all((r["x1"], r["x2"]) == (3.0, 4.0) for r in rows)
+
     def test_ocean_run(self, tmp_path):
         cfg = write(tmp_path, OCEAN_DOC)
         out = tmp_path / "out"
@@ -119,6 +155,15 @@ class TestBenchmarkCommand:
         assert doc["solver_converged"] is True
         assert set(doc) >= {"S_T", "G_T", "E_T_bound", "E_T_realized"}
 
+    def test_report_carries_solver_diagnostics(self, tmp_path):
+        cfg = write(tmp_path, D2D_DOC)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "regret_report.json").read_text())
+        assert isinstance(doc["solver_iterations"], int) and doc["solver_iterations"] >= 1
+        assert isinstance(doc["solver_restarts"], int)
+        assert 0 <= doc["solver_restarts"] <= doc["solver_iterations"]
+
 
 class TestOracleCommand:
     def test_small_instance_comparison(self, tmp_path):
@@ -147,3 +192,10 @@ class TestAdversaryCommand:
         assert doc["regret"] == 50.0
         assert doc["lower_bound"] == 50.0
         assert "regret" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_out():
+    # scipy is not a dependency; importing it would add to every start-up
+    proc = run_python("-c", "import sys, trajsim, trajsim.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

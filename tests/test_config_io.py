@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -39,6 +40,11 @@ class TestParseConfig:
         assert cfg.kind == "d2d"
         assert cfg.t_eta == math.ceil(12.0 / 1.0)
         assert cfg.horizon == cfg.t_eta + 3
+
+    def test_alpha_min_default_matches_dataclass(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, MINIMAL_D2D))
+        defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+        assert cfg.alpha_min == defaults["alpha_min"] == 0.05
 
     def test_unknown_key_named(self, tmp_path):
         doc = dict(MINIMAL_D2D, velmax=3.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from trajsim.metrics import (
     squared_path_length,
     straight_line_trajectory,
 )
+from trajsim.scenarios import d2d_utility_sequence
 from trajsim.sets import Box2D, StepCap
 
 BIG_BOX = Box2D((-1e6, -1e6), (1e6, 1e6))
@@ -87,6 +90,36 @@ class TestSolveOffline:
         sol = solve_offline(problem)
         assert sol.points == [(1.0, 1.0)]
         assert sol.utility == pytest.approx(-1.0)
+
+    def test_zero_radius_caps_pin_path(self):
+        # r / max(|z|, r) would be 0 / 0 here; the clamp must return 0
+        start = (2.0, 1.0)
+        T = 6
+        for utilities in (
+            quadratic_sequence([start] * T),
+            d2d_utility_sequence([start] * T, 1.0, 0.3, "huber"),
+        ):
+            problem = OfflineProblem(
+                start=start,
+                utilities=utilities,
+                caps=tuple(StepCap(i, (0.0, 0.0), 0.0) for i in range(T - 1)),
+                region=TEN_BOX,
+                smoothness=1.0,
+            )
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                sol = solve_offline(problem)
+                warm = solve_offline(problem, x0=[start] * T)
+            for s in (sol, warm):
+                assert s.points == [start] * T
+                assert s.converged and s.max_violation == 0.0
+
+    def test_restarts_counted(self):
+        # a long chain of binding caps overshoots under momentum
+        leads = [(float(t), 3.0 * (-1) ** t) for t in range(40)]
+        sol = solve_offline(quadratic_problem((0.0, 0.0), leads, [0.5] * 39))
+        assert sol.converged
+        assert 0 < sol.restarts < sol.iterations
 
 
 class TestDpOracle:
@@ -230,6 +263,25 @@ class TestVariationMeasures:
         assert not sampled.exact and sampled.n_samples == 256
         # x-independent differences: sampling is exact too
         assert sampled.value == pytest.approx(exact.value, rel=1e-12)
+
+    def test_monte_carlo_matches_scalar_reference(self):
+        rng = np.random.default_rng(4)
+        leads = [tuple(p) for p in rng.uniform(0.0, 10.0, (12, 2)).tolist()]
+        seq = d2d_utility_sequence(leads, 1.0, 0.2, "huber")
+        gv = gradient_variation(seq, TEN_BOX, n_samples=64, seed=7)
+        # the per-pair, per-sample loop the batch evaluation replaced
+        sample_rng = np.random.default_rng(7)
+        xs = sample_rng.uniform(TEN_BOX.lo[0], TEN_BOX.hi[0], 64)
+        ys = sample_rng.uniform(TEN_BOX.lo[1], TEN_BOX.hi[1], 64)
+        samples = list(zip(xs.tolist(), ys.tolist()))
+        expected = 0.0
+        for g_now, g_next in zip(seq.gradients, seq.gradients[1:]):
+            worst = 0.0
+            for p in samples:
+                worst = max(worst, norm_sq(sub(g_next(p), g_now(p))))
+            expected += worst
+        assert not gv.exact and gv.n_samples == 64
+        assert gv.value == expected
 
     def test_variation_measures_additive_over_splits(self):
         rng = np.random.default_rng(9)

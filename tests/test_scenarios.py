@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from trajsim.engine import NoiseModel
 from trajsim.errors import InfeasibleStepSize, SchemaError
 from trajsim.field import FieldPerturbation, UniformSpec, synth_field
 from trajsim.geom import dist, norm, sub
+from trajsim.metrics import UtilitySequence, solve_offline
 from trajsim.scenarios import (
     PathSpec,
     ScenarioConfig,
     apply_sweep_value,
+    d2d_utility_sequence,
     make_adversary_policy,
     run_adversary,
     run_d2d,
@@ -167,6 +170,70 @@ class TestRunD2D:
     def test_huber_utility_kind_runs(self):
         rep = run_d2d(d2d_config(utility_kind="huber", mu=0.3))
         assert rep.regret_report.regret >= -1e-6
+
+
+def _huber_probe_points(leads: np.ndarray, v: float, rng) -> list[np.ndarray]:
+    """Random points, points on the leads, and points exactly on the v cap."""
+    T = len(leads)
+    probes = [leads.copy()]
+    for scale in (0.1, 1.0, 10.0, 1e3):
+        probes.append(leads + rng.normal(0.0, scale * v, (T, 2)))
+    # integer leads and v = 5: pull (3, 4) has norm exactly 5
+    probes.append(leads - np.array([3.0, 4.0]))
+    probes.append(leads + np.array([4.0, -3.0]))
+    return probes
+
+
+class TestCommuteBatchForms:
+    V = 5.0
+
+    def huber(self, mu=0.3, T=40, seed=0):
+        rng = np.random.default_rng(seed)
+        leads = rng.integers(-50, 50, (T, 2)).astype(float)
+        return leads, d2d_utility_sequence([tuple(e) for e in leads.tolist()], self.V, mu, "huber")
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0])
+    def test_huber_batch_gradient_is_exact(self, mu):
+        leads, seq = self.huber(mu)
+        rng = np.random.default_rng(1)
+        on_cap = 0
+        for x in _huber_probe_points(leads, self.V, rng):
+            on_cap += int(np.sum(np.hypot(*(leads - x).T) == self.V))
+            per_slot = [g(p) for g, p in zip(seq.gradients, map(tuple, x.tolist()))]
+            assert np.array_equal(seq.batch_gradient(x), np.asarray(per_slot))
+        assert on_cap >= 2 * len(leads)
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0])
+    def test_huber_batch_value_matches_per_slot_sum(self, mu):
+        leads, seq = self.huber(mu)
+        rng = np.random.default_rng(2)
+        for x in _huber_probe_points(leads, self.V, rng):
+            per_slot = sum(u(p) for u, p in zip(seq.values, map(tuple, x.tolist())))
+            assert seq.batch_value(x) == pytest.approx(per_slot, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("kind", ["squared", "huber"])
+    def test_library_sequences_carry_batch_forms(self, kind):
+        rep = run_d2d(d2d_config(utility_kind=kind, mu=0.3), benchmark=False)
+        us = rep.problem.utilities
+        assert us.batch_value is not None and us.batch_gradient is not None
+
+    def test_huber_solve_matches_per_slot_path(self):
+        cfg = d2d_config(
+            utility_kind="huber",
+            mu=0.05,
+            peer=PathSpec((6.0, 4.0), (0.0, -4.0), speed_mps=2.0),
+            peer_noise_std_m=0.5,
+            delta=10,
+        )
+        rep = run_d2d(cfg, benchmark=False)
+        problem = rep.problem
+        us = problem.utilities
+        stripped = replace(problem, utilities=UtilitySequence(us.values, us.gradients))
+        fast = solve_offline(problem, x0=rep.trajectory)
+        slow = solve_offline(stripped, x0=rep.trajectory)
+        assert fast.converged and slow.converged
+        assert np.max(np.abs(np.subtract(fast.points, slow.points))) <= 1e-9
+        assert fast.utility == pytest.approx(slow.utility, rel=1e-9)
 
 
 class TestRunOcean:
