@@ -25,8 +25,8 @@ from .errors import (
     UnitsError,
 )
 from .metrics import OracleGrid, dp_oracle, solve_offline
-from .scenarios import run_adversary, run_scenario, sweep
-from .traces import emit_single_summary, emit_summary, emit_trace, write_regret_report
+from .scenarios import SweepRow, run_adversary, run_scenario, sweep
+from .traces import emit_summary, emit_trace, write_regret_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,7 +79,7 @@ def _cmd_run(args) -> int:
     trace_path = out / "trace.csv"
     summary_path = out / "summary.csv"
     emit_trace(report, trace_path)
-    emit_single_summary(report, summary_path)
+    emit_summary([SweepRow("", "", report)], summary_path)
     RunManifest.create(digest, cfg.seed, [str(trace_path), str(summary_path)]).write(
         out / "manifest.json"
     )

@@ -3,13 +3,17 @@
 One engine run (:func:`run_episode`) is strictly sequential, since each
 waypoint depends on the previous one, but runs share no state and
 independent episodes may execute concurrently.  All randomness is a pure
-function of ``(seed, slot)``, which makes replays bit-identical.
+function of ``(seed, slot)``, which makes replays bit-identical: each slot's
+normals come from Box-Muller on two SplitMix64 outputs keyed by the seed
+and the slot counter (:func:`normal_pair`), so a draw costs O(1) whatever
+the slot, and it does not depend on the horizon or on which slots were
+drawn before.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Literal, Protocol
 
 from .errors import EmptyStepInterval, InfeasibleStepSize, RootExistence
@@ -21,14 +25,38 @@ SLACK_TOL = 1e-9
 Mode = Literal["standard", "lookahead"]
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """The splitmix64 finalizer, a bijection on 64-bit integers."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def slot_seed(seed: int, t: int) -> int:
     """Stable 64-bit mix of a stream seed and a slot index (splitmix64)."""
-    z = (seed * 0x9E3779B97F4A7C15 + t) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    return _mix64((seed * _GOLDEN + t) & _MASK64)
+
+
+_TWO_PI = 2.0 * math.pi
+_ULP53 = 2.0**-53
+
+
+def normal_pair(seed: int, t: int) -> tuple[float, float]:
+    """Two independent standard normals keyed by ``(seed, t)``.
+
+    Box-Muller on the splitmix64 outputs at counters ``2t`` and ``2t + 1`` of
+    the stream that starts at the mixed seed: the counter steps by the golden
+    gamma, not by 1, and seeds a small distance apart start far apart.  The
+    first uniform lies in ``(0, 1]``, so the logarithm is always finite.
+    """
+    c = _mix64(seed & _MASK64) + 2 * t * _GOLDEN
+    u1 = ((_mix64(c & _MASK64) >> 11) + 1) * _ULP53
+    u2 = (_mix64((c + _GOLDEN) & _MASK64) >> 11) * _ULP53
+    r = math.sqrt(-2.0 * math.log(u1))
+    return (r * math.cos(_TWO_PI * u2), r * math.sin(_TWO_PI * u2))
 
 
 @dataclass(frozen=True)
@@ -63,8 +91,8 @@ class NoiseModel:
             return (0.0, 0.0)
         eps_t = self.eps0 * t ** (-self.decay_q)
         sigma = eps_t / 2.0**0.5
-        rng = random.Random(slot_seed(self.seed, t))
-        return (rng.gauss(0.0, sigma), rng.gauss(0.0, sigma))
+        z0, z1 = normal_pair(self.seed, t)
+        return (sigma * z0, sigma * z1)
 
 
 def noisy_gradient(true_grad: Vector, model: NoiseModel, t: int) -> tuple[Vector, float]:
@@ -76,7 +104,7 @@ def noisy_gradient(true_grad: Vector, model: NoiseModel, t: int) -> tuple[Vector
     return add(true_grad, n), norm_sq(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EngineState:
     """Where the agent is at slot ``t`` plus its running gradient-norm max."""
 
@@ -86,7 +114,7 @@ class EngineState:
     gbar_running: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     t: int
     x_before: Point
@@ -118,7 +146,7 @@ def ioga_lookahead_step(
     return ioga_step(state, grad_tilde_next, gamma, region)
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotPlan:
     """Everything a driver knows about one slot before the step is taken.
 
@@ -133,7 +161,6 @@ class SlotPlan:
     grad_observed: Vector
     gamma: Callable[[Vector, float], float]
     slack: Callable[[Point, Point], float]
-    extras: dict = field(default_factory=dict)
 
 
 class EpisodeDriver(Protocol):
@@ -155,20 +182,21 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
     """
     if mode not in ("standard", "lookahead"):
         raise ValueError(f"unknown mode {mode!r}")
-    state = EngineState(t=1, x_hat=driver.start, x_prev=driver.start)
-    waypoints: list[Point] = [driver.start]
+    start, region, noise, plan_slot = driver.start, driver.region, driver.noise, driver.plan
+    state = EngineState(t=1, x_hat=start, x_prev=start)
+    waypoints: list[Point] = [start]
     records: list[StepRecord] = []
     for t in range(1, driver.horizon):
-        plan = driver.plan(t, state.x_hat, state.x_prev, mode)
-        grad_tilde, _ = noisy_gradient(plan.grad_observed, driver.noise, t)
-        eps_sq_realized = norm_sq(sub(grad_tilde, plan.grad_true))
+        x_hat = state.x_hat
+        plan = plan_slot(t, x_hat, state.x_prev, mode)
+        grad_tilde, _ = noisy_gradient(plan.grad_observed, noise, t)
         gbar = max(state.gbar_running, norm(grad_tilde))
         try:
             gamma = plan.gamma(grad_tilde, gbar)
         except (EmptyStepInterval, RootExistence) as exc:
             raise InfeasibleStepSize(t, str(exc)) from exc
-        new_state = ioga_step(state, grad_tilde, gamma, driver.region)
-        slack = plan.slack(state.x_hat, new_state.x_hat)
+        state = ioga_step(state, grad_tilde, gamma, region)
+        slack = plan.slack(x_hat, state.x_hat)
         if slack > SLACK_TOL:
             raise InfeasibleStepSize(
                 t, f"executed step violates its constraint by {slack:.3e}"
@@ -176,15 +204,14 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
         records.append(
             StepRecord(
                 t=t,
-                x_before=state.x_hat,
-                x_after=new_state.x_hat,
+                x_before=x_hat,
+                x_after=state.x_hat,
                 gamma=gamma,
                 grad_tilde=grad_tilde,
-                eps_sq_realized=eps_sq_realized,
-                eps_sq_bound=driver.noise.eps_sq_bound(t),
+                eps_sq_realized=norm_sq(sub(grad_tilde, plan.grad_true)),
+                eps_sq_bound=noise.eps_sq_bound(t),
                 constraint_slack=slack,
             )
         )
-        state = new_state
         waypoints.append(state.x_hat)
     return waypoints, records

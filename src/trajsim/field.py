@@ -2,7 +2,9 @@
 
 Fields are immutable once built: loading, perturbing, and synthesizing all
 return new objects, and sampling is a pure read, so one field can back any
-number of concurrent episodes.
+number of concurrent episodes.  Each field keeps a lazy cache of the lattice
+cells it has been sampled in, as Python floats; two threads filling the same
+cell at once store equal values.
 
 File format (UTF-8 CSV): header exactly ``t,x,y,u,v`` with units s, m, m,
 m/s, m/s; one row per lattice node of a complete regular lattice.
@@ -34,6 +36,9 @@ class VelocityField:
     u: np.ndarray
     v: np.ndarray
     v_o_max: float = field(init=False)
+    # bracket indices (k0, k1, j0, j1, i0, i1) -> the cell's 8 corner values
+    # of u and of v, in (k, j, i) order
+    _cells: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("x_grid", "y_grid", "t_grid"):
@@ -56,6 +61,7 @@ class VelocityField:
         object.__setattr__(self, "v", v)
         speed_max = float(np.sqrt(u * u + v * v).max())
         object.__setattr__(self, "v_o_max", speed_max)
+        object.__setattr__(self, "_cells", {})
 
     def bbox(self) -> tuple[Point, Point]:
         return (
@@ -136,6 +142,14 @@ def _bracket(grid: tuple[float, ...], c: float) -> tuple[int, int, float]:
     return lo, hi, w
 
 
+def _fill_cell(f: VelocityField, key: tuple[int, ...]) -> tuple[list[float], list[float]]:
+    k0, k1, j0, j1, i0, i1 = key
+    corners = np.ix_((k0, k1), (j0, j1), (i0, i1))
+    cell = (f.u[corners].ravel().tolist(), f.v[corners].ravel().tolist())
+    f._cells[key] = cell
+    return cell
+
+
 def sample_velocity(f: VelocityField, p: Point, t: float) -> Vector:
     """Current at position ``p`` (m) and time ``t`` (s).
 
@@ -146,15 +160,16 @@ def sample_velocity(f: VelocityField, p: Point, t: float) -> Vector:
     i0, i1, wx = _bracket(f.x_grid, p[0])
     j0, j1, wy = _bracket(f.y_grid, p[1])
     k0, k1, wt = _bracket(f.t_grid, t)
-    u, v = f.u, f.v
+    key = (k0, k1, j0, j1, i0, i1)
+    cell = f._cells.get(key) or _fill_cell(f, key)
     out = []
-    for comp in (u, v):
-        c00 = comp[k0, j0, i0] + wx * (comp[k0, j0, i1] - comp[k0, j0, i0])
-        c01 = comp[k0, j1, i0] + wx * (comp[k0, j1, i1] - comp[k0, j1, i0])
+    for c in cell:
+        c00 = c[0] + wx * (c[1] - c[0])
+        c01 = c[2] + wx * (c[3] - c[2])
         c0 = c00 + wy * (c01 - c00)
         if k1 != k0:
-            c10 = comp[k1, j0, i0] + wx * (comp[k1, j0, i1] - comp[k1, j0, i0])
-            c11 = comp[k1, j1, i0] + wx * (comp[k1, j1, i1] - comp[k1, j1, i0])
+            c10 = c[4] + wx * (c[5] - c[4])
+            c11 = c[6] + wx * (c[7] - c[6])
             c1 = c10 + wy * (c11 - c10)
             c0 = c0 + wt * (c1 - c0)
         out.append(float(c0))

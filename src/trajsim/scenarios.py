@@ -19,7 +19,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from . import objectives as obj
-from .engine import Mode, NoiseModel, SlotPlan, StepRecord, run_episode, slot_seed
+from .engine import Mode, NoiseModel, SlotPlan, StepRecord, normal_pair, run_episode, slot_seed
 from .errors import SchemaError
 from .field import FieldPerturbation, VelocityField, perturb_field, sample_velocity
 from .geom import Point, Vector, dist, lerp, norm, scale, sub
@@ -210,8 +210,8 @@ class _PeerNoise:
     def observe(self, y: Point, t: int) -> Point:
         if self.std == 0.0:
             return y
-        rng = random.Random(slot_seed(self.seed, t))
-        return (y[0] + rng.gauss(0.0, self.std), y[1] + rng.gauss(0.0, self.std))
+        z0, z1 = normal_pair(self.seed, t)
+        return (y[0] + self.std * z0, y[1] + self.std * z1)
 
 
 class _D2DDriver:

@@ -181,11 +181,13 @@ def project_polygon(p: Point, poly: ConvexPolygon2D, tol: float = 1e-9) -> Point
         return p
     hs = poly.halfspaces
     candidates: list[Point] = []
-    for n, b in hs:
-        # foot of the perpendicular onto the boundary line n.x = b
+    for i, (n, b) in enumerate(hs):
+        # foot of the perpendicular onto the boundary line n.x = b; it must lie
+        # exactly inside the other halfspaces, since a foot a hair past a
+        # vertex is nearer than the vertex and would leave the polygon
         excess = dot(n, p) - b
         q = (p[0] - excess * n[0], p[1] - excess * n[1])
-        if _satisfies_all(hs, q, tol):
+        if _satisfies_all(hs[:i] + hs[i + 1 :], q, 0.0):
             candidates.append(q)
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):

@@ -2,7 +2,9 @@
 
 Floats are written with ``repr`` so files are byte-stable across runs and
 parse back to the exact same values; taking a field that does not apply to
-a scenario kind leaves its cell empty.
+a scenario kind leaves its cell empty.  The csv module does both: it writes
+a float (``np.float64`` included) as ``repr(float(v))``, an int as
+``str(v)`` and ``None`` as an empty cell.
 """
 
 from __future__ import annotations
@@ -46,46 +48,24 @@ SUMMARY_HEADER = [
 ]
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
 def emit_trace(report: EpisodeReport, path) -> None:
     """Write one row per slot; step-level fields are empty on the last slot."""
-    rows = []
     T = report.horizon
-    for t in range(1, T + 1):
-        x = report.trajectory[t - 1]
-        goal = report.goals[t - 1]
-        if t < T:
-            rec = report.records[t - 1]
-            step_fields = [
-                report.lambdas[t - 1],
-                report.alphas[t - 1],
-                rec.gamma,
-                norm(rec.grad_tilde),
-                rec.eps_sq_realized,
-            ]
-            energy = report.energy_steps[t - 1]
-            slack = rec.constraint_slack
-        else:
-            step_fields = [None, None, None, None, None]
-            energy = None
-            slack = None
-        rows.append(
-            [t, x[0], x[1], goal[0], goal[1]]
-            + step_fields
-            + [report.utilities[t - 1], energy, slack]
+    traj, goals, utils = report.trajectory, report.goals, report.utilities
+    rows = [
+        (t, x[0], x[1], goal[0], goal[1], lam, alpha, rec.gamma, norm(rec.grad_tilde),
+         rec.eps_sq_realized, u, energy, rec.constraint_slack)
+        for t, x, goal, u, rec, lam, alpha, energy in zip(
+            range(1, T), traj, goals, utils, report.records,
+            report.lambdas, report.alphas, report.energy_steps,
         )
+    ]
+    x, goal = traj[-1], goals[-1]
+    rows.append((T, x[0], x[1], goal[0], goal[1], None, None, None, None, None, utils[-1], None, None))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for row in rows:
-            writer.writerow([_cell(v) if not isinstance(v, str) else v for v in row])
+        writer.writerows(rows)
 
 
 def read_trace(path) -> list[dict[str, float | None]]:
@@ -122,24 +102,14 @@ def summary_row(param: str, value, report: EpisodeReport | None) -> list:
 
 
 def emit_summary(rows: Sequence[SweepRow], path) -> None:
-    """One CSV row per sweep value; failed rows keep param/value with blanks."""
+    """One CSV row per sweep value; failed rows keep param/value with blanks.
+
+    A single run's summary is the one row ``SweepRow("", "", report)``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
-        for row in rows:
-            cells = summary_row(row.param, row.value, row.report)
-            writer.writerow(
-                [c if isinstance(c, str) else _cell(c) for c in cells]
-            )
-
-
-def emit_single_summary(report: EpisodeReport, path, param: str = "", value="") -> None:
-    """Summary file for a single (non-sweep) run."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        cells = summary_row(param, value, report)
-        writer.writerow([c if isinstance(c, str) else _cell(c) for c in cells])
+        writer.writerows(summary_row(row.param, row.value, row.report) for row in rows)
 
 
 def read_summary(path) -> list[dict[str, float | str | None]]:

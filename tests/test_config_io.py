@@ -8,11 +8,11 @@ from trajsim.config import RunManifest, config_hash, parse_config
 from trajsim.engine import NoiseModel
 from trajsim.errors import SchemaError, UnitsError
 from trajsim.field import FieldPerturbation
-from trajsim.scenarios import PathSpec, ScenarioConfig, run_d2d, run_ocean
+from trajsim.scenarios import PathSpec, ScenarioConfig, SweepRow, run_d2d, run_ocean
 from trajsim.traces import (
     SUMMARY_HEADER,
     TRACE_HEADER,
-    emit_single_summary,
+    emit_summary,
     emit_trace,
     read_summary,
     read_trace,
@@ -205,7 +205,7 @@ class TestTraces:
 
     def test_summary_columns(self, tmp_path, d2d_report):
         path = tmp_path / "summary.csv"
-        emit_single_summary(d2d_report, path)
+        emit_summary([SweepRow("", "", d2d_report)], path)
         rows = read_summary(path)
         assert len(rows) == 1
         row = rows[0]

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import trajsim.engine
 from trajsim.engine import (
     EngineState,
     NoiseModel,
@@ -8,6 +11,7 @@ from trajsim.engine import (
     ioga_lookahead_step,
     ioga_step,
     noisy_gradient,
+    normal_pair,
     run_episode,
 )
 from trajsim.errors import EmptyStepInterval, InfeasibleStepSize
@@ -52,6 +56,63 @@ class TestNoiseModel:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(kind="laplace")
+
+
+class TestNoiseStream:
+    def test_draw_ignores_call_order(self):
+        model = NoiseModel(kind="gaussian_decaying", eps0=0.7, decay_q=0.5, seed=123)
+        forward = [model.draw(t) for t in range(1, 200)]
+        backward = [model.draw(t) for t in range(199, 0, -1)][::-1]
+        fresh = NoiseModel(kind="gaussian_decaying", eps0=0.7, decay_q=0.5, seed=123)
+        assert forward == backward
+        assert fresh.draw(150) == forward[149]
+
+    def test_draw_ignores_horizon(self):
+        targets = [(2.0 * t, -1.0 * t) for t in range(1, 41)]
+        noise = NoiseModel(kind="gaussian_decaying", eps0=0.3, decay_q=0.4, seed=17)
+        _, short = run_episode(_ChaserDriver(targets, 12, noise))
+        _, long = run_episode(_ChaserDriver(targets, 40, noise))
+        assert short == long[: len(short)]
+
+    def test_peer_observation_shares_the_draw(self):
+        from trajsim.scenarios import _PeerNoise
+
+        # eps0 = sqrt(2) with no decay gives sigma = 1 exactly
+        model = NoiseModel(kind="gaussian_decaying", eps0=2.0**0.5, decay_q=0.0, seed=99)
+        peer = _PeerNoise(1.0, 99)
+        for t in (1, 2, 3, 1000, 10**9):
+            assert peer.observe((0.0, 0.0), t) == model.draw(t) == normal_pair(99, t)
+
+    def test_second_moment_and_mean_over_slots(self):
+        model = NoiseModel(kind="gaussian_decaying", eps0=1.0, decay_q=0.0, seed=2024)
+        draws = np.array([model.draw(t) for t in range(1, 100_001)])
+        assert np.isfinite(draws).all()
+        assert np.mean(np.sum(draws * draws, axis=1)) == pytest.approx(1.0, rel=0.02)
+        assert np.all(np.abs(draws.mean(axis=0)) < 0.01)
+
+    def test_pairs_uncorrelated_within_and_across_slots(self):
+        n = 100_000
+        z = np.array([normal_pair(2024, t) for t in range(1, n + 1)])
+        z0, z1 = z[:, 0], z[:, 1]
+        # five standard errors of a sample correlation of independent normals
+        limit = 5.0 / math.sqrt(n)
+        for a, b in [(z0, z1), (z0[:-1], z0[1:]), (z1[:-1], z1[1:]), (z1[:-1], z0[1:])]:
+            assert abs(np.corrcoef(a, b)[0, 1]) < limit
+
+    def test_adjacent_seeds_uncorrelated(self):
+        n = 100_000
+        a = np.array([normal_pair(7, t) for t in range(1, n + 1)])
+        b = np.array([normal_pair(8, t) for t in range(1, n + 1)])
+        limit = 5.0 / math.sqrt(n)
+        for i in (0, 1):
+            assert abs(np.corrcoef(a[:, i], b[:, i])[0, 1]) < limit
+            assert abs(np.corrcoef(a[1:, i], b[:-1, i])[0, 1]) < limit
+
+    @pytest.mark.parametrize("h", [0, (1 << 64) - 1])
+    def test_extreme_hashes_stay_finite(self, monkeypatch, h):
+        monkeypatch.setattr(trajsim.engine, "_mix64", lambda z: h)
+        z0, z1 = normal_pair(1, 1)
+        assert math.isfinite(z0) and math.isfinite(z1)
 
 
 class TestIogaStep:

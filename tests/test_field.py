@@ -10,12 +10,32 @@ from trajsim.field import (
     GyreSpec,
     UniformSpec,
     VelocityField,
+    _bracket,
     load_field,
     perturb_field,
     sample_velocity,
     synth_field,
     zero_field,
 )
+
+
+def sample_reference(f, p, t):
+    """Interpolation straight from the numpy lattice, no cell cache."""
+    i0, i1, wx = _bracket(f.x_grid, p[0])
+    j0, j1, wy = _bracket(f.y_grid, p[1])
+    k0, k1, wt = _bracket(f.t_grid, t)
+    out = []
+    for comp in (f.u, f.v):
+        c00 = comp[k0, j0, i0] + wx * (comp[k0, j0, i1] - comp[k0, j0, i0])
+        c01 = comp[k0, j1, i0] + wx * (comp[k0, j1, i1] - comp[k0, j1, i0])
+        c0 = c00 + wy * (c01 - c00)
+        if k1 != k0:
+            c10 = comp[k1, j0, i0] + wx * (comp[k1, j0, i1] - comp[k1, j0, i0])
+            c11 = comp[k1, j1, i0] + wx * (comp[k1, j1, i1] - comp[k1, j1, i0])
+            c1 = c10 + wy * (c11 - c10)
+            c0 = c0 + wt * (c1 - c0)
+        out.append(float(c0))
+    return (out[0], out[1])
 
 
 def write_field(path, rows, header="t,x,y,u,v"):
@@ -108,6 +128,26 @@ class TestSampling:
         f = self.grid_field()
         inside = sample_velocity(f, (0.0, 0.0), 0.0)
         assert sample_velocity(f, (-50.0, -50.0), -5.0) == inside
+
+    @pytest.mark.parametrize("nt", [1, 3])
+    def test_cached_cells_match_reference_bitwise(self, nt):
+        rng = np.random.default_rng(31)
+        xs = tuple(np.linspace(0, 10, 6))
+        ys = tuple(np.linspace(0, 8, 5))
+        ts = tuple(np.linspace(0, 6, nt))
+        f = VelocityField(xs, ys, ts, rng.normal(0, 1, (nt, 5, 6)), rng.normal(0, 1, (nt, 5, 6)))
+        queries = [
+            ((rng.uniform(-2, 12), rng.uniform(-2, 10)), rng.uniform(-1, 7)) for _ in range(400)
+        ]
+        queries += [((x, y), t) for x in xs for y in ys for t in ts]
+        # repr tells -0.0 from 0.0; the second pass reads every cell from the cache
+        for _ in range(2):
+            for p, t in queries:
+                assert repr(sample_velocity(f, p, t)) == repr(sample_reference(f, p, t))
+        perturbed = perturb_field(f, FieldPerturbation(0.1, seed=4))
+        for p, t in queries:
+            got = sample_velocity(perturbed, p, t)
+            assert repr(got) == repr(sample_reference(perturbed, p, t))
 
     def test_bounded_by_corner_extrema(self):
         rng = np.random.default_rng(8)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajsim.errors import DegenerateSet, NoConvergence
@@ -116,6 +116,9 @@ class TestProjectionProperties:
 
     @given(a=points, b=points)
     @settings(max_examples=150, deadline=None)
+    # a hair outside a square's corner: a perpendicular foot just past the
+    # vertex used to be taken as the projection
+    @example(a=(0.0, -5.229529388515273e-12), b=(5.229529388515273e-12, -5.229529388515273e-12))
     def test_nonexpansive(self, region, a, b):
         pa, pb = region.project(a), region.project(b)
         assert dist(pa, pb) <= dist(a, b) + 1e-12
