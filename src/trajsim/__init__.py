@@ -9,7 +9,6 @@ from .engine import (
     EngineState,
     NoiseModel,
     StepRecord,
-    ioga_lookahead_step,
     ioga_step,
     noisy_gradient,
     run_episode,
@@ -24,14 +23,12 @@ from .field import (
     perturb_field,
     sample_velocity,
     synth_field,
-    zero_field,
 )
 from .metrics import (
     GradientVariation,
     OfflineProblem,
     OracleGrid,
     RegretReport,
-    UtilitySequence,
     build_regret_report,
     cumulative_error,
     dp_oracle,
@@ -44,6 +41,8 @@ from .metrics import (
     straight_line_trajectory,
 )
 from .objectives import (
+    CommuteUtilities,
+    VoyageUtilities,
     alpha_schedule,
     d2d_gradient,
     d2d_step_size,
@@ -71,16 +70,12 @@ from .scenarios import (
     sweep,
 )
 from .sets import (
-    Ball2D,
     Box2D,
-    ConvexPolygon2D,
     PointIn,
     StepCap,
     constraint_violation,
     dykstra_project,
-    project_ball,
     project_box,
-    project_polygon,
 )
 from .config import RunManifest, config_hash, parse_config
 from .traces import emit_summary, emit_trace, read_summary, read_trace

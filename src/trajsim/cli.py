@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -24,7 +25,7 @@ from .errors import (
     SchemaError,
     UnitsError,
 )
-from .metrics import OracleGrid, dp_oracle, solve_offline
+from .metrics import ORACLE_MAX_NODES, OracleGrid, dp_oracle, solve_offline
 from .scenarios import SweepRow, run_adversary, run_scenario, sweep
 from .traces import emit_summary, emit_trace, write_regret_report
 
@@ -146,6 +147,10 @@ def _cmd_oracle(args) -> int:
         nx, ny = (int(c) for c in args.grid.lower().split("x"))
     except ValueError:
         raise SchemaError("--grid", f"expected NxM, got {args.grid!r}")
+    if not (2 <= nx <= ORACLE_MAX_NODES and 2 <= ny <= ORACLE_MAX_NODES):
+        raise SchemaError(
+            "--grid", f"needs 2 to {ORACLE_MAX_NODES} nodes per axis, got {args.grid!r}"
+        )
     if cfg.horizon > 6:
         raise SchemaError(
             "delta_slots", f"oracle runs need horizon <= 6, this config gives {cfg.horizon}"
@@ -178,6 +183,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
+    if args.T < 1:
+        raise SchemaError("--T", f"must be >= 1, got {args.T}")
+    if not 0.0 < args.W < math.inf:
+        raise SchemaError("--W", f"must be positive and finite, got {args.W}")
     seed = args.seed if args.seed is not None else (_default_seed() or 0)
     value = run_adversary(args.T, args.W, args.policy, seed=seed)
     bound = 0.5 * args.W**2 * args.T

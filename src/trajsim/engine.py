@@ -18,7 +18,7 @@ from typing import Callable, Literal, Protocol
 
 from .errors import EmptyStepInterval, InfeasibleStepSize, RootExistence
 from .geom import Point, Vector, add, norm, norm_sq, scale, sub
-from .sets import Region
+from .sets import Box2D
 
 SLACK_TOL = 1e-9
 
@@ -126,7 +126,7 @@ class StepRecord:
     constraint_slack: float
 
 
-def ioga_step(state: EngineState, grad_tilde: Vector, gamma: float, region: Region) -> EngineState:
+def ioga_step(state: EngineState, grad_tilde: Vector, gamma: float, region: Box2D) -> EngineState:
     """One projected ascent step ``x <- P(x + grad/gamma)``."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -137,13 +137,6 @@ def ioga_step(state: EngineState, grad_tilde: Vector, gamma: float, region: Regi
         x_prev=state.x_hat,
         gbar_running=max(state.gbar_running, norm(grad_tilde)),
     )
-
-
-def ioga_lookahead_step(
-    state: EngineState, grad_tilde_next: Vector, gamma: float, region: Region
-) -> EngineState:
-    """Same map as :func:`ioga_step`; the caller supplies next slot's gradient."""
-    return ioga_step(state, grad_tilde_next, gamma, region)
 
 
 @dataclass(slots=True)
@@ -166,7 +159,7 @@ class SlotPlan:
 class EpisodeDriver(Protocol):
     start: Point
     horizon: int
-    region: Region
+    region: Box2D
     noise: NoiseModel
 
     def plan(self, t: int, x_hat: Point, x_prev: Point, mode: Mode) -> SlotPlan: ...

@@ -7,10 +7,6 @@ class TrajsimError(Exception):
     """Base class for all simulator errors."""
 
 
-class DegenerateSet(TrajsimError):
-    """A feasible set is empty or too degenerate to project onto."""
-
-
 class NoConvergence(TrajsimError):
     """An iterative routine stopped before reaching its tolerance.
 

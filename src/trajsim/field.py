@@ -70,12 +70,6 @@ class VelocityField:
         )
 
 
-def zero_field() -> VelocityField:
-    """Still water on a minimal lattice; stands in when no currents apply."""
-    z = np.zeros((1, 2, 2))
-    return VelocityField((0.0, 1.0), (0.0, 1.0), (0.0,), z, z)
-
-
 def load_field(path) -> VelocityField:
     """Read a field file; see the module docstring for the format.
 

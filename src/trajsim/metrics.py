@@ -11,70 +11,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import GridTooCoarse, HorizonMismatch, NoConvergence
 from .field import VelocityField, sample_velocity
-from .geom import Point, Vector, dist, lerp, norm_sq, sub
-from .sets import Box2D, Constraint, PointIn, Region, StepCap, constraint_violation, dykstra_project
+from .geom import Point, dist, lerp, norm_sq, sub
+from .objectives import Utilities
+from .sets import Box2D, Constraint, PointIn, StepCap, constraint_violation, dykstra_project
 
-UtilityFn = Callable[[Point], float]
-GradientFn = Callable[[Point], Vector]
-
-
-@dataclass(frozen=True)
-class UtilitySequence:
-    """Per-slot utilities ``U_t`` (t = 1..T) with their gradients.
-
-    ``affine_diffs[t-1]``, when present, states that
-    ``grad U_{t+1}(x) - grad U_t(x) == a * x + b`` for scalar ``a`` and
-    vector ``b``; both families here satisfy this, which makes the
-    worst-case gradient variation computable exactly over a box.
-
-    ``batch_value`` and ``batch_gradient``, when present, evaluate all
-    slots at once on a ``(T, 2)`` array and must agree with the per-slot
-    callables; the solvers use them as a fast path.
-    """
-
-    values: tuple[UtilityFn, ...]
-    gradients: tuple[GradientFn, ...]
-    affine_diffs: tuple[tuple[float, Vector], ...] | None = None
-    batch_value: Callable[[np.ndarray], float] | None = None
-    batch_gradient: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if len(self.values) != len(self.gradients):
-            raise ValueError("values and gradients must have equal length")
-        if self.affine_diffs is not None and len(self.affine_diffs) != len(self.values) - 1:
-            raise ValueError("need one affine difference per consecutive pair")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values)
-
-    def total(self, points: Sequence[Point]) -> float:
-        if len(points) != self.horizon:
-            raise HorizonMismatch(f"{len(points)} points for horizon {self.horizon}")
-        if self.batch_value is not None:
-            return float(self.batch_value(np.asarray(points, dtype=float)))
-        return sum(u(p) for u, p in zip(self.values, points))
-
-    def gradient_array(self, x: np.ndarray) -> np.ndarray:
-        if self.batch_gradient is not None:
-            return np.asarray(self.batch_gradient(x), dtype=float)
-        return np.array([g((p[0], p[1])) for g, p in zip(self.gradients, x)], dtype=float)
+# largest oracle lattice per axis: the DP holds (nodes x nodes) per slot
+ORACLE_MAX_NODES = 101
 
 
 @dataclass(frozen=True)
 class OfflineProblem:
-    """Full-horizon trajectory problem: start pin, utilities, caps, region."""
+    """Full-horizon trajectory problem: start pin, utilities, caps, box.
+
+    ``utilities`` is a :class:`~trajsim.objectives.CommuteUtilities` or a
+    :class:`~trajsim.objectives.VoyageUtilities` of the same horizon.
+    """
 
     start: Point
-    utilities: UtilitySequence
+    utilities: Utilities
     caps: tuple[StepCap, ...]
-    region: Region
+    region: Box2D
     smoothness: float = 2.0
 
     def __post_init__(self):
@@ -244,20 +206,18 @@ def _solve_with_restoration(
     constraints = problem.constraints()
     pts = _restore(warm, constraints)
     warning = None
-    grads = problem.utilities.gradients
-    prev = problem.utilities.total(pts)
+    us = problem.utilities
+    prev = us.total(pts)
     for _ in range(max_iter):
-        stepped = []
-        for gr, p in zip(grads, pts):
-            g = gr(p)
-            stepped.append((p[0] + step * g[0], p[1] + step * g[1]))
+        x = np.array(pts)
+        stepped = x + step * us.gradient_array(x)
         try:
             pts = dykstra_project(stepped, constraints, max_iter=3000, tol=1e-8)
             warning = None
         except NoConvergence as exc:
             pts = exc.points
             warning = f"feasibility restoration stalled at residual {exc.residual:.3e}"
-        value = problem.utilities.total(pts)
+        value = us.total(pts)
         improvement = abs(value - prev)
         prev = value
         if improvement <= tol * (1.0 + abs(value)):
@@ -309,8 +269,8 @@ def dp_oracle(problem: OfflineProblem, grid: OracleGrid) -> OracleSolution:
     T = problem.horizon
     if T > 6:
         raise ValueError(f"oracle limited to horizons <= 6, got {T}")
-    if grid.nx > 101 or grid.ny > 101:
-        raise ValueError("oracle grid limited to 101 x 101")
+    if grid.nx > ORACLE_MAX_NODES or grid.ny > ORACLE_MAX_NODES:
+        raise ValueError(f"oracle grid limited to {ORACLE_MAX_NODES} x {ORACLE_MAX_NODES}")
     nodes = grid.nodes(extra=[problem.start])
     inside = np.array([problem.region.contains((p[0], p[1]), tol=1e-9) for p in nodes])
     nodes = nodes[inside]
@@ -354,7 +314,7 @@ def dp_oracle(problem: OfflineProblem, grid: OracleGrid) -> OracleSolution:
 def regret(
     offline_traj: Sequence[Point],
     online_traj: Sequence[Point],
-    utilities: UtilitySequence,
+    utilities: Utilities,
 ) -> float:
     """Cumulative utility gap of the online trajectory against the benchmark."""
     if len(offline_traj) != len(online_traj):
@@ -377,30 +337,34 @@ class GradientVariation:
 
 
 def gradient_variation(
-    utilities: UtilitySequence,
-    region: Region,
+    utilities: Utilities,
+    region: Box2D,
     n_samples: int = 256,
     seed: int = 0,
 ) -> GradientVariation:
     """Worst-case cumulative squared change of the gradient between slots.
 
-    When the per-pair gradient difference is affine in the position and the
-    region is a box, the inner maximum of the (convex) squared norm is
-    attained at a vertex and evaluated exactly; otherwise it is estimated by
-    Monte Carlo over ``n_samples`` points of the region, with the sample
-    count reported.  The Monte-Carlo branch evaluates each sample at every
-    slot through :meth:`UtilitySequence.gradient_array`.
+    When the per-pair gradient difference is affine in the position, the
+    inner maximum of the (convex) squared norm is attained at a vertex of
+    the box and evaluated exactly; otherwise it is estimated by Monte Carlo
+    over ``n_samples`` uniform points of the box, with the sample count
+    reported.  The Monte-Carlo branch evaluates each sample at every slot
+    through the family's ``gradient_array``.
     """
-    if utilities.affine_diffs is not None and isinstance(region, Box2D):
+    diffs = utilities.affine_diffs
+    if diffs is not None:
         corners = region.vertices()
         total = 0.0
-        for a, b in utilities.affine_diffs:
+        for a, b in zip(diffs[0].tolist(), diffs[1].tolist()):
             total += max(
                 (a * c[0] + b[0]) ** 2 + (a * c[1] + b[1]) ** 2 for c in corners
             )
         return GradientVariation(value=total, exact=True, n_samples=0)
     rng = np.random.default_rng(seed)
-    samples = _region_samples(region, n_samples, rng)
+    lo, hi = region.lo, region.hi
+    xs = rng.uniform(lo[0], hi[0], n_samples)
+    ys = rng.uniform(lo[1], hi[1], n_samples)
+    samples = list(zip(xs.tolist(), ys.tolist()))
     # one sample at a time over all slots, keeping a running max per pair
     worst = np.zeros(max(utilities.horizon - 1, 0))
     x = np.empty((utilities.horizon, 2))
@@ -413,32 +377,6 @@ def gradient_variation(
     for w in worst.tolist():
         total += w
     return GradientVariation(value=total, exact=False, n_samples=len(samples))
-
-
-def _region_samples(region: Region, n: int, rng) -> list[Point]:
-    if isinstance(region, Box2D):
-        lo, hi = region.lo, region.hi
-        xs = rng.uniform(lo[0], hi[0], n)
-        ys = rng.uniform(lo[1], hi[1], n)
-        return list(zip(xs.tolist(), ys.tolist()))
-    # rejection from the bounding box for balls and polygons
-    if hasattr(region, "center"):
-        lo = (region.center[0] - region.radius, region.center[1] - region.radius)
-        hi = (region.center[0] + region.radius, region.center[1] + region.radius)
-    else:
-        vs = region.vertices()
-        if not vs:
-            raise TypeError("cannot sample an unbounded polygon region")
-        lo = (min(v[0] for v in vs), min(v[1] for v in vs))
-        hi = (max(v[0] for v in vs), max(v[1] for v in vs))
-    out: list[Point] = []
-    attempts = 0
-    while len(out) < n and attempts < 100 * n:
-        attempts += 1
-        p = (float(rng.uniform(lo[0], hi[0])), float(rng.uniform(lo[1], hi[1])))
-        if region.contains(p, tol=0.0):
-            out.append(p)
-    return out
 
 
 def cumulative_error(eps_sq: Sequence[float]) -> float:
@@ -541,8 +479,9 @@ def build_regret_report(
     """Solve the offline benchmark and assemble the full comparison report."""
     sol = solve_offline(problem, step=solver_step, x0=online_traj)
     us = problem.utilities
-    offline_u = tuple(u(p) for u, p in zip(us.values, sol.points))
-    online_u = tuple(u(p) for u, p in zip(us.values, online_traj))
+    values = us.values
+    offline_u = tuple(u(p) for u, p in zip(values, sol.points))
+    online_u = tuple(u(p) for u, p in zip(values, online_traj))
     gv = gradient_variation(us, problem.region)
     energy_online = energy_cost(online_traj, fld, c_d, slot_duration)
     straight = straight_line_trajectory(online_traj[0], goal, len(online_traj))

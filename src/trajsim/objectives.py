@@ -11,15 +11,22 @@ Two families are implemented:
 Conventions used throughout: the squared penalty is ``-0.5 * d^2`` so its
 gradient toward the leading path is exactly ``ell - x``; the robust penalty
 uses the matching unit scaling.
+
+The scalar functions serve the per-slot online loop.  For the offline
+benchmark, :class:`CommuteUtilities` and :class:`VoyageUtilities` hold one
+frozen utility per slot as arrays and evaluate all slots at once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from typing import Callable, Union
 
-from .errors import EmptyStepInterval, RootExistence
+import numpy as np
+
+from .errors import EmptyStepInterval, HorizonMismatch, RootExistence
 from .geom import Point, Vector, angle_between, dist, dot, norm, norm_sq, sub
-from .sets import Ball2D, project_ball
 
 # Distance floor (meters) below which the far-field path-loss model of
 # `rate` is invalid and the distance is clamped.
@@ -41,21 +48,16 @@ def leading_path(y: Point, d: Point, lam: float) -> Point:
     return (lam * y[0] + (1.0 - lam) * d[0], lam * y[1] + (1.0 - lam) * d[1])
 
 
-def huber_value(d: float, v_max: float, mu: float, legacy_constant: bool = False) -> float:
+def huber_value(d: float, v_max: float, mu: float) -> float:
     """Robust distance penalty: quadratic near, blended linear/quadratic far.
 
-    Continuously differentiable at ``d == v_max``.  ``legacy_constant``
-    selects the historical offset ``(1 - mu^2) v_max^2 / 2``, which is value-
-    discontinuous at the crossover and kept only for comparison runs.
+    Continuously differentiable at ``d == v_max``.
     """
     if d < 0.0:
         raise ValueError(f"distance {d} must be nonnegative")
     if d <= v_max:
         return 0.5 * d * d
-    if legacy_constant:
-        offset = (1.0 - mu * mu) * v_max * v_max / 2.0
-    else:
-        offset = (1.0 - mu) * v_max * v_max / 2.0
+    offset = (1.0 - mu) * v_max * v_max / 2.0
     return v_max * (1.0 - mu) * d + 0.5 * mu * d * d - offset
 
 
@@ -85,21 +87,14 @@ def d2d_gradient(x: Point, ell: Point, v_max: float, mu: float) -> Vector:
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu {mu} outside (0, 1]")
     pull = sub(ell, x)
-    capped = project_ball(pull, Ball2D((0.0, 0.0), v_max))
-    return (
-        mu * pull[0] + (1.0 - mu) * capped[0],
-        mu * pull[1] + (1.0 - mu) * capped[1],
-    )
-
-
-def d2d_gradient_piecewise(x: Point, ell: Point, v_max: float, mu: float) -> Vector:
-    """Branch-by-branch form of :func:`d2d_gradient`, kept as a cross-check."""
-    pull = sub(ell, x)
+    # radial clamp of the pull into the disc of radius v_max, the scalar
+    # form of v_max / max(|pull|, v_max) in CommuteUtilities.gradient_array
     n = norm(pull)
-    if n <= v_max:
-        return pull
-    s = v_max * (1.0 - mu) / n
-    return (s * pull[0] + mu * pull[0], s * pull[1] + mu * pull[1])
+    s = v_max / n if n > v_max else 1.0
+    return (
+        mu * pull[0] + (1.0 - mu) * (pull[0] * s),
+        mu * pull[1] + (1.0 - mu) * (pull[1] * s),
+    )
 
 
 def d2d_step_size(
@@ -173,8 +168,10 @@ def directional_weight(eta: float, theta: float) -> float:
     return 1.0 - eta * c * c
 
 
-def lambda_direction(d: Point, x_hat: Point, v_o: Vector, v_o_max: float) -> float:
-    """Goal weight from the current's strength and its angle to the goal.
+def current_strength_angle(
+    d: Point, x_hat: Point, v_o: Vector, v_o_max: float
+) -> tuple[float, float]:
+    """Relative strength ``eta`` of the current and its angle ``theta`` to the goal.
 
     Degenerate geometry (goal reached, or still water) uses angle pi, i.e.
     the fully goal-seeking weight 1.  Strength is clamped at 1 in case a
@@ -188,7 +185,12 @@ def lambda_direction(d: Point, x_hat: Point, v_o: Vector, v_o_max: float) -> flo
         theta = math.pi
     else:
         theta = angle_between(heading, v_o)
-    return directional_weight(eta, theta)
+    return eta, theta
+
+
+def lambda_direction(d: Point, x_hat: Point, v_o: Vector, v_o_max: float) -> float:
+    """Goal weight from the current's strength and its angle to the goal."""
+    return directional_weight(*current_strength_angle(d, x_hat, v_o, v_o_max))
 
 
 def alpha_schedule(beta: float, delta: float, T: int, eta: float, theta: float) -> float:
@@ -252,3 +254,130 @@ def ocean_step_size(
     # a < 0 and g2 > 0 force disc > 0 and exactly one positive root
     root = (b - math.sqrt(disc)) / (2.0 * a)
     return max(root, margin * L)
+
+
+# ---------------------------------------------------------------------------
+# whole-horizon families: one frozen utility per slot, evaluated over (T, 2)
+# arrays by the offline benchmark
+
+
+def _points_array(points, horizon: int) -> np.ndarray:
+    if len(points) != horizon:
+        raise HorizonMismatch(f"{len(points)} points for horizon {horizon}")
+    return np.asarray(points, dtype=float)
+
+
+class CommuteUtilities:
+    """Commute utilities ``d2d_utility(x, leads[t], v, mu, kind)``, t = 0..T-1.
+
+    ``v`` is the per-slot displacement cap and ``mu`` the curvature of the
+    robust penalty.  The array gradient is the pull ``leads - x`` for the
+    squared kind; for the Huber kind it equals :func:`d2d_gradient` slot by
+    slot, bit for bit.
+    """
+
+    def __init__(self, leads, v: float, mu: float, kind: str = "squared"):
+        if kind not in ("squared", "huber"):
+            raise ValueError(f"unknown utility kind {kind!r}")
+        self.leads = np.asarray(leads, dtype=float)
+        self.v = v
+        self.mu = mu
+        self.kind = kind
+
+    @property
+    def horizon(self) -> int:
+        return len(self.leads)
+
+    @property
+    def values(self) -> list[Callable[[Point], float]]:
+        """Slot ``t``'s utility as a callable, through the scalar :func:`d2d_utility`."""
+        return [
+            partial(d2d_utility, ell=e, v_max=self.v, mu=self.mu, kind=self.kind)
+            for e in self.leads.tolist()
+        ]
+
+    @property
+    def affine_diffs(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(a, b)`` with ``grad U_{t+1}(x) - grad U_t(x) == a[t] * x + b[t]``.
+
+        ``None`` for the Huber kind, whose gradient differences are not affine.
+        """
+        if self.kind == "huber":
+            return None
+        return np.zeros(self.horizon - 1), self.leads[1:] - self.leads[:-1]
+
+    def total(self, points) -> float:
+        d = _points_array(points, self.horizon) - self.leads
+        if self.kind == "squared":
+            return -0.5 * float(np.sum(d * d))
+        # the elementwise arithmetic of huber_value; np.hypot may differ from
+        # math.hypot in the last bit, but the total only steers the ascent and
+        # its pairwise sum rounds differently from a per-slot sum anyway
+        v, mu = self.v, self.mu
+        n = np.hypot(d[:, 0], d[:, 1])
+        far = v * (1.0 - mu) * n + 0.5 * mu * n * n - (1.0 - mu) * v * v / 2.0
+        return -float(np.sum(np.where(n <= v, 0.5 * n * n, far)))
+
+    def gradient_array(self, x: np.ndarray) -> np.ndarray:
+        pull = self.leads - x
+        if self.kind == "squared":
+            return pull
+        # math.hypot, not np.hypot: they can differ in the last bit, and this
+        # must equal d2d_gradient exactly (G_T is built from it)
+        n = np.fromiter(
+            map(math.hypot, pull[:, 0].tolist(), pull[:, 1].tolist()), float, len(pull)
+        )
+        # v / max(n, v) is exactly 1 inside the cap
+        capped = pull * (self.v / np.maximum(n, self.v))[:, None]
+        return self.mu * pull + (1.0 - self.mu) * capped
+
+
+class VoyageUtilities:
+    """Voyage utilities ``ocean_utility(x, prev[t], goal[t], current[t], lam[t])``.
+
+    ``lam`` is ``(T,)``; ``goal``, ``current`` and ``prev`` are ``(T, 2)``.
+    """
+
+    def __init__(self, lam, goal, current, prev):
+        self.lam = np.asarray(lam, dtype=float)
+        self.goal = np.asarray(goal, dtype=float)
+        self.current = np.asarray(current, dtype=float)
+        self.prev = np.asarray(prev, dtype=float)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.lam)
+
+    @property
+    def values(self) -> list[Callable[[Point], float]]:
+        """Slot ``t``'s utility as a callable, through the scalar :func:`ocean_utility`."""
+        return [
+            partial(ocean_utility, x_prev=xp, d=g, v_o=vo, lam=lam)
+            for lam, g, vo, xp in zip(
+                self.lam.tolist(), self.goal.tolist(), self.current.tolist(), self.prev.tolist()
+            )
+        ]
+
+    @property
+    def affine_diffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(a, b)`` with ``grad U_{t+1}(x) - grad U_t(x) == a[t] * x + b[t]``."""
+        lam = self.lam
+        pull = lam[:, None] * self.goal
+        drift = (1.0 - lam)[:, None] * self.current
+        a = -2.0 * (lam[1:] - lam[:-1])
+        b = 2.0 * (pull[1:] - pull[:-1]) + drift[1:] - drift[:-1]
+        return a, b
+
+    def total(self, points) -> float:
+        x = _points_array(points, self.horizon)
+        d = x - self.goal
+        quad = self.lam * np.sum(d * d, axis=1)
+        drift = (1.0 - self.lam) * np.sum((self.prev - x) * self.current, axis=1)
+        return -float(np.sum(quad + drift))
+
+    def gradient_array(self, x: np.ndarray) -> np.ndarray:
+        lam = self.lam[:, None]
+        return -2.0 * lam * (x - self.goal) + (1.0 - lam) * self.current
+
+
+Utilities = Union[CommuteUtilities, VoyageUtilities]

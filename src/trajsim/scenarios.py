@@ -16,20 +16,12 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
-import numpy as np
-
 from . import objectives as obj
 from .engine import Mode, NoiseModel, SlotPlan, StepRecord, normal_pair, run_episode, slot_seed
 from .errors import SchemaError
 from .field import FieldPerturbation, VelocityField, perturb_field, sample_velocity
-from .geom import Point, Vector, dist, lerp, norm, scale, sub
-from .metrics import (
-    OfflineProblem,
-    RegretReport,
-    UtilitySequence,
-    build_regret_report,
-    energy_cost,
-)
+from .geom import Point, Vector, dist, lerp, scale
+from .metrics import OfflineProblem, RegretReport, build_regret_report, energy_cost
 from .sets import Box2D, StepCap
 
 # Offsets deriving independent per-purpose streams from the master seed.
@@ -214,8 +206,12 @@ class _PeerNoise:
         return (y[0] + self.std * z0, y[1] + self.std * z1)
 
 
-class _D2DDriver:
-    """Per-episode state machine for the commute scenario."""
+class _Driver:
+    """Set-up and per-slot bookkeeping shared by the commute and voyage drivers.
+
+    A subclass sets ``region`` and implements ``plan``, which starts with
+    :meth:`source_slot`.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -227,12 +223,26 @@ class _D2DDriver:
         )
         tau = cfg.slot_duration_s
         self.goals = [cfg.goal.at(t, tau) for t in range(1, self.horizon + 1)]
-        self.peers = [cfg.peer.at(t, tau) for t in range(1, self.horizon + 1)]
-        self.region = _auto_region(cfg, [cfg.start, *self.goals, *self.peers])
-        self.peer_noise = _PeerNoise(cfg.peer_noise_std_m, cfg.derived_seed(_PEER_SEED_OFFSET))
         self.arrived = False
         self.lambdas: list[float] = []
         self.alphas: list[float] = []
+
+    def source_slot(self, t: int, x_hat: Point, mode: Mode) -> int:
+        """Latch arrival at slot ``t``'s goal; return the slot whose gradient drives the step."""
+        if not self.arrived and dist(x_hat, self.goals[t - 1]) <= ARRIVAL_TOL_M:
+            self.arrived = True
+        return t + 1 if mode == "lookahead" else t
+
+
+class _D2DDriver(_Driver):
+    """Per-episode state machine for the commute scenario."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        super().__init__(cfg)
+        tau = cfg.slot_duration_s
+        self.peers = [cfg.peer.at(t, tau) for t in range(1, self.horizon + 1)]
+        self.region = _auto_region(cfg, [cfg.start, *self.goals, *self.peers])
+        self.peer_noise = _PeerNoise(cfg.peer_noise_std_m, cfg.derived_seed(_PEER_SEED_OFFSET))
         self.leads_true: list[Point] = []
 
     def goal_weight(self, t: int) -> float:
@@ -247,9 +257,7 @@ class _D2DDriver:
 
     def plan(self, t: int, x_hat: Point, x_prev: Point, mode: Mode) -> SlotPlan:
         cfg = self.cfg
-        if not self.arrived and dist(x_hat, self.goals[t - 1]) <= ARRIVAL_TOL_M:
-            self.arrived = True
-        tg = t + 1 if mode == "lookahead" else t  # gradient source slot
+        tg = self.source_slot(t, x_hat, mode)
         ig = min(tg, self.horizon) - 1
         y_true = self.peers[ig]
         y_obs = self.peer_noise.observe(y_true, tg)
@@ -274,21 +282,13 @@ class _D2DDriver:
         return SlotPlan(grad_true=grad_true, grad_observed=grad_obs, gamma=gamma, slack=slack)
 
 
-class _OceanDriver:
+class _OceanDriver(_Driver):
     """Per-episode state machine for the voyage scenario."""
 
     def __init__(self, cfg: ScenarioConfig):
         if cfg.ocean_field is None:
             raise SchemaError("ocean_field", "voyage scenarios need a current field")
-        self.cfg = cfg
-        self.horizon = cfg.horizon
-        self.start = cfg.start
-        self.noise = replace(
-            cfg.gradient_noise,
-            seed=cfg.gradient_noise.seed or cfg.derived_seed(_GRAD_SEED_OFFSET),
-        )
-        tau = cfg.slot_duration_s
-        self.goals = [cfg.goal.at(t, tau) for t in range(1, self.horizon + 1)]
+        super().__init__(cfg)
         self.region = _auto_region(cfg, [cfg.start, *self.goals])
         self.truth = cfg.ocean_field
         pert = cfg.perturbation
@@ -296,10 +296,7 @@ class _OceanDriver:
             pert = FieldPerturbation(pert.sigma_fraction, cfg.derived_seed(_FIELD_SEED_OFFSET))
         self.measured = perturb_field(self.truth, pert) if pert else self.truth
         # historical maximum comes from the unperturbed record
-        self.v_o_max_slot = max(self.truth.v_o_max * tau, 1e-12)
-        self.arrived = False
-        self.lambdas: list[float] = []
-        self.alphas: list[float] = []
+        self.v_o_max_slot = max(self.truth.v_o_max * cfg.slot_duration_s, 1e-12)
         self.currents_true: list[Vector] = []  # m/slot, at visited waypoints
 
     def _current(self, fld: VelocityField, p: Point, t: int) -> Vector:
@@ -309,17 +306,8 @@ class _OceanDriver:
     def weights(self, t: int, x_hat: Point, vo_meas: Vector) -> tuple[float, float]:
         """Goal weight and speed throttle for slot ``t`` at ``x_hat``."""
         cfg = self.cfg
-        i = min(t, self.horizon) - 1
-        goal = self.goals[i]
-        heading = sub(goal, x_hat)
-        eta = min(norm(vo_meas) / self.v_o_max_slot, 1.0)
-        if norm(heading) == 0.0 or norm(vo_meas) == 0.0:
-            theta = math.pi
-        else:
-            theta = math.acos(
-                min(1.0, max(-1.0, (heading[0] * vo_meas[0] + heading[1] * vo_meas[1])
-                             / (norm(heading) * norm(vo_meas))))
-            )
+        goal = self.goals[min(t, self.horizon) - 1]
+        eta, theta = obj.current_strength_angle(goal, x_hat, vo_meas, self.v_o_max_slot)
         if self.arrived or cfg.lambda_strategy == "increasing":
             lam = 1.0 if self.arrived else obj.lambda_increasing(min(t, self.horizon), self.horizon)
         elif cfg.lambda_strategy == "direction_dependent":
@@ -331,9 +319,7 @@ class _OceanDriver:
 
     def plan(self, t: int, x_hat: Point, x_prev: Point, mode: Mode) -> SlotPlan:
         cfg = self.cfg
-        if not self.arrived and dist(x_hat, self.goals[t - 1]) <= ARRIVAL_TOL_M:
-            self.arrived = True
-        tg = t + 1 if mode == "lookahead" else t
+        tg = self.source_slot(t, x_hat, mode)
         ig = min(tg, self.horizon) - 1
         perturbed = self.measured is not self.truth
         vo_true_g = self._current(self.truth, x_hat, tg)
@@ -368,130 +354,21 @@ class _OceanDriver:
         return SlotPlan(grad_true=grad_true, grad_observed=grad_obs, gamma=gamma, slack=slack)
 
 
-def d2d_utility_sequence(
-    leads: Sequence[Point], v: float, mu: float, kind: str = "squared"
-) -> UtilitySequence:
-    """Commute utilities chasing one leading-path point per slot.
-
-    ``v`` is the per-slot displacement cap and ``mu`` the curvature of the
-    robust penalty.  Both kinds carry batch forms over ``(T, 2)`` arrays;
-    the batch gradients equal the per-slot ones exactly.
-    """
-    lead_arr = np.asarray(leads, dtype=float)
-    values = tuple((lambda x, e=e: obj.d2d_utility(x, e, v, mu, kind)) for e in leads)
-    if kind == "squared":
-        grads = tuple((lambda x, e=e: sub(e, x)) for e in leads)
-        diffs = tuple((0.0, sub(b, a)) for a, b in zip(leads, leads[1:]))
-
-        def batch_value(x: np.ndarray) -> float:
-            d = x - lead_arr
-            return -0.5 * float(np.sum(d * d))
-
-        def batch_gradient(x: np.ndarray) -> np.ndarray:
-            return lead_arr - x
-
-        return UtilitySequence(
-            values=values,
-            gradients=grads,
-            affine_diffs=diffs,
-            batch_value=batch_value,
-            batch_gradient=batch_gradient,
-        )
-    grads = tuple((lambda x, e=e: obj.d2d_gradient(x, e, v, mu)) for e in leads)
-    # the elementwise arithmetic of obj.huber_value and obj.d2d_gradient
-    offset = (1.0 - mu) * v * v / 2.0
-
-    def huber_batch_value(x: np.ndarray) -> float:
-        # np.hypot may differ from math.hypot in the last bit; the value only
-        # steers the ascent, and its pairwise sum rounds differently anyway
-        dx = x - lead_arr
-        d = np.hypot(dx[:, 0], dx[:, 1])
-        far = v * (1.0 - mu) * d + 0.5 * mu * d * d - offset
-        return -float(np.sum(np.where(d <= v, 0.5 * d * d, far)))
-
-    def huber_batch_gradient(x: np.ndarray) -> np.ndarray:
-        pull = lead_arr - x
-        # math.hypot, not np.hypot: they can differ in the last bit, and this
-        # must equal the per-slot gradients exactly (G_T is built from it)
-        n = np.fromiter(
-            map(math.hypot, pull[:, 0].tolist(), pull[:, 1].tolist()), float, len(pull)
-        )
-        # v / max(n, v) is exactly 1 inside the cap
-        capped = pull * (v / np.maximum(n, v))[:, None]
-        return mu * pull + (1.0 - mu) * capped
-
-    return UtilitySequence(
-        values=values,
-        gradients=grads,
-        affine_diffs=None,
-        batch_value=huber_batch_value,
-        batch_gradient=huber_batch_gradient,
-    )
-
-
-def _ocean_utility_sequence(
-    driver: _OceanDriver, traj: Sequence[Point]
-) -> UtilitySequence:
+def _voyage_utilities(driver: _OceanDriver, traj: Sequence[Point]) -> obj.VoyageUtilities:
     """Freeze the realized per-slot utilities of a finished voyage episode.
 
     Slot ``t``'s drift reference is the previous *online* waypoint and the
     current measured there; the first slot uses the start with no history.
     """
-    lams = driver.lambdas[:]
-    goals = driver.goals
-    currents = driver.currents_true[:]
-    T = driver.horizon
+    lams, currents = driver.lambdas, driver.currents_true
     # slot T has no executed step; reuse the last weights/current for its value
     lams = lams + [lams[-1] if lams else 1.0]
     currents = currents + [currents[-1] if currents else (0.0, 0.0)]
-    prevs = [traj[0]] + list(traj[:-1])
-    values = []
-    grads = []
-    diffs = []
-    for t in range(T):
-        lam, goal, vo, xp = lams[t], goals[t], currents[t], prevs[t]
-        values.append(
-            lambda x, lam=lam, goal=goal, vo=vo, xp=xp: obj.ocean_utility(x, xp, goal, vo, lam)
-        )
-        grads.append(
-            lambda x, lam=lam, goal=goal, vo=vo: obj.ocean_gradient(x, goal, vo, lam)
-        )
-    for t in range(T - 1):
-        a = -2.0 * (lams[t + 1] - lams[t])
-        b = (
-            2.0 * (lams[t + 1] * goals[t + 1][0] - lams[t] * goals[t][0])
-            + (1.0 - lams[t + 1]) * currents[t + 1][0]
-            - (1.0 - lams[t]) * currents[t][0],
-            2.0 * (lams[t + 1] * goals[t + 1][1] - lams[t] * goals[t][1])
-            + (1.0 - lams[t + 1]) * currents[t + 1][1]
-            - (1.0 - lams[t]) * currents[t][1],
-        )
-        diffs.append((a, b))
-    lam_arr = np.asarray(lams, dtype=float)
-    goal_arr = np.asarray(goals, dtype=float)
-    cur_arr = np.asarray(currents, dtype=float)
-    prev_arr = np.asarray(prevs, dtype=float)
-
-    def batch_value(x: np.ndarray) -> float:
-        d = x - goal_arr
-        quad = lam_arr * np.sum(d * d, axis=1)
-        drift = (1.0 - lam_arr) * np.sum((prev_arr - x) * cur_arr, axis=1)
-        return -float(np.sum(quad + drift))
-
-    def batch_gradient(x: np.ndarray) -> np.ndarray:
-        return -2.0 * lam_arr[:, None] * (x - goal_arr) + (1.0 - lam_arr)[:, None] * cur_arr
-
-    return UtilitySequence(
-        values=tuple(values),
-        gradients=tuple(grads),
-        affine_diffs=tuple(diffs),
-        batch_value=batch_value,
-        batch_gradient=batch_gradient,
-    )
+    return obj.VoyageUtilities(lams, driver.goals, currents, [traj[0], *traj[:-1]])
 
 
 def _offline_problem(
-    driver, utilities: UtilitySequence, caps: list[StepCap], smoothness: float
+    driver: _Driver, utilities: obj.Utilities, caps: list[StepCap], smoothness: float
 ) -> OfflineProblem:
     return OfflineProblem(
         start=driver.start,
@@ -510,7 +387,7 @@ def run_d2d(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = T
     driver = _D2DDriver(config)
     traj, records = run_episode(driver, mode)
     leads = driver.leads_true + [driver.lead(driver.horizon, driver.peers[-1])]
-    utilities = d2d_utility_sequence(leads, config.v_slot, config.mu, config.utility_kind)
+    utilities = obj.CommuteUtilities(leads, config.v_slot, config.mu, config.utility_kind)
     rate_series = [
         obj.rate(x, y, config.alpha_p, config.bandwidth_hz, config.noise_power)
         for x, y in zip(traj, driver.peers)
@@ -558,7 +435,7 @@ def run_ocean(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool =
     t0 = time.perf_counter()
     driver = _OceanDriver(config)
     traj, records = run_episode(driver, mode)
-    utilities = _ocean_utility_sequence(driver, traj)
+    utilities = _voyage_utilities(driver, traj)
     tau = config.slot_duration_s
     energy_steps = []
     for t, (a, b) in enumerate(zip(traj, traj[1:])):

@@ -1,9 +1,10 @@
-"""Convex feasible sets in the plane and Euclidean projections onto them.
+"""The feasible box, per-pair displacement caps, and projections onto them.
 
-All projections are exact closed forms (clamp, radial scaling, edge/vertex
-enumeration); the only iterative routine is :func:`dykstra_project`, which
-handles sequences coupled by per-pair displacement caps.  Everything here is
-a pure function over value types and safe to share between concurrent runs.
+The feasible region of every waypoint is an axis-aligned box, projected by
+a componentwise clamp; the only iterative routine is :func:`dykstra_project`,
+which handles sequences coupled by per-pair displacement caps.  Everything
+here is a pure function over value types and safe to share between
+concurrent runs.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateSet, NoConvergence
-from .geom import Point, Vector, as_point, dist, dot, norm, sub
-
-_UNIT_TOL = 1e-12
+from .errors import NoConvergence
+from .geom import Point, Vector, as_point, dist, sub
 
 
 @dataclass(frozen=True)
@@ -53,155 +52,12 @@ class Box2D:
         return math.hypot(dx, dy)
 
 
-@dataclass(frozen=True)
-class Ball2D:
-    """Disc ``Euclidean-norm(x - center) <= radius``; radius 0 is legal."""
-
-    center: Point
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0.0:
-            raise ValueError(f"negative radius {self.radius}")
-        object.__setattr__(self, "center", as_point(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        return dist(p, self.center) <= self.radius + tol
-
-    def project(self, p: Point) -> Point:
-        return project_ball(p, self)
-
-    def violation(self, p: Point) -> float:
-        return max(0.0, dist(p, self.center) - self.radius)
-
-
-def _satisfies_all(halfspaces, p, tol):
-    return all(dot(n, p) <= b + tol for n, b in halfspaces)
-
-
-class ConvexPolygon2D:
-    """Intersection of halfspaces ``n . x <= b`` with unit normals.
-
-    ``from_vertices`` builds the halfspace list from a counter-clockwise
-    vertex ring, which is usually the more convenient constructor.
-    """
-
-    def __init__(self, halfspaces: Sequence[tuple[Vector, float]]):
-        if not halfspaces:
-            raise DegenerateSet("polygon needs at least one halfspace")
-        cleaned = []
-        for n, b in halfspaces:
-            n = as_point(n)
-            if abs(norm(n) - 1.0) > _UNIT_TOL:
-                raise ValueError(f"normal {n} is not unit length")
-            cleaned.append((n, float(b)))
-        self.halfspaces: tuple[tuple[Vector, float], ...] = tuple(cleaned)
-
-    @classmethod
-    def from_vertices(cls, vertices: Sequence[Point]) -> "ConvexPolygon2D":
-        if len(vertices) < 3:
-            raise DegenerateSet("polygon needs at least 3 vertices")
-        vs = [as_point(v) for v in vertices]
-        # signed area decides orientation; flip clockwise input
-        area2 = sum(
-            vs[i][0] * vs[(i + 1) % len(vs)][1] - vs[(i + 1) % len(vs)][0] * vs[i][1]
-            for i in range(len(vs))
-        )
-        if area2 < 0:
-            vs = vs[::-1]
-        halfspaces = []
-        for i in range(len(vs)):
-            a, b = vs[i], vs[(i + 1) % len(vs)]
-            edge = sub(b, a)
-            if norm(edge) == 0.0:
-                continue
-            # outward normal of a CCW edge
-            n = (edge[1], -edge[0])
-            nn = norm(n)
-            n = (n[0] / nn, n[1] / nn)
-            halfspaces.append((n, dot(n, a)))
-        return cls(halfspaces)
-
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        return _satisfies_all(self.halfspaces, p, tol)
-
-    def project(self, p: Point) -> Point:
-        return project_polygon(p, self)
-
-    def violation(self, p: Point) -> float:
-        return max(0.0, max(dot(n, p) - b for n, b in self.halfspaces))
-
-    def vertices(self, tol: float = 1e-9) -> list[Point]:
-        """Feasible pairwise boundary-line intersections."""
-        hs = self.halfspaces
-        out: list[Point] = []
-        for i in range(len(hs)):
-            for j in range(i + 1, len(hs)):
-                (n1, b1), (n2, b2) = hs[i], hs[j]
-                det = n1[0] * n2[1] - n1[1] * n2[0]
-                if abs(det) < 1e-14:
-                    continue
-                vx = (b1 * n2[1] - b2 * n1[1]) / det
-                vy = (n1[0] * b2 - n2[0] * b1) / det
-                if _satisfies_all(hs, (vx, vy), tol):
-                    out.append((vx, vy))
-        return out
-
-
-Region = Union[Box2D, Ball2D, ConvexPolygon2D]
-
-
 def project_box(p: Point, box: Box2D) -> Point:
     """Componentwise clamp of ``p`` into ``box``."""
     return (
         min(max(p[0], box.lo[0]), box.hi[0]),
         min(max(p[1], box.lo[1]), box.hi[1]),
     )
-
-
-def project_ball(p: Point, ball: Ball2D) -> Point:
-    """Radial clamp of ``p`` into ``ball``; the center maps to itself."""
-    d = dist(p, ball.center)
-    if d <= ball.radius:
-        return as_point(p)
-    s = ball.radius / d
-    c = ball.center
-    return (c[0] + s * (p[0] - c[0]), c[1] + s * (p[1] - c[1]))
-
-
-def project_polygon(p: Point, poly: ConvexPolygon2D, tol: float = 1e-9) -> Point:
-    """Exact nearest point of a convex polygon.
-
-    Checks containment first, then the projections onto every boundary line
-    and every pairwise line intersection, keeping feasible candidates only.
-    """
-    p = as_point(p)
-    if poly.contains(p, tol=0.0):
-        return p
-    hs = poly.halfspaces
-    candidates: list[Point] = []
-    for i, (n, b) in enumerate(hs):
-        # foot of the perpendicular onto the boundary line n.x = b; it must lie
-        # exactly inside the other halfspaces, since a foot a hair past a
-        # vertex is nearer than the vertex and would leave the polygon
-        excess = dot(n, p) - b
-        q = (p[0] - excess * n[0], p[1] - excess * n[1])
-        if _satisfies_all(hs[:i] + hs[i + 1 :], q, 0.0):
-            candidates.append(q)
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            (n1, b1), (n2, b2) = hs[i], hs[j]
-            det = n1[0] * n2[1] - n1[1] * n2[0]
-            if abs(det) < 1e-14:
-                continue
-            vx = (b1 * n2[1] - b2 * n1[1]) / det
-            vy = (n1[0] * b2 - n2[0] * b1) / det
-            if _satisfies_all(hs, (vx, vy), tol):
-                candidates.append((vx, vy))
-    if not candidates:
-        raise DegenerateSet("polygon has no feasible boundary point")
-    return min(candidates, key=lambda q: dist(p, q))
 
 
 @dataclass(frozen=True)
@@ -224,7 +80,7 @@ class PointIn:
     """Membership constraint ``x[index] in region``."""
 
     index: int
-    region: Region
+    region: Box2D
 
 
 Constraint = Union[StepCap, PointIn]
@@ -278,32 +134,21 @@ class _CapGroup:
 
 
 class _MemberGroup:
-    """Memberships sharing one region, each on a distinct coordinate."""
+    """Memberships sharing one box, each on a distinct coordinate."""
 
-    def __init__(self, region: Region, indices: list[int]):
-        self.region = region
+    def __init__(self, box: Box2D, indices: list[int]):
+        self.box = box
         self.idx = np.array(sorted(set(indices)), dtype=int)
-        self._box = region if isinstance(region, Box2D) else None
 
     def project(self, z: np.ndarray) -> np.ndarray:
         out = z.copy()
-        if self._box is not None:
-            out[self.idx] = np.clip(out[self.idx], self._box.lo, self._box.hi)
-            return out
-        for i in self.idx:
-            out[i] = self.region.project((out[i, 0], out[i, 1]))
+        out[self.idx] = np.clip(out[self.idx], self.box.lo, self.box.hi)
         return out
 
     def violation(self, z: np.ndarray) -> float:
-        if self._box is not None:
-            pts = z[self.idx]
-            ex = np.maximum(
-                np.maximum(self._box.lo - pts, pts - self._box.hi), 0.0
-            )
-            return float(np.max(np.hypot(ex[:, 0], ex[:, 1]), initial=0.0))
-        return max(
-            (self.region.violation((z[i, 0], z[i, 1])) for i in self.idx), default=0.0
-        )
+        pts = z[self.idx]
+        ex = np.maximum(np.maximum(self.box.lo - pts, pts - self.box.hi), 0.0)
+        return float(np.max(np.hypot(ex[:, 0], ex[:, 1]), initial=0.0))
 
 
 def _group_constraints(constraints: Sequence[Constraint]):
@@ -311,8 +156,8 @@ def _group_constraints(constraints: Sequence[Constraint]):
 
     Caps on pairs (0,1), (2,3), ... touch disjoint coordinates, as do
     (1,2), (3,4), ...; each parity class is one group and one vectorized
-    projection.  Memberships are grouped by their region, with duplicate
-    (region, index) entries collapsed.
+    projection.  Memberships are grouped by their box, with duplicate
+    (box, index) entries collapsed.
     """
     even = [c for c in constraints if isinstance(c, StepCap) and c.index % 2 == 0]
     odd = [c for c in constraints if isinstance(c, StepCap) and c.index % 2 == 1]
@@ -321,24 +166,11 @@ def _group_constraints(constraints: Sequence[Constraint]):
         groups.append(_CapGroup(even))
     if odd:
         groups.append(_CapGroup(odd))
-    by_region: dict[tuple, tuple[Region, list[int]]] = {}
-    order: list[tuple] = []
+    by_box: dict[Box2D, list[int]] = {}
     for c in constraints:
-        if not isinstance(c, PointIn):
-            continue
-        if isinstance(c.region, Box2D):
-            key = ("box", c.region.lo, c.region.hi)
-        elif isinstance(c.region, Ball2D):
-            key = ("ball", c.region.center, c.region.radius)
-        else:
-            key = ("poly", id(c.region))
-        if key not in by_region:
-            by_region[key] = (c.region, [])
-            order.append(key)
-        by_region[key][1].append(c.index)
-    for key in order:
-        region, indices = by_region[key]
-        groups.append(_MemberGroup(region, indices))
+        if isinstance(c, PointIn):
+            by_box.setdefault(c.region, []).append(c.index)
+    groups.extend(_MemberGroup(box, indices) for box, indices in by_box.items())
     return groups
 
 
@@ -367,7 +199,7 @@ def dykstra_project(
         if the violation is still above ``tol`` after ``max_iter`` cycles;
         the exception carries the best sequence and its residual.
     """
-    z = np.asarray([as_point(p) for p in points], dtype=float)
+    z = np.array(points, dtype=float)
     if not constraints:
         return [(float(r[0]), float(r[1])) for r in z]
     groups = _group_constraints(constraints)

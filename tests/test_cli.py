@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import trajsim
 from trajsim.cli import main
 from trajsim.traces import read_trace
@@ -183,6 +185,15 @@ class TestOracleCommand:
         cfg = write(tmp_path, doc)
         assert main(["oracle", "--config", cfg, "--grid", "lots", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("grid", ["200x200", "41x102", "0x5", "1x41"])
+    def test_grid_size_out_of_range(self, tmp_path, capsys, grid):
+        doc = dict(D2D_DOC, goal_m=[3.0, 0.0], delta_slots=1)
+        cfg = write(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", cfg, "--grid", grid, "--out", str(out)]) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not (out / "oracle.json").exists()
+
 
 class TestAdversaryCommand:
     def test_outputs(self, tmp_path, capsys):
@@ -192,6 +203,16 @@ class TestAdversaryCommand:
         assert doc["regret"] == 50.0
         assert doc["lower_bound"] == 50.0
         assert "regret" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("T", "W"),
+        [("0", "1"), ("-4", "1"), ("100", "0"), ("100", "-1"), ("100", "nan"), ("100", "inf")],
+    )
+    def test_out_of_range_horizon_or_width_is_config_error(self, tmp_path, capsys, T, W):
+        out = tmp_path / "adv"
+        assert main(["adversary", "--T", T, "--W", W, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "adversary.json").exists()
 
 
 def test_import_leaves_scipy_out():

@@ -15,7 +15,6 @@ from trajsim.field import (
     perturb_field,
     sample_velocity,
     synth_field,
-    zero_field,
 )
 
 
@@ -237,7 +236,3 @@ class TestSynth:
         got = sample_velocity(f, (8.0, 5.0), 0.0)  # east of center: flow north
         assert got[0] == pytest.approx(0.0, abs=1e-12)
         assert got[1] > 0.5
-
-    def test_zero_field_helper(self):
-        f = zero_field()
-        assert f.v_o_max == 0.0

@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from trajsim import objectives as obj
 from trajsim.errors import GridTooCoarse, HorizonMismatch
 from trajsim.field import UniformSpec, synth_field
 from trajsim.geom import dist, norm_sq, sub
 from trajsim.metrics import (
     OfflineProblem,
     OracleGrid,
-    UtilitySequence,
     cumulative_error,
     dp_oracle,
     energy_conserved,
@@ -20,19 +20,16 @@ from trajsim.metrics import (
     squared_path_length,
     straight_line_trajectory,
 )
-from trajsim.scenarios import d2d_utility_sequence
+from trajsim.objectives import CommuteUtilities, VoyageUtilities
 from trajsim.sets import Box2D, StepCap
 
 BIG_BOX = Box2D((-1e6, -1e6), (1e6, 1e6))
 TEN_BOX = Box2D((0.0, 0.0), (10.0, 10.0))
 
 
-def quadratic_sequence(leads, box=BIG_BOX):
+def quadratic_sequence(leads):
     """Utilities -0.5|x - lead|^2 per slot, with exact variation data."""
-    values = tuple((lambda x, e=e: -0.5 * norm_sq(sub(x, e))) for e in leads)
-    grads = tuple((lambda x, e=e: sub(e, x)) for e in leads)
-    diffs = tuple((0.0, sub(b, a)) for a, b in zip(leads, leads[1:]))
-    return UtilitySequence(values=values, gradients=grads, affine_diffs=diffs)
+    return CommuteUtilities(leads, 1.0, 1e-3, "squared")
 
 
 def quadratic_problem(start, leads, caps_r, region=BIG_BOX, centers=None):
@@ -97,7 +94,7 @@ class TestSolveOffline:
         T = 6
         for utilities in (
             quadratic_sequence([start] * T),
-            d2d_utility_sequence([start] * T, 1.0, 0.3, "huber"),
+            CommuteUtilities([start] * T, 1.0, 0.3, "huber"),
         ):
             problem = OfflineProblem(
                 start=start,
@@ -185,11 +182,10 @@ class TestRegret:
 
     def test_hand_sum(self):
         # online frozen at s, offline on the target, distance 1, T=3;
-        # utilities here are -|x - d|^2 (unit curvature)
+        # utilities here are -|x - d|^2 (unit curvature): the voyage family
+        # with goal weight 1 has no drift term
         d = (1.0, 0.0)
-        values = tuple((lambda x, e=d: -norm_sq(sub(x, e))) for _ in range(3))
-        grads = tuple((lambda x, e=d: (2 * (e[0] - x[0]), 2 * (e[1] - x[1]))) for _ in range(3))
-        seq = UtilitySequence(values=values, gradients=grads)
+        seq = VoyageUtilities([1.0] * 3, [d] * 3, [(0.0, 0.0)] * 3, [(0.0, 0.0)] * 3)
         got = regret([d] * 3, [(0.0, 0.0)] * 3, seq)
         assert got == pytest.approx(3.0)
 
@@ -255,10 +251,8 @@ class TestVariationMeasures:
     def test_sampled_agrees_with_closed_form_for_quadratics(self):
         leads = [(0.0, 0.0), (2.0, 1.0), (3.0, 3.0)]
         exact = gradient_variation(quadratic_sequence(leads), TEN_BOX)
-        no_diffs = UtilitySequence(
-            values=quadratic_sequence(leads).values,
-            gradients=quadratic_sequence(leads).gradients,
-        )
+        # mu = 1 makes the Huber penalty the squared one, without affine data
+        no_diffs = CommuteUtilities(leads, 1.0, 1.0, "huber")
         sampled = gradient_variation(no_diffs, TEN_BOX, n_samples=256)
         assert not sampled.exact and sampled.n_samples == 256
         # x-independent differences: sampling is exact too
@@ -267,7 +261,7 @@ class TestVariationMeasures:
     def test_monte_carlo_matches_scalar_reference(self):
         rng = np.random.default_rng(4)
         leads = [tuple(p) for p in rng.uniform(0.0, 10.0, (12, 2)).tolist()]
-        seq = d2d_utility_sequence(leads, 1.0, 0.2, "huber")
+        seq = CommuteUtilities(leads, 1.0, 0.2, "huber")
         gv = gradient_variation(seq, TEN_BOX, n_samples=64, seed=7)
         # the per-pair, per-sample loop the batch evaluation replaced
         sample_rng = np.random.default_rng(7)
@@ -275,10 +269,12 @@ class TestVariationMeasures:
         ys = sample_rng.uniform(TEN_BOX.lo[1], TEN_BOX.hi[1], 64)
         samples = list(zip(xs.tolist(), ys.tolist()))
         expected = 0.0
-        for g_now, g_next in zip(seq.gradients, seq.gradients[1:]):
+        for e_now, e_next in zip(leads, leads[1:]):
             worst = 0.0
             for p in samples:
-                worst = max(worst, norm_sq(sub(g_next(p), g_now(p))))
+                g_now = obj.d2d_gradient(p, e_now, 1.0, 0.2)
+                g_next = obj.d2d_gradient(p, e_next, 1.0, 0.2)
+                worst = max(worst, norm_sq(sub(g_next, g_now)))
             expected += worst
         assert not gv.exact and gv.n_samples == 64
         assert gv.value == expected
@@ -301,10 +297,6 @@ class TestVariationMeasures:
         lam = [0.3, 0.8]
         goals = [(1.0, 2.0), (4.0, 1.0)]
         vos = [(0.1, 0.0), (0.0, -0.2)]
-        values = tuple(
-            (lambda x, l=l, g=g, v=v: -l * norm_sq(sub(x, g)) - (1 - l) * (v[0] * x[0] + v[1] * x[1]))
-            for l, g, v in zip(lam, goals, vos)
-        )
         grads = tuple(
             (lambda x, l=l, g=g, v=v: (-2 * l * (x[0] - g[0]) + (1 - l) * v[0],
                                         -2 * l * (x[1] - g[1]) + (1 - l) * v[1]))
@@ -315,7 +307,8 @@ class TestVariationMeasures:
             2 * (lam[1] * goals[1][0] - lam[0] * goals[0][0]) + (1 - lam[1]) * vos[1][0] - (1 - lam[0]) * vos[0][0],
             2 * (lam[1] * goals[1][1] - lam[0] * goals[0][1]) + (1 - lam[1]) * vos[1][1] - (1 - lam[0]) * vos[0][1],
         )
-        seq = UtilitySequence(values=values, gradients=grads, affine_diffs=((a, b),))
+        seq = VoyageUtilities(lam, goals, vos, [(0.0, 0.0)] * 2)
+        assert np.allclose(seq.affine_diffs[0], [a]) and np.allclose(seq.affine_diffs[1], [b])
         gv = gradient_variation(seq, TEN_BOX)
         rng = np.random.default_rng(5)
         for _ in range(1000):
@@ -383,18 +376,17 @@ class TestEnergy:
 
 class TestUtilitySequenceBatch:
     def test_batch_paths_agree_with_scalar(self):
-        leads = [(0.0, 0.0), (1.0, 2.0), (3.0, 1.0)]
-        lead_arr = np.asarray(leads)
-        base = quadratic_sequence(leads)
-        batched = UtilitySequence(
-            values=base.values,
-            gradients=base.gradients,
-            affine_diffs=base.affine_diffs,
-            batch_value=lambda x: -0.5 * float(np.sum((x - lead_arr) ** 2)),
-            batch_gradient=lambda x: lead_arr - x,
-        )
         pts = [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)]
-        assert batched.total(pts) == pytest.approx(sum(u(p) for u, p in zip(base.values, pts)))
-        ga = batched.gradient_array(np.asarray(pts))
-        gb = base.gradient_array(np.asarray(pts))
-        assert np.allclose(ga, gb)
+        x = np.asarray(pts)
+        leads = [(0.0, 0.0), (1.0, 2.0), (3.0, 1.0)]
+        commute = CommuteUtilities(leads, 1.0, 1e-3, "squared")
+        assert commute.total(pts) == pytest.approx(sum(u(p) for u, p in zip(commute.values, pts)))
+        assert np.array_equal(commute.gradient_array(x), [sub(e, p) for e, p in zip(leads, pts)])
+        lam = [0.2, 0.5, 1.0]
+        goals = [(4.0, 1.0)] * 3
+        currents = [(0.3, -0.1), (0.0, 0.2), (0.1, 0.1)]
+        prevs = [(0.5, 0.5), (0.5, 0.5), (1.0, 1.0)]
+        voyage = VoyageUtilities(lam, goals, currents, prevs)
+        assert voyage.total(pts) == pytest.approx(sum(u(p) for u, p in zip(voyage.values, pts)))
+        per_slot = [obj.ocean_gradient(p, g, c, l) for p, g, c, l in zip(pts, goals, currents, lam)]
+        assert np.array_equal(voyage.gradient_array(x), per_slot)

@@ -9,6 +9,8 @@ from trajsim import objectives as obj
 from trajsim.errors import EmptyStepInterval, RootExistence
 from trajsim.geom import dist, norm
 
+from gradient_reference import d2d_gradient_piecewise
+
 unit = st.floats(0.0, 1.0, allow_nan=False)
 coords = st.floats(-20.0, 20.0, allow_nan=False)
 points = st.tuples(coords, coords)
@@ -49,13 +51,6 @@ class TestHuber:
     def test_far_branch_value(self):
         # 0.5*2 + 0.25*4 - 0.25
         assert obj.huber_value(2.0, 1.0, 0.5) == pytest.approx(1.75, abs=1e-12)
-
-    def test_legacy_constant_is_discontinuous(self):
-        v, mu, eps = 1.0, 0.5, 1e-9
-        jump = abs(
-            obj.huber_value(v + eps, v, mu, legacy_constant=True) - obj.huber_value(v, v, mu)
-        )
-        assert jump > 1e-3
 
     @given(mu=st.floats(0.05, 1.0), v=st.floats(0.1, 5.0))
     @settings(max_examples=100, deadline=None)
@@ -103,7 +98,7 @@ class TestD2DGradient:
             mu = rng.uniform(1e-6, 1.0)
             v = rng.uniform(0.1, 5.0)
             a = obj.d2d_gradient(x, ell, v, mu)
-            b = obj.d2d_gradient_piecewise(x, ell, v, mu)
+            b = d2d_gradient_piecewise(x, ell, v, mu)
             assert dist(a, b) <= 1e-12
 
     def test_matches_finite_differences(self):

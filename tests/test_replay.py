@@ -72,6 +72,13 @@ COMMUTE_DOC = {
     },
 }
 
+# the same commute with the Huber utility: its G_T is the Monte-Carlo estimate
+HUBER_COMMUTE_DOC = {**COMMUTE_DOC, "d2d": {**COMMUTE_DOC["d2d"], "utility": "huber", "mu": 0.05}}
+
+# the squared commute in a box that cuts off the offline optimum, so the
+# offline solve falls back to waypoint-space ascent with Dykstra restoration
+BOXED_COMMUTE_DOC = {**COMMUTE_DOC, "feasible_box_m": {"lo": [-100, 0], "hi": [900, 700]}}
+
 GOLDEN = {
     ("voyage", "run", "trace.csv"): "4df5d65c652fc0fc57ac80dee9ba7372021de6d09b240a57380c1bf2994dbc5c",
     ("voyage", "run", "summary.csv"): "5d46883bbce58189e6e166e51f4f88cffcfa558d0cd7b2188240dc4f60c10d85",
@@ -85,14 +92,26 @@ GOLDEN = {
     ("commute", "benchmark", "regret_report.json"): (
         "05faa17eb895a920a5a7e9c77c1976bd4e1f135379cfa35c98155dd542bd11b8"
     ),
+    ("commute-huber", "benchmark", "trace.csv"): (
+        "77f30993cbb7be5fe981627a2d99e6ed3b3e483ce9e1787ea72b66f92d6cceb6"
+    ),
+    ("commute-huber", "benchmark", "regret_report.json"): (
+        "a7c9944f264dca54aabfc3b5c4454fbf03c1ea202e299e773c80e85f48f841d2"
+    ),
+    ("commute-boxed", "benchmark", "trace.csv"): (
+        "a31b909a695a0edf182cf09ad992bc888755e27a669713870fdc0f2b5c670af5"
+    ),
+    ("commute-boxed", "benchmark", "regret_report.json"): (
+        "9bcaa1626f2ff952a8b918f4f371a975467a1478037d4d93af1f68a03f6f7b4f"
+    ),
 }
 
 
-def _digests(tmp_path, name, doc) -> dict:
+def _digests(tmp_path, name, doc, commands=("run", "benchmark")) -> dict:
     cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     out = {}
-    for command in ("run", "benchmark"):
+    for command in commands:
         outdir = tmp_path / name / command
         assert main([command, "--config", str(cfg), "--out", str(outdir)]) == 0
         for path in sorted(outdir.iterdir()):
@@ -102,7 +121,12 @@ def _digests(tmp_path, name, doc) -> dict:
 
 
 def test_noise_free_outputs_match_golden_digests(tmp_path, capsys):
-    got = {**_digests(tmp_path, "voyage", VOYAGE_DOC), **_digests(tmp_path, "commute", COMMUTE_DOC)}
+    got = {
+        **_digests(tmp_path, "voyage", VOYAGE_DOC),
+        **_digests(tmp_path, "commute", COMMUTE_DOC),
+        **_digests(tmp_path, "commute-huber", HUBER_COMMUTE_DOC, ("benchmark",)),
+        **_digests(tmp_path, "commute-boxed", BOXED_COMMUTE_DOC, ("benchmark",)),
+    }
     assert got == GOLDEN
 
 

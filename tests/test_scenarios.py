@@ -4,16 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from trajsim import objectives as obj
 from trajsim.engine import NoiseModel
 from trajsim.errors import InfeasibleStepSize, SchemaError
 from trajsim.field import FieldPerturbation, UniformSpec, synth_field
 from trajsim.geom import dist, norm, sub
-from trajsim.metrics import UtilitySequence, solve_offline
+from trajsim.metrics import solve_offline
+from trajsim.objectives import CommuteUtilities
 from trajsim.scenarios import (
     PathSpec,
     ScenarioConfig,
     apply_sweep_value,
-    d2d_utility_sequence,
     make_adversary_policy,
     run_adversary,
     run_d2d,
@@ -184,13 +185,32 @@ def _huber_probe_points(leads: np.ndarray, v: float, rng) -> list[np.ndarray]:
     return probes
 
 
+class _PerSlotHuber:
+    """A Huber commute family evaluated slot by slot through the scalar forms."""
+
+    def __init__(self, family):
+        self.family = family
+        self.horizon = family.horizon
+        self.affine_diffs = family.affine_diffs
+        self.values = family.values
+
+    def total(self, points):
+        return sum(u(p) for u, p in zip(self.values, points))
+
+    def gradient_array(self, x):
+        f = self.family
+        return np.array(
+            [obj.d2d_gradient(p, e, f.v, f.mu) for p, e in zip(x.tolist(), f.leads.tolist())]
+        )
+
+
 class TestCommuteBatchForms:
     V = 5.0
 
     def huber(self, mu=0.3, T=40, seed=0):
         rng = np.random.default_rng(seed)
         leads = rng.integers(-50, 50, (T, 2)).astype(float)
-        return leads, d2d_utility_sequence([tuple(e) for e in leads.tolist()], self.V, mu, "huber")
+        return leads, CommuteUtilities(leads, self.V, mu, "huber")
 
     @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0])
     def test_huber_batch_gradient_is_exact(self, mu):
@@ -199,8 +219,10 @@ class TestCommuteBatchForms:
         on_cap = 0
         for x in _huber_probe_points(leads, self.V, rng):
             on_cap += int(np.sum(np.hypot(*(leads - x).T) == self.V))
-            per_slot = [g(p) for g, p in zip(seq.gradients, map(tuple, x.tolist()))]
-            assert np.array_equal(seq.batch_gradient(x), np.asarray(per_slot))
+            per_slot = [
+                obj.d2d_gradient(p, e, self.V, mu) for p, e in zip(x.tolist(), leads.tolist())
+            ]
+            assert np.array_equal(seq.gradient_array(x), np.asarray(per_slot))
         assert on_cap >= 2 * len(leads)
 
     @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0])
@@ -209,13 +231,14 @@ class TestCommuteBatchForms:
         rng = np.random.default_rng(2)
         for x in _huber_probe_points(leads, self.V, rng):
             per_slot = sum(u(p) for u, p in zip(seq.values, map(tuple, x.tolist())))
-            assert seq.batch_value(x) == pytest.approx(per_slot, rel=1e-12, abs=1e-300)
+            assert seq.total(x) == pytest.approx(per_slot, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("kind", ["squared", "huber"])
     def test_library_sequences_carry_batch_forms(self, kind):
         rep = run_d2d(d2d_config(utility_kind=kind, mu=0.3), benchmark=False)
         us = rep.problem.utilities
-        assert us.batch_value is not None and us.batch_gradient is not None
+        assert isinstance(us, CommuteUtilities) and us.kind == kind
+        assert us.leads.shape == (rep.horizon, 2)
 
     def test_huber_solve_matches_per_slot_path(self):
         cfg = d2d_config(
@@ -227,10 +250,9 @@ class TestCommuteBatchForms:
         )
         rep = run_d2d(cfg, benchmark=False)
         problem = rep.problem
-        us = problem.utilities
-        stripped = replace(problem, utilities=UtilitySequence(us.values, us.gradients))
+        per_slot = replace(problem, utilities=_PerSlotHuber(problem.utilities))
         fast = solve_offline(problem, x0=rep.trajectory)
-        slow = solve_offline(stripped, x0=rep.trajectory)
+        slow = solve_offline(per_slot, x0=rep.trajectory)
         assert fast.converged and slow.converged
         assert np.max(np.abs(np.subtract(fast.points, slow.points))) <= 1e-9
         assert fast.utility == pytest.approx(slow.utility, rel=1e-9)
