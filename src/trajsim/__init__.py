@@ -37,6 +37,7 @@ from .metrics import (
     gradient_variation,
     regret,
     solve_offline,
+    solve_offline_batch,
     squared_path_length,
     straight_line_trajectory,
 )

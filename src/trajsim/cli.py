@@ -108,6 +108,14 @@ def _cmd_sweep(args) -> int:
             trace_path = out / f"trace_{row.param}_{label}.csv"
             emit_trace(row.report, trace_path)
             outputs.append(str(trace_path))
+            rr = row.report.regret_report
+            if rr is not None and not rr.solver_converged:
+                detail = f"; {rr.solver_warning}" if rr.solver_warning else ""
+                print(
+                    f"warning: {row.param}={row.value:g}: offline benchmark did not converge "
+                    f"({rr.solver_iterations} iterations{detail})",
+                    file=sys.stderr,
+                )
         else:
             print(f"warning: {row.param}={row.value:g} failed: {row.error}", file=sys.stderr)
     summary_path = out / "summary.csv"

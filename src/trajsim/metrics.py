@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import GridTooCoarse, HorizonMismatch, NoConvergence
 from .field import VelocityField, sample_velocity
 from .geom import Point, dist, lerp, norm_sq, sub
-from .objectives import Utilities
+from .objectives import Utilities, row_scalars
 from .sets import Box2D, Constraint, PointIn, StepCap, constraint_violation, dykstra_project
 
 # largest oracle lattice per axis: the DP holds (nodes x nodes) per slot
@@ -70,42 +70,177 @@ class OfflineSolution:
     restarts: int = 0
 
 
-def _rebuild(start: Point, centers: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Waypoints from start + per-slot displacements ``center + z``."""
-    x = np.empty((len(z) + 1, 2))
-    x[0] = start
-    rest = x[1:]
-    np.add.accumulate(centers + z, axis=0, out=rest)
-    rest += x[0]
-    return x
-
-
 def _clamp_balls(z: np.ndarray, radii: np.ndarray, floors: np.ndarray) -> np.ndarray:
-    """Radial clamp of each row of ``z`` into its ball: ``z * r / max(|z|, r)``.
+    """Radial clamp of each displacement in ``z`` into its ball: ``z * r / max(|z|, r)``.
 
+    ``z`` is ``(..., 2)`` and ``radii``/``floors`` are ``z.shape[:-1]``;
     ``floors`` is ``max(radii, tiny)``: a zero-radius cap then scales its
     displacement by ``0 / max(|z|, tiny) == 0`` instead of ``0 / 0``.  Rows
     inside their ball are scaled by exactly 1.
     """
-    n = np.hypot(z[:, 0], z[:, 1])
-    return z * (radii / np.maximum(n, floors))[:, None]
+    n = np.hypot(z[..., 0], z[..., 1])
+    return z * (radii / np.maximum(n, floors))[..., None]
+
+
+def _step_size(problem: OfflineProblem) -> float:
+    """Displacement-space step ``1 / (L * sigma^2)``.
+
+    ``sigma`` is the exact top singular value of the prefix-sum map from
+    displacements to waypoints; the chain makes the smoothness grow like T^2.
+    """
+    T = problem.horizon
+    sigma = 1.0 / (2.0 * math.sin(math.pi / (2.0 * (2.0 * (T - 1) + 1.0))))
+    return 1.0 / (problem.smoothness * sigma * sigma)
+
+
+class _Lockstep:
+    """The padded ``(R, tmax, ...)`` arrays of the rows still ascending.
+
+    Displacements, cap centers and radii are zero-padded past each row's
+    ``T - 1`` caps; a padded cap has radius zero, so its displacement stays
+    zero.  ``z0`` holds the warm starts.  The waypoint and displacement
+    buffers are reused by every rebuild.
+    """
+
+    def __init__(self, problems: Sequence[OfflineProblem], x0s: Sequence):
+        tmax = max(p.horizon for p in problems)
+        n = len(problems)
+        self.family = problems[0].utilities.stack([p.utilities for p in problems])
+        self.starts = np.array([p.start for p in problems])
+        self.centers = np.zeros((n, tmax - 1, 2))
+        self.radii = np.zeros((n, tmax - 1))
+        self.z0 = np.zeros((n, tmax - 1, 2))
+        for r, (p, x0) in enumerate(zip(problems, x0s)):
+            centers = np.array([c.center for c in p.caps])
+            radii = np.array([c.radius for c in p.caps])
+            self.centers[r, : len(centers)] = centers
+            self.radii[r, : len(radii)] = radii
+            if x0 is not None and len(x0) == p.horizon:
+                xa = np.asarray(x0, dtype=float)
+                floors = np.maximum(radii, np.finfo(float).tiny)
+                self.z0[r, : len(radii)] = _clamp_balls(xa[1:] - xa[:-1] - centers, radii, floors)
+        self.steps = [_step_size(p) for p in problems]
+        self._buffers()
+
+    def _buffers(self) -> None:
+        self.floors = np.maximum(self.radii, np.finfo(float).tiny)
+        self.step = row_scalars(self.steps)
+        self.x = np.empty((len(self.starts), self.centers.shape[1] + 1, 2))
+        self.x[:, 0] = self.starts
+        self.disp = np.empty_like(self.centers)
+        # the start of each row at each later slot: a broadcast along the
+        # short last axis costs more than the addition itself
+        self.start_rest = np.repeat(self.starts[:, None], self.centers.shape[1], axis=1)
+
+    def take(self, rows: list[int]) -> None:
+        """Keep only the given rows, trimmed to their longest horizon."""
+        self.family = self.family.take(rows)
+        keep = max(self.family.horizons) - 1
+        idx = np.asarray(rows)
+        self.starts = self.starts[idx]
+        self.centers = self.centers[idx, :keep]
+        self.radii = self.radii[idx, :keep]
+        self.steps = [self.steps[r] for r in rows]
+        self._buffers()
+
+    def rebuild(self, z: np.ndarray) -> np.ndarray:
+        """Waypoints from start + per-slot displacements ``center + z``."""
+        np.add(self.centers, z, out=self.disp)
+        rest = self.x[:, 1:]
+        np.add.accumulate(self.disp, axis=1, out=rest)
+        np.add(rest, self.start_rest, out=rest)
+        return self.x
+
+    def values(self, z: np.ndarray, rows: Iterable[int]) -> list[float]:
+        return self.family.totals(self.rebuild(z), rows)
+
+    def ascent_step(self, z: np.ndarray) -> np.ndarray:
+        """Projected gradient step from ``z``; the gradient in z is a suffix sum."""
+        gx = self.family.gradient_array(self.rebuild(z))
+        grad = np.add.accumulate(gx[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        return _clamp_balls(z + self.step * grad, self.radii, self.floors)
+
+
+def _ascend(
+    problems: Sequence[OfflineProblem], x0s: Sequence, max_iter: int, tol: float
+) -> list[tuple[np.ndarray, int, int]]:
+    """Accelerated projected ascent on all rows at once, with per-row state.
+
+    Momentum, the restart test, the flat-streak stop and the iteration count
+    are kept per row, and a row that stops leaves the stack; every numpy call
+    covers all rows still ascending.  Returns each row's waypoints, iteration
+    count and restart count.
+    """
+    st = _Lockstep(problems, x0s)
+    ids = list(range(len(problems)))  # problem index of each stacked row
+    z = z_prev = st.z0
+    t_k = [1.0] * len(ids)
+    f_curr = st.values(z, range(len(ids)))
+    streak = [0] * len(ids)
+    restarts = [0] * len(ids)
+    out: list = [None] * len(ids)
+    iterations = 0
+
+    def record(rows: list[int]) -> None:
+        x = st.rebuild(z)
+        for j in rows:
+            out[ids[j]] = (x[j, : st.family.horizons[j]].copy(), iterations, restarts[j])
+
+    while ids and iterations < max_iter:
+        iterations += 1
+        t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) for t in t_k]
+        y = z + row_scalars([(t - 1.0) / tn for t, tn in zip(t_k, t_next)]) * (z - z_prev)
+        z_new = st.ascent_step(y)
+        f_new = st.values(z_new, range(len(ids)))
+        back = [j for j, (fn, fc) in enumerate(zip(f_new, f_curr)) if fn < fc]
+        if back:
+            # momentum overshoot: restart these rows from a plain projected step
+            z_back = st.ascent_step(z)
+            for j, f in zip(back, st.values(z_back, back)):
+                restarts[j] += 1
+                t_next[j] = 1.0
+                f_new[j] = f
+            z_new[back] = z_back[back]
+        z_prev, z, t_k = z, z_new, t_next
+        keep = []
+        for j, (fn, fc) in enumerate(zip(f_new, f_curr)):
+            if abs(fn - fc) > tol * (1.0 + abs(fn)):
+                streak[j] = 0
+            else:
+                streak[j] += 1
+            if streak[j] < 3 and iterations < max_iter:
+                keep.append(j)
+        f_curr = f_new
+        if len(keep) < len(ids):
+            kept = set(keep)
+            record([j for j in range(len(ids)) if j not in kept])
+            if keep:
+                st.take(keep)
+                width = st.centers.shape[1]
+                z, z_prev = z[keep, :width], z_prev[keep, :width]
+            ids, t_k, f_curr, streak, restarts = (
+                [seq[j] for j in keep] for seq in (ids, t_k, f_curr, streak, restarts)
+            )
+    if ids:  # max_iter < 1: no step taken
+        record(list(range(len(ids))))
+    return out
 
 
 def solve_offline(
     problem: OfflineProblem,
-    step: float | None = None,
     max_iter: int = 100_000,
     tol: float = 1e-10,
     x0: Sequence[Point] | None = None,
 ) -> OfflineSolution:
     """Maximize the summed utilities over the whole trajectory at once.
 
-    Accelerated projected gradient ascent in displacement coordinates
-    ``z_t = x_{t+1} - x_t - center_t``, where the coupled caps become
-    independent balls with exact closed-form projections; the waypoints are
-    rebuilt by prefix sums.  Momentum restarts whenever the objective
-    decreases.  Terminates when the utility improvement stays below
-    ``tol * (1 + |utility|)`` or at ``max_iter``.
+    Accelerated projected gradient ascent (FISTA, Beck & Teboulle 2009) in
+    displacement coordinates ``z_t = x_{t+1} - x_t - center_t``, where the
+    coupled caps become independent balls with exact closed-form
+    projections; the waypoints are rebuilt by prefix sums.  Momentum
+    restarts whenever the objective decreases.  Terminates when the utility
+    improvement stays below ``tol * (1 + |utility|)`` for three iterations
+    in a row or at ``max_iter``.  The step size follows from the horizon.
 
     The region membership is verified afterwards; in the rare case it
     binds, the solve falls back to plain projected ascent in waypoint space
@@ -113,72 +248,53 @@ def solve_offline(
     (exact, but slow when caps chain tightly).
 
     ``x0`` (e.g. the online trajectory the benchmark compares against)
-    warm-starts the solve; ``step`` overrides the displacement-space step
-    size.  Dykstra failures in the fallback are soft: the best iterate is
-    kept and the returned solution carries a warning and its violation.
+    warm-starts the solve.  Dykstra failures in the fallback are soft: the
+    best iterate is kept and the returned solution carries a warning and
+    its violation.  This is the batch of one of :func:`solve_offline_batch`.
     """
+    return solve_offline_batch([problem], [x0], max_iter=max_iter, tol=tol)[0]
+
+
+def solve_offline_batch(
+    problems: Sequence[OfflineProblem],
+    x0s: Sequence[Sequence[Point] | None] | None = None,
+    max_iter: int = 100_000,
+    tol: float = 1e-10,
+) -> list[OfflineSolution]:
+    """:func:`solve_offline` for many problems, their ascents run in lockstep.
+
+    Problems whose utility families stack (same family and kind) ascend
+    together in one padded computation, so each numpy call covers every
+    row; solution ``r`` equals ``solve_offline(problems[r], x0=x0s[r])`` bit
+    for bit.  A row that violates its region falls back alone.
+    """
+    if x0s is None:
+        x0s = [None] * len(problems)
+    groups: dict = {}
+    for i, p in enumerate(problems):
+        if p.horizon > 1:
+            groups.setdefault(p.utilities.stack_key, []).append(i)
+    ascents: dict[int, tuple[np.ndarray, int, int]] = {}
+    for rows in groups.values():
+        found = _ascend([problems[i] for i in rows], [x0s[i] for i in rows], max_iter, tol)
+        ascents.update(zip(rows, found))
+    return [_finish(p, ascents.get(i), max_iter, tol) for i, p in enumerate(problems)]
+
+
+def _finish(
+    problem: OfflineProblem, ascent: tuple[np.ndarray, int, int] | None, max_iter: int, tol: float
+) -> OfflineSolution:
+    """Check one ascent's waypoints against the region and certify them."""
     us = problem.utilities
-    T = problem.horizon
-    constraints = problem.constraints()
-    if T == 1:
+    if ascent is None:  # T == 1: the start pin is the whole trajectory
         pts = [problem.start]
         return OfflineSolution(pts, us.total(pts), 0, True, 0.0)
-    centers = np.array([c.center for c in problem.caps])
-    radii = np.array([c.radius for c in problem.caps])
-    floors = np.maximum(radii, np.finfo(float).tiny)
-    if x0 is not None and len(x0) == T:
-        xa = np.asarray(x0, dtype=float)
-        z = _clamp_balls(xa[1:] - xa[:-1] - centers, radii, floors)
-    else:
-        z = np.zeros((T - 1, 2))
-    if step is None:
-        # exact top singular value of the prefix-sum map from displacements
-        # to waypoints; the chain makes the smoothness grow like T^2
-        sigma = 1.0 / (2.0 * math.sin(math.pi / (2.0 * (2.0 * (T - 1) + 1.0))))
-        step = 1.0 / (problem.smoothness * sigma * sigma)
-
-    def value_of(zz: np.ndarray) -> float:
-        return us.total(_rebuild(problem.start, centers, zz))
-
-    def grad_z(zz: np.ndarray) -> np.ndarray:
-        x = _rebuild(problem.start, centers, zz)
-        gx = us.gradient_array(x)
-        suffix = np.add.accumulate(gx[::-1], axis=0)[::-1]
-        return suffix[1:]
-
-    z_prev = z
-    t_k = 1.0
-    f_curr = value_of(z)
-    flat_streak = 0
-    iterations = 0
-    restarts = 0
-    for iterations in range(1, max_iter + 1):
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-        y = z + ((t_k - 1.0) / t_next) * (z - z_prev)
-        z_new = _clamp_balls(y + step * grad_z(y), radii, floors)
-        f_new = value_of(z_new)
-        if f_new < f_curr:
-            # momentum overshoot: restart from a plain projected step
-            restarts += 1
-            t_next = 1.0
-            z_new = _clamp_balls(z + step * grad_z(z), radii, floors)
-            f_new = value_of(z_new)
-        z_prev, z, t_k = z, z_new, t_next
-        if abs(f_new - f_curr) <= tol * (1.0 + abs(f_new)):
-            flat_streak += 1
-            if flat_streak >= 3:
-                f_curr = f_new
-                break
-        else:
-            flat_streak = 0
-        f_curr = f_new
-    xa = _rebuild(problem.start, centers, z)
+    xa, iterations, restarts = ascent
     pts = [(float(p[0]), float(p[1])) for p in xa]
     warning = None
     if any(problem.region.violation(p) > 1e-9 for p in pts):
-        pts, fb_warning = _solve_with_restoration(problem, pts, step=None, max_iter=max_iter, tol=tol)
-        warning = fb_warning
-    violation = constraint_violation(pts, constraints)
+        pts, warning = _solve_with_restoration(problem, pts, max_iter=max_iter, tol=tol)
+    violation = constraint_violation(pts, problem.constraints())
     converged = violation <= 1e-6 and iterations < max_iter
     if violation > 1e-6 and warning is None:
         warning = f"final violation {violation:.3e} above 1e-6"
@@ -196,13 +312,11 @@ def solve_offline(
 def _solve_with_restoration(
     problem: OfflineProblem,
     warm: list[Point],
-    step: float | None,
     max_iter: int,
     tol: float,
 ) -> tuple[list[Point], str | None]:
     """Waypoint-space projected ascent with Dykstra feasibility restoration."""
-    if step is None:
-        step = 1.0 / problem.smoothness
+    step = 1.0 / problem.smoothness
     constraints = problem.constraints()
     pts = _restore(warm, constraints)
     warning = None
@@ -468,20 +582,26 @@ class RegretReport:
 def build_regret_report(
     problem: OfflineProblem,
     online_traj: Sequence[Point],
+    online_utilities: Sequence[float],
     eps_sq_bounds: Sequence[float],
     eps_sq_realized: Sequence[float],
     goal: Point,
     fld: VelocityField | None,
     c_d: float,
     slot_duration: float = 1.0,
-    solver_step: float | None = None,
+    solution: OfflineSolution | None = None,
 ) -> RegretReport:
-    """Solve the offline benchmark and assemble the full comparison report."""
-    sol = solve_offline(problem, step=solver_step, x0=online_traj)
+    """Assemble the full comparison report against the offline benchmark.
+
+    ``online_utilities`` are the per-slot utilities of ``online_traj``, as
+    the episode evaluated them.  ``solution`` is the benchmark's
+    :func:`solve_offline` result warm-started at ``online_traj`` (a sweep
+    solves its rows together); without it the benchmark is solved here.
+    """
+    sol = solution if solution is not None else solve_offline(problem, x0=online_traj)
     us = problem.utilities
-    values = us.values
-    offline_u = tuple(u(p) for u, p in zip(values, sol.points))
-    online_u = tuple(u(p) for u, p in zip(values, online_traj))
+    offline_u = tuple(u(p) for u, p in zip(us.values, sol.points))
+    online_u = tuple(online_utilities)
     gv = gradient_variation(us, problem.region)
     energy_online = energy_cost(online_traj, fld, c_d, slot_duration)
     straight = straight_line_trajectory(online_traj[0], goal, len(online_traj))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -267,22 +267,129 @@ def _points_array(points, horizon: int) -> np.ndarray:
     return np.asarray(points, dtype=float)
 
 
-class CommuteUtilities:
+def _pad(arrays: Sequence[np.ndarray], tmax: int) -> np.ndarray:
+    """Stack per-row arrays along a new leading axis, zero-padded to ``tmax`` slots."""
+    out = np.zeros((len(arrays), tmax) + arrays[0].shape[1:])
+    for row, a in zip(out, arrays):
+        row[: len(a)] = a
+    return out
+
+
+def row_scalars(values: list[float]):
+    """Per-row scalars for ``(R, tmax, 2)`` arrays.
+
+    One float when all rows share it (a Python float is the cheaper
+    operand), else an ``(R, 1, 1)`` array; the arithmetic is the same.
+    """
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.array(values, dtype=float)[:, None, None]
+
+
+def _take_rows(a, rows: np.ndarray):
+    return a[rows] if isinstance(a, np.ndarray) else a
+
+
+class FamilyStack:
+    """Families of one kind stacked as rows and zero-padded to the longest horizon.
+
+    ``family`` holds the stacked arrays: its slot axis is the second axis,
+    after the row axis.  A padded slot has exactly zero gradient (``-0.0``,
+    the additive identity, so suffix sums that run through the padding stay
+    bit for bit those of the unpadded row).  Each row's total reduces that
+    row's own slots only, so it equals the solo family's :meth:`total` bit
+    for bit; a reduce over the padded row would pair its terms differently.
+    """
+
+    def __init__(self, family, horizons: Sequence[int]):
+        self.family = family
+        self.horizons = list(horizons)
+        hs = np.array(self.horizons)
+        pad = np.arange(hs.max()) >= hs[:, None]
+        # flat indices of the padded slots' gradient entries, both axes
+        self._pad = np.flatnonzero(np.repeat(pad, 2)) if pad.any() else None
+        self._terms = None
+
+    def gradient_array(self, x: np.ndarray) -> np.ndarray:
+        g = self.family.gradient_array(x)
+        if self._pad is not None:
+            np.put(g, self._pad, -0.0)
+        return g
+
+    def totals(self, x: np.ndarray, rows: Iterable[int]) -> list[float]:
+        """Totals of the given rows of the ``(R, tmax, 2)`` waypoints ``x``."""
+        terms = self.family.slot_terms(x)
+        scale = self.family.total_scale
+        n = len(self.horizons)
+        if n == 1:  # a lone row has no padding
+            return [scale * float(np.add.reduce(terms, axis=None)) for _ in rows]
+        if self._terms is None:
+            # each row's terms sit between a leading zero and at least one
+            # trailing zero; np.add.reduce starts a sum at zero and reduceat
+            # at its segment's first element, so the segment [zero, terms of
+            # the row's own slots] sums exactly as np.add.reduce over them
+            per_slot = terms[0, 0].size
+            width = terms[0].size + 2
+            self._terms = np.zeros((n, width))
+            starts = np.arange(n) * width
+            ends = starts + 1 + per_slot * np.array(self.horizons)
+            self._segments = np.column_stack((starts, ends)).ravel()
+        self._terms[:, 1:-1] = terms.reshape(n, -1)
+        sums = np.add.reduceat(self._terms.ravel(), self._segments)[::2].tolist()
+        return [scale * sums[r] for r in rows]
+
+    def take(self, rows: Sequence[int]) -> "FamilyStack":
+        """The stack of the given rows only, trimmed to their longest horizon."""
+        hs = [self.horizons[r] for r in rows]
+        return FamilyStack(self.family.take(np.asarray(rows), max(hs)), hs)
+
+
+class _Family:
+    """The total both families derive from their per-slot terms."""
+
+    def total(self, points) -> float:
+        terms = self.slot_terms(_points_array(points, self.horizon))
+        return self.total_scale * float(np.add.reduce(terms, axis=None))
+
+
+class CommuteUtilities(_Family):
     """Commute utilities ``d2d_utility(x, leads[t], v, mu, kind)``, t = 0..T-1.
 
     ``v`` is the per-slot displacement cap and ``mu`` the curvature of the
     robust penalty.  The array gradient is the pull ``leads - x`` for the
     squared kind; for the Huber kind it equals :func:`d2d_gradient` slot by
-    slot, bit for bit.
+    slot, bit for bit.  In a :class:`FamilyStack` the leads are
+    ``(R, tmax, 2)``, and ``v``/``mu`` are floats shared by the rows or
+    ``(R, 1, 1)`` arrays.
     """
 
-    def __init__(self, leads, v: float, mu: float, kind: str = "squared"):
+    def __init__(self, leads, v, mu, kind: str = "squared"):
         if kind not in ("squared", "huber"):
             raise ValueError(f"unknown utility kind {kind!r}")
         self.leads = np.asarray(leads, dtype=float)
         self.v = v
         self.mu = mu
         self.kind = kind
+        self.stack_key = ("commute", kind)
+        self.total_scale = -0.5 if kind == "squared" else -1.0
+        # the Huber penalty's constants, grouped as huber_value groups them
+        self._one_minus_mu = 1.0 - mu
+        self._lin = v * (1.0 - mu)
+        self._half_mu = 0.5 * mu
+        self._offset = (1.0 - mu) * v * v / 2.0
+
+    @classmethod
+    def stack(cls, families: Sequence["CommuteUtilities"]) -> FamilyStack:
+        hs = [f.horizon for f in families]
+        leads = _pad([f.leads for f in families], max(hs))
+        v = row_scalars([f.v for f in families])
+        mu = row_scalars([f.mu for f in families])
+        return FamilyStack(cls(leads, v, mu, families[0].kind), hs)
+
+    def take(self, rows: np.ndarray, tmax: int) -> "CommuteUtilities":
+        return CommuteUtilities(
+            self.leads[rows, :tmax], _take_rows(self.v, rows), _take_rows(self.mu, rows), self.kind
+        )
 
     @property
     def horizon(self) -> int:
@@ -306,17 +413,17 @@ class CommuteUtilities:
             return None
         return np.zeros(self.horizon - 1), self.leads[1:] - self.leads[:-1]
 
-    def total(self, points) -> float:
-        d = _points_array(points, self.horizon) - self.leads
+    def slot_terms(self, x: np.ndarray) -> np.ndarray:
+        """Per-slot terms whose sum times :attr:`total_scale` is the total."""
+        d = x - self.leads
         if self.kind == "squared":
-            return -0.5 * float(np.sum(d * d))
+            return d * d
         # the elementwise arithmetic of huber_value; np.hypot may differ from
         # math.hypot in the last bit, but the total only steers the ascent and
         # its pairwise sum rounds differently from a per-slot sum anyway
-        v, mu = self.v, self.mu
-        n = np.hypot(d[:, 0], d[:, 1])
-        far = v * (1.0 - mu) * n + 0.5 * mu * n * n - (1.0 - mu) * v * v / 2.0
-        return -float(np.sum(np.where(n <= v, 0.5 * n * n, far)))
+        n = np.hypot(d[..., :1], d[..., 1:])
+        far = self._lin * n + self._half_mu * n * n - self._offset
+        return np.where(n <= self.v, 0.5 * n * n, far)
 
     def gradient_array(self, x: np.ndarray) -> np.ndarray:
         pull = self.leads - x
@@ -324,25 +431,53 @@ class CommuteUtilities:
             return pull
         # math.hypot, not np.hypot: they can differ in the last bit, and this
         # must equal d2d_gradient exactly (G_T is built from it)
+        flat = pull.reshape(-1, 2)
         n = np.fromiter(
-            map(math.hypot, pull[:, 0].tolist(), pull[:, 1].tolist()), float, len(pull)
-        )
+            map(math.hypot, flat[:, 0].tolist(), flat[:, 1].tolist()), float, len(flat)
+        ).reshape(pull.shape[:-1] + (1,))
         # v / max(n, v) is exactly 1 inside the cap
-        capped = pull * (self.v / np.maximum(n, self.v))[:, None]
-        return self.mu * pull + (1.0 - self.mu) * capped
+        capped = pull * (self.v / np.maximum(n, self.v))
+        return self.mu * pull + self._one_minus_mu * capped
 
 
-class VoyageUtilities:
+class VoyageUtilities(_Family):
     """Voyage utilities ``ocean_utility(x, prev[t], goal[t], current[t], lam[t])``.
 
     ``lam`` is ``(T,)``; ``goal``, ``current`` and ``prev`` are ``(T, 2)``.
+    In a :class:`FamilyStack` each gains a leading row axis.
     """
+
+    stack_key = ("voyage",)
+    total_scale = -1.0
 
     def __init__(self, lam, goal, current, prev):
         self.lam = np.asarray(lam, dtype=float)
         self.goal = np.asarray(goal, dtype=float)
         self.current = np.asarray(current, dtype=float)
         self.prev = np.asarray(prev, dtype=float)
+        # per-slot constants of ocean_gradient: -2 lam, 1 - lam, (1 - lam) current;
+        # -2 lam is stored per coordinate, as a broadcast along the short last
+        # axis costs more than the arithmetic
+        self._one_minus_lam = 1.0 - self.lam
+        self._neg2lam = -2.0 * np.repeat(self.lam[..., None], 2, axis=-1)
+        self._drift = self._one_minus_lam[..., None] * self.current
+
+    @classmethod
+    def stack(cls, families: Sequence["VoyageUtilities"]) -> FamilyStack:
+        hs = [f.horizon for f in families]
+        arrays = [
+            _pad([getattr(f, name) for f in families], max(hs))
+            for name in ("lam", "goal", "current", "prev")
+        ]
+        return FamilyStack(cls(*arrays), hs)
+
+    def take(self, rows: np.ndarray, tmax: int) -> "VoyageUtilities":
+        return VoyageUtilities(
+            self.lam[rows, :tmax],
+            self.goal[rows, :tmax],
+            self.current[rows, :tmax],
+            self.prev[rows, :tmax],
+        )
 
     @property
     def horizon(self) -> int:
@@ -368,16 +503,19 @@ class VoyageUtilities:
         b = 2.0 * (pull[1:] - pull[:-1]) + drift[1:] - drift[:-1]
         return a, b
 
-    def total(self, points) -> float:
-        x = _points_array(points, self.horizon)
+    def slot_terms(self, x: np.ndarray) -> np.ndarray:
+        """Per-slot terms whose sum times :attr:`total_scale` is the total."""
+        # the pairs add as np.sum(..., axis=-1) adds them, up to the sign of a
+        # zero sum, which ``quad + drift`` drops again (quad is never -0.0)
         d = x - self.goal
-        quad = self.lam * np.sum(d * d, axis=1)
-        drift = (1.0 - self.lam) * np.sum((self.prev - x) * self.current, axis=1)
-        return -float(np.sum(quad + drift))
+        dd = d * d
+        p = (self.prev - x) * self.current
+        quad = self.lam * (dd[..., 0] + dd[..., 1])
+        drift = self._one_minus_lam * (p[..., 0] + p[..., 1])
+        return quad + drift
 
     def gradient_array(self, x: np.ndarray) -> np.ndarray:
-        lam = self.lam[:, None]
-        return -2.0 * lam * (x - self.goal) + (1.0 - lam) * self.current
+        return self._neg2lam * (x - self.goal) + self._drift
 
 
 Utilities = Union[CommuteUtilities, VoyageUtilities]

@@ -21,7 +21,14 @@ from .engine import Mode, NoiseModel, SlotPlan, StepRecord, normal_pair, run_epi
 from .errors import SchemaError
 from .field import FieldPerturbation, VelocityField, perturb_field, sample_velocity
 from .geom import Point, Vector, dist, lerp, scale
-from .metrics import OfflineProblem, RegretReport, build_regret_report, energy_cost
+from .metrics import (
+    OfflineProblem,
+    OfflineSolution,
+    RegretReport,
+    build_regret_report,
+    energy_cost,
+    solve_offline_batch,
+)
 from .sets import Box2D, StepCap
 
 # Offsets deriving independent per-purpose streams from the master seed.
@@ -379,6 +386,34 @@ def _offline_problem(
     )
 
 
+def _regret_report(report: EpisodeReport, solution: OfflineSolution | None = None) -> RegretReport:
+    """The episode's regret report against its offline benchmark.
+
+    ``solution`` is the benchmark already solved (warm-started at the
+    episode's trajectory); without it the benchmark is solved here.
+    """
+    cfg = report.config
+    return build_regret_report(
+        report.problem,
+        report.trajectory,
+        report.utilities,
+        [r.eps_sq_bound for r in report.records],
+        [r.eps_sq_realized for r in report.records],
+        goal=report.goals[-1],
+        fld=cfg.ocean_field if report.kind == "ocean" else None,
+        c_d=cfg.drag_coefficient,
+        slot_duration=cfg.slot_duration_s,
+        solution=solution,
+    )
+
+
+def _finish_episode(report: EpisodeReport, benchmark: bool, t0: float) -> EpisodeReport:
+    if benchmark:
+        report.regret_report = _regret_report(report)
+    report.wall_time_s = time.perf_counter() - t0
+    return report
+
+
 def run_d2d(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = True) -> EpisodeReport:
     """Run one commute episode; optionally solve the offline benchmark too."""
     if config.kind != "d2d":
@@ -398,20 +433,7 @@ def run_d2d(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = T
     ]
     util_series = [u(x) for u, x in zip(utilities.values, traj)]
     caps = [StepCap(i, (0.0, 0.0), config.v_slot) for i in range(driver.horizon - 1)]
-    problem = _offline_problem(driver, utilities, caps, obj.D2D_SMOOTHNESS)
-    report = None
-    if benchmark:
-        report = build_regret_report(
-            problem,
-            traj,
-            [r.eps_sq_bound for r in records],
-            [r.eps_sq_realized for r in records],
-            goal=driver.goals[-1],
-            fld=None,
-            c_d=config.drag_coefficient,
-            slot_duration=config.slot_duration_s,
-        )
-    return EpisodeReport(
+    report = EpisodeReport(
         kind="d2d",
         trajectory=traj,
         records=records,
@@ -421,11 +443,12 @@ def run_d2d(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = T
         utilities=util_series,
         energy_steps=energy_steps,
         rate_series=rate_series,
-        regret_report=report,
-        wall_time_s=time.perf_counter() - t0,
+        regret_report=None,
+        wall_time_s=0.0,
         config=config,
-        problem=problem,
+        problem=_offline_problem(driver, utilities, caps, obj.D2D_SMOOTHNESS),
     )
+    return _finish_episode(report, benchmark, t0)
 
 
 def run_ocean(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = True) -> EpisodeReport:
@@ -447,20 +470,7 @@ def run_ocean(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool =
         StepCap(i, driver.currents_true[i], driver.alphas[i] * config.v_slot)
         for i in range(driver.horizon - 1)
     ]
-    problem = _offline_problem(driver, utilities, caps, obj.OCEAN_SMOOTHNESS)
-    report = None
-    if benchmark:
-        report = build_regret_report(
-            problem,
-            traj,
-            [r.eps_sq_bound for r in records],
-            [r.eps_sq_realized for r in records],
-            goal=driver.goals[-1],
-            fld=driver.truth,
-            c_d=config.drag_coefficient,
-            slot_duration=tau,
-        )
-    return EpisodeReport(
+    report = EpisodeReport(
         kind="ocean",
         trajectory=traj,
         records=records,
@@ -470,11 +480,12 @@ def run_ocean(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool =
         utilities=util_series,
         energy_steps=energy_steps,
         rate_series=None,
-        regret_report=report,
-        wall_time_s=time.perf_counter() - t0,
+        regret_report=None,
+        wall_time_s=0.0,
         config=config,
-        problem=problem,
+        problem=_offline_problem(driver, utilities, caps, obj.OCEAN_SMOOTHNESS),
     )
+    return _finish_episode(report, benchmark, t0)
 
 
 def run_scenario(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = True) -> EpisodeReport:
@@ -595,15 +606,40 @@ def sweep(
     mode: Mode = "standard",
     benchmark: bool = True,
 ) -> list[SweepRow]:
-    """One episode per value; failures are carried per row, not raised."""
+    """One episode per value; failures are carried per row, not raised.
+
+    Every row's episode runs first.  With ``benchmark``, the rows' offline
+    benchmarks are then solved in lockstep by one
+    :func:`~trajsim.metrics.solve_offline_batch` call, which gives each row
+    the same bits as a solo solve, and each row's regret report is built
+    from its own solution.
+    """
     if not values:
         raise SchemaError("values", "sweep needs at least one value")
     rows: list[SweepRow] = []
     for value in values:
         try:
             cfg = apply_sweep_value(config, param, value)
-            report = run_scenario(cfg, mode, benchmark)
+            report = run_scenario(cfg, mode, benchmark=False)
             rows.append(SweepRow(param=param, value=float(value), report=report))
         except Exception as exc:  # noqa: BLE001 - row isolation is the contract
             rows.append(SweepRow(param=param, value=float(value), report=None, error=str(exc)))
+    if benchmark:
+        _benchmark_rows([row for row in rows if row.report is not None])
     return rows
+
+
+def _benchmark_rows(rows: list[SweepRow]) -> None:
+    """Attach each row's regret report; a row whose benchmark fails gets its error."""
+    reports = [row.report for row in rows]
+    try:
+        solutions = solve_offline_batch(
+            [r.problem for r in reports], [r.trajectory for r in reports]
+        )
+    except Exception:  # noqa: BLE001 - each row retries alone below
+        solutions = [None] * len(rows)
+    for row, report, solution in zip(rows, reports, solutions):
+        try:
+            report.regret_report = _regret_report(report, solution)
+        except Exception as exc:  # noqa: BLE001 - row isolation is the contract
+            row.report, row.error = None, str(exc)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import trajsim
 from trajsim.cli import main
-from trajsim.traces import read_trace
+from trajsim.traces import SUMMARY_HEADER, read_trace
 
 D2D_DOC = {
     "kind": "d2d",
@@ -145,6 +146,24 @@ class TestSweepCommand:
         assert len(summary) == 4
         assert (out / "trace_delta_0.csv").exists()
         assert (out / "trace_delta_2.csv").exists()
+
+    def test_unconverged_rows_warn_on_stderr(self, tmp_path, capsys, monkeypatch):
+        cfg = write(tmp_path, D2D_DOC)
+        argv = ["sweep", "--config", cfg, "--param", "delta", "--values", "0,1,2"]
+        assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+        assert "did not converge" not in capsys.readouterr().err
+        # a three-iteration budget leaves every row's benchmark unconverged
+        solve = trajsim.scenarios.solve_offline_batch
+        monkeypatch.setattr(
+            trajsim.scenarios, "solve_offline_batch", functools.partial(solve, max_iter=3)
+        )
+        out = tmp_path / "capped"
+        assert main([*argv, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        for value in ("0", "1", "2"):
+            warning = f"warning: delta={value}: offline benchmark did not converge (3 iterations)"
+            assert warning in err
+        assert (out / "summary.csv").read_text().splitlines()[0] == ",".join(SUMMARY_HEADER)
 
 
 class TestBenchmarkCommand:

@@ -1,7 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajsim import objectives as obj
 from trajsim.errors import GridTooCoarse, HorizonMismatch
@@ -17,6 +20,7 @@ from trajsim.metrics import (
     gradient_variation,
     regret,
     solve_offline,
+    solve_offline_batch,
     squared_path_length,
     straight_line_trajectory,
 )
@@ -390,3 +394,77 @@ class TestUtilitySequenceBatch:
         assert voyage.total(pts) == pytest.approx(sum(u(p) for u, p in zip(voyage.values, pts)))
         per_slot = [obj.ocean_gradient(p, g, c, l) for p, g, c, l in zip(pts, goals, currents, lam)]
         assert np.array_equal(voyage.gradient_array(x), per_slot)
+
+
+def _random_problem(kind: str, T: int, seed: int) -> tuple[OfflineProblem, list | None]:
+    """A random instance of one family and its warm start (or ``None``)."""
+    rng = np.random.default_rng(seed)
+    start = tuple(rng.uniform(-5.0, 5.0, 2).tolist())
+    walk = np.asarray(start) + np.cumsum(rng.normal(0.0, 2.0, (T, 2)), axis=0)
+    radii = rng.choice([0.0, 0.5, 1.0, 3.0], T - 1)
+    if kind == "voyage":
+        centers = rng.normal(0.0, 0.3, (T - 1, 2))
+        utilities = VoyageUtilities(
+            rng.uniform(0.0, 1.0, T), walk, rng.normal(0.0, 0.3, (T, 2)), walk[::-1]
+        )
+    else:
+        centers = np.zeros((T - 1, 2))
+        utilities = CommuteUtilities(walk, rng.uniform(0.5, 3.0), rng.uniform(0.01, 1.0), kind)
+    caps = tuple(
+        StepCap(i, tuple(c), float(r)) for i, (c, r) in enumerate(zip(centers.tolist(), radii))
+    )
+    smoothness = 2.0 if kind == "voyage" else 1.0
+    problem = OfflineProblem(tuple(start), utilities, caps, BIG_BOX, smoothness)
+    warm = rng.integers(3)  # no warm start, the random walk, or one of the wrong length
+    x0 = None if warm == 0 else [tuple(p) for p in walk.tolist()[: T + 1 - warm]]
+    return problem, x0
+
+
+def _boxed_problem(T: int) -> OfflineProblem:
+    """Leads far outside a small box: the ascent leaves it and restoration takes over."""
+    leads = [(3.0 * t, 2.0 * t) for t in range(T)]
+    caps = tuple(StepCap(i, (0.0, 0.0), 1.0) for i in range(T - 1))
+    box = Box2D((-1.0, -1.0), (2.0, 1.5))
+    return OfflineProblem((0.0, 0.0), quadratic_sequence(leads), caps, box, 1.0)
+
+
+def _outcome(sol):
+    return (
+        sol.points, sol.utility, sol.iterations, sol.restarts,
+        sol.converged, sol.warning, sol.max_violation,
+    )
+
+
+class TestSolveOfflineBatch:
+    def test_boxed_row_takes_the_restoration_path(self):
+        problem = _boxed_problem(5)
+        free = solve_offline(replace(problem, region=BIG_BOX))
+        assert any(problem.region.violation(p) > 1e-9 for p in free.points)
+        sol = solve_offline(problem)
+        assert sol.converged
+        assert all(problem.region.violation(p) <= 1e-9 for p in sol.points)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["squared", "huber", "voyage"]),
+                st.integers(1, 40),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        boxed_at=st.integers(0, 8),
+    )
+    def test_lockstep_rows_equal_solo_solves(self, rows, boxed_at):
+        # T = 1 and T = 2 rows of every family ride along in every batch
+        rows = rows + [(kind, T, 7) for kind in ("squared", "huber", "voyage") for T in (1, 2)]
+        instances = [_random_problem(*row) for row in rows]
+        instances.insert(boxed_at % (len(instances) + 1), (_boxed_problem(5), None))
+        problems = [p for p, _ in instances]
+        x0s = [x0 for _, x0 in instances]
+        with np.errstate(all="raise"):
+            batch = solve_offline_batch(problems, x0s)
+            solo = [solve_offline(p, x0=x0) for p, x0 in instances]
+        assert [_outcome(s) for s in batch] == [_outcome(s) for s in solo]

@@ -130,6 +130,38 @@ def test_noise_free_outputs_match_golden_digests(tmp_path, capsys):
     assert got == GOLDEN
 
 
+# two noise-free sweeps, one per scenario kind; each row's summary line
+# carries its own offline benchmark
+SWEEPS = {"voyage": (VOYAGE_DOC, "0,10,25,40"), "commute": (COMMUTE_DOC, "0,2,5,9")}
+
+SWEEP_GOLDEN = {
+    ("voyage", "summary.csv"): "84c8b23ba0ded6d85bcf66b10a0ecd46ca0a939942cd94493d887716f7212772",
+    ("voyage", "trace_delta_0.csv"): "31127865e57b22f7da45f1e0d7fe3e9dddbafeb8052cc9aee0a1f3359904ca7e",
+    ("voyage", "trace_delta_10.csv"): "33c50d23c53a1afe54082088c739e16c7c171a829674621af1597607963ffa52",
+    ("voyage", "trace_delta_25.csv"): "c9fcbd21917b56eb5f90682c1206a443db0b8c1cae83f6aeed3c8984e0e7f2a6",
+    ("voyage", "trace_delta_40.csv"): "cc30c2255300a640c4822263790379119b4cd2b16bd65c6e38f2820e19df1789",
+    ("commute", "summary.csv"): "27405cf907a4d85a4b8d1119c3f7fec320472e1ecb3c38b94e3127aa53a05454",
+    ("commute", "trace_delta_0.csv"): "1e022ef24de42247f869a5c710eeea2262588a7ca2bfcc3d179f5d374c0470d8",
+    ("commute", "trace_delta_2.csv"): "28700a97d66b9876d3e7ca67260894c86e44dba42ab7169241de400cce972e58",
+    ("commute", "trace_delta_5.csv"): "326504c17c8ef9912115e400758780c2da6e23523ff09aa4de8da0f1df245ac6",
+    ("commute", "trace_delta_9.csv"): "5797ced8448f5ef1aaf771eadd8234fc2925c6630ff049122527d897175b9caf",
+}
+
+
+def test_noise_free_sweeps_match_golden_digests(tmp_path, capsys):
+    got = {}
+    for name, (doc, values) in SWEEPS.items():
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        outdir = tmp_path / name
+        argv = ["sweep", "--config", str(cfg), "--param", "delta", "--values", values]
+        assert main([*argv, "--out", str(outdir)]) == 0
+        for path in sorted(outdir.iterdir()):
+            if path.name != "manifest.json":
+                got[(name, path.name)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == SWEEP_GOLDEN
+
+
 def _small_config(kind, distance, delta, seed, eps0, decay_q) -> ScenarioConfig:
     """A fresh config, field included, so no run reuses another's field cells."""
     noise = NoiseModel("gaussian_decaying", eps0, decay_q, seed + 1)

@@ -186,18 +186,33 @@ def _huber_probe_points(leads: np.ndarray, v: float, rng) -> list[np.ndarray]:
 
 
 class _PerSlotHuber:
-    """A Huber commute family evaluated slot by slot through the scalar forms."""
+    """A Huber commute family evaluated slot by slot through the scalar forms.
+
+    It is only ever solved alone, so it is its own stack of one: the solver
+    hands it ``(1, T, 2)`` waypoints.
+    """
 
     def __init__(self, family):
         self.family = family
         self.horizon = family.horizon
         self.affine_diffs = family.affine_diffs
         self.values = family.values
+        self.stack_key = ("per-slot", id(self))
+        self.horizons = [family.horizon]
+
+    def stack(self, families):
+        assert families == [self]
+        return self
+
+    def totals(self, x, rows):
+        return [self.total(x[0]) for _ in rows]
 
     def total(self, points):
         return sum(u(p) for u, p in zip(self.values, points))
 
     def gradient_array(self, x):
+        if x.ndim == 3:
+            return self.gradient_array(x[0])[None]
         f = self.family
         return np.array(
             [obj.d2d_gradient(p, e, f.v, f.mu) for p, e in zip(x.tolist(), f.leads.tolist())]
@@ -365,6 +380,39 @@ class TestSweep:
         rows = sweep(cfg, "delta", [0, 200], benchmark=False)
         assert rows[0].report is not None and rows[0].error is None
         assert rows[1].report is None and "alpha" in rows[1].error
+
+    def test_benchmarked_rows_match_direct_runs(self):
+        fld = synth_field(UniformSpec(0.45, 0.0), (-100.0, 300.0), (-100.0, 300.0))
+        cfg = ocean_config(ocean_field=fld, beta=0.6)
+        rows = sweep(cfg, "delta", [0, 3, 200, 7])
+        assert rows[2].report is None and "alpha" in rows[2].error
+        for row in rows[:2] + rows[3:]:
+            direct = run_scenario(apply_sweep_value(cfg, "delta", row.value))
+            assert row.error is None
+            assert row.report.regret_report == direct.regret_report
+
+    def test_benchmark_failures_are_isolated(self, monkeypatch):
+        import trajsim.scenarios as scenarios
+
+        cfg = d2d_config(peer_noise_std_m=0.5)
+        expected = {row.value: row.report.regret_report for row in sweep(cfg, "delta", [0, 2, 5])}
+        build = scenarios.build_regret_report
+
+        def build_or_fail(problem, *args, **kwargs):
+            if problem.horizon == apply_sweep_value(cfg, "delta", 2).horizon:
+                raise RuntimeError("benchmark broke")
+            return build(problem, *args, **kwargs)
+
+        def batch_fails(*args, **kwargs):
+            raise RuntimeError("batch broke")
+
+        monkeypatch.setattr(scenarios, "build_regret_report", build_or_fail)
+        monkeypatch.setattr(scenarios, "solve_offline_batch", batch_fails)
+        rows = sweep(cfg, "delta", [0, 2, 5])
+        assert rows[1].report is None and rows[1].error == "benchmark broke"
+        # the other rows fall back to solving alone, with the same results
+        for row in (rows[0], rows[2]):
+            assert row.report.regret_report == expected[row.value]
 
     def test_noise_sigma_param_maps_by_kind(self):
         ocean = apply_sweep_value(ocean_config(), "noise_sigma", 0.05)
