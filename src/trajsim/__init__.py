@@ -70,14 +70,7 @@ from .scenarios import (
     run_scenario,
     sweep,
 )
-from .sets import (
-    Box2D,
-    PointIn,
-    StepCap,
-    constraint_violation,
-    dykstra_project,
-    project_box,
-)
+from .sets import Box2D, StepCap, project_box
 from .config import RunManifest, config_hash, parse_config
 from .traces import emit_summary, emit_trace, read_summary, read_trace
 

@@ -19,7 +19,6 @@ from .config import RunManifest, config_hash, parse_config
 from .errors import (
     InfeasibleStepSize,
     LatticeError,
-    NoConvergence,
     ParseError,
     RootExistence,
     SchemaError,
@@ -274,9 +273,6 @@ def main(argv=None) -> int:
     except (InfeasibleStepSize, RootExistence) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

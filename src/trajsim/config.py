@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,9 +63,9 @@ def _point(doc, path: str):
     if (
         not isinstance(doc, (list, tuple))
         or len(doc) != 2
-        or not all(isinstance(c, (int, float)) for c in doc)
+        or not all(isinstance(c, (int, float)) and math.isfinite(c) for c in doc)
     ):
-        raise SchemaError(path, f"expected [x, y] numbers, got {doc!r}")
+        raise SchemaError(path, f"expected [x, y] finite numbers, got {doc!r}")
     return (float(doc[0]), float(doc[1]))
 
 
@@ -200,10 +201,14 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     if "feasible_box_m" in doc:
         box_doc = doc["feasible_box_m"]
         _reject_unknown(box_doc, {"lo", "hi"}, "feasible_box_m.")
-        box = Box2D(
-            _point(_require(box_doc, "lo", "feasible_box_m."), "feasible_box_m.lo"),
-            _point(_require(box_doc, "hi", "feasible_box_m."), "feasible_box_m.hi"),
-        )
+        lo = _point(_require(box_doc, "lo", "feasible_box_m."), "feasible_box_m.lo")
+        hi = _point(_require(box_doc, "hi", "feasible_box_m."), "feasible_box_m.hi")
+        try:
+            box = Box2D(lo, hi)
+        except ValueError as exc:  # lo exceeds hi
+            raise SchemaError("feasible_box_m", str(exc)) from exc
+        if not box.contains(start):
+            raise SchemaError("feasible_box_m", f"does not contain start_m {list(start)}")
 
     common = dict(
         start=start,

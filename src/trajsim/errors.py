@@ -7,19 +7,6 @@ class TrajsimError(Exception):
     """Base class for all simulator errors."""
 
 
-class NoConvergence(TrajsimError):
-    """An iterative routine stopped before reaching its tolerance.
-
-    Carries the best iterate found and the achieved residual so callers can
-    degrade gracefully instead of discarding the work.
-    """
-
-    def __init__(self, message: str, residual: float, points=None):
-        super().__init__(message)
-        self.residual = float(residual)
-        self.points = points
-
-
 class EmptyStepInterval(TrajsimError):
     """The feasible learning-rate interval for the commute policy is empty."""
 

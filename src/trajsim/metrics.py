@@ -3,59 +3,78 @@
 The offline benchmark maximizes the summed per-slot utilities over a whole
 trajectory at once, subject to the same coupled displacement caps the online
 agent faced; its value anchors the regret numbers in every report.  The
-dynamic-programming oracle re-solves small instances on a grid and exists
-purely to validate the solver.
+caps, the start pin and the box are held as arrays: the ascent, the Dykstra
+projection of its box-binding fallback and the certification of every
+solution all work on them directly.  The dynamic-programming oracle
+re-solves small instances on a grid and exists purely to validate the
+solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, HorizonMismatch, NoConvergence
+from .errors import GridTooCoarse, HorizonMismatch
 from .field import VelocityField, sample_velocity
-from .geom import Point, dist, lerp, norm_sq, sub
+from .geom import Point, as_point, dist, lerp, norm_sq, sub
 from .objectives import Utilities, row_scalars
-from .sets import Box2D, Constraint, PointIn, StepCap, constraint_violation, dykstra_project
+from .sets import Box2D, StepCap
 
 # largest oracle lattice per axis: the DP holds (nodes x nodes) per slot
 ORACLE_MAX_NODES = 101
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OfflineProblem:
     """Full-horizon trajectory problem: start pin, utilities, caps, box.
 
     ``utilities`` is a :class:`~trajsim.objectives.CommuteUtilities` or a
-    :class:`~trajsim.objectives.VoyageUtilities` of the same horizon.
+    :class:`~trajsim.objectives.VoyageUtilities` of the same horizon.  Slot
+    ``t``'s step is capped by ``|x[t+1] - x[t] - centers[t]| <= radii[t]``;
+    the ``(T - 1, 2)`` centers and ``(T - 1,)`` radii are stored as
+    read-only float arrays.
     """
 
     start: Point
     utilities: Utilities
-    caps: tuple[StepCap, ...]
+    centers: np.ndarray
+    radii: np.ndarray
     region: Box2D
     smoothness: float = 2.0
 
     def __post_init__(self):
         T = self.utilities.horizon
-        if len(self.caps) != T - 1:
-            raise ValueError(f"need {T - 1} caps for horizon {T}")
-        for i, cap in enumerate(self.caps):
-            if cap.index != i:
-                raise ValueError("caps must be indexed 0..T-2 in order")
+        centers = np.array(self.centers, dtype=float)
+        radii = np.array(self.radii, dtype=float)
+        if centers.shape != (T - 1, 2) or radii.shape != (T - 1,):
+            raise ValueError(
+                f"horizon {T} needs ({T - 1}, 2) cap centers and ({T - 1},) radii,"
+                f" got {centers.shape} and {radii.shape}"
+            )
+        if not (np.isfinite(radii).all() and (radii >= 0.0).all()):
+            raise ValueError("cap radii must be finite and >= 0")
+        start = as_point(self.start)
+        if not self.region.contains(start):
+            raise ValueError(f"start {start} lies outside the region")
+        centers.flags.writeable = radii.flags.writeable = False
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
 
     @property
     def horizon(self) -> int:
         return self.utilities.horizon
 
-    def constraints(self) -> list[Constraint]:
-        cons: list[Constraint] = [PointIn(0, Box2D(self.start, self.start))]
-        cons.extend(self.caps)
-        cons.extend(PointIn(i, self.region) for i in range(self.horizon))
-        return cons
+    @property
+    def caps(self) -> tuple[StepCap, ...]:
+        """The caps as :class:`~trajsim.sets.StepCap` values, built on each access."""
+        pairs = zip(self.centers.tolist(), self.radii.tolist())
+        return tuple(StepCap(i, c, r) for i, (c, r) in enumerate(pairs))
 
 
 @dataclass
@@ -111,14 +130,13 @@ class _Lockstep:
         self.radii = np.zeros((n, tmax - 1))
         self.z0 = np.zeros((n, tmax - 1, 2))
         for r, (p, x0) in enumerate(zip(problems, x0s)):
-            centers = np.array([c.center for c in p.caps])
-            radii = np.array([c.radius for c in p.caps])
-            self.centers[r, : len(centers)] = centers
-            self.radii[r, : len(radii)] = radii
+            caps = slice(0, p.horizon - 1)
+            self.centers[r, caps] = p.centers
+            self.radii[r, caps] = p.radii
             if x0 is not None and len(x0) == p.horizon:
                 xa = np.asarray(x0, dtype=float)
-                floors = np.maximum(radii, np.finfo(float).tiny)
-                self.z0[r, : len(radii)] = _clamp_balls(xa[1:] - xa[:-1] - centers, radii, floors)
+                floors = np.maximum(p.radii, np.finfo(float).tiny)
+                self.z0[r, caps] = _clamp_balls(xa[1:] - xa[:-1] - p.centers, p.radii, floors)
         self.steps = [_step_size(p) for p in problems]
         self._buffers()
 
@@ -244,12 +262,12 @@ def solve_offline(
 
     The region membership is verified afterwards; in the rare case it
     binds, the solve falls back to plain projected ascent in waypoint space
-    with :func:`dykstra_project` restoring feasibility each iteration
-    (exact, but slow when caps chain tightly).
+    with a Dykstra projection restoring feasibility each iteration (exact,
+    but slow when caps chain tightly).
 
     ``x0`` (e.g. the online trajectory the benchmark compares against)
-    warm-starts the solve.  Dykstra failures in the fallback are soft: the
-    best iterate is kept and the returned solution carries a warning and
+    warm-starts the solve.  Dykstra stalls in the fallback are soft: the
+    last iterate is kept and the returned solution carries a warning and
     its violation.  This is the batch of one of :func:`solve_offline_batch`.
     """
     return solve_offline_batch([problem], [x0], max_iter=max_iter, tol=tol)[0]
@@ -289,15 +307,17 @@ def _finish(
     if ascent is None:  # T == 1: the start pin is the whole trajectory
         pts = [problem.start]
         return OfflineSolution(pts, us.total(pts), 0, True, 0.0)
-    xa, iterations, restarts = ascent
-    pts = [(float(p[0]), float(p[1])) for p in xa]
+    x, iterations, restarts = ascent
+    cons = (problem.start, problem.centers, problem.radii, problem.region)
+    box_excess, violation = _violation(x, *cons)
     warning = None
-    if any(problem.region.violation(p) > 1e-9 for p in pts):
-        pts, warning = _solve_with_restoration(problem, pts, max_iter=max_iter, tol=tol)
-    violation = constraint_violation(pts, problem.constraints())
+    if box_excess > 1e-9:
+        x, warning = _solve_with_restoration(problem, x, max_iter=max_iter, tol=tol)
+        violation = _violation(x, *cons)[1]
     converged = violation <= 1e-6 and iterations < max_iter
     if violation > 1e-6 and warning is None:
         warning = f"final violation {violation:.3e} above 1e-6"
+    pts = [(p[0], p[1]) for p in x.tolist()]
     return OfflineSolution(
         points=pts,
         utility=us.total(pts),
@@ -309,41 +329,125 @@ def _finish(
     )
 
 
+def _violation(
+    x: np.ndarray, start: Point, centers: np.ndarray, radii: np.ndarray, box: Box2D
+) -> tuple[float, float]:
+    """The largest box excess of waypoints ``x`` and their largest violation of any constraint.
+
+    A cap is violated by its step's distance outside the ball, the box by the
+    length of a waypoint's excess vector, the start pin by the first
+    waypoint's distance from the start; 0 means feasible.
+    """
+    w = x[1:] - x[:-1] - centers
+    ex = np.maximum(np.maximum(box.lo - x, x - box.hi), 0.0)
+    pin = np.abs(x[0] - start)
+    box_excess = float(np.max(np.hypot(ex[:, 0], ex[:, 1])))
+    cap_gap = float(np.max(np.hypot(w[:, 0], w[:, 1]) - radii, initial=0.0))
+    return box_excess, max(cap_gap, float(np.hypot(pin[0], pin[1])), box_excess)
+
+
+def _project_caps(
+    z: np.ndarray, idx: np.ndarray, centers: np.ndarray, radii: np.ndarray
+) -> np.ndarray:
+    """Projection onto the caps of the disjoint waypoint pairs ``(idx, idx + 1)``.
+
+    Projecting a single pair keeps its midpoint; each end absorbs half of
+    the displacement correction.
+    """
+    a, b = z[idx], z[idx + 1]
+    w = b - a - centers
+    d = np.hypot(w[:, 0], w[:, 1])
+    mask = d > radii
+    if not mask.any():
+        return z
+    scale = np.ones_like(d)
+    scale[mask] = radii[mask] / d[mask]
+    u = np.where(mask[:, None], centers + w * scale[:, None], b - a)
+    out = z.copy()
+    out[idx] = (a + b - u) / 2.0
+    out[idx + 1] = (a + b + u) / 2.0
+    return out
+
+
+def _clip_rows(z: np.ndarray, rows: slice, lo: Point, hi: Point) -> np.ndarray:
+    out = z.copy()
+    out[rows] = np.clip(z[rows], lo, hi)
+    return out
+
+
+def _dykstra(
+    x: np.ndarray,
+    start: Point,
+    centers: np.ndarray,
+    radii: np.ndarray,
+    box: Box2D,
+    max_iter: int = 500,
+    tol: float = 1e-8,
+) -> tuple[np.ndarray, float]:
+    """Project waypoints ``x`` onto the intersection of the caps, the start pin and the box.
+
+    Alternating projections with Dykstra's correction terms (Boyle & Dykstra
+    1986), which converge to the exact Euclidean projection onto the
+    intersection; plain cyclic projection would only find *a* feasible
+    point.  A cycle projects onto the even caps and the odd caps (pairs
+    that share no waypoint, one array operation each), then the start pin,
+    then the box.  Stops after ``max_iter`` cycles, or once the largest
+    violation is at most ``tol`` and no correction term changed by more
+    than ``tol`` in the last cycle: a feasible iterate alone can still be
+    far from the projection (Birgin & Raydan 2005).  Returns the last
+    iterate and its violation.
+    """
+    z = np.array(x, dtype=float)
+    residual = _violation(z, start, centers, radii, box)[1]
+    if residual <= tol:
+        return z, residual
+    n = len(radii)
+    projections = [
+        partial(_project_caps, idx=idx, centers=centers[idx], radii=radii[idx])
+        for idx in (np.arange(0, n, 2), np.arange(1, n, 2))
+        if len(idx)
+    ]
+    projections += [
+        partial(_clip_rows, rows=slice(0, 1), lo=start, hi=start),
+        partial(_clip_rows, rows=slice(None), lo=box.lo, hi=box.hi),
+    ]
+    increments = [np.zeros_like(z) for _ in projections]
+    for _ in range(max_iter):
+        moved = 0.0
+        for project, inc in zip(projections, increments):
+            shifted = z + inc
+            z_new = project(shifted)
+            new_inc = shifted - z_new
+            moved = max(moved, float(np.max(np.abs(new_inc - inc))))
+            inc[...] = new_inc
+            z = z_new
+        residual = _violation(z, start, centers, radii, box)[1]
+        if residual <= tol and moved <= tol:
+            break
+    return z, residual
+
+
 def _solve_with_restoration(
-    problem: OfflineProblem,
-    warm: list[Point],
-    max_iter: int,
-    tol: float,
-) -> tuple[list[Point], str | None]:
+    problem: OfflineProblem, warm: np.ndarray, max_iter: int, tol: float
+) -> tuple[np.ndarray, str | None]:
     """Waypoint-space projected ascent with Dykstra feasibility restoration."""
     step = 1.0 / problem.smoothness
-    constraints = problem.constraints()
-    pts = _restore(warm, constraints)
+    cons = (problem.start, problem.centers, problem.radii, problem.region)
+    x, _ = _dykstra(warm, *cons)
     warning = None
     us = problem.utilities
-    prev = us.total(pts)
+    prev = us.total(x)
     for _ in range(max_iter):
-        x = np.array(pts)
-        stepped = x + step * us.gradient_array(x)
-        try:
-            pts = dykstra_project(stepped, constraints, max_iter=3000, tol=1e-8)
-            warning = None
-        except NoConvergence as exc:
-            pts = exc.points
-            warning = f"feasibility restoration stalled at residual {exc.residual:.3e}"
-        value = us.total(pts)
+        x, residual = _dykstra(x + step * us.gradient_array(x), *cons, max_iter=3000)
+        warning = None
+        if not residual <= 1e-8:  # a NaN residual stalls too
+            warning = f"feasibility restoration stalled at residual {residual:.3e}"
+        value = us.total(x)
         improvement = abs(value - prev)
         prev = value
         if improvement <= tol * (1.0 + abs(value)):
             break
-    return pts, warning
-
-
-def _restore(pts: list[Point], constraints) -> list[Point]:
-    try:
-        return dykstra_project(pts, constraints)
-    except NoConvergence as exc:
-        return exc.points
+    return x, warning
 
 
 @dataclass(frozen=True)
@@ -398,14 +502,13 @@ def dp_oracle(problem: OfflineProblem, grid: OracleGrid) -> OracleSolution:
     value = np.full(n, -np.inf)
     value[start_idx] = utilities[0, start_idx]
     parents = np.zeros((T, n), dtype=int)
-    for t in range(1, T):
-        cap = problem.caps[t - 1]
-        shifted = nodes + np.asarray(cap.center)  # reachable centers from each node
+    for t, radius in enumerate(problem.radii.tolist(), start=1):
+        shifted = nodes + problem.centers[t - 1]  # reachable centers from each node
         d2 = (
             (shifted[:, None, 0] - nodes[None, :, 0]) ** 2
             + (shifted[:, None, 1] - nodes[None, :, 1]) ** 2
         )
-        feasible = d2 <= (cap.radius + 1e-12) ** 2  # (from, to)
+        feasible = d2 <= (radius + 1e-12) ** 2  # (from, to)
         occupied = value > -np.inf
         dead = occupied & ~feasible.any(axis=1)
         if dead.any():

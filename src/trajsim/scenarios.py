@@ -16,6 +16,8 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
+import numpy as np
+
 from . import objectives as obj
 from .engine import Mode, NoiseModel, SlotPlan, StepRecord, normal_pair, run_episode, slot_seed
 from .errors import SchemaError
@@ -29,7 +31,7 @@ from .metrics import (
     energy_cost,
     solve_offline_batch,
 )
-from .sets import Box2D, StepCap
+from .sets import Box2D
 
 # Offsets deriving independent per-purpose streams from the master seed.
 _PEER_SEED_OFFSET = 1_000_003
@@ -374,18 +376,6 @@ def _voyage_utilities(driver: _OceanDriver, traj: Sequence[Point]) -> obj.Voyage
     return obj.VoyageUtilities(lams, driver.goals, currents, [traj[0], *traj[:-1]])
 
 
-def _offline_problem(
-    driver: _Driver, utilities: obj.Utilities, caps: list[StepCap], smoothness: float
-) -> OfflineProblem:
-    return OfflineProblem(
-        start=driver.start,
-        utilities=utilities,
-        caps=tuple(caps),
-        region=driver.region,
-        smoothness=smoothness,
-    )
-
-
 def _regret_report(report: EpisodeReport, solution: OfflineSolution | None = None) -> RegretReport:
     """The episode's regret report against its offline benchmark.
 
@@ -432,7 +422,8 @@ def run_d2d(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = T
         for a, b in zip(traj, traj[1:])
     ]
     util_series = [u(x) for u, x in zip(utilities.values, traj)]
-    caps = [StepCap(i, (0.0, 0.0), config.v_slot) for i in range(driver.horizon - 1)]
+    steps = driver.horizon - 1
+    centers, radii = np.zeros((steps, 2)), np.full(steps, config.v_slot)
     report = EpisodeReport(
         kind="d2d",
         trajectory=traj,
@@ -446,7 +437,9 @@ def run_d2d(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = T
         regret_report=None,
         wall_time_s=0.0,
         config=config,
-        problem=_offline_problem(driver, utilities, caps, obj.D2D_SMOOTHNESS),
+        problem=OfflineProblem(
+            driver.start, utilities, centers, radii, driver.region, obj.D2D_SMOOTHNESS
+        ),
     )
     return _finish_episode(report, benchmark, t0)
 
@@ -466,10 +459,9 @@ def run_ocean(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool =
         rel_speed = math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) / tau
         energy_steps.append(config.drag_coefficient * rel_speed**3 * tau)
     util_series = [u(x) for u, x in zip(utilities.values, traj)]
-    caps = [
-        StepCap(i, driver.currents_true[i], driver.alphas[i] * config.v_slot)
-        for i in range(driver.horizon - 1)
-    ]
+    # one cap per executed step: the measured current, the throttled speed
+    centers = np.array(driver.currents_true, dtype=float).reshape(-1, 2)
+    radii = np.array(driver.alphas, dtype=float) * config.v_slot
     report = EpisodeReport(
         kind="ocean",
         trajectory=traj,
@@ -483,7 +475,9 @@ def run_ocean(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool =
         regret_report=None,
         wall_time_s=0.0,
         config=config,
-        problem=_offline_problem(driver, utilities, caps, obj.OCEAN_SMOOTHNESS),
+        problem=OfflineProblem(
+            driver.start, utilities, centers, radii, driver.region, obj.OCEAN_SMOOTHNESS
+        ),
     )
     return _finish_episode(report, benchmark, t0)
 

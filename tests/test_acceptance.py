@@ -23,7 +23,7 @@ from trajsim.scenarios import (
     run_ocean,
     sweep,
 )
-from trajsim.sets import Box2D, StepCap
+from trajsim.sets import Box2D
 from trajsim.traces import emit_summary, emit_trace, read_summary
 
 from gradient_reference import d2d_gradient_piecewise
@@ -203,9 +203,9 @@ def test_c07_oracle_equivalence():
         T = int(rng.integers(2, 6))
         leads = [tuple(p) for p in rng.uniform(0, 10, (T, 2))]
         start = tuple(rng.uniform(0, 10, 2))
-        caps = tuple(StepCap(i, (0.0, 0.0), float(rng.uniform(1.5, 3.0))) for i in range(T - 1))
+        radii = [float(rng.uniform(1.5, 3.0)) for _ in range(T - 1)]
         seq = obj.CommuteUtilities(leads, 1.0, 1e-3, "squared")
-        problem = OfflineProblem(start=start, utilities=seq, caps=caps, region=box, smoothness=1.0)
+        problem = OfflineProblem(start, seq, np.zeros((T - 1, 2)), radii, box, smoothness=1.0)
         sol = solve_offline(problem)
         coarse = dp_oracle(problem, OracleGrid((0.0, 0.0), (10.0, 10.0), 21, 21))
         fine = dp_oracle(problem, OracleGrid((0.0, 0.0), (10.0, 10.0), 41, 41))

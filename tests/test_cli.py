@@ -95,6 +95,12 @@ class TestRunCommand:
         cfg = write(tmp_path, dict(D2D_DOC, velmax=1.0))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_box_without_the_start_is_a_config_error(self, tmp_path, capsys):
+        doc = dict(D2D_DOC, feasible_box_m={"lo": [1.0, -5.0], "hi": [20.0, 5.0]})
+        cfg = write(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: feasible_box_m: does not contain start_m" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 

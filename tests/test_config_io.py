@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from trajsim.config import RunManifest, config_hash, parse_config
+from trajsim.config import RunManifest, config_hash, parse_config, parse_config_doc
 from trajsim.engine import NoiseModel
 from trajsim.errors import SchemaError, UnitsError
 from trajsim.field import FieldPerturbation
@@ -122,6 +122,27 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, doc))
         assert cfg.adversary.horizon == 50
         assert cfg.adversary.width == 2.0
+
+    @pytest.mark.parametrize(
+        "patch, path",
+        [
+            ({"start_m": [math.nan, 0.0]}, "start_m"),
+            ({"goal_m": [math.inf, 0.0]}, "goal_m"),
+            ({"goal_m": {"from_m": [0.0, 0.0], "to_m": [12.0, -math.inf]}}, "goal_m.to_m"),
+            ({"feasible_box_m": {"lo": [10.0, -5.0], "hi": [-10.0, 5.0]}}, "feasible_box_m"),
+            ({"feasible_box_m": {"lo": [-5.0, -5.0], "hi": [math.nan, 5.0]}}, "feasible_box_m.hi"),
+            ({"feasible_box_m": {"lo": [1.0, -5.0], "hi": [20.0, 5.0]}}, "feasible_box_m"),
+        ],
+        ids=["nan-start", "inf-goal", "inf-walk", "inverted-box", "nan-box", "box-excludes-start"],
+    )
+    def test_bad_points_and_boxes_are_schema_errors(self, patch, path):
+        with pytest.raises(SchemaError) as err:
+            parse_config_doc(dict(MINIMAL_D2D, **patch))
+        assert err.value.path == path
+
+    def test_box_may_touch_the_start(self):
+        doc = dict(MINIMAL_D2D, feasible_box_m={"lo": [0.0, 0.0], "hi": [20.0, 0.0]})
+        assert parse_config_doc(doc).feasible_box.lo == (0.0, 0.0)
 
     def test_bad_json_is_schema_error(self, tmp_path):
         p = tmp_path / "broken.json"

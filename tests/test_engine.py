@@ -232,7 +232,7 @@ class TestRunEpisode:
             run_episode(BadGamma([(9.0, 9.0)] * 8, 8))
         assert err.value.slot == 3
 
-    def test_constraint_violation_aborts(self):
+    def test_cap_violating_step_aborts(self):
         class Cheater(_ChaserDriver):
             def plan(self, t, x_hat, x_prev, mode):
                 plan = super().plan(t, x_hat, x_prev, mode)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trajsim import objectives as obj
@@ -13,6 +13,8 @@ from trajsim.geom import dist, norm_sq, sub
 from trajsim.metrics import (
     OfflineProblem,
     OracleGrid,
+    _finish,
+    _violation,
     cumulative_error,
     dp_oracle,
     energy_conserved,
@@ -25,7 +27,7 @@ from trajsim.metrics import (
     straight_line_trajectory,
 )
 from trajsim.objectives import CommuteUtilities, VoyageUtilities
-from trajsim.sets import Box2D, StepCap
+from trajsim.sets import Box2D
 
 BIG_BOX = Box2D((-1e6, -1e6), (1e6, 1e6))
 TEN_BOX = Box2D((0.0, 0.0), (10.0, 10.0))
@@ -38,12 +40,12 @@ def quadratic_sequence(leads):
 
 def quadratic_problem(start, leads, caps_r, region=BIG_BOX, centers=None):
     T = len(leads)
-    centers = centers or [(0.0, 0.0)] * (T - 1)
-    caps = tuple(StepCap(i, centers[i], caps_r[i]) for i in range(T - 1))
+    centers = np.zeros((T - 1, 2)) if centers is None else centers
     return OfflineProblem(
         start=start,
         utilities=quadratic_sequence(leads),
-        caps=caps,
+        centers=centers,
+        radii=caps_r,
         region=region,
         smoothness=1.0,
     )
@@ -103,7 +105,8 @@ class TestSolveOffline:
             problem = OfflineProblem(
                 start=start,
                 utilities=utilities,
-                caps=tuple(StepCap(i, (0.0, 0.0), 0.0) for i in range(T - 1)),
+                centers=np.zeros((T - 1, 2)),
+                radii=np.zeros(T - 1),
                 region=TEN_BOX,
                 smoothness=1.0,
             )
@@ -121,6 +124,93 @@ class TestSolveOffline:
         sol = solve_offline(quadratic_problem((0.0, 0.0), leads, [0.5] * 39))
         assert sol.converged
         assert 0 < sol.restarts < sol.iterations
+
+
+class TestOfflineProblem:
+    def test_caps_stored_as_read_only_arrays(self):
+        problem = quadratic_problem((0.0, 0.0), [(0.0, 0.0)] * 3, [1, 2], centers=[(1, 0), (0, 1)])
+        assert problem.centers.shape == (2, 2) and problem.radii.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            problem.radii[0] = 5.0
+        assert [(c.index, c.center, c.radius) for c in problem.caps] == [
+            (0, (1.0, 0.0), 1.0),
+            (1, (0.0, 1.0), 2.0),
+        ]
+
+    @pytest.mark.parametrize(
+        "start, radii, centers",
+        [
+            ((0.0, 0.0), [1.0], None),  # one radius for two caps
+            ((0.0, 0.0), [1.0, 1.0], np.zeros((2, 3))),
+            ((0.0, 0.0), [1.0, -0.5], None),
+            ((0.0, 0.0), [1.0, np.nan], None),
+            ((0.0, 0.0), [1.0, np.inf], None),
+            ((20.0, 0.0), [1.0, 1.0], None),  # start outside the box
+            ((np.nan, 0.0), [1.0, 1.0], None),
+        ],
+    )
+    def test_invalid_caps_or_start_rejected(self, start, radii, centers):
+        with pytest.raises(ValueError):
+            quadratic_problem(start, [(0.0, 0.0)] * 3, radii, region=TEN_BOX, centers=centers)
+
+
+class TestCertification:
+    """Hand-built waypoints that each break exactly one constraint by a known amount.
+
+    Start (1, 5) in the 10 x 10 box; the caps have radius 1 around the
+    displacements (0, 0) and (-2, 0).
+    """
+
+    @staticmethod
+    def problem():
+        return quadratic_problem(
+            (1.0, 5.0), [(5.0, 5.0)] * 3, [1.0, 1.0], region=TEN_BOX, centers=[(0, 0), (-2, 0)]
+        )
+
+    @pytest.mark.parametrize(
+        "pts, box_excess, worst",
+        [
+            ([(1.0, 5.0), (2.0, 5.0), (0.5, 5.0)], 0.0, 0.0),
+            ([(1.0, 5.0), (4.0, 9.0), (2.0, 9.0)], 0.0, 4.0),  # first step (3, 4)
+            ([(1.0, 5.0), (2.0, 5.0), (3.0, 9.0)], 0.0, 4.0),  # second step (-2, 0) + (3, 4)
+            ([(1.0, 5.0), (1.0, 5.0), (-1.0, 5.0)], 1.0, 1.0),  # last point 1 left of the box
+            ([(4.0, 9.0), (4.0, 9.0), (2.0, 9.0)], 0.0, 5.0),  # start moved by (3, 4)
+        ],
+        ids=["feasible", "first-cap", "second-cap", "box", "start-pin"],
+    )
+    def test_each_violation_is_measured_exactly(self, pts, box_excess, worst):
+        p = self.problem()
+        got = _violation(np.array(pts), p.start, p.centers, p.radii, p.region)
+        assert got == (box_excess, worst)
+
+    @pytest.mark.parametrize(
+        "pts, worst",
+        [
+            ([(1.0, 5.0), (4.0, 9.0), (2.0, 9.0)], 4.0),
+            ([(1.0, 5.0), (2.0, 5.0), (3.0, 9.0)], 4.0),
+            ([(4.0, 9.0), (4.0, 9.0), (2.0, 9.0)], 5.0),
+        ],
+        ids=["first-cap", "second-cap", "start-pin"],
+    )
+    def test_violating_solution_is_reported(self, pts, worst):
+        sol = _finish(self.problem(), (np.array(pts), 7, 2), max_iter=100, tol=1e-10)
+        assert sol.points == pts
+        assert sol.max_violation == worst
+        assert not sol.converged
+        assert sol.warning == f"final violation {worst:.3e} above 1e-6"
+        assert (sol.iterations, sol.restarts) == (7, 2)
+
+    def test_feasible_solution_is_certified(self):
+        pts = [(1.0, 5.0), (2.0, 5.0), (0.5, 5.0)]
+        sol = _finish(self.problem(), (np.array(pts), 7, 2), max_iter=100, tol=1e-10)
+        assert sol.points == pts
+        assert sol.converged and sol.max_violation == 0.0 and sol.warning is None
+
+    def test_box_excess_hands_the_row_to_restoration(self):
+        pts = [(1.0, 5.0), (1.0, 5.0), (-1.0, 5.0)]
+        sol = _finish(self.problem(), (np.array(pts), 7, 2), max_iter=100, tol=1e-10)
+        assert sol.converged and sol.max_violation <= 1e-6 and sol.warning is None
+        assert all(TEN_BOX.contains(p, tol=1e-9) for p in sol.points)
 
 
 class TestDpOracle:
@@ -410,11 +500,8 @@ def _random_problem(kind: str, T: int, seed: int) -> tuple[OfflineProblem, list 
     else:
         centers = np.zeros((T - 1, 2))
         utilities = CommuteUtilities(walk, rng.uniform(0.5, 3.0), rng.uniform(0.01, 1.0), kind)
-    caps = tuple(
-        StepCap(i, tuple(c), float(r)) for i, (c, r) in enumerate(zip(centers.tolist(), radii))
-    )
     smoothness = 2.0 if kind == "voyage" else 1.0
-    problem = OfflineProblem(tuple(start), utilities, caps, BIG_BOX, smoothness)
+    problem = OfflineProblem(tuple(start), utilities, centers, radii, BIG_BOX, smoothness)
     warm = rng.integers(3)  # no warm start, the random walk, or one of the wrong length
     x0 = None if warm == 0 else [tuple(p) for p in walk.tolist()[: T + 1 - warm]]
     return problem, x0
@@ -423,9 +510,8 @@ def _random_problem(kind: str, T: int, seed: int) -> tuple[OfflineProblem, list 
 def _boxed_problem(T: int) -> OfflineProblem:
     """Leads far outside a small box: the ascent leaves it and restoration takes over."""
     leads = [(3.0 * t, 2.0 * t) for t in range(T)]
-    caps = tuple(StepCap(i, (0.0, 0.0), 1.0) for i in range(T - 1))
     box = Box2D((-1.0, -1.0), (2.0, 1.5))
-    return OfflineProblem((0.0, 0.0), quadratic_sequence(leads), caps, box, 1.0)
+    return quadratic_problem((0.0, 0.0), leads, np.ones(T - 1), region=box)
 
 
 def _outcome(sol):
@@ -433,6 +519,57 @@ def _outcome(sol):
         sol.points, sol.utility, sol.iterations, sol.restarts,
         sol.converged, sol.warning, sol.max_violation,
     )
+
+
+def _box_binding_problem(kind: str, T: int, seed: int) -> OfflineProblem:
+    """A small random instance whose targets lie mostly outside its box.
+
+    Every cap admits staying put, so no lattice node of the oracle is a dead end.
+    """
+    rng = np.random.default_rng(seed)
+    hi = rng.uniform(2.0, 6.0, 2)
+    box = Box2D((0.0, 0.0), tuple(hi.tolist()))
+    start = tuple(rng.uniform(0.0, hi).tolist())
+    targets = rng.uniform(-10.0, 16.0, (T, 2))
+    radii = rng.uniform(0.3, 3.0, T - 1)
+    if kind == "voyage":
+        centers = rng.normal(0.0, 0.3, (T - 1, 2))
+        radii += np.hypot(centers[:, 0], centers[:, 1])
+        currents = rng.normal(0.0, 0.3, (T, 2))
+        prevs = rng.uniform(0.0, hi, (T, 2))
+        utilities = VoyageUtilities(rng.uniform(0.2, 1.0, T), targets, currents, prevs)
+        return OfflineProblem(start, utilities, centers, radii, box, 2.0)
+    utilities = CommuteUtilities(targets, rng.uniform(0.5, 3.0), rng.uniform(0.01, 1.0), kind)
+    return OfflineProblem(start, utilities, np.zeros((T - 1, 2)), radii, box, 1.0)
+
+
+class TestBoxBindingSolves:
+    def test_restoration_reaches_the_corner_optimum(self):
+        # the far lead pulls the second waypoint to the corner where the cap's
+        # circle meets the box floor y = 0, at x = -sqrt(1 - 0.28^2) = -0.96; a
+        # projection that stops at its first feasible iterate ends near -0.93
+        us = CommuteUtilities([(0.0, 0.28), (-7.6, -8.86)], 1.0, 1e-3, "squared")
+        box = Box2D((-10.0, 0.0), (10.0, 10.0))
+        sol = solve_offline(OfflineProblem((0.0, 0.28), us, [(0.0, 0.0)], [1.0], box, 1.0))
+        assert sol.converged and sol.max_violation <= 1e-6
+        assert sol.points[1] == pytest.approx((-0.96, 0.0), abs=1e-7)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["squared", "huber", "voyage"]),
+        T=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_restoration_matches_the_oracle(self, kind, T, seed):
+        problem = _box_binding_problem(kind, T, seed)
+        free = solve_offline(replace(problem, region=BIG_BOX))
+        x = np.array(free.points)
+        assume(_violation(x, problem.start, problem.centers, problem.radii, problem.region)[0] > 1e-6)
+        sol = solve_offline(problem)
+        lo, hi = problem.region.lo, problem.region.hi
+        oracle = dp_oracle(problem, OracleGrid(lo, hi, 31, 31))
+        assert sol.converged and sol.max_violation <= 1e-6
+        assert sol.utility >= oracle.utility - 1e-6 * (1.0 + abs(oracle.utility))
 
 
 class TestSolveOfflineBatch:
