@@ -69,6 +69,22 @@ def _point(doc, path: str):
     return (float(doc[0]), float(doc[1]))
 
 
+def _number(value, path: str) -> float:
+    """``value`` as a float; a non-number, NaN or infinity is a schema error."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    return x
+
+
+def _unit_number(doc: dict, key: str, path: str) -> float:
+    """The required unit-bearing number ``doc[key]``."""
+    return _number(_require(doc, key, path, units=True), path + key)
+
+
 def _require(doc: dict, key: str, path: str, units: bool = False):
     if key not in doc:
         if units:
@@ -87,10 +103,10 @@ def _path_spec(doc, path: str, default_speed: float = 0.0) -> tuple[PathSpec, fl
     _reject_unknown(doc, _PATH_KEYS, path + ".")
     start = _point(_require(doc, "from_m", path + ".", units=True), path + ".from_m")
     end = _point(_require(doc, "to_m", path + ".", units=True), path + ".to_m")
-    speed = float(doc.get("speed_mps", default_speed))
+    speed = _number(doc.get("speed_mps", default_speed), path + ".speed_mps")
     if speed < 0.0:
         raise SchemaError(path + ".speed_mps", "must be >= 0")
-    noise_std = float(doc.get("noise_std_m", 0.0))
+    noise_std = _number(doc.get("noise_std_m", 0.0), path + ".noise_std_m")
     if noise_std < 0.0:
         raise SchemaError(path + ".noise_std_m", "must be >= 0")
     return PathSpec(start, end, speed), noise_std
@@ -98,11 +114,11 @@ def _path_spec(doc, path: str, default_speed: float = 0.0) -> tuple[PathSpec, fl
 
 def _grid(doc, path: str) -> tuple[float, ...]:
     if isinstance(doc, (list, tuple)):
-        return tuple(float(c) for c in doc)
+        return tuple(_number(c, path) for c in doc)
     if isinstance(doc, dict):
         _reject_unknown(doc, _GRID_KEYS, path + ".")
-        lo = float(_require(doc, "min", path + "."))
-        hi = float(_require(doc, "max", path + "."))
+        lo = _number(_require(doc, "min", path + "."), path + ".min")
+        hi = _number(_require(doc, "max", path + "."), path + ".max")
         n = int(_require(doc, "n", path + "."))
         if n < 2 or hi <= lo:
             raise SchemaError(path, "need n >= 2 and max > min")
@@ -120,26 +136,24 @@ def _field_from_doc(doc: dict, path: str, base_dir: Path) -> VelocityField:
         raise SchemaError(path, "field needs 'path' or 'synthetic'")
     spec_doc = doc["synthetic"]
     kind = spec_doc.get("kind") if isinstance(spec_doc, dict) else None
+    sp = path + ".synthetic."
     if kind == "uniform":
-        _reject_unknown(spec_doc, {"kind", "u_mps", "v_mps"}, path + ".synthetic.")
+        _reject_unknown(spec_doc, {"kind", "u_mps", "v_mps"}, sp)
         spec = UniformSpec(
-            float(_require(spec_doc, "u_mps", path + ".synthetic.", units=True)),
-            float(_require(spec_doc, "v_mps", path + ".synthetic.", units=True)),
+            _unit_number(spec_doc, "u_mps", sp), _unit_number(spec_doc, "v_mps", sp)
         )
     elif kind == "single_gyre":
-        _reject_unknown(
-            spec_doc, {"kind", "center_m", "strength_mps", "radius_m"}, path + ".synthetic."
-        )
+        _reject_unknown(spec_doc, {"kind", "center_m", "strength_mps", "radius_m"}, sp)
         spec = GyreSpec(
-            _point(_require(spec_doc, "center_m", path + ".synthetic.", units=True), path),
-            float(_require(spec_doc, "strength_mps", path + ".synthetic.", units=True)),
-            float(_require(spec_doc, "radius_m", path + ".synthetic.", units=True)),
+            _point(_require(spec_doc, "center_m", sp, units=True), path),
+            _unit_number(spec_doc, "strength_mps", sp),
+            _unit_number(spec_doc, "radius_m", sp),
         )
     elif kind == "away_from_goal":
-        _reject_unknown(spec_doc, {"kind", "goal_m", "speed_mps"}, path + ".synthetic.")
+        _reject_unknown(spec_doc, {"kind", "goal_m", "speed_mps"}, sp)
         spec = AwayFromGoalSpec(
-            _point(_require(spec_doc, "goal_m", path + ".synthetic.", units=True), path),
-            float(_require(spec_doc, "speed_mps", path + ".synthetic.", units=True)),
+            _point(_require(spec_doc, "goal_m", sp, units=True), path),
+            _unit_number(spec_doc, "speed_mps", sp),
         )
     else:
         raise SchemaError(path + ".synthetic.kind", f"unknown synthetic kind {kind!r}")
@@ -164,7 +178,7 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         _reject_unknown(adv_doc, _ADV_KEYS, "adversary.")
         adv = AdversaryParams(
             horizon=int(adv_doc.get("T", 100)),
-            width=float(adv_doc.get("W", 1.0)),
+            width=_number(adv_doc.get("W", 1.0), "adversary.W"),
             policy=str(adv_doc.get("policy", "zero")),
         )
         if adv.horizon < 1:
@@ -175,13 +189,13 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
 
     start = _point(_require(doc, "start_m", "", units=True), "start_m")
     goal, _ = _path_spec(_require(doc, "goal_m", "", units=True), "goal_m")
-    v_max = float(_require(doc, "v_max_mps", "", units=True))
+    v_max = _unit_number(doc, "v_max_mps", "")
     if v_max <= 0:
         raise SchemaError("v_max_mps", "must be positive")
     delta = doc.get("delta_slots", 0)
     if not isinstance(delta, int) or delta < 0:
         raise SchemaError("delta_slots", f"must be a nonnegative integer, got {delta!r}")
-    slot_s = float(doc.get("slot_duration_s", 1.0))
+    slot_s = _number(doc.get("slot_duration_s", 1.0), "slot_duration_s")
     if slot_s <= 0:
         raise SchemaError("slot_duration_s", "must be positive")
 
@@ -192,8 +206,8 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         raise SchemaError("gradient_noise.kind", f"unknown kind {noise_kind!r}")
     noise = NoiseModel(
         kind=noise_kind,
-        eps0=float(noise_doc.get("eps0", 0.0)),
-        decay_q=float(noise_doc.get("decay_q", 0.0)),
+        eps0=_number(noise_doc.get("eps0", 0.0), "gradient_noise.eps0"),
+        decay_q=_number(noise_doc.get("decay_q", 0.0), "gradient_noise.decay_q"),
         seed=int(noise_doc.get("seed", 0)),
     )
 
@@ -225,13 +239,13 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         peer, peer_std = _path_spec(_require(doc, "peer", "", units=True), "peer")
         d2d_doc = doc.get("d2d", {})
         _reject_unknown(d2d_doc, _D2D_KEYS, "d2d.")
-        mu = float(d2d_doc.get("mu", 1e-3))
+        mu = _number(d2d_doc.get("mu", 1e-3), "d2d.mu")
         if not 0.0 < mu <= 1.0:
             raise SchemaError("d2d.mu", f"must be in (0, 1], got {mu}")
         utility = d2d_doc.get("utility", "squared")
         if utility not in ("squared", "huber"):
             raise SchemaError("d2d.utility", f"must be squared or huber, got {utility!r}")
-        alpha_min = float(d2d_doc.get("alpha_min", 0.05))
+        alpha_min = _number(d2d_doc.get("alpha_min", 0.05), "d2d.alpha_min")
         if not 0.0 < alpha_min <= 1.0:
             raise SchemaError("d2d.alpha_min", "must be in (0, 1]")
         return ScenarioConfig(
@@ -241,10 +255,10 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
             mu=mu,
             utility_kind=utility,
             alpha_min=alpha_min,
-            margin=float(d2d_doc.get("margin", 1.01)),
-            alpha_p=float(d2d_doc.get("alpha_p", 2.5)),
-            bandwidth_hz=float(d2d_doc.get("bandwidth_hz", 1e7)),
-            noise_power=float(d2d_doc.get("noise_power", 0.2)),
+            margin=_number(d2d_doc.get("margin", 1.01), "d2d.margin"),
+            alpha_p=_number(d2d_doc.get("alpha_p", 2.5), "d2d.alpha_p"),
+            bandwidth_hz=_number(d2d_doc.get("bandwidth_hz", 1e7), "d2d.bandwidth_hz"),
+            noise_power=_number(d2d_doc.get("noise_power", 0.2), "d2d.noise_power"),
             **common,
         )
 
@@ -260,18 +274,19 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     if "perturbation" in ocean_doc:
         pert_doc = ocean_doc["perturbation"]
         _reject_unknown(pert_doc, _PERT_KEYS, "ocean.perturbation.")
-        frac = float(_require(pert_doc, "sigma_fraction", "ocean.perturbation."))
+        pp = "ocean.perturbation."
+        frac = _number(_require(pert_doc, "sigma_fraction", pp), pp + "sigma_fraction")
         if not 0.0 <= frac <= 1.0:
             raise SchemaError("ocean.perturbation.sigma_fraction", "must be in [0, 1]")
         pert = FieldPerturbation(sigma_fraction=frac, seed=int(pert_doc.get("seed", 0)))
-    beta = float(ocean_doc.get("beta", 0.5))
+    beta = _number(ocean_doc.get("beta", 0.5), "ocean.beta")
     if beta < 0:
         raise SchemaError("ocean.beta", "must be >= 0")
     return ScenarioConfig(
         kind="ocean",
         lambda_strategy=strategy,
         beta=beta,
-        drag_coefficient=float(ocean_doc.get("drag_coefficient", 1.0)),
+        drag_coefficient=_number(ocean_doc.get("drag_coefficient", 1.0), "ocean.drag_coefficient"),
         ocean_field=fld,
         perturbation=pert,
         **common,

@@ -8,16 +8,23 @@ normals come from Box-Muller on two SplitMix64 outputs keyed by the seed
 and the slot counter (:func:`normal_pair`), so a draw costs O(1) whatever
 the slot, and it does not depend on the horizon or on which slots were
 drawn before.
+
+A driver (:class:`EpisodeDriver`) answers three calls per slot.
+``plan(t, x_hat, mode)`` returns the exact and the observed gradient and
+keeps the slot's constants on the driver; ``gamma(grad_tilde, gbar)`` and
+``slack(a, b)`` then read them for the step size and the executed step's
+coupled constraint.  :class:`EngineState` and :class:`StepRecord` are
+named tuples, built positionally once per step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Literal, Protocol
+from dataclasses import dataclass, field
+from typing import Literal, NamedTuple, Protocol
 
 from .errors import EmptyStepInterval, InfeasibleStepSize, RootExistence
-from .geom import Point, Vector, add, norm, norm_sq, scale, sub
+from .geom import Point, Vector, add, norm_sq
 from .sets import Box2D
 
 SLACK_TOL = 1e-9
@@ -44,6 +51,15 @@ _TWO_PI = 2.0 * math.pi
 _ULP53 = 2.0**-53
 
 
+def _keyed_normal_pair(key: int, t: int) -> tuple[float, float]:
+    """:func:`normal_pair` for the stream that starts at the mixed seed ``key``."""
+    c = key + 2 * t * _GOLDEN
+    u1 = ((_mix64(c & _MASK64) >> 11) + 1) * _ULP53
+    angle = _TWO_PI * ((_mix64((c + _GOLDEN) & _MASK64) >> 11) * _ULP53)
+    r = math.sqrt(-2.0 * math.log(u1))
+    return (r * math.cos(angle), r * math.sin(angle))
+
+
 def normal_pair(seed: int, t: int) -> tuple[float, float]:
     """Two independent standard normals keyed by ``(seed, t)``.
 
@@ -52,11 +68,7 @@ def normal_pair(seed: int, t: int) -> tuple[float, float]:
     gamma, not by 1, and seeds a small distance apart start far apart.  The
     first uniform lies in ``(0, 1]``, so the logarithm is always finite.
     """
-    c = _mix64(seed & _MASK64) + 2 * t * _GOLDEN
-    u1 = ((_mix64(c & _MASK64) >> 11) + 1) * _ULP53
-    u2 = (_mix64((c + _GOLDEN) & _MASK64) >> 11) * _ULP53
-    r = math.sqrt(-2.0 * math.log(u1))
-    return (r * math.cos(_TWO_PI * u2), r * math.sin(_TWO_PI * u2))
+    return _keyed_normal_pair(_mix64(seed & _MASK64), t)
 
 
 @dataclass(frozen=True)
@@ -73,39 +85,43 @@ class NoiseModel:
     eps0: float = 0.0
     decay_q: float = 0.0
     seed: int = 0
+    _key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("none", "gaussian_decaying"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.decay_q < 0.0:
             raise ValueError("decay exponent must be >= 0")
+        object.__setattr__(self, "_key", _mix64(self.seed & _MASK64))
 
-    def eps_sq_bound(self, t: int) -> float:
+    def eps(self, t: int) -> float:
+        """The slot-``t`` scale ``eps_t``; zero for ``kind="none"``."""
         if self.kind == "none":
             return 0.0
-        eps_t = self.eps0 * t ** (-self.decay_q)
+        return self.eps0 * t ** (-self.decay_q)
+
+    def eps_sq_bound(self, t: int) -> float:
+        eps_t = self.eps(t)
         return eps_t * eps_t
 
-    def draw(self, t: int) -> Vector:
+    def draw(self, t: int, eps_t: float | None = None) -> Vector:
+        """The slot-``t`` noise; ``eps_t``, when given, is :meth:`eps` of ``t``."""
         if self.kind == "none":
             return (0.0, 0.0)
-        eps_t = self.eps0 * t ** (-self.decay_q)
+        if eps_t is None:
+            eps_t = self.eps(t)
         sigma = eps_t / 2.0**0.5
-        z0, z1 = normal_pair(self.seed, t)
+        z0, z1 = _keyed_normal_pair(self._key, t)
         return (sigma * z0, sigma * z1)
 
 
 def noisy_gradient(true_grad: Vector, model: NoiseModel, t: int) -> tuple[Vector, float]:
-    """Corrupt a gradient with the model's slot-``t`` draw.
-
-    Returns the noisy gradient and the realized squared noise norm.
-    """
+    """The gradient plus the model's slot-``t`` draw, and the draw's squared norm."""
     n = model.draw(t)
     return add(true_grad, n), norm_sq(n)
 
 
-@dataclass(frozen=True, slots=True)
-class EngineState:
+class EngineState(NamedTuple):
     """Where the agent is at slot ``t`` plus its running gradient-norm max."""
 
     t: int
@@ -114,8 +130,7 @@ class EngineState:
     gbar_running: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: int
     x_before: Point
     x_after: Point
@@ -127,42 +142,30 @@ class StepRecord:
 
 
 def ioga_step(state: EngineState, grad_tilde: Vector, gamma: float, region: Box2D) -> EngineState:
-    """One projected ascent step ``x <- P(x + grad/gamma)``."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    x_next = region.project(add(state.x_hat, scale(grad_tilde, 1.0 / gamma)))
+    """One projected ascent step ``x <- P(x + grad/gamma)``; NaN ``gamma`` is rejected."""
+    if not gamma > 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    (x0, x1), (g0, g1), s = state.x_hat, grad_tilde, 1.0 / gamma
+    (lo0, lo1), (hi0, hi1) = region.lo, region.hi
     return EngineState(
-        t=state.t + 1,
-        x_hat=x_next,
-        x_prev=state.x_hat,
-        gbar_running=max(state.gbar_running, norm(grad_tilde)),
+        state.t + 1,
+        (min(max(x0 + g0 * s, lo0), hi0), min(max(x1 + g1 * s, lo1), hi1)),
+        state.x_hat,
+        max(state.gbar_running, math.hypot(g0, g1)),
     )
 
 
-@dataclass(slots=True)
-class SlotPlan:
-    """Everything a driver knows about one slot before the step is taken.
-
-    ``grad_true`` is the exact utility gradient, ``grad_observed`` the one
-    the agent actually sees before additive model noise (they differ when
-    e.g. the peer position or the current measurement is corrupted).
-    ``gamma`` turns the final noisy gradient and running norm bound into a
-    learning rate; ``slack`` evaluates the coupled constraint for the step.
-    """
-
-    grad_true: Vector
-    grad_observed: Vector
-    gamma: Callable[[Vector, float], float]
-    slack: Callable[[Point, Point], float]
-
-
 class EpisodeDriver(Protocol):
+    """One episode's per-slot schedule; see the module docstring for the calls."""
+
     start: Point
     horizon: int
     region: Box2D
     noise: NoiseModel
 
-    def plan(self, t: int, x_hat: Point, x_prev: Point, mode: Mode) -> SlotPlan: ...
+    def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]: ...
+    def gamma(self, grad_tilde: Vector, gbar: float) -> float: ...
+    def slack(self, a: Point, b: Point) -> float: ...
 
 
 def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
@@ -171,40 +174,36 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
     Returns the waypoint list (length ``horizon``) and one
     :class:`StepRecord` per executed step.  Raises
     :class:`InfeasibleStepSize` if the step-size policy fails at some slot
-    or the executed step violates its coupled constraint.
+    or the executed step violates its coupled constraint; a NaN slack
+    counts as a violation.
     """
     if mode not in ("standard", "lookahead"):
         raise ValueError(f"unknown mode {mode!r}")
-    start, region, noise, plan_slot = driver.start, driver.region, driver.noise, driver.plan
-    state = EngineState(t=1, x_hat=start, x_prev=start)
+    start, region, noise = driver.start, driver.region, driver.noise
+    plan, step_size, slack_of = driver.plan, driver.gamma, driver.slack
+    eps, draw, hypot = noise.eps, noise.draw, math.hypot
+    state = EngineState(1, start, start)
     waypoints: list[Point] = [start]
     records: list[StepRecord] = []
     for t in range(1, driver.horizon):
         x_hat = state.x_hat
-        plan = plan_slot(t, x_hat, state.x_prev, mode)
-        grad_tilde, _ = noisy_gradient(plan.grad_observed, noise, t)
-        gbar = max(state.gbar_running, norm(grad_tilde))
+        grad_true, grad_obs = plan(t, x_hat, mode)
+        eps_t = eps(t)
+        n = draw(t, eps_t)
+        grad_tilde = (grad_obs[0] + n[0], grad_obs[1] + n[1])
+        gbar = max(state.gbar_running, hypot(grad_tilde[0], grad_tilde[1]))
         try:
-            gamma = plan.gamma(grad_tilde, gbar)
-        except (EmptyStepInterval, RootExistence) as exc:
+            gamma = step_size(grad_tilde, gbar)
+            state = ioga_step(state, grad_tilde, gamma, region)
+        except (EmptyStepInterval, RootExistence, ValueError) as exc:
             raise InfeasibleStepSize(t, str(exc)) from exc
-        state = ioga_step(state, grad_tilde, gamma, region)
-        slack = plan.slack(x_hat, state.x_hat)
-        if slack > SLACK_TOL:
-            raise InfeasibleStepSize(
-                t, f"executed step violates its constraint by {slack:.3e}"
-            )
+        x_next = state.x_hat
+        slack = slack_of(x_hat, x_next)
+        if not slack <= SLACK_TOL:
+            raise InfeasibleStepSize(t, f"executed step violates its constraint by {slack:.3e}")
+        e0, e1 = grad_tilde[0] - grad_true[0], grad_tilde[1] - grad_true[1]
         records.append(
-            StepRecord(
-                t=t,
-                x_before=x_hat,
-                x_after=state.x_hat,
-                gamma=gamma,
-                grad_tilde=grad_tilde,
-                eps_sq_realized=norm_sq(sub(grad_tilde, plan.grad_true)),
-                eps_sq_bound=noise.eps_sq_bound(t),
-                constraint_slack=slack,
-            )
+            StepRecord(t, x_hat, x_next, gamma, grad_tilde, e0 * e0 + e1 * e1, eps_t * eps_t, slack)
         )
-        waypoints.append(state.x_hat)
+        waypoints.append(x_next)
     return waypoints, records

@@ -36,8 +36,9 @@ class VelocityField:
     u: np.ndarray
     v: np.ndarray
     v_o_max: float = field(init=False)
-    # bracket indices (k0, k1, j0, j1, i0, i1) -> the cell's 8 corner values
-    # of u and of v, in (k, j, i) order
+    # bracket indices (k0, k1, j0, j1, i0, i1) -> the cell's corner values
+    # c[0..7] of u, then of v, in (k, j, i) order, each odd entry c[n] stored
+    # as its difference c[n] - c[n-1] along x
     _cells: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -123,24 +124,12 @@ def load_field(path) -> VelocityField:
     return VelocityField(x_grid, y_grid, t_grid, u, v)
 
 
-def _bracket(grid: tuple[float, ...], c: float) -> tuple[int, int, float]:
-    """Indices around ``c`` and the interpolation weight; clamps outside."""
-    if c <= grid[0]:
-        return 0, 0, 0.0
-    if c >= grid[-1]:
-        n = len(grid) - 1
-        return n, n, 0.0
-    hi = bisect_right(grid, c)
-    lo = hi - 1
-    w = (c - grid[lo]) / (grid[hi] - grid[lo])
-    return lo, hi, w
-
-
-def _fill_cell(f: VelocityField, key: tuple[int, ...]) -> tuple[list[float], list[float]]:
+def _fill_cell(f: VelocityField, key: tuple[int, ...]) -> tuple[float, ...]:
     k0, k1, j0, j1, i0, i1 = key
     corners = np.ix_((k0, k1), (j0, j1), (i0, i1))
-    cell = (f.u[corners].ravel().tolist(), f.v[corners].ravel().tolist())
-    f._cells[key] = cell
+    a = np.stack((f.u[corners], f.v[corners])).reshape(2, 8)
+    a[:, 1::2] -= a[:, ::2]
+    f._cells[key] = cell = tuple(a.ravel().tolist())
     return cell
 
 
@@ -151,23 +140,43 @@ def sample_velocity(f: VelocityField, p: Point, t: float) -> Vector:
     outside the lattice clamp to the nearest boundary node, since a vehicle
     may legitimately exit the forecast box.
     """
-    i0, i1, wx = _bracket(f.x_grid, p[0])
-    j0, j1, wy = _bracket(f.y_grid, p[1])
-    k0, k1, wt = _bracket(f.t_grid, t)
+    x, y = p
+    g = f.x_grid
+    if g[0] < x < g[-1]:
+        i1 = bisect_right(g, x)
+        i0 = i1 - 1
+        wx = (x - g[i0]) / (g[i1] - g[i0])
+    else:
+        i0 = i1 = 0 if x <= g[0] else len(g) - 1
+        wx = 0.0
+    g = f.y_grid
+    if g[0] < y < g[-1]:
+        j1 = bisect_right(g, y)
+        j0 = j1 - 1
+        wy = (y - g[j0]) / (g[j1] - g[j0])
+    else:
+        j0 = j1 = 0 if y <= g[0] else len(g) - 1
+        wy = 0.0
+    g = f.t_grid
+    if g[0] < t < g[-1]:
+        k1 = bisect_right(g, t)
+        k0 = k1 - 1
+    else:
+        k0 = k1 = 0 if t <= g[0] else len(g) - 1
     key = (k0, k1, j0, j1, i0, i1)
-    cell = f._cells.get(key) or _fill_cell(f, key)
-    out = []
-    for c in cell:
-        c00 = c[0] + wx * (c[1] - c[0])
-        c01 = c[2] + wx * (c[3] - c[2])
-        c0 = c00 + wy * (c01 - c00)
-        if k1 != k0:
-            c10 = c[4] + wx * (c[5] - c[4])
-            c11 = c[6] + wx * (c[7] - c[6])
-            c1 = c10 + wy * (c11 - c10)
-            c0 = c0 + wt * (c1 - c0)
-        out.append(float(c0))
-    return (out[0], out[1])
+    c = f._cells.get(key) or _fill_cell(f, key)
+    a, b = c[0] + wx * c[1], c[2] + wx * c[3]
+    u = a + wy * (b - a)
+    a, b = c[8] + wx * c[9], c[10] + wx * c[11]
+    v = a + wy * (b - a)
+    if k1 != k0:
+        wt = (t - g[k0]) / (g[k1] - g[k0])
+        a, b = c[4] + wx * c[5], c[6] + wx * c[7]
+        u = u + wt * (a + wy * (b - a) - u)
+        a, b = c[12] + wx * c[13], c[14] + wx * c[15]
+        v = v + wt * (a + wy * (b - a) - v)
+    # a numpy scalar in p or t would carry through to here
+    return (float(u), float(v))
 
 
 @dataclass(frozen=True)

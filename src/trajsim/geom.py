@@ -24,10 +24,6 @@ def sub(a: Vector, b: Vector) -> Vector:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def scale(a: Vector, s: float) -> Vector:
-    return (a[0] * s, a[1] * s)
-
-
 def dot(a: Vector, b: Vector) -> float:
     return a[0] * b[0] + a[1] * b[1]
 
@@ -46,22 +42,3 @@ def dist(a: Point, b: Point) -> float:
 
 def lerp(a: Point, b: Point, w: float) -> Point:
     return (a[0] + w * (b[0] - a[0]), a[1] + w * (b[1] - a[1]))
-
-
-def unit(a: Vector) -> Vector:
-    n = norm(a)
-    if n == 0.0:
-        return (0.0, 0.0)
-    return (a[0] / n, a[1] / n)
-
-
-def angle_between(a: Vector, b: Vector) -> float:
-    """Unsigned angle between two vectors, in [0, pi].
-
-    Undefined for zero vectors; callers decide the degenerate convention.
-    """
-    na, nb = norm(a), norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("angle undefined for zero vector")
-    c = dot(a, b) / (na * nb)
-    return math.acos(min(1.0, max(-1.0, c)))

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .errors import EmptyStepInterval, HorizonMismatch, RootExistence
-from .geom import Point, Vector, angle_between, dist, dot, norm, norm_sq, sub
+from .geom import Point, Vector, dist, dot, norm, norm_sq, sub
 
 # Distance floor (meters) below which the far-field path-loss model of
 # `rate` is invalid and the distance is clamped.
@@ -179,13 +179,14 @@ def current_strength_angle(
     """
     if v_o_max <= 0.0:
         raise ValueError("historical max current must be positive")
-    eta = min(norm(v_o) / v_o_max, 1.0)
-    heading = sub(d, x_hat)
-    if norm(heading) == 0.0 or norm(v_o) == 0.0:
-        theta = math.pi
-    else:
-        theta = angle_between(heading, v_o)
-    return eta, theta
+    n_vo = math.hypot(v_o[0], v_o[1])
+    eta = min(n_vo / v_o_max, 1.0)
+    h0, h1 = d[0] - x_hat[0], d[1] - x_hat[1]
+    n_h = math.hypot(h0, h1)
+    if n_h == 0.0 or n_vo == 0.0:
+        return eta, math.pi
+    c = (h0 * v_o[0] + h1 * v_o[1]) / (n_h * n_vo)
+    return eta, math.acos(min(1.0, max(-1.0, c)))
 
 
 def lambda_direction(d: Point, x_hat: Point, v_o: Vector, v_o_max: float) -> float:

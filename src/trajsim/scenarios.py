@@ -19,10 +19,10 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from . import objectives as obj
-from .engine import Mode, NoiseModel, SlotPlan, StepRecord, normal_pair, run_episode, slot_seed
+from .engine import Mode, NoiseModel, StepRecord, normal_pair, run_episode, slot_seed
 from .errors import SchemaError
 from .field import FieldPerturbation, VelocityField, perturb_field, sample_velocity
-from .geom import Point, Vector, dist, lerp, scale
+from .geom import Point, Vector, dist, lerp
 from .metrics import (
     OfflineProblem,
     OfflineSolution,
@@ -218,8 +218,8 @@ class _PeerNoise:
 class _Driver:
     """Set-up and per-slot bookkeeping shared by the commute and voyage drivers.
 
-    A subclass sets ``region`` and implements ``plan``, which starts with
-    :meth:`source_slot`.
+    A subclass sets ``region`` and implements the :class:`~trajsim.engine.EpisodeDriver`
+    calls; its ``plan`` starts with :meth:`source_slot`.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -235,6 +235,8 @@ class _Driver:
         self.arrived = False
         self.lambdas: list[float] = []
         self.alphas: list[float] = []
+        self.v = cfg.v_slot
+        self.margin = cfg.margin
 
     def source_slot(self, t: int, x_hat: Point, mode: Mode) -> int:
         """Latch arrival at slot ``t``'s goal; return the slot whose gradient drives the step."""
@@ -259,36 +261,30 @@ class _D2DDriver(_Driver):
             return 1.0
         return obj.lambda_increasing(min(t, self.horizon), self.horizon)
 
-    def lead(self, t: int, y: Point) -> Point:
-        lam_goal = self.goal_weight(t)
-        i = min(t, self.horizon) - 1
-        return obj.leading_path(y, self.goals[i], 1.0 - lam_goal)
-
-    def plan(self, t: int, x_hat: Point, x_prev: Point, mode: Mode) -> SlotPlan:
-        cfg = self.cfg
+    def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]:
         tg = self.source_slot(t, x_hat, mode)
         ig = min(tg, self.horizon) - 1
-        y_true = self.peers[ig]
+        y_true, goal, v, mu = self.peers[ig], self.goals[ig], self.v, self.cfg.mu
         y_obs = self.peer_noise.observe(y_true, tg)
-        ell_true = self.lead(tg, y_true)
-        ell_obs = self.lead(tg, y_obs)
-        v = cfg.v_slot
-        grad_true = obj.d2d_gradient(x_hat, ell_true, v, cfg.mu)
-        grad_obs = obj.d2d_gradient(x_hat, ell_obs, v, cfg.mu)
-        # bookkeeping stays on the current slot, whatever the gradient source
-        self.lambdas.append(self.goal_weight(t))
+        lam = self.goal_weight(tg)
+        ell = obj.leading_path(y_true, goal, 1.0 - lam)
+        grad_true = grad_obs = obj.d2d_gradient(x_hat, ell, v, mu)
+        if y_obs is not y_true:
+            grad_obs = obj.d2d_gradient(x_hat, obj.leading_path(y_obs, goal, 1.0 - lam), v, mu)
+        if tg != t:  # bookkeeping stays on the current slot, whatever the gradient source
+            lam = self.goal_weight(t)
+            ell = obj.leading_path(self.peers[t - 1], self.goals[t - 1], 1.0 - lam)
+        self.lambdas.append(lam)
         self.alphas.append(1.0)
-        self.leads_true.append(self.lead(t, self.peers[t - 1]))
+        self.leads_true.append(ell)
+        return grad_true, grad_obs
 
-        def gamma(grad_tilde: Vector, gbar: float) -> float:
-            return obj.d2d_step_size(
-                gbar, v, 1.0, cfg.alpha_min, obj.D2D_SMOOTHNESS, cfg.margin
-            )
+    def gamma(self, grad_tilde: Vector, gbar: float) -> float:
+        alpha_min = self.cfg.alpha_min
+        return obj.d2d_step_size(gbar, self.v, 1.0, alpha_min, obj.D2D_SMOOTHNESS, self.margin)
 
-        def slack(a: Point, b: Point) -> float:
-            return dist(a, b) - v
-
-        return SlotPlan(grad_true=grad_true, grad_observed=grad_obs, gamma=gamma, slack=slack)
+    def slack(self, a: Point, b: Point) -> float:
+        return dist(a, b) - self.v
 
 
 class _OceanDriver(_Driver):
@@ -297,6 +293,8 @@ class _OceanDriver(_Driver):
     def __init__(self, cfg: ScenarioConfig):
         if cfg.ocean_field is None:
             raise SchemaError("ocean_field", "voyage scenarios need a current field")
+        if cfg.lambda_strategy not in ("increasing", "direction_dependent"):
+            raise SchemaError("lambda_strategy", f"unknown strategy {cfg.lambda_strategy!r}")
         super().__init__(cfg)
         self.region = _auto_region(cfg, [cfg.start, *self.goals])
         self.truth = cfg.ocean_field
@@ -307,73 +305,62 @@ class _OceanDriver(_Driver):
         # historical maximum comes from the unperturbed record
         self.v_o_max_slot = max(self.truth.v_o_max * cfg.slot_duration_s, 1e-12)
         self.currents_true: list[Vector] = []  # m/slot, at visited waypoints
+        self.tau = cfg.slot_duration_s
+        self.increasing = cfg.lambda_strategy == "increasing"
+        # alpha_schedule's -beta and delta / T
+        self.neg_beta = -cfg.beta
+        self.delta_per_slot = cfg.delta / self.horizon
 
-    def _current(self, fld: VelocityField, p: Point, t: int) -> Vector:
-        tau = self.cfg.slot_duration_s
-        return scale(sample_velocity(fld, p, (t - 1) * tau), tau)
+    def _currents(self, p: Point, t: int) -> tuple[Vector, Vector]:
+        """True and measured current at ``p`` in slot ``t``, in m/slot."""
+        tau = self.tau
+        s = (t - 1) * tau
+        u, v = sample_velocity(self.truth, p, s)
+        true = (u * tau, v * tau)
+        if self.measured is self.truth:
+            return true, true
+        u, v = sample_velocity(self.measured, p, s)
+        return true, (u * tau, v * tau)
 
     def weights(self, t: int, x_hat: Point, vo_meas: Vector) -> tuple[float, float]:
-        """Goal weight and speed throttle for slot ``t`` at ``x_hat``."""
-        cfg = self.cfg
+        """Goal weight and speed throttle for slot ``t`` at ``x_hat``; ``cos(theta / 2)`` once."""
         goal = self.goals[min(t, self.horizon) - 1]
         eta, theta = obj.current_strength_angle(goal, x_hat, vo_meas, self.v_o_max_slot)
-        if self.arrived or cfg.lambda_strategy == "increasing":
-            lam = 1.0 if self.arrived else obj.lambda_increasing(min(t, self.horizon), self.horizon)
-        elif cfg.lambda_strategy == "direction_dependent":
-            lam = obj.directional_weight(eta, theta)
+        half = math.cos(theta / 2.0)
+        if self.arrived:
+            lam = 1.0
+        elif self.increasing:
+            lam = min(t, self.horizon) / self.horizon
         else:
-            raise SchemaError("lambda_strategy", f"unknown strategy {cfg.lambda_strategy!r}")
-        alpha = obj.alpha_schedule(cfg.beta, cfg.delta, self.horizon, eta, theta)
-        return lam, alpha
+            lam = 1.0 - eta * half * half
+        return lam, math.exp(self.neg_beta * (self.delta_per_slot + eta * half))
 
-    def plan(self, t: int, x_hat: Point, x_prev: Point, mode: Mode) -> SlotPlan:
-        cfg = self.cfg
+    def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]:
         tg = self.source_slot(t, x_hat, mode)
-        ig = min(tg, self.horizon) - 1
-        perturbed = self.measured is not self.truth
-        vo_true_g = self._current(self.truth, x_hat, tg)
-        vo_meas_g = self._current(self.measured, x_hat, tg) if perturbed else vo_true_g
-        lam_g, alpha_g = self.weights(tg, x_hat, vo_meas_g)
-        goal_g = self.goals[ig]
-        grad_true = obj.ocean_gradient(x_hat, goal_g, vo_true_g, lam_g)
-        grad_obs = (
-            obj.ocean_gradient(x_hat, goal_g, vo_meas_g, lam_g) if perturbed else grad_true
+        vo_true, vo_meas = self._currents(x_hat, tg)
+        lam, alpha = self.weights(tg, x_hat, vo_meas)
+        goal = self.goals[min(tg, self.horizon) - 1]
+        grad_true = grad_obs = obj.ocean_gradient(x_hat, goal, vo_true, lam)
+        if vo_meas is not vo_true:
+            grad_obs = obj.ocean_gradient(x_hat, goal, vo_meas, lam)
+        if tg != t:  # constraint and utility bookkeeping always live on the current slot
+            vo_true, vo_meas = self._currents(x_hat, t)
+            lam, alpha = self.weights(t, x_hat, vo_meas)
+        self.lambdas.append(lam)
+        self.alphas.append(alpha)
+        self.currents_true.append(vo_true)
+        # the step's true current and throttle, for gamma and slack
+        self.vo, self.alpha = vo_true, alpha
+        return grad_true, grad_obs
+
+    def gamma(self, grad_tilde: Vector, gbar: float) -> float:
+        return obj.ocean_step_size(
+            grad_tilde, self.vo, self.alpha, self.v, obj.OCEAN_SMOOTHNESS, self.margin
         )
-        # constraint and utility bookkeeping always live on the current slot
-        if tg == t:
-            vo_true_t, lam_t, alpha_t = vo_true_g, lam_g, alpha_g
-        else:
-            vo_true_t = self._current(self.truth, x_hat, t)
-            vo_meas_t = self._current(self.measured, x_hat, t) if perturbed else vo_true_t
-            lam_t, alpha_t = self.weights(t, x_hat, vo_meas_t)
-        v = cfg.v_slot
-        self.lambdas.append(lam_t)
-        self.alphas.append(alpha_t)
-        self.currents_true.append(vo_true_t)
 
-        def gamma(grad_tilde: Vector, gbar: float) -> float:
-            return obj.ocean_step_size(
-                grad_tilde, vo_true_t, alpha_t, v, obj.OCEAN_SMOOTHNESS, cfg.margin
-            )
-
-        def slack(a: Point, b: Point) -> float:
-            rel = (b[0] - a[0] - vo_true_t[0], b[1] - a[1] - vo_true_t[1])
-            return math.hypot(rel[0], rel[1]) - alpha_t * v
-
-        return SlotPlan(grad_true=grad_true, grad_observed=grad_obs, gamma=gamma, slack=slack)
-
-
-def _voyage_utilities(driver: _OceanDriver, traj: Sequence[Point]) -> obj.VoyageUtilities:
-    """Freeze the realized per-slot utilities of a finished voyage episode.
-
-    Slot ``t``'s drift reference is the previous *online* waypoint and the
-    current measured there; the first slot uses the start with no history.
-    """
-    lams, currents = driver.lambdas, driver.currents_true
-    # slot T has no executed step; reuse the last weights/current for its value
-    lams = lams + [lams[-1] if lams else 1.0]
-    currents = currents + [currents[-1] if currents else (0.0, 0.0)]
-    return obj.VoyageUtilities(lams, driver.goals, currents, [traj[0], *traj[:-1]])
+    def slack(self, a: Point, b: Point) -> float:
+        vo = self.vo
+        return math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) - self.alpha * self.v
 
 
 def _regret_report(report: EpisodeReport, solution: OfflineSolution | None = None) -> RegretReport:
@@ -411,7 +398,8 @@ def run_d2d(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = T
     t0 = time.perf_counter()
     driver = _D2DDriver(config)
     traj, records = run_episode(driver, mode)
-    leads = driver.leads_true + [driver.lead(driver.horizon, driver.peers[-1])]
+    lam = driver.goal_weight(driver.horizon)
+    leads = driver.leads_true + [obj.leading_path(driver.peers[-1], driver.goals[-1], 1.0 - lam)]
     utilities = obj.CommuteUtilities(leads, config.v_slot, config.mu, config.utility_kind)
     rate_series = [
         obj.rate(x, y, config.alpha_p, config.bandwidth_hz, config.noise_power)
@@ -421,7 +409,8 @@ def run_d2d(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = T
         energy_cost([a, b], None, config.drag_coefficient, config.slot_duration_s)
         for a, b in zip(traj, traj[1:])
     ]
-    util_series = [u(x) for u, x in zip(utilities.values, traj)]
+    v, mu, kind = config.v_slot, config.mu, config.utility_kind
+    util_series = [obj.d2d_utility(x, e, v, mu, kind) for x, e in zip(traj, leads)]
     steps = driver.horizon - 1
     centers, radii = np.zeros((steps, 2)), np.full(steps, config.v_slot)
     report = EpisodeReport(
@@ -451,14 +440,20 @@ def run_ocean(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool =
     t0 = time.perf_counter()
     driver = _OceanDriver(config)
     traj, records = run_episode(driver, mode)
-    utilities = _voyage_utilities(driver, traj)
+    # slot t's drift reference is the previous online waypoint and the current
+    # measured there; slot T has no executed step and reuses the last weights
+    lams, currents = driver.lambdas, driver.currents_true
+    lams = lams + [lams[-1] if lams else 1.0]
+    currents = currents + [currents[-1] if currents else (0.0, 0.0)]
+    prev = [traj[0], *traj[:-1]]
+    utilities = obj.VoyageUtilities(lams, driver.goals, currents, prev)
+    util_series = list(map(obj.ocean_utility, traj, prev, driver.goals, currents, lams))
     tau = config.slot_duration_s
     energy_steps = []
     for t, (a, b) in enumerate(zip(traj, traj[1:])):
         vo = driver.currents_true[t]  # m/slot at the visited waypoint
         rel_speed = math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) / tau
         energy_steps.append(config.drag_coefficient * rel_speed**3 * tau)
-    util_series = [u(x) for u, x in zip(utilities.values, traj)]
     # one cap per executed step: the measured current, the throttled speed
     centers = np.array(driver.currents_true, dtype=float).reshape(-1, 2)
     radii = np.array(driver.alphas, dtype=float) * config.v_slot

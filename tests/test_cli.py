@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,6 +101,22 @@ class TestRunCommand:
         cfg = write(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error: feasible_box_m: does not contain start_m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "path", ["v_max_mps", "slot_duration_s", "ocean.beta", "peer.speed_mps", "d2d.margin"]
+    )
+    def test_non_finite_scalar_is_config_error(self, tmp_path, capsys, path, value):
+        base = OCEAN_DOC if path in ("slot_duration_s", "ocean.beta") else dict(D2D_DOC, d2d={})
+        doc = json.loads(json.dumps(base))
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        cfg = write(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {path}: expected a finite number" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2

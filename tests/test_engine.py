@@ -7,7 +7,6 @@ import trajsim.engine
 from trajsim.engine import (
     EngineState,
     NoiseModel,
-    SlotPlan,
     ioga_step,
     noisy_gradient,
     normal_pair,
@@ -139,6 +138,11 @@ class TestIogaStep:
         with pytest.raises(ValueError):
             ioga_step(state, (1.0, 0.0), 0.0, FREE)
 
+    def test_nan_gamma_rejected(self):
+        state = EngineState(t=1, x_hat=(0.0, 0.0), x_prev=(0.0, 0.0))
+        with pytest.raises(ValueError):
+            ioga_step(state, (1.0, 0.0), math.nan, FREE)
+
 
 class _ChaserDriver:
     """Chases a scripted target with unit-capped steps; test scaffolding."""
@@ -151,20 +155,20 @@ class _ChaserDriver:
         self.region = region
         self.v = v
 
-    def plan(self, t, x_hat, x_prev, mode):
+    def plan(self, t, x_hat, mode):
+        self.t = t
         ti = min(t + 1 if mode == "lookahead" else t, self.horizon) - 1
         target = self.targets[ti]
         pull = sub(target, x_hat)
         n = norm(pull)
         capped = pull if n <= self.v else (self.v / n * pull[0], self.v / n * pull[1])
+        return capped, capped
 
-        def gamma(grad_tilde, gbar):
-            return 1.01 * max(gbar / self.v, 1.0)
+    def gamma(self, grad_tilde, gbar):
+        return 1.01 * max(gbar / self.v, 1.0)
 
-        def slack(a, b):
-            return dist(a, b) - self.v
-
-        return SlotPlan(grad_true=capped, grad_observed=capped, gamma=gamma, slack=slack)
+    def slack(self, a, b):
+        return dist(a, b) - self.v
 
 
 class TestRunEpisode:
@@ -219,14 +223,10 @@ class TestRunEpisode:
 
     def test_infeasible_policy_surfaces_slot(self):
         class BadGamma(_ChaserDriver):
-            def plan(self, t, x_hat, x_prev, mode):
-                plan = super().plan(t, x_hat, x_prev, mode)
-                if t == 3:
-                    def gamma(grad_tilde, gbar):
-                        raise EmptyStepInterval(1.0, 0.5, 1.0)
-
-                    plan.gamma = gamma
-                return plan
+            def gamma(self, grad_tilde, gbar):
+                if self.t == 3:
+                    raise EmptyStepInterval(1.0, 0.5, 1.0)
+                return super().gamma(grad_tilde, gbar)
 
         with pytest.raises(InfeasibleStepSize) as err:
             run_episode(BadGamma([(9.0, 9.0)] * 8, 8))
@@ -234,13 +234,32 @@ class TestRunEpisode:
 
     def test_cap_violating_step_aborts(self):
         class Cheater(_ChaserDriver):
-            def plan(self, t, x_hat, x_prev, mode):
-                plan = super().plan(t, x_hat, x_prev, mode)
-                plan.gamma = lambda grad_tilde, gbar: 0.1  # step far beyond the cap
-                return plan
+            def gamma(self, grad_tilde, gbar):
+                return 0.1  # step far beyond the cap
 
         with pytest.raises(InfeasibleStepSize):
             run_episode(Cheater([(50.0, 0.0)] * 5, 5))
+
+    def test_nan_gradient_aborts_at_its_slot(self):
+        # max(0.0, nan) is 0.0, so the step size stays finite and only the
+        # NaN slack of the executed step can stop the episode
+        class NanGradient(_ChaserDriver):
+            def plan(self, t, x_hat, mode):
+                super().plan(t, x_hat, mode)
+                return (math.nan, 0.0), (math.nan, 0.0)
+
+        with pytest.raises(InfeasibleStepSize) as err:
+            run_episode(NanGradient([(3.0, 0.0)] * 4, 4))
+        assert err.value.slot == 1
+
+    def test_nan_step_size_aborts_at_its_slot(self):
+        class NanGamma(_ChaserDriver):
+            def gamma(self, grad_tilde, gbar):
+                return math.nan if self.t == 2 else super().gamma(grad_tilde, gbar)
+
+        with pytest.raises(InfeasibleStepSize) as err:
+            run_episode(NanGamma([(3.0, 0.0)] * 4, 4))
+        assert err.value.slot == 2
 
     def test_lookahead_uses_next_slot_target(self):
         # static target: both modes coincide

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from field_reference import bracket, sample_velocity_loop
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajsim.errors import LatticeError, ParseError, UnitsError
 from trajsim.field import (
@@ -10,7 +13,6 @@ from trajsim.field import (
     GyreSpec,
     UniformSpec,
     VelocityField,
-    _bracket,
     load_field,
     perturb_field,
     sample_velocity,
@@ -20,9 +22,9 @@ from trajsim.field import (
 
 def sample_reference(f, p, t):
     """Interpolation straight from the numpy lattice, no cell cache."""
-    i0, i1, wx = _bracket(f.x_grid, p[0])
-    j0, j1, wy = _bracket(f.y_grid, p[1])
-    k0, k1, wt = _bracket(f.t_grid, t)
+    i0, i1, wx = bracket(f.x_grid, p[0])
+    j0, j1, wy = bracket(f.y_grid, p[1])
+    k0, k1, wt = bracket(f.t_grid, t)
     out = []
     for comp in (f.u, f.v):
         c00 = comp[k0, j0, i0] + wx * (comp[k0, j0, i1] - comp[k0, j0, i0])
@@ -147,6 +149,35 @@ class TestSampling:
         for p, t in queries:
             got = sample_velocity(perturbed, p, t)
             assert repr(got) == repr(sample_reference(perturbed, p, t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), nt=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_form_bitwise(self, data, nt, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 5))
+        xs = tuple(np.cumsum(rng.uniform(0.1, 3.0, nx)) - 4.0)
+        ys = tuple(np.cumsum(rng.uniform(0.1, 3.0, ny)) - 4.0)
+        ts = tuple(np.cumsum(rng.uniform(0.5, 5.0, nt)))
+        # exact zeros of both signs, so a reordered sum would show as -0.0
+        u = rng.choice([rng.normal(0, 1), 0.0, -0.0, 1.5], (nt, ny, nx))
+        v = rng.normal(0, 1, (nt, ny, nx))
+        f = VelocityField(xs, ys, ts, u, v)
+
+        def coord(grid):
+            lo, hi = grid[0], grid[-1]
+            return data.draw(
+                st.one_of(
+                    st.floats(lo, hi),  # inside the lattice
+                    st.sampled_from(grid),  # on a node
+                    st.floats(lo - 50.0, lo),  # at or past the low edge
+                    st.floats(hi, hi + 50.0),  # at or past the high edge
+                )
+            )
+
+        for _ in range(8):
+            p, t = (coord(xs), coord(ys)), coord(ts)
+            got, want = sample_velocity(f, p, t), sample_velocity_loop(f, p, t)
+            assert got == want and repr(got) == repr(want)
 
     def test_bounded_by_corner_extrema(self):
         rng = np.random.default_rng(8)

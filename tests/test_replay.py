@@ -2,12 +2,15 @@
 
 The golden digests pin noise-free runs, whose bytes depend only on the
 field sampling, the step rule, the offline solver and the CSV/JSON writers;
-any change to one of those that moves a single bit shows here.  The digests
-were taken with numpy 2.4 on x86-64.
+any change to one of those that moves a single bit shows here.  A second
+set pins the shipped, noisy configs in both modes, so the noise streams and
+the lookahead path are pinned too.  The digests were taken with numpy 2.4
+on x86-64.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -128,6 +131,70 @@ def test_noise_free_outputs_match_golden_digests(tmp_path, capsys):
         **_digests(tmp_path, "commute-boxed", BOXED_COMMUTE_DOC, ("benchmark",)),
     }
     assert got == GOLDEN
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# configs/voyage.json with the four-slice time grid of VOYAGE_DOC: the shipped
+# field has one slice and a static goal, so its lookahead run equals the
+# standard one, while here the current the lookahead step reads is a slot ahead
+VOYAGE_TIMED_DOC = json.loads((CONFIGS / "voyage.json").read_text(encoding="utf-8"))
+VOYAGE_TIMED_DOC["ocean"]["field"]["t_grid_s"] = VOYAGE_DOC["ocean"]["field"]["t_grid_s"]
+
+# the shipped configs as they are: gradient noise, the forecast perturbation
+# and the peer's position noise all on
+NOISY_GOLDEN = {
+    ("voyage", "standard", "trace.csv"): (
+        "f698260fec00f57c67ebdf620697aa2519628d1a06a0d7238aaca8928d5a7240"
+    ),
+    ("voyage", "standard", "summary.csv"): (
+        "3659a7432723473e6225d9f533083b1bb024cfd5bd15fa4b369bb3159d3e7e0a"
+    ),
+    ("voyage", "lookahead", "trace.csv"): (
+        "f698260fec00f57c67ebdf620697aa2519628d1a06a0d7238aaca8928d5a7240"
+    ),
+    ("voyage", "lookahead", "summary.csv"): (
+        "3659a7432723473e6225d9f533083b1bb024cfd5bd15fa4b369bb3159d3e7e0a"
+    ),
+    ("commute", "standard", "trace.csv"): (
+        "2b2fbf43fd12699ea0c2c5d9718fd268ee0edb7f148bd743f8fbdccd1e1ddaa5"
+    ),
+    ("commute", "standard", "summary.csv"): (
+        "c374085f216cc9a23b923b5685b7da502fed3c1b7725d225d54275cf8ff02e19"
+    ),
+    ("commute", "lookahead", "trace.csv"): (
+        "b4b78f582f96da5eca786aa6589edd1f7cb1d593ca4e21123ae01343088ec12b"
+    ),
+    ("commute", "lookahead", "summary.csv"): (
+        "faef3560eeae0ca57a2cada0afd4dac0c3f3a9147a8a79a00fa7b70b86c07e2a"
+    ),
+    ("voyage-timed", "lookahead", "trace.csv"): (
+        "e559d2d34e6eb005927a8a58e4e792313e8007f23dd3340f685792195a13298c"
+    ),
+    ("voyage-timed", "lookahead", "summary.csv"): (
+        "af5463a7e9a5c42d003072ca7bb5c48db09aa1daff5b99a903136281c585596d"
+    ),
+}
+
+
+def test_noisy_outputs_match_golden_digests(tmp_path, capsys):
+    timed = tmp_path / "voyage-timed.json"
+    timed.write_text(json.dumps(VOYAGE_TIMED_DOC), encoding="utf-8")
+    runs = [
+        ("voyage", CONFIGS / "voyage.json", "standard"),
+        ("voyage", CONFIGS / "voyage.json", "lookahead"),
+        ("commute", CONFIGS / "commute.json", "standard"),
+        ("commute", CONFIGS / "commute.json", "lookahead"),
+        ("voyage-timed", timed, "lookahead"),
+    ]
+    got = {}
+    for name, cfg, mode in runs:
+        outdir = tmp_path / name / mode
+        assert main(["run", "--config", str(cfg), "--out", str(outdir), "--mode", mode]) == 0
+        for path in sorted(outdir.iterdir()):
+            if path.name != "manifest.json":
+                got[(name, mode, path.name)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == NOISY_GOLDEN
 
 
 # two noise-free sweeps, one per scenario kind; each row's summary line

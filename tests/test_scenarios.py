@@ -8,7 +8,7 @@ from trajsim import objectives as obj
 from trajsim.engine import NoiseModel
 from trajsim.errors import InfeasibleStepSize, SchemaError
 from trajsim.field import FieldPerturbation, UniformSpec, synth_field
-from trajsim.geom import dist, norm, sub
+from trajsim.geom import dist, dot, norm, sub
 from trajsim.metrics import solve_offline
 from trajsim.objectives import CommuteUtilities
 from trajsim.scenarios import (
@@ -327,6 +327,38 @@ class TestRunOcean:
         rr = rep.regret_report
         assert rr.regret >= -1e-6
         assert rr.energy_online == pytest.approx(rep.energy_total, rel=1e-9)
+
+
+class TestOceanWeights:
+    """The driver's one-pass weights against the stepwise scalar forms, bit for bit."""
+
+    @pytest.mark.parametrize("strategy", ["direction_dependent", "increasing"])
+    def test_weights_match_objectives_bitwise(self, strategy):
+        from trajsim.scenarios import _OceanDriver
+
+        rng = np.random.default_rng(5)
+        driver = _OceanDriver(ocean_config(lambda_strategy=strategy, delta=17, beta=0.7))
+        # currents of up to about 2 m/slot, so eta also reaches its clamp at 1
+        T, vmax = driver.horizon, 0.8
+        driver.v_o_max_slot = vmax
+        goal = driver.goals[0]
+        points = [tuple(rng.uniform(0.0, 60.0, 2)) for _ in range(200)] + [goal]
+        currents = [tuple(rng.normal(0.0, 0.5, 2)) for _ in range(200)] + [(0.0, 0.0), (2.0, -1.0)]
+        for t, (x, vo) in enumerate(zip(points * 2, currents * 2), start=1):
+            t = min(t, T)
+            # current_strength_angle as it was written with geom helpers
+            eta, heading = min(norm(vo) / vmax, 1.0), sub(goal, x)
+            theta = math.pi
+            if norm(heading) != 0.0 and norm(vo) != 0.0:
+                c = dot(heading, vo) / (norm(heading) * norm(vo))
+                theta = math.acos(min(1.0, max(-1.0, c)))
+            assert obj.current_strength_angle(goal, x, vo, vmax) == (eta, theta)
+            if strategy == "increasing":
+                lam = obj.lambda_increasing(t, T)
+            else:
+                lam = obj.directional_weight(eta, theta)
+            alpha = obj.alpha_schedule(0.7, 17, T, eta, theta)
+            assert repr(driver.weights(t, x, vo)) == repr((lam, alpha))
 
 
 class TestAdversary:
