@@ -80,6 +80,16 @@ def _number(value, path: str) -> float:
     return x
 
 
+def _integer(value, path: str) -> int:
+    """``value`` as an int; a non-number, NaN, infinity or fraction is a schema error."""
+    if isinstance(value, int):
+        return int(value)
+    x = _number(value, path)
+    if not x.is_integer():
+        raise SchemaError(path, f"expected an integer, got {value!r}")
+    return int(x)
+
+
 def _unit_number(doc: dict, key: str, path: str) -> float:
     """The required unit-bearing number ``doc[key]``."""
     return _number(_require(doc, key, path, units=True), path + key)
@@ -119,7 +129,7 @@ def _grid(doc, path: str) -> tuple[float, ...]:
         _reject_unknown(doc, _GRID_KEYS, path + ".")
         lo = _number(_require(doc, "min", path + "."), path + ".min")
         hi = _number(_require(doc, "max", path + "."), path + ".max")
-        n = int(_require(doc, "n", path + "."))
+        n = _integer(_require(doc, "n", path + "."), path + ".n")
         if n < 2 or hi <= lo:
             raise SchemaError(path, "need n >= 2 and max > min")
         return tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
@@ -171,13 +181,13 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     kind = _require(doc, "kind", "")
     if kind not in ("d2d", "ocean", "adversary"):
         raise SchemaError("kind", f"must be d2d, ocean, or adversary, got {kind!r}")
-    seed = int(doc.get("seed", 0))
+    seed = _integer(doc.get("seed", 0), "seed")
 
     if kind == "adversary":
         adv_doc = doc.get("adversary", {})
         _reject_unknown(adv_doc, _ADV_KEYS, "adversary.")
         adv = AdversaryParams(
-            horizon=int(adv_doc.get("T", 100)),
+            horizon=_integer(adv_doc.get("T", 100), "adversary.T"),
             width=_number(adv_doc.get("W", 1.0), "adversary.W"),
             policy=str(adv_doc.get("policy", "zero")),
         )
@@ -208,7 +218,7 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         kind=noise_kind,
         eps0=_number(noise_doc.get("eps0", 0.0), "gradient_noise.eps0"),
         decay_q=_number(noise_doc.get("decay_q", 0.0), "gradient_noise.decay_q"),
-        seed=int(noise_doc.get("seed", 0)),
+        seed=_integer(noise_doc.get("seed", 0), "gradient_noise.seed"),
     )
 
     box = None
@@ -278,7 +288,8 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         frac = _number(_require(pert_doc, "sigma_fraction", pp), pp + "sigma_fraction")
         if not 0.0 <= frac <= 1.0:
             raise SchemaError("ocean.perturbation.sigma_fraction", "must be in [0, 1]")
-        pert = FieldPerturbation(sigma_fraction=frac, seed=int(pert_doc.get("seed", 0)))
+        pert_seed = _integer(pert_doc.get("seed", 0), pp + "seed")
+        pert = FieldPerturbation(sigma_fraction=frac, seed=pert_seed)
     beta = _number(ocean_doc.get("beta", 0.5), "ocean.beta")
     if beta < 0:
         raise SchemaError("ocean.beta", "must be >= 0")

@@ -493,9 +493,8 @@ def dp_oracle(problem: OfflineProblem, grid: OracleGrid) -> OracleSolution:
     inside = np.array([problem.region.contains((p[0], p[1]), tol=1e-9) for p in nodes])
     nodes = nodes[inside]
     n = len(nodes)
-    utilities = np.array(
-        [[u((p[0], p[1])) for p in nodes] for u in problem.utilities.values]
-    )  # (T, n)
+    us = problem.utilities
+    utilities = np.array([us.evaluate([(p[0], p[1])] * T) for p in nodes]).T  # (T, n)
     start_idx = int(np.argmin(np.sum((nodes - np.asarray(problem.start)) ** 2, axis=1)))
     if dist((nodes[start_idx][0], nodes[start_idx][1]), problem.start) > 1e-12:
         raise GridTooCoarse("grid does not contain the start point")
@@ -703,7 +702,7 @@ def build_regret_report(
     """
     sol = solution if solution is not None else solve_offline(problem, x0=online_traj)
     us = problem.utilities
-    offline_u = tuple(u(p) for u, p in zip(us.values, sol.points))
+    offline_u = tuple(us.evaluate(sol.points))
     online_u = tuple(online_utilities)
     gv = gradient_variation(us, problem.region)
     energy_online = energy_cost(online_traj, fld, c_d, slot_duration)

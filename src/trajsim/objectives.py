@@ -404,6 +404,11 @@ class CommuteUtilities(_Family):
             for e in self.leads.tolist()
         ]
 
+    def evaluate(self, points) -> list[float]:
+        """Slot ``t``'s utility at ``points[t]``, through the scalar :func:`d2d_utility`."""
+        v, mu, kind = self.v, self.mu, self.kind
+        return [d2d_utility(p, e, v, mu, kind) for p, e in zip(points, self.leads.tolist())]
+
     @property
     def affine_diffs(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(a, b)`` with ``grad U_{t+1}(x) - grad U_t(x) == a[t] * x + b[t]``.
@@ -493,6 +498,15 @@ class VoyageUtilities(_Family):
                 self.lam.tolist(), self.goal.tolist(), self.current.tolist(), self.prev.tolist()
             )
         ]
+
+    def evaluate(self, points) -> list[float]:
+        """Slot ``t``'s utility at ``points[t]``, through the scalar :func:`ocean_utility`."""
+        return list(
+            map(
+                ocean_utility, points, self.prev.tolist(), self.goal.tolist(),
+                self.current.tolist(), self.lam.tolist(),
+            )
+        )
 
     @property
     def affine_diffs(self) -> tuple[np.ndarray, np.ndarray]:

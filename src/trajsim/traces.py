@@ -2,18 +2,28 @@
 
 Floats are written with ``repr`` so files are byte-stable across runs and
 parse back to the exact same values; taking a field that does not apply to
-a scenario kind leaves its cell empty.  The csv module does both: it writes
-a float (``np.float64`` included) as ``repr(float(v))``, an int as
-``str(v)`` and ``None`` as an empty cell.
+a scenario kind leaves its cell empty.
+
+The trace holds only numbers, so :func:`emit_trace` formats each row as one
+preformatted line instead of going through the csv module, and writes the
+lines in chunks of :data:`_CHUNK_ROWS` so that a long trace is never one
+string in memory.  The bytes are the csv module's: CRLF line ends, and a
+number written as ``str(v)``, which is ``repr`` for a float (an
+``np.float64`` gives ``repr(float(v))``) and the digits for an int.  The
+last row's step cells are empty, as the csv module writes ``None``.
+
+:func:`emit_summary` stays on the csv module, because its ``param`` cell is
+a string that may need quoting.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import islice
+from math import hypot
 from pathlib import Path
 from typing import Sequence
 
-from .geom import norm
 from .metrics import RegretReport
 from .scenarios import EpisodeReport, SweepRow
 
@@ -48,24 +58,39 @@ SUMMARY_HEADER = [
 ]
 
 
-def emit_trace(report: EpisodeReport, path) -> None:
-    """Write one row per slot; step-level fields are empty on the last slot."""
+_CHUNK_ROWS = 512
+# One slot; the goal1 and goal2 cells come in preformatted as one string.
+_TRACE_ROW = "%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n"
+
+
+def _trace_lines(report: EpisodeReport):
+    """The trace's data rows as CRLF-terminated lines."""
     T = report.horizon
     traj, goals, utils = report.trajectory, report.goals, report.utilities
-    rows = [
-        (t, x[0], x[1], goal[0], goal[1], lam, alpha, rec.gamma, norm(rec.grad_tilde),
-         rec.eps_sq_realized, u, energy, rec.constraint_slack)
-        for t, x, goal, u, rec, lam, alpha, energy in zip(
-            range(1, T), traj, goals, utils, report.records,
-            report.lambdas, report.alphas, report.energy_steps,
+    goal_cells = last_goal = None
+    for t, x, goal, u, rec, lam, alpha, energy in zip(
+        range(1, T), traj, goals, utils, report.records,
+        report.lambdas, report.alphas, report.energy_steps,
+    ):
+        # An identity test, not ==: -0.0 == 0.0 but the two reprs differ.
+        if goal is not last_goal:
+            last_goal, goal_cells = goal, "%s,%s" % (goal[0], goal[1])
+        g = rec.grad_tilde
+        yield _TRACE_ROW % (
+            t, x[0], x[1], goal_cells, lam, alpha, rec.gamma, hypot(g[0], g[1]),
+            rec.eps_sq_realized, u, energy, rec.constraint_slack,
         )
-    ]
     x, goal = traj[-1], goals[-1]
-    rows.append((T, x[0], x[1], goal[0], goal[1], None, None, None, None, None, utils[-1], None, None))
+    yield "%d,%s,%s,%s,%s,,,,,,%s,,\r\n" % (T, x[0], x[1], goal[0], goal[1], utils[-1])
+
+
+def emit_trace(report: EpisodeReport, path) -> None:
+    """Write one row per slot; step-level fields are empty on the last slot."""
+    lines = _trace_lines(report)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        writer.writerows(rows)
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        while chunk := "".join(islice(lines, _CHUNK_ROWS)):
+            fh.write(chunk)
 
 
 def read_trace(path) -> list[dict[str, float | None]]:

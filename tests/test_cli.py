@@ -47,6 +47,14 @@ def write(tmp_path, doc, name="cfg.json"):
     return str(p)
 
 
+def set_key(doc, path, value):
+    """Set the dotted ``path`` of a nested config document to ``value``."""
+    *parents, key = path.split(".")
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+
+
 def run_python(*args) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports this checkout's trajsim."""
     src = str(Path(trajsim.__file__).resolve().parents[1])
@@ -109,14 +117,43 @@ class TestRunCommand:
     def test_non_finite_scalar_is_config_error(self, tmp_path, capsys, path, value):
         base = OCEAN_DOC if path in ("slot_duration_s", "ocean.beta") else dict(D2D_DOC, d2d={})
         doc = json.loads(json.dumps(base))
-        *parents, key = path.split(".")
-        node = doc
-        for name in parents:
-            node = node[name]
-        node[key] = value
+        set_key(doc, path, value)
         cfg = write(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {path}: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, 2.7, "seven"], ids=["nan", "inf", "2.7", "str"]
+    )
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "seed",
+            "gradient_noise.seed",
+            "ocean.perturbation.seed",
+            "ocean.field.x_grid_m.n",
+            "adversary.T",
+        ],
+    )
+    def test_bad_integer_key_is_config_error(self, tmp_path, capsys, path, value):
+        if path == "adversary.T":
+            doc = {"kind": "adversary", "adversary": {"W": 1.0}}
+        elif path.startswith("ocean."):
+            doc = json.loads(json.dumps(OCEAN_DOC))
+            doc["ocean"]["perturbation"] = {"sigma_fraction": 0.05}
+        else:
+            doc = json.loads(json.dumps(D2D_DOC))
+        set_key(doc, path, value)
+        cfg = write(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {path}: expected " in capsys.readouterr().err
+
+    def test_integral_float_integer_key_is_accepted(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", write(tmp_path, D2D_DOC), "--out", str(a)]) == 0
+        doc = dict(D2D_DOC, seed=3.0)
+        assert main(["run", "--config", write(tmp_path, doc, "f.json"), "--out", str(b)]) == 0
+        assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2

@@ -1,15 +1,28 @@
 import dataclasses
 import json
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from trace_reference import emit_trace_csv
 
 from trajsim.config import RunManifest, config_hash, parse_config, parse_config_doc
-from trajsim.engine import NoiseModel
+from trajsim.engine import NoiseModel, StepRecord
 from trajsim.errors import SchemaError, UnitsError
 from trajsim.field import FieldPerturbation
-from trajsim.scenarios import PathSpec, ScenarioConfig, SweepRow, run_d2d, run_ocean
+from trajsim.scenarios import (
+    EpisodeReport,
+    PathSpec,
+    ScenarioConfig,
+    SweepRow,
+    run_d2d,
+    run_ocean,
+)
 from trajsim.traces import (
+    _CHUNK_ROWS,
     SUMMARY_HEADER,
     TRACE_HEADER,
     emit_summary,
@@ -235,6 +248,81 @@ class TestTraces:
         assert row["regret"] == pytest.approx(rr.regret)
         assert row["avg_rate"] == pytest.approx(d2d_report.avg_rate)
         assert row["final_goal_distance"] == pytest.approx(rr.final_goal_distance)
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e16, 1e-5]
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+# Every kind of number a trace cell may hold: float, np.float64 and int.
+_CELLS = _FLOATS | _FLOATS.map(np.float64) | st.integers(-(10**18), 10**18)
+
+
+def _synthetic_report(T, goals, cell):
+    """An episode of ``T`` slots that visits ``goals``; ``cell()`` gives every number."""
+
+    def pair():
+        return cell(), cell()
+
+    traj = [pair() for _ in range(T)]
+    records = [
+        StepRecord(t, traj[t - 1], traj[t], cell(), pair(), cell(), cell(), cell())
+        for t in range(1, T)
+    ]
+    return EpisodeReport(
+        kind="ocean",
+        trajectory=traj,
+        records=records,
+        goals=goals,
+        lambdas=[cell() for _ in range(T - 1)],
+        alphas=[cell() for _ in range(T - 1)],
+        utilities=[cell() for _ in range(T)],
+        energy_steps=[cell() for _ in range(T - 1)],
+        rate_series=None,
+        regret_report=None,
+        wall_time_s=0.0,
+        config=None,
+    )
+
+
+@st.composite
+def synthetic_reports(draw):
+    """Reports around the writer's edges, with numbers drawn from a small pool."""
+    T = draw(
+        st.sampled_from([1, 2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+        | st.integers(1, 40)
+    )
+    pool = draw(st.lists(_CELLS, min_size=1, max_size=12))
+    y = draw(_CELLS)
+    # Two goals that are == but write differently, and a few others.
+    goal_pool = [(0.0, y), (-0.0, y)] + draw(st.lists(st.tuples(_CELLS, _CELLS), max_size=3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    goals = [rng.choice(goal_pool)]
+    for _ in range(T - 1):
+        goals.append(goals[-1] if rng.random() < 0.6 else rng.choice(goal_pool))
+    return _synthetic_report(T, goals, lambda: rng.choice(pool))
+
+
+class TestTraceWriter:
+    """The preformatted writer against the csv-module reference, byte for byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(report=synthetic_reports())
+    def test_matches_csv_writer_bytewise(self, tmp_path_factory, report):
+        out = tmp_path_factory.mktemp("trace")
+        emit_trace(report, out / "new.csv")
+        emit_trace_csv(report, out / "ref.csv")
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    def test_goals_equal_up_to_zero_sign_are_written_apart(self, tmp_path):
+        goals = [(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0), (-0.0, 1.0)]
+        assert goals[0] == goals[1]
+        values = iter(range(1000))
+        report = _synthetic_report(4, goals, lambda: float(next(values)))
+        emit_trace(report, tmp_path / "new.csv")
+        emit_trace_csv(report, tmp_path / "ref.csv")
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        cells = [line.split(b",")[3:5] for line in data.splitlines()[1:]]
+        assert cells == [[b"0.0", b"1.0"], [b"-0.0", b"1.0"]] * 2
 
 
 class TestManifest:

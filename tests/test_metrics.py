@@ -485,6 +485,24 @@ class TestUtilitySequenceBatch:
         per_slot = [obj.ocean_gradient(p, g, c, l) for p, g, c, l in zip(pts, goals, currents, lam)]
         assert np.array_equal(voyage.gradient_array(x), per_slot)
 
+    def test_evaluate_equals_the_slot_callables_bitwise(self):
+        rng = np.random.default_rng(7)
+        T = 9
+        x = rng.normal(0.0, 3.0, (T, 2))
+        families = [
+            CommuteUtilities(rng.normal(0.0, 3.0, (T, 2)), 1.3, 0.2, kind)
+            for kind in ("squared", "huber")
+        ] + [
+            VoyageUtilities(
+                rng.uniform(0.0, 1.0, T), rng.normal(0.0, 3.0, (T, 2)),
+                rng.normal(0.0, 0.3, (T, 2)), rng.normal(0.0, 3.0, (T, 2)),
+            )
+        ]
+        for family in families:
+            for pts in (x, [tuple(p) for p in x.tolist()]):
+                want = [u(p) for u, p in zip(family.values, pts)]
+                assert list(map(repr, family.evaluate(pts))) == list(map(repr, want))
+
 
 def _random_problem(kind: str, T: int, seed: int) -> tuple[OfflineProblem, list | None]:
     """A random instance of one family and its warm start (or ``None``)."""
