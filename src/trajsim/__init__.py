@@ -10,7 +10,6 @@ from .engine import (
     NoiseModel,
     StepRecord,
     ioga_step,
-    noisy_gradient,
     run_episode,
 )
 from .field import (
@@ -50,7 +49,6 @@ from .objectives import (
     d2d_utility,
     directional_weight,
     huber_value,
-    lambda_direction,
     lambda_increasing,
     leading_path,
     ocean_gradient,
@@ -65,12 +63,10 @@ from .scenarios import (
     ScenarioConfig,
     SweepRow,
     run_adversary,
-    run_d2d,
-    run_ocean,
     run_scenario,
     sweep,
 )
-from .sets import Box2D, StepCap, project_box
+from .sets import Box2D, StepCap
 from .config import RunManifest, config_hash, parse_config
 from .traces import emit_summary, emit_trace, read_summary, read_trace
 

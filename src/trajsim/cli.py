@@ -65,16 +65,7 @@ def _cmd_run(args) -> int:
     out = _outdir(args)
     if cfg.kind == "adversary":
         adv = cfg.adversary
-        value = run_adversary(adv.horizon, adv.width, adv.policy, seed=cfg.seed)
-        (out / "adversary.json").write_text(
-            json.dumps(
-                {"T": adv.horizon, "W": adv.width, "policy": adv.policy, "regret": value},
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"adversary regret: {value:.6g}")
-        return EXIT_OK
+        return _play_adversary(out, adv.horizon, adv.width, adv.policy, cfg.seed)
     report = run_scenario(cfg, mode=args.mode)
     trace_path = out / "trace.csv"
     summary_path = out / "summary.csv"
@@ -195,23 +186,16 @@ def _cmd_adversary(args) -> int:
     if not 0.0 < args.W < math.inf:
         raise SchemaError("--W", f"must be positive and finite, got {args.W}")
     seed = args.seed if args.seed is not None else (_default_seed() or 0)
-    value = run_adversary(args.T, args.W, args.policy, seed=seed)
-    bound = 0.5 * args.W**2 * args.T
-    out = _outdir(args)
-    (out / "adversary.json").write_text(
-        json.dumps(
-            {
-                "T": args.T,
-                "W": args.W,
-                "policy": args.policy,
-                "regret": value,
-                "lower_bound": bound,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    print(f"regret {value:.6g} (lower bound {bound:.6g})")
+    return _play_adversary(_outdir(args), args.T, args.W, args.policy, seed)
+
+
+def _play_adversary(out: Path, T: int, W: float, policy: str, seed: int) -> int:
+    """Play the scalar game and write ``adversary.json`` with its lower bound ``W^2 T / 2``."""
+    value = run_adversary(T, W, policy, seed=seed)
+    bound = 0.5 * W**2 * T
+    doc = {"T": T, "W": W, "policy": policy, "regret": value, "lower_bound": bound}
+    (out / "adversary.json").write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"adversary regret {value:.6g} (lower bound {bound:.6g})")
     return EXIT_OK
 
 

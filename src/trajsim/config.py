@@ -63,17 +63,17 @@ def _point(doc, path: str):
     if (
         not isinstance(doc, (list, tuple))
         or len(doc) != 2
-        or not all(isinstance(c, (int, float)) and math.isfinite(c) for c in doc)
+        or not all(type(c) in (int, float) and math.isfinite(c) for c in doc)
     ):
         raise SchemaError(path, f"expected [x, y] finite numbers, got {doc!r}")
     return (float(doc[0]), float(doc[1]))
 
 
 def _number(value, path: str) -> float:
-    """``value`` as a float; a non-number, NaN or infinity is a schema error."""
+    """``value`` as a float; a bool, string, non-number, NaN or infinity is a schema error."""
     try:
-        x = float(value)
-    except (TypeError, ValueError):
+        x = math.nan if isinstance(value, (bool, str)) else float(value)
+    except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
         raise SchemaError(path, f"expected a finite number, got {value!r}")
@@ -81,9 +81,9 @@ def _number(value, path: str) -> float:
 
 
 def _integer(value, path: str) -> int:
-    """``value`` as an int; a non-number, NaN, infinity or fraction is a schema error."""
-    if isinstance(value, int):
-        return int(value)
+    """``value`` as an int; a bool, non-number, NaN, infinity or fraction is a schema error."""
+    if type(value) is int:
+        return value
     x = _number(value, path)
     if not x.is_integer():
         raise SchemaError(path, f"expected an integer, got {value!r}")
@@ -203,7 +203,7 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     if v_max <= 0:
         raise SchemaError("v_max_mps", "must be positive")
     delta = doc.get("delta_slots", 0)
-    if not isinstance(delta, int) or delta < 0:
+    if type(delta) is not int or delta < 0:
         raise SchemaError("delta_slots", f"must be a nonnegative integer, got {delta!r}")
     slot_s = _number(doc.get("slot_duration_s", 1.0), "slot_duration_s")
     if slot_s <= 0:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Protocol
 
 from .errors import EmptyStepInterval, InfeasibleStepSize, RootExistence
-from .geom import Point, Vector, add, norm_sq
+from .geom import Point, Vector
 from .sets import Box2D
 
 SLACK_TOL = 1e-9
@@ -113,12 +113,6 @@ class NoiseModel:
         sigma = eps_t / 2.0**0.5
         z0, z1 = _keyed_normal_pair(self._key, t)
         return (sigma * z0, sigma * z1)
-
-
-def noisy_gradient(true_grad: Vector, model: NoiseModel, t: int) -> tuple[Vector, float]:
-    """The gradient plus the model's slot-``t`` draw, and the draw's squared norm."""
-    n = model.draw(t)
-    return add(true_grad, n), norm_sq(n)
 
 
 class EngineState(NamedTuple):

@@ -1,4 +1,4 @@
-"""Tiny 2-D vector helpers on plain float tuples.
+"""Tiny 2-D vector helpers on plain float tuples, and a left-to-right sum.
 
 The per-slot simulation loop runs one waypoint at a time, so these stay in
 pure Python floats; array math is reserved for the batch solvers.
@@ -7,9 +7,22 @@ pure Python floats; array math is reserved for the batch solvers.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 Point = tuple[float, float]
 Vector = tuple[float, float]
+
+
+def left_sum(values: Iterable[float], start=0):
+    """``sum(values, start)`` added strictly left to right.
+
+    From Python 3.12 on, the builtin ``sum`` of floats is compensated and can
+    differ in the last bit; every sum that reaches an output goes through here.
+    """
+    total = start
+    for v in values:
+        total += v
+    return total
 
 
 def as_point(p) -> Point:

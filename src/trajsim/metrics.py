@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, HorizonMismatch
 from .field import VelocityField, sample_velocity
-from .geom import Point, as_point, dist, lerp, norm_sq, sub
+from .geom import Point, as_point, dist, left_sum, lerp, norm_sq, sub
 from .objectives import Utilities, row_scalars
 from .sets import Box2D, StepCap
 
@@ -542,7 +542,7 @@ def regret(
 
 def squared_path_length(traj: Sequence[Point]) -> float:
     """Sum of squared displacements along a trajectory."""
-    return sum(norm_sq(sub(b, a)) for a, b in zip(traj, traj[1:]))
+    return left_sum(norm_sq(sub(b, a)) for a, b in zip(traj, traj[1:]))
 
 
 @dataclass(frozen=True)
@@ -570,12 +570,11 @@ def gradient_variation(
     diffs = utilities.affine_diffs
     if diffs is not None:
         corners = region.vertices()
-        total = 0.0
-        for a, b in zip(diffs[0].tolist(), diffs[1].tolist()):
-            total += max(
-                (a * c[0] + b[0]) ** 2 + (a * c[1] + b[1]) ** 2 for c in corners
-            )
-        return GradientVariation(value=total, exact=True, n_samples=0)
+        worst = [
+            max((a * c[0] + b[0]) ** 2 + (a * c[1] + b[1]) ** 2 for c in corners)
+            for a, b in zip(diffs[0].tolist(), diffs[1].tolist())
+        ]
+        return GradientVariation(value=left_sum(worst, 0.0), exact=True, n_samples=0)
     rng = np.random.default_rng(seed)
     lo, hi = region.lo, region.hi
     xs = rng.uniform(lo[0], hi[0], n_samples)
@@ -589,20 +588,16 @@ def gradient_variation(
         g = utilities.gradient_array(x)
         diff = g[1:] - g[:-1]
         np.maximum(worst, diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1], out=worst)
-    total = 0.0
-    for w in worst.tolist():
-        total += w
+    total = left_sum(worst.tolist(), 0.0)
     return GradientVariation(value=total, exact=False, n_samples=len(samples))
 
 
 def cumulative_error(eps_sq: Sequence[float]) -> float:
     """Sum of per-slot squared error bounds."""
-    total = 0.0
     for i, e in enumerate(eps_sq):
         if e < 0.0:
             raise ValueError(f"eps_sq[{i}] = {e} is negative")
-        total += e
-    return total
+    return left_sum(eps_sq, 0.0)
 
 
 def energy_cost(
@@ -710,7 +705,7 @@ def build_regret_report(
     return RegretReport(
         offline_utilities=offline_u,
         online_utilities=online_u,
-        regret=sum(offline_u) - sum(online_u),
+        regret=left_sum(offline_u) - left_sum(online_u),
         s_t=squared_path_length(sol.points),
         g_t=gv.value,
         g_t_exact=gv.exact,

@@ -189,11 +189,6 @@ def current_strength_angle(
     return eta, math.acos(min(1.0, max(-1.0, c)))
 
 
-def lambda_direction(d: Point, x_hat: Point, v_o: Vector, v_o_max: float) -> float:
-    """Goal weight from the current's strength and its angle to the goal."""
-    return directional_weight(*current_strength_angle(d, x_hat, v_o, v_o_max))
-
-
 def alpha_schedule(beta: float, delta: float, T: int, eta: float, theta: float) -> float:
     """Relative-speed throttle ``exp(-beta (delta/T + eta cos(theta/2)))``."""
     if beta < 0.0 or delta < 0.0 or T < 1:
@@ -260,6 +255,10 @@ def ocean_step_size(
 # ---------------------------------------------------------------------------
 # whole-horizon families: one frozen utility per slot, evaluated over (T, 2)
 # arrays by the offline benchmark
+
+
+# slots per block when a family's arrays are converted to floats for evaluation
+_EVAL_BLOCK = 512
 
 
 def _points_array(points, horizon: int) -> np.ndarray:
@@ -500,13 +499,19 @@ class VoyageUtilities(_Family):
         ]
 
     def evaluate(self, points) -> list[float]:
-        """Slot ``t``'s utility at ``points[t]``, through the scalar :func:`ocean_utility`."""
-        return list(
-            map(
-                ocean_utility, points, self.prev.tolist(), self.goal.tolist(),
-                self.current.tolist(), self.lam.tolist(),
+        """Slot ``t``'s utility at ``points[t]``, through the scalar :func:`ocean_utility`.
+
+        The arrays become Python floats :data:`_EVAL_BLOCK` slots at a time, so
+        a long horizon never holds all four of them as floats at once.
+        """
+        out: list[float] = []
+        for i in range(0, len(points), _EVAL_BLOCK):
+            s = slice(i, i + _EVAL_BLOCK)
+            out += map(
+                ocean_utility, points[s], self.prev[s].tolist(), self.goal[s].tolist(),
+                self.current[s].tolist(), self.lam[s].tolist(),
             )
-        )
+        return out
 
     @property
     def affine_diffs(self) -> tuple[np.ndarray, np.ndarray]:

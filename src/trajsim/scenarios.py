@@ -22,7 +22,7 @@ from . import objectives as obj
 from .engine import Mode, NoiseModel, StepRecord, normal_pair, run_episode, slot_seed
 from .errors import SchemaError
 from .field import FieldPerturbation, VelocityField, perturb_field, sample_velocity
-from .geom import Point, Vector, dist, lerp
+from .geom import Point, Vector, dist, left_sum, lerp
 from .metrics import (
     OfflineProblem,
     OfflineSolution,
@@ -175,11 +175,11 @@ class EpisodeReport:
     def avg_rate(self) -> float | None:
         if not self.rate_series:
             return None
-        return sum(self.rate_series) / len(self.rate_series)
+        return left_sum(self.rate_series) / len(self.rate_series)
 
     @property
     def energy_total(self) -> float:
-        return sum(self.energy_steps)
+        return left_sum(self.energy_steps)
 
     @property
     def final_goal_distance(self) -> float:
@@ -201,25 +201,15 @@ def _auto_region(cfg: ScenarioConfig, anchors: Sequence[Point]) -> Box2D:
     return Box2D((min(xs) - pad, min(ys) - pad), (max(xs) + pad, max(ys) + pad))
 
 
-class _PeerNoise:
-    """Zero-mean Gaussian jitter on the peer's reported position."""
-
-    def __init__(self, std_m: float, seed: int):
-        self.std = std_m
-        self.seed = seed
-
-    def observe(self, y: Point, t: int) -> Point:
-        if self.std == 0.0:
-            return y
-        z0, z1 = normal_pair(self.seed, t)
-        return (y[0] + self.std * z0, y[1] + self.std * z1)
-
-
 class _Driver:
     """Set-up and per-slot bookkeeping shared by the commute and voyage drivers.
 
     A subclass sets ``region`` and implements the :class:`~trajsim.engine.EpisodeDriver`
-    calls; its ``plan`` starts with :meth:`source_slot`.
+    calls; its ``plan`` starts with :meth:`source_slot`.  It also carries its
+    family's ``smoothness`` and, once the episode is done, ``freeze(traj)``
+    returns the frozen utility family, the ``(T - 1, 2)`` cap centers and
+    ``(T - 1,)`` radii, the per-step energies and the link-rate series
+    (``None`` without a link).
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -248,12 +238,16 @@ class _Driver:
 class _D2DDriver(_Driver):
     """Per-episode state machine for the commute scenario."""
 
+    smoothness = obj.D2D_SMOOTHNESS
+
     def __init__(self, cfg: ScenarioConfig):
         super().__init__(cfg)
         tau = cfg.slot_duration_s
         self.peers = [cfg.peer.at(t, tau) for t in range(1, self.horizon + 1)]
         self.region = _auto_region(cfg, [cfg.start, *self.goals, *self.peers])
-        self.peer_noise = _PeerNoise(cfg.peer_noise_std_m, cfg.derived_seed(_PEER_SEED_OFFSET))
+        # std of the zero-mean Gaussian jitter on the peer's reported position
+        self.peer_std = cfg.peer_noise_std_m
+        self.peer_seed = cfg.derived_seed(_PEER_SEED_OFFSET)
         self.leads_true: list[Point] = []
 
     def goal_weight(self, t: int) -> float:
@@ -265,11 +259,12 @@ class _D2DDriver(_Driver):
         tg = self.source_slot(t, x_hat, mode)
         ig = min(tg, self.horizon) - 1
         y_true, goal, v, mu = self.peers[ig], self.goals[ig], self.v, self.cfg.mu
-        y_obs = self.peer_noise.observe(y_true, tg)
         lam = self.goal_weight(tg)
         ell = obj.leading_path(y_true, goal, 1.0 - lam)
         grad_true = grad_obs = obj.d2d_gradient(x_hat, ell, v, mu)
-        if y_obs is not y_true:
+        if self.peer_std != 0.0:  # the agent sees the peer's jittered position
+            z0, z1 = normal_pair(self.peer_seed, tg)
+            y_obs = (y_true[0] + self.peer_std * z0, y_true[1] + self.peer_std * z1)
             grad_obs = obj.d2d_gradient(x_hat, obj.leading_path(y_obs, goal, 1.0 - lam), v, mu)
         if tg != t:  # bookkeeping stays on the current slot, whatever the gradient source
             lam = self.goal_weight(t)
@@ -281,14 +276,33 @@ class _D2DDriver(_Driver):
 
     def gamma(self, grad_tilde: Vector, gbar: float) -> float:
         alpha_min = self.cfg.alpha_min
-        return obj.d2d_step_size(gbar, self.v, 1.0, alpha_min, obj.D2D_SMOOTHNESS, self.margin)
+        return obj.d2d_step_size(gbar, self.v, 1.0, alpha_min, self.smoothness, self.margin)
 
     def slack(self, a: Point, b: Point) -> float:
         return dist(a, b) - self.v
 
+    def freeze(self, traj: list[Point]):
+        """The commute family, its step caps, step energies and link rates."""
+        cfg = self.cfg
+        lam = self.goal_weight(self.horizon)
+        leads = self.leads_true + [obj.leading_path(self.peers[-1], self.goals[-1], 1.0 - lam)]
+        family = obj.CommuteUtilities(leads, cfg.v_slot, cfg.mu, cfg.utility_kind)
+        rate_series = [
+            obj.rate(x, y, cfg.alpha_p, cfg.bandwidth_hz, cfg.noise_power)
+            for x, y in zip(traj, self.peers)
+        ]
+        energy_steps = [
+            energy_cost([a, b], None, cfg.drag_coefficient, cfg.slot_duration_s)
+            for a, b in zip(traj, traj[1:])
+        ]
+        steps = self.horizon - 1
+        return family, np.zeros((steps, 2)), np.full(steps, cfg.v_slot), energy_steps, rate_series
+
 
 class _OceanDriver(_Driver):
     """Per-episode state machine for the voyage scenario."""
+
+    smoothness = obj.OCEAN_SMOOTHNESS
 
     def __init__(self, cfg: ScenarioConfig):
         if cfg.ocean_field is None:
@@ -355,12 +369,31 @@ class _OceanDriver(_Driver):
 
     def gamma(self, grad_tilde: Vector, gbar: float) -> float:
         return obj.ocean_step_size(
-            grad_tilde, self.vo, self.alpha, self.v, obj.OCEAN_SMOOTHNESS, self.margin
+            grad_tilde, self.vo, self.alpha, self.v, self.smoothness, self.margin
         )
 
     def slack(self, a: Point, b: Point) -> float:
         vo = self.vo
         return math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) - self.alpha * self.v
+
+    def freeze(self, traj: list[Point]):
+        """The voyage family, its step caps and step energies; a voyage has no link rates."""
+        # slot t's drift reference is the previous online waypoint and the current
+        # measured there; slot T has no executed step and reuses the last weights
+        lams, currents = self.lambdas, self.currents_true
+        lams = lams + [lams[-1] if lams else 1.0]
+        currents = currents + [currents[-1] if currents else (0.0, 0.0)]
+        family = obj.VoyageUtilities(lams, self.goals, currents, [traj[0], *traj[:-1]])
+        tau = self.tau
+        energy_steps = []
+        for t, (a, b) in enumerate(zip(traj, traj[1:])):
+            vo = self.currents_true[t]  # m/slot at the visited waypoint
+            rel_speed = math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) / tau
+            energy_steps.append(self.cfg.drag_coefficient * rel_speed**3 * tau)
+        # one cap per executed step: the true current at the visited waypoint
+        # (the family's currents but the last), the throttled speed
+        radii = np.array(self.alphas, dtype=float) * self.v
+        return family, family.current[:-1], radii, energy_steps, None
 
 
 def _regret_report(report: EpisodeReport, solution: OfflineSolution | None = None) -> RegretReport:
@@ -384,106 +417,39 @@ def _regret_report(report: EpisodeReport, solution: OfflineSolution | None = Non
     )
 
 
-def _finish_episode(report: EpisodeReport, benchmark: bool, t0: float) -> EpisodeReport:
-    if benchmark:
-        report.regret_report = _regret_report(report)
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+_DRIVERS = {"d2d": _D2DDriver, "ocean": _OceanDriver}
 
 
-def run_d2d(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = True) -> EpisodeReport:
-    """Run one commute episode; optionally solve the offline benchmark too."""
-    if config.kind != "d2d":
-        raise SchemaError("kind", f"run_d2d needs kind='d2d', got {config.kind!r}")
+def run_scenario(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = True) -> EpisodeReport:
+    """Run one commute or voyage episode; optionally solve the offline benchmark too."""
+    driver_class = _DRIVERS.get(config.kind)
+    if driver_class is None:
+        raise SchemaError("kind", f"no episode runner for kind {config.kind!r}")
     t0 = time.perf_counter()
-    driver = _D2DDriver(config)
+    driver = driver_class(config)
     traj, records = run_episode(driver, mode)
-    lam = driver.goal_weight(driver.horizon)
-    leads = driver.leads_true + [obj.leading_path(driver.peers[-1], driver.goals[-1], 1.0 - lam)]
-    utilities = obj.CommuteUtilities(leads, config.v_slot, config.mu, config.utility_kind)
-    rate_series = [
-        obj.rate(x, y, config.alpha_p, config.bandwidth_hz, config.noise_power)
-        for x, y in zip(traj, driver.peers)
-    ]
-    energy_steps = [
-        energy_cost([a, b], None, config.drag_coefficient, config.slot_duration_s)
-        for a, b in zip(traj, traj[1:])
-    ]
-    v, mu, kind = config.v_slot, config.mu, config.utility_kind
-    util_series = [obj.d2d_utility(x, e, v, mu, kind) for x, e in zip(traj, leads)]
-    steps = driver.horizon - 1
-    centers, radii = np.zeros((steps, 2)), np.full(steps, config.v_slot)
+    family, centers, radii, energy_steps, rate_series = driver.freeze(traj)
     report = EpisodeReport(
-        kind="d2d",
+        kind=config.kind,
         trajectory=traj,
         records=records,
         goals=driver.goals,
         lambdas=driver.lambdas,
         alphas=driver.alphas,
-        utilities=util_series,
+        utilities=family.evaluate(traj),
         energy_steps=energy_steps,
         rate_series=rate_series,
         regret_report=None,
         wall_time_s=0.0,
         config=config,
         problem=OfflineProblem(
-            driver.start, utilities, centers, radii, driver.region, obj.D2D_SMOOTHNESS
+            driver.start, family, centers, radii, driver.region, driver.smoothness
         ),
     )
-    return _finish_episode(report, benchmark, t0)
-
-
-def run_ocean(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = True) -> EpisodeReport:
-    """Run one voyage episode; optionally solve the offline benchmark too."""
-    if config.kind != "ocean":
-        raise SchemaError("kind", f"run_ocean needs kind='ocean', got {config.kind!r}")
-    t0 = time.perf_counter()
-    driver = _OceanDriver(config)
-    traj, records = run_episode(driver, mode)
-    # slot t's drift reference is the previous online waypoint and the current
-    # measured there; slot T has no executed step and reuses the last weights
-    lams, currents = driver.lambdas, driver.currents_true
-    lams = lams + [lams[-1] if lams else 1.0]
-    currents = currents + [currents[-1] if currents else (0.0, 0.0)]
-    prev = [traj[0], *traj[:-1]]
-    utilities = obj.VoyageUtilities(lams, driver.goals, currents, prev)
-    util_series = list(map(obj.ocean_utility, traj, prev, driver.goals, currents, lams))
-    tau = config.slot_duration_s
-    energy_steps = []
-    for t, (a, b) in enumerate(zip(traj, traj[1:])):
-        vo = driver.currents_true[t]  # m/slot at the visited waypoint
-        rel_speed = math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) / tau
-        energy_steps.append(config.drag_coefficient * rel_speed**3 * tau)
-    # one cap per executed step: the measured current, the throttled speed
-    centers = np.array(driver.currents_true, dtype=float).reshape(-1, 2)
-    radii = np.array(driver.alphas, dtype=float) * config.v_slot
-    report = EpisodeReport(
-        kind="ocean",
-        trajectory=traj,
-        records=records,
-        goals=driver.goals,
-        lambdas=driver.lambdas,
-        alphas=driver.alphas,
-        utilities=util_series,
-        energy_steps=energy_steps,
-        rate_series=None,
-        regret_report=None,
-        wall_time_s=0.0,
-        config=config,
-        problem=OfflineProblem(
-            driver.start, utilities, centers, radii, driver.region, obj.OCEAN_SMOOTHNESS
-        ),
-    )
-    return _finish_episode(report, benchmark, t0)
-
-
-def run_scenario(config: ScenarioConfig, mode: Mode = "standard", benchmark: bool = True) -> EpisodeReport:
-    """Dispatch on the configured scenario kind."""
-    if config.kind == "d2d":
-        return run_d2d(config, mode, benchmark)
-    if config.kind == "ocean":
-        return run_ocean(config, mode, benchmark)
-    raise SchemaError("kind", f"no episode runner for kind {config.kind!r}")
+    if benchmark:
+        report.regret_report = _regret_report(report)
+    report.wall_time_s = time.perf_counter() - t0
+    return report
 
 
 def _sign(x: float) -> float:

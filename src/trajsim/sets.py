@@ -36,7 +36,11 @@ class Box2D:
         )
 
     def project(self, p: Point) -> Point:
-        return project_box(p, self)
+        """Componentwise clamp of ``p`` into the box."""
+        return (
+            min(max(p[0], self.lo[0]), self.hi[0]),
+            min(max(p[1], self.lo[1]), self.hi[1]),
+        )
 
     def vertices(self) -> list[Point]:
         (x0, y0), (x1, y1) = self.lo, self.hi
@@ -46,14 +50,6 @@ class Box2D:
         dx = max(self.lo[0] - p[0], p[0] - self.hi[0], 0.0)
         dy = max(self.lo[1] - p[1], p[1] - self.hi[1], 0.0)
         return math.hypot(dx, dy)
-
-
-def project_box(p: Point, box: Box2D) -> Point:
-    """Componentwise clamp of ``p`` into ``box``."""
-    return (
-        min(max(p[0], box.lo[0]), box.hi[0]),
-        min(max(p[1], box.lo[1]), box.hi[1]),
-    )
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from math import hypot
 from pathlib import Path
 from typing import Sequence
 
+from .geom import left_sum
 from .metrics import RegretReport
 from .scenarios import EpisodeReport, SweepRow
 
@@ -170,8 +171,8 @@ def write_regret_report(rr: RegretReport, path: Path) -> None:
         "energy_straight_j": rr.energy_straight,
         "energy_conserved_j": rr.energy_conserved,
         "final_goal_distance_m": rr.final_goal_distance,
-        "offline_utility_total": sum(rr.offline_utilities),
-        "online_utility_total": sum(rr.online_utilities),
+        "offline_utility_total": left_sum(rr.offline_utilities),
+        "online_utility_total": left_sum(rr.online_utilities),
         "solver_converged": rr.solver_converged,
         "solver_warning": rr.solver_warning,
         "solver_iterations": rr.solver_iterations,

@@ -19,8 +19,7 @@ from trajsim.scenarios import (
     PathSpec,
     ScenarioConfig,
     run_adversary,
-    run_d2d,
-    run_ocean,
+    run_scenario,
     sweep,
 )
 from trajsim.sets import Box2D
@@ -92,7 +91,7 @@ def test_c02_regret_sublinearity():
             seed=7,
         )
         assert cfg.horizon == T
-        rr = run_d2d(cfg).regret_report
+        rr = run_scenario(cfg).regret_report
         assert rr.solver_converged
         assert rr.regret > 0
         regrets.append(rr.regret)
@@ -112,8 +111,8 @@ def test_c03_noise_zero_equivalence(tmp_path):
         4, noise=NoiseModel(kind="gaussian_decaying", eps0=0.0, decay_q=1.0, seed=77)
     )
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_trace(run_d2d(quiet, benchmark=False), a)
-    emit_trace(run_d2d(zeroed, benchmark=False), b)
+    emit_trace(run_scenario(quiet, benchmark=False), a)
+    emit_trace(run_scenario(zeroed, benchmark=False), b)
     assert a.read_bytes() == b.read_bytes()
     report("criterion 3 (noise-zero equivalence)", "traces byte-identical")
 
@@ -145,7 +144,7 @@ def test_c04_strategy_energy_ordering():
                 ocean_field=fld,
                 seed=seed,
             )
-            energies[strategy] = run_ocean(cfg, benchmark=False).energy_total
+            energies[strategy] = run_scenario(cfg, benchmark=False).energy_total
         assert energies["direction_dependent"] <= energies["increasing"], (seed, energies)
         margins.append(1.0 - energies["direction_dependent"] / energies["increasing"])
     elapsed = time.perf_counter() - t0
@@ -181,7 +180,7 @@ def test_c06_goal_distance_shrinks_with_delay():
     finals = []
     for delta in deltas:
         cfg = commute_geometry(delta, peer_noise=0.0, seed=42)
-        finals.append(run_d2d(cfg, benchmark=False).final_goal_distance)
+        finals.append(run_scenario(cfg, benchmark=False).final_goal_distance)
     for prev, curr in zip(finals, finals[1:]):
         assert curr <= prev + 1e-9, finals
     v_slot = 1.0 * COMMUTE_SLOT_S
@@ -364,7 +363,7 @@ def test_c13_episode_throughput():
     )
     assert cfg.horizon == 10_000
     t0 = time.perf_counter()
-    rep = run_ocean(cfg, benchmark=False)
+    rep = run_scenario(cfg, benchmark=False)
     elapsed = time.perf_counter() - t0
     assert rep.horizon == 10_000
     assert elapsed < 1.0

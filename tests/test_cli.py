@@ -148,6 +148,28 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {path}: expected " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("path", "value"),
+        [
+            ("seed", True),
+            ("seed", "7"),
+            ("delta_slots", True),
+            ("delta_slots", False),
+            ("gradient_noise.eps0", True),
+            ("gradient_noise.seed", "11"),
+            ("v_max_mps", "2.5"),
+            pytest.param("v_max_mps", 10**400, id="v_max_mps-10**400"),
+            ("peer.speed_mps", True),
+            ("start_m", [True, 0.0]),
+        ],
+    )
+    def test_bool_string_or_huge_number_is_config_error(self, tmp_path, capsys, path, value):
+        doc = json.loads(json.dumps(D2D_DOC))
+        set_key(doc, path, value)
+        cfg = write(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
     def test_integral_float_integer_key_is_accepted(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", write(tmp_path, D2D_DOC), "--out", str(a)]) == 0
@@ -282,6 +304,16 @@ class TestAdversaryCommand:
         assert doc["regret"] == 50.0
         assert doc["lower_bound"] == 50.0
         assert "regret" in capsys.readouterr().out
+
+    def test_run_writes_the_same_keys(self, tmp_path, capsys):
+        doc = {"kind": "adversary", "seed": 5, "adversary": {"T": 40, "W": 1.5, "policy": "zero"}}
+        run_out, adv_out = tmp_path / "run", tmp_path / "adv"
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(run_out)]) == 0
+        argv = ["--T", "40", "--W", "1.5", "--policy", "zero", "--seed", "5"]
+        assert main(["adversary", *argv, "--out", str(adv_out)]) == 0
+        got = json.loads((run_out / "adversary.json").read_text())
+        assert got["lower_bound"] == 0.5 * 1.5**2 * 40
+        assert got == json.loads((adv_out / "adversary.json").read_text())
 
     @pytest.mark.parametrize(
         ("T", "W"),

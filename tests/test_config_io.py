@@ -18,8 +18,7 @@ from trajsim.scenarios import (
     PathSpec,
     ScenarioConfig,
     SweepRow,
-    run_d2d,
-    run_ocean,
+    run_scenario,
 )
 from trajsim.traces import (
     _CHUNK_ROWS,
@@ -103,7 +102,7 @@ class TestParseConfig:
         assert cfg.kind == "ocean"
         assert cfg.ocean_field.v_o_max == pytest.approx(0.2)
         assert cfg.perturbation == FieldPerturbation(0.05, seed=3)
-        run_ocean(cfg, benchmark=False)
+        run_scenario(cfg, benchmark=False)
 
     def test_ocean_field_file_relative_to_config(self, tmp_path):
         rows = ["t,x,y,u,v"]
@@ -183,7 +182,7 @@ def d2d_report():
         gradient_noise=NoiseModel("gaussian_decaying", 0.1, 1.0, 3),
         seed=5,
     )
-    return run_d2d(cfg)
+    return run_scenario(cfg)
 
 
 class TestTraces:
@@ -204,7 +203,7 @@ class TestTraces:
             delta=0,
             v_max_mps=1.0,
         )
-        rep = run_d2d(cfg, benchmark=False)
+        rep = run_scenario(cfg, benchmark=False)
         assert rep.horizon == 1
         path = tmp_path / "tiny.csv"
         emit_trace(rep, path)

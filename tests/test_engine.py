@@ -8,12 +8,11 @@ from trajsim.engine import (
     EngineState,
     NoiseModel,
     ioga_step,
-    noisy_gradient,
     normal_pair,
     run_episode,
 )
 from trajsim.errors import EmptyStepInterval, InfeasibleStepSize
-from trajsim.geom import dist, norm, sub
+from trajsim.geom import add, dist, norm, norm_sq, sub
 from trajsim.sets import Box2D
 
 FREE = Box2D((-1e9, -1e9), (1e9, 1e9))
@@ -21,15 +20,15 @@ FREE = Box2D((-1e9, -1e9), (1e9, 1e9))
 
 class TestNoiseModel:
     def test_none_is_exactly_zero(self):
-        g, eps_sq = noisy_gradient((1.0, 2.0), NoiseModel(kind="none"), t=3)
-        assert g == (1.0, 2.0)
-        assert eps_sq == 0.0
+        n = NoiseModel(kind="none").draw(3)
+        assert add((1.0, 2.0), n) == (1.0, 2.0)
+        assert norm_sq(n) == 0.0
 
     def test_eps0_zero_is_exactly_zero(self):
         model = NoiseModel(kind="gaussian_decaying", eps0=0.0, decay_q=1.0, seed=9)
-        g, eps_sq = noisy_gradient((1.0, 2.0), model, t=3)
-        assert g == (1.0, 2.0)
-        assert eps_sq == 0.0
+        n = model.draw(3)
+        assert add((1.0, 2.0), n) == (1.0, 2.0)
+        assert norm_sq(n) == 0.0
 
     def test_monte_carlo_second_moment(self):
         # eps_t = 1 * 4^-0.5 = 0.5, so E[|n|^2] = 0.25
@@ -37,8 +36,7 @@ class TestNoiseModel:
         n = 100_000
         for seed in range(n):
             model = NoiseModel(kind="gaussian_decaying", eps0=1.0, decay_q=0.5, seed=seed)
-            _, eps_sq = noisy_gradient((0.0, 0.0), model, t=4)
-            total += eps_sq
+            total += norm_sq(model.draw(4))
         assert total / n == pytest.approx(0.25, rel=0.05)
 
     def test_bound_matches_schedule(self):
@@ -73,13 +71,29 @@ class TestNoiseStream:
         assert short == long[: len(short)]
 
     def test_peer_observation_shares_the_draw(self):
-        from trajsim.scenarios import _PeerNoise
+        from trajsim.objectives import d2d_gradient, leading_path
+        from trajsim.scenarios import _PEER_SEED_OFFSET, PathSpec, ScenarioConfig, _D2DDriver
 
+        cfg = ScenarioConfig(
+            kind="d2d",
+            goal=PathSpec((50.0, 0.0), (50.0, 0.0)),
+            peer=PathSpec((0.0, 3.0), (0.0, 3.0)),
+            peer_noise_std_m=1.0,
+        )
+        seed = cfg.derived_seed(_PEER_SEED_OFFSET)
         # eps0 = sqrt(2) with no decay gives sigma = 1 exactly
-        model = NoiseModel(kind="gaussian_decaying", eps0=2.0**0.5, decay_q=0.0, seed=99)
-        peer = _PeerNoise(1.0, 99)
+        model = NoiseModel(kind="gaussian_decaying", eps0=2.0**0.5, decay_q=0.0, seed=seed)
         for t in (1, 2, 3, 1000, 10**9):
-            assert peer.observe((0.0, 0.0), t) == model.draw(t) == normal_pair(99, t)
+            assert model.draw(t) == normal_pair(seed, t)
+        # the commute driver sees the peer displaced by the same unit-sigma pair
+        driver = _D2DDriver(cfg)
+        x = (0.0, 0.0)
+        for t in (1, 2, 3):
+            _, grad_obs = driver.plan(t, x, "standard")
+            z0, z1 = model.draw(t)
+            lam = driver.goal_weight(t)
+            ell = leading_path((0.0 + z0, 3.0 + z1), driver.goals[t - 1], 1.0 - lam)
+            assert grad_obs == d2d_gradient(x, ell, driver.v, cfg.mu)
 
     def test_second_moment_and_mean_over_slots(self):
         model = NoiseModel(kind="gaussian_decaying", eps0=1.0, decay_q=0.0, seed=2024)

@@ -175,17 +175,21 @@ class TestLambdaSchedules:
         assert obj.directional_weight(0.0, 1.2) == pytest.approx(1.0, abs=1e-12)
         assert obj.directional_weight(0.5, math.pi / 2) == pytest.approx(0.75, abs=1e-12)
 
+    @staticmethod
+    def geometric_weight(d, x_hat, v_o, v_o_max):
+        return obj.directional_weight(*obj.current_strength_angle(d, x_hat, v_o, v_o_max))
+
     def test_geometric_form(self):
         # favorable strong current straight toward the goal
-        lam = obj.lambda_direction((10.0, 0.0), (0.0, 0.0), (1.0, 0.0), 1.0)
+        lam = self.geometric_weight((10.0, 0.0), (0.0, 0.0), (1.0, 0.0), 1.0)
         assert lam == pytest.approx(0.0, abs=1e-15)
         # still water
-        assert obj.lambda_direction((10.0, 0.0), (0.0, 0.0), (0.0, 0.0), 1.0) == 1.0
+        assert self.geometric_weight((10.0, 0.0), (0.0, 0.0), (0.0, 0.0), 1.0) == 1.0
         # goal reached: conservative weight
-        assert obj.lambda_direction((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), 2.0) == 1.0
+        assert self.geometric_weight((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), 2.0) == 1.0
 
     def test_strength_clamped(self):
-        lam = obj.lambda_direction((10.0, 0.0), (0.0, 0.0), (5.0, 0.0), 1.0)
+        lam = self.geometric_weight((10.0, 0.0), (0.0, 0.0), (5.0, 0.0), 1.0)
         assert lam == pytest.approx(0.0, abs=1e-15)
 
     @given(eta=unit, theta=st.floats(0.0, math.pi))

@@ -8,8 +8,11 @@ the lookahead path are pinned too.  The digests were taken with numpy 2.4
 on x86-64.
 """
 
+import builtins
 import hashlib
 import json
+import math
+import sys
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -227,6 +230,32 @@ def test_noise_free_sweeps_match_golden_digests(tmp_path, capsys):
             if path.name != "manifest.json":
                 got[(name, path.name)] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == SWEEP_GOLDEN
+
+
+def _compensated_sum(values, start=0):
+    """The builtin ``sum`` as Python 3.12 computes it: Neumaier-compensated over floats."""
+    items = list(values)
+    if not items or not all(type(v) is float for v in items):
+        return builtins.sum(items, start)
+    total, c = start + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_noise_free_digests_hold_under_a_compensated_sum(tmp_path, capsys, monkeypatch):
+    # Python 3.12 made the builtin sum of floats compensated; the outputs must
+    # not depend on which sum the interpreter has
+    assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0 != sum([1e16, 1.0, -1e16])
+    for name, module in list(sys.modules.items()):
+        if name == "trajsim" or name.startswith("trajsim."):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    for sub in ("runs", "sweeps"):
+        (tmp_path / sub).mkdir()
+    test_noise_free_outputs_match_golden_digests(tmp_path / "runs", capsys)
+    test_noise_free_sweeps_match_golden_digests(tmp_path / "sweeps", capsys)
 
 
 def _small_config(kind, distance, delta, seed, eps0, decay_q) -> ScenarioConfig:

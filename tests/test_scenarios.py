@@ -17,8 +17,6 @@ from trajsim.scenarios import (
     apply_sweep_value,
     make_adversary_policy,
     run_adversary,
-    run_d2d,
-    run_ocean,
     run_scenario,
     sweep,
 )
@@ -93,7 +91,7 @@ class TestPathSpec:
 
 class TestRunD2D:
     def test_starts_exactly_at_s(self):
-        rep = run_d2d(d2d_config(), benchmark=False)
+        rep = run_scenario(d2d_config(), benchmark=False)
         assert rep.trajectory[0] == (0.0, 0.0)
 
     def test_every_step_within_cap(self):
@@ -101,14 +99,14 @@ class TestRunD2D:
             peer_noise_std_m=1.0,
             gradient_noise=NoiseModel(kind="gaussian_decaying", eps0=0.3, decay_q=0.5, seed=2),
         )
-        rep = run_d2d(cfg, benchmark=False)
+        rep = run_scenario(cfg, benchmark=False)
         v = cfg.v_slot
         for a, b in zip(rep.trajectory, rep.trajectory[1:]):
             assert dist(a, b) <= v + 1e-9
         assert all(r.constraint_slack <= 1e-9 for r in rep.records)
 
     def test_series_lengths_consistent(self):
-        rep = run_d2d(d2d_config(), benchmark=False)
+        rep = run_scenario(d2d_config(), benchmark=False)
         T = rep.horizon
         assert len(rep.goals) == T
         assert len(rep.utilities) == T
@@ -122,18 +120,18 @@ class TestRunD2D:
             peer_noise_std_m=0.7,
             gradient_noise=NoiseModel(kind="gaussian_decaying", eps0=0.2, decay_q=1.0, seed=8),
         )
-        a = run_d2d(cfg, benchmark=False)
-        b = run_d2d(cfg, benchmark=False)
+        a = run_scenario(cfg, benchmark=False)
+        b = run_scenario(cfg, benchmark=False)
         assert a.trajectory == b.trajectory
 
     def test_peer_noise_shows_up_in_realized_error(self):
-        noisy = run_d2d(d2d_config(peer_noise_std_m=2.0), benchmark=False)
-        clean = run_d2d(d2d_config(), benchmark=False)
+        noisy = run_scenario(d2d_config(peer_noise_std_m=2.0), benchmark=False)
+        clean = run_scenario(d2d_config(), benchmark=False)
         assert sum(r.eps_sq_realized for r in noisy.records) > 0.0
         assert sum(r.eps_sq_realized for r in clean.records) == 0.0
 
     def test_regret_report_is_sane(self):
-        rep = run_d2d(d2d_config())
+        rep = run_scenario(d2d_config())
         rr = rep.regret_report
         assert rr is not None
         assert rr.regret >= -1e-6
@@ -154,7 +152,7 @@ class TestRunD2D:
             mu=1e-3,
             seed=0,
         )
-        rep = run_d2d(cfg, benchmark=False)
+        rep = run_scenario(cfg, benchmark=False)
         v = cfg.v_slot
         peers = rep.goals  # placeholder to keep names local
         peers = [cfg.peer.at(t, cfg.slot_duration_s) for t in range(1, rep.horizon + 1)]
@@ -169,7 +167,7 @@ class TestRunD2D:
         assert all(b <= a + 1e-9 for a, b in zip(tail, tail[1:]))  # monotone approach
 
     def test_huber_utility_kind_runs(self):
-        rep = run_d2d(d2d_config(utility_kind="huber", mu=0.3))
+        rep = run_scenario(d2d_config(utility_kind="huber", mu=0.3))
         assert rep.regret_report.regret >= -1e-6
 
 
@@ -250,7 +248,7 @@ class TestCommuteBatchForms:
 
     @pytest.mark.parametrize("kind", ["squared", "huber"])
     def test_library_sequences_carry_batch_forms(self, kind):
-        rep = run_d2d(d2d_config(utility_kind=kind, mu=0.3), benchmark=False)
+        rep = run_scenario(d2d_config(utility_kind=kind, mu=0.3), benchmark=False)
         us = rep.problem.utilities
         assert isinstance(us, CommuteUtilities) and us.kind == kind
         assert us.leads.shape == (rep.horizon, 2)
@@ -263,7 +261,7 @@ class TestCommuteBatchForms:
             peer_noise_std_m=0.5,
             delta=10,
         )
-        rep = run_d2d(cfg, benchmark=False)
+        rep = run_scenario(cfg, benchmark=False)
         problem = rep.problem
         per_slot = replace(problem, utilities=_PerSlotHuber(problem.utilities))
         fast = solve_offline(problem, x0=rep.trajectory)
@@ -276,7 +274,7 @@ class TestCommuteBatchForms:
 class TestRunOcean:
     def test_still_water_goes_straight(self):
         cfg = ocean_config()
-        rep = run_ocean(cfg, benchmark=False)
+        rep = run_scenario(cfg, benchmark=False)
         # no currents: goal weight stays 1 and the march is the capped line
         assert all(l == 1.0 for l in rep.lambdas)
         heading = sub((40.0, 40.0), (10.0, 10.0))
@@ -292,7 +290,7 @@ class TestRunOcean:
     def test_alpha_throttle_caps_steps(self):
         fld = synth_field(UniformSpec(0.25, -0.1), (-100.0, 300.0), (-100.0, 300.0))
         cfg = ocean_config(ocean_field=fld, lambda_strategy="increasing")
-        rep = run_ocean(cfg, benchmark=False)
+        rep = run_scenario(cfg, benchmark=False)
         for rec, alpha, vo in zip(rep.records, rep.alphas, (r for r in rep.records)):
             assert rec.constraint_slack <= 1e-9
 
@@ -300,7 +298,7 @@ class TestRunOcean:
         fld = synth_field(UniformSpec(0.9, 0.0), (-100.0, 300.0), (-100.0, 300.0))
         cfg = ocean_config(ocean_field=fld, beta=2.0, delta=30)
         with pytest.raises(InfeasibleStepSize) as err:
-            run_ocean(cfg, benchmark=False)
+            run_scenario(cfg, benchmark=False)
         assert err.value.slot >= 1
 
     def test_moving_goal_tracked(self):
@@ -308,21 +306,21 @@ class TestRunOcean:
             goal=PathSpec((30.0, 30.0), (30.0, 45.0), speed_mps=0.2),
             delta=20,
         )
-        rep = run_ocean(cfg, benchmark=False)
+        rep = run_scenario(cfg, benchmark=False)
         assert rep.goals[0] != rep.goals[-1]
         assert rep.final_goal_distance <= 2.0 * cfg.v_slot
 
     def test_perturbation_feeds_realized_error(self):
         fld = synth_field(UniformSpec(0.2, 0.2), (-100.0, 300.0), (-100.0, 300.0))
         cfg = ocean_config(ocean_field=fld, perturbation=FieldPerturbation(0.1, seed=4))
-        rep = run_ocean(cfg, benchmark=False)
+        rep = run_scenario(cfg, benchmark=False)
         assert sum(r.eps_sq_realized for r in rep.records) > 0.0
         # physical slack still measured against the true field
         assert all(r.constraint_slack <= 1e-9 for r in rep.records)
 
     def test_energy_and_report(self):
         fld = synth_field(UniformSpec(0.15, 0.0), (-100.0, 300.0), (-100.0, 300.0))
-        rep = run_ocean(ocean_config(ocean_field=fld))
+        rep = run_scenario(ocean_config(ocean_field=fld))
         assert rep.energy_total >= 0.0
         rr = rep.regret_report
         assert rr.regret >= -1e-6
@@ -490,8 +488,8 @@ class TestLookahead:
                 seed=seed,
             )
             for mode in ("standard", "lookahead"):
-                regs[mode].append(run_d2d(cfg, mode=mode).regret_report.regret)
+                regs[mode].append(run_scenario(cfg, mode=mode).regret_report.regret)
             sample = cfg
-        rr = run_d2d(sample).regret_report
+        rr = run_scenario(sample).regret_report
         assert rr.g_t > max(rr.s_t, rr.e_t_realized)
         assert np.mean(regs["lookahead"]) <= np.mean(regs["standard"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trajsim.geom import dist, sub
 from trajsim.metrics import _clamp_balls, _dykstra, _project_caps, _violation
-from trajsim.sets import Box2D, StepCap, project_box
+from trajsim.sets import Box2D, StepCap
 
 UNIT_BOX = Box2D((0.0, 0.0), (1.0, 1.0))
 BIG_BOX = Box2D((-1e6, -1e6), (1e6, 1e6))
@@ -18,13 +18,13 @@ points = st.tuples(coords, coords)
 
 class TestBoxProjection:
     def test_interior_point_fixed(self):
-        assert project_box((0.5, 0.5), UNIT_BOX) == (0.5, 0.5)
+        assert UNIT_BOX.project((0.5, 0.5)) == (0.5, 0.5)
 
     def test_componentwise_clamp(self):
-        assert project_box((2.0, -1.0), UNIT_BOX) == (1.0, 0.0)
+        assert UNIT_BOX.project((2.0, -1.0)) == (1.0, 0.0)
 
     def test_boundary_point_fixed(self):
-        assert project_box((1.0, 1.0), UNIT_BOX) == (1.0, 1.0)
+        assert UNIT_BOX.project((1.0, 1.0)) == (1.0, 1.0)
 
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError):
@@ -32,7 +32,7 @@ class TestBoxProjection:
 
     def test_single_point_box_is_legal(self):
         pin = Box2D((3.0, 4.0), (3.0, 4.0))
-        assert project_box((10.0, -10.0), pin) == (3.0, 4.0)
+        assert pin.project((10.0, -10.0)) == (3.0, 4.0)
 
 
 def project_cap(p, cap):
