@@ -31,10 +31,8 @@ from .metrics import (
     build_regret_report,
     cumulative_error,
     dp_oracle,
-    energy_conserved,
     energy_cost,
     gradient_variation,
-    regret,
     solve_offline,
     solve_offline_batch,
     squared_path_length,

@@ -53,20 +53,20 @@ _ADV_KEYS = {"T", "W", "policy"}
 _GRID_KEYS = {"min", "max", "n"}
 
 
-def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
-    for key in doc:
+def _object(value, allowed: set[str], path: str) -> dict:
+    """``value`` as a JSON object whose keys all lie in ``allowed``; ``path`` names it."""
+    if not isinstance(value, dict):
+        raise SchemaError(path, f"expected a JSON object, got {value!r}")
+    for key in value:
         if key not in allowed:
-            raise SchemaError(f"{path}{key}", "unknown key")
+            raise SchemaError(f"{path}.{key}" if path else key, "unknown key")
+    return value
 
 
 def _point(doc, path: str):
-    if (
-        not isinstance(doc, (list, tuple))
-        or len(doc) != 2
-        or not all(type(c) in (int, float) and math.isfinite(c) for c in doc)
-    ):
+    if not isinstance(doc, (list, tuple)) or len(doc) != 2:
         raise SchemaError(path, f"expected [x, y] finite numbers, got {doc!r}")
-    return (float(doc[0]), float(doc[1]))
+    return (_number(doc[0], path), _number(doc[1], path))
 
 
 def _number(value, path: str) -> float:
@@ -90,6 +90,14 @@ def _integer(value, path: str) -> int:
     return int(x)
 
 
+def _positive(value, path: str) -> float:
+    """``value`` as a float, which must be positive; see :func:`_number`."""
+    x = _number(value, path)
+    if x <= 0.0:
+        raise SchemaError(path, "must be positive")
+    return x
+
+
 def _unit_number(doc: dict, key: str, path: str) -> float:
     """The required unit-bearing number ``doc[key]``."""
     return _number(_require(doc, key, path, units=True), path + key)
@@ -110,7 +118,7 @@ def _path_spec(doc, path: str, default_speed: float = 0.0) -> tuple[PathSpec, fl
         return PathSpec(p, p, 0.0), 0.0
     if not isinstance(doc, dict):
         raise SchemaError(path, f"expected [x, y] or walk object, got {doc!r}")
-    _reject_unknown(doc, _PATH_KEYS, path + ".")
+    _object(doc, _PATH_KEYS, path)
     start = _point(_require(doc, "from_m", path + ".", units=True), path + ".from_m")
     end = _point(_require(doc, "to_m", path + ".", units=True), path + ".to_m")
     speed = _number(doc.get("speed_mps", default_speed), path + ".speed_mps")
@@ -124,45 +132,52 @@ def _path_spec(doc, path: str, default_speed: float = 0.0) -> tuple[PathSpec, fl
 
 def _grid(doc, path: str) -> tuple[float, ...]:
     if isinstance(doc, (list, tuple)):
-        return tuple(_number(c, path) for c in doc)
-    if isinstance(doc, dict):
-        _reject_unknown(doc, _GRID_KEYS, path + ".")
+        grid = tuple(_number(c, path) for c in doc)
+    elif isinstance(doc, dict):
+        _object(doc, _GRID_KEYS, path)
         lo = _number(_require(doc, "min", path + "."), path + ".min")
         hi = _number(_require(doc, "max", path + "."), path + ".max")
         n = _integer(_require(doc, "n", path + "."), path + ".n")
         if n < 2 or hi <= lo:
             raise SchemaError(path, "need n >= 2 and max > min")
-        return tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
-    raise SchemaError(path, f"expected list or {{min,max,n}}, got {doc!r}")
+        grid = tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
+    else:
+        raise SchemaError(path, f"expected list or {{min,max,n}}, got {doc!r}")
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise SchemaError(path, "grid must be nonempty and strictly ascending")
+    return grid
 
 
-def _field_from_doc(doc: dict, path: str, base_dir: Path) -> VelocityField:
-    _reject_unknown(doc, _FIELD_KEYS, path + ".")
+def _field_from_doc(doc, path: str, base_dir: Path) -> VelocityField:
+    _object(doc, _FIELD_KEYS, path)
     if "path" in doc and "synthetic" in doc:
         raise SchemaError(path, "give either a file path or a synthetic spec, not both")
     if "path" in doc:
-        return load_field(base_dir / str(doc["path"]))
+        try:
+            return load_field(base_dir / str(doc["path"]))
+        except OSError as exc:
+            raise SchemaError(path + ".path", f"cannot read field file: {exc}") from exc
     if "synthetic" not in doc:
         raise SchemaError(path, "field needs 'path' or 'synthetic'")
     spec_doc = doc["synthetic"]
     kind = spec_doc.get("kind") if isinstance(spec_doc, dict) else None
     sp = path + ".synthetic."
     if kind == "uniform":
-        _reject_unknown(spec_doc, {"kind", "u_mps", "v_mps"}, sp)
+        _object(spec_doc, {"kind", "u_mps", "v_mps"}, path + ".synthetic")
         spec = UniformSpec(
             _unit_number(spec_doc, "u_mps", sp), _unit_number(spec_doc, "v_mps", sp)
         )
     elif kind == "single_gyre":
-        _reject_unknown(spec_doc, {"kind", "center_m", "strength_mps", "radius_m"}, sp)
+        _object(spec_doc, {"kind", "center_m", "strength_mps", "radius_m"}, path + ".synthetic")
         spec = GyreSpec(
-            _point(_require(spec_doc, "center_m", sp, units=True), path),
+            _point(_require(spec_doc, "center_m", sp, units=True), sp + "center_m"),
             _unit_number(spec_doc, "strength_mps", sp),
-            _unit_number(spec_doc, "radius_m", sp),
+            _positive(_require(spec_doc, "radius_m", sp, units=True), sp + "radius_m"),
         )
     elif kind == "away_from_goal":
-        _reject_unknown(spec_doc, {"kind", "goal_m", "speed_mps"}, sp)
+        _object(spec_doc, {"kind", "goal_m", "speed_mps"}, path + ".synthetic")
         spec = AwayFromGoalSpec(
-            _point(_require(spec_doc, "goal_m", sp, units=True), path),
+            _point(_require(spec_doc, "goal_m", sp, units=True), sp + "goal_m"),
             _unit_number(spec_doc, "speed_mps", sp),
         )
     else:
@@ -175,56 +190,48 @@ def _field_from_doc(doc: dict, path: str, base_dir: Path) -> VelocityField:
 
 def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     """Validate a parsed JSON document and build the scenario config."""
-    if not isinstance(doc, dict):
-        raise SchemaError("", "top level must be an object")
-    _reject_unknown(doc, _TOP_KEYS, "")
+    _object(doc, _TOP_KEYS, "")
     kind = _require(doc, "kind", "")
     if kind not in ("d2d", "ocean", "adversary"):
         raise SchemaError("kind", f"must be d2d, ocean, or adversary, got {kind!r}")
     seed = _integer(doc.get("seed", 0), "seed")
 
     if kind == "adversary":
-        adv_doc = doc.get("adversary", {})
-        _reject_unknown(adv_doc, _ADV_KEYS, "adversary.")
+        adv_doc = _object(doc.get("adversary", {}), _ADV_KEYS, "adversary")
         adv = AdversaryParams(
             horizon=_integer(adv_doc.get("T", 100), "adversary.T"),
-            width=_number(adv_doc.get("W", 1.0), "adversary.W"),
+            width=_positive(adv_doc.get("W", 1.0), "adversary.W"),
             policy=str(adv_doc.get("policy", "zero")),
         )
         if adv.horizon < 1:
             raise SchemaError("adversary.T", "must be >= 1")
-        if adv.width <= 0:
-            raise SchemaError("adversary.W", "must be positive")
         return ScenarioConfig(kind="adversary", seed=seed, adversary=adv)
 
     start = _point(_require(doc, "start_m", "", units=True), "start_m")
     goal, _ = _path_spec(_require(doc, "goal_m", "", units=True), "goal_m")
-    v_max = _unit_number(doc, "v_max_mps", "")
-    if v_max <= 0:
-        raise SchemaError("v_max_mps", "must be positive")
+    v_max = _positive(_require(doc, "v_max_mps", "", units=True), "v_max_mps")
     delta = doc.get("delta_slots", 0)
     if type(delta) is not int or delta < 0:
         raise SchemaError("delta_slots", f"must be a nonnegative integer, got {delta!r}")
-    slot_s = _number(doc.get("slot_duration_s", 1.0), "slot_duration_s")
-    if slot_s <= 0:
-        raise SchemaError("slot_duration_s", "must be positive")
+    slot_s = _positive(doc.get("slot_duration_s", 1.0), "slot_duration_s")
 
-    noise_doc = doc.get("gradient_noise", {})
-    _reject_unknown(noise_doc, _NOISE_KEYS, "gradient_noise.")
+    noise_doc = _object(doc.get("gradient_noise", {}), _NOISE_KEYS, "gradient_noise")
     noise_kind = noise_doc.get("kind", "none")
     if noise_kind not in ("none", "gaussian_decaying"):
         raise SchemaError("gradient_noise.kind", f"unknown kind {noise_kind!r}")
+    decay_q = _number(noise_doc.get("decay_q", 0.0), "gradient_noise.decay_q")
+    if decay_q < 0.0:
+        raise SchemaError("gradient_noise.decay_q", "must be >= 0")
     noise = NoiseModel(
         kind=noise_kind,
         eps0=_number(noise_doc.get("eps0", 0.0), "gradient_noise.eps0"),
-        decay_q=_number(noise_doc.get("decay_q", 0.0), "gradient_noise.decay_q"),
+        decay_q=decay_q,
         seed=_integer(noise_doc.get("seed", 0), "gradient_noise.seed"),
     )
 
     box = None
     if "feasible_box_m" in doc:
-        box_doc = doc["feasible_box_m"]
-        _reject_unknown(box_doc, {"lo", "hi"}, "feasible_box_m.")
+        box_doc = _object(doc["feasible_box_m"], {"lo", "hi"}, "feasible_box_m")
         lo = _point(_require(box_doc, "lo", "feasible_box_m."), "feasible_box_m.lo")
         hi = _point(_require(box_doc, "hi", "feasible_box_m."), "feasible_box_m.hi")
         try:
@@ -247,8 +254,7 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
 
     if kind == "d2d":
         peer, peer_std = _path_spec(_require(doc, "peer", "", units=True), "peer")
-        d2d_doc = doc.get("d2d", {})
-        _reject_unknown(d2d_doc, _D2D_KEYS, "d2d.")
+        d2d_doc = _object(doc.get("d2d", {}), _D2D_KEYS, "d2d")
         mu = _number(d2d_doc.get("mu", 1e-3), "d2d.mu")
         if not 0.0 < mu <= 1.0:
             raise SchemaError("d2d.mu", f"must be in (0, 1], got {mu}")
@@ -267,13 +273,12 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
             alpha_min=alpha_min,
             margin=_number(d2d_doc.get("margin", 1.01), "d2d.margin"),
             alpha_p=_number(d2d_doc.get("alpha_p", 2.5), "d2d.alpha_p"),
-            bandwidth_hz=_number(d2d_doc.get("bandwidth_hz", 1e7), "d2d.bandwidth_hz"),
-            noise_power=_number(d2d_doc.get("noise_power", 0.2), "d2d.noise_power"),
+            bandwidth_hz=_positive(d2d_doc.get("bandwidth_hz", 1e7), "d2d.bandwidth_hz"),
+            noise_power=_positive(d2d_doc.get("noise_power", 0.2), "d2d.noise_power"),
             **common,
         )
 
-    ocean_doc = doc.get("ocean", {})
-    _reject_unknown(ocean_doc, _OCEAN_KEYS, "ocean.")
+    ocean_doc = _object(doc.get("ocean", {}), _OCEAN_KEYS, "ocean")
     strategy = ocean_doc.get("lambda_strategy", "direction_dependent")
     if strategy not in ("increasing", "direction_dependent"):
         raise SchemaError("ocean.lambda_strategy", f"unknown strategy {strategy!r}")
@@ -282,8 +287,7 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     )
     pert = None
     if "perturbation" in ocean_doc:
-        pert_doc = ocean_doc["perturbation"]
-        _reject_unknown(pert_doc, _PERT_KEYS, "ocean.perturbation.")
+        pert_doc = _object(ocean_doc["perturbation"], _PERT_KEYS, "ocean.perturbation")
         pp = "ocean.perturbation."
         frac = _number(_require(pert_doc, "sigma_fraction", pp), pp + "sigma_fraction")
         if not 0.0 <= frac <= 1.0:

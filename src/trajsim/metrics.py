@@ -19,10 +19,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, HorizonMismatch
+from .errors import GridTooCoarse
 from .field import VelocityField, sample_velocity
 from .geom import Point, as_point, dist, left_sum, lerp, norm_sq, sub
-from .objectives import Utilities, row_scalars
+from .objectives import Utilities, _pad, row_scalars
 from .sets import Box2D, StepCap
 
 # largest oracle lattice per axis: the DP holds (nodes x nodes) per slot
@@ -113,53 +113,82 @@ def _step_size(problem: OfflineProblem) -> float:
 
 
 class _Lockstep:
-    """The padded ``(R, tmax, ...)`` arrays of the rows still ascending.
+    """The rows still ascending: their padded ``(R, tmax, ...)`` arrays and their state.
+
+    It keeps the problems it was given.  Per row it tracks the problem index
+    (``ids``), the momentum ``t_k``, the run of flat iterations (``streak``)
+    and the momentum restarts; :meth:`_load` builds every array for those
+    rows, and :meth:`take` is the one place a row leaves, from the lists and
+    the arrays alike.  ``results`` holds each stopped row's waypoints,
+    iteration count and restart count, by problem index.
 
     Displacements, cap centers and radii are zero-padded past each row's
     ``T - 1`` caps; a padded cap has radius zero, so its displacement stays
-    zero.  ``z0`` holds the warm starts.  The waypoint and displacement
-    buffers are reused by every rebuild.
+    zero.  A padded slot has exactly zero gradient (``-0.0``, the additive
+    identity, so suffix sums that run through the padding stay bit for bit
+    those of the unpadded row).  Each row's total reduces that row's own
+    slots only, so it equals the solo family's ``total`` bit for bit; a
+    reduce over the padded row would pair its terms differently.
     """
 
     def __init__(self, problems: Sequence[OfflineProblem], x0s: Sequence):
-        tmax = max(p.horizon for p in problems)
         n = len(problems)
-        self.family = problems[0].utilities.stack([p.utilities for p in problems])
-        self.starts = np.array([p.start for p in problems])
-        self.centers = np.zeros((n, tmax - 1, 2))
-        self.radii = np.zeros((n, tmax - 1))
-        self.z0 = np.zeros((n, tmax - 1, 2))
+        self.problems = problems
+        self.ids = list(range(n))
+        self.t_k = [1.0] * n
+        self.streak = [0] * n
+        self.restarts = [0] * n
+        self.results: list = [None] * n
+        self._load()
+        # the warm starts, as clamped displacements
+        self.z0 = np.zeros_like(self.centers)
         for r, (p, x0) in enumerate(zip(problems, x0s)):
-            caps = slice(0, p.horizon - 1)
-            self.centers[r, caps] = p.centers
-            self.radii[r, caps] = p.radii
             if x0 is not None and len(x0) == p.horizon:
                 xa = np.asarray(x0, dtype=float)
-                floors = np.maximum(p.radii, np.finfo(float).tiny)
-                self.z0[r, caps] = _clamp_balls(xa[1:] - xa[:-1] - p.centers, p.radii, floors)
-        self.steps = [_step_size(p) for p in problems]
-        self._buffers()
+                caps = slice(0, p.horizon - 1)
+                w = xa[1:] - xa[:-1] - p.centers
+                self.z0[r, caps] = _clamp_balls(w, p.radii, self.floors[r, caps])
 
-    def _buffers(self) -> None:
+    def _load(self) -> None:
+        """Stack, pad and size every array for the rows in ``ids``."""
+        problems = [self.problems[i] for i in self.ids]
+        self.horizons = [p.horizon for p in problems]
+        tmax = max(self.horizons)
+        self.family = problems[0].utilities.stack([p.utilities for p in problems], tmax)
+        self.starts = np.array([p.start for p in problems])
+        self.centers = _pad([p.centers for p in problems], tmax - 1)
+        self.radii = _pad([p.radii for p in problems], tmax - 1)
         self.floors = np.maximum(self.radii, np.finfo(float).tiny)
-        self.step = row_scalars(self.steps)
-        self.x = np.empty((len(self.starts), self.centers.shape[1] + 1, 2))
+        self.step = row_scalars([_step_size(p) for p in problems])
+        self.x = np.empty((len(problems), tmax, 2))
         self.x[:, 0] = self.starts
         self.disp = np.empty_like(self.centers)
         # the start of each row at each later slot: a broadcast along the
         # short last axis costs more than the addition itself
-        self.start_rest = np.repeat(self.starts[:, None], self.centers.shape[1], axis=1)
+        self.start_rest = np.repeat(self.starts[:, None], tmax - 1, axis=1)
+        pad = np.arange(tmax) >= np.array(self.horizons)[:, None]
+        # flat indices of the padded slots' gradient entries, both axes
+        self.pad = np.flatnonzero(np.repeat(pad, 2)) if pad.any() else None
+        self.terms = None
 
-    def take(self, rows: list[int]) -> None:
-        """Keep only the given rows, trimmed to their longest horizon."""
-        self.family = self.family.take(rows)
-        keep = max(self.family.horizons) - 1
-        idx = np.asarray(rows)
-        self.starts = self.starts[idx]
-        self.centers = self.centers[idx, :keep]
-        self.radii = self.radii[idx, :keep]
-        self.steps = [self.steps[r] for r in rows]
-        self._buffers()
+    def take(self, rows: list[int], z: np.ndarray, z_prev: np.ndarray, totals: list[float]):
+        """Keep only the given rows, trimmed to their longest horizon.
+
+        Returns the ascent's ``z``, ``z_prev`` and ``totals`` cut to those rows.
+        """
+        self.ids, self.t_k, self.streak, self.restarts = (
+            [seq[j] for j in rows] for seq in (self.ids, self.t_k, self.streak, self.restarts)
+        )
+        self._load()
+        width = self.centers.shape[1]
+        return z[rows, :width], z_prev[rows, :width], [totals[j] for j in rows]
+
+    def record(self, rows: list[int], z: np.ndarray, iterations: int) -> None:
+        """Store the given rows' waypoints at ``z`` as their results."""
+        x = self.rebuild(z)
+        for j in rows:
+            waypoints = x[j, : self.horizons[j]].copy()
+            self.results[self.ids[j]] = (waypoints, iterations, self.restarts[j])
 
     def rebuild(self, z: np.ndarray) -> np.ndarray:
         """Waypoints from start + per-slot displacements ``center + z``."""
@@ -170,11 +199,32 @@ class _Lockstep:
         return self.x
 
     def values(self, z: np.ndarray, rows: Iterable[int]) -> list[float]:
-        return self.family.totals(self.rebuild(z), rows)
+        """Totals of the given rows at displacements ``z``."""
+        terms = self.family.slot_terms(self.rebuild(z))
+        scale = self.family.total_scale
+        n = len(self.ids)
+        if n == 1:  # a lone row has no padding
+            return [scale * float(np.add.reduce(terms, axis=None)) for _ in rows]
+        if self.terms is None:
+            # each row's terms sit between a leading zero and at least one
+            # trailing zero; np.add.reduce starts a sum at zero and reduceat
+            # at its segment's first element, so the segment [zero, terms of
+            # the row's own slots] sums exactly as np.add.reduce over them
+            per_slot = terms[0, 0].size
+            width = terms[0].size + 2
+            self.terms = np.zeros((n, width))
+            starts = np.arange(n) * width
+            ends = starts + 1 + per_slot * np.array(self.horizons)
+            self.segments = np.column_stack((starts, ends)).ravel()
+        self.terms[:, 1:-1] = terms.reshape(n, -1)
+        sums = np.add.reduceat(self.terms.ravel(), self.segments)[::2].tolist()
+        return [scale * sums[r] for r in rows]
 
     def ascent_step(self, z: np.ndarray) -> np.ndarray:
         """Projected gradient step from ``z``; the gradient in z is a suffix sum."""
         gx = self.family.gradient_array(self.rebuild(z))
+        if self.pad is not None:
+            np.put(gx, self.pad, -0.0)
         grad = np.add.accumulate(gx[:, ::-1], axis=1)[:, ::-1][:, 1:]
         return _clamp_balls(z + self.step * grad, self.radii, self.floors)
 
@@ -185,63 +235,40 @@ def _ascend(
     """Accelerated projected ascent on all rows at once, with per-row state.
 
     Momentum, the restart test, the flat-streak stop and the iteration count
-    are kept per row, and a row that stops leaves the stack; every numpy call
-    covers all rows still ascending.  Returns each row's waypoints, iteration
-    count and restart count.
+    are kept per row, and a row that stops leaves the lockstep; every numpy
+    call covers all rows still ascending.  Returns each row's waypoints,
+    iteration count and restart count.
     """
     st = _Lockstep(problems, x0s)
-    ids = list(range(len(problems)))  # problem index of each stacked row
     z = z_prev = st.z0
-    t_k = [1.0] * len(ids)
-    f_curr = st.values(z, range(len(ids)))
-    streak = [0] * len(ids)
-    restarts = [0] * len(ids)
-    out: list = [None] * len(ids)
+    f_curr = st.values(z, range(len(problems)))
     iterations = 0
-
-    def record(rows: list[int]) -> None:
-        x = st.rebuild(z)
-        for j in rows:
-            out[ids[j]] = (x[j, : st.family.horizons[j]].copy(), iterations, restarts[j])
-
-    while ids and iterations < max_iter:
+    while True:
+        done = [s >= 3 or iterations >= max_iter for s in st.streak]
+        if any(done):
+            st.record([j for j, d in enumerate(done) if d], z, iterations)
+            if all(done):
+                return st.results
+            keep = [j for j, d in enumerate(done) if not d]
+            z, z_prev, f_curr = st.take(keep, z, z_prev, f_curr)
         iterations += 1
-        t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) for t in t_k]
-        y = z + row_scalars([(t - 1.0) / tn for t, tn in zip(t_k, t_next)]) * (z - z_prev)
+        t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) for t in st.t_k]
+        y = z + row_scalars([(t - 1.0) / tn for t, tn in zip(st.t_k, t_next)]) * (z - z_prev)
         z_new = st.ascent_step(y)
-        f_new = st.values(z_new, range(len(ids)))
+        f_new = st.values(z_new, range(len(st.ids)))
         back = [j for j, (fn, fc) in enumerate(zip(f_new, f_curr)) if fn < fc]
         if back:
             # momentum overshoot: restart these rows from a plain projected step
             z_back = st.ascent_step(z)
             for j, f in zip(back, st.values(z_back, back)):
-                restarts[j] += 1
+                st.restarts[j] += 1
                 t_next[j] = 1.0
                 f_new[j] = f
             z_new[back] = z_back[back]
-        z_prev, z, t_k = z, z_new, t_next
-        keep = []
+        z_prev, z, st.t_k = z, z_new, t_next
         for j, (fn, fc) in enumerate(zip(f_new, f_curr)):
-            if abs(fn - fc) > tol * (1.0 + abs(fn)):
-                streak[j] = 0
-            else:
-                streak[j] += 1
-            if streak[j] < 3 and iterations < max_iter:
-                keep.append(j)
+            st.streak[j] = 0 if abs(fn - fc) > tol * (1.0 + abs(fn)) else st.streak[j] + 1
         f_curr = f_new
-        if len(keep) < len(ids):
-            kept = set(keep)
-            record([j for j in range(len(ids)) if j not in kept])
-            if keep:
-                st.take(keep)
-                width = st.centers.shape[1]
-                z, z_prev = z[keep, :width], z_prev[keep, :width]
-            ids, t_k, f_curr, streak, restarts = (
-                [seq[j] for j in keep] for seq in (ids, t_k, f_curr, streak, restarts)
-            )
-    if ids:  # max_iter < 1: no step taken
-        record(list(range(len(ids))))
-    return out
 
 
 def solve_offline(
@@ -527,19 +554,6 @@ def dp_oracle(problem: OfflineProblem, grid: OracleGrid) -> OracleSolution:
     return OracleSolution(points=points, utility=float(value[end]))
 
 
-def regret(
-    offline_traj: Sequence[Point],
-    online_traj: Sequence[Point],
-    utilities: Utilities,
-) -> float:
-    """Cumulative utility gap of the online trajectory against the benchmark."""
-    if len(offline_traj) != len(online_traj):
-        raise HorizonMismatch(
-            f"offline has {len(offline_traj)} slots, online {len(online_traj)}"
-        )
-    return utilities.total(offline_traj) - utilities.total(online_traj)
-
-
 def squared_path_length(traj: Sequence[Point]) -> float:
     """Sum of squared displacements along a trajectory."""
     return left_sum(norm_sq(sub(b, a)) for a, b in zip(traj, traj[1:]))
@@ -637,20 +651,6 @@ def straight_line_trajectory(s: Point, d: Point, T: int) -> list[Point]:
     return [lerp(s, d, t / (T - 1)) for t in range(T)]
 
 
-def energy_conserved(
-    traj: Sequence[Point],
-    goal: Point,
-    fld: VelocityField | None,
-    c_d: float,
-    slot_duration: float = 1.0,
-) -> float:
-    """Energy saved against the straight-line reference run over the same horizon."""
-    reference = straight_line_trajectory(traj[0], goal, len(traj))
-    return energy_cost(reference, fld, c_d, slot_duration) - energy_cost(
-        traj, fld, c_d, slot_duration
-    )
-
-
 @dataclass(frozen=True)
 class RegretReport:
     """Paired offline/online utility streams plus the variation measures."""
@@ -682,6 +682,7 @@ def build_regret_report(
     online_utilities: Sequence[float],
     eps_sq_bounds: Sequence[float],
     eps_sq_realized: Sequence[float],
+    energy_online: float,
     goal: Point,
     fld: VelocityField | None,
     c_d: float,
@@ -690,17 +691,17 @@ def build_regret_report(
 ) -> RegretReport:
     """Assemble the full comparison report against the offline benchmark.
 
-    ``online_utilities`` are the per-slot utilities of ``online_traj``, as
-    the episode evaluated them.  ``solution`` is the benchmark's
-    :func:`solve_offline` result warm-started at ``online_traj`` (a sweep
-    solves its rows together); without it the benchmark is solved here.
+    ``online_utilities`` are the per-slot utilities of ``online_traj`` and
+    ``energy_online`` is its energy, as the episode evaluated them.
+    ``solution`` is the benchmark's :func:`solve_offline` result
+    warm-started at ``online_traj`` (a sweep solves its rows together);
+    without it the benchmark is solved here.
     """
     sol = solution if solution is not None else solve_offline(problem, x0=online_traj)
     us = problem.utilities
     offline_u = tuple(us.evaluate(sol.points))
     online_u = tuple(online_utilities)
     gv = gradient_variation(us, problem.region)
-    energy_online = energy_cost(online_traj, fld, c_d, slot_duration)
     straight = straight_line_trajectory(online_traj[0], goal, len(online_traj))
     return RegretReport(
         offline_utilities=offline_u,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -286,64 +286,6 @@ def row_scalars(values: list[float]):
     return np.array(values, dtype=float)[:, None, None]
 
 
-def _take_rows(a, rows: np.ndarray):
-    return a[rows] if isinstance(a, np.ndarray) else a
-
-
-class FamilyStack:
-    """Families of one kind stacked as rows and zero-padded to the longest horizon.
-
-    ``family`` holds the stacked arrays: its slot axis is the second axis,
-    after the row axis.  A padded slot has exactly zero gradient (``-0.0``,
-    the additive identity, so suffix sums that run through the padding stay
-    bit for bit those of the unpadded row).  Each row's total reduces that
-    row's own slots only, so it equals the solo family's :meth:`total` bit
-    for bit; a reduce over the padded row would pair its terms differently.
-    """
-
-    def __init__(self, family, horizons: Sequence[int]):
-        self.family = family
-        self.horizons = list(horizons)
-        hs = np.array(self.horizons)
-        pad = np.arange(hs.max()) >= hs[:, None]
-        # flat indices of the padded slots' gradient entries, both axes
-        self._pad = np.flatnonzero(np.repeat(pad, 2)) if pad.any() else None
-        self._terms = None
-
-    def gradient_array(self, x: np.ndarray) -> np.ndarray:
-        g = self.family.gradient_array(x)
-        if self._pad is not None:
-            np.put(g, self._pad, -0.0)
-        return g
-
-    def totals(self, x: np.ndarray, rows: Iterable[int]) -> list[float]:
-        """Totals of the given rows of the ``(R, tmax, 2)`` waypoints ``x``."""
-        terms = self.family.slot_terms(x)
-        scale = self.family.total_scale
-        n = len(self.horizons)
-        if n == 1:  # a lone row has no padding
-            return [scale * float(np.add.reduce(terms, axis=None)) for _ in rows]
-        if self._terms is None:
-            # each row's terms sit between a leading zero and at least one
-            # trailing zero; np.add.reduce starts a sum at zero and reduceat
-            # at its segment's first element, so the segment [zero, terms of
-            # the row's own slots] sums exactly as np.add.reduce over them
-            per_slot = terms[0, 0].size
-            width = terms[0].size + 2
-            self._terms = np.zeros((n, width))
-            starts = np.arange(n) * width
-            ends = starts + 1 + per_slot * np.array(self.horizons)
-            self._segments = np.column_stack((starts, ends)).ravel()
-        self._terms[:, 1:-1] = terms.reshape(n, -1)
-        sums = np.add.reduceat(self._terms.ravel(), self._segments)[::2].tolist()
-        return [scale * sums[r] for r in rows]
-
-    def take(self, rows: Sequence[int]) -> "FamilyStack":
-        """The stack of the given rows only, trimmed to their longest horizon."""
-        hs = [self.horizons[r] for r in rows]
-        return FamilyStack(self.family.take(np.asarray(rows), max(hs)), hs)
-
-
 class _Family:
     """The total both families derive from their per-slot terms."""
 
@@ -358,7 +300,7 @@ class CommuteUtilities(_Family):
     ``v`` is the per-slot displacement cap and ``mu`` the curvature of the
     robust penalty.  The array gradient is the pull ``leads - x`` for the
     squared kind; for the Huber kind it equals :func:`d2d_gradient` slot by
-    slot, bit for bit.  In a :class:`FamilyStack` the leads are
+    slot, bit for bit.  Stacked (:meth:`stack`), the leads are
     ``(R, tmax, 2)``, and ``v``/``mu`` are floats shared by the rows or
     ``(R, 1, 1)`` arrays.
     """
@@ -379,17 +321,12 @@ class CommuteUtilities(_Family):
         self._offset = (1.0 - mu) * v * v / 2.0
 
     @classmethod
-    def stack(cls, families: Sequence["CommuteUtilities"]) -> FamilyStack:
-        hs = [f.horizon for f in families]
-        leads = _pad([f.leads for f in families], max(hs))
+    def stack(cls, families: Sequence["CommuteUtilities"], tmax: int) -> "CommuteUtilities":
+        """The families as the rows of one, their leads zero-padded to ``tmax`` slots."""
+        leads = _pad([f.leads for f in families], tmax)
         v = row_scalars([f.v for f in families])
         mu = row_scalars([f.mu for f in families])
-        return FamilyStack(cls(leads, v, mu, families[0].kind), hs)
-
-    def take(self, rows: np.ndarray, tmax: int) -> "CommuteUtilities":
-        return CommuteUtilities(
-            self.leads[rows, :tmax], _take_rows(self.v, rows), _take_rows(self.mu, rows), self.kind
-        )
+        return cls(leads, v, mu, families[0].kind)
 
     @property
     def horizon(self) -> int:
@@ -449,7 +386,7 @@ class VoyageUtilities(_Family):
     """Voyage utilities ``ocean_utility(x, prev[t], goal[t], current[t], lam[t])``.
 
     ``lam`` is ``(T,)``; ``goal``, ``current`` and ``prev`` are ``(T, 2)``.
-    In a :class:`FamilyStack` each gains a leading row axis.
+    Stacked (:meth:`stack`), each gains a leading row axis.
     """
 
     stack_key = ("voyage",)
@@ -468,21 +405,10 @@ class VoyageUtilities(_Family):
         self._drift = self._one_minus_lam[..., None] * self.current
 
     @classmethod
-    def stack(cls, families: Sequence["VoyageUtilities"]) -> FamilyStack:
-        hs = [f.horizon for f in families]
-        arrays = [
-            _pad([getattr(f, name) for f in families], max(hs))
-            for name in ("lam", "goal", "current", "prev")
-        ]
-        return FamilyStack(cls(*arrays), hs)
-
-    def take(self, rows: np.ndarray, tmax: int) -> "VoyageUtilities":
-        return VoyageUtilities(
-            self.lam[rows, :tmax],
-            self.goal[rows, :tmax],
-            self.current[rows, :tmax],
-            self.prev[rows, :tmax],
-        )
+    def stack(cls, families: Sequence["VoyageUtilities"], tmax: int) -> "VoyageUtilities":
+        """The families as the rows of one, their arrays zero-padded to ``tmax`` slots."""
+        names = ("lam", "goal", "current", "prev")
+        return cls(*(_pad([getattr(f, name) for f in families], tmax) for name in names))
 
     @property
     def horizon(self) -> int:

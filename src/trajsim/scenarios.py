@@ -409,6 +409,7 @@ def _regret_report(report: EpisodeReport, solution: OfflineSolution | None = Non
         report.utilities,
         [r.eps_sq_bound for r in report.records],
         [r.eps_sq_realized for r in report.records],
+        float(report.energy_total),  # a one-slot episode's empty sum is the int 0
         goal=report.goals[-1],
         fld=cfg.ocean_field if report.kind == "ocean" else None,
         c_d=cfg.drag_coefficient,

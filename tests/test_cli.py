@@ -161,10 +161,62 @@ class TestRunCommand:
             pytest.param("v_max_mps", 10**400, id="v_max_mps-10**400"),
             ("peer.speed_mps", True),
             ("start_m", [True, 0.0]),
+            pytest.param("start_m", [10**400, 0.0], id="start_m-10**400"),
         ],
     )
     def test_bool_string_or_huge_number_is_config_error(self, tmp_path, capsys, path, value):
         doc = json.loads(json.dumps(D2D_DOC))
+        set_key(doc, path, value)
+        cfg = write(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, ["mu"]], ids=["number", "list"])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "gradient_noise",
+            "feasible_box_m",
+            "d2d",
+            "ocean",
+            "ocean.field",
+            "ocean.perturbation",
+            "adversary",
+        ],
+    )
+    def test_section_that_is_not_an_object_is_config_error(self, tmp_path, capsys, path, value):
+        if path == "adversary":
+            doc = {"kind": "adversary"}
+        else:
+            doc = json.loads(json.dumps(OCEAN_DOC if path.startswith("ocean") else D2D_DOC))
+        set_key(doc, path, value)
+        cfg = write(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {path}: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("path", "value"),
+        [
+            ("ocean.field.path", "missing.csv"),
+            ("ocean.field.x_grid_m", []),
+            ("ocean.field.x_grid_m", [0.0, 50.0, 20.0]),
+            ("ocean.field.y_grid_m", [-50.0, -50.0, 150.0]),
+            ("ocean.field.synthetic.radius_m", 0),
+            ("d2d.bandwidth_hz", 0.0),
+            ("d2d.noise_power", -0.2),
+            ("gradient_noise.decay_q", -0.5),
+        ],
+    )
+    def test_value_the_model_rejects_is_config_error(self, tmp_path, capsys, path, value):
+        if path.startswith("ocean"):
+            doc = json.loads(json.dumps(OCEAN_DOC))
+            field = doc["ocean"]["field"]
+            if path == "ocean.field.path":
+                field.clear()
+            if path.endswith("radius_m"):
+                field["synthetic"] = {"kind": "single_gyre", "center_m": [0, 0], "strength_mps": 0.3}
+        else:
+            doc = json.loads(json.dumps(dict(D2D_DOC, d2d={})))
         set_key(doc, path, value)
         cfg = write(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

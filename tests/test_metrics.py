@@ -17,10 +17,8 @@ from trajsim.metrics import (
     _violation,
     cumulative_error,
     dp_oracle,
-    energy_conserved,
     energy_cost,
     gradient_variation,
-    regret,
     solve_offline,
     solve_offline_batch,
     squared_path_length,
@@ -272,7 +270,7 @@ class TestRegret:
     def test_identical_trajectories(self):
         seq = quadratic_sequence([(0.0, 0.0), (1.0, 0.0)])
         traj = [(0.0, 0.0), (0.5, 0.0)]
-        assert regret(traj, traj, seq) == 0.0
+        assert seq.total(traj) - seq.total(traj) == 0.0
 
     def test_hand_sum(self):
         # online frozen at s, offline on the target, distance 1, T=3;
@@ -280,13 +278,13 @@ class TestRegret:
         # with goal weight 1 has no drift term
         d = (1.0, 0.0)
         seq = VoyageUtilities([1.0] * 3, [d] * 3, [(0.0, 0.0)] * 3, [(0.0, 0.0)] * 3)
-        got = regret([d] * 3, [(0.0, 0.0)] * 3, seq)
+        got = seq.total([d] * 3) - seq.total([(0.0, 0.0)] * 3)
         assert got == pytest.approx(3.0)
 
     def test_mismatched_horizons_rejected(self):
         seq = quadratic_sequence([(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(HorizonMismatch):
-            regret([(0.0, 0.0)] * 2, [(0.0, 0.0)] * 3, seq)
+            seq.total([(0.0, 0.0)] * 3)
 
     def test_nonnegative_against_solver(self):
         rng = np.random.default_rng(14)
@@ -305,7 +303,8 @@ class TestRegret:
                 nxt = (online[-1][0] + step * pull[0], online[-1][1] + step * pull[1])
                 online.append(TEN_BOX.project(nxt))
             sol = solve_offline(problem, x0=online)
-            assert regret(sol.points, online, problem.utilities) >= -1e-6
+            us = problem.utilities
+            assert us.total(sol.points) - us.total(online) >= -1e-6
 
 
 class TestVariationMeasures:
@@ -451,10 +450,16 @@ class TestEnergy:
         traj = [tuple(p) for p in rng.uniform(0, 50, (9, 2))]
         assert energy_cost(traj, fld, 0.7) >= 0.0
 
+    @staticmethod
+    def conserved(traj, goal, fld, tau=1.0):
+        """Energy saved against the straight line to ``goal`` over the same horizon."""
+        straight = straight_line_trajectory(traj[0], goal, len(traj))
+        return energy_cost(straight, fld, 1.0, tau) - energy_cost(traj, fld, 1.0, tau)
+
     def test_conserved_straight_line_is_zero(self):
         goal = (10.0, 0.0)
         traj = straight_line_trajectory((0.0, 0.0), goal, 6)
-        assert energy_conserved(traj, goal, None, 1.0) == 0.0
+        assert self.conserved(traj, goal, None) == 0.0
 
     def test_conserved_sign_follows_current(self):
         # drifting at current speed is free; the slower straight line must
@@ -462,10 +467,10 @@ class TestEnergy:
         goal = (6.0, 0.0)
         helpful = synth_field(UniformSpec(1.0, 0.0), (0.0, 20.0), (-10.0, 10.0))
         drift_path = [(float(2 * t), 0.0) for t in range(6)]
-        assert energy_conserved(drift_path, goal, helpful, 1.0, slot_duration=2.0) > 0.0
+        assert self.conserved(drift_path, goal, helpful, tau=2.0) > 0.0
         against = synth_field(UniformSpec(-0.5, 0.0), (0.0, 20.0), (-10.0, 10.0))
         detour = [(0.0, 0.0), (2.0, 2.0), (4.0, 3.0), (6.0, 2.0), (8.0, 1.0), (10.0, 0.0)]
-        assert energy_conserved(detour, (10.0, 0.0), against, 1.0) < 0.0
+        assert self.conserved(detour, (10.0, 0.0), against) < 0.0
 
 
 class TestUtilitySequenceBatch:
@@ -611,8 +616,9 @@ class TestSolveOfflineBatch:
             max_size=6,
         ),
         boxed_at=st.integers(0, 8),
+        max_iter=st.sampled_from([0, 1, 5, 100_000]),
     )
-    def test_lockstep_rows_equal_solo_solves(self, rows, boxed_at):
+    def test_lockstep_rows_equal_solo_solves(self, rows, boxed_at, max_iter):
         # T = 1 and T = 2 rows of every family ride along in every batch
         rows = rows + [(kind, T, 7) for kind in ("squared", "huber", "voyage") for T in (1, 2)]
         instances = [_random_problem(*row) for row in rows]
@@ -620,6 +626,6 @@ class TestSolveOfflineBatch:
         problems = [p for p, _ in instances]
         x0s = [x0 for _, x0 in instances]
         with np.errstate(all="raise"):
-            batch = solve_offline_batch(problems, x0s)
-            solo = [solve_offline(p, x0=x0) for p, x0 in instances]
+            batch = solve_offline_batch(problems, x0s, max_iter=max_iter)
+            solo = [solve_offline(p, x0=x0, max_iter=max_iter) for p, x0 in instances]
         assert [_outcome(s) for s in batch] == [_outcome(s) for s in solo]
