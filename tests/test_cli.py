@@ -214,7 +214,8 @@ class TestRunCommand:
             if path == "ocean.field.path":
                 field.clear()
             if path.endswith("radius_m"):
-                field["synthetic"] = {"kind": "single_gyre", "center_m": [0, 0], "strength_mps": 0.3}
+                gyre = {"kind": "single_gyre", "center_m": [0, 0], "strength_mps": 0.3}
+                field["synthetic"] = gyre
         else:
             doc = json.loads(json.dumps(dict(D2D_DOC, d2d={})))
         set_key(doc, path, value)
