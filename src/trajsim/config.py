@@ -153,10 +153,11 @@ def _field_from_doc(doc, path: str, base_dir: Path) -> VelocityField:
     if "path" in doc and "synthetic" in doc:
         raise SchemaError(path, "give either a file path or a synthetic spec, not both")
     if "path" in doc:
+        file = base_dir / str(doc["path"])
         try:
-            return load_field(base_dir / str(doc["path"]))
-        except OSError as exc:
-            raise SchemaError(path + ".path", f"cannot read field file: {exc}") from exc
+            return load_field(file)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(path + ".path", f"cannot read field file {file}: {exc}") from exc
     if "synthetic" not in doc:
         raise SchemaError(path, "field needs 'path' or 'synthetic'")
     spec_doc = doc["synthetic"]
@@ -313,7 +314,7 @@ def parse_config(path) -> ScenarioConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(str(path), f"cannot read config: {exc}") from exc
     try:
         doc = json.loads(text)

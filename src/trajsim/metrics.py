@@ -2,10 +2,11 @@
 
 The offline benchmark maximizes the summed per-slot utilities over a whole
 trajectory at once, subject to the same coupled displacement caps the online
-agent faced; its value anchors the regret numbers in every report.  The
-caps, the start pin and the box are held as arrays: the ascent, the Dykstra
-projection of its box-binding fallback and the certification of every
-solution all work on them directly.  The dynamic-programming oracle
+agent faced; its value anchors the regret numbers in every report, and its
+duality gap bounds how far that value may lie below the true optimum.  The
+caps, the start pin and the box are held as arrays: the ascent and its gap,
+the Dykstra projection of its box-binding fallback and the feasibility check
+of every solution all work on them directly.  The dynamic-programming oracle
 re-solves small instances on a grid and exists purely to validate the
 solver.
 """
@@ -27,6 +28,14 @@ from .sets import Box2D, StepCap
 
 # largest oracle lattice per axis: the DP holds (nodes x nodes) per slot
 ORACLE_MAX_NODES = 101
+
+# the offline ascent stops a row once its duality gap is at most this share
+# of its gain over the start, max(1, U(x) - U(x0)): the default ``tol``
+GAP_TOL = 1e-3
+# iterations between two gap checks; each check costs one gradient
+GAP_EVERY = 10
+# flat-utility stop of the box-binding restoration, which has no gap
+_RESTORATION_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +96,9 @@ class OfflineSolution:
     warning: str | None = None
     # momentum restarts taken by the accelerated ascent
     restarts: int = 0
+    # Frank-Wolfe duality gap at ``points``, an upper bound on the optimum's
+    # excess over ``utility``; ``None`` when the box binds (uncertified)
+    gap: float | None = None
 
 
 def _clamp_balls(z: np.ndarray, radii: np.ndarray, floors: np.ndarray) -> np.ndarray:
@@ -116,19 +128,20 @@ class _Lockstep:
     """The rows still ascending: their padded ``(R, tmax, ...)`` arrays and their state.
 
     It keeps the problems it was given.  Per row it tracks the problem index
-    (``ids``), the momentum ``t_k``, the run of flat iterations (``streak``)
-    and the momentum restarts; :meth:`_load` builds every array for those
-    rows, and :meth:`take` is the one place a row leaves, from the lists and
-    the arrays alike.  ``results`` holds each stopped row's waypoints,
-    iteration count and restart count, by problem index.
+    (``ids``), the momentum ``t_k``, the momentum restarts, the total at the
+    start ``u0`` and the duality gap at the last check (``gaps``);
+    :meth:`_load` builds every array for those rows, and :meth:`take` is the
+    one place a row leaves, from the lists and the arrays alike.
+    ``results`` holds each stopped row's waypoints, iteration count, restart
+    count, gap and whether the gap met the stop, by problem index.
 
     Displacements, cap centers and radii are zero-padded past each row's
     ``T - 1`` caps; a padded cap has radius zero, so its displacement stays
     zero.  A padded slot has exactly zero gradient (``-0.0``, the additive
     identity, so suffix sums that run through the padding stay bit for bit
-    those of the unpadded row).  Each row's total reduces that row's own
-    slots only, so it equals the solo family's ``total`` bit for bit; a
-    reduce over the padded row would pair its terms differently.
+    those of the unpadded row).  Each row's total and gap reduce that row's
+    own slots only, so they equal the solo row's bit for bit; a reduce over
+    the padded row would pair its terms differently.
     """
 
     def __init__(self, problems: Sequence[OfflineProblem], x0s: Sequence):
@@ -136,8 +149,8 @@ class _Lockstep:
         self.problems = problems
         self.ids = list(range(n))
         self.t_k = [1.0] * n
-        self.streak = [0] * n
         self.restarts = [0] * n
+        self.gaps = [math.inf] * n
         self.results: list = [None] * n
         self._load()
         # the warm starts, as clamped displacements
@@ -148,6 +161,7 @@ class _Lockstep:
                 caps = slice(0, p.horizon - 1)
                 w = xa[1:] - xa[:-1] - p.centers
                 self.z0[r, caps] = _clamp_balls(w, p.radii, self.floors[r, caps])
+        self.u0 = self.values(self.z0)
 
     def _load(self) -> None:
         """Stack, pad and size every array for the rows in ``ids``."""
@@ -169,26 +183,29 @@ class _Lockstep:
         pad = np.arange(tmax) >= np.array(self.horizons)[:, None]
         # flat indices of the padded slots' gradient entries, both axes
         self.pad = np.flatnonzero(np.repeat(pad, 2)) if pad.any() else None
-        self.terms = None
+        self.sum_buffers: dict = {}
 
     def take(self, rows: list[int], z: np.ndarray, z_prev: np.ndarray, totals: list[float]):
         """Keep only the given rows, trimmed to their longest horizon.
 
         Returns the ascent's ``z``, ``z_prev`` and ``totals`` cut to those rows.
         """
-        self.ids, self.t_k, self.streak, self.restarts = (
-            [seq[j] for j in rows] for seq in (self.ids, self.t_k, self.streak, self.restarts)
+        state = (self.ids, self.t_k, self.restarts, self.u0, self.gaps)
+        self.ids, self.t_k, self.restarts, self.u0, self.gaps = (
+            [seq[j] for j in rows] for seq in state
         )
         self._load()
         width = self.centers.shape[1]
         return z[rows, :width], z_prev[rows, :width], [totals[j] for j in rows]
 
-    def record(self, rows: list[int], z: np.ndarray, iterations: int) -> None:
+    def record(self, rows: list[int], z: np.ndarray, iterations: int, met: list[bool]) -> None:
         """Store the given rows' waypoints at ``z`` as their results."""
         x = self.rebuild(z)
         for j in rows:
             waypoints = x[j, : self.horizons[j]].copy()
-            self.results[self.ids[j]] = (waypoints, iterations, self.restarts[j])
+            self.results[self.ids[j]] = (
+                waypoints, iterations, self.restarts[j], self.gaps[j], met[j]
+            )
 
     def rebuild(self, z: np.ndarray) -> np.ndarray:
         """Waypoints from start + per-slot displacements ``center + z``."""
@@ -198,64 +215,96 @@ class _Lockstep:
         np.add(rest, self.start_rest, out=rest)
         return self.x
 
-    def values(self, z: np.ndarray, rows: Iterable[int]) -> list[float]:
-        """Totals of the given rows at displacements ``z``."""
+    def _row_sums(self, terms: np.ndarray, slots: list[int]) -> list[float]:
+        """Each row's sum of ``terms[r, :slots[r]]``, reduced flat.
+
+        A lone row has no padding, and its whole array is reduced.  Otherwise
+        each row's entries sit between a leading zero and at least one
+        trailing zero; np.add.reduce starts a sum at zero and reduceat at its
+        segment's first element, so the segment [zero, the row's own entries]
+        sums exactly as np.add.reduce over them.
+        """
+        n = len(slots)
+        if n == 1:
+            return [float(np.add.reduce(terms, axis=None))]
+        key = terms.shape
+        if key not in self.sum_buffers:
+            width = terms[0].size + 2
+            starts = np.arange(n) * width
+            ends = starts + 1 + terms[0].size // terms.shape[1] * np.array(slots)
+            self.sum_buffers[key] = (
+                np.zeros((n, width)), np.column_stack((starts, ends)).ravel()
+            )
+        buffer, segments = self.sum_buffers[key]
+        buffer[:, 1:-1] = terms.reshape(n, -1)
+        return np.add.reduceat(buffer.ravel(), segments)[::2].tolist()
+
+    def values(self, z: np.ndarray, rows: Iterable[int] | None = None) -> list[float]:
+        """Totals of the given rows (all by default) at displacements ``z``."""
         terms = self.family.slot_terms(self.rebuild(z))
         scale = self.family.total_scale
-        n = len(self.ids)
-        if n == 1:  # a lone row has no padding
-            return [scale * float(np.add.reduce(terms, axis=None)) for _ in rows]
-        if self.terms is None:
-            # each row's terms sit between a leading zero and at least one
-            # trailing zero; np.add.reduce starts a sum at zero and reduceat
-            # at its segment's first element, so the segment [zero, terms of
-            # the row's own slots] sums exactly as np.add.reduce over them
-            per_slot = terms[0, 0].size
-            width = terms[0].size + 2
-            self.terms = np.zeros((n, width))
-            starts = np.arange(n) * width
-            ends = starts + 1 + per_slot * np.array(self.horizons)
-            self.segments = np.column_stack((starts, ends)).ravel()
-        self.terms[:, 1:-1] = terms.reshape(n, -1)
-        sums = np.add.reduceat(self.terms.ravel(), self.segments)[::2].tolist()
-        return [scale * sums[r] for r in rows]
+        sums = self._row_sums(terms, self.horizons)
+        return [scale * sums[r] for r in (range(len(sums)) if rows is None else rows)]
 
-    def ascent_step(self, z: np.ndarray) -> np.ndarray:
-        """Projected gradient step from ``z``; the gradient in z is a suffix sum."""
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        """The gradient in ``z``: a suffix sum of the waypoint gradient."""
         gx = self.family.gradient_array(self.rebuild(z))
         if self.pad is not None:
             np.put(gx, self.pad, -0.0)
-        grad = np.add.accumulate(gx[:, ::-1], axis=1)[:, ::-1][:, 1:]
-        return _clamp_balls(z + self.step * grad, self.radii, self.floors)
+        return np.add.accumulate(gx[:, ::-1], axis=1)[:, ::-1][:, 1:]
+
+    def ascent_step(self, z: np.ndarray) -> np.ndarray:
+        """Projected gradient step from ``z``."""
+        return _clamp_balls(z + self.step * self.gradient(z), self.radii, self.floors)
+
+    def certify(self, z: np.ndarray, totals: list[float], tol: float) -> list[bool]:
+        """Refresh each row's gap at ``z``; whether it is at most ``tol * max(1, U - U(x0))``.
+
+        In displacements the feasible set is a product of balls, so the
+        Frank-Wolfe gap ``sum_t (r_t |g_t| - <g_t, z_t>)`` bounds ``U* - U(z)``
+        for a concave family (Jaggi 2013).  A term is never negative for
+        ``|z_t| <= r_t``; one that rounds below zero counts as zero, which
+        only loosens the bound.
+        """
+        g = self.gradient(z)
+        g0, g1 = g[..., 0], g[..., 1]
+        terms = self.radii * np.hypot(g0, g1) - (g0 * z[..., 0] + g1 * z[..., 1])
+        np.maximum(terms, 0.0, out=terms)
+        self.gaps = self._row_sums(terms, [h - 1 for h in self.horizons])
+        return [gap <= tol * max(1.0, f - f0) for gap, f, f0 in zip(self.gaps, totals, self.u0)]
 
 
 def _ascend(
     problems: Sequence[OfflineProblem], x0s: Sequence, max_iter: int, tol: float
-) -> list[tuple[np.ndarray, int, int]]:
+) -> list[tuple[np.ndarray, int, int, float, bool]]:
     """Accelerated projected ascent on all rows at once, with per-row state.
 
-    Momentum, the restart test, the flat-streak stop and the iteration count
-    are kept per row, and a row that stops leaves the lockstep; every numpy
-    call covers all rows still ascending.  Returns each row's waypoints,
-    iteration count and restart count.
+    Momentum, the restart test, the gap stop and the iteration count are
+    kept per row, and a row that stops leaves the lockstep; every numpy call
+    covers all rows still ascending.  Every :data:`GAP_EVERY` iterations,
+    and at ``max_iter``, each row's gap is checked against ``tol``.  Returns
+    each row's waypoints, iteration count, restart count, gap and whether
+    the gap met the stop.
     """
     st = _Lockstep(problems, x0s)
     z = z_prev = st.z0
-    f_curr = st.values(z, range(len(problems)))
+    f_curr = list(st.u0)
     iterations = 0
     while True:
-        done = [s >= 3 or iterations >= max_iter for s in st.streak]
-        if any(done):
-            st.record([j for j, d in enumerate(done) if d], z, iterations)
-            if all(done):
-                return st.results
-            keep = [j for j, d in enumerate(done) if not d]
-            z, z_prev, f_curr = st.take(keep, z, z_prev, f_curr)
+        if iterations % GAP_EVERY == 0 or iterations >= max_iter:
+            met = st.certify(z, f_curr, tol)
+            done = [m or iterations >= max_iter for m in met]
+            if any(done):
+                st.record([j for j, d in enumerate(done) if d], z, iterations, met)
+                if all(done):
+                    return st.results
+                keep = [j for j, d in enumerate(done) if not d]
+                z, z_prev, f_curr = st.take(keep, z, z_prev, f_curr)
         iterations += 1
         t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) for t in st.t_k]
         y = z + row_scalars([(t - 1.0) / tn for t, tn in zip(st.t_k, t_next)]) * (z - z_prev)
         z_new = st.ascent_step(y)
-        f_new = st.values(z_new, range(len(st.ids)))
+        f_new = st.values(z_new)
         back = [j for j, (fn, fc) in enumerate(zip(f_new, f_curr)) if fn < fc]
         if back:
             # momentum overshoot: restart these rows from a plain projected step
@@ -266,15 +315,13 @@ def _ascend(
                 f_new[j] = f
             z_new[back] = z_back[back]
         z_prev, z, st.t_k = z, z_new, t_next
-        for j, (fn, fc) in enumerate(zip(f_new, f_curr)):
-            st.streak[j] = 0 if abs(fn - fc) > tol * (1.0 + abs(fn)) else st.streak[j] + 1
         f_curr = f_new
 
 
 def solve_offline(
     problem: OfflineProblem,
     max_iter: int = 100_000,
-    tol: float = 1e-10,
+    tol: float = GAP_TOL,
     x0: Sequence[Point] | None = None,
 ) -> OfflineSolution:
     """Maximize the summed utilities over the whole trajectory at once.
@@ -283,19 +330,28 @@ def solve_offline(
     displacement coordinates ``z_t = x_{t+1} - x_t - center_t``, where the
     coupled caps become independent balls with exact closed-form
     projections; the waypoints are rebuilt by prefix sums.  Momentum
-    restarts whenever the objective decreases.  Terminates when the utility
-    improvement stays below ``tol * (1 + |utility|)`` for three iterations
-    in a row or at ``max_iter``.  The step size follows from the horizon.
+    restarts whenever the objective decreases.  The step size follows from
+    the horizon.
+
+    Every :data:`GAP_EVERY` iterations the solve computes the Frank-Wolfe
+    duality gap at its iterate, an upper bound on how far the optimum lies
+    above it, and stops once the gap is at most
+    ``tol * max(1, U(x) - U(x0))``, where ``x0`` is the starting
+    trajectory; ``converged`` says that this held, and ``gap`` carries the
+    bound.  At ``max_iter`` the solve stops uncertified unless that last
+    check passes.
 
     The region membership is verified afterwards; in the rare case it
     binds, the solve falls back to plain projected ascent in waypoint space
     with a Dykstra projection restoring feasibility each iteration (exact,
-    but slow when caps chain tightly).
+    but slow when caps chain tightly).  That ascent stops when its utility
+    improvement is at most 1e-10 relative, and its solution has no gap.
 
     ``x0`` (e.g. the online trajectory the benchmark compares against)
-    warm-starts the solve.  Dykstra stalls in the fallback are soft: the
-    last iterate is kept and the returned solution carries a warning and
-    its violation.  This is the batch of one of :func:`solve_offline_batch`.
+    warm-starts the solve; without it the start is zero displacement from
+    the cap centers.  Dykstra stalls in the fallback are soft: the last
+    iterate is kept and the returned solution carries a warning and its
+    violation.  This is the batch of one of :func:`solve_offline_batch`.
     """
     return solve_offline_batch([problem], [x0], max_iter=max_iter, tol=tol)[0]
 
@@ -304,14 +360,15 @@ def solve_offline_batch(
     problems: Sequence[OfflineProblem],
     x0s: Sequence[Sequence[Point] | None] | None = None,
     max_iter: int = 100_000,
-    tol: float = 1e-10,
+    tol: float = GAP_TOL,
 ) -> list[OfflineSolution]:
     """:func:`solve_offline` for many problems, their ascents run in lockstep.
 
     Problems whose utility families stack (same family and kind) ascend
     together in one padded computation, so each numpy call covers every
     row; solution ``r`` equals ``solve_offline(problems[r], x0=x0s[r])`` bit
-    for bit.  A row that violates its region falls back alone.
+    for bit, its gap and its stop included.  A row that violates its region
+    falls back alone.
     """
     if x0s is None:
         x0s = [None] * len(problems)
@@ -319,29 +376,28 @@ def solve_offline_batch(
     for i, p in enumerate(problems):
         if p.horizon > 1:
             groups.setdefault(p.utilities.stack_key, []).append(i)
-    ascents: dict[int, tuple[np.ndarray, int, int]] = {}
+    ascents: dict[int, tuple] = {}
     for rows in groups.values():
         found = _ascend([problems[i] for i in rows], [x0s[i] for i in rows], max_iter, tol)
         ascents.update(zip(rows, found))
-    return [_finish(p, ascents.get(i), max_iter, tol) for i, p in enumerate(problems)]
+    return [_finish(p, ascents.get(i), max_iter) for i, p in enumerate(problems)]
 
 
-def _finish(
-    problem: OfflineProblem, ascent: tuple[np.ndarray, int, int] | None, max_iter: int, tol: float
-) -> OfflineSolution:
+def _finish(problem: OfflineProblem, ascent: tuple | None, max_iter: int) -> OfflineSolution:
     """Check one ascent's waypoints against the region and certify them."""
     us = problem.utilities
     if ascent is None:  # T == 1: the start pin is the whole trajectory
         pts = [problem.start]
-        return OfflineSolution(pts, us.total(pts), 0, True, 0.0)
-    x, iterations, restarts = ascent
+        return OfflineSolution(pts, us.total(pts), 0, True, 0.0, gap=0.0)
+    x, iterations, restarts, gap, met = ascent
     cons = (problem.start, problem.centers, problem.radii, problem.region)
     box_excess, violation = _violation(x, *cons)
     warning = None
     if box_excess > 1e-9:
-        x, warning = _solve_with_restoration(problem, x, max_iter=max_iter, tol=tol)
+        x, warning = _solve_with_restoration(problem, x, max_iter=max_iter)
         violation = _violation(x, *cons)[1]
-    converged = violation <= 1e-6 and iterations < max_iter
+        gap = None
+    converged = violation <= 1e-6 and met
     if violation > 1e-6 and warning is None:
         warning = f"final violation {violation:.3e} above 1e-6"
     pts = [(p[0], p[1]) for p in x.tolist()]
@@ -353,6 +409,7 @@ def _finish(
         max_violation=violation,
         warning=warning,
         restarts=restarts,
+        gap=gap,
     )
 
 
@@ -455,9 +512,13 @@ def _dykstra(
 
 
 def _solve_with_restoration(
-    problem: OfflineProblem, warm: np.ndarray, max_iter: int, tol: float
+    problem: OfflineProblem, warm: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, str | None]:
-    """Waypoint-space projected ascent with Dykstra feasibility restoration."""
+    """Waypoint-space projected ascent with Dykstra feasibility restoration.
+
+    Stops once the utility improvement is at most :data:`_RESTORATION_TOL`
+    relative, or after ``max_iter`` iterations.
+    """
     step = 1.0 / problem.smoothness
     cons = (problem.start, problem.centers, problem.radii, problem.region)
     x, _ = _dykstra(warm, *cons)
@@ -472,7 +533,7 @@ def _solve_with_restoration(
         value = us.total(x)
         improvement = abs(value - prev)
         prev = value
-        if improvement <= tol * (1.0 + abs(value)):
+        if improvement <= _RESTORATION_TOL * (1.0 + abs(value)):
             break
     return x, warning
 
@@ -556,7 +617,7 @@ def dp_oracle(problem: OfflineProblem, grid: OracleGrid) -> OracleSolution:
 
 def squared_path_length(traj: Sequence[Point]) -> float:
     """Sum of squared displacements along a trajectory."""
-    return left_sum(norm_sq(sub(b, a)) for a, b in zip(traj, traj[1:]))
+    return left_sum((norm_sq(sub(b, a)) for a, b in zip(traj, traj[1:])), 0.0)
 
 
 @dataclass(frozen=True)
@@ -670,10 +731,17 @@ class RegretReport:
     solver_warning: str | None = None
     solver_iterations: int = 0
     solver_restarts: int = 0
+    # the offline solution's duality gap; None when it is uncertified
+    offline_gap: float | None = None
 
     @property
     def energy_conserved(self) -> float:
         return self.energy_straight - self.energy_online
+
+    @property
+    def regret_upper(self) -> float | None:
+        """``regret + offline_gap``: the regret against the true optimum is at most this."""
+        return None if self.offline_gap is None else self.regret + self.offline_gap
 
 
 def build_regret_report(
@@ -719,4 +787,5 @@ def build_regret_report(
         solver_warning=sol.warning,
         solver_iterations=sol.iterations,
         solver_restarts=sol.restarts,
+        offline_gap=sol.gap,
     )

@@ -179,7 +179,7 @@ class EpisodeReport:
 
     @property
     def energy_total(self) -> float:
-        return left_sum(self.energy_steps)
+        return left_sum(self.energy_steps, 0.0)
 
     @property
     def final_goal_distance(self) -> float:
@@ -409,7 +409,7 @@ def _regret_report(report: EpisodeReport, solution: OfflineSolution | None = Non
         report.utilities,
         [r.eps_sq_bound for r in report.records],
         [r.eps_sq_realized for r in report.records],
-        float(report.energy_total),  # a one-slot episode's empty sum is the int 0
+        report.energy_total,
         goal=report.goals[-1],
         fld=cfg.ocean_field if report.kind == "ocean" else None,
         c_d=cfg.drag_coefficient,

@@ -162,6 +162,8 @@ def write_regret_report(rr: RegretReport, path: Path) -> None:
 
     doc = {
         "regret": rr.regret,
+        "offline_gap": rr.offline_gap,
+        "regret_upper": rr.regret_upper,
         "S_T": rr.s_t,
         "G_T": rr.g_t,
         "G_T_exact": rr.g_t_exact,

@@ -223,6 +223,37 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["config", "field"])
+    def test_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys, kind):
+        # UTF-16 text starts with the byte-order mark ff fe
+        if kind == "config":
+            bad = tmp_path / "cfg.json"
+            bad.write_bytes(json.dumps(D2D_DOC).encode("utf-16"))
+            cfg, key = str(bad), str(bad)
+        else:
+            bad = tmp_path / "field.csv"
+            bad.write_bytes("t_s,x_m,y_m,u_mps,v_mps\n".encode("utf-16"))
+            doc = json.loads(json.dumps(OCEAN_DOC))
+            doc["ocean"]["field"] = {"path": "field.csv"}
+            cfg, key = write(tmp_path, doc), "ocean.field.path"
+        assert bad.read_bytes()[:2] == b"\xff\xfe"
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err and str(bad) in err
+
+    def test_one_slot_run_writes_float_zeros(self, tmp_path):
+        doc = dict(OCEAN_DOC, goal_m=OCEAN_DOC["start_m"], delta_slots=0)
+        cfg = write(tmp_path, doc)
+        run, bench = tmp_path / "run", tmp_path / "bench"
+        assert main(["run", "--config", cfg, "--out", str(run)]) == 0
+        assert main(["benchmark", "--config", cfg, "--out", str(bench)]) == 0
+        lines = (run / "summary.csv").read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert (row["S_T"], row["energy"]) == ("0.0", "0.0")
+        report = json.loads((bench / "regret_report.json").read_text())
+        assert (report["S_T"], report["energy_online_j"], report["offline_gap"]) == (0.0, 0.0, 0.0)
+        assert all(type(report[k]) is float for k in ("S_T", "energy_online_j", "offline_gap"))
+
     def test_integral_float_integer_key_is_accepted(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", write(tmp_path, D2D_DOC), "--out", str(a)]) == 0
@@ -319,6 +350,23 @@ class TestBenchmarkCommand:
         assert isinstance(doc["solver_iterations"], int) and doc["solver_iterations"] >= 1
         assert isinstance(doc["solver_restarts"], int)
         assert 0 <= doc["solver_restarts"] <= doc["solver_iterations"]
+
+    def test_report_carries_the_regret_interval(self, tmp_path):
+        cfg = write(tmp_path, D2D_DOC)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "regret_report.json").read_text())
+        assert math.isfinite(doc["offline_gap"]) and doc["offline_gap"] >= 0.0
+        assert doc["regret_upper"] == doc["regret"] + doc["offline_gap"]
+        assert doc["solver_converged"] is True
+
+    def test_box_binding_report_is_uncertified(self, tmp_path):
+        # the box cuts the peer's side off, so the offline optimum presses on it
+        cfg = write(tmp_path, dict(D2D_DOC, feasible_box_m={"lo": [-1.0, -1.0], "hi": [11.0, 0.5]}))
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "regret_report.json").read_text())
+        assert doc["offline_gap"] is None and doc["regret_upper"] is None
 
 
 class TestOracleCommand:

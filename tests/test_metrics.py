@@ -117,9 +117,10 @@ class TestSolveOffline:
                 assert s.converged and s.max_violation == 0.0
 
     def test_restarts_counted(self):
-        # a long chain of binding caps overshoots under momentum
+        # a long chain of binding caps overshoots under momentum; the default
+        # gap stop certifies it after ten iterations, before any restart
         leads = [(float(t), 3.0 * (-1) ** t) for t in range(40)]
-        sol = solve_offline(quadratic_problem((0.0, 0.0), leads, [0.5] * 39))
+        sol = solve_offline(quadratic_problem((0.0, 0.0), leads, [0.5] * 39), tol=1e-9)
         assert sol.converged
         assert 0 < sol.restarts < sol.iterations
 
@@ -191,24 +192,31 @@ class TestCertification:
         ids=["first-cap", "second-cap", "start-pin"],
     )
     def test_violating_solution_is_reported(self, pts, worst):
-        sol = _finish(self.problem(), (np.array(pts), 7, 2), max_iter=100, tol=1e-10)
+        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True), max_iter=100)
         assert sol.points == pts
         assert sol.max_violation == worst
         assert not sol.converged
         assert sol.warning == f"final violation {worst:.3e} above 1e-6"
-        assert (sol.iterations, sol.restarts) == (7, 2)
+        assert (sol.iterations, sol.restarts, sol.gap) == (7, 2, 0.5)
 
     def test_feasible_solution_is_certified(self):
         pts = [(1.0, 5.0), (2.0, 5.0), (0.5, 5.0)]
-        sol = _finish(self.problem(), (np.array(pts), 7, 2), max_iter=100, tol=1e-10)
+        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True), max_iter=100)
         assert sol.points == pts
         assert sol.converged and sol.max_violation == 0.0 and sol.warning is None
+        assert sol.gap == 0.5
+
+    def test_unmet_gap_is_not_converged(self):
+        pts = [(1.0, 5.0), (2.0, 5.0), (0.5, 5.0)]
+        sol = _finish(self.problem(), (np.array(pts), 100, 2, 0.5, False), max_iter=100)
+        assert not sol.converged and sol.gap == 0.5 and sol.warning is None
 
     def test_box_excess_hands_the_row_to_restoration(self):
         pts = [(1.0, 5.0), (1.0, 5.0), (-1.0, 5.0)]
-        sol = _finish(self.problem(), (np.array(pts), 7, 2), max_iter=100, tol=1e-10)
+        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True), max_iter=100)
         assert sol.converged and sol.max_violation <= 1e-6 and sol.warning is None
         assert all(TEN_BOX.contains(p, tol=1e-9) for p in sol.points)
+        assert sol.gap is None  # the restoration is uncertified
 
 
 class TestDpOracle:
@@ -540,7 +548,7 @@ def _boxed_problem(T: int) -> OfflineProblem:
 def _outcome(sol):
     return (
         sol.points, sol.utility, sol.iterations, sol.restarts,
-        sol.converged, sol.warning, sol.max_violation,
+        sol.converged, sol.warning, sol.max_violation, sol.gap,
     )
 
 
@@ -564,6 +572,51 @@ def _box_binding_problem(kind: str, T: int, seed: int) -> OfflineProblem:
         return OfflineProblem(start, utilities, centers, radii, box, 2.0)
     utilities = CommuteUtilities(targets, rng.uniform(0.5, 3.0), rng.uniform(0.01, 1.0), kind)
     return OfflineProblem(start, utilities, np.zeros((T - 1, 2)), radii, box, 1.0)
+
+
+# floating-point slack of a utility comparison: both totals are rounded sums
+def _rounding(u: float) -> float:
+    return 1e-9 * (1.0 + abs(u))
+
+
+class TestDualityGap:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["squared", "huber", "voyage"]),
+        T=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        max_iter=st.sampled_from([0, 1, 10, 100_000]),
+    )
+    def test_gap_bounds_the_shortfall_of_a_tight_solve(self, kind, T, seed, max_iter):
+        problem, x0 = _random_problem(kind, T, seed)
+        sol = solve_offline(problem, x0=x0, max_iter=max_iter)
+        tight = solve_offline(problem, tol=1e-12)
+        assert sol.gap >= 0.0 and tight.gap >= 0.0
+        assert tight.utility - sol.utility <= sol.gap + _rounding(tight.utility)
+        assert sol.iterations <= max_iter and (sol.converged or sol.iterations == max_iter)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["squared", "huber", "voyage"]),
+        T=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gap_bounds_the_shortfall_of_the_oracle(self, kind, T, seed):
+        # the oracle's lattice covers a box inside the unboxed problem's region
+        boxed = _box_binding_problem(kind, T, seed)
+        problem = replace(boxed, region=BIG_BOX)
+        sol = solve_offline(problem)
+        oracle = dp_oracle(problem, OracleGrid(boxed.region.lo, boxed.region.hi, 31, 31))
+        assert sol.converged and sol.gap >= 0.0
+        assert oracle.utility - sol.utility <= sol.gap + _rounding(oracle.utility)
+
+    def test_default_stop_is_certified_and_tighter_tol_runs_longer(self):
+        problem, _ = _random_problem("squared", 30, 5)
+        loose = solve_offline(problem)
+        tight = solve_offline(problem, tol=1e-9)
+        assert loose.converged and tight.converged
+        assert loose.iterations % 10 == 0 and loose.iterations <= tight.iterations
+        assert tight.utility - loose.utility <= loose.gap + _rounding(tight.utility)
 
 
 class TestBoxBindingSolves:
@@ -601,7 +654,7 @@ class TestSolveOfflineBatch:
         free = solve_offline(replace(problem, region=BIG_BOX))
         assert any(problem.region.violation(p) > 1e-9 for p in free.points)
         sol = solve_offline(problem)
-        assert sol.converged
+        assert sol.converged and sol.gap is None
         assert all(problem.region.violation(p) <= 1e-9 for p in sol.points)
 
     @settings(max_examples=30, deadline=None)

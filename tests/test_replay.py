@@ -87,28 +87,28 @@ BOXED_COMMUTE_DOC = {**COMMUTE_DOC, "feasible_box_m": {"lo": [-100, 0], "hi": [9
 
 GOLDEN = {
     ("voyage", "run", "trace.csv"): "4df5d65c652fc0fc57ac80dee9ba7372021de6d09b240a57380c1bf2994dbc5c",
-    ("voyage", "run", "summary.csv"): "5d46883bbce58189e6e166e51f4f88cffcfa558d0cd7b2188240dc4f60c10d85",
+    ("voyage", "run", "summary.csv"): "897972fb83d035fb4ef80801240559522733252c38413f3a338970a723e6d197",
     ("voyage", "benchmark", "trace.csv"): "4df5d65c652fc0fc57ac80dee9ba7372021de6d09b240a57380c1bf2994dbc5c",
     ("voyage", "benchmark", "regret_report.json"): (
-        "6e4c9b14d74271bd67928d2ab82750609d4d436e92cad0ccf01e44799b069a51"
+        "fde24c18d7f8c34051ba6dc523b495b3aaa9cf4ee3295d3ca8e1a4f2bea11396"
     ),
     ("commute", "run", "trace.csv"): "e191860d31839af843bdded3c595de03ccaec68fead3c96982579abaf14121cd",
-    ("commute", "run", "summary.csv"): "c7c69b6cbf7e557481a822c061f61f645d708c25435a8fcb936be456a9939e4e",
+    ("commute", "run", "summary.csv"): "990717bbc065ffc3e0f748c0c178846602955b576498c1f001d2a2aa06ea0687",
     ("commute", "benchmark", "trace.csv"): "e191860d31839af843bdded3c595de03ccaec68fead3c96982579abaf14121cd",
     ("commute", "benchmark", "regret_report.json"): (
-        "05faa17eb895a920a5a7e9c77c1976bd4e1f135379cfa35c98155dd542bd11b8"
+        "6defd8b3872656b0d6cef4a1a0018b755f245134a1de2948bf4a576be324fa31"
     ),
     ("commute-huber", "benchmark", "trace.csv"): (
         "77f30993cbb7be5fe981627a2d99e6ed3b3e483ce9e1787ea72b66f92d6cceb6"
     ),
     ("commute-huber", "benchmark", "regret_report.json"): (
-        "a7c9944f264dca54aabfc3b5c4454fbf03c1ea202e299e773c80e85f48f841d2"
+        "a08548792e0de3f200e4c0c883d613068edc65f31d7e332359b2fc855223679d"
     ),
     ("commute-boxed", "benchmark", "trace.csv"): (
         "a31b909a695a0edf182cf09ad992bc888755e27a669713870fdc0f2b5c670af5"
     ),
     ("commute-boxed", "benchmark", "regret_report.json"): (
-        "9bcaa1626f2ff952a8b918f4f371a975467a1478037d4d93af1f68a03f6f7b4f"
+        "9c5b1541d129b66b1c2c614872775aee9f7952abe1b35a7df5a43aea1ce97e80"
     ),
 }
 
@@ -151,31 +151,31 @@ NOISY_GOLDEN = {
         "f698260fec00f57c67ebdf620697aa2519628d1a06a0d7238aaca8928d5a7240"
     ),
     ("voyage", "standard", "summary.csv"): (
-        "3659a7432723473e6225d9f533083b1bb024cfd5bd15fa4b369bb3159d3e7e0a"
+        "496245b372a9507322de1e533430d713eeae7030cd49cc555c04310a2ef64b78"
     ),
     ("voyage", "lookahead", "trace.csv"): (
         "f698260fec00f57c67ebdf620697aa2519628d1a06a0d7238aaca8928d5a7240"
     ),
     ("voyage", "lookahead", "summary.csv"): (
-        "3659a7432723473e6225d9f533083b1bb024cfd5bd15fa4b369bb3159d3e7e0a"
+        "496245b372a9507322de1e533430d713eeae7030cd49cc555c04310a2ef64b78"
     ),
     ("commute", "standard", "trace.csv"): (
         "2b2fbf43fd12699ea0c2c5d9718fd268ee0edb7f148bd743f8fbdccd1e1ddaa5"
     ),
     ("commute", "standard", "summary.csv"): (
-        "c374085f216cc9a23b923b5685b7da502fed3c1b7725d225d54275cf8ff02e19"
+        "aa7cd4d4e8203644684da6beca250fc32bebc0c617b2383b244eb97f296c99bd"
     ),
     ("commute", "lookahead", "trace.csv"): (
         "b4b78f582f96da5eca786aa6589edd1f7cb1d593ca4e21123ae01343088ec12b"
     ),
     ("commute", "lookahead", "summary.csv"): (
-        "faef3560eeae0ca57a2cada0afd4dac0c3f3a9147a8a79a00fa7b70b86c07e2a"
+        "607d8314cf5ee1fe5c04f31d2c4b7638fb9891ff15fe840a44aa102c343e560a"
     ),
     ("voyage-timed", "lookahead", "trace.csv"): (
         "e559d2d34e6eb005927a8a58e4e792313e8007f23dd3340f685792195a13298c"
     ),
     ("voyage-timed", "lookahead", "summary.csv"): (
-        "af5463a7e9a5c42d003072ca7bb5c48db09aa1daff5b99a903136281c585596d"
+        "1d216d1924bf96e757273fe754b7cb90906adadd7cf60bc254726c893c83d8b1"
     ),
 }
 
@@ -205,12 +205,12 @@ def test_noisy_outputs_match_golden_digests(tmp_path, capsys):
 SWEEPS = {"voyage": (VOYAGE_DOC, "0,10,25,40"), "commute": (COMMUTE_DOC, "0,2,5,9")}
 
 SWEEP_GOLDEN = {
-    ("voyage", "summary.csv"): "84c8b23ba0ded6d85bcf66b10a0ecd46ca0a939942cd94493d887716f7212772",
+    ("voyage", "summary.csv"): "e429b19932e39d4befd047302a7875561b64c93fbff8fe1ba0cd3cf1d8d4c46d",
     ("voyage", "trace_delta_0.csv"): "31127865e57b22f7da45f1e0d7fe3e9dddbafeb8052cc9aee0a1f3359904ca7e",
     ("voyage", "trace_delta_10.csv"): "33c50d23c53a1afe54082088c739e16c7c171a829674621af1597607963ffa52",
     ("voyage", "trace_delta_25.csv"): "c9fcbd21917b56eb5f90682c1206a443db0b8c1cae83f6aeed3c8984e0e7f2a6",
     ("voyage", "trace_delta_40.csv"): "cc30c2255300a640c4822263790379119b4cd2b16bd65c6e38f2820e19df1789",
-    ("commute", "summary.csv"): "27405cf907a4d85a4b8d1119c3f7fec320472e1ecb3c38b94e3127aa53a05454",
+    ("commute", "summary.csv"): "94f376bf512faf256260ce4ad5099c01eca3625550a4edd6d814d75dfec509ed",
     ("commute", "trace_delta_0.csv"): "1e022ef24de42247f869a5c710eeea2262588a7ca2bfcc3d179f5d374c0470d8",
     ("commute", "trace_delta_2.csv"): "28700a97d66b9876d3e7ca67260894c86e44dba42ab7169241de400cce972e58",
     ("commute", "trace_delta_5.csv"): "326504c17c8ef9912115e400758780c2da6e23523ff09aa4de8da0f1df245ac6",
