@@ -623,48 +623,21 @@ def squared_path_length(traj: Sequence[Point]) -> float:
 @dataclass(frozen=True)
 class GradientVariation:
     value: float
+    # False when some pair's term is an upper bound, not an attained maximum
     exact: bool
-    n_samples: int
 
 
-def gradient_variation(
-    utilities: Utilities,
-    region: Box2D,
-    n_samples: int = 256,
-    seed: int = 0,
-) -> GradientVariation:
+def gradient_variation(utilities: Utilities, region: Box2D) -> GradientVariation:
     """Worst-case cumulative squared change of the gradient between slots.
 
-    When the per-pair gradient difference is affine in the position, the
-    inner maximum of the (convex) squared norm is attained at a vertex of
-    the box and evaluated exactly; otherwise it is estimated by Monte Carlo
-    over ``n_samples`` uniform points of the box, with the sample count
-    reported.  The Monte-Carlo branch evaluates each sample at every slot
-    through the family's ``gradient_array``.
+    The sum over consecutive slots of the maximum over ``region`` of
+    ``|grad U_{t+1}(x) - grad U_t(x)|^2``.  Each family gives its per-pair
+    maxima in closed form (``variation_terms``): exact for the squared
+    commute and the voyage, and for the Huber commute whenever every pair's
+    leads have their midpoint in ``region``.
     """
-    diffs = utilities.affine_diffs
-    if diffs is not None:
-        corners = region.vertices()
-        worst = [
-            max((a * c[0] + b[0]) ** 2 + (a * c[1] + b[1]) ** 2 for c in corners)
-            for a, b in zip(diffs[0].tolist(), diffs[1].tolist())
-        ]
-        return GradientVariation(value=left_sum(worst, 0.0), exact=True, n_samples=0)
-    rng = np.random.default_rng(seed)
-    lo, hi = region.lo, region.hi
-    xs = rng.uniform(lo[0], hi[0], n_samples)
-    ys = rng.uniform(lo[1], hi[1], n_samples)
-    samples = list(zip(xs.tolist(), ys.tolist()))
-    # one sample at a time over all slots, keeping a running max per pair
-    worst = np.zeros(max(utilities.horizon - 1, 0))
-    x = np.empty((utilities.horizon, 2))
-    for p in samples:
-        x[:] = p
-        g = utilities.gradient_array(x)
-        diff = g[1:] - g[:-1]
-        np.maximum(worst, diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1], out=worst)
-    total = left_sum(worst.tolist(), 0.0)
-    return GradientVariation(value=total, exact=False, n_samples=len(samples))
+    terms, exact = utilities.variation_terms(region)
+    return GradientVariation(value=left_sum(terms, 0.0), exact=exact)
 
 
 def cumulative_error(eps_sq: Sequence[float]) -> float:

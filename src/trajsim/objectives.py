@@ -14,7 +14,8 @@ uses the matching unit scaling.
 
 The scalar functions serve the per-slot online loop.  For the offline
 benchmark, :class:`CommuteUtilities` and :class:`VoyageUtilities` hold one
-frozen utility per slot as arrays and evaluate all slots at once.
+frozen utility per slot as arrays and evaluate all slots at once; each also
+gives its worst-case gradient variation in closed form.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import EmptyStepInterval, HorizonMismatch, RootExistence
 from .geom import Point, Vector, dist, dot, norm, norm_sq, sub
+from .sets import Box2D
 
 # Distance floor (meters) below which the far-field path-loss model of
 # `rate` is invalid and the distance is clamped.
@@ -59,13 +61,6 @@ def huber_value(d: float, v_max: float, mu: float) -> float:
         return 0.5 * d * d
     offset = (1.0 - mu) * v_max * v_max / 2.0
     return v_max * (1.0 - mu) * d + 0.5 * mu * d * d - offset
-
-
-def huber_gradient_norm(d: float, v_max: float, mu: float) -> float:
-    """Magnitude of the derivative of :func:`huber_value` in the distance."""
-    if d <= v_max:
-        return d
-    return v_max * (1.0 - mu) + mu * d
 
 
 def d2d_utility(x: Point, ell: Point, v_max: float, mu: float, kind: str = "squared") -> float:
@@ -345,15 +340,23 @@ class CommuteUtilities(_Family):
         v, mu, kind = self.v, self.mu, self.kind
         return [d2d_utility(p, e, v, mu, kind) for p, e in zip(points, self.leads.tolist())]
 
-    @property
-    def affine_diffs(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(a, b)`` with ``grad U_{t+1}(x) - grad U_t(x) == a[t] * x + b[t]``.
+    def variation_terms(self, region: Box2D) -> tuple[list[float], bool]:
+        """Per pair ``t``, the maximum over ``region`` of ``|grad U_{t+1} - grad U_t|^2``.
 
-        ``None`` for the Huber kind, whose gradient differences are not affine.
+        The squared kind's difference is the lead step ``b`` at every ``x``.
+        ``P_v`` is nonexpansive with outputs of norm at most ``v``, so the
+        Huber kind's is at most ``mu |b| + (1 - mu) min(|b|, 2 v)`` long,
+        attained at the leads' midpoint.  The flag says whether every maximum
+        is attained in ``region``; if not, the terms are upper bounds.
         """
-        if self.kind == "huber":
-            return None
-        return np.zeros(self.horizon - 1), self.leads[1:] - self.leads[:-1]
+        steps = (self.leads[1:] - self.leads[:-1]).tolist()
+        if self.kind == "squared":
+            return [b[0] ** 2 + b[1] ** 2 for b in steps], True
+        mu, cap = self.mu, 2.0 * self.v
+        norms = [math.hypot(*b) for b in steps]
+        terms = [(mu * n + self._one_minus_mu * min(n, cap)) ** 2 for n in norms]
+        mids = (0.5 * (self.leads[1:] + self.leads[:-1])).tolist()
+        return terms, all(region.contains(m) for m in mids)
 
     def slot_terms(self, x: np.ndarray) -> np.ndarray:
         """Per-slot terms whose sum times :attr:`total_scale` is the total."""
@@ -372,7 +375,8 @@ class CommuteUtilities(_Family):
         if self.kind == "squared":
             return pull
         # math.hypot, not np.hypot: they can differ in the last bit, and this
-        # must equal d2d_gradient exactly (G_T is built from it)
+        # must equal d2d_gradient bit for bit, the per-slot gradient the
+        # scenario tests' _PerSlotHuber solves with
         flat = pull.reshape(-1, 2)
         n = np.fromiter(
             map(math.hypot, flat[:, 0].tolist(), flat[:, 1].tolist()), float, len(flat)
@@ -439,15 +443,22 @@ class VoyageUtilities(_Family):
             )
         return out
 
-    @property
-    def affine_diffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(a, b)`` with ``grad U_{t+1}(x) - grad U_t(x) == a[t] * x + b[t]``."""
+    def variation_terms(self, region: Box2D) -> tuple[list[float], bool]:
+        """Per pair ``t``, the maximum over ``region`` of ``|grad U_{t+1} - grad U_t|^2``.
+
+        The difference is ``a[t] x + b[t]``, affine in ``x``, so its convex
+        squared norm peaks at a vertex of the box: every term is exact.
+        """
         lam = self.lam
         pull = lam[:, None] * self.goal
         drift = (1.0 - lam)[:, None] * self.current
         a = -2.0 * (lam[1:] - lam[:-1])
         b = 2.0 * (pull[1:] - pull[:-1]) + drift[1:] - drift[:-1]
-        return a, b
+        corners = region.vertices()
+        return [
+            max((a_t * c[0] + b_t[0]) ** 2 + (a_t * c[1] + b_t[1]) ** 2 for c in corners)
+            for a_t, b_t in zip(a.tolist(), b.tolist())
+        ], True
 
     def slot_terms(self, x: np.ndarray) -> np.ndarray:
         """Per-slot terms whose sum times :attr:`total_scale` is the total."""

@@ -309,7 +309,10 @@ def test_c10_huber_c1():
         near = obj.huber_value(v - 1e-12, v, mu)
         far = obj.huber_value(v + 1e-12, v, mu)
         assert abs(near - far) <= 1e-10
-        assert abs(obj.huber_gradient_norm(v - 1e-12, v, mu) - obj.huber_gradient_norm(v + 1e-12, v, mu)) <= 1e-10
+        # the gradient the agent steps on, with the lead v -+ 1e-12 away
+        near_g = math.hypot(*obj.d2d_gradient((0.0, 0.0), (v - 1e-12, 0.0), v, mu))
+        far_g = math.hypot(*obj.d2d_gradient((0.0, 0.0), (v + 1e-12, 0.0), v, mu))
+        assert abs(near_g - far_g) <= 1e-10
         # branch formulas evaluated exactly at the crossover
         left = 0.5 * v * v
         right = v * (1 - mu) * v + 0.5 * mu * v * v - (1 - mu) * v * v / 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from trajsim import objectives as obj
 from trajsim.errors import GridTooCoarse, HorizonMismatch
 from trajsim.field import UniformSpec, synth_field
-from trajsim.geom import dist, norm_sq, sub
+from trajsim.geom import dist, left_sum, norm_sq, sub
 from trajsim.metrics import (
     OfflineProblem,
     OracleGrid,
@@ -29,11 +29,22 @@ from trajsim.sets import Box2D
 
 BIG_BOX = Box2D((-1e6, -1e6), (1e6, 1e6))
 TEN_BOX = Box2D((0.0, 0.0), (10.0, 10.0))
+# quarter-meter coordinates: midpoints and half steps are exact floats
+QUARTERS = st.integers(-40, 40).map(lambda k: k / 4)
+COORDS = st.floats(-1e6, 1e6)
 
 
 def quadratic_sequence(leads):
     """Utilities -0.5|x - lead|^2 per slot, with exact variation data."""
     return CommuteUtilities(leads, 1.0, 1e-3, "squared")
+
+
+def _pairwise_maxima(us, points):
+    """Per pair ``t``, the largest ``|grad U_{t+1}(x) - grad U_t(x)|^2`` over ``points``."""
+    x = np.repeat(np.asarray(points, dtype=float)[:, None, :], us.horizon, axis=1)
+    g = us.gradient_array(x)
+    d = g[:, 1:] - g[:, :-1]
+    return np.max(d[..., 0] ** 2 + d[..., 1] ** 2, axis=0)
 
 
 def quadratic_problem(start, leads, caps_r, region=BIG_BOX, centers=None):
@@ -347,38 +358,94 @@ class TestVariationMeasures:
         gv = gradient_variation(seq, TEN_BOX)
         expected = sum(norm_sq(sub(b, a)) for a, b in zip(leads, leads[1:]))
         assert gv.value == pytest.approx(expected)
-        assert gv.exact and gv.n_samples == 0
+        assert gv.exact
 
-    def test_sampled_agrees_with_closed_form_for_quadratics(self):
+    def test_huber_at_mu_one_is_the_squared_variation(self):
         leads = [(0.0, 0.0), (2.0, 1.0), (3.0, 3.0)]
-        exact = gradient_variation(quadratic_sequence(leads), TEN_BOX)
-        # mu = 1 makes the Huber penalty the squared one, without affine data
-        no_diffs = CommuteUtilities(leads, 1.0, 1.0, "huber")
-        sampled = gradient_variation(no_diffs, TEN_BOX, n_samples=256)
-        assert not sampled.exact and sampled.n_samples == 256
-        # x-independent differences: sampling is exact too
-        assert sampled.value == pytest.approx(exact.value, rel=1e-12)
+        squared = gradient_variation(quadratic_sequence(leads), TEN_BOX)
+        # mu = 1 makes the Huber penalty the squared one
+        huber = gradient_variation(CommuteUtilities(leads, 1.0, 1.0, "huber"), TEN_BOX)
+        assert squared.exact and huber.exact
+        assert huber.value == pytest.approx(squared.value, rel=1e-12)
 
-    def test_monte_carlo_matches_scalar_reference(self):
+    def test_huber_closed_form_matches_scalar_midpoints(self):
         rng = np.random.default_rng(4)
         leads = [tuple(p) for p in rng.uniform(0.0, 10.0, (12, 2)).tolist()]
         seq = CommuteUtilities(leads, 1.0, 0.2, "huber")
-        gv = gradient_variation(seq, TEN_BOX, n_samples=64, seed=7)
-        # the per-pair, per-sample loop the batch evaluation replaced
-        sample_rng = np.random.default_rng(7)
-        xs = sample_rng.uniform(TEN_BOX.lo[0], TEN_BOX.hi[0], 64)
-        ys = sample_rng.uniform(TEN_BOX.lo[1], TEN_BOX.hi[1], 64)
-        samples = list(zip(xs.tolist(), ys.tolist()))
+        gv = gradient_variation(seq, TEN_BOX)
+        # each pair's maximum, through the scalar gradient at its leads' midpoint
         expected = 0.0
         for e_now, e_next in zip(leads, leads[1:]):
-            worst = 0.0
-            for p in samples:
-                g_now = obj.d2d_gradient(p, e_now, 1.0, 0.2)
-                g_next = obj.d2d_gradient(p, e_next, 1.0, 0.2)
-                worst = max(worst, norm_sq(sub(g_next, g_now)))
-            expected += worst
-        assert not gv.exact and gv.n_samples == 64
-        assert gv.value == expected
+            mid = ((e_now[0] + e_next[0]) / 2, (e_now[1] + e_next[1]) / 2)
+            g_now = obj.d2d_gradient(mid, e_now, 1.0, 0.2)
+            g_next = obj.d2d_gradient(mid, e_next, 1.0, 0.2)
+            expected += norm_sq(sub(g_next, g_now))
+        assert gv.exact
+        assert gv.value == pytest.approx(expected, rel=1e-12)
+        # a box without the midpoints leaves the same value as an upper bound
+        cut = gradient_variation(seq, Box2D((0.0, 0.0), (1.0, 1.0)))
+        assert not cut.exact and cut.value == gv.value
+
+    @given(
+        leads=st.lists(st.tuples(QUARTERS, QUARTERS), min_size=2, max_size=8),
+        mu=st.floats(0.0, 1.0, exclude_min=True),
+        v=st.floats(0.05, 10.0),
+        corners=st.tuples(QUARTERS, QUARTERS, QUARTERS, QUARTERS),
+        hull=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_huber_closed_form_is_the_box_maximum(self, leads, mu, v, corners, hull, seed):
+        a = np.asarray(leads)
+        if hull:  # the leads' bounding box holds every midpoint
+            region = Box2D(tuple(a.min(axis=0)), tuple(a.max(axis=0)))
+        else:
+            x0, x1, y0, y1 = corners
+            region = Box2D((min(x0, x1), min(y0, y1)), (max(x0, x1), max(y0, y1)))
+        us = CommuteUtilities(leads, v, mu, "huber")
+        terms, exact = us.variation_terms(region)
+        gv = gradient_variation(us, region)
+        assert gv.value == left_sum(terms, 0.0) and gv.exact == exact
+        mids = (0.5 * (a[1:] + a[:-1])).tolist()
+        assert exact == all(region.contains(m) for m in mids)
+        terms = np.asarray(terms)
+        # a 101 x 101 grid of the box plus the midpoints inside it
+        xs = np.linspace(region.lo[0], region.hi[0], 101)
+        ys = np.linspace(region.lo[1], region.hi[1], 101)
+        grid = [np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)]
+        grid += [np.array([m for m in mids if region.contains(m)]).reshape(-1, 2)]
+        dense = _pairwise_maxima(us, np.vstack(grid))
+        assert np.all(terms >= dense * (1.0 - 1e-12))
+        if exact:
+            assert np.allclose(terms, dense, rtol=1e-12, atol=0.0)
+        rng = np.random.default_rng(seed)
+        sampled = _pairwise_maxima(us, rng.uniform(region.lo, region.hi, (256, 2)))
+        assert np.all(terms >= sampled * (1.0 - 1e-12))
+
+    @given(
+        T=st.integers(1, 400),
+        scale=st.sampled_from([1e-3, 1.0, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+        corners=st.tuples(COORDS, COORDS, COORDS, COORDS),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_squared_variation_keeps_the_vertex_bits(self, T, scale, seed, corners):
+        # long horizons: x ** 2 and x * x differ in the last bit on about
+        # one float in a thousand
+        leads = np.random.default_rng(seed).uniform(-scale, scale, (T, 2))
+        x0, x1, y0, y1 = corners
+        region = Box2D((min(x0, x1), min(y0, y1)), (max(x0, x1), max(y0, y1)))
+        us = quadratic_sequence(leads)
+        # the box-vertex maximum of the affine difference 0 * x + b, squared with **
+        steps = (us.leads[1:] - us.leads[:-1]).tolist()
+        vertex = [
+            max((0.0 * c[0] + b[0]) ** 2 + (0.0 * c[1] + b[1]) ** 2 for c in region.vertices())
+            for b in steps
+        ]
+        terms, exact = us.variation_terms(region)
+        assert exact and list(map(repr, terms)) == list(map(repr, vertex))
+        gv = gradient_variation(us, region)
+        assert gv.exact and repr(gv.value) == repr(left_sum(vertex, 0.0))
 
     def test_variation_measures_additive_over_splits(self):
         rng = np.random.default_rng(9)
@@ -409,7 +476,9 @@ class TestVariationMeasures:
             2 * (lam[1] * goals[1][1] - lam[0] * goals[0][1]) + (1 - lam[1]) * vos[1][1] - (1 - lam[0]) * vos[0][1],
         )
         seq = VoyageUtilities(lam, goals, vos, [(0.0, 0.0)] * 2)
-        assert np.allclose(seq.affine_diffs[0], [a]) and np.allclose(seq.affine_diffs[1], [b])
+        terms, exact = seq.variation_terms(TEN_BOX)
+        vertex = max(norm_sq((a * c[0] + b[0], a * c[1] + b[1])) for c in TEN_BOX.vertices())
+        assert exact and terms == [pytest.approx(vertex, rel=1e-12)]
         gv = gradient_variation(seq, TEN_BOX)
         rng = np.random.default_rng(5)
         for _ in range(1000):

@@ -78,7 +78,8 @@ COMMUTE_DOC = {
     },
 }
 
-# the same commute with the Huber utility: its G_T is the Monte-Carlo estimate
+# the same commute with the Huber utility: its G_T is the closed form, exact
+# since every pair of leads has its midpoint in the box
 HUBER_COMMUTE_DOC = {**COMMUTE_DOC, "d2d": {**COMMUTE_DOC["d2d"], "utility": "huber", "mu": 0.05}}
 
 # the squared commute in a box that cuts off the offline optimum, so the
@@ -102,7 +103,7 @@ GOLDEN = {
         "77f30993cbb7be5fe981627a2d99e6ed3b3e483ce9e1787ea72b66f92d6cceb6"
     ),
     ("commute-huber", "benchmark", "regret_report.json"): (
-        "a08548792e0de3f200e4c0c883d613068edc65f31d7e332359b2fc855223679d"
+        "0fc84f7ee8143c47bb1fed7440e559da73405ce823facadf050370bfed2b3c98"
     ),
     ("commute-boxed", "benchmark", "trace.csv"): (
         "a31b909a695a0edf182cf09ad992bc888755e27a669713870fdc0f2b5c670af5"

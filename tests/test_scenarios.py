@@ -195,7 +195,6 @@ class _PerSlotHuber:
     def __init__(self, family):
         self.family = family
         self.horizon = family.horizon
-        self.affine_diffs = family.affine_diffs
         self.values = family.values
         self.stack_key = ("per-slot", id(self))
 
