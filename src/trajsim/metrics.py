@@ -5,9 +5,9 @@ trajectory at once, subject to the same coupled displacement caps the online
 agent faced; its value anchors the regret numbers in every report, and its
 duality gap bounds how far that value may lie below the true optimum.  The
 caps, the start pin and the box are held as arrays: the ascent and its gap,
-the Dykstra projection of its box-binding fallback and the feasibility check
-of every solution all work on them directly.  The dynamic-programming oracle
-re-solves small instances on a grid and exists purely to validate the
+the augmented-Lagrangian solve of a row whose box binds and the feasibility
+check of every solution all work on them directly.  The dynamic-programming
+oracle re-solves small instances on a grid and exists purely to validate the
 solver.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,8 +33,11 @@ ORACLE_MAX_NODES = 101
 GAP_TOL = 1e-3
 # iterations between two gap checks; each check costs one gradient
 GAP_EVERY = 10
-# flat-utility stop of the box-binding restoration, which has no gap
-_RESTORATION_TOL = 1e-10
+# a box-binding row's rounds ascend until their box gap is this share of the
+# gap the stop still needs; the cap penalty starts at the smoothness and grows
+# this much after a round that cut the largest cap violation less than 4x
+_INNER_SHARE = 0.1
+_RHO_GROWTH = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,12 +95,11 @@ class OfflineSolution:
     iterations: int
     converged: bool
     max_violation: float
+    # duality gap at ``points``: the optimum exceeds ``utility`` by at most this
+    gap: float
     warning: str | None = None
     # momentum restarts taken by the accelerated ascent
     restarts: int = 0
-    # Frank-Wolfe duality gap at ``points``, an upper bound on the optimum's
-    # excess over ``utility``; ``None`` when the box binds (uncertified)
-    gap: float | None = None
 
 
 def _clamp_balls(z: np.ndarray, radii: np.ndarray, floors: np.ndarray) -> np.ndarray:
@@ -341,17 +342,17 @@ def solve_offline(
     bound.  At ``max_iter`` the solve stops uncertified unless that last
     check passes.
 
-    The region membership is verified afterwards; in the rare case it
-    binds, the solve falls back to plain projected ascent in waypoint space
-    with a Dykstra projection restoring feasibility each iteration (exact,
-    but slow when caps chain tightly).  That ascent stops when its utility
-    improvement is at most 1e-10 relative, and its solution has no gap.
+    The region membership is verified afterwards.  In the rare case that
+    the box binds, the row is solved again alone in waypoint space
+    (:func:`_solve_boxed`): the box is a clip there, and the caps carry an
+    augmented Lagrangian whose duality gap certifies the row under the same
+    stop and the same ``max_iter``.
 
     ``x0`` (e.g. the online trajectory the benchmark compares against)
     warm-starts the solve; without it the start is zero displacement from
-    the cap centers.  Dykstra stalls in the fallback are soft: the last
-    iterate is kept and the returned solution carries a warning and its
-    violation.  This is the batch of one of :func:`solve_offline_batch`.
+    the cap centers, or staying put for a box-binding row.  A solution that
+    violates a constraint by more than 1e-6 is not converged and carries a
+    warning.  This is the batch of one of :func:`solve_offline_batch`.
     """
     return solve_offline_batch([problem], [x0], max_iter=max_iter, tol=tol)[0]
 
@@ -367,8 +368,8 @@ def solve_offline_batch(
     Problems whose utility families stack (same family and kind) ascend
     together in one padded computation, so each numpy call covers every
     row; solution ``r`` equals ``solve_offline(problems[r], x0=x0s[r])`` bit
-    for bit, its gap and its stop included.  A row that violates its region
-    falls back alone.
+    for bit, its gap and its stop included.  A row that leaves its box is
+    solved again alone.
     """
     if x0s is None:
         x0s = [None] * len(problems)
@@ -380,26 +381,25 @@ def solve_offline_batch(
     for rows in groups.values():
         found = _ascend([problems[i] for i in rows], [x0s[i] for i in rows], max_iter, tol)
         ascents.update(zip(rows, found))
-    return [_finish(p, ascents.get(i), max_iter) for i, p in enumerate(problems)]
+    return [_finish(p, ascents.get(i), x0s[i], max_iter, tol) for i, p in enumerate(problems)]
 
 
-def _finish(problem: OfflineProblem, ascent: tuple | None, max_iter: int) -> OfflineSolution:
-    """Check one ascent's waypoints against the region and certify them."""
+def _finish(
+    problem: OfflineProblem, ascent: tuple | None, x0: Sequence | None, max_iter: int, tol: float
+) -> OfflineSolution:
+    """Certify one ascent's waypoints; :func:`_solve_boxed` redoes a row that leaves its box."""
     us = problem.utilities
     if ascent is None:  # T == 1: the start pin is the whole trajectory
         pts = [problem.start]
-        return OfflineSolution(pts, us.total(pts), 0, True, 0.0, gap=0.0)
+        return OfflineSolution(pts, us.total(pts), 0, True, 0.0, 0.0)
     x, iterations, restarts, gap, met = ascent
     cons = (problem.start, problem.centers, problem.radii, problem.region)
     box_excess, violation = _violation(x, *cons)
-    warning = None
     if box_excess > 1e-9:
-        x, warning = _solve_with_restoration(problem, x, max_iter=max_iter)
+        x, iterations, restarts, gap, met = _solve_boxed(problem, x0, max_iter, tol)
         violation = _violation(x, *cons)[1]
-        gap = None
     converged = violation <= 1e-6 and met
-    if violation > 1e-6 and warning is None:
-        warning = f"final violation {violation:.3e} above 1e-6"
+    warning = f"final violation {violation:.3e} above 1e-6" if violation > 1e-6 else None
     pts = [(p[0], p[1]) for p in x.tolist()]
     return OfflineSolution(
         points=pts,
@@ -430,112 +430,108 @@ def _violation(
     return box_excess, max(cap_gap, float(np.hypot(pin[0], pin[1])), box_excess)
 
 
-def _project_caps(
-    z: np.ndarray, idx: np.ndarray, centers: np.ndarray, radii: np.ndarray
-) -> np.ndarray:
-    """Projection onto the caps of the disjoint waypoint pairs ``(idx, idx + 1)``.
-
-    Projecting a single pair keeps its midpoint; each end absorbs half of
-    the displacement correction.
-    """
-    a, b = z[idx], z[idx + 1]
-    w = b - a - centers
-    d = np.hypot(w[:, 0], w[:, 1])
-    mask = d > radii
-    if not mask.any():
-        return z
-    scale = np.ones_like(d)
-    scale[mask] = radii[mask] / d[mask]
-    u = np.where(mask[:, None], centers + w * scale[:, None], b - a)
-    out = z.copy()
-    out[idx] = (a + b - u) / 2.0
-    out[idx + 1] = (a + b + u) / 2.0
+def _chain_adjoint(v: np.ndarray) -> np.ndarray:
+    """``D^T v`` for the steps ``(D x)_t = x_{t+1} - x_t``."""
+    out = np.zeros((len(v) + 1, 2))
+    out[1:] = v
+    out[:-1] -= v
     return out
 
 
-def _clip_rows(z: np.ndarray, rows: slice, lo: Point, hi: Point) -> np.ndarray:
-    out = z.copy()
-    out[rows] = np.clip(z[rows], lo, hi)
-    return out
+def _box_gap(g: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Frank-Wolfe gap at gradient ``g`` over the box of the unpinned waypoints ``x[1:]``."""
+    g, x = g[1:], x[1:]
+    return float(np.add.reduce(np.maximum(g * (hi - x), g * (lo - x)), axis=None))
 
 
-def _dykstra(
-    x: np.ndarray,
-    start: Point,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    box: Box2D,
-    max_iter: int = 500,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, float]:
-    """Project waypoints ``x`` onto the intersection of the caps, the start pin and the box.
+def _retract(x: np.ndarray, start: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``start + theta (x - start)`` for the largest ``theta`` in [0, 1] that meets every cap.
 
-    Alternating projections with Dykstra's correction terms (Boyle & Dykstra
-    1986), which converge to the exact Euclidean projection onto the
-    intersection; plain cyclic projection would only find *a* feasible
-    point.  A cycle projects onto the even caps and the odd caps (pairs
-    that share no waypoint, one array operation each), then the start pin,
-    then the box.  Stops after ``max_iter`` cycles, or once the largest
-    violation is at most ``tol`` and no correction term changed by more
-    than ``tol`` in the last cycle: a feasible iterate alone can still be
-    far from the projection (Birgin & Raydan 2005).  Returns the last
-    iterate and its violation.
+    Step ``d_t`` scales by ``theta``, so cap t holds up to the positive root of
+    ``|d|^2 theta^2 - 2 <d, c> theta + |c|^2 - r^2``: staying put meets it.
     """
-    z = np.array(x, dtype=float)
-    residual = _violation(z, start, centers, radii, box)[1]
-    if residual <= tol:
-        return z, residual
-    n = len(radii)
-    projections = [
-        partial(_project_caps, idx=idx, centers=centers[idx], radii=radii[idx])
-        for idx in (np.arange(0, n, 2), np.arange(1, n, 2))
-        if len(idx)
-    ]
-    projections += [
-        partial(_clip_rows, rows=slice(0, 1), lo=start, hi=start),
-        partial(_clip_rows, rows=slice(None), lo=box.lo, hi=box.hi),
-    ]
-    increments = [np.zeros_like(z) for _ in projections]
-    for _ in range(max_iter):
-        moved = 0.0
-        for project, inc in zip(projections, increments):
-            shifted = z + inc
-            z_new = project(shifted)
-            new_inc = shifted - z_new
-            moved = max(moved, float(np.max(np.abs(new_inc - inc))))
-            inc[...] = new_inc
-            z = z_new
-        residual = _violation(z, start, centers, radii, box)[1]
-        if residual <= tol and moved <= tol:
-            break
-    return z, residual
+    d = x[1:] - x[:-1]
+    w = d - c
+    out = np.hypot(w[:, 0], w[:, 1]) > r
+    if not out.any():
+        return x
+    d, c, r = d[out], c[out], r[out]
+    dd, dc, cc = (np.einsum("ij,ij->i", a, b) for a, b in ((d, d), (d, c), (c, c)))
+    root = np.sqrt(np.maximum(dc * dc - dd * (cc - r * r), 0.0))
+    theta = float(((dc + root) / np.maximum(dd, np.finfo(float).tiny)).min())
+    return start + min(max(theta, 0.0), 1.0) * (x - start)
 
 
-def _solve_with_restoration(
-    problem: OfflineProblem, warm: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, str | None]:
-    """Waypoint-space projected ascent with Dykstra feasibility restoration.
+def _solve_boxed(
+    problem: OfflineProblem, x0: Sequence[Point] | None, max_iter: int, tol: float
+) -> tuple[np.ndarray, int, int, float, bool]:
+    """Augmented-Lagrangian ascent of one box-binding row over its waypoints.
 
-    Stops once the utility improvement is at most :data:`_RESTORATION_TOL`
-    relative, or after ``max_iter`` iterations.
+    The box and the start pin are a clip; the caps ``|w_t| <= r_t``, ``w = D x
+    - centers``, add ``-rho/2 sum_t dist(w_t + lam_t / rho, B(0, r_t))^2``
+    (Bertsekas 1982, ch. 2).  Rounds of FISTA with gradient restarts
+    (O'Donoghue & Candes 2015) each end with ``lam`` taking the excess.
+    ``l(x) = U(x) - sum <lam_t, w_t> + sum r_t |lam_t| >= U`` where the caps
+    hold, so ``l`` plus its box gap bounds the optimum; the gap is that bound
+    minus the utility of the :func:`_retract`-ed iterate.  The row starts at
+    ``x0`` clipped into the box, or else stays put.
     """
-    step = 1.0 / problem.smoothness
-    cons = (problem.start, problem.centers, problem.radii, problem.region)
-    x, _ = _dykstra(warm, *cons)
-    warning = None
     us = problem.utilities
-    prev = us.total(x)
-    for _ in range(max_iter):
-        x, residual = _dykstra(x + step * us.gradient_array(x), *cons, max_iter=3000)
-        warning = None
-        if not residual <= 1e-8:  # a NaN residual stalls too
-            warning = f"feasibility restoration stalled at residual {residual:.3e}"
-        value = us.total(x)
-        improvement = abs(value - prev)
-        prev = value
-        if improvement <= _RESTORATION_TOL * (1.0 + abs(value)):
-            break
-    return x, warning
+    start = np.array(problem.start)
+    lo, hi = np.array(problem.region.lo), np.array(problem.region.hi)
+    centers, radii = problem.centers, problem.radii
+    floors = np.maximum(radii, np.finfo(float).tiny)
+    x = np.repeat(start[None], problem.horizon, axis=0)
+    if x0 is not None and len(x0) == problem.horizon:
+        x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    x[0] = start
+    u0 = us.total(x)
+    lam = np.zeros_like(centers)
+    rho = problem.smoothness
+    violation = math.inf
+    inner = _INNER_SHARE * tol
+    iterations = restarts = 0
+
+    def excess(x: np.ndarray) -> np.ndarray:
+        q = x[1:] - x[:-1] - shift  # w + lam / rho
+        return q - _clamp_balls(q, radii, floors)
+
+    def ascent(x: np.ndarray) -> np.ndarray:
+        return us.gradient_array(x) - rho * _chain_adjoint(excess(x))
+
+    while True:
+        shift = centers - lam / rho
+        step = 1.0 / (problem.smoothness + 4.0 * rho)
+        x_prev, t_k, k = x, 1.0, 0
+        while iterations < max_iter:
+            if k % GAP_EVERY == 0 and _box_gap(ascent(x), x, lo, hi) <= inner:
+                break
+            k += 1
+            iterations += 1
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+            y = x + ((t_k - 1.0) / t_next) * (x - x_prev)
+            x_new = np.minimum(np.maximum(y + step * ascent(y), lo), hi)
+            x_new[0] = start
+            if np.vdot(x_new - y, x_new - x) < 0.0:
+                restarts += 1
+                t_next = 1.0
+            x_prev, x, t_k = x, x_new, t_next
+        lam = rho * excess(x)
+        w = x[1:] - x[:-1] - centers
+        u_hat = us.total(x)
+        bound = u_hat - float(np.vdot(lam, w)) + float(radii @ np.hypot(lam[:, 0], lam[:, 1]))
+        bound += _box_gap(us.gradient_array(x) - _chain_adjoint(lam), x, lo, hi)
+        x_f = _retract(x, start, centers, radii)
+        u = us.total(x_f)
+        gap = max(bound - u, 0.0)
+        met = gap <= tol * max(1.0, u - u0)
+        if met or iterations >= max_iter:
+            return x_f, iterations, restarts, gap, met
+        inner = _INNER_SHARE * min(gap, tol * max(1.0, u_hat - u0))
+        worst = float(np.max(np.hypot(w[:, 0], w[:, 1]) - radii, initial=0.0))
+        if worst > 0.25 * violation:
+            rho *= _RHO_GROWTH
+        violation = worst
 
 
 @dataclass(frozen=True)
@@ -704,7 +700,7 @@ class RegretReport:
     solver_warning: str | None = None
     solver_iterations: int = 0
     solver_restarts: int = 0
-    # the offline solution's duality gap; None when it is uncertified
+    # the offline solution's duality gap; None for a report built without it
     offline_gap: float | None = None
 
     @property

@@ -360,13 +360,15 @@ class TestBenchmarkCommand:
         assert doc["regret_upper"] == doc["regret"] + doc["offline_gap"]
         assert doc["solver_converged"] is True
 
-    def test_box_binding_report_is_uncertified(self, tmp_path):
+    def test_box_binding_report_is_certified(self, tmp_path):
         # the box cuts the peer's side off, so the offline optimum presses on it
         cfg = write(tmp_path, dict(D2D_DOC, feasible_box_m={"lo": [-1.0, -1.0], "hi": [11.0, 0.5]}))
         out = tmp_path / "bench"
         assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads((out / "regret_report.json").read_text())
-        assert doc["offline_gap"] is None and doc["regret_upper"] is None
+        assert math.isfinite(doc["offline_gap"]) and doc["offline_gap"] >= 0.0
+        assert doc["regret_upper"] == doc["regret"] + doc["offline_gap"]
+        assert doc["solver_converged"] is True
 
 
 class TestOracleCommand:

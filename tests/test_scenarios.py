@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trajsim import objectives as obj
 from trajsim.engine import NoiseModel
 from trajsim.errors import InfeasibleStepSize, SchemaError
 from trajsim.field import FieldPerturbation, UniformSpec, synth_field
-from trajsim.geom import dist, dot, norm, sub
+from trajsim.geom import dist, dot, left_sum, norm, sub
 from trajsim.metrics import solve_offline
 from trajsim.objectives import CommuteUtilities
 from trajsim.scenarios import (
@@ -20,6 +22,7 @@ from trajsim.scenarios import (
     run_scenario,
     sweep,
 )
+from trajsim.sets import Box2D
 
 STILL = synth_field(UniformSpec(0.0, 0.0), (-100.0, 300.0), (-100.0, 300.0))
 
@@ -493,3 +496,65 @@ class TestLookahead:
         rr = run_scenario(sample).regret_report
         assert rr.g_t > max(rr.s_t, rr.e_t_realized)
         assert np.mean(regs["lookahead"]) <= np.mean(regs["standard"])
+
+
+class TestOfflineCertificate:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["squared", "huber", "ocean"]),
+        delta=st.integers(0, 10),
+        seed=st.integers(0, 2**31 - 1),
+        eps0=st.floats(0.0, 1.0),
+        top=st.one_of(st.none(), st.floats(0.05, 1.0)),
+    )
+    def test_offline_total_is_within_its_gap_of_the_online_total(
+        self, kind, delta, seed, eps0, top
+    ):
+        # the online path is feasible, so U(online) <= U* <= U(offline) + gap;
+        # a box with a low top cuts off the peer's side or the goal's
+        noise = NoiseModel("gaussian_decaying", eps0, 1.0, seed)
+        if kind == "ocean":
+            box = None if top is None else Box2D((5.0, 5.0), (45.0, 10.0 + 6.0 * top))
+            current = UniformSpec(0.1 * math.cos(seed), 0.1 * math.sin(seed))
+            cfg = ocean_config(
+                delta=delta, seed=seed, gradient_noise=noise, feasible_box=box,
+                ocean_field=synth_field(current, (-100.0, 300.0), (-100.0, 300.0)),
+            )
+        else:
+            box = None if top is None else Box2D((-1.0, -1.0), (13.0, top))
+            cfg = d2d_config(
+                delta=delta, seed=seed, gradient_noise=noise, feasible_box=box,
+                utility_kind=kind, peer_noise_std_m=0.5,
+            )
+        try:
+            rr = run_scenario(cfg).regret_report
+        except InfeasibleStepSize:
+            assume(False)  # a noise draw left some slot without a feasible step
+        assert math.isfinite(rr.offline_gap) and rr.offline_gap >= 0.0
+        if rr.solver_converged:
+            online = left_sum(rr.online_utilities)
+            offline = left_sum(rr.offline_utilities)
+            assert offline >= online - rr.offline_gap - 1e-9 * (1.0 + abs(online))
+
+    def test_long_commute_boxed_to_its_online_path_is_certified(self):
+        # a T = 128 commute whose peer crosses its path, solved in the bounding
+        # box of its own online path: the offline optimum presses on the box
+        d = 55.0 / math.sqrt(2.0)
+        cfg = d2d_config(
+            goal=PathSpec((d, d), (d, d)),
+            peer=PathSpec((23.04, -8.96), (44.8, 21.76), speed_mps=2.0),
+            peer_noise_std_m=1.0,
+            delta=73,
+            gradient_noise=NoiseModel("gaussian_decaying", 0.1, 1.0, 2),
+            seed=1,
+        )
+        report = run_scenario(cfg, benchmark=False)
+        path = np.array(report.trajectory)
+        box = Box2D(tuple(path.min(axis=0).tolist()), tuple(path.max(axis=0).tolist()))
+        problem = replace(report.problem, region=box)
+        assert problem.horizon == 128
+        free = solve_offline(report.problem, x0=report.trajectory)
+        assert any(box.violation(p) > 1e-6 for p in free.points)
+        sol = solve_offline(problem, x0=report.trajectory)
+        assert sol.converged and sol.max_violation <= 1e-9
+        assert math.isfinite(sol.gap) and sol.gap >= 0.0

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajsim.geom import dist, sub
-from trajsim.metrics import _clamp_balls, _dykstra, _project_caps, _violation
+from trajsim.geom import dist
+from trajsim.metrics import _clamp_balls
 from trajsim.sets import Box2D, StepCap
 
 UNIT_BOX = Box2D((0.0, 0.0), (1.0, 1.0))
-BIG_BOX = Box2D((-1e6, -1e6), (1e6, 1e6))
 
 coords = st.floats(-50.0, 50.0, allow_nan=False)
 points = st.tuples(coords, coords)
@@ -101,75 +100,3 @@ class TestProjectionProperties:
     def test_membership(self, region, p):
         assert region.violation(region.project(p)) <= 1e-9
 
-
-def dykstra(pts, radii, start=None, box=BIG_BOX, centers=None, **kw):
-    """The offline solver's Dykstra projection; the start defaults to ``pts[0]``."""
-    x = np.asarray(pts, dtype=float)
-    start = tuple(x[0]) if start is None else start
-    centers = np.zeros((len(x) - 1, 2)) if centers is None else np.asarray(centers, dtype=float)
-    return _dykstra(x, start, centers, np.asarray(radii, dtype=float), box, **kw)
-
-
-def violation(out, radii, start, box=BIG_BOX, centers=None):
-    """The solver's largest violation of any constraint by waypoints ``out``."""
-    centers = np.zeros((len(out) - 1, 2)) if centers is None else np.asarray(centers, dtype=float)
-    return _violation(out, start, centers, np.asarray(radii, dtype=float), box)[1]
-
-
-class TestDykstra:
-    def test_feasible_sequence_unchanged(self):
-        pts = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.2)]
-        out, residual = dykstra(pts, [1.0, 1.0])
-        assert out.tolist() == [list(p) for p in pts]
-        assert residual == 0.0
-        assert violation(out, [1.0, 1.0], pts[0]) == 0.0
-
-    def test_symmetric_pair_moves_to_midpoint(self):
-        # distance 3 apart with cap 1: each endpoint travels exactly 1.0
-        pts = np.array([(0.0, 0.0), (3.0, 0.0)])
-        out = _project_caps(pts, np.array([0]), np.zeros((1, 2)), np.array([1.0]))
-        assert tuple(out[0]) == pytest.approx((1.0, 0.0), abs=1e-12)
-        assert tuple(out[1]) == pytest.approx((2.0, 0.0), abs=1e-12)
-
-    def test_random_sequence_meets_caps(self):
-        rng = np.random.default_rng(11)
-        pts = [tuple(p) for p in rng.uniform(-3, 3, size=(5, 2))]
-        out, residual = dykstra(pts, [0.5] * 4, tol=1e-8)
-        # oracle: evaluate every constraint on the output directly
-        for i in range(4):
-            assert dist(tuple(out[i + 1]), tuple(out[i])) <= 0.5 + 1e-6
-        assert residual <= 1e-6
-        assert violation(out, [0.5] * 4, pts[0]) <= 1e-6
-
-    def test_pinned_start_and_memberships(self):
-        pts = [(5.0, 5.0), (6.0, 6.0), (9.0, 9.0)]
-        out, residual = dykstra(pts, [1.0, 1.0], start=(0.0, 0.0), box=UNIT_BOX, max_iter=2000)
-        assert tuple(out[0]) == pytest.approx((0.0, 0.0), abs=1e-8)
-        assert residual <= 1e-8
-        assert violation(out, [1.0, 1.0], (0.0, 0.0), UNIT_BOX) <= 1e-8
-
-    def test_projection_optimality_against_grid(self):
-        # the returned point must be the nearest feasible sequence, not just
-        # a feasible one; check against dense sampling of a 1-D slice
-        pts = [(0.0, 0.0), (2.0, 0.0)]
-        out, _ = dykstra(pts, [1.0], start=(0.0, 0.0))
-        # with x0 pinned, nearest feasible x1 is the cap boundary toward (2,0)
-        assert tuple(out[1]) == pytest.approx((1.0, 0.0), abs=1e-8)
-
-    def test_no_convergence_reports_residual(self):
-        # impossible: the start is pinned 10 away from the single-point box
-        pts = [(0.0, 0.0), (10.0, 0.0)]
-        pin_box = Box2D((10.0, 0.0), (10.0, 0.0))
-        out, residual = dykstra(pts, [1.0], start=(0.0, 0.0), box=pin_box, max_iter=50)
-        assert residual > 0
-        assert out.shape == (2, 2)
-        assert residual == violation(out, [1.0], (0.0, 0.0), pin_box)
-
-    def test_drift_centered_cap(self):
-        # cap centered on a drift vector: feasible displacement is drift +- r;
-        # the start pin moves the first waypoint back after each cap
-        # projection, so the cap holds only to the projection's tol
-        pts = [(0.0, 0.0), (0.0, 0.0)]
-        out, _ = dykstra(pts, [0.5], centers=[(2.0, 0.0)], tol=1e-12)
-        gap = sub(tuple(out[1]), tuple(out[0]))
-        assert dist(gap, (2.0, 0.0)) <= 0.5 + 1e-9
