@@ -265,6 +265,9 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         alpha_min = _number(d2d_doc.get("alpha_min", 0.05), "d2d.alpha_min")
         if not 0.0 < alpha_min <= 1.0:
             raise SchemaError("d2d.alpha_min", "must be in (0, 1]")
+        margin = _number(d2d_doc.get("margin", 1.01), "d2d.margin")
+        if margin < 1.0:
+            raise SchemaError("d2d.margin", f"must be >= 1, got {margin}")
         return ScenarioConfig(
             kind="d2d",
             peer=peer,
@@ -272,7 +275,7 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
             mu=mu,
             utility_kind=utility,
             alpha_min=alpha_min,
-            margin=_number(d2d_doc.get("margin", 1.01), "d2d.margin"),
+            margin=margin,
             alpha_p=_number(d2d_doc.get("alpha_p", 2.5), "d2d.alpha_p"),
             bandwidth_hz=_positive(d2d_doc.get("bandwidth_hz", 1e7), "d2d.bandwidth_hz"),
             noise_power=_positive(d2d_doc.get("noise_power", 0.2), "d2d.noise_power"),

@@ -29,10 +29,6 @@ def as_point(p) -> Point:
     return (float(p[0]), float(p[1]))
 
 
-def add(a: Vector, b: Vector) -> Vector:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def sub(a: Vector, b: Vector) -> Vector:
     return (a[0] - b[0], a[1] - b[1])
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .field import VelocityField, sample_velocity
 from .geom import Point, as_point, dist, left_sum, lerp, norm_sq, sub
 from .objectives import Utilities, _pad, row_scalars
 from .sets import Box2D, StepCap
+
+if TYPE_CHECKING:
+    from .scenarios import EpisodeReport
 
 # largest oracle lattice per axis: the DP holds (nodes x nodes) per slot
 ORACLE_MAX_NODES = 101
@@ -56,7 +59,6 @@ class OfflineProblem:
     centers: np.ndarray
     radii: np.ndarray
     region: Box2D
-    smoothness: float = 2.0
 
     def __post_init__(self):
         T = self.utilities.horizon
@@ -115,14 +117,14 @@ def _clamp_balls(z: np.ndarray, radii: np.ndarray, floors: np.ndarray) -> np.nda
 
 
 def _step_size(problem: OfflineProblem) -> float:
-    """Displacement-space step ``1 / (L * sigma^2)``.
+    """Displacement-space step ``1 / (L * sigma^2)``, ``L`` the family's smoothness.
 
     ``sigma`` is the exact top singular value of the prefix-sum map from
     displacements to waypoints; the chain makes the smoothness grow like T^2.
     """
     T = problem.horizon
     sigma = 1.0 / (2.0 * math.sin(math.pi / (2.0 * (2.0 * (T - 1) + 1.0))))
-    return 1.0 / (problem.smoothness * sigma * sigma)
+    return 1.0 / (problem.utilities.smoothness * sigma * sigma)
 
 
 class _Lockstep:
@@ -487,7 +489,7 @@ def _solve_boxed(
     x[0] = start
     u0 = us.total(x)
     lam = np.zeros_like(centers)
-    rho = problem.smoothness
+    rho = us.smoothness
     violation = math.inf
     inner = _INNER_SHARE * tol
     iterations = restarts = 0
@@ -501,7 +503,7 @@ def _solve_boxed(
 
     while True:
         shift = centers - lam / rho
-        step = 1.0 / (problem.smoothness + 4.0 * rho)
+        step = 1.0 / (us.smoothness + 4.0 * rho)
         x_prev, t_k, k = x, 1.0, 0
         while iterations < max_iter:
             if k % GAP_EVERY == 0 and _box_gap(ascent(x), x, lo, hi) <= inner:
@@ -523,7 +525,9 @@ def _solve_boxed(
         bound += _box_gap(us.gradient_array(x) - _chain_adjoint(lam), x, lo, hi)
         x_f = _retract(x, start, centers, radii)
         u = us.total(x_f)
-        gap = max(bound - u, 0.0)
+        # a retraction that still breaks a cap certifies nothing: the round goes on
+        cap_gap = _violation(x_f, problem.start, centers, radii, problem.region)[1]
+        gap = max(bound - u, 0.0) if cap_gap <= 1e-9 else math.inf
         met = gap <= tol * max(1.0, u - u0)
         if met or iterations >= max_iter:
             return x_f, iterations, restarts, gap, met
@@ -714,32 +718,22 @@ class RegretReport:
 
 
 def build_regret_report(
-    problem: OfflineProblem,
-    online_traj: Sequence[Point],
-    online_utilities: Sequence[float],
-    eps_sq_bounds: Sequence[float],
-    eps_sq_realized: Sequence[float],
-    energy_online: float,
-    goal: Point,
-    fld: VelocityField | None,
-    c_d: float,
-    slot_duration: float = 1.0,
-    solution: OfflineSolution | None = None,
+    report: EpisodeReport, solution: OfflineSolution | None = None
 ) -> RegretReport:
-    """Assemble the full comparison report against the offline benchmark.
+    """The episode's comparison report against its offline benchmark ``report.problem``.
 
-    ``online_utilities`` are the per-slot utilities of ``online_traj`` and
-    ``energy_online`` is its energy, as the episode evaluated them.
-    ``solution`` is the benchmark's :func:`solve_offline` result
-    warm-started at ``online_traj`` (a sweep solves its rows together);
-    without it the benchmark is solved here.
+    ``solution`` is that benchmark's :func:`solve_offline` result warm-started
+    at the episode's trajectory (a sweep solves its rows together); without
+    it the benchmark is solved here.
     """
-    sol = solution if solution is not None else solve_offline(problem, x0=online_traj)
+    problem, traj, cfg = report.problem, report.trajectory, report.config
+    sol = solution if solution is not None else solve_offline(problem, x0=traj)
     us = problem.utilities
     offline_u = tuple(us.evaluate(sol.points))
-    online_u = tuple(online_utilities)
+    online_u = tuple(report.utilities)
     gv = gradient_variation(us, problem.region)
-    straight = straight_line_trajectory(online_traj[0], goal, len(online_traj))
+    straight = straight_line_trajectory(traj[0], report.goals[-1], len(traj))
+    fld = cfg.ocean_field if report.kind == "ocean" else None
     return RegretReport(
         offline_utilities=offline_u,
         online_utilities=online_u,
@@ -747,11 +741,11 @@ def build_regret_report(
         s_t=squared_path_length(sol.points),
         g_t=gv.value,
         g_t_exact=gv.exact,
-        e_t_bound=cumulative_error(eps_sq_bounds),
-        e_t_realized=cumulative_error(eps_sq_realized),
-        energy_online=energy_online,
-        energy_straight=energy_cost(straight, fld, c_d, slot_duration),
-        final_goal_distance=dist(online_traj[-1], goal),
+        e_t_bound=cumulative_error([r.eps_sq_bound for r in report.records]),
+        e_t_realized=cumulative_error([r.eps_sq_realized for r in report.records]),
+        energy_online=report.energy_total,
+        energy_straight=energy_cost(straight, fld, cfg.drag_coefficient, cfg.slot_duration_s),
+        final_goal_distance=report.final_goal_distance,
         solver_converged=sol.converged,
         solver_warning=sol.warning,
         solver_iterations=sol.iterations,

@@ -34,6 +34,8 @@ from .sets import Box2D
 # `rate` is invalid and the distance is clamped.
 RATE_MIN_DISTANCE_M = 1.0
 
+# Lipschitz constants of the families' gradients (their ``smoothness``).  The
+# commute's is mu + (1 - mu) = 1, since the clamp P_v is nonexpansive.
 D2D_SMOOTHNESS = 1.0
 # Goal-distance term contributes Hessian -2*lambda with lambda <= 1.
 OCEAN_SMOOTHNESS = 2.0
@@ -300,6 +302,8 @@ class CommuteUtilities(_Family):
     ``(R, 1, 1)`` arrays.
     """
 
+    smoothness = D2D_SMOOTHNESS
+
     def __init__(self, leads, v, mu, kind: str = "squared"):
         if kind not in ("squared", "huber"):
             raise ValueError(f"unknown utility kind {kind!r}")
@@ -395,6 +399,7 @@ class VoyageUtilities(_Family):
 
     stack_key = ("voyage",)
     total_scale = -1.0
+    smoothness = OCEAN_SMOOTHNESS
 
     def __init__(self, lam, goal, current, prev):
         self.lam = np.asarray(lam, dtype=float)

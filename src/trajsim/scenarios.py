@@ -25,7 +25,6 @@ from .field import FieldPerturbation, VelocityField, perturb_field, sample_veloc
 from .geom import Point, Vector, dist, left_sum, lerp
 from .metrics import (
     OfflineProblem,
-    OfflineSolution,
     RegretReport,
     build_regret_report,
     energy_cost,
@@ -205,11 +204,11 @@ class _Driver:
     """Set-up and per-slot bookkeeping shared by the commute and voyage drivers.
 
     A subclass sets ``region`` and implements the :class:`~trajsim.engine.EpisodeDriver`
-    calls; its ``plan`` starts with :meth:`source_slot`.  It also carries its
-    family's ``smoothness`` and, once the episode is done, ``freeze(traj)``
-    returns the frozen utility family, the ``(T - 1, 2)`` cap centers and
-    ``(T - 1,)`` radii, the per-step energies and the link-rate series
-    (``None`` without a link).
+    calls; its ``plan`` starts with :meth:`source_slot`, and its step sizes take
+    the default ``L``, its family's ``smoothness``.  Once the episode is done,
+    ``freeze(traj)`` returns the offline benchmark (an :class:`OfflineProblem`
+    over the frozen utility family, its step caps and the box), the per-step
+    energies and the link-rate series (``None`` without a link).
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -237,8 +236,6 @@ class _Driver:
 
 class _D2DDriver(_Driver):
     """Per-episode state machine for the commute scenario."""
-
-    smoothness = obj.D2D_SMOOTHNESS
 
     def __init__(self, cfg: ScenarioConfig):
         super().__init__(cfg)
@@ -275,14 +272,13 @@ class _D2DDriver(_Driver):
         return grad_true, grad_obs
 
     def gamma(self, grad_tilde: Vector, gbar: float) -> float:
-        alpha_min = self.cfg.alpha_min
-        return obj.d2d_step_size(gbar, self.v, 1.0, alpha_min, self.smoothness, self.margin)
+        return obj.d2d_step_size(gbar, self.v, 1.0, self.cfg.alpha_min, margin=self.margin)
 
     def slack(self, a: Point, b: Point) -> float:
         return dist(a, b) - self.v
 
     def freeze(self, traj: list[Point]):
-        """The commute family, its step caps, step energies and link rates."""
+        """The commute's offline problem, step energies and link rates."""
         cfg = self.cfg
         lam = self.goal_weight(self.horizon)
         leads = self.leads_true + [obj.leading_path(self.peers[-1], self.goals[-1], 1.0 - lam)]
@@ -295,14 +291,13 @@ class _D2DDriver(_Driver):
             energy_cost([a, b], None, cfg.drag_coefficient, cfg.slot_duration_s)
             for a, b in zip(traj, traj[1:])
         ]
-        steps = self.horizon - 1
-        return family, np.zeros((steps, 2)), np.full(steps, cfg.v_slot), energy_steps, rate_series
+        centers, radii = np.zeros((self.horizon - 1, 2)), np.full(self.horizon - 1, cfg.v_slot)
+        problem = OfflineProblem(self.start, family, centers, radii, self.region)
+        return problem, energy_steps, rate_series
 
 
 class _OceanDriver(_Driver):
     """Per-episode state machine for the voyage scenario."""
-
-    smoothness = obj.OCEAN_SMOOTHNESS
 
     def __init__(self, cfg: ScenarioConfig):
         if cfg.ocean_field is None:
@@ -368,16 +363,14 @@ class _OceanDriver(_Driver):
         return grad_true, grad_obs
 
     def gamma(self, grad_tilde: Vector, gbar: float) -> float:
-        return obj.ocean_step_size(
-            grad_tilde, self.vo, self.alpha, self.v, self.smoothness, self.margin
-        )
+        return obj.ocean_step_size(grad_tilde, self.vo, self.alpha, self.v, margin=self.margin)
 
     def slack(self, a: Point, b: Point) -> float:
         vo = self.vo
         return math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) - self.alpha * self.v
 
     def freeze(self, traj: list[Point]):
-        """The voyage family, its step caps and step energies; a voyage has no link rates."""
+        """The voyage's offline problem and step energies; a voyage has no link rates."""
         # slot t's drift reference is the previous online waypoint and the current
         # measured there; slot T has no executed step and reuses the last weights
         lams, currents = self.lambdas, self.currents_true
@@ -393,29 +386,8 @@ class _OceanDriver(_Driver):
         # one cap per executed step: the true current at the visited waypoint
         # (the family's currents but the last), the throttled speed
         radii = np.array(self.alphas, dtype=float) * self.v
-        return family, family.current[:-1], radii, energy_steps, None
-
-
-def _regret_report(report: EpisodeReport, solution: OfflineSolution | None = None) -> RegretReport:
-    """The episode's regret report against its offline benchmark.
-
-    ``solution`` is the benchmark already solved (warm-started at the
-    episode's trajectory); without it the benchmark is solved here.
-    """
-    cfg = report.config
-    return build_regret_report(
-        report.problem,
-        report.trajectory,
-        report.utilities,
-        [r.eps_sq_bound for r in report.records],
-        [r.eps_sq_realized for r in report.records],
-        report.energy_total,
-        goal=report.goals[-1],
-        fld=cfg.ocean_field if report.kind == "ocean" else None,
-        c_d=cfg.drag_coefficient,
-        slot_duration=cfg.slot_duration_s,
-        solution=solution,
-    )
+        problem = OfflineProblem(self.start, family, family.current[:-1], radii, self.region)
+        return problem, energy_steps, None
 
 
 _DRIVERS = {"d2d": _D2DDriver, "ocean": _OceanDriver}
@@ -429,7 +401,7 @@ def run_scenario(config: ScenarioConfig, mode: Mode = "standard", benchmark: boo
     t0 = time.perf_counter()
     driver = driver_class(config)
     traj, records = run_episode(driver, mode)
-    family, centers, radii, energy_steps, rate_series = driver.freeze(traj)
+    problem, energy_steps, rate_series = driver.freeze(traj)
     report = EpisodeReport(
         kind=config.kind,
         trajectory=traj,
@@ -437,18 +409,16 @@ def run_scenario(config: ScenarioConfig, mode: Mode = "standard", benchmark: boo
         goals=driver.goals,
         lambdas=driver.lambdas,
         alphas=driver.alphas,
-        utilities=family.evaluate(traj),
+        utilities=problem.utilities.evaluate(traj),
         energy_steps=energy_steps,
         rate_series=rate_series,
         regret_report=None,
         wall_time_s=0.0,
         config=config,
-        problem=OfflineProblem(
-            driver.start, family, centers, radii, driver.region, driver.smoothness
-        ),
+        problem=problem,
     )
     if benchmark:
-        report.regret_report = _regret_report(report)
+        report.regret_report = build_regret_report(report)
     report.wall_time_s = time.perf_counter() - t0
     return report
 
@@ -596,6 +566,6 @@ def _benchmark_rows(rows: list[SweepRow]) -> None:
         solutions = [None] * len(rows)
     for row, report, solution in zip(rows, reports, solutions):
         try:
-            report.regret_report = _regret_report(report, solution)
+            report.regret_report = build_regret_report(report, solution)
         except Exception as exc:  # noqa: BLE001 - row isolation is the contract
             row.report, row.error = None, str(exc)

@@ -204,7 +204,7 @@ def test_c07_oracle_equivalence():
         start = tuple(rng.uniform(0, 10, 2))
         radii = [float(rng.uniform(1.5, 3.0)) for _ in range(T - 1)]
         seq = obj.CommuteUtilities(leads, 1.0, 1e-3, "squared")
-        problem = OfflineProblem(start, seq, np.zeros((T - 1, 2)), radii, box, smoothness=1.0)
+        problem = OfflineProblem(start, seq, np.zeros((T - 1, 2)), radii, box)
         sol = solve_offline(problem)
         coarse = dp_oracle(problem, OracleGrid((0.0, 0.0), (10.0, 10.0), 21, 21))
         fine = dp_oracle(problem, OracleGrid((0.0, 0.0), (10.0, 10.0), 41, 41))

@@ -122,6 +122,17 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {path}: expected a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("margin", [0.5, 0.0, -1.0])
+    def test_margin_below_one_is_config_error(self, tmp_path, capsys, margin):
+        # below 1 the learning rate undercuts its lower bound; this was exit 3 at slot 1
+        cfg = write(tmp_path, dict(D2D_DOC, d2d={"margin": margin}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: d2d.margin: must be >= 1, got {margin}" in capsys.readouterr().err
+
+    def test_margin_of_one_is_accepted(self, tmp_path):
+        cfg = write(tmp_path, dict(D2D_DOC, d2d={"margin": 1.0}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize(
         "value", [math.nan, math.inf, 2.7, "seven"], ids=["nan", "inf", "2.7", "str"]
     )

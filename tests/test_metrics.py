@@ -58,7 +58,6 @@ def quadratic_problem(start, leads, caps_r, region=BIG_BOX, centers=None):
         centers=centers,
         radii=caps_r,
         region=region,
-        smoothness=1.0,
     )
 
 
@@ -119,7 +118,6 @@ class TestSolveOffline:
                 centers=np.zeros((T - 1, 2)),
                 radii=np.zeros(T - 1),
                 region=TEN_BOX,
-                smoothness=1.0,
             )
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
@@ -228,9 +226,10 @@ class TestCertification:
         pts = [(1.0, 5.0), (1.0, 5.0), (-1.0, 5.0)]
         ascent = (np.array(pts), 7, 2, 0.5, True)
         # the box solve retracts toward staying put, which the second cap
-        # (center (-2, 0), radius 1) forbids: the violation check catches it
+        # (center (-2, 0), radius 1) forbids; an iterate the retraction cannot
+        # make feasible certifies nothing, and 100 iterations end on one
         stuck = _finish(self.problem(), ascent, None, 100, GAP_TOL)
-        assert not stuck.converged and stuck.max_violation > 1e-6
+        assert not stuck.converged and stuck.max_violation > 1e-6 and stuck.gap == math.inf
         assert stuck.warning == f"final violation {stuck.max_violation:.3e} above 1e-6"
         # with caps that admit staying put, as every scenario's do, it is certified
         problem = replace(self.problem(), centers=np.zeros((2, 2)))
@@ -610,8 +609,7 @@ def _random_problem(kind: str, T: int, seed: int) -> tuple[OfflineProblem, list 
     else:
         centers = np.zeros((T - 1, 2))
         utilities = CommuteUtilities(walk, rng.uniform(0.5, 3.0), rng.uniform(0.01, 1.0), kind)
-    smoothness = 2.0 if kind == "voyage" else 1.0
-    problem = OfflineProblem(tuple(start), utilities, centers, radii, BIG_BOX, smoothness)
+    problem = OfflineProblem(tuple(start), utilities, centers, radii, BIG_BOX)
     warm = rng.integers(3)  # no warm start, the random walk, or one of the wrong length
     x0 = None if warm == 0 else [tuple(p) for p in walk.tolist()[: T + 1 - warm]]
     return problem, x0
@@ -648,9 +646,9 @@ def _box_binding_problem(kind: str, T: int, seed: int) -> OfflineProblem:
         currents = rng.normal(0.0, 0.3, (T, 2))
         prevs = rng.uniform(0.0, hi, (T, 2))
         utilities = VoyageUtilities(rng.uniform(0.2, 1.0, T), targets, currents, prevs)
-        return OfflineProblem(start, utilities, centers, radii, box, 2.0)
+        return OfflineProblem(start, utilities, centers, radii, box)
     utilities = CommuteUtilities(targets, rng.uniform(0.5, 3.0), rng.uniform(0.01, 1.0), kind)
-    return OfflineProblem(start, utilities, np.zeros((T - 1, 2)), radii, box, 1.0)
+    return OfflineProblem(start, utilities, np.zeros((T - 1, 2)), radii, box)
 
 
 # floating-point slack of a utility comparison: both totals are rounded sums
@@ -705,9 +703,24 @@ class TestBoxBindingSolves:
         # projection that stops at its first feasible iterate ends near -0.93
         us = CommuteUtilities([(0.0, 0.28), (-7.6, -8.86)], 1.0, 1e-3, "squared")
         box = Box2D((-10.0, 0.0), (10.0, 10.0))
-        sol = solve_offline(OfflineProblem((0.0, 0.28), us, [(0.0, 0.0)], [1.0], box, 1.0), tol=1e-9)
+        sol = solve_offline(OfflineProblem((0.0, 0.28), us, [(0.0, 0.0)], [1.0], box), tol=1e-9)
         assert sol.converged and sol.max_violation <= 1e-6
         assert sol.points[1] == pytest.approx((-0.96, 0.0), abs=1e-7)
+
+    @pytest.mark.parametrize("lead", [(-5.0, 5.0), (-1.0, 5.0), (0.0, 5.0), (-20.0, 5.0)])
+    def test_cap_that_forbids_staying_put_is_not_certified_early(self, lead):
+        # staying put breaks the second cap (center (-2, 0), radius 1), so the
+        # retraction cannot make every round's iterate feasible; the solve must
+        # go on until one is, not stop on a gap clamped to zero
+        us = CommuteUtilities([lead] * 3, 1.0, 1e-3, "squared")
+        problem = OfflineProblem((1.0, 5.0), us, [(0, 0), (-2, 0)], [1.0, 1.0], TEN_BOX)
+        sol = solve_offline(problem)
+        assert sol.converged and sol.max_violation <= 1e-9
+        assert 0.0 <= sol.gap <= 1e-3 * max(1.0, sol.utility - us.total([(1.0, 5.0)] * 3))
+        # the optimum: the box floor x >= 0 and the second cap pin x1 = 1, x2 = 0
+        best = [(1.0, 5.0), (1.0, 5.0), (0.0, 5.0)]
+        assert np.max(np.abs(np.subtract(sol.points, best))) <= 1e-5
+        assert us.total(best) - sol.utility <= sol.gap + _rounding(sol.utility)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -119,6 +119,29 @@ class TestD2DGradient:
             checked += 1
 
 
+class TestFamilySmoothness:
+    @pytest.mark.parametrize("kind", ["squared", "huber", "voyage"])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        slots=st.lists(st.tuples(points, points, points, points, unit), min_size=1, max_size=8),
+        v=st.floats(0.01, 10.0),
+        mu=st.floats(1e-3, 1.0),
+    )
+    def test_smoothness_is_a_lipschitz_constant_of_the_gradient(self, kind, slots, v, mu):
+        # per slot |grad U_t(x) - grad U_t(y)| <= L |x - y|, up to the rounding
+        # of the two gradients; the solvers' step sizes rest on it
+        leads, xs, ys, currents, lams = (np.array(c, dtype=float) for c in zip(*slots))
+        if kind == "voyage":
+            family = obj.VoyageUtilities(lams, leads, currents, currents[::-1])
+        else:
+            family = obj.CommuteUtilities(leads, v, mu, kind)
+        gx, gy = family.gradient_array(xs), family.gradient_array(ys)
+        change = np.hypot(*(gx - gy).T)
+        bound = family.smoothness * np.hypot(*(xs - ys).T)
+        rounding = 1e-12 * (1.0 + np.hypot(*gx.T) + np.hypot(*gy.T))
+        assert np.all(change <= bound + rounding)
+
+
 class TestD2DStepSize:
     def test_gradient_dominated(self):
         gamma = obj.d2d_step_size(5.0, 1.0, 1.0, 0.5, L=1.0, margin=1.01)

@@ -194,6 +194,7 @@ class _PerSlotHuber:
     """
 
     total_scale = 1.0
+    smoothness = 1.0
 
     def __init__(self, family):
         self.family = family
@@ -431,10 +432,10 @@ class TestSweep:
         expected = {row.value: row.report.regret_report for row in sweep(cfg, "delta", [0, 2, 5])}
         build = scenarios.build_regret_report
 
-        def build_or_fail(problem, *args, **kwargs):
-            if problem.horizon == apply_sweep_value(cfg, "delta", 2).horizon:
+        def build_or_fail(report, *args, **kwargs):
+            if report.horizon == apply_sweep_value(cfg, "delta", 2).horizon:
                 raise RuntimeError("benchmark broke")
-            return build(problem, *args, **kwargs)
+            return build(report, *args, **kwargs)
 
         def batch_fails(*args, **kwargs):
             raise RuntimeError("batch broke")
