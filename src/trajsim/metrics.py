@@ -4,6 +4,8 @@ The offline benchmark maximizes the summed per-slot utilities over a whole
 trajectory at once, subject to the same coupled displacement caps the online
 agent faced; its value anchors the regret numbers in every report, and its
 duality gap bounds how far that value may lie below the true optimum.  The
+gap is the Frank-Wolfe gap, or, where a row's conjugate utilities differ in
+curvature, the tighter bound one preconditioned dual step reaches.  The
 caps, the start pin and the box are held as arrays: the ascent and its gap,
 the augmented-Lagrangian solve of a row whose box binds and the feasibility
 check of every solution all work on them directly.  The dynamic-programming
@@ -116,6 +118,18 @@ def _clamp_balls(z: np.ndarray, radii: np.ndarray, floors: np.ndarray) -> np.nda
     return z * (radii / np.maximum(n, floors))[..., None]
 
 
+def _suffix_sums(gx: np.ndarray) -> np.ndarray:
+    """Per cap ``t``, the sum of the waypoint gradients ``gx[:, s]`` over ``s > t``."""
+    return np.add.accumulate(gx[:, ::-1], axis=1)[:, ::-1][:, 1:]
+
+
+def _cap_terms(lam: np.ndarray, z: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Per cap, ``r_t |lam_t| - <lam_t, z_t>`` clamped at zero."""
+    l0, l1 = lam[..., 0], lam[..., 1]
+    terms = radii * np.hypot(l0, l1) - (l0 * z[..., 0] + l1 * z[..., 1])
+    return np.maximum(terms, 0.0, out=terms)
+
+
 def _step_size(problem: OfflineProblem) -> float:
     """Displacement-space step ``1 / (L * sigma^2)``, ``L`` the family's smoothness.
 
@@ -183,9 +197,10 @@ class _Lockstep:
         # the start of each row at each later slot: a broadcast along the
         # short last axis costs more than the addition itself
         self.start_rest = np.repeat(self.starts[:, None], tmax - 1, axis=1)
-        pad = np.arange(tmax) >= np.array(self.horizons)[:, None]
+        self.pad_slots = np.arange(tmax) >= np.array(self.horizons)[:, None]
         # flat indices of the padded slots' gradient entries, both axes
-        self.pad = np.flatnonzero(np.repeat(pad, 2)) if pad.any() else None
+        pad = np.flatnonzero(np.repeat(self.pad_slots, 2))
+        self.pad = pad if pad.size else None
         self.sum_buffers: dict = {}
 
     def take(self, rows: list[int], z: np.ndarray, z_prev: np.ndarray, totals: list[float]):
@@ -249,12 +264,16 @@ class _Lockstep:
         sums = self._row_sums(terms, self.horizons)
         return [scale * sums[r] for r in (range(len(sums)) if rows is None else rows)]
 
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        """The gradient in ``z``: a suffix sum of the waypoint gradient."""
+    def _waypoint_gradient(self, z: np.ndarray) -> np.ndarray:
+        """The family's gradient at the waypoints of ``z``, padded slots zeroed."""
         gx = self.family.gradient_array(self.rebuild(z))
         if self.pad is not None:
             np.put(gx, self.pad, -0.0)
-        return np.add.accumulate(gx[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        return gx
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        """The gradient in ``z``: a suffix sum of the waypoint gradient."""
+        return _suffix_sums(self._waypoint_gradient(z))
 
     def ascent_step(self, z: np.ndarray) -> np.ndarray:
         """Projected gradient step from ``z``."""
@@ -263,18 +282,53 @@ class _Lockstep:
     def certify(self, z: np.ndarray, totals: list[float], tol: float) -> list[bool]:
         """Refresh each row's gap at ``z``; whether it is at most ``tol * max(1, U - U(x0))``.
 
-        In displacements the feasible set is a product of balls, so the
-        Frank-Wolfe gap ``sum_t (r_t |g_t| - <g_t, z_t>)`` bounds ``U* - U(z)``
-        for a concave family (Jaggi 2013).  A term is never negative for
-        ``|z_t| <= r_t``; one that rounds below zero counts as zero, which
-        only loosens the bound.
+        Any cap multipliers ``lam`` bound the shortfall by weak duality:
+        ``U* - U(z) <= sum_t (r_t |lam_t| - <lam_t, z_t>) + sum_{s>=1} FY_s(a_s)``
+        with ``a = D^T lam``, ``a_s = lam_{s-1} - lam_s``, and ``FY_s(a) =
+        U_s*(a) - U_s(x_s) + <a, x_s> >= 0`` the family's Fenchel-Young
+        residual.  At ``lam = g``, the gradient in ``z``, every residual is
+        zero and the bound is the Frank-Wolfe gap (Jaggi 2013).  Where a row's
+        conjugates differ in curvature, one preconditioned proximal step
+        (:meth:`_dual_step_terms`) moves ``lam`` off ``g``, and the row's gap is
+        the smaller of the two bounds.  A row whose slots share one curvature
+        keeps the Frank-Wolfe gap: a diagonal step there is plain Jacobi,
+        which tightens too little to pay for itself.  Every term is
+        nonnegative for ``|z_t| <= r_t``; one that rounds below zero counts as
+        zero, which only loosens the bound.
         """
-        g = self.gradient(z)
-        g0, g1 = g[..., 0], g[..., 1]
-        terms = self.radii * np.hypot(g0, g1) - (g0 * z[..., 0] + g1 * z[..., 1])
-        np.maximum(terms, 0.0, out=terms)
-        self.gaps = self._row_sums(terms, [h - 1 for h in self.horizons])
+        gx = self._waypoint_gradient(z)
+        g = _suffix_sums(gx)
+        slots = [h - 1 for h in self.horizons]
+        self.gaps = self._row_sums(_cap_terms(g, z, self.radii), slots)
+        kappa = self.family.curvature(gx)
+        if kappa is not None:
+            # slot 0 is the pinned start, and padded slots never count
+            k = kappa[:, 1:]
+            stepped = (~((k == k[:, :1]) | self.pad_slots[:, 1:]).all(axis=1)).tolist()
+            if any(stepped):
+                kappa[:, 0] = 0.0
+                bounds = self._row_sums(self._dual_step_terms(gx, g, z, kappa), slots)
+                self.gaps = [min(f, b) if s else f for f, b, s in zip(self.gaps, bounds, stepped)]
         return [gap <= tol * max(1.0, f - f0) for gap, f, f0 in zip(self.gaps, totals, self.u0)]
+
+    def _dual_step_terms(
+        self, gx: np.ndarray, g: np.ndarray, z: np.ndarray, kappa: np.ndarray
+    ) -> np.ndarray:
+        """Per cap ``t``, the bound's terms at ``lam' = blocksoft(g + eta z, eta r)``.
+
+        ``eta_t = 1 / (kappa_t + kappa_{t+1})``, with ``kappa_0 = 0`` for the
+        pinned start, inverts the diagonal of the conjugates' curvature
+        ``D diag(kappa) D^T`` in ``lam``.  Term ``t`` is cap ``t``'s term plus
+        slot ``t + 1``'s residual at ``a' = grad U(x) + D^T (lam' - g)``, each
+        clamped at zero.
+        """
+        eta = 1.0 / (kappa[:, :-1] + kappa[:, 1:])
+        v = g + eta[..., None] * z
+        n = np.hypot(v[..., 0], v[..., 1])
+        shrink = np.maximum(n - eta * self.radii, 0.0) / np.maximum(n, np.finfo(float).tiny)
+        lam = v * shrink[..., None]
+        residuals = self.family.fenchel_young(self.x, gx, _chain_adjoint(lam - g))[:, 1:]
+        return _cap_terms(lam, z, self.radii) + np.maximum(residuals, 0.0)
 
 
 def _ascend(
@@ -336,9 +390,11 @@ def solve_offline(
     restarts whenever the objective decreases.  The step size follows from
     the horizon.
 
-    Every :data:`GAP_EVERY` iterations the solve computes the Frank-Wolfe
-    duality gap at its iterate, an upper bound on how far the optimum lies
-    above it, and stops once the gap is at most
+    Every :data:`GAP_EVERY` iterations the solve computes a duality gap at
+    its iterate, an upper bound on how far the optimum lies above it: the
+    smaller of the Frank-Wolfe gap and the bound after one preconditioned
+    step on the cap multipliers (squared commutes keep the Frank-Wolfe gap;
+    see ``_Lockstep.certify``).  It stops once the gap is at most
     ``tol * max(1, U(x) - U(x0))``, where ``x0`` is the starting
     trajectory; ``converged`` says that this held, and ``gap`` carries the
     bound.  At ``max_iter`` the solve stops uncertified unless that last
@@ -433,10 +489,10 @@ def _violation(
 
 
 def _chain_adjoint(v: np.ndarray) -> np.ndarray:
-    """``D^T v`` for the steps ``(D x)_t = x_{t+1} - x_t``."""
-    out = np.zeros((len(v) + 1, 2))
-    out[1:] = v
-    out[:-1] -= v
+    """``D^T v`` for the steps ``(D x)_t = x_{t+1} - x_t``; ``v`` is ``(..., T - 1, 2)``."""
+    out = np.zeros(v.shape[:-2] + (v.shape[-2] + 1, 2))
+    out[..., 1:, :] = v
+    out[..., :-1, :] -= v
     return out
 
 

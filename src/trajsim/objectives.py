@@ -15,7 +15,9 @@ uses the matching unit scaling.
 The scalar functions serve the per-slot online loop.  For the offline
 benchmark, :class:`CommuteUtilities` and :class:`VoyageUtilities` hold one
 frozen utility per slot as arrays and evaluate all slots at once; each also
-gives its worst-case gradient variation in closed form.
+gives its worst-case gradient variation in closed form, and the Huber and
+voyage kinds give the curvature and Fenchel-Young residual of their
+conjugates, which tighten the offline duality gap.
 """
 
 from __future__ import annotations
@@ -389,6 +391,35 @@ class CommuteUtilities(_Family):
         capped = pull * (self.v / np.maximum(n, self.v))
         return self.mu * pull + self._one_minus_mu * capped
 
+    def curvature(self, grad: np.ndarray) -> np.ndarray | None:
+        """Per slot, the curvature of the conjugate ``U_t*`` at ``grad``, the gradient at ``x``.
+
+        ``None`` for the squared kind, whose conjugate ``0.5 |a|^2 - <a, lead>``
+        has curvature 1 at every slot.  The Huber kind's is 1 where
+        ``|grad| <= v`` and ``1 / mu`` beyond, the inverse of the penalty's
+        least curvature there.
+        """
+        if self.kind == "squared":
+            return None
+        n = np.hypot(grad[..., :1], grad[..., 1:])
+        return np.where(n <= self.v, 1.0, 1.0 / self.mu)[..., 0]
+
+    def fenchel_young(self, x: np.ndarray, grad: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Per slot, ``U_t*(a) - U_t(x) + <a, x> >= 0`` at ``a = grad + delta`` (Huber kind).
+
+        ``grad`` is the gradient at ``x``, where the residual is zero.  With
+        ``h`` the penalty, ``U_t*(a) = h*(|a|) - <a, lead>``, where ``h*(s)``
+        is ``s^2 / 2`` up to ``v`` and ``mu d^2 / 2 + (1 - mu) v^2 / 2`` beyond,
+        ``d = (s - (1 - mu) v) / mu``; so the residual is
+        ``h*(|a|) + h(|x - lead|) + <a, x - lead>``.
+        """
+        a = grad + delta
+        s = np.hypot(a[..., :1], a[..., 1:])
+        d = (s - self._lin) / self.mu
+        conj = np.where(s <= self.v, 0.5 * s * s, self._half_mu * d * d + self._offset)
+        e = x - self.leads
+        return (conj + self.slot_terms(x))[..., 0] + (a[..., 0] * e[..., 0] + a[..., 1] * e[..., 1])
+
 
 class VoyageUtilities(_Family):
     """Voyage utilities ``ocean_utility(x, prev[t], goal[t], current[t], lam[t])``.
@@ -478,6 +509,29 @@ class VoyageUtilities(_Family):
 
     def gradient_array(self, x: np.ndarray) -> np.ndarray:
         return self._neg2lam * (x - self.goal) + self._drift
+
+    def _over_lam(self, num) -> np.ndarray:
+        """``num / lam`` per slot, infinite where ``lam`` is 0."""
+        out = np.full(self.lam.shape, math.inf)
+        return np.divide(num, self.lam, out=out, where=self.lam > 0.0)
+
+    def curvature(self, grad: np.ndarray) -> np.ndarray:
+        """Per slot, the conjugate's curvature ``1 / (2 lam)``; infinite at ``lam = 0``.
+
+        ``U_t*(a) = |b|^2 / (4 lam) + <b, goal> - <drift, prev>`` with ``b =
+        drift - a``, ``drift = (1 - lam) current``.
+        """
+        return self._over_lam(0.5)
+
+    def fenchel_young(self, x: np.ndarray, grad: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Per slot, ``U_t*(a) - U_t(x) + <a, x> >= 0`` at ``a = grad + delta``.
+
+        ``grad`` is the gradient at ``x``; the quadratic's residual is
+        ``|a - grad|^2 / (4 lam)``.  At ``lam = 0`` the utility is linear and its
+        conjugate is infinite off the gradient, so the residual counts as
+        infinite.
+        """
+        return self._over_lam(0.25 * (delta[..., 0] ** 2 + delta[..., 1] ** 2))
 
 
 Utilities = Union[CommuteUtilities, VoyageUtilities]

@@ -113,6 +113,9 @@ class ScenarioConfig:
             raise SchemaError("v_max_mps", "must be positive")
         if self.slot_duration_s <= 0.0:
             raise SchemaError("slot_duration_s", "must be positive")
+        # a step-size margin below 1 picks a rate inside the infeasible range
+        if not (math.isfinite(self.margin) and self.margin >= 1.0):
+            raise SchemaError("margin", f"must be a finite number >= 1, got {self.margin}")
         object.__setattr__(self, "start", (float(self.start[0]), float(self.start[1])))
         if self.kind == "d2d" and self.peer is None:
             raise SchemaError("peer", "commute scenarios need a peer schedule")

@@ -16,6 +16,7 @@ from trajsim.metrics import (
     OfflineProblem,
     OracleGrid,
     _finish,
+    _Lockstep,
     _violation,
     cumulative_error,
     dp_oracle,
@@ -694,6 +695,125 @@ class TestDualityGap:
         assert loose.converged and tight.converged
         assert loose.iterations % 10 == 0 and loose.iterations <= tight.iterations
         assert tight.utility - loose.utility <= loose.gap + _rounding(tight.utility)
+
+
+def _reference_fw_gap(problem: OfflineProblem, z: np.ndarray) -> tuple[np.ndarray, float]:
+    """Waypoints at displacements ``z`` and their Frank-Wolfe gap, cap by cap."""
+    steps = np.cumsum(problem.centers + z, axis=0)
+    x = np.vstack([problem.start, np.add(problem.start, steps)])
+    gx = problem.utilities.gradient_array(x)
+    gap = 0.0
+    for t in range(problem.horizon - 1):
+        g = gx[t + 1 :].sum(axis=0)
+        gap += max(problem.radii[t] * math.hypot(g[0], g[1]) - float(g @ z[t]), 0.0)
+    return x, gap
+
+
+def _maximizer(us, a: np.ndarray) -> np.ndarray:
+    """Per slot, the ``y`` that attains ``U_t*(a) = max_y U_t(y) - <a, y>``."""
+    if isinstance(us, VoyageUtilities):
+        drift = (1.0 - us.lam)[:, None] * us.current
+        return us.goal + (drift - a) / (2.0 * us.lam[:, None])
+    s = np.hypot(a[:, 0], a[:, 1])
+    # the penalty's inverse slope at s: s up to v, (s - (1 - mu) v) / mu beyond
+    m = np.where(s <= us.v, s, (s - (1.0 - us.mu) * us.v) / us.mu)
+    return us.leads - a * (m / np.where(s > 0.0, s, 1.0))[:, None]
+
+
+class TestDualStepCertificate:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["squared", "huber", "voyage"]),
+        rows=st.lists(
+            st.tuples(st.integers(2, 25), st.integers(0, 2**32 - 1)), min_size=1, max_size=4
+        ),
+        steps=st.sampled_from([0, 1, 5, 30]),
+    )
+    def test_gap_lies_between_the_shortfall_and_the_frank_wolfe_gap(self, kind, rows, steps):
+        # one lockstep of rows with differing horizons, v, mu and goal weights
+        instances = [_random_problem(kind, T, seed) for T, seed in rows]
+        problems = [p for p, _ in instances]
+        lock = _Lockstep(problems, [x0 for _, x0 in instances])
+        z = lock.z0
+        for _ in range(steps):
+            z = lock.ascent_step(z)
+        with np.errstate(all="raise"):
+            lock.certify(z, lock.values(z), GAP_TOL)
+        for r, problem in enumerate(problems):
+            x, fw = _reference_fw_gap(problem, z[r, : problem.horizon - 1])
+            gap = lock.gaps[r]
+            assert 0.0 <= gap <= fw + _rounding(fw)
+            tight = solve_offline(problem, tol=1e-12)
+            shortfall = tight.utility - problem.utilities.total(x)
+            assert shortfall <= gap + _rounding(tight.utility)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["huber", "voyage"]),
+        T=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e3]),
+    )
+    def test_fenchel_young_residual_is_the_conjugate_gap(self, kind, T, seed, scale):
+        us = _random_problem(kind, T, seed)[0].utilities
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 5.0, (T, 2))
+        grad = us.gradient_array(x)
+        delta = rng.normal(0.0, scale, (T, 2))
+        a = grad + delta
+        at_gradient = us.fenchel_young(x, grad, np.zeros_like(x))
+        residual = us.fenchel_young(x, grad, delta)
+        y = _maximizer(us, a)
+        u_x, u_y = np.array(us.evaluate(x.tolist())), np.array(us.evaluate(y.tolist()))
+        ax, ay = np.einsum("ij,ij->i", a, x), np.einsum("ij,ij->i", a, y)
+        # the conjugate at a is attained at y, and beats the value at any other point
+        size = 1e-9 * (1.0 + np.abs(u_x) + np.abs(u_y) + np.abs(ax) + np.abs(ay))
+        assert np.all(np.abs(residual - (u_y - ay - u_x + ax)) <= size)
+        assert np.all(residual >= -size)
+        gx = np.einsum("ij,ij->i", grad, x)
+        assert np.all(np.abs(at_gradient) <= 1e-9 * (1.0 + np.abs(u_x) + np.abs(gx)))
+        for w in (x, x + rng.normal(0.0, 1.0, (T, 2))):
+            u_w = np.array(us.evaluate(w.tolist()))
+            assert np.all(u_w - np.einsum("ij,ij->i", a, w) <= u_y - ay + size)
+
+    def test_zero_goal_weight_falls_back_to_the_frank_wolfe_gap(self):
+        # at lam = 0 the slot's utility is linear and its conjugate infinite
+        problem, x0 = _random_problem("voyage", 12, 3)
+        us = problem.utilities
+        lam = us.lam.copy()
+        lam[5] = 0.0
+        zero = replace(problem, utilities=VoyageUtilities(lam, us.goal, us.current, us.prev))
+        gaps = {}
+        for name, p in (("positive", problem), ("zero", zero)):
+            lock = _Lockstep([p], [x0])
+            with np.errstate(all="raise"):
+                lock.certify(lock.z0, lock.u0, GAP_TOL)
+            x, fw = _reference_fw_gap(p, lock.z0[0])
+            gaps[name] = (lock.gaps[0], fw)
+            tight = solve_offline(p, tol=1e-12)
+            assert tight.utility - p.utilities.total(x) <= lock.gaps[0] + _rounding(tight.utility)
+        gap, fw = gaps["zero"]
+        assert gap == pytest.approx(fw, rel=1e-12)
+        gap, fw = gaps["positive"]
+        assert gap < fw
+        assert zero.utilities.curvature(None)[5] == math.inf
+        assert zero.utilities.fenchel_young(None, None, np.zeros((12, 2)))[5] == math.inf
+
+    @pytest.mark.parametrize("kind", ["huber", "voyage"])
+    def test_padded_rows_certify_as_solo_rows(self, kind):
+        instances = [_random_problem(kind, T, seed) for T, seed in ((30, 1), (7, 2), (2, 3), (19, 4))]
+        problems = [p for p, _ in instances]
+        x0s = [x0 for _, x0 in instances]
+        batch = _Lockstep(problems, x0s)
+        z = batch.ascent_step(batch.ascent_step(batch.z0))
+        with np.errstate(all="raise"):
+            batch.certify(z, batch.values(z), GAP_TOL)
+            for r, (p, x0) in enumerate(instances):
+                solo = _Lockstep([p], [x0])
+                row = z[r : r + 1, : p.horizon - 1]
+                solo.certify(row, solo.values(row), GAP_TOL)
+                assert solo.gaps[0] == batch.gaps[r]
+                assert solo.gaps[0] <= _reference_fw_gap(p, row[0])[1] * (1.0 + 1e-12)
 
 
 class TestBoxBindingSolves:

@@ -90,8 +90,10 @@ GOLDEN = {
     ("voyage", "run", "trace.csv"): "4df5d65c652fc0fc57ac80dee9ba7372021de6d09b240a57380c1bf2994dbc5c",
     ("voyage", "run", "summary.csv"): "897972fb83d035fb4ef80801240559522733252c38413f3a338970a723e6d197",
     ("voyage", "benchmark", "trace.csv"): "4df5d65c652fc0fc57ac80dee9ba7372021de6d09b240a57380c1bf2994dbc5c",
+    # re-taken when the gap gained the one-step dual bound: same 20 iterations
+    # and regret; offline_gap 0.243265 became 0.242093
     ("voyage", "benchmark", "regret_report.json"): (
-        "fde24c18d7f8c34051ba6dc523b495b3aaa9cf4ee3295d3ca8e1a4f2bea11396"
+        "fb1d523ff7545dfa6b06408b889db7c305cb7e47edfcdfff13e45305b1931988"
     ),
     ("commute", "run", "trace.csv"): "e191860d31839af843bdded3c595de03ccaec68fead3c96982579abaf14121cd",
     ("commute", "run", "summary.csv"): "990717bbc065ffc3e0f748c0c178846602955b576498c1f001d2a2aa06ea0687",
@@ -102,8 +104,11 @@ GOLDEN = {
     ("commute-huber", "benchmark", "trace.csv"): (
         "77f30993cbb7be5fe981627a2d99e6ed3b3e483ce9e1787ea72b66f92d6cceb6"
     ),
+    # re-taken when the gap gained the one-step dual bound: the solve stops
+    # at 30 iterations, not 50; regret 210301.76 became 210221.66 and
+    # offline_gap 197.14 became 116.94
     ("commute-huber", "benchmark", "regret_report.json"): (
-        "0fc84f7ee8143c47bb1fed7440e559da73405ce823facadf050370bfed2b3c98"
+        "d6a9c2fc34a5e5c6b2d4322ba72b96379305e5b191dcbdfac835e131729d71f7"
     ),
     ("commute-boxed", "benchmark", "trace.csv"): (
         "a31b909a695a0edf182cf09ad992bc888755e27a669713870fdc0f2b5c670af5"

@@ -79,6 +79,30 @@ class TestConfig:
         with pytest.raises(SchemaError):
             ScenarioConfig(kind="d2d", goal=PathSpec((1.0, 0.0), (1.0, 0.0)))
 
+    def test_library_margin_below_one_is_schema_error(self):
+        # before the check, this episode ran and failed at slot 1 with
+        # InfeasibleStepSize: a rate below the bound leaves the step cap
+        with pytest.raises(SchemaError, match="margin"):
+            run_scenario(
+                ScenarioConfig(
+                    kind="d2d",
+                    start=(0, 0),
+                    goal=PathSpec((10, 0), (10, 0)),
+                    peer=PathSpec((0, 2), (10, 2), 1.0),
+                    margin=0.5,
+                )
+            )
+
+    @pytest.mark.parametrize("margin", [0.999, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("config", [d2d_config, ocean_config])
+    def test_margin_must_be_finite_and_at_least_one(self, config, margin):
+        with pytest.raises(SchemaError, match="margin"):
+            config(margin=margin)
+
+    @pytest.mark.parametrize("config", [d2d_config, ocean_config])
+    def test_margin_of_one_is_accepted(self, config):
+        assert config(margin=1.0).margin == 1.0
+
 
 class TestPathSpec:
     def test_static(self):
@@ -190,7 +214,8 @@ class _PerSlotHuber:
     """A Huber commute family evaluated slot by slot through the scalar forms.
 
     It is only ever solved alone, so it is its own stack of one: the solver
-    hands it ``(1, T, 2)`` waypoints.
+    hands it ``(1, T, 2)`` waypoints.  The conjugate pieces that tighten the
+    gap are the family's own, which broadcast over the row axis.
     """
 
     total_scale = 1.0
@@ -200,6 +225,8 @@ class _PerSlotHuber:
         self.family = family
         self.horizon = family.horizon
         self.values = family.values
+        self.curvature = family.curvature
+        self.fenchel_young = family.fenchel_young
         self.stack_key = ("per-slot", id(self))
 
     def stack(self, families, tmax):
@@ -536,6 +563,29 @@ class TestOfflineCertificate:
             online = left_sum(rr.online_utilities)
             offline = left_sum(rr.offline_utilities)
             assert offline >= online - rr.offline_gap - 1e-9 * (1.0 + abs(online))
+
+    def test_long_huber_commute_is_certified_within_600_iterations(self):
+        # the bench's T = 128 Huber commute: the peer walks at twice the cap
+        # and crosses back.  The Frank-Wolfe gap alone stops it at about
+        # 1,000 iterations, about 300x looser than the true shortfall there
+        d = 55.0 / math.sqrt(2.0)
+        cfg = d2d_config(
+            goal=PathSpec((d, d), (d, d)),
+            peer=PathSpec((23.04, -8.96), (44.8, 21.76), speed_mps=2.0),
+            peer_noise_std_m=1.0,
+            delta=73,
+            utility_kind="huber",
+            mu=0.001,
+            gradient_noise=NoiseModel("gaussian_decaying", 0.1, 1.0, 2),
+            seed=1,
+        )
+        report = run_scenario(cfg, benchmark=False)
+        assert report.problem.horizon == 128
+        sol = solve_offline(report.problem, x0=report.trajectory)
+        assert sol.converged and sol.iterations <= 600
+        tight = solve_offline(report.problem, x0=report.trajectory, tol=1e-9)
+        assert tight.converged
+        assert tight.utility - sol.utility <= sol.gap + 1e-9 * (1.0 + abs(tight.utility))
 
     def test_long_commute_boxed_to_its_online_path_is_certified(self):
         # a T = 128 commute whose peer crosses its path, solved in the bounding
