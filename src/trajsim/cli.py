@@ -25,7 +25,7 @@ from .errors import (
     UnitsError,
 )
 from .metrics import ORACLE_MAX_NODES, OracleGrid, dp_oracle, solve_offline
-from .scenarios import SweepRow, run_adversary, run_scenario, sweep
+from .scenarios import ADVERSARY_POLICIES, SweepRow, run_adversary, run_scenario, sweep
 from .traces import emit_summary, emit_trace, write_regret_report
 
 EXIT_OK = 0
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     adv_p = sub.add_parser("adversary", help="worst-case scalar game")
     adv_p.add_argument("--T", type=int, required=True)
     adv_p.add_argument("--W", type=float, required=True)
-    adv_p.add_argument("--policy", choices=["ioga", "zero", "random"], default="ioga")
+    adv_p.add_argument("--policy", choices=ADVERSARY_POLICIES, default="ioga")
     adv_p.add_argument("--seed", type=int, default=None)
     adv_p.add_argument("--out", required=True)
     adv_p.set_defaults(func=_cmd_adversary)

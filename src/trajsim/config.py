@@ -158,6 +158,8 @@ def _field_from_doc(doc, path: str, base_dir: Path) -> VelocityField:
             return load_field(file)
         except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(path + ".path", f"cannot read field file {file}: {exc}") from exc
+        except ValueError as exc:  # a lattice that is not a valid field
+            raise SchemaError(path, str(exc)) from exc
     if "synthetic" not in doc:
         raise SchemaError(path, "field needs 'path' or 'synthetic'")
     spec_doc = doc["synthetic"]
@@ -186,7 +188,10 @@ def _field_from_doc(doc, path: str, base_dir: Path) -> VelocityField:
     xs = _grid(_require(doc, "x_grid_m", path + ".", units=True), path + ".x_grid_m")
     ys = _grid(_require(doc, "y_grid_m", path + ".", units=True), path + ".y_grid_m")
     ts = _grid(doc["t_grid_s"], path + ".t_grid_s") if "t_grid_s" in doc else (0.0,)
-    return synth_field(spec, xs, ys, ts)
+    try:
+        return synth_field(spec, xs, ys, ts)
+    except ValueError as exc:  # the pattern overflows to an infinite current
+        raise SchemaError(path, str(exc)) from exc
 
 
 def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
@@ -199,13 +204,12 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
 
     if kind == "adversary":
         adv_doc = _object(doc.get("adversary", {}), _ADV_KEYS, "adversary")
-        adv = AdversaryParams(
-            horizon=_integer(adv_doc.get("T", 100), "adversary.T"),
-            width=_positive(adv_doc.get("W", 1.0), "adversary.W"),
-            policy=str(adv_doc.get("policy", "zero")),
-        )
-        if adv.horizon < 1:
+        horizon = _integer(adv_doc.get("T", 100), "adversary.T")
+        if horizon < 1:
             raise SchemaError("adversary.T", "must be >= 1")
+        width = _positive(adv_doc.get("W", 1.0), "adversary.W")
+        # AdversaryParams names adversary.policy if the policy is unknown
+        adv = AdversaryParams(horizon, width, adv_doc.get("policy", "zero"))
         return ScenarioConfig(kind="adversary", seed=seed, adversary=adv)
 
     start = _point(_require(doc, "start_m", "", units=True), "start_m")

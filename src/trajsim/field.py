@@ -46,6 +46,8 @@ class VelocityField:
             g = tuple(float(c) for c in getattr(self, name))
             if len(g) == 0:
                 raise ValueError(f"{name} is empty")
+            if not all(map(math.isfinite, g)):
+                raise ValueError(f"{name} must be finite")
             if any(b <= a for a, b in zip(g, g[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
             object.__setattr__(self, name, g)
@@ -60,7 +62,10 @@ class VelocityField:
         v.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        speed_max = float(np.sqrt(u * u + v * v).max())
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            speed_max = float(np.sqrt(u * u + v * v).max())
+        if not math.isfinite(speed_max):
+            raise ValueError(f"field top speed must be finite, got {speed_max}")
         object.__setattr__(self, "v_o_max", speed_max)
         object.__setattr__(self, "_cells", {})
 
@@ -231,6 +236,8 @@ class AwayFromGoalSpec:
 SynthSpec = UniformSpec | GyreSpec | AwayFromGoalSpec
 
 
+# a pattern that overflows gives non-finite components, which VelocityField rejects
+@np.errstate(over="ignore", invalid="ignore")
 def synth_field(
     spec: SynthSpec,
     x_grid: Sequence[float],

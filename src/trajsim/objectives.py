@@ -260,10 +260,9 @@ def ocean_step_size(
 _EVAL_BLOCK = 512
 
 
-def _points_array(points, horizon: int) -> np.ndarray:
+def _check_horizon(points, horizon: int) -> None:
     if len(points) != horizon:
         raise HorizonMismatch(f"{len(points)} points for horizon {horizon}")
-    return np.asarray(points, dtype=float)
 
 
 def _pad(arrays: Sequence[np.ndarray], tmax: int) -> np.ndarray:
@@ -286,10 +285,16 @@ def row_scalars(values: list[float]):
 
 
 class _Family:
-    """The total both families derive from their per-slot terms."""
+    """What both families derive from their per-slot forms: the values and the total."""
+
+    def evaluate(self, points) -> list[float]:
+        """Slot ``t``'s utility at ``points[t]``, through the family's scalar utility."""
+        _check_horizon(points, self.horizon)
+        return self._evaluate(points)
 
     def total(self, points) -> float:
-        terms = self.slot_terms(_points_array(points, self.horizon))
+        _check_horizon(points, self.horizon)
+        terms = self.slot_terms(np.asarray(points, dtype=float))
         return self.total_scale * float(np.add.reduce(terms, axis=None))
 
 
@@ -298,8 +303,9 @@ class CommuteUtilities(_Family):
 
     ``v`` is the per-slot displacement cap and ``mu`` the curvature of the
     robust penalty.  The array gradient is the pull ``leads - x`` for the
-    squared kind; for the Huber kind it equals :func:`d2d_gradient` slot by
-    slot, bit for bit.  Stacked (:meth:`stack`), the leads are
+    squared kind; for the Huber kind it is :func:`d2d_gradient`'s formula,
+    equal to it slot by slot up to rounding (``np.hypot`` and ``math.hypot``
+    may differ in the last bit).  Stacked (:meth:`stack`), the leads are
     ``(R, tmax, 2)``, and ``v``/``mu`` are floats shared by the rows or
     ``(R, 1, 1)`` arrays.
     """
@@ -341,7 +347,7 @@ class CommuteUtilities(_Family):
             for e in self.leads.tolist()
         ]
 
-    def evaluate(self, points) -> list[float]:
+    def _evaluate(self, points) -> list[float]:
         """Slot ``t``'s utility at ``points[t]``, through the scalar :func:`d2d_utility`."""
         v, mu, kind = self.v, self.mu, self.kind
         return [d2d_utility(p, e, v, mu, kind) for p, e in zip(points, self.leads.tolist())]
@@ -380,13 +386,7 @@ class CommuteUtilities(_Family):
         pull = self.leads - x
         if self.kind == "squared":
             return pull
-        # math.hypot, not np.hypot: they can differ in the last bit, and this
-        # must equal d2d_gradient bit for bit, the per-slot gradient the
-        # scenario tests' _PerSlotHuber solves with
-        flat = pull.reshape(-1, 2)
-        n = np.fromiter(
-            map(math.hypot, flat[:, 0].tolist(), flat[:, 1].tolist()), float, len(flat)
-        ).reshape(pull.shape[:-1] + (1,))
+        n = np.hypot(pull[..., :1], pull[..., 1:])
         # v / max(n, v) is exactly 1 inside the cap
         capped = pull * (self.v / np.maximum(n, self.v))
         return self.mu * pull + self._one_minus_mu * capped
@@ -464,7 +464,7 @@ class VoyageUtilities(_Family):
             )
         ]
 
-    def evaluate(self, points) -> list[float]:
+    def _evaluate(self, points) -> list[float]:
         """Slot ``t``'s utility at ``points[t]``, through the scalar :func:`ocean_utility`.
 
         The arrays become Python floats :data:`_EVAL_BLOCK` slots at a time, so

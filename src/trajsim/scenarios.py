@@ -9,6 +9,7 @@ report against the offline benchmark.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import time
 import warnings
@@ -67,11 +68,77 @@ class PathSpec:
         return lerp(self.start, self.end, travelled / total)
 
 
+ADVERSARY_POLICIES = ("ioga", "zero", "random")
+
+
+def _real(x) -> float:
+    """``x`` as a float; NaN for a bool or anything that is not a real number."""
+    return float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+
+
+def _count(x) -> bool:
+    """Whether ``x`` is an integer (a bool is not)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+# The config parser's rules for ScenarioConfig's numeric fields: a predicate on
+# the value as a float (NaN for a non-number) and the message when it fails.
+_POSITIVE = (lambda x: 0.0 < x < math.inf, "must be a finite number > 0")
+_NONNEGATIVE = (lambda x: 0.0 <= x < math.inf, "must be a finite number >= 0")
+_FINITE = (math.isfinite, "must be a finite number")
+_UNIT = (lambda x: 0.0 < x <= 1.0, "must be in (0, 1]")
+_NUMBER_RULES = {
+    "peer_noise_std_m": _NONNEGATIVE,
+    "v_max_mps": _POSITIVE,
+    "slot_duration_s": _POSITIVE,
+    "mu": _UNIT,
+    "alpha_min": _UNIT,
+    # a step-size margin below 1 picks a rate inside the infeasible range
+    "margin": (lambda x: 1.0 <= x < math.inf, "must be a finite number >= 1"),
+    "alpha_p": _FINITE,
+    "bandwidth_hz": _POSITIVE,
+    "noise_power": _POSITIVE,
+    "beta": _NONNEGATIVE,
+    "drag_coefficient": _FINITE,
+}
+_CHOICES = {
+    "kind": ("d2d", "ocean", "adversary"),
+    "utility_kind": ("squared", "huber"),
+    "lambda_strategy": ("increasing", "direction_dependent"),
+}
+
+
+def _check(rule, value, name: str) -> None:
+    ok, message = rule
+    if not ok(_real(value)):
+        raise SchemaError(name, f"{message}, got {value!r}")
+
+
+def _finite_point(p, name: str) -> Point:
+    try:
+        x, y = map(_real, p)
+    except (TypeError, ValueError):
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise SchemaError(name, f"must be two finite numbers, got {p!r}")
+    return (x, y)
+
+
 @dataclass(frozen=True)
 class AdversaryParams:
     horizon: int = 100
     width: float = 1.0
     policy: str = "zero"
+
+    def __post_init__(self):
+        if not (_count(self.horizon) and self.horizon >= 1):
+            raise SchemaError("adversary.horizon", f"must be an integer >= 1, got {self.horizon!r}")
+        _check(_POSITIVE, self.width, "adversary.width")
+        if self.policy not in ADVERSARY_POLICIES:
+            raise SchemaError(
+                "adversary.policy",
+                f"must be one of {', '.join(ADVERSARY_POLICIES)}, got {self.policy!r}",
+            )
 
 
 @dataclass(frozen=True)
@@ -107,18 +174,26 @@ class ScenarioConfig:
     adversary: AdversaryParams | None = None
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise SchemaError("delta", f"must be >= 0, got {self.delta}")
-        if self.kind != "adversary" and self.v_max_mps <= 0.0:
-            raise SchemaError("v_max_mps", "must be positive")
-        if self.slot_duration_s <= 0.0:
-            raise SchemaError("slot_duration_s", "must be positive")
-        # a step-size margin below 1 picks a rate inside the infeasible range
-        if not (math.isfinite(self.margin) and self.margin >= 1.0):
-            raise SchemaError("margin", f"must be a finite number >= 1, got {self.margin}")
-        object.__setattr__(self, "start", (float(self.start[0]), float(self.start[1])))
+        """Apply the config parser's rules, so a library-built config fails as early."""
+        if not (_count(self.delta) and self.delta >= 0):
+            raise SchemaError("delta", f"must be a nonnegative integer, got {self.delta!r}")
+        for name, rule in _NUMBER_RULES.items():
+            _check(rule, getattr(self, name), name)
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise SchemaError(name, f"must be one of {', '.join(choices)}, got {value!r}")
+        object.__setattr__(self, "start", _finite_point(self.start, "start"))
+        for name in ("goal", "peer"):
+            spec = getattr(self, name)
+            if spec is not None:
+                _finite_point(spec.start, f"{name}.start")
+                _finite_point(spec.end, f"{name}.end")
+                _check(_NONNEGATIVE, spec.speed_mps, f"{name}.speed_mps")
         if self.kind == "d2d" and self.peer is None:
             raise SchemaError("peer", "commute scenarios need a peer schedule")
+        if self.kind == "ocean" and self.ocean_field is None:
+            raise SchemaError("ocean_field", "voyage scenarios need a current field")
         if (
             self.kind in ("d2d", "ocean")
             and self.goal.speed_mps > 0.5 * self.v_max_mps
@@ -303,10 +378,6 @@ class _OceanDriver(_Driver):
     """Per-episode state machine for the voyage scenario."""
 
     def __init__(self, cfg: ScenarioConfig):
-        if cfg.ocean_field is None:
-            raise SchemaError("ocean_field", "voyage scenarios need a current field")
-        if cfg.lambda_strategy not in ("increasing", "direction_dependent"):
-            raise SchemaError("lambda_strategy", f"unknown strategy {cfg.lambda_strategy!r}")
         super().__init__(cfg)
         self.region = _auto_region(cfg, [cfg.start, *self.goals])
         self.truth = cfg.ocean_field

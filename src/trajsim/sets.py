@@ -9,7 +9,6 @@ function over value types and safe to share between concurrent runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .geom import Point, Vector, as_point
@@ -45,11 +44,6 @@ class Box2D:
     def vertices(self) -> list[Point]:
         (x0, y0), (x1, y1) = self.lo, self.hi
         return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-
-    def violation(self, p: Point) -> float:
-        dx = max(self.lo[0] - p[0], p[0] - self.hi[0], 0.0)
-        dy = max(self.lo[1] - p[1], p[1] - self.hi[1], 0.0)
-        return math.hypot(dx, dy)
 
 
 @dataclass(frozen=True)

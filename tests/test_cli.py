@@ -23,6 +23,8 @@ D2D_DOC = {
     "gradient_noise": {"kind": "gaussian_decaying", "eps0": 0.1, "decay_q": 1.0, "seed": 11},
 }
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 OCEAN_DOC = {
     "kind": "ocean",
     "start_m": [5.0, 5.0],
@@ -233,6 +235,32 @@ class TestRunCommand:
         cfg = write(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strength", [1e300, 1e308])
+    def test_overflowing_field_is_config_error(self, tmp_path, capsys, strength):
+        # both exited 1 with a traceback from synth_field or perturb_field
+        doc = json.loads((CONFIGS / "voyage.json").read_text(encoding="utf-8"))
+        doc["ocean"]["field"]["synthetic"]["strength_mps"] = strength
+        cfg = write(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: ocean.field: field " in capsys.readouterr().err
+
+    def test_nonfinite_field_file_is_config_error(self, tmp_path, capsys):
+        rows = [f"0,{x},{y},{'inf' if x == y == 1 else 0.1},0" for x in (0, 1) for y in (0, 1)]
+        (tmp_path / "field.csv").write_text("t,x,y,u,v\n" + "\n".join(rows) + "\n")
+        doc = json.loads(json.dumps(OCEAN_DOC))
+        doc["ocean"]["field"] = {"path": "field.csv"}
+        cfg = write(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: ocean.field: field components must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["greedy", 5, None])
+    def test_unknown_adversary_policy_is_config_error(self, tmp_path, capsys, policy):
+        doc = {"kind": "adversary", "adversary": {"T": 10, "policy": policy}}
+        out = tmp_path / "o"
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+        assert "config error: adversary.policy: must be one of" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["config", "field"])
     def test_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys, kind):

@@ -2,16 +2,18 @@ import dataclasses
 import json
 import math
 import random
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from trace_reference import emit_trace_csv
 
 from trajsim.config import RunManifest, config_hash, parse_config, parse_config_doc
 from trajsim.engine import NoiseModel, StepRecord
-from trajsim.errors import SchemaError, UnitsError
+from trajsim.errors import SchemaError, TrajsimError, UnitsError
 from trajsim.field import FieldPerturbation
 from trajsim.scenarios import (
     EpisodeReport,
@@ -44,6 +46,89 @@ def write_config(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc), encoding="utf-8")
     return p
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _voyage_doc():
+    doc = json.loads((CONFIGS / "voyage.json").read_text(encoding="utf-8"))
+    doc["ocean"]["field"]["t_grid_s"] = {"min": 0, "max": 100, "n": 3}
+    return doc
+
+
+# valid documents whose leaves the fuzz replaces one at a time
+FUZZ_DOCS = {
+    "commute": json.loads((CONFIGS / "commute.json").read_text(encoding="utf-8")),
+    "voyage": _voyage_doc(),
+    "adversary": {"kind": "adversary", "seed": 1, "adversary": {"T": 50, "W": 2.0, "policy": "ioga"}},
+}
+
+
+def _leaf_paths(doc, prefix=()):
+    """The key path of every leaf of a JSON document: scalars and empty containers."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    items = list(items)
+    if not items:
+        yield prefix
+    for key, value in items:
+        yield from _leaf_paths(value, prefix + (key,))
+
+
+def _json_values(max_float: float):
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=6),
+        st.integers(-3, 60),
+        st.floats(-max_float, max_float),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=5,
+    )
+
+
+_ANY_JSON = _json_values(1e308)
+# a grid's n: an integral float as large as 1e308 would ask for that many grid points
+_GRID_N_JSON = _json_values(60.0)
+
+
+@st.composite
+def fuzzed_leaves(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_DOCS)))
+    path = draw(st.sampled_from(list(_leaf_paths(FUZZ_DOCS[name]))))
+    value = draw(_GRID_N_JSON if path[-1] == "n" else _ANY_JSON)
+    return name, path, value
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(case=fuzzed_leaves())
+    @example(case=("voyage", ("ocean", "field", "synthetic", "strength_mps"), 1e308))
+    @example(case=("voyage", ("ocean", "field", "synthetic", "strength_mps"), 1e300))
+    @example(case=("adversary", ("adversary", "policy"), "greedy"))
+    @example(case=("adversary", ("adversary", "policy"), 5))
+    def test_parser_returns_a_config_or_a_trajsim_error(self, case):
+        name, path, value = case
+        doc = json.loads(json.dumps(FUZZ_DOCS[name]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        # the goal-speed warning is legitimate; any other warning, such as an
+        # overflow, fails the test under pytest's filterwarnings = error
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                cfg = parse_config_doc(doc)
+            except TrajsimError:
+                return
+        assert isinstance(cfg, ScenarioConfig)
+        if cfg.kind == "adversary":
+            assert cfg.adversary.policy in ("ioga", "zero", "random")
 
 
 class TestParseConfig:

@@ -240,6 +240,17 @@ class TestPerturbation:
 
 
 class TestSynth:
+    @pytest.mark.parametrize("strength", [1e300, 1e308])
+    def test_overflowing_field_is_rejected(self, strength):
+        # 1e308 overflows the components; 1e300 overflows only the top speed,
+        # which perturb_field would then scale its noise by
+        with pytest.raises(ValueError, match="must be finite"):
+            synth_field(GyreSpec((0.0, 0.0), strength, 1.0), (-1.0, 0.5, 2.0), (-1.0, 0.5, 2.0))
+
+    def test_nonfinite_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="x_grid must be finite"):
+            VelocityField((0.0, math.inf), (0.0, 1.0), (0.0,), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
+
     def test_uniform(self):
         f = synth_field(UniformSpec(0.3, 0.4), (0.0, 1.0), (0.0, 1.0))
         assert np.all(f.u == 0.3) and np.all(f.v == 0.4)

@@ -315,6 +315,21 @@ class TestRegret:
         with pytest.raises(HorizonMismatch):
             seq.total([(0.0, 0.0)] * 3)
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            CommuteUtilities([(0, 0), (1, 1), (2, 2)], 1.0, 0.1, "huber"),
+            VoyageUtilities([0.5] * 3, [(1.0, 0.0)] * 3, [(0.1, 0.0)] * 3, [(0.0, 0.0)] * 3),
+        ],
+        ids=["commute", "voyage"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_evaluate_rejects_a_mismatched_horizon(self, family, n):
+        # evaluate used to return one value per point, silently truncating
+        with pytest.raises(HorizonMismatch):
+            family.evaluate([(0.0, 0.0)] * n)
+        assert len(family.evaluate([(0.0, 0.0)] * 3)) == 3
+
     def test_nonnegative_against_solver(self):
         rng = np.random.default_rng(14)
         for trial in range(8):
@@ -864,10 +879,11 @@ class TestSolveOfflineBatch:
     def test_boxed_row_takes_the_restoration_path(self):
         problem = _boxed_problem(5)
         free = solve_offline(replace(problem, region=BIG_BOX))
-        assert any(problem.region.violation(p) > 1e-9 for p in free.points)
+        cons = (problem.start, problem.centers, problem.radii, problem.region)
+        assert _violation(np.array(free.points), *cons)[0] > 1e-9
         sol = solve_offline(problem)
         assert sol.converged and math.isfinite(sol.gap) and sol.gap >= 0.0
-        assert all(problem.region.violation(p) <= 1e-9 for p in sol.points)
+        assert _violation(np.array(sol.points), *cons)[0] <= 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(

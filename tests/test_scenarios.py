@@ -11,7 +11,7 @@ from trajsim.engine import NoiseModel
 from trajsim.errors import InfeasibleStepSize, SchemaError
 from trajsim.field import FieldPerturbation, UniformSpec, synth_field
 from trajsim.geom import dist, dot, left_sum, norm, sub
-from trajsim.metrics import solve_offline
+from trajsim.metrics import _violation, solve_offline
 from trajsim.objectives import CommuteUtilities
 from trajsim.scenarios import (
     PathSpec,
@@ -102,6 +102,49 @@ class TestConfig:
     @pytest.mark.parametrize("config", [d2d_config, ocean_config])
     def test_margin_of_one_is_accepted(self, config):
         assert config(margin=1.0).margin == 1.0
+
+    # values the config parser rejects; before the library-side checks each
+    # failed late (a bare ValueError or TypeError, InfeasibleStepSize, or an
+    # error raised only after the episode) or ran to NaN or silently
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("mu", 0.0),
+            ("alpha_min", 0.0),
+            ("utility_kind", "cubic"),
+            ("bandwidth_hz", -1),
+            ("delta", 2.5),
+            ("v_max_mps", math.nan),
+            ("slot_duration_s", math.inf),
+            ("drag_coefficient", math.nan),
+            ("beta", -1),
+            ("peer_noise_std_m", -1),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["d2d", "ocean"])
+    def test_library_config_applies_the_parser_rules(self, kind, field, value):
+        base = dict(kind=kind, start=(0, 0), goal=PathSpec((10, 0), (10, 0)))
+        if kind == "d2d":
+            base["peer"] = PathSpec((0, 2), (10, 2), 1.0)
+        else:
+            base["ocean_field"] = STILL
+        with pytest.raises(SchemaError) as err:
+            run_scenario(ScenarioConfig(**base, **{field: value}))
+        assert err.value.path == field
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("lambda_strategy", "decreasing"), ("ocean_field", None), ("start", (math.nan, 0.0))],
+    )
+    def test_voyage_config_checks_its_strategy_field_and_start(self, field, value):
+        with pytest.raises(SchemaError) as err:
+            ocean_config(**{field: value})
+        assert err.value.path == field
+
+    def test_bad_sweep_value_stays_a_row_error(self):
+        rows = sweep(d2d_config(), "noise_sigma", [0.5, -1.0], benchmark=False)
+        assert rows[0].error is None and rows[0].report is not None
+        assert rows[1].report is None and "peer_noise_std_m" in rows[1].error
 
 
 class TestPathSpec:
@@ -257,7 +300,9 @@ class TestCommuteBatchForms:
         return leads, CommuteUtilities(leads, self.V, mu, "huber")
 
     @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0])
-    def test_huber_batch_gradient_is_exact(self, mu):
+    def test_huber_batch_gradient_matches_scalar_gradient(self, mu):
+        # the same formula as d2d_gradient; np.hypot and math.hypot may
+        # differ in the last bit, so the two agree to rounding
         leads, seq = self.huber(mu)
         rng = np.random.default_rng(1)
         on_cap = 0
@@ -266,7 +311,9 @@ class TestCommuteBatchForms:
             per_slot = [
                 obj.d2d_gradient(p, e, self.V, mu) for p, e in zip(x.tolist(), leads.tolist())
             ]
-            assert np.array_equal(seq.gradient_array(x), np.asarray(per_slot))
+            np.testing.assert_allclose(
+                seq.gradient_array(x), np.asarray(per_slot), rtol=4 * np.finfo(float).eps, atol=0.0
+            )
         assert on_cap >= 2 * len(leads)
 
     @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0])
@@ -605,7 +652,8 @@ class TestOfflineCertificate:
         problem = replace(report.problem, region=box)
         assert problem.horizon == 128
         free = solve_offline(report.problem, x0=report.trajectory)
-        assert any(box.violation(p) > 1e-6 for p in free.points)
+        cons = (problem.start, problem.centers, problem.radii, box)
+        assert _violation(np.array(free.points), *cons)[0] > 1e-6
         sol = solve_offline(problem, x0=report.trajectory)
         assert sol.converged and sol.max_violation <= 1e-9
         assert math.isfinite(sol.gap) and sol.gap >= 0.0

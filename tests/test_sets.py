@@ -51,8 +51,8 @@ class CapBall:
     def project(self, p):
         return project_cap(p, self.cap)
 
-    def violation(self, p):
-        return max(0.0, dist(p, self.cap.center) - self.cap.radius)
+    def contains(self, p, tol=0.0):
+        return dist(p, self.cap.center) <= self.cap.radius + tol
 
 
 class TestBallProjection:
@@ -98,5 +98,5 @@ class TestProjectionProperties:
     @given(p=points)
     @settings(max_examples=150, deadline=None)
     def test_membership(self, region, p):
-        assert region.violation(region.project(p)) <= 1e-9
+        assert region.contains(region.project(p), tol=1e-9)
 
