@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +24,14 @@ from .errors import (
     UnitsError,
 )
 from .metrics import ORACLE_MAX_NODES, OracleGrid, dp_oracle, solve_offline
-from .scenarios import ADVERSARY_POLICIES, SweepRow, run_adversary, run_scenario, sweep
+from .scenarios import (
+    ADVERSARY_POLICIES,
+    AdversaryParams,
+    SweepRow,
+    run_adversary,
+    run_scenario,
+    sweep,
+)
 from .traces import emit_summary, emit_trace, write_regret_report
 
 EXIT_OK = 0
@@ -64,8 +70,7 @@ def _cmd_run(args) -> int:
     cfg, digest = _load(args)
     out = _outdir(args)
     if cfg.kind == "adversary":
-        adv = cfg.adversary
-        return _play_adversary(out, adv.horizon, adv.width, adv.policy, cfg.seed)
+        return _play_adversary(out, cfg.adversary, cfg.seed)
     report = run_scenario(cfg, mode=args.mode)
     trace_path = out / "trace.csv"
     summary_path = out / "summary.csv"
@@ -181,19 +186,21 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    if args.T < 1:
-        raise SchemaError("--T", f"must be >= 1, got {args.T}")
-    if not 0.0 < args.W < math.inf:
-        raise SchemaError("--W", f"must be positive and finite, got {args.W}")
+    try:
+        adv = AdversaryParams(args.T, args.W, args.policy)
+    except SchemaError as exc:
+        flag = {"adversary.horizon": "--T", "adversary.width": "--W"}.get(exc.path, exc.path)
+        raise SchemaError(flag, exc.message) from exc
     seed = args.seed if args.seed is not None else (_default_seed() or 0)
-    return _play_adversary(_outdir(args), args.T, args.W, args.policy, seed)
+    return _play_adversary(_outdir(args), adv, seed)
 
 
-def _play_adversary(out: Path, T: int, W: float, policy: str, seed: int) -> int:
+def _play_adversary(out: Path, adv: AdversaryParams, seed: int) -> int:
     """Play the scalar game and write ``adversary.json`` with its lower bound ``W^2 T / 2``."""
-    value = run_adversary(T, W, policy, seed=seed)
+    T, W = adv.horizon, adv.width
+    value = run_adversary(T, W, adv.policy, seed=seed)
     bound = 0.5 * W**2 * T
-    doc = {"T": T, "W": W, "policy": policy, "regret": value, "lower_bound": bound}
+    doc = {"T": T, "W": W, "policy": adv.policy, "regret": value, "lower_bound": bound}
     (out / "adversary.json").write_text(json.dumps(doc, indent=2) + "\n")
     print(f"adversary regret {value:.6g} (lower bound {bound:.6g})")
     return EXIT_OK

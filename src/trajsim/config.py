@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from .engine import NoiseModel
 from .errors import SchemaError, UnitsError
@@ -28,38 +29,21 @@ from .field import (
 from .scenarios import AdversaryParams, PathSpec, ScenarioConfig
 from .sets import Box2D
 
-_TOP_KEYS = {
-    "kind",
-    "seed",
-    "slot_duration_s",
-    "start_m",
-    "goal_m",
-    "peer",
-    "delta_slots",
-    "v_max_mps",
-    "d2d",
-    "ocean",
-    "gradient_noise",
-    "feasible_box_m",
-    "adversary",
-}
-_D2D_KEYS = {"mu", "utility", "alpha_min", "margin", "alpha_p", "bandwidth_hz", "noise_power"}
-_OCEAN_KEYS = {"lambda_strategy", "beta", "drag_coefficient", "field", "perturbation"}
-_NOISE_KEYS = {"kind", "eps0", "decay_q", "seed"}
-_PATH_KEYS = {"from_m", "to_m", "speed_mps", "noise_std_m"}
 _FIELD_KEYS = {"path", "synthetic", "x_grid_m", "y_grid_m", "t_grid_s"}
-_PERT_KEYS = {"sigma_fraction", "seed"}
-_ADV_KEYS = {"T", "W", "policy"}
 _GRID_KEYS = {"min", "max", "n"}
 
+# The node bound nx * ny * nt of a synthetic field lattice, checked before any
+# axis is built; the largest benchmark lattice is 100 * 100 * 10.
+MAX_FIELD_NODES = 10**7
 
-def _object(value, allowed: set[str], path: str) -> dict:
+
+def _object(value, allowed, path: str) -> dict:
     """``value`` as a JSON object whose keys all lie in ``allowed``; ``path`` names it."""
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected a JSON object, got {value!r}")
     for key in value:
         if key not in allowed:
-            raise SchemaError(f"{path}.{key}" if path else key, "unknown key")
+            raise SchemaError(_key_path(path, key), "unknown key")
     return value
 
 
@@ -90,12 +74,72 @@ def _integer(value, path: str) -> int:
     return int(x)
 
 
-def _positive(value, path: str) -> float:
-    """``value`` as a float, which must be positive; see :func:`_number`."""
-    x = _number(value, path)
-    if x <= 0.0:
-        raise SchemaError(path, "must be positive")
-    return x
+def _as_is(value, path: str):
+    return value  # the dataclass that receives it checks its type too
+
+
+def _key_path(section: str, key: str) -> str:
+    return f"{section}.{key}" if section else key
+
+
+# Each scalar key of a document section and the dataclass field it sets; the
+# top-level, peer, d2d and ocean keys set ScenarioConfig fields.  The
+# dataclasses own the value rules and the defaults, so only the keys present in
+# a document are passed on, once their JSON values have the right shape.
+_SECTIONS = {
+    "": {
+        "seed": "seed", "delta_slots": "delta",
+        "v_max_mps": "v_max_mps", "slot_duration_s": "slot_duration_s",
+    },
+    # what a walk may hold beside its own from_m, to_m and speed_mps
+    "goal_m": {},
+    "peer": {"noise_std_m": "peer_noise_std_m"},
+    "d2d": {
+        "mu": "mu", "utility": "utility_kind", "alpha_min": "alpha_min", "margin": "margin",
+        "alpha_p": "alpha_p", "bandwidth_hz": "bandwidth_hz", "noise_power": "noise_power",
+    },
+    "ocean": {
+        "lambda_strategy": "lambda_strategy", "beta": "beta", "drag_coefficient": "drag_coefficient"
+    },
+    "adversary": {"T": "horizon", "W": "width", "policy": "policy"},
+    "gradient_noise": {"kind": "kind", "eps0": "eps0", "decay_q": "decay_q", "seed": "seed"},
+    "ocean.perturbation": {"sigma_fraction": "sigma_fraction", "seed": "seed"},
+}
+_TOP_KEYS = {"kind", "start_m", "goal_m", "feasible_box_m", "peer", "d2d", "ocean", "adversary"}
+_TOP_KEYS |= {"gradient_noise", *_SECTIONS[""]}
+# The shape check of each key whose value is not a plain _number.
+_SHAPES = {"seed": _integer, "T": _integer}
+_SHAPES |= dict.fromkeys(("delta_slots", "utility", "lambda_strategy", "policy", "kind"), _as_is)
+
+# The document path of each field path that a ScenarioConfig or AdversaryParams
+# SchemaError names; a path missing here is the same in both.
+_DOC_PATHS = {
+    **{f: _key_path(s, k) for s in ("", "peer", "d2d", "ocean") for k, f in _SECTIONS[s].items()},
+    **{f"adversary.{f}": f"adversary.{k}" for k, f in _SECTIONS["adversary"].items()},
+    "goal.speed_mps": "goal_m.speed_mps",
+}
+
+
+def _fields(doc: dict, section: str) -> dict:
+    """The keyword arguments for the keys of ``section`` that ``doc`` holds, each shape-checked."""
+    return {
+        field: _SHAPES.get(key, _number)(doc[key], _key_path(section, key))
+        for key, field in _SECTIONS[section].items()
+        if key in doc
+    }
+
+
+def _section(doc: dict, section: str, extra=()) -> dict:
+    """The optional JSON object ``doc[section]``, holding only its table's and ``extra`` keys."""
+    return _object(doc.get(section, {}), {*_SECTIONS[section], *extra}, section)
+
+
+def _build(cls, **kwargs):
+    """``cls(**kwargs)``, with a SchemaError's field path renamed to its document path."""
+    try:
+        return cls(**kwargs)
+    except SchemaError as exc:
+        raise SchemaError(_DOC_PATHS.get(exc.path, exc.path), exc.message) from exc
 
 
 def _unit_number(doc: dict, key: str, path: str) -> float:
@@ -111,41 +155,50 @@ def _require(doc: dict, key: str, path: str, units: bool = False):
     return doc[key]
 
 
-def _path_spec(doc, path: str, default_speed: float = 0.0) -> tuple[PathSpec, float]:
-    """A static ``[x, y]`` point or a walk descriptor; returns (spec, noise_std)."""
+def _path_spec(doc, path: str) -> tuple[PathSpec, dict]:
+    """A static ``[x, y]`` point or a walk descriptor, and the config fields beside the walk."""
     if isinstance(doc, (list, tuple)):
         p = _point(doc, path)
-        return PathSpec(p, p, 0.0), 0.0
+        return PathSpec(p, p), {}
     if not isinstance(doc, dict):
         raise SchemaError(path, f"expected [x, y] or walk object, got {doc!r}")
-    _object(doc, _PATH_KEYS, path)
+    _object(doc, {"from_m", "to_m", "speed_mps", *_SECTIONS[path]}, path)
     start = _point(_require(doc, "from_m", path + ".", units=True), path + ".from_m")
     end = _point(_require(doc, "to_m", path + ".", units=True), path + ".to_m")
-    speed = _number(doc.get("speed_mps", default_speed), path + ".speed_mps")
-    if speed < 0.0:
-        raise SchemaError(path + ".speed_mps", "must be >= 0")
-    noise_std = _number(doc.get("noise_std_m", 0.0), path + ".noise_std_m")
-    if noise_std < 0.0:
-        raise SchemaError(path + ".noise_std_m", "must be >= 0")
-    return PathSpec(start, end, speed), noise_std
+    speed = {k: _number(doc[k], f"{path}.{k}") for k in ("speed_mps",) if k in doc}
+    return PathSpec(start, end, **speed), _fields(doc, path)
 
 
-def _grid(doc, path: str) -> tuple[float, ...]:
+def _grid(doc, path: str) -> tuple[int, Iterable[float]]:
+    """A grid's node count and its nodes, not yet built, from a list or ``{min, max, n}``."""
     if isinstance(doc, (list, tuple)):
-        grid = tuple(_number(c, path) for c in doc)
-    elif isinstance(doc, dict):
-        _object(doc, _GRID_KEYS, path)
-        lo = _number(_require(doc, "min", path + "."), path + ".min")
-        hi = _number(_require(doc, "max", path + "."), path + ".max")
-        n = _integer(_require(doc, "n", path + "."), path + ".n")
-        if n < 2 or hi <= lo:
-            raise SchemaError(path, "need n >= 2 and max > min")
-        grid = tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
-    else:
+        return len(doc), (_number(c, path) for c in doc)
+    if not isinstance(doc, dict):
         raise SchemaError(path, f"expected list or {{min,max,n}}, got {doc!r}")
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise SchemaError(path, "grid must be nonempty and strictly ascending")
-    return grid
+    _object(doc, _GRID_KEYS, path)
+    lo = _number(_require(doc, "min", path + "."), path + ".min")
+    hi = _number(_require(doc, "max", path + "."), path + ".max")
+    n = _integer(_require(doc, "n", path + "."), path + ".n")
+    if n < 2 or hi <= lo:
+        raise SchemaError(path, "need n >= 2 and max > min")
+    return n, (lo + (hi - lo) * i / (n - 1) for i in range(n))
+
+
+def _lattice(doc: dict, path: str) -> list[tuple[float, ...]]:
+    """The field's x, y and t grids; their node count is bounded before any is built."""
+    keys = ("x_grid_m", "y_grid_m", "t_grid_s")
+    axes = [_grid(_require(doc, key, path + ".", units=True), f"{path}.{key}") for key in keys[:2]]
+    axes.append(_grid(doc["t_grid_s"], path + ".t_grid_s") if "t_grid_s" in doc else (1, (0.0,)))
+    count = 1
+    for key, (n, _) in zip(keys, axes):
+        count *= n
+        if count > MAX_FIELD_NODES:
+            raise SchemaError(f"{path}.{key}", f"the lattice has over {MAX_FIELD_NODES:,} nodes")
+    grids = [tuple(nodes) for _, nodes in axes]
+    for key, grid in zip(keys, grids):
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise SchemaError(f"{path}.{key}", "grid must be nonempty and strictly ascending")
+    return grids
 
 
 def _field_from_doc(doc, path: str, base_dir: Path) -> VelocityField:
@@ -175,8 +228,10 @@ def _field_from_doc(doc, path: str, base_dir: Path) -> VelocityField:
         spec = GyreSpec(
             _point(_require(spec_doc, "center_m", sp, units=True), sp + "center_m"),
             _unit_number(spec_doc, "strength_mps", sp),
-            _positive(_require(spec_doc, "radius_m", sp, units=True), sp + "radius_m"),
+            _unit_number(spec_doc, "radius_m", sp),
         )
+        if spec.radius <= 0.0:
+            raise SchemaError(sp + "radius_m", "must be positive")
     elif kind == "away_from_goal":
         _object(spec_doc, {"kind", "goal_m", "speed_mps"}, path + ".synthetic")
         spec = AwayFromGoalSpec(
@@ -185,135 +240,70 @@ def _field_from_doc(doc, path: str, base_dir: Path) -> VelocityField:
         )
     else:
         raise SchemaError(path + ".synthetic.kind", f"unknown synthetic kind {kind!r}")
-    xs = _grid(_require(doc, "x_grid_m", path + ".", units=True), path + ".x_grid_m")
-    ys = _grid(_require(doc, "y_grid_m", path + ".", units=True), path + ".y_grid_m")
-    ts = _grid(doc["t_grid_s"], path + ".t_grid_s") if "t_grid_s" in doc else (0.0,)
     try:
-        return synth_field(spec, xs, ys, ts)
+        return synth_field(spec, *_lattice(doc, path))
     except ValueError as exc:  # the pattern overflows to an infinite current
         raise SchemaError(path, str(exc)) from exc
 
 
 def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
-    """Validate a parsed JSON document and build the scenario config."""
+    """Check a parsed JSON document's shape and build the scenario config.
+
+    Only the keys the document holds reach the dataclasses, which own every
+    value rule and default; their errors come back under the document's key.
+    """
     _object(doc, _TOP_KEYS, "")
     kind = _require(doc, "kind", "")
     if kind not in ("d2d", "ocean", "adversary"):
         raise SchemaError("kind", f"must be d2d, ocean, or adversary, got {kind!r}")
-    seed = _integer(doc.get("seed", 0), "seed")
+    common = _fields(doc, "")
 
     if kind == "adversary":
-        adv_doc = _object(doc.get("adversary", {}), _ADV_KEYS, "adversary")
-        horizon = _integer(adv_doc.get("T", 100), "adversary.T")
-        if horizon < 1:
-            raise SchemaError("adversary.T", "must be >= 1")
-        width = _positive(adv_doc.get("W", 1.0), "adversary.W")
-        # AdversaryParams names adversary.policy if the policy is unknown
-        adv = AdversaryParams(horizon, width, adv_doc.get("policy", "zero"))
-        return ScenarioConfig(kind="adversary", seed=seed, adversary=adv)
+        adv = _build(AdversaryParams, **_fields(_section(doc, "adversary"), "adversary"))
+        return _build(ScenarioConfig, kind="adversary", adversary=adv, **common)
 
-    start = _point(_require(doc, "start_m", "", units=True), "start_m")
-    goal, _ = _path_spec(_require(doc, "goal_m", "", units=True), "goal_m")
-    v_max = _positive(_require(doc, "v_max_mps", "", units=True), "v_max_mps")
-    delta = doc.get("delta_slots", 0)
-    if type(delta) is not int or delta < 0:
-        raise SchemaError("delta_slots", f"must be a nonnegative integer, got {delta!r}")
-    slot_s = _positive(doc.get("slot_duration_s", 1.0), "slot_duration_s")
+    common["start"] = _point(_require(doc, "start_m", "", units=True), "start_m")
+    common["goal"], _ = _path_spec(_require(doc, "goal_m", "", units=True), "goal_m")
+    _require(doc, "v_max_mps", "", units=True)
 
-    noise_doc = _object(doc.get("gradient_noise", {}), _NOISE_KEYS, "gradient_noise")
-    noise_kind = noise_doc.get("kind", "none")
-    if noise_kind not in ("none", "gaussian_decaying"):
-        raise SchemaError("gradient_noise.kind", f"unknown kind {noise_kind!r}")
-    decay_q = _number(noise_doc.get("decay_q", 0.0), "gradient_noise.decay_q")
-    if decay_q < 0.0:
+    noise = _fields(_section(doc, "gradient_noise"), "gradient_noise")
+    # NoiseModel's own errors do not name the key
+    if "kind" in noise and noise["kind"] not in ("none", "gaussian_decaying"):
+        raise SchemaError("gradient_noise.kind", f"unknown kind {noise['kind']!r}")
+    if "decay_q" in noise and noise["decay_q"] < 0.0:
         raise SchemaError("gradient_noise.decay_q", "must be >= 0")
-    noise = NoiseModel(
-        kind=noise_kind,
-        eps0=_number(noise_doc.get("eps0", 0.0), "gradient_noise.eps0"),
-        decay_q=decay_q,
-        seed=_integer(noise_doc.get("seed", 0), "gradient_noise.seed"),
-    )
+    common["gradient_noise"] = NoiseModel(**noise)
 
-    box = None
     if "feasible_box_m" in doc:
         box_doc = _object(doc["feasible_box_m"], {"lo", "hi"}, "feasible_box_m")
         lo = _point(_require(box_doc, "lo", "feasible_box_m."), "feasible_box_m.lo")
         hi = _point(_require(box_doc, "hi", "feasible_box_m."), "feasible_box_m.hi")
         try:
-            box = Box2D(lo, hi)
+            common["feasible_box"] = Box2D(lo, hi)
         except ValueError as exc:  # lo exceeds hi
             raise SchemaError("feasible_box_m", str(exc)) from exc
-        if not box.contains(start):
-            raise SchemaError("feasible_box_m", f"does not contain start_m {list(start)}")
-
-    common = dict(
-        start=start,
-        goal=goal,
-        delta=delta,
-        v_max_mps=v_max,
-        slot_duration_s=slot_s,
-        gradient_noise=noise,
-        seed=seed,
-        feasible_box=box,
-    )
+        if not common["feasible_box"].contains(common["start"]):
+            raise SchemaError("feasible_box_m", f"does not contain start_m {list(common['start'])}")
 
     if kind == "d2d":
-        peer, peer_std = _path_spec(_require(doc, "peer", "", units=True), "peer")
-        d2d_doc = _object(doc.get("d2d", {}), _D2D_KEYS, "d2d")
-        mu = _number(d2d_doc.get("mu", 1e-3), "d2d.mu")
-        if not 0.0 < mu <= 1.0:
-            raise SchemaError("d2d.mu", f"must be in (0, 1], got {mu}")
-        utility = d2d_doc.get("utility", "squared")
-        if utility not in ("squared", "huber"):
-            raise SchemaError("d2d.utility", f"must be squared or huber, got {utility!r}")
-        alpha_min = _number(d2d_doc.get("alpha_min", 0.05), "d2d.alpha_min")
-        if not 0.0 < alpha_min <= 1.0:
-            raise SchemaError("d2d.alpha_min", "must be in (0, 1]")
-        margin = _number(d2d_doc.get("margin", 1.01), "d2d.margin")
-        if margin < 1.0:
-            raise SchemaError("d2d.margin", f"must be >= 1, got {margin}")
-        return ScenarioConfig(
-            kind="d2d",
-            peer=peer,
-            peer_noise_std_m=peer_std,
-            mu=mu,
-            utility_kind=utility,
-            alpha_min=alpha_min,
-            margin=margin,
-            alpha_p=_number(d2d_doc.get("alpha_p", 2.5), "d2d.alpha_p"),
-            bandwidth_hz=_positive(d2d_doc.get("bandwidth_hz", 1e7), "d2d.bandwidth_hz"),
-            noise_power=_positive(d2d_doc.get("noise_power", 0.2), "d2d.noise_power"),
-            **common,
-        )
+        common["peer"], peer = _path_spec(_require(doc, "peer", "", units=True), "peer")
+        d2d = _fields(_section(doc, "d2d"), "d2d")
+        return _build(ScenarioConfig, kind="d2d", **peer, **d2d, **common)
 
-    ocean_doc = _object(doc.get("ocean", {}), _OCEAN_KEYS, "ocean")
-    strategy = ocean_doc.get("lambda_strategy", "direction_dependent")
-    if strategy not in ("increasing", "direction_dependent"):
-        raise SchemaError("ocean.lambda_strategy", f"unknown strategy {strategy!r}")
-    fld = _field_from_doc(
-        _require(ocean_doc, "field", "ocean.", units=True), "ocean.field", base_dir
-    )
-    pert = None
+    ocean_doc = _section(doc, "ocean", extra=("field", "perturbation"))
+    field = _require(ocean_doc, "field", "ocean.", units=True)
+    ocean = _fields(ocean_doc, "ocean")
+    ocean["ocean_field"] = _field_from_doc(field, "ocean.field", base_dir)
     if "perturbation" in ocean_doc:
-        pert_doc = _object(ocean_doc["perturbation"], _PERT_KEYS, "ocean.perturbation")
-        pp = "ocean.perturbation."
-        frac = _number(_require(pert_doc, "sigma_fraction", pp), pp + "sigma_fraction")
-        if not 0.0 <= frac <= 1.0:
+        pp = "ocean.perturbation"
+        pert_doc = _object(ocean_doc["perturbation"], _SECTIONS[pp], pp)
+        _require(pert_doc, "sigma_fraction", pp + ".")
+        pert = _fields(pert_doc, pp)
+        # FieldPerturbation's own error does not name the key
+        if not 0.0 <= pert["sigma_fraction"] <= 1.0:
             raise SchemaError("ocean.perturbation.sigma_fraction", "must be in [0, 1]")
-        pert_seed = _integer(pert_doc.get("seed", 0), pp + "seed")
-        pert = FieldPerturbation(sigma_fraction=frac, seed=pert_seed)
-    beta = _number(ocean_doc.get("beta", 0.5), "ocean.beta")
-    if beta < 0:
-        raise SchemaError("ocean.beta", "must be >= 0")
-    return ScenarioConfig(
-        kind="ocean",
-        lambda_strategy=strategy,
-        beta=beta,
-        drag_coefficient=_number(ocean_doc.get("drag_coefficient", 1.0), "ocean.drag_coefficient"),
-        ocean_field=fld,
-        perturbation=pert,
-        **common,
-    )
+        ocean["perturbation"] = FieldPerturbation(**pert)
+    return _build(ScenarioConfig, kind="ocean", **ocean, **common)
 
 
 def parse_config(path) -> ScenarioConfig:

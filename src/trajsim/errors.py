@@ -67,3 +67,4 @@ class SchemaError(TrajsimError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message

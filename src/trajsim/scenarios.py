@@ -81,8 +81,8 @@ def _count(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-# The config parser's rules for ScenarioConfig's numeric fields: a predicate on
-# the value as a float (NaN for a non-number) and the message when it fails.
+# The value rules for ScenarioConfig's numeric fields: a predicate on the value
+# as a float (NaN for a non-number) and the message when it fails.
 _POSITIVE = (lambda x: 0.0 < x < math.inf, "must be a finite number > 0")
 _NONNEGATIVE = (lambda x: 0.0 <= x < math.inf, "must be a finite number >= 0")
 _FINITE = (math.isfinite, "must be a finite number")
@@ -94,7 +94,7 @@ _NUMBER_RULES = {
     "mu": _UNIT,
     "alpha_min": _UNIT,
     # a step-size margin below 1 picks a rate inside the infeasible range
-    "margin": (lambda x: 1.0 <= x < math.inf, "must be a finite number >= 1"),
+    "margin": (lambda x: 1.0 <= x < math.inf, "must be >= 1"),
     "alpha_p": _FINITE,
     "bandwidth_hz": _POSITIVE,
     "noise_power": _POSITIVE,
@@ -174,7 +174,7 @@ class ScenarioConfig:
     adversary: AdversaryParams | None = None
 
     def __post_init__(self):
-        """Apply the config parser's rules, so a library-built config fails as early."""
+        """Check every value rule, naming the field; the JSON parser keeps no copy of them."""
         if not (_count(self.delta) and self.delta >= 0):
             raise SchemaError("delta", f"must be a nonnegative integer, got {self.delta!r}")
         for name, rule in _NUMBER_RULES.items():

@@ -236,6 +236,31 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
 
+    def test_walking_goal_rejects_noise_std(self, tmp_path, capsys):
+        # only the peer's walk carries position noise; the goal's was dropped unread
+        goal = {"from_m": [10.0, 0.0], "to_m": [10.0, 0.0], "noise_std_m": 5.0}
+        cfg = write(tmp_path, dict(D2D_DOC, goal_m=goal))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: goal_m.noise_std_m: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("key", "grids"),
+        [
+            ("x_grid_m", {"x_grid_m": {"min": -50, "max": 150, "n": 1e12}}),
+            ("t_grid_s", {"t_grid_s": {"min": 0, "max": 100, "n": 1e308}}),
+            ("y_grid_m", {"x_grid_m": list(range(-50, 3113)), "y_grid_m": list(range(-50, 3113))}),
+        ],
+        ids=["range", "huge-n", "lists"],
+    )
+    def test_lattice_over_the_node_bound_is_config_error(self, tmp_path, capsys, key, grids):
+        # the {min, max, n} form built all n points first, so n = 1e12 hung the parser
+        doc = json.loads(json.dumps(OCEAN_DOC))
+        doc["ocean"]["field"].update(grids)
+        cfg = write(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: ocean.field.{key}: the lattice has over 10,000,000 nodes" in err
+
     @pytest.mark.parametrize("strength", [1e300, 1e308])
     def test_overflowing_field_is_config_error(self, tmp_path, capsys, strength):
         # both exited 1 with a traceback from synth_field or perturb_field
@@ -466,6 +491,18 @@ class TestAdversaryCommand:
         assert main(["adversary", "--T", T, "--W", W, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (out / "adversary.json").exists()
+
+    @pytest.mark.parametrize(
+        ("T", "W", "message"),
+        [
+            ("0", "1", "--T: must be an integer >= 1, got 0"),
+            ("100", "0", "--W: must be a finite number > 0, got 0.0"),
+            ("100", "nan", "--W: must be a finite number > 0, got nan"),
+        ],
+    )
+    def test_adversary_params_errors_name_the_flag(self, tmp_path, capsys, T, W, message):
+        assert main(["adversary", "--T", T, "--W", W, "--out", str(tmp_path / "adv")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_out():

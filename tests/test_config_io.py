@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from trace_reference import emit_trace_csv
 
-from trajsim.config import RunManifest, config_hash, parse_config, parse_config_doc
+import trajsim.config
+from trajsim.config import _DOC_PATHS, RunManifest, config_hash, parse_config, parse_config_doc
 from trajsim.engine import NoiseModel, StepRecord
 from trajsim.errors import SchemaError, TrajsimError, UnitsError
 from trajsim.field import FieldPerturbation
 from trajsim.scenarios import (
+    AdversaryParams,
     EpisodeReport,
     PathSpec,
     ScenarioConfig,
@@ -39,6 +41,21 @@ MINIMAL_D2D = {
     "peer": {"from_m": [0.0, 3.0], "to_m": [12.0, 3.0], "speed_mps": 1.0},
     "v_max_mps": 1.0,
     "delta_slots": 3,
+}
+
+
+MINIMAL_VOYAGE = {
+    "kind": "ocean",
+    "start_m": [5.0, 5.0],
+    "goal_m": [40.0, 40.0],
+    "v_max_mps": 1.0,
+    "ocean": {
+        "field": {
+            "synthetic": {"kind": "uniform", "u_mps": 0.2, "v_mps": 0.0},
+            "x_grid_m": [0.0, 100.0],
+            "y_grid_m": [0.0, 100.0],
+        }
+    },
 }
 
 
@@ -92,16 +109,13 @@ def _json_values(max_float: float):
 
 
 _ANY_JSON = _json_values(1e308)
-# a grid's n: an integral float as large as 1e308 would ask for that many grid points
-_GRID_N_JSON = _json_values(60.0)
 
 
 @st.composite
 def fuzzed_leaves(draw):
     name = draw(st.sampled_from(sorted(FUZZ_DOCS)))
     path = draw(st.sampled_from(list(_leaf_paths(FUZZ_DOCS[name]))))
-    value = draw(_GRID_N_JSON if path[-1] == "n" else _ANY_JSON)
-    return name, path, value
+    return name, path, draw(_ANY_JSON)
 
 
 class TestConfigFuzz:
@@ -111,6 +125,7 @@ class TestConfigFuzz:
     @example(case=("voyage", ("ocean", "field", "synthetic", "strength_mps"), 1e300))
     @example(case=("adversary", ("adversary", "policy"), "greedy"))
     @example(case=("adversary", ("adversary", "policy"), 5))
+    @example(case=("voyage", ("ocean", "field", "x_grid_m", "n"), 1e308))
     def test_parser_returns_a_config_or_a_trajsim_error(self, case):
         name, path, value = case
         doc = json.loads(json.dumps(FUZZ_DOCS[name]))
@@ -138,10 +153,25 @@ class TestParseConfig:
         assert cfg.t_eta == math.ceil(12.0 / 1.0)
         assert cfg.horizon == cfg.t_eta + 3
 
-    def test_alpha_min_default_matches_dataclass(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, MINIMAL_D2D))
-        defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
-        assert cfg.alpha_min == defaults["alpha_min"] == 0.05
+    def test_left_out_keys_take_the_dataclass_defaults(self):
+        # the parser passes on only the keys a document holds
+        cases = [
+            (MINIMAL_D2D, {"kind", "start", "goal", "peer", "delta", "v_max_mps"}),
+            (MINIMAL_VOYAGE, {"kind", "start", "goal", "v_max_mps", "ocean_field"}),
+            ({"kind": "adversary"}, {"kind", "adversary"}),
+        ]
+        for doc, given in cases:
+            cfg = parse_config_doc(doc)
+            for f in dataclasses.fields(ScenarioConfig):
+                if f.name not in given:
+                    assert getattr(cfg, f.name) == f.default, (doc["kind"], f.name)
+            assert cfg.goal.speed_mps == PathSpec((0, 0), (0, 0)).speed_mps
+        assert parse_config_doc({"kind": "adversary"}).adversary == AdversaryParams()
+        assert parse_config_doc(dict(MINIMAL_D2D, d2d={}, gradient_noise={})) == parse_config_doc(
+            MINIMAL_D2D
+        )
+        pert = dict(MINIMAL_VOYAGE["ocean"], perturbation={"sigma_fraction": 0.1})
+        assert parse_config_doc(dict(MINIMAL_VOYAGE, ocean=pert)).perturbation == FieldPerturbation(0.1)
 
     def test_unknown_key_named(self, tmp_path):
         doc = dict(MINIMAL_D2D, velmax=3.0)
@@ -252,6 +282,73 @@ class TestParseConfig:
         b = tmp_path / "b.json"
         b.write_text(json.dumps(MINIMAL_D2D, indent=4, sort_keys=True), encoding="utf-8")
         assert config_hash(a) == config_hash(b)
+
+
+# An out-of-range value for each document key whose value rule a dataclass owns.
+OWNED_RULES = [
+    ("delta_slots", -1),
+    ("v_max_mps", 0.0),
+    ("slot_duration_s", -1.0),
+    ("goal_m.speed_mps", -1.0),
+    ("peer.speed_mps", -1.0),
+    ("peer.noise_std_m", -1.0),
+    ("d2d.mu", 0.0),
+    ("d2d.mu", 1.5),
+    ("d2d.utility", "cubic"),
+    ("d2d.alpha_min", 0.0),
+    ("d2d.margin", 0.5),
+    ("d2d.bandwidth_hz", 0.0),
+    ("d2d.noise_power", -0.2),
+    ("ocean.lambda_strategy", "decreasing"),
+    ("ocean.beta", -1.0),
+    ("adversary.T", 0),
+    ("adversary.W", 0.0),
+    ("adversary.policy", "greedy"),
+]
+
+
+class TestDocumentPaths:
+    """A value a dataclass rejects is reported under its document key."""
+
+    @pytest.mark.parametrize(("path", "value"), OWNED_RULES)
+    def test_dataclass_error_names_the_document_key(self, path, value):
+        if path.startswith("adversary."):
+            doc = {"kind": "adversary", "adversary": {}}
+        elif path.startswith("ocean.") or path == "slot_duration_s":
+            doc = json.loads(json.dumps(MINIMAL_VOYAGE))
+        else:
+            doc = dict(MINIMAL_D2D, goal_m={"from_m": [12.0, 0.0], "to_m": [12.0, 0.0]}, d2d={})
+            doc = json.loads(json.dumps(doc))
+        *parents, key = path.split(".")
+        parent = doc
+        for name in parents:
+            parent = parent[name]
+        parent[key] = value
+        with pytest.raises(SchemaError) as err:
+            parse_config_doc(doc)
+        assert err.value.path == path
+
+    def test_every_renamed_path_is_exercised(self):
+        # alpha_p and drag_coefficient need only be finite, which the parser checks first
+        renamed = {doc_path for field, doc_path in _DOC_PATHS.items() if field != doc_path}
+        assert renamed <= {path for path, _ in OWNED_RULES} | {"d2d.alpha_p", "ocean.drag_coefficient"}
+
+
+class TestLatticeBound:
+    def test_bound_is_on_the_product_of_the_axes(self, monkeypatch):
+        monkeypatch.setattr(trajsim.config, "MAX_FIELD_NODES", 2 * 3 * 4)
+        field = MINIMAL_VOYAGE["ocean"]["field"]
+        grids = {
+            "x_grid_m": [0.0, 50.0],
+            "y_grid_m": {"min": 0, "max": 100, "n": 3},
+            "t_grid_s": {"min": 0, "max": 10, "n": 4},
+        }
+        doc = dict(MINIMAL_VOYAGE, ocean={"field": dict(field, **grids)})
+        assert parse_config_doc(doc).ocean_field.u.shape == (4, 3, 2)
+        doc["ocean"]["field"]["t_grid_s"]["n"] = 5
+        with pytest.raises(SchemaError) as err:
+            parse_config_doc(doc)
+        assert err.value.path == "ocean.field.t_grid_s"
 
 
 @pytest.fixture
