@@ -198,7 +198,7 @@ def _cmd_adversary(args) -> int:
 def _play_adversary(out: Path, adv: AdversaryParams, seed: int) -> int:
     """Play the scalar game and write ``adversary.json`` with its lower bound ``W^2 T / 2``."""
     T, W = adv.horizon, adv.width
-    value = run_adversary(T, W, adv.policy, seed=seed)
+    value = run_adversary(adv, seed)
     bound = 0.5 * W**2 * T
     doc = {"T": T, "W": W, "policy": adv.policy, "regret": value, "lower_bound": bound}
     (out / "adversary.json").write_text(json.dumps(doc, indent=2) + "\n")

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .engine import NoiseModel
-from .errors import SchemaError, UnitsError
+from .errors import SchemaError, UnitsError, as_real, check, one_of
 from .field import (
     AwayFromGoalSpec,
     FieldPerturbation,
@@ -55,10 +55,7 @@ def _point(doc, path: str):
 
 def _number(value, path: str) -> float:
     """``value`` as a float; a bool, string, non-number, NaN or infinity is a schema error."""
-    try:
-        x = math.nan if isinstance(value, (bool, str)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
+    x = as_real(value)
     if not math.isfinite(x):
         raise SchemaError(path, f"expected a finite number, got {value!r}")
     return x
@@ -111,12 +108,14 @@ _TOP_KEYS |= {"gradient_noise", *_SECTIONS[""]}
 _SHAPES = {"seed": _integer, "T": _integer}
 _SHAPES |= dict.fromkeys(("delta_slots", "utility", "lambda_strategy", "policy", "kind"), _as_is)
 
-# The document path of each field path that a ScenarioConfig or AdversaryParams
-# SchemaError names; a path missing here is the same in both.
+# The document path of each field path that a dataclass SchemaError names; a
+# path missing here is the same in both.  NoiseModel names its document keys.
 _DOC_PATHS = {
     **{f: _key_path(s, k) for s in ("", "peer", "d2d", "ocean") for k, f in _SECTIONS[s].items()},
     **{f"adversary.{f}": f"adversary.{k}" for k, f in _SECTIONS["adversary"].items()},
     "goal.speed_mps": "goal_m.speed_mps",
+    "perturbation.sigma_fraction": "ocean.perturbation.sigma_fraction",
+    "feasible_box": "feasible_box_m",
 }
 
 
@@ -254,8 +253,7 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     """
     _object(doc, _TOP_KEYS, "")
     kind = _require(doc, "kind", "")
-    if kind not in ("d2d", "ocean", "adversary"):
-        raise SchemaError("kind", f"must be d2d, ocean, or adversary, got {kind!r}")
+    check(one_of("d2d", "ocean", "adversary"), kind, "kind")
     common = _fields(doc, "")
 
     if kind == "adversary":
@@ -267,11 +265,6 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     _require(doc, "v_max_mps", "", units=True)
 
     noise = _fields(_section(doc, "gradient_noise"), "gradient_noise")
-    # NoiseModel's own errors do not name the key
-    if "kind" in noise and noise["kind"] not in ("none", "gaussian_decaying"):
-        raise SchemaError("gradient_noise.kind", f"unknown kind {noise['kind']!r}")
-    if "decay_q" in noise and noise["decay_q"] < 0.0:
-        raise SchemaError("gradient_noise.decay_q", "must be >= 0")
     common["gradient_noise"] = NoiseModel(**noise)
 
     if "feasible_box_m" in doc:
@@ -282,8 +275,6 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
             common["feasible_box"] = Box2D(lo, hi)
         except ValueError as exc:  # lo exceeds hi
             raise SchemaError("feasible_box_m", str(exc)) from exc
-        if not common["feasible_box"].contains(common["start"]):
-            raise SchemaError("feasible_box_m", f"does not contain start_m {list(common['start'])}")
 
     if kind == "d2d":
         common["peer"], peer = _path_spec(_require(doc, "peer", "", units=True), "peer")
@@ -298,11 +289,7 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         pp = "ocean.perturbation"
         pert_doc = _object(ocean_doc["perturbation"], _SECTIONS[pp], pp)
         _require(pert_doc, "sigma_fraction", pp + ".")
-        pert = _fields(pert_doc, pp)
-        # FieldPerturbation's own error does not name the key
-        if not 0.0 <= pert["sigma_fraction"] <= 1.0:
-            raise SchemaError("ocean.perturbation.sigma_fraction", "must be in [0, 1]")
-        ocean["perturbation"] = FieldPerturbation(**pert)
+        ocean["perturbation"] = _build(FieldPerturbation, **_fields(pert_doc, pp))
     return _build(ScenarioConfig, kind="ocean", **ocean, **common)
 
 

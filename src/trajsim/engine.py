@@ -23,7 +23,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Protocol
 
-from .errors import EmptyStepInterval, InfeasibleStepSize, RootExistence
+from .errors import (
+    INTEGER,
+    NONNEGATIVE,
+    EmptyStepInterval,
+    InfeasibleStepSize,
+    RootExistence,
+    check,
+    one_of,
+)
 from .geom import Point, Vector
 from .sets import Box2D
 
@@ -88,10 +96,11 @@ class NoiseModel:
     _key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian_decaying"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.decay_q < 0.0:
-            raise ValueError("decay exponent must be >= 0")
+        """Check each value rule, naming the ``gradient_noise`` key of a document."""
+        check(one_of("none", "gaussian_decaying"), self.kind, "gradient_noise.kind")
+        check(NONNEGATIVE, self.eps0, "gradient_noise.eps0")
+        check(NONNEGATIVE, self.decay_q, "gradient_noise.decay_q")
+        check(INTEGER, self.seed, "gradient_noise.seed")
         object.__setattr__(self, "_key", _mix64(self.seed & _MASK64))
 
     def eps(self, t: int) -> float:

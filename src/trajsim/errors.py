@@ -1,6 +1,9 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the value rules behind :class:`SchemaError`."""
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class TrajsimError(Exception):
@@ -68,3 +71,38 @@ class SchemaError(TrajsimError):
         super().__init__(f"{path}: {message}")
         self.path = path
         self.message = message
+
+
+def as_real(x) -> float:
+    """``x`` as a float; NaN for a bool, a non-number or an int beyond the float range."""
+    try:
+        return float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:
+        return math.nan
+
+
+def is_count(x) -> bool:
+    """Whether ``x`` is an integer (a bool is not)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+# The value rules of the config dataclasses: a predicate on the value and the
+# message when it fails.  A number rule reads a non-number as NaN, which fails.
+POSITIVE = (lambda x: 0.0 < as_real(x) < math.inf, "must be a finite number > 0")
+NONNEGATIVE = (lambda x: 0.0 <= as_real(x) < math.inf, "must be a finite number >= 0")
+FINITE = (lambda x: math.isfinite(as_real(x)), "must be a finite number")
+UNIT = (lambda x: 0.0 < as_real(x) <= 1.0, "must be in (0, 1]")
+FRACTION = (lambda x: 0.0 <= as_real(x) <= 1.0, "must be in [0, 1]")
+INTEGER = (is_count, "must be an integer")
+
+
+def one_of(*choices: str):
+    """The rule that a value is one of ``choices``."""
+    return (lambda x: x in choices, f"must be one of {', '.join(choices)}")
+
+
+def check(rule, value, name: str) -> None:
+    """Raise ``SchemaError(name, ...)`` unless ``value`` keeps ``rule``."""
+    ok, message = rule
+    if not ok(value):
+        raise SchemaError(name, f"{message}, got {value!r}")

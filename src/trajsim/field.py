@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LatticeError, ParseError, UnitsError
+from .errors import FRACTION, INTEGER, LatticeError, ParseError, UnitsError, check
 from .geom import Point, Vector
 
 _HEADER = ["t", "x", "y", "u", "v"]
@@ -192,8 +192,8 @@ class FieldPerturbation:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma_fraction <= 1.0:
-            raise ValueError(f"sigma_fraction {self.sigma_fraction} outside [0, 1]")
+        check(FRACTION, self.sigma_fraction, "perturbation.sigma_fraction")
+        check(INTEGER, self.seed, "perturbation.seed")
 
 
 def perturb_field(f: VelocityField, pert: FieldPerturbation) -> VelocityField:

@@ -9,19 +9,29 @@ report against the offline benchmark.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 import time
 import warnings
 import zlib
 from dataclasses import dataclass, replace
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from . import objectives as obj
 from .engine import Mode, NoiseModel, StepRecord, normal_pair, run_episode, slot_seed
-from .errors import SchemaError
+from .errors import (
+    FINITE,
+    INTEGER,
+    NONNEGATIVE,
+    POSITIVE,
+    UNIT,
+    SchemaError,
+    as_real,
+    check,
+    is_count,
+    one_of,
+)
 from .field import FieldPerturbation, VelocityField, perturb_field, sample_velocity
 from .geom import Point, Vector, dist, left_sum, lerp
 from .metrics import (
@@ -70,53 +80,42 @@ class PathSpec:
 
 ADVERSARY_POLICIES = ("ioga", "zero", "random")
 
+# The longest adversary game; the game loops once per slot in Python.
+MAX_ADVERSARY_T = 10**7
 
-def _real(x) -> float:
-    """``x`` as a float; NaN for a bool or anything that is not a real number."""
-    return float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+# The value rules of AdversaryParams, in the order checked.
+_ADVERSARY_RULES = [
+    ("horizon", (lambda x: is_count(x) and x >= 1, "must be an integer >= 1")),
+    ("horizon", (lambda x: x <= MAX_ADVERSARY_T, f"must be <= {MAX_ADVERSARY_T:,}")),
+    ("width", POSITIVE),
+    ("policy", one_of(*ADVERSARY_POLICIES)),
+]
 
-
-def _count(x) -> bool:
-    """Whether ``x`` is an integer (a bool is not)."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-# The value rules for ScenarioConfig's numeric fields: a predicate on the value
-# as a float (NaN for a non-number) and the message when it fails.
-_POSITIVE = (lambda x: 0.0 < x < math.inf, "must be a finite number > 0")
-_NONNEGATIVE = (lambda x: 0.0 <= x < math.inf, "must be a finite number >= 0")
-_FINITE = (math.isfinite, "must be a finite number")
-_UNIT = (lambda x: 0.0 < x <= 1.0, "must be in (0, 1]")
-_NUMBER_RULES = {
-    "peer_noise_std_m": _NONNEGATIVE,
-    "v_max_mps": _POSITIVE,
-    "slot_duration_s": _POSITIVE,
-    "mu": _UNIT,
-    "alpha_min": _UNIT,
+# The value rule of each of ScenarioConfig's plain fields, in the order checked.
+_RULES = {
+    "delta": (lambda x: is_count(x) and x >= 0, "must be a nonnegative integer"),
+    "seed": INTEGER,
+    "peer_noise_std_m": NONNEGATIVE,
+    "v_max_mps": POSITIVE,
+    "slot_duration_s": POSITIVE,
+    "mu": UNIT,
+    "alpha_min": UNIT,
     # a step-size margin below 1 picks a rate inside the infeasible range
-    "margin": (lambda x: 1.0 <= x < math.inf, "must be >= 1"),
-    "alpha_p": _FINITE,
-    "bandwidth_hz": _POSITIVE,
-    "noise_power": _POSITIVE,
-    "beta": _NONNEGATIVE,
-    "drag_coefficient": _FINITE,
+    "margin": (lambda x: 1.0 <= as_real(x) < math.inf, "must be >= 1"),
+    "alpha_p": FINITE,
+    "bandwidth_hz": POSITIVE,
+    "noise_power": POSITIVE,
+    "beta": NONNEGATIVE,
+    "drag_coefficient": FINITE,
+    "kind": one_of("d2d", "ocean", "adversary"),
+    "utility_kind": one_of("squared", "huber"),
+    "lambda_strategy": one_of("increasing", "direction_dependent"),
 }
-_CHOICES = {
-    "kind": ("d2d", "ocean", "adversary"),
-    "utility_kind": ("squared", "huber"),
-    "lambda_strategy": ("increasing", "direction_dependent"),
-}
-
-
-def _check(rule, value, name: str) -> None:
-    ok, message = rule
-    if not ok(_real(value)):
-        raise SchemaError(name, f"{message}, got {value!r}")
 
 
 def _finite_point(p, name: str) -> Point:
     try:
-        x, y = map(_real, p)
+        x, y = map(as_real, p)
     except (TypeError, ValueError):
         x = y = math.nan
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -131,14 +130,8 @@ class AdversaryParams:
     policy: str = "zero"
 
     def __post_init__(self):
-        if not (_count(self.horizon) and self.horizon >= 1):
-            raise SchemaError("adversary.horizon", f"must be an integer >= 1, got {self.horizon!r}")
-        _check(_POSITIVE, self.width, "adversary.width")
-        if self.policy not in ADVERSARY_POLICIES:
-            raise SchemaError(
-                "adversary.policy",
-                f"must be one of {', '.join(ADVERSARY_POLICIES)}, got {self.policy!r}",
-            )
+        for name, rule in _ADVERSARY_RULES:
+            check(rule, getattr(self, name), f"adversary.{name}")
 
 
 @dataclass(frozen=True)
@@ -175,29 +168,22 @@ class ScenarioConfig:
 
     def __post_init__(self):
         """Check every value rule, naming the field; the JSON parser keeps no copy of them."""
-        if not (_count(self.delta) and self.delta >= 0):
-            raise SchemaError("delta", f"must be a nonnegative integer, got {self.delta!r}")
-        for name, rule in _NUMBER_RULES.items():
-            _check(rule, getattr(self, name), name)
-        for name, choices in _CHOICES.items():
-            value = getattr(self, name)
-            if value not in choices:
-                raise SchemaError(name, f"must be one of {', '.join(choices)}, got {value!r}")
+        for name, rule in _RULES.items():
+            check(rule, getattr(self, name), name)
         object.__setattr__(self, "start", _finite_point(self.start, "start"))
+        if self.feasible_box is not None and not self.feasible_box.contains(self.start):
+            raise SchemaError("feasible_box", f"does not contain start {list(self.start)}")
         for name in ("goal", "peer"):
             spec = getattr(self, name)
             if spec is not None:
                 _finite_point(spec.start, f"{name}.start")
                 _finite_point(spec.end, f"{name}.end")
-                _check(_NONNEGATIVE, spec.speed_mps, f"{name}.speed_mps")
+                check(NONNEGATIVE, spec.speed_mps, f"{name}.speed_mps")
         if self.kind == "d2d" and self.peer is None:
             raise SchemaError("peer", "commute scenarios need a peer schedule")
         if self.kind == "ocean" and self.ocean_field is None:
             raise SchemaError("ocean_field", "voyage scenarios need a current field")
-        if (
-            self.kind in ("d2d", "ocean")
-            and self.goal.speed_mps > 0.5 * self.v_max_mps
-        ):
+        if self.kind in ("d2d", "ocean") and self.goal.speed_mps > 0.5 * self.v_max_mps:
             warnings.warn(
                 f"goal speed {self.goal.speed_mps} m/s exceeds half the agent "
                 f"speed {self.v_max_mps} m/s; the goal may be unreachable",
@@ -497,64 +483,22 @@ def run_scenario(config: ScenarioConfig, mode: Mode = "standard", benchmark: boo
     return report
 
 
-def _sign(x: float) -> float:
-    # sign(0) := 1 so the adversary always opposes the agent
-    return 1.0 if x >= 0.0 else -1.0
-
-
-PolicyFn = Callable[[int, list[float], list[float]], float]
-
-
-def _ioga_policy(t: int, xs: list[float], ws: list[float]) -> float:
-    # unit learning rate on the last revealed quadratic pull
-    if not ws:
-        return 0.0
-    return xs[-1] + (ws[-1] - xs[-1])
-
-
-def _zero_policy(t: int, xs: list[float], ws: list[float]) -> float:
-    return 0.0
-
-
-def make_adversary_policy(name: str, width: float, seed: int = 0) -> PolicyFn:
-    if name == "ioga":
-        return _ioga_policy
-    if name == "zero":
-        return _zero_policy
-    if name == "random":
-        rng = random.Random(slot_seed(seed, _POLICY_SEED_OFFSET))
-
-        def policy(t, xs, ws):
-            return rng.uniform(-width, width)
-
-        return policy
-    raise SchemaError("policy", f"unknown adversary policy {name!r}")
-
-
-def run_adversary(T: int, width: float, policy: PolicyFn | str = "zero", seed: int = 0) -> float:
+def run_adversary(adv: AdversaryParams, seed: int = 0) -> float:
     """Play the worst-case scalar game and return the realized regret.
 
-    The environment reveals ``w(t) = -width * sign(x(t))`` only after the
-    agent commits to ``x(t)``; the clairvoyant benchmark sits on ``w(t)``
-    itself, so the realized regret is ``0.5 * sum (x(t) - w(t))^2``.  Agent
-    actions are clamped into ``[-width, width]``, which also keeps the
-    pairwise coupling ``|x - x'|^2 <= 4 width^2`` feasible.
+    The agent commits to ``x(t)`` in ``[-W, W]``; only then does the environment
+    reveal ``w(t) = -W * sign(x(t))``, with ``sign(0) := 1``.  The clairvoyant
+    benchmark sits on ``w(t)``, so the regret is ``0.5 * sum (x(t) - w(t))^2``.
     """
-    if T < 1:
-        raise ValueError("horizon must be >= 1")
-    if width <= 0.0:
-        raise ValueError("width must be positive")
-    if isinstance(policy, str):
-        policy = make_adversary_policy(policy, width, seed)
-    xs: list[float] = []
-    ws: list[float] = []
-    total = 0.0
-    for t in range(1, T + 1):
-        x = min(max(policy(t, xs, ws), -width), width)
-        w = -width * _sign(x)
+    check(INTEGER, seed, "seed")
+    W, policy = adv.width, adv.policy
+    rng = random.Random(slot_seed(seed, _POLICY_SEED_OFFSET))
+    total, w = 0.0, 0.0
+    for _ in range(adv.horizon):
+        # ioga's unit step on the last revealed pull lands on w(t - 1); before any, on 0
+        x = rng.uniform(-W, W) if policy == "random" else w if policy == "ioga" else 0.0
+        w = -W if x >= 0.0 else W
         total += 0.5 * (x - w) ** 2
-        xs.append(x)
-        ws.append(w)
     return total
 
 
@@ -579,18 +523,15 @@ def _row_seed(base: int, param: str, value: float) -> int:
 def apply_sweep_value(config: ScenarioConfig, param: SweepParam, value: float) -> ScenarioConfig:
     """Return a copy of the config with one swept parameter replaced."""
     seed = _row_seed(config.seed, param, value)
-    if param == "delta":
-        if value < 0 or value != int(value):
-            raise SchemaError("values", f"delta must be a nonnegative integer, got {value}")
-        return replace(config, delta=int(value), seed=seed)
+    if param == "delta":  # ScenarioConfig rejects a negative or fractional delta
+        return replace(config, delta=int(value) if value == int(value) else value, seed=seed)
     if param == "noise_sigma":
         if config.kind == "ocean":
             pert = FieldPerturbation(sigma_fraction=float(value), seed=0)
             return replace(config, perturbation=pert, seed=seed)
         return replace(config, peer_noise_std_m=float(value), seed=seed)
     if param == "horizon":
-        base = replace(config, delta=0)
-        t_eta = base.t_eta
+        t_eta = config.t_eta  # the straight-line slots do not depend on delta
         if value < t_eta or value != int(value):
             raise SchemaError(
                 "values", f"horizon must be an integer >= straight-line slots {t_eta}"

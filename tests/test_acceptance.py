@@ -16,6 +16,7 @@ from trajsim.field import AwayFromGoalSpec, GyreSpec, synth_field
 from trajsim.geom import dist, norm
 from trajsim.metrics import OracleGrid, dp_oracle, solve_offline
 from trajsim.scenarios import (
+    AdversaryParams,
     PathSpec,
     ScenarioConfig,
     run_adversary,
@@ -60,7 +61,7 @@ def test_c01_adversary_lower_bound():
     t0 = time.perf_counter()
     values = {}
     for policy in ("ioga", "zero", "random"):
-        values[policy] = run_adversary(100, 1.0, policy, seed=7)
+        values[policy] = run_adversary(AdversaryParams(100, 1.0, policy), seed=7)
         assert values[policy] >= 50.0 - 1e-9, (policy, values[policy])
     assert values["zero"] == 50.0
     elapsed = time.perf_counter() - t0

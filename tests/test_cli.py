@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -110,7 +111,7 @@ class TestRunCommand:
         doc = dict(D2D_DOC, feasible_box_m={"lo": [1.0, -5.0], "hi": [20.0, 5.0]})
         cfg = write(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "config error: feasible_box_m: does not contain start_m" in capsys.readouterr().err
+        assert "config error: feasible_box_m: does not contain start [0.0, 0.0]\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -218,6 +219,8 @@ class TestRunCommand:
             ("d2d.bandwidth_hz", 0.0),
             ("d2d.noise_power", -0.2),
             ("gradient_noise.decay_q", -0.5),
+            ("gradient_noise.eps0", -1.0),
+            ("gradient_noise.kind", "laplace"),
         ],
     )
     def test_value_the_model_rejects_is_config_error(self, tmp_path, capsys, path, value):
@@ -491,6 +494,41 @@ class TestAdversaryCommand:
         assert main(["adversary", "--T", T, "--W", W, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (out / "adversary.json").exists()
+
+    # regret of each policy's game at T = 257, W = 1.7, seed 9, as the
+    # two-list game wrote it; both commands write these bytes
+    @pytest.mark.parametrize(
+        ("policy", "regret"),
+        [
+            ("ioga", 1481.1249999999943),
+            ("zero", 371.3649999999986),
+            ("random", 873.1101616958574),
+        ],
+    )
+    def test_adversary_json_bytes_are_pinned(self, tmp_path, capsys, policy, regret):
+        text = (
+            f'{{\n  "T": 257,\n  "W": 1.7,\n  "policy": "{policy}",\n'
+            f'  "regret": {regret!r},\n  "lower_bound": 371.36499999999995\n}}\n'
+        )
+        doc = {"kind": "adversary", "seed": 9, "adversary": {"T": 257, "W": 1.7, "policy": policy}}
+        run_out, adv_out = tmp_path / "run", tmp_path / "adv"
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(run_out)]) == 0
+        argv = ["--T", "257", "--W", "1.7", "--policy", policy, "--seed", "9"]
+        assert main(["adversary", *argv, "--out", str(adv_out)]) == 0
+        assert (run_out / "adversary.json").read_text() == text
+        assert (adv_out / "adversary.json").read_text() == text
+
+    def test_huge_horizon_exits_at_once(self, tmp_path, capsys):
+        # before the bound, both commands played the game for 10^12 slots
+        t0 = time.perf_counter()
+        argv = ["adversary", "--T", "1000000000000", "--W", "1", "--out", str(tmp_path / "adv")]
+        assert main(argv) == 2
+        assert "config error: --T: must be <= 10,000,000, got 1000000000000\n" in capsys.readouterr().err
+        doc = {"kind": "adversary", "adversary": {"T": 1e12}}
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(tmp_path / "run")]) == 2
+        assert "config error: adversary.T: must be <= 10,000,000" in capsys.readouterr().err
+        assert time.perf_counter() - t0 < 1.0
+        assert not (tmp_path / "adv" / "adversary.json").exists()
 
     @pytest.mark.parametrize(
         ("T", "W", "message"),

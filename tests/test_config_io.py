@@ -17,6 +17,7 @@ from trajsim.engine import NoiseModel, StepRecord
 from trajsim.errors import SchemaError, TrajsimError, UnitsError
 from trajsim.field import FieldPerturbation
 from trajsim.scenarios import (
+    MAX_ADVERSARY_T,
     AdversaryParams,
     EpisodeReport,
     PathSpec,
@@ -126,6 +127,7 @@ class TestConfigFuzz:
     @example(case=("adversary", ("adversary", "policy"), "greedy"))
     @example(case=("adversary", ("adversary", "policy"), 5))
     @example(case=("voyage", ("ocean", "field", "x_grid_m", "n"), 1e308))
+    @example(case=("adversary", ("adversary", "T"), 10**12))
     def test_parser_returns_a_config_or_a_trajsim_error(self, case):
         name, path, value = case
         doc = json.loads(json.dumps(FUZZ_DOCS[name]))
@@ -144,6 +146,7 @@ class TestConfigFuzz:
         assert isinstance(cfg, ScenarioConfig)
         if cfg.kind == "adversary":
             assert cfg.adversary.policy in ("ioga", "zero", "random")
+            assert cfg.adversary.horizon <= MAX_ADVERSARY_T
 
 
 class TestParseConfig:
@@ -304,6 +307,11 @@ OWNED_RULES = [
     ("adversary.T", 0),
     ("adversary.W", 0.0),
     ("adversary.policy", "greedy"),
+    ("gradient_noise.kind", "laplace"),
+    ("gradient_noise.eps0", -1.0),
+    ("gradient_noise.decay_q", -1.0),
+    ("ocean.perturbation.sigma_fraction", 1.5),
+    ("feasible_box_m", {"lo": [1.0, -5.0], "hi": [20.0, 5.0]}),
 ]
 
 
@@ -322,7 +330,7 @@ class TestDocumentPaths:
         *parents, key = path.split(".")
         parent = doc
         for name in parents:
-            parent = parent[name]
+            parent = parent.setdefault(name, {})
         parent[key] = value
         with pytest.raises(SchemaError) as err:
             parse_config_doc(doc)

@@ -11,7 +11,7 @@ from trajsim.engine import (
     normal_pair,
     run_episode,
 )
-from trajsim.errors import EmptyStepInterval, InfeasibleStepSize
+from trajsim.errors import EmptyStepInterval, InfeasibleStepSize, SchemaError
 from trajsim.geom import dist, norm, norm_sq, sub
 from trajsim.sets import Box2D
 
@@ -50,8 +50,9 @@ class TestNoiseModel:
         assert model.draw(7) != model.draw(8)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError) as err:
             NoiseModel(kind="laplace")
+        assert err.value.path == "gradient_noise.kind"
 
 
 class TestNoiseStream:

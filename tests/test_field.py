@@ -6,7 +6,7 @@ from field_reference import bracket, sample_velocity_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajsim.errors import LatticeError, ParseError, UnitsError
+from trajsim.errors import LatticeError, ParseError, SchemaError, UnitsError
 from trajsim.field import (
     AwayFromGoalSpec,
     FieldPerturbation,
@@ -235,8 +235,9 @@ class TestPerturbation:
         assert np.array_equal(f.u, before)
 
     def test_fraction_range_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError) as err:
             FieldPerturbation(1.5)
+        assert err.value.path == "perturbation.sigma_fraction"
 
 
 class TestSynth:

@@ -14,10 +14,11 @@ from trajsim.geom import dist, dot, left_sum, norm, sub
 from trajsim.metrics import _violation, solve_offline
 from trajsim.objectives import CommuteUtilities
 from trajsim.scenarios import (
+    MAX_ADVERSARY_T,
+    AdversaryParams,
     PathSpec,
     ScenarioConfig,
     apply_sweep_value,
-    make_adversary_policy,
     run_adversary,
     run_scenario,
     sweep,
@@ -140,6 +141,55 @@ class TestConfig:
         with pytest.raises(SchemaError) as err:
             ocean_config(**{field: value})
         assert err.value.path == field
+
+    def test_box_without_the_start_is_rejected_when_built(self):
+        # before the check moved to the config, this episode failed at slot 1
+        # with InfeasibleStepSize: the first step leaves its cap
+        box = Box2D((1.0, -5.0), (20.0, 5.0))
+        with pytest.raises(SchemaError) as err:
+            d2d_config(feasible_box=box)
+        assert err.value.path == "feasible_box"
+        assert d2d_config(feasible_box=Box2D((0.0, 0.0), (20.0, 5.0))).feasible_box.lo == (0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True, None])
+    def test_every_seed_is_an_integer(self, seed):
+        cases = [
+            (lambda: replace(d2d_config(), seed=seed), "seed"),
+            (lambda: NoiseModel("gaussian_decaying", 0.1, 1.0, seed), "gradient_noise.seed"),
+            (lambda: FieldPerturbation(0.1, seed), "perturbation.seed"),
+        ]
+        for build, path in cases:
+            with pytest.raises(SchemaError) as err:
+                build()
+            assert err.value.path == path
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("eps0", -1.0), ("eps0", math.nan), ("eps0", math.inf), ("decay_q", -0.5), ("decay_q", math.nan)],
+    )
+    def test_noise_scale_and_decay_are_finite_and_nonnegative(self, field, value):
+        with pytest.raises(SchemaError) as err:
+            NoiseModel("gaussian_decaying", **{field: value})
+        assert err.value.path == f"gradient_noise.{field}"
+
+    def test_an_int_beyond_the_float_range_is_a_schema_error(self):
+        # float(10**400) raises OverflowError, which used to escape the config
+        for field, value in [("v_max_mps", 10**400), ("start", (10**400, 0.0))]:
+            with pytest.raises(SchemaError) as err:
+                d2d_config(**{field: value})
+            assert err.value.path == field
+
+    def test_perturbation_fraction_names_its_field(self):
+        for value in (-0.1, 1.5, math.nan):
+            with pytest.raises(SchemaError) as err:
+                FieldPerturbation(value)
+            assert err.value.path == "perturbation.sigma_fraction"
+
+    @pytest.mark.parametrize("value", [-1.0, 2.5])
+    def test_bad_sweep_delta_is_named_by_its_owner(self, value):
+        with pytest.raises(SchemaError) as err:
+            apply_sweep_value(d2d_config(), "delta", value)
+        assert err.value.path == "delta"
 
     def test_bad_sweep_value_stays_a_row_error(self):
         rows = sweep(d2d_config(), "noise_sigma", [0.5, -1.0], benchmark=False)
@@ -439,27 +489,49 @@ class TestOceanWeights:
 
 class TestAdversary:
     def test_zero_policy_exact_value(self):
-        assert run_adversary(100, 1.0, "zero") == 50.0
+        assert run_adversary(AdversaryParams(100, 1.0, "zero")) == 50.0
 
     def test_lower_bound_any_policy(self):
         for policy in ("ioga", "zero", "random"):
-            assert run_adversary(100, 1.0, policy, seed=9) >= 50.0 - 1e-9
+            assert run_adversary(AdversaryParams(100, 1.0, policy), seed=9) >= 50.0 - 1e-9
 
     def test_shrinking_width(self):
         T = 10_000
         w = T**-0.5
-        assert run_adversary(T, w, "zero") >= 0.5 - 1e-9
-
-    def test_custom_policy_clamped(self):
-        def wild(t, xs, ws):
-            return 100.0  # clamped to width 1
-
-        value = run_adversary(10, 1.0, wild)
-        assert value == pytest.approx(0.5 * 10 * 4.0)  # always at +1 vs w=-1
+        assert run_adversary(AdversaryParams(T, w, "zero")) >= 0.5 - 1e-9
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(SchemaError):
-            make_adversary_policy("greedy", 1.0)
+        with pytest.raises(SchemaError) as err:
+            AdversaryParams(policy="greedy")
+        assert err.value.path == "adversary.policy"
+
+    # repr of each regret as the earlier two-list game computed it; the loop keeps every bit
+    @pytest.mark.parametrize(
+        ("T", "W", "seed", "policy", "value"),
+        [
+            (100, 1.0, 7, "ioga", "198.5"),
+            (100, 1.0, 7, "zero", "50.0"),
+            (100, 1.0, 7, "random", "121.64946987031986"),
+            (1000, 7.77, 0, "ioga", "120655.24065000123"),
+            (1000, 7.77, 0, "zero", "30186.450000000306"),
+            (1000, 7.77, 0, "random", "69939.27293013656"),
+        ],
+    )
+    def test_game_values_are_pinned(self, T, W, seed, policy, value):
+        assert repr(run_adversary(AdversaryParams(T, W, policy), seed)) == value
+
+    def test_horizon_above_the_bound_is_rejected(self):
+        assert AdversaryParams(MAX_ADVERSARY_T).horizon == MAX_ADVERSARY_T
+        with pytest.raises(SchemaError) as err:
+            AdversaryParams(MAX_ADVERSARY_T + 1)
+        assert err.value.path == "adversary.horizon"
+        assert err.value.message == f"must be <= 10,000,000, got {MAX_ADVERSARY_T + 1}"
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True, None, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(SchemaError) as err:
+            run_adversary(AdversaryParams(10, 1.0, "random"), seed)
+        assert err.value.path == "seed"
 
 
 class TestSweep:
