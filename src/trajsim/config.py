@@ -104,6 +104,8 @@ _SECTIONS = {
 }
 _TOP_KEYS = {"kind", "start_m", "goal_m", "feasible_box_m", "peer", "d2d", "ocean", "adversary"}
 _TOP_KEYS |= {"gradient_noise", *_SECTIONS[""]}
+# the top-level keys an adversary game reads
+_ADVERSARY_KEYS = ("kind", "adversary", "seed")
 # The shape check of each key whose value is not a plain _number.
 _SHAPES = {"seed": _integer, "T": _integer}
 _SHAPES |= dict.fromkeys(("delta_slots", "utility", "lambda_strategy", "policy", "kind"), _as_is)
@@ -115,6 +117,7 @@ _DOC_PATHS = {
     **{f"adversary.{f}": f"adversary.{k}" for k, f in _SECTIONS["adversary"].items()},
     "goal.speed_mps": "goal_m.speed_mps",
     "perturbation.sigma_fraction": "ocean.perturbation.sigma_fraction",
+    "perturbation.seed": "ocean.perturbation.seed",
     "feasible_box": "feasible_box_m",
 }
 
@@ -257,6 +260,9 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     common = _fields(doc, "")
 
     if kind == "adversary":
+        for key in doc:
+            if key not in _ADVERSARY_KEYS:
+                raise SchemaError(key, "an adversary game does not read this key")
         adv = _build(AdversaryParams, **_fields(_section(doc, "adversary"), "adversary"))
         return _build(ScenarioConfig, kind="adversary", adversary=adv, **common)
 

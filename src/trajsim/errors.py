@@ -94,6 +94,7 @@ FINITE = (lambda x: math.isfinite(as_real(x)), "must be a finite number")
 UNIT = (lambda x: 0.0 < as_real(x) <= 1.0, "must be in (0, 1]")
 FRACTION = (lambda x: 0.0 <= as_real(x) <= 1.0, "must be in [0, 1]")
 INTEGER = (is_count, "must be an integer")
+COUNT = (lambda x: is_count(x) and x >= 0, "must be a nonnegative integer")
 
 
 def one_of(*choices: str):

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FRACTION, INTEGER, LatticeError, ParseError, UnitsError, check
+from .errors import COUNT, FRACTION, LatticeError, ParseError, UnitsError, check
 from .geom import Point, Vector
 
 _HEADER = ["t", "x", "y", "u", "v"]
@@ -186,14 +186,18 @@ def sample_velocity(f: VelocityField, p: Point, t: float) -> Vector:
 
 @dataclass(frozen=True)
 class FieldPerturbation:
-    """White Gaussian forecast noise, scaled to the field's top speed."""
+    """White Gaussian forecast noise, scaled to the field's top speed.
+
+    ``seed`` seeds numpy's generator, which takes no negative seed; 0 lets a
+    scenario derive one from its master seed.
+    """
 
     sigma_fraction: float
     seed: int = 0
 
     def __post_init__(self):
         check(FRACTION, self.sigma_fraction, "perturbation.sigma_fraction")
-        check(INTEGER, self.seed, "perturbation.seed")
+        check(COUNT, self.seed, "perturbation.seed")
 
 
 def perturb_field(f: VelocityField, pert: FieldPerturbation) -> VelocityField:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GridTooCoarse
 from .field import VelocityField, sample_velocity
 from .geom import Point, as_point, dist, left_sum, lerp, norm_sq, sub
-from .objectives import Utilities, _pad, row_scalars
+from .objectives import Utilities, _constant, _pad, row_scalars
 from .sets import Box2D, StepCap
 
 if TYPE_CHECKING:
@@ -43,6 +43,8 @@ GAP_EVERY = 10
 # this much after a round that cut the largest cap violation less than 4x
 _INNER_SHARE = 0.1
 _RHO_GROWTH = 4.0
+# constant operands of the lockstep's kernels
+_ZERO, _ONE, _TINY = map(_constant, (0.0, 1.0, np.finfo(float).tiny))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,16 +120,22 @@ def _clamp_balls(z: np.ndarray, radii: np.ndarray, floors: np.ndarray) -> np.nda
     return z * (radii / np.maximum(n, floors))[..., None]
 
 
-def _suffix_sums(gx: np.ndarray) -> np.ndarray:
-    """Per cap ``t``, the sum of the waypoint gradients ``gx[:, s]`` over ``s > t``."""
-    return np.add.accumulate(gx[:, ::-1], axis=1)[:, ::-1][:, 1:]
+def _by_axis(a: np.ndarray) -> np.ndarray:
+    """An ``(R, n, 2)`` array viewed as ``(2, R, n)``, one coordinate at a time."""
+    return a.transpose(2, 0, 1)
 
 
-def _cap_terms(lam: np.ndarray, z: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Per cap, ``r_t |lam_t| - <lam_t, z_t>`` clamped at zero."""
-    l0, l1 = lam[..., 0], lam[..., 1]
-    terms = radii * np.hypot(l0, l1) - (l0 * z[..., 0] + l1 * z[..., 1])
-    return np.maximum(terms, 0.0, out=terms)
+def _scale_rows(a: np.ndarray, scales: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``p * s[..., None]`` into ``out``, for ``a = _by_axis(p)`` and ``scales = s[None]``.
+
+    ``out`` is an ``(R, n, 2)`` array, allocated if not given.  The product
+    runs one coordinate at a time: broadcast along the short last axis of
+    ``p``, numpy's inner loop would run two elements at a time.
+    """
+    if out is None:
+        out = np.empty(a.shape[1:] + (2,))
+    np.multiply(a, scales, out=_by_axis(out), order="C")
+    return out
 
 
 def _step_size(problem: OfflineProblem) -> float:
@@ -159,6 +167,12 @@ class _Lockstep:
     those of the unpadded row).  Each row's total and gap reduce that row's
     own slots only, so they equal the solo row's bit for bit; a reduce over
     the padded row would pair its terms differently.
+
+    Every array a step, a total or a check computes lives in one workspace
+    that :meth:`_load` allocates, with the views the kernels read, so an
+    iteration writes through ``out=`` and allocates only the families'
+    scratch.  A workspace array is overwritten by the next call that uses
+    it; what a method returns to its caller is never one of them.
     """
 
     def __init__(self, problems: Sequence[OfflineProblem], x0s: Sequence):
@@ -184,24 +198,54 @@ class _Lockstep:
         """Stack, pad and size every array for the rows in ``ids``."""
         problems = [self.problems[i] for i in self.ids]
         self.horizons = [p.horizon for p in problems]
+        self.cap_counts = [h - 1 for h in self.horizons]
         tmax = max(self.horizons)
         self.family = problems[0].utilities.stack([p.utilities for p in problems], tmax)
         self.starts = np.array([p.start for p in problems])
         self.centers = _pad([p.centers for p in problems], tmax - 1)
         self.radii = _pad([p.radii for p in problems], tmax - 1)
         self.floors = np.maximum(self.radii, np.finfo(float).tiny)
-        self.step = row_scalars([_step_size(p) for p in problems])
+        self.step = _constant(row_scalars([_step_size(p) for p in problems]))
         self.x = np.empty((len(problems), tmax, 2))
         self.x[:, 0] = self.starts
+        self.x_rest = self.x[:, 1:]
         self.disp = np.empty_like(self.centers)
         # the start of each row at each later slot: a broadcast along the
         # short last axis costs more than the addition itself
         self.start_rest = np.repeat(self.starts[:, None], tmax - 1, axis=1)
         self.pad_slots = np.arange(tmax) >= np.array(self.horizons)[:, None]
+        self.pad_caps = self.pad_slots[:, 1:]
         # flat indices of the padded slots' gradient entries, both axes
         pad = np.flatnonzero(np.repeat(self.pad_slots, 2))
         self.pad = pad if pad.size else None
         self.sum_buffers: dict = {}
+        # the workspace.  Waypoint-sized: the gradient, its suffix sums (an
+        # accumulate over the reversed gradient, written back to front so that
+        # the gradient in z, ``sums[:, 1:]``, is read front to back) and D^T lam.
+        self.gx = np.empty_like(self.x)
+        self.sums = np.empty_like(self.x)
+        self.sums_reversed = self.sums[:, ::-1]
+        self.g = self.sums[:, 1:]
+        self.adjoint = np.empty_like(self.x)
+        # displacement-sized: the momentum point, the step point (then the
+        # dual point), the cap multipliers, and the coordinates each reads
+        self.y = np.empty_like(self.centers)
+        self.w = np.empty_like(self.centers)
+        self.lam = np.empty_like(self.centers)
+        self.g_by_axis, self.w_by_axis, self.lam_by_axis = map(_by_axis, (self.g, self.w, self.lam))
+        self.w_coords = tuple(self.w_by_axis)
+        # cap-sized: norms, scales (with the view _scale_rows reads), the cap
+        # terms and their two inner products, and the dual steps
+        self.norms = np.empty_like(self.radii)
+        self.scales = np.empty_like(self.radii)
+        self.scales_by_axis = self.scales[None]
+        self.cap_terms = np.empty_like(self.radii)
+        self.products = np.empty((2,) + self.radii.shape)
+        self.eta = np.empty_like(self.radii)
+        self.eta_by_axis = self.eta[None]
+        # slot-sized, the family's shape: filled by the first call that
+        # returns it
+        self.terms = self.residuals = None
 
     def take(self, rows: list[int], z: np.ndarray, z_prev: np.ndarray, totals: list[float]):
         """Keep only the given rows, trimmed to their longest horizon.
@@ -228,9 +272,8 @@ class _Lockstep:
     def rebuild(self, z: np.ndarray) -> np.ndarray:
         """Waypoints from start + per-slot displacements ``center + z``."""
         np.add(self.centers, z, out=self.disp)
-        rest = self.x[:, 1:]
-        np.add.accumulate(self.disp, axis=1, out=rest)
-        np.add(rest, self.start_rest, out=rest)
+        np.add.accumulate(self.disp, axis=1, out=self.x_rest)
+        np.add(self.x_rest, self.start_rest, out=self.x_rest)
         return self.x
 
     def _row_sums(self, terms: np.ndarray, slots: list[int]) -> list[float]:
@@ -259,25 +302,45 @@ class _Lockstep:
 
     def values(self, z: np.ndarray, rows: Iterable[int] | None = None) -> list[float]:
         """Totals of the given rows (all by default) at displacements ``z``."""
-        terms = self.family.slot_terms(self.rebuild(z))
+        self.terms = self.family.slot_terms(self.rebuild(z), out=self.terms)
         scale = self.family.total_scale
-        sums = self._row_sums(terms, self.horizons)
+        sums = self._row_sums(self.terms, self.horizons)
         return [scale * sums[r] for r in (range(len(sums)) if rows is None else rows)]
 
-    def _waypoint_gradient(self, z: np.ndarray) -> np.ndarray:
-        """The family's gradient at the waypoints of ``z``, padded slots zeroed."""
-        gx = self.family.gradient_array(self.rebuild(z))
+    def gradient(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The family's gradient at the waypoints of ``z``, and the gradient in ``z``.
+
+        Padded slots get a zero waypoint gradient.  The gradient in ``z`` is
+        per cap ``t`` the sum of the waypoint gradients ``gx[:, s]`` over
+        ``s > t``.
+        """
+        gx = self.family.gradient_array(self.rebuild(z), out=self.gx)
         if self.pad is not None:
             np.put(gx, self.pad, -0.0)
-        return gx
+        np.add.accumulate(gx[:, ::-1], axis=1, out=self.sums_reversed)
+        return gx, self.g
 
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        """The gradient in ``z``: a suffix sum of the waypoint gradient."""
-        return _suffix_sums(self._waypoint_gradient(z))
+    def ascent_step(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Projected gradient step from ``z``, written into ``out`` if given.
 
-    def ascent_step(self, z: np.ndarray) -> np.ndarray:
-        """Projected gradient step from ``z``."""
-        return _clamp_balls(z + self.step * self.gradient(z), self.radii, self.floors)
+        The radial clamp of :func:`_clamp_balls`, on the workspace.
+        """
+        w = np.multiply(self.step, self.gradient(z)[1], out=self.w)
+        np.add(z, w, out=w)
+        n = np.hypot(*self.w_coords, out=self.norms)
+        np.divide(self.radii, np.maximum(n, self.floors, out=n), out=self.scales)
+        return _scale_rows(self.w_by_axis, self.scales_by_axis, out)
+
+    def _cap_terms(self, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Per cap, ``r_t |lam_t| - <lam_t, z_t>`` clamped at zero, into ``cap_terms``.
+
+        ``lam`` and ``z`` are the multipliers and the displacements, each as
+        :func:`_by_axis` views.
+        """
+        out = np.multiply(self.radii, np.hypot(*lam, out=self.cap_terms), out=self.cap_terms)
+        products = np.multiply(lam, z, out=self.products)
+        np.subtract(out, np.add(*products, out=products[0]), out=out)
+        return np.maximum(out, _ZERO, out=out)
 
     def certify(self, z: np.ndarray, totals: list[float], tol: float) -> list[bool]:
         """Refresh each row's gap at ``z``; whether it is at most ``tol * max(1, U - U(x0))``.
@@ -296,23 +359,23 @@ class _Lockstep:
         nonnegative for ``|z_t| <= r_t``; one that rounds below zero counts as
         zero, which only loosens the bound.
         """
-        gx = self._waypoint_gradient(z)
-        g = _suffix_sums(gx)
-        slots = [h - 1 for h in self.horizons]
-        self.gaps = self._row_sums(_cap_terms(g, z, self.radii), slots)
+        gx, g = self.gradient(z)
+        z_by_axis = _by_axis(z)
+        self.gaps = self._row_sums(self._cap_terms(self.g_by_axis, z_by_axis), self.cap_counts)
         kappa = self.family.curvature(gx)
         if kappa is not None:
             # slot 0 is the pinned start, and padded slots never count
             k = kappa[:, 1:]
-            stepped = (~((k == k[:, :1]) | self.pad_slots[:, 1:]).all(axis=1)).tolist()
+            stepped = (~((k == k[:, :1]) | self.pad_caps).all(axis=1)).tolist()
             if any(stepped):
                 kappa[:, 0] = 0.0
-                bounds = self._row_sums(self._dual_step_terms(gx, g, z, kappa), slots)
+                terms = self._dual_step_terms(gx, g, z_by_axis, kappa)
+                bounds = self._row_sums(terms, self.cap_counts)
                 self.gaps = [min(f, b) if s else f for f, b, s in zip(self.gaps, bounds, stepped)]
         return [gap <= tol * max(1.0, f - f0) for gap, f, f0 in zip(self.gaps, totals, self.u0)]
 
     def _dual_step_terms(
-        self, gx: np.ndarray, g: np.ndarray, z: np.ndarray, kappa: np.ndarray
+        self, gx: np.ndarray, g: np.ndarray, z_by_axis: np.ndarray, kappa: np.ndarray
     ) -> np.ndarray:
         """Per cap ``t``, the bound's terms at ``lam' = blocksoft(g + eta z, eta r)``.
 
@@ -322,13 +385,20 @@ class _Lockstep:
         slot ``t + 1``'s residual at ``a' = grad U(x) + D^T (lam' - g)``, each
         clamped at zero.
         """
-        eta = 1.0 / (kappa[:, :-1] + kappa[:, 1:])
-        v = g + eta[..., None] * z
-        n = np.hypot(v[..., 0], v[..., 1])
-        shrink = np.maximum(n - eta * self.radii, 0.0) / np.maximum(n, np.finfo(float).tiny)
-        lam = v * shrink[..., None]
-        residuals = self.family.fenchel_young(self.x, gx, _chain_adjoint(lam - g))[:, 1:]
-        return _cap_terms(lam, z, self.radii) + np.maximum(residuals, 0.0)
+        eta = np.add(kappa[:, :-1], kappa[:, 1:], out=self.eta)
+        np.divide(_ONE, eta, out=eta)
+        v = _scale_rows(z_by_axis, self.eta_by_axis, self.w)
+        np.add(g, v, out=v)
+        n = np.hypot(*self.w_coords, out=self.norms)
+        shrink = np.multiply(eta, self.radii, out=self.scales)
+        np.maximum(np.subtract(n, shrink, out=shrink), _ZERO, out=shrink)
+        np.divide(shrink, np.maximum(n, _TINY, out=n), out=shrink)
+        lam = _scale_rows(self.w_by_axis, self.scales_by_axis, self.lam)
+        delta = _chain_adjoint(np.subtract(lam, g, out=v), out=self.adjoint)
+        self.residuals = self.family.fenchel_young(self.x, gx, delta, out=self.residuals)
+        residuals = self.residuals[:, 1:]
+        terms = self._cap_terms(self.lam_by_axis, z_by_axis)
+        return np.add(terms, np.maximum(residuals, _ZERO, out=residuals), out=terms)
 
 
 def _ascend(
@@ -341,10 +411,11 @@ def _ascend(
     covers all rows still ascending.  Every :data:`GAP_EVERY` iterations,
     and at ``max_iter``, each row's gap is checked against ``tol``.  Returns
     each row's waypoints, iteration count, restart count, gap and whether
-    the gap met the stop.
+    the gap met the stop.  The iterates ``z``, ``z_prev`` and ``z_new`` take
+    turns in three arrays.
     """
     st = _Lockstep(problems, x0s)
-    z = z_prev = st.z0
+    z, z_prev, z_new = st.z0, st.z0.copy(), np.empty_like(st.z0)
     f_curr = list(st.u0)
     iterations = 0
     while True:
@@ -357,10 +428,13 @@ def _ascend(
                     return st.results
                 keep = [j for j, d in enumerate(done) if not d]
                 z, z_prev, f_curr = st.take(keep, z, z_prev, f_curr)
+                z_new = np.empty_like(z)
         iterations += 1
         t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) for t in st.t_k]
-        y = z + row_scalars([(t - 1.0) / tn for t, tn in zip(st.t_k, t_next)]) * (z - z_prev)
-        z_new = st.ascent_step(y)
+        beta = row_scalars([(t - 1.0) / tn for t, tn in zip(st.t_k, t_next)])
+        y = np.subtract(z, z_prev, out=st.y)
+        np.add(z, np.multiply(beta, y, out=y), out=y)
+        z_new = st.ascent_step(y, out=z_new)
         f_new = st.values(z_new)
         back = [j for j, (fn, fc) in enumerate(zip(f_new, f_curr)) if fn < fc]
         if back:
@@ -371,7 +445,7 @@ def _ascend(
                 t_next[j] = 1.0
                 f_new[j] = f
             z_new[back] = z_back[back]
-        z_prev, z, st.t_k = z, z_new, t_next
+        z_prev, z, z_new, st.t_k = z, z_new, z_prev, t_next
         f_curr = f_new
 
 
@@ -488,9 +562,14 @@ def _violation(
     return box_excess, max(cap_gap, float(np.hypot(pin[0], pin[1])), box_excess)
 
 
-def _chain_adjoint(v: np.ndarray) -> np.ndarray:
-    """``D^T v`` for the steps ``(D x)_t = x_{t+1} - x_t``; ``v`` is ``(..., T - 1, 2)``."""
-    out = np.zeros(v.shape[:-2] + (v.shape[-2] + 1, 2))
+def _chain_adjoint(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``D^T v`` for the steps ``(D x)_t = x_{t+1} - x_t``; ``v`` is ``(..., T - 1, 2)``.
+
+    Written into ``out`` if given.
+    """
+    if out is None:
+        out = np.empty(v.shape[:-2] + (v.shape[-2] + 1, 2))
+    out[..., 0, :] = 0.0
     out[..., 1:, :] = v
     out[..., :-1, :] -= v
     return out

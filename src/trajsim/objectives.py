@@ -260,6 +260,20 @@ def ocean_step_size(
 _EVAL_BLOCK = 512
 
 
+def _constant(value) -> np.ndarray:
+    """``value`` as a read-only float array, for the array kernels' operands.
+
+    A ufunc converts a Python float operand anew on each call, which costs
+    about as much as the arithmetic of a 128-slot array.
+    """
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+_HALF = _constant(0.5)
+
+
 def _check_horizon(points, horizon: int) -> None:
     if len(points) != horizon:
         raise HorizonMismatch(f"{len(points)} points for horizon {horizon}")
@@ -311,6 +325,7 @@ class CommuteUtilities(_Family):
     """
 
     smoothness = D2D_SMOOTHNESS
+    _work: tuple = ()
 
     def __init__(self, leads, v, mu, kind: str = "squared"):
         if kind not in ("squared", "huber"):
@@ -321,11 +336,11 @@ class CommuteUtilities(_Family):
         self.kind = kind
         self.stack_key = ("commute", kind)
         self.total_scale = -0.5 if kind == "squared" else -1.0
-        # the Huber penalty's constants, grouped as huber_value groups them
-        self._one_minus_mu = 1.0 - mu
-        self._lin = v * (1.0 - mu)
-        self._half_mu = 0.5 * mu
-        self._offset = (1.0 - mu) * v * v / 2.0
+        # the kernels' constants, the Huber penalty's grouped as huber_value
+        # groups them
+        self._v, self._mu, self._one_minus_mu, self._lin, self._half_mu, self._offset = map(
+            _constant, (v, mu, 1.0 - mu, v * (1.0 - mu), 0.5 * mu, (1.0 - mu) * v * v / 2.0)
+        )
 
     @classmethod
     def stack(cls, families: Sequence["CommuteUtilities"], tmax: int) -> "CommuteUtilities":
@@ -366,30 +381,58 @@ class CommuteUtilities(_Family):
             return [b[0] ** 2 + b[1] ** 2 for b in steps], True
         mu, cap = self.mu, 2.0 * self.v
         norms = [math.hypot(*b) for b in steps]
-        terms = [(mu * n + self._one_minus_mu * min(n, cap)) ** 2 for n in norms]
+        terms = [(mu * n + (1.0 - mu) * min(n, cap)) ** 2 for n in norms]
         mids = (0.5 * (self.leads[1:] + self.leads[:-1])).tolist()
         return terms, all(region.contains(m) for m in mids)
 
-    def slot_terms(self, x: np.ndarray) -> np.ndarray:
-        """Per-slot terms whose sum times :attr:`total_scale` is the total."""
-        d = x - self.leads
+    def slot_terms(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-slot terms whose sum times :attr:`total_scale` is the total.
+
+        Written into ``out`` if given, as a ufunc writes: ``x``'s shape for
+        the squared kind, with a last axis of 1 for the Huber kind.
+        """
         if self.kind == "squared":
-            return d * d
+            d = np.subtract(x, self.leads, out=out)
+            return np.multiply(d, d, out=d)
         # the elementwise arithmetic of huber_value; np.hypot may differ from
         # math.hypot in the last bit, but the total only steers the ascent and
         # its pairwise sum rounds differently from a per-slot sum anyway
-        n = np.hypot(d[..., :1], d[..., 1:])
-        far = self._lin * n + self._half_mu * n * n - self._offset
-        return np.where(n <= self.v, 0.5 * n * n, far)
+        d, d0, d1, n, t, inside = self._scratch(x.shape)
+        np.subtract(x, self.leads, out=d)
+        np.hypot(d0, d1, out=n)
+        far = np.multiply(self._lin, n, out=out)
+        np.add(far, np.multiply(np.multiply(self._half_mu, n, out=t), n, out=t), out=far)
+        np.subtract(far, self._offset, out=far)
+        near = np.multiply(np.multiply(_HALF, n, out=t), n, out=t)
+        np.copyto(far, near, where=np.less_equal(n, self._v, out=inside))
+        return far
 
-    def gradient_array(self, x: np.ndarray) -> np.ndarray:
-        pull = self.leads - x
+    def gradient_array(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The gradient at each of ``x``'s points, written into ``out`` if given."""
         if self.kind == "squared":
-            return pull
-        n = np.hypot(pull[..., :1], pull[..., 1:])
+            return np.subtract(self.leads, x, out=out)
+        pull, p0, p1, n = self._scratch(x.shape)[:4]
+        np.subtract(self.leads, x, out=pull)
+        np.hypot(p0, p1, out=n)
         # v / max(n, v) is exactly 1 inside the cap
-        capped = pull * (self.v / np.maximum(n, self.v))
-        return self.mu * pull + self._one_minus_mu * capped
+        scale = np.divide(self._v, np.maximum(n, self._v, out=n), out=n)
+        capped = np.multiply(pull, scale, out=out)
+        np.multiply(self._one_minus_mu, capped, out=capped)
+        return np.add(np.multiply(self._mu, pull, out=pull), capped, out=capped)
+
+    def _scratch(self, shape: tuple) -> tuple:
+        """The Huber kernels' scratch for inputs of ``shape``, kept for the next call.
+
+        A point-shaped difference, its two coordinates, the distances, a
+        spare and a mask: the offline ascent calls the kernels on one shape
+        many times over.  What a kernel returns is never scratch.
+        """
+        if not self._work or self._work[0].shape != shape:
+            d = np.empty(shape)
+            n = np.empty(shape[:-1] + (1,))
+            spare, mask = np.empty_like(n), np.empty(n.shape, dtype=bool)
+            self._work = (d, d[..., :1], d[..., 1:], n, spare, mask)
+        return self._work
 
     def curvature(self, grad: np.ndarray) -> np.ndarray | None:
         """Per slot, the curvature of the conjugate ``U_t*`` at ``grad``, the gradient at ``x``.
@@ -404,21 +447,31 @@ class CommuteUtilities(_Family):
         n = np.hypot(grad[..., :1], grad[..., 1:])
         return np.where(n <= self.v, 1.0, 1.0 / self.mu)[..., 0]
 
-    def fenchel_young(self, x: np.ndarray, grad: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    def fenchel_young(
+        self, x: np.ndarray, grad: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Per slot, ``U_t*(a) - U_t(x) + <a, x> >= 0`` at ``a = grad + delta`` (Huber kind).
 
         ``grad`` is the gradient at ``x``, where the residual is zero.  With
         ``h`` the penalty, ``U_t*(a) = h*(|a|) - <a, lead>``, where ``h*(s)``
         is ``s^2 / 2`` up to ``v`` and ``mu d^2 / 2 + (1 - mu) v^2 / 2`` beyond,
         ``d = (s - (1 - mu) v) / mu``; so the residual is
-        ``h*(|a|) + h(|x - lead|) + <a, x - lead>``.
+        ``h*(|a|) + h(|x - lead|) + <a, x - lead>``.  Written into ``out``, of
+        ``x``'s shape less its last axis, if given.
         """
-        a = grad + delta
+        a = np.add(grad, delta)
         s = np.hypot(a[..., :1], a[..., 1:])
-        d = (s - self._lin) / self.mu
-        conj = np.where(s <= self.v, 0.5 * s * s, self._half_mu * d * d + self._offset)
+        d = np.divide(np.subtract(s, self._lin), self._mu)
+        conj = np.multiply(self._half_mu, d)
+        np.add(np.multiply(conj, d, out=conj), self._offset, out=conj)
+        near = np.multiply(_HALF, s)
+        np.multiply(near, s, out=near)
+        np.copyto(conj, near, where=s <= self._v)
+        np.add(conj, self.slot_terms(x, out=near), out=conj)
         e = x - self.leads
-        return (conj + self.slot_terms(x))[..., 0] + (a[..., 0] * e[..., 0] + a[..., 1] * e[..., 1])
+        inner = np.multiply(a[..., 0], e[..., 0], out=out)
+        np.add(inner, np.multiply(a[..., 1], e[..., 1]), out=inner)
+        return np.add(conj[..., 0], inner, out=inner)
 
 
 class VoyageUtilities(_Family):
@@ -443,6 +496,7 @@ class VoyageUtilities(_Family):
         self._one_minus_lam = 1.0 - self.lam
         self._neg2lam = -2.0 * np.repeat(self.lam[..., None], 2, axis=-1)
         self._drift = self._one_minus_lam[..., None] * self.current
+        self._lam_positive = self.lam > 0.0
 
     @classmethod
     def stack(cls, families: Sequence["VoyageUtilities"], tmax: int) -> "VoyageUtilities":
@@ -496,24 +550,34 @@ class VoyageUtilities(_Family):
             for a_t, b_t in zip(a.tolist(), b.tolist())
         ], True
 
-    def slot_terms(self, x: np.ndarray) -> np.ndarray:
-        """Per-slot terms whose sum times :attr:`total_scale` is the total."""
+    def slot_terms(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-slot terms whose sum times :attr:`total_scale` is the total.
+
+        Written into ``out``, of ``x``'s shape less its last axis, if given.
+        """
         # the pairs add as np.sum(..., axis=-1) adds them, up to the sign of a
         # zero sum, which ``quad + drift`` drops again (quad is never -0.0)
-        d = x - self.goal
-        dd = d * d
-        p = (self.prev - x) * self.current
-        quad = self.lam * (dd[..., 0] + dd[..., 1])
-        drift = self._one_minus_lam * (p[..., 0] + p[..., 1])
-        return quad + drift
+        d = np.subtract(x, self.goal)
+        np.multiply(d, d, out=d)
+        p = np.subtract(self.prev, x)
+        np.multiply(p, self.current, out=p)
+        quad = np.multiply(self.lam, np.add(d[..., 0], d[..., 1], out=out), out=out)
+        drift = np.add(p[..., 0], p[..., 1])
+        np.multiply(self._one_minus_lam, drift, out=drift)
+        return np.add(quad, drift, out=quad)
 
-    def gradient_array(self, x: np.ndarray) -> np.ndarray:
-        return self._neg2lam * (x - self.goal) + self._drift
+    def gradient_array(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The gradient at each of ``x``'s points, written into ``out`` if given."""
+        d = np.subtract(x, self.goal, out=out)
+        return np.add(np.multiply(self._neg2lam, d, out=d), self._drift, out=d)
 
-    def _over_lam(self, num) -> np.ndarray:
+    def _over_lam(self, num, out: np.ndarray | None = None) -> np.ndarray:
         """``num / lam`` per slot, infinite where ``lam`` is 0."""
-        out = np.full(self.lam.shape, math.inf)
-        return np.divide(num, self.lam, out=out, where=self.lam > 0.0)
+        if out is None:
+            out = np.full(self.lam.shape, math.inf)
+        else:
+            out.fill(math.inf)
+        return np.divide(num, self.lam, out=out, where=self._lam_positive)
 
     def curvature(self, grad: np.ndarray) -> np.ndarray:
         """Per slot, the conjugate's curvature ``1 / (2 lam)``; infinite at ``lam = 0``.
@@ -523,15 +587,18 @@ class VoyageUtilities(_Family):
         """
         return self._over_lam(0.5)
 
-    def fenchel_young(self, x: np.ndarray, grad: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    def fenchel_young(
+        self, x: np.ndarray, grad: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Per slot, ``U_t*(a) - U_t(x) + <a, x> >= 0`` at ``a = grad + delta``.
 
         ``grad`` is the gradient at ``x``; the quadratic's residual is
         ``|a - grad|^2 / (4 lam)``.  At ``lam = 0`` the utility is linear and its
         conjugate is infinite off the gradient, so the residual counts as
-        infinite.
+        infinite.  Written into ``out``, of ``x``'s shape less its last axis,
+        if given.
         """
-        return self._over_lam(0.25 * (delta[..., 0] ** 2 + delta[..., 1] ** 2))
+        return self._over_lam(0.25 * (delta[..., 0] ** 2 + delta[..., 1] ** 2), out)
 
 
 Utilities = Union[CommuteUtilities, VoyageUtilities]

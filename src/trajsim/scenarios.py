@@ -19,8 +19,9 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import objectives as obj
-from .engine import Mode, NoiseModel, StepRecord, normal_pair, run_episode, slot_seed
+from .engine import _MASK64, Mode, NoiseModel, StepRecord, normal_pair, run_episode, slot_seed
 from .errors import (
+    COUNT,
     FINITE,
     INTEGER,
     NONNEGATIVE,
@@ -82,18 +83,22 @@ ADVERSARY_POLICIES = ("ioga", "zero", "random")
 
 # The longest adversary game; the game loops once per slot in Python.
 MAX_ADVERSARY_T = 10**7
+# The widest adversary game: at the longest game its worst regret, 2 W^2 T,
+# stays finite, and so does its bound W^2 T / 2.
+MAX_ADVERSARY_W = 1e150
 
 # The value rules of AdversaryParams, in the order checked.
 _ADVERSARY_RULES = [
     ("horizon", (lambda x: is_count(x) and x >= 1, "must be an integer >= 1")),
     ("horizon", (lambda x: x <= MAX_ADVERSARY_T, f"must be <= {MAX_ADVERSARY_T:,}")),
     ("width", POSITIVE),
+    ("width", (lambda x: as_real(x) <= MAX_ADVERSARY_W, f"must be <= {MAX_ADVERSARY_W:g}")),
     ("policy", one_of(*ADVERSARY_POLICIES)),
 ]
 
 # The value rule of each of ScenarioConfig's plain fields, in the order checked.
 _RULES = {
-    "delta": (lambda x: is_count(x) and x >= 0, "must be a nonnegative integer"),
+    "delta": COUNT,
     "seed": INTEGER,
     "peer_noise_std_m": NONNEGATIVE,
     "v_max_mps": POSITIVE,
@@ -209,7 +214,8 @@ class ScenarioConfig:
         return self.t_eta + self.delta
 
     def derived_seed(self, offset: int) -> int:
-        return self.seed + offset
+        """The seed of one purpose's stream: ``seed + offset``, reduced mod 2^64."""
+        return (self.seed + offset) & _MASK64
 
 
 @dataclass

@@ -136,6 +136,47 @@ class TestRunCommand:
         cfg = write(tmp_path, dict(D2D_DOC, d2d={"margin": 1.0}))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    def test_negative_perturbation_seed_is_config_error(self, tmp_path, capsys):
+        # numpy's generator raised ValueError on it, a traceback
+        doc = json.loads(json.dumps(OCEAN_DOC))
+        doc["ocean"]["perturbation"] = {"sigma_fraction": 0.05, "seed": -1}
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: ocean.perturbation.seed: must be a nonnegative integer, got -1" in err
+
+    def test_negative_master_seed_runs_and_replays(self, tmp_path):
+        # the field seed derived from --seed -5000000 was negative
+        doc = json.loads(json.dumps(OCEAN_DOC))
+        doc["ocean"]["perturbation"] = {"sigma_fraction": 0.05, "seed": 0}
+        cfg = write(tmp_path, doc)
+        for out in ("a", "b"):
+            argv = ["run", "--config", cfg, "--seed", "-5000000", "--out", str(tmp_path / out)]
+            assert main(argv) == 0
+        for name in ("trace.csv", "summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("d2d", {"mu": "garbage"}),
+            ("start_m", "x"),
+            ("goal_m", [1.0, 1.0]),
+            ("feasible_box_m", 3),
+            ("peer", [0.0, 0.0]),
+            ("ocean", {}),
+            ("gradient_noise", {"kind": 7}),
+            ("delta_slots", 2),
+            ("v_max_mps", 1.0),
+            ("slot_duration_s", 1.0),
+        ],
+    )
+    def test_adversary_document_rejects_keys_the_game_never_reads(self, tmp_path, capsys, key, value):
+        # such a document used to run and exit 0
+        doc = {"kind": "adversary", "seed": 3, "adversary": {"T": 10}, key: value}
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {key}: an adversary game does not read this key" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "adversary.json").exists()
+
     @pytest.mark.parametrize(
         "value", [math.nan, math.inf, 2.7, "seven"], ids=["nan", "inf", "2.7", "str"]
     )
@@ -536,6 +577,8 @@ class TestAdversaryCommand:
             ("0", "1", "--T: must be an integer >= 1, got 0"),
             ("100", "0", "--W: must be a finite number > 0, got 0.0"),
             ("100", "nan", "--W: must be a finite number > 0, got nan"),
+            # W^2 overflowed to an OverflowError traceback
+            ("1", "1e200", "--W: must be <= 1e+150, got 1e+200"),
         ],
     )
     def test_adversary_params_errors_name_the_flag(self, tmp_path, capsys, T, W, message):

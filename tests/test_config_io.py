@@ -311,6 +311,7 @@ OWNED_RULES = [
     ("gradient_noise.eps0", -1.0),
     ("gradient_noise.decay_q", -1.0),
     ("ocean.perturbation.sigma_fraction", 1.5),
+    ("ocean.perturbation.seed", -1),
     ("feasible_box_m", {"lo": [1.0, -5.0], "hi": [20.0, 5.0]}),
 ]
 
@@ -324,6 +325,7 @@ class TestDocumentPaths:
             doc = {"kind": "adversary", "adversary": {}}
         elif path.startswith("ocean.") or path == "slot_duration_s":
             doc = json.loads(json.dumps(MINIMAL_VOYAGE))
+            doc["ocean"]["perturbation"] = {"sigma_fraction": 0.05}
         else:
             doc = dict(MINIMAL_D2D, goal_m={"from_m": [12.0, 0.0], "to_m": [12.0, 0.0]}, d2d={})
             doc = json.loads(json.dumps(doc))

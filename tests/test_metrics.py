@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -131,10 +132,21 @@ class TestSolveOffline:
     def test_restarts_counted(self):
         # a long chain of binding caps overshoots under momentum; the default
         # gap stop certifies it after ten iterations, before any restart
-        leads = [(float(t), 3.0 * (-1) ** t) for t in range(40)]
-        sol = solve_offline(quadratic_problem((0.0, 0.0), leads, [0.5] * 39), tol=1e-9)
+        sol = solve_offline(_restart_chain(), tol=1e-9)
         assert sol.converged
         assert 0 < sol.restarts < sol.iterations
+
+
+def _restart_chain() -> OfflineProblem:
+    """A chain of binding caps whose tight solve takes the momentum restart."""
+    leads = [(float(t), 3.0 * (-1) ** t) for t in range(40)]
+    return quadratic_problem((0.0, 0.0), leads, [0.5] * 39)
+
+
+def _pin(sol) -> tuple:
+    """A solve's iterations, restarts, ``repr(gap)``, stop and the sha256 of its waypoints."""
+    digest = hashlib.sha256(np.array(sol.points).tobytes()).hexdigest()
+    return sol.iterations, sol.restarts, repr(sol.gap), sol.converged, digest
 
 
 class TestOfflineProblem:
@@ -829,6 +841,61 @@ class TestDualStepCertificate:
                 solo.certify(row, solo.values(row), GAP_TOL)
                 assert solo.gaps[0] == batch.gaps[r]
                 assert solo.gaps[0] <= _reference_fw_gap(p, row[0])[1] * (1.0 + 1e-12)
+
+
+class TestWorkspace:
+    """The ascent runs on the lockstep's preallocated arrays and keeps every bit.
+
+    The pins were taken when every step still allocated its arrays.
+    """
+
+    def test_restart_chain_is_pinned_bit_for_bit(self):
+        assert _pin(solve_offline(_restart_chain(), tol=1e-9)) == (
+            20, 1, "4.894322191972833e-07", True,
+            "5e3cf89e8998dc5106d97abd462f3e643359b45129c8ac433b39bfd0a0bbdd16",
+        )
+
+    def test_padded_voyage_batch_is_pinned_bit_for_bit(self):
+        # six rows of differing horizons leave the lockstep at six different checks
+        rows = [(40, 11), (30, 1), (7, 2), (2, 3), (19, 4), (25, 6)]
+        instances = [_random_problem("voyage", T, seed) for T, seed in rows]
+        solutions = solve_offline_batch([p for p, _ in instances], [x0 for _, x0 in instances])
+        assert [_pin(s) for s in solutions] == [
+            (100, 0, "2.1428160499222693", True,
+             "5074f2257effdb89c089d522d55f77a25b526b2b594dd475392117a137c399a8"),
+            (160, 0, "0.3194589235705043", True,
+             "664bc401bf7e86d0b4e574c8039a6a9f6390c2f60e6cc564d61459da58d1f4e3"),
+            (20, 0, "0.06335598269698567", True,
+             "c60665916a623f90630111474483304c345c578fdd136212f35d2cb0dba152c5"),
+            (10, 2, "6.187954038061605e-09", True,
+             "24dfd86d581ce6035c929d43c062392c25e987946f594d91ce274d7af181f81b"),
+            (70, 0, "0.3626147113405429", True,
+             "d594c8b71a304659dbf958836415cf6b1725280a5640c2fd6dc656eb26e8d3d6"),
+            (50, 0, "0.5868317691766849", True,
+             "fdf9d09c183e7a8cef623ef449925452e78f5a4c6a718bb6d77a818e3f1337c1"),
+        ]
+
+    @pytest.mark.parametrize("kind", ["squared", "huber", "voyage"])
+    def test_chained_calls_match_a_fresh_lockstep(self, kind):
+        # each call's result feeds the next; one that handed back, or later
+        # wrote into, a workspace array would change what an earlier call gave
+        instances = [_random_problem(kind, T, seed) for T, seed in ((30, 1), (7, 2), (19, 4))]
+        problems, x0s = [p for p, _ in instances], [x0 for _, x0 in instances]
+        lock = _Lockstep(problems, x0s)
+        steps = [lock.z0]
+        for _ in range(5):
+            steps.append(lock.ascent_step(steps[-1]))
+        kept = [z.copy() for z in steps]
+        totals = lock.values(steps[-1])
+        met = lock.certify(steps[-1], totals, GAP_TOL)
+        assert all(z.tobytes() == k.tobytes() for z, k in zip(steps, kept))
+        fresh = _Lockstep(problems, x0s)
+        assert fresh.z0.tobytes() == kept[0].tobytes()
+        for before, after in zip(kept, kept[1:]):
+            assert fresh.ascent_step(before.copy()).tobytes() == after.tobytes()
+        assert fresh.values(kept[-1].copy()) == totals
+        assert fresh.certify(kept[-1].copy(), totals, GAP_TOL) == met
+        assert fresh.gaps == lock.gaps
 
 
 class TestBoxBindingSolves:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from trajsim.metrics import _violation, solve_offline
 from trajsim.objectives import CommuteUtilities
 from trajsim.scenarios import (
     MAX_ADVERSARY_T,
+    MAX_ADVERSARY_W,
     AdversaryParams,
     PathSpec,
     ScenarioConfig,
@@ -40,6 +42,27 @@ def d2d_config(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def _long_huber_commute():
+    """The bench's T = 128 Huber commute, run online.
+
+    The peer walks at twice the cap and crosses back.
+    """
+    d = 55.0 / math.sqrt(2.0)
+    cfg = d2d_config(
+        goal=PathSpec((d, d), (d, d)),
+        peer=PathSpec((23.04, -8.96), (44.8, 21.76), speed_mps=2.0),
+        peer_noise_std_m=1.0,
+        delta=73,
+        utility_kind="huber",
+        mu=0.001,
+        gradient_noise=NoiseModel("gaussian_decaying", 0.1, 1.0, 2),
+        seed=1,
+    )
+    report = run_scenario(cfg, benchmark=False)
+    assert report.problem.horizon == 128
+    return report
 
 
 def ocean_config(**overrides):
@@ -178,6 +201,24 @@ class TestConfig:
             with pytest.raises(SchemaError) as err:
                 d2d_config(**{field: value})
             assert err.value.path == field
+
+    def test_perturbation_seed_is_nonnegative(self):
+        # numpy's generator takes no negative seed; it used to raise ValueError
+        assert FieldPerturbation(0.1, 0).seed == 0
+        with pytest.raises(SchemaError) as err:
+            FieldPerturbation(0.1, -1)
+        assert err.value.path == "perturbation.seed"
+
+    def test_derived_seeds_wrap_mod_2_64(self):
+        assert d2d_config(seed=5).derived_seed(3_000_003) == 3_000_008
+        assert d2d_config(seed=-5_000_000).derived_seed(3_000_003) == 2**64 - 1_999_997
+
+    def test_negative_master_seed_derives_a_field_seed(self):
+        # the derived field seed was -1,999,997, which numpy's generator rejected
+        fld = synth_field(UniformSpec(0.1, 0.05), (-100.0, 300.0), (-100.0, 300.0))
+        cfg = ocean_config(ocean_field=fld, perturbation=FieldPerturbation(0.1), seed=-5_000_000)
+        first = run_scenario(cfg, benchmark=False).trajectory
+        assert run_scenario(cfg, benchmark=False).trajectory == first
 
     def test_perturbation_fraction_names_its_field(self):
         for value in (-0.1, 1.5, math.nan):
@@ -326,13 +367,13 @@ class _PerSlotHuber:
         assert families == [self] and tmax == self.horizon
         return self
 
-    def slot_terms(self, x):
+    def slot_terms(self, x, out=None):
         return np.array([u(p) for u, p in zip(self.values, x[0].tolist())])
 
     def total(self, points):
         return sum(u(p) for u, p in zip(self.values, points))
 
-    def gradient_array(self, x):
+    def gradient_array(self, x, out=None):
         if x.ndim == 3:
             return self.gradient_array(x[0])[None]
         f = self.family
@@ -527,6 +568,17 @@ class TestAdversary:
         assert err.value.path == "adversary.horizon"
         assert err.value.message == f"must be <= 10,000,000, got {MAX_ADVERSARY_T + 1}"
 
+    def test_width_above_the_bound_is_rejected(self):
+        assert AdversaryParams(1, MAX_ADVERSARY_W).width == MAX_ADVERSARY_W
+        with pytest.raises(SchemaError) as err:
+            AdversaryParams(1, 1e200)
+        assert err.value.path == "adversary.width"
+        assert err.value.message == "must be <= 1e+150, got 1e+200"
+        # the bound keeps the longest game's worst regret, 2 W^2 T, finite
+        assert math.isfinite(2.0 * MAX_ADVERSARY_W**2 * MAX_ADVERSARY_T)
+        for policy in ("ioga", "zero", "random"):
+            assert math.isfinite(run_adversary(AdversaryParams(50, MAX_ADVERSARY_W, policy), 3))
+
     @pytest.mark.parametrize("seed", [2.5, 3.0, True, None, "1"])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(SchemaError) as err:
@@ -684,27 +736,25 @@ class TestOfflineCertificate:
             assert offline >= online - rr.offline_gap - 1e-9 * (1.0 + abs(online))
 
     def test_long_huber_commute_is_certified_within_600_iterations(self):
-        # the bench's T = 128 Huber commute: the peer walks at twice the cap
-        # and crosses back.  The Frank-Wolfe gap alone stops it at about
-        # 1,000 iterations, about 300x looser than the true shortfall there
-        d = 55.0 / math.sqrt(2.0)
-        cfg = d2d_config(
-            goal=PathSpec((d, d), (d, d)),
-            peer=PathSpec((23.04, -8.96), (44.8, 21.76), speed_mps=2.0),
-            peer_noise_std_m=1.0,
-            delta=73,
-            utility_kind="huber",
-            mu=0.001,
-            gradient_noise=NoiseModel("gaussian_decaying", 0.1, 1.0, 2),
-            seed=1,
-        )
-        report = run_scenario(cfg, benchmark=False)
-        assert report.problem.horizon == 128
+        # the Frank-Wolfe gap alone stops it at about 1,000 iterations, about
+        # 300x looser than the true shortfall there
+        report = _long_huber_commute()
         sol = solve_offline(report.problem, x0=report.trajectory)
         assert sol.converged and sol.iterations <= 600
         tight = solve_offline(report.problem, x0=report.trajectory, tol=1e-9)
         assert tight.converged
         assert tight.utility - sol.utility <= sol.gap + 1e-9 * (1.0 + abs(tight.utility))
+
+    def test_long_huber_commute_solve_is_pinned_bit_for_bit(self):
+        # taken before the ascent ran on a preallocated workspace, which must
+        # not move one bit of any solve
+        report = _long_huber_commute()
+        sol = solve_offline(report.problem, x0=report.trajectory)
+        digest = hashlib.sha256(np.array(sol.points).tobytes()).hexdigest()
+        assert (sol.iterations, sol.restarts, repr(sol.gap), sol.converged) == (
+            470, 0, "0.10126090868705356", True
+        )
+        assert digest == "6cd10aac97c1d47fae4d6305d8e01499469be30f751ff66075583e9dd30c284d"
 
     def test_long_commute_boxed_to_its_online_path_is_certified(self):
         # a T = 128 commute whose peer crosses its path, solved in the bounding
