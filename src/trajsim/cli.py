@@ -88,19 +88,29 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _trace_label(value: float) -> str:
+    """A sweep row's value as its trace file names it: ``2.5`` -> ``2p5``, ``-1`` -> ``m1``."""
+    return f"{value:g}".replace(".", "p").replace("-", "m")
+
+
 def _cmd_sweep(args) -> int:
     cfg, digest = _load(args)
-    out = _outdir(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise SchemaError("--values", str(exc))
+    labels = [_trace_label(v) for v in values]
+    if len(set(labels)) < len(labels):
+        same = sorted({label for label in labels if labels.count(label) > 1})
+        raise SchemaError(
+            "--values", f"values share a trace file name ({', '.join(same)}); give distinct values"
+        )
+    out = _outdir(args)
     rows = sweep(cfg, args.param, values, mode=args.mode)
     outputs = []
     for row in rows:
         if row.report is not None:
-            label = f"{row.value:g}".replace(".", "p").replace("-", "m")
-            trace_path = out / f"trace_{row.param}_{label}.csv"
+            trace_path = out / f"trace_{row.param}_{_trace_label(row.value)}.csv"
             emit_trace(row.report, trace_path)
             outputs.append(str(trace_path))
             rr = row.report.regret_report

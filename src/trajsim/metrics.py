@@ -4,13 +4,16 @@ The offline benchmark maximizes the summed per-slot utilities over a whole
 trajectory at once, subject to the same coupled displacement caps the online
 agent faced; its value anchors the regret numbers in every report, and its
 duality gap bounds how far that value may lie below the true optimum.  The
-gap is the Frank-Wolfe gap, or, where a row's conjugate utilities differ in
-curvature, the tighter bound one preconditioned dual step reaches.  The
-caps, the start pin and the box are held as arrays: the ascent and its gap,
-the augmented-Lagrangian solve of a row whose box binds and the feasibility
-check of every solution all work on them directly.  The dynamic-programming
-oracle re-solves small instances on a grid and exists purely to validate the
-solver.
+gap is the smaller of the Frank-Wolfe gap and a second bound: for a squared
+commute, the bound at the best placement of the iterate's rigid runs of
+filled caps (the unconstrained shortfall when every cap is free, the
+Frank-Wolfe gap when every cap is filled); where a row's conjugate
+utilities differ in curvature, the bound one preconditioned dual step
+reaches.  The caps, the start pin and the box are held as arrays: the
+ascent and its gap, the augmented-Lagrangian solve of a row whose box binds
+and the feasibility check of every solution all work on them directly.  The
+dynamic-programming oracle re-solves small instances on a grid and exists
+purely to validate the solver.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ _INNER_SHARE = 0.1
 _RHO_GROWTH = 4.0
 # constant operands of the lockstep's kernels
 _ZERO, _ONE, _TINY = map(_constant, (0.0, 1.0, np.finfo(float).tiny))
+# a cap is filled, and its displacement frozen for the rigid-run bound, once
+# its displacement is at least this share of its radius
+_FILLED = 1.0 - 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,14 +227,16 @@ class _Lockstep:
         self.sum_buffers: dict = {}
         # the workspace.  Waypoint-sized: the gradient, its suffix sums (an
         # accumulate over the reversed gradient, written back to front so that
-        # the gradient in z, ``sums[:, 1:]``, is read front to back) and D^T lam.
+        # the gradient in z, ``sums[:, 1:]``, is read front to back) and D^T lam
+        # (first the rigid runs' point and its gradient).
         self.gx = np.empty_like(self.x)
         self.sums = np.empty_like(self.x)
         self.sums_reversed = self.sums[:, ::-1]
         self.g = self.sums[:, 1:]
         self.adjoint = np.empty_like(self.x)
         # displacement-sized: the momentum point, the step point (then the
-        # dual point), the cap multipliers, and the coordinates each reads
+        # squared displacements, or the dual point), the cap multipliers, and
+        # the coordinates each reads
         self.y = np.empty_like(self.centers)
         self.w = np.empty_like(self.centers)
         self.lam = np.empty_like(self.centers)
@@ -243,6 +251,14 @@ class _Lockstep:
         self.products = np.empty((2,) + self.radii.shape)
         self.eta = np.empty_like(self.radii)
         self.eta_by_axis = self.eta[None]
+        # the rigid-run bound's: the squared length that fills each cap
+        # (none fills a padded one), flat over the slots and one past them
+        # whether a run begins there (so per cap whether it is free), and
+        # each row's first slot
+        self.filled = np.where(self.pad_caps, np.inf, np.square(self.radii * _FILLED))
+        self.firsts = np.ones(self.pad_slots.size + 1, dtype=bool)
+        self.free = self.firsts[:-1].reshape(self.pad_slots.shape)[:, 1:]
+        self.row_firsts = np.arange(len(problems)) * tmax
         # slot-sized, the family's shape: filled by the first call that
         # returns it
         self.terms = self.residuals = None
@@ -347,23 +363,29 @@ class _Lockstep:
 
         Any cap multipliers ``lam`` bound the shortfall by weak duality:
         ``U* - U(z) <= sum_t (r_t |lam_t| - <lam_t, z_t>) + sum_{s>=1} FY_s(a_s)``
-        with ``a = D^T lam``, ``a_s = lam_{s-1} - lam_s``, and ``FY_s(a) =
-        U_s*(a) - U_s(x_s) + <a, x_s> >= 0`` the family's Fenchel-Young
-        residual.  At ``lam = g``, the gradient in ``z``, every residual is
-        zero and the bound is the Frank-Wolfe gap (Jaggi 2013).  Where a row's
-        conjugates differ in curvature, one preconditioned proximal step
-        (:meth:`_dual_step_terms`) moves ``lam`` off ``g``, and the row's gap is
-        the smaller of the two bounds.  A row whose slots share one curvature
-        keeps the Frank-Wolfe gap: a diagonal step there is plain Jacobi,
-        which tightens too little to pay for itself.  Every term is
-        nonnegative for ``|z_t| <= r_t``; one that rounds below zero counts as
-        zero, which only loosens the bound.
+        with ``a = grad U(x) + D^T (lam - g)``, ``(D^T v)_s = v_{s-1} - v_s``,
+        and ``FY_s(a) = U_s*(a) - U_s(x_s) + <a, x_s> >= 0`` the family's
+        Fenchel-Young residual.  At ``lam = g``, the gradient in ``z``, every
+        residual is zero and the bound is the Frank-Wolfe gap (Jaggi 2013).
+        Each row's gap is the smaller of that and the bound at a second
+        ``lam``: for a squared commute, the gradient at the best placement of
+        the iterate's rigid runs (:meth:`_rigid_run_point`); where a row's
+        conjugates differ in curvature, one preconditioned proximal step off
+        ``g`` (:meth:`_dual_step_terms`).  A Huber or voyage row whose slots
+        share one curvature keeps the Frank-Wolfe gap: a diagonal step there
+        is plain Jacobi, which tightens too little to pay for itself.  Every
+        term is nonnegative for ``|z_t| <= r_t``; one that rounds below zero
+        counts as zero, which only loosens the bound.
         """
         gx, g = self.gradient(z)
         z_by_axis = _by_axis(z)
         self.gaps = self._row_sums(self._cap_terms(self.g_by_axis, z_by_axis), self.cap_counts)
         kappa = self.family.curvature(gx)
-        if kappa is not None:
+        if kappa is None:
+            self._rigid_run_point(z)
+            bounds = self._row_sums(self._bound_terms(gx, g, z_by_axis), self.cap_counts)
+            self.gaps = [min(f, b) for f, b in zip(self.gaps, bounds)]
+        else:
             # slot 0 is the pinned start, and padded slots never count
             k = kappa[:, 1:]
             stepped = (~((k == k[:, :1]) | self.pad_caps).all(axis=1)).tolist()
@@ -374,16 +396,41 @@ class _Lockstep:
                 self.gaps = [min(f, b) if s else f for f, b, s in zip(self.gaps, bounds, stepped)]
         return [gap <= tol * max(1.0, f - f0) for gap, f, f0 in zip(self.gaps, totals, self.u0)]
 
+    def _rigid_run_point(self, z: np.ndarray) -> None:
+        """Set ``lam`` to the gradient in ``z`` at the best placement of the iterate's rigid runs.
+
+        Each cap the iterate fills, ``|z_t| >= r_t (1 - 1e-9)``, is frozen;
+        a real zero-radius cap is, a padded one never.  A maximal run of
+        waypoints joined by frozen caps then moves as one rigid body to the
+        place the family's :meth:`rigid_optimum` gives it; the run that holds
+        the start stays.  That point ``x_hat`` may break the free caps: any
+        ``lam`` bounds the shortfall.  Each run after a free cap sums its
+        gradient to zero at ``x_hat``, so ``lam`` vanishes on every free cap,
+        and the residuals sum to ``|x_hat - x|^2 / 2``: the bound is second
+        order where the Frank-Wolfe gap is first order.  With every cap free
+        it is the unconstrained shortfall; with every cap filled, the
+        Frank-Wolfe gap.  Padded slots are runs of their own, and their
+        gradient is zero.
+        """
+        sq = np.multiply(z, z, out=self.w)
+        np.less(np.add(sq[..., 0], sq[..., 1], out=self.norms), self.filled, out=self.free)
+        edges = np.flatnonzero(self.firsts)
+        pinned = np.searchsorted(edges, self.row_firsts)
+        x_hat = self.family.rigid_optimum(self.x, edges, pinned, self.adjoint)
+        grad = self.family.gradient_array(x_hat, out=x_hat)
+        if self.pad is not None:
+            np.put(grad, self.pad, -0.0)
+        # the suffix sums of gradient(): lam_t sums grad[:, s] over s > t
+        np.add.accumulate(grad[:, :0:-1], axis=1, out=self.lam[:, ::-1])
+
     def _dual_step_terms(
         self, gx: np.ndarray, g: np.ndarray, z_by_axis: np.ndarray, kappa: np.ndarray
     ) -> np.ndarray:
-        """Per cap ``t``, the bound's terms at ``lam' = blocksoft(g + eta z, eta r)``.
+        """Per cap ``t``, the bound's terms at ``lam = blocksoft(g + eta z, eta r)``.
 
         ``eta_t = 1 / (kappa_t + kappa_{t+1})``, with ``kappa_0 = 0`` for the
         pinned start, inverts the diagonal of the conjugates' curvature
-        ``D diag(kappa) D^T`` in ``lam``.  Term ``t`` is cap ``t``'s term plus
-        slot ``t + 1``'s residual at ``a' = grad U(x) + D^T (lam' - g)``, each
-        clamped at zero.
+        ``D diag(kappa) D^T`` in ``lam``.
         """
         eta = np.add(kappa[:, :-1], kappa[:, 1:], out=self.eta)
         np.divide(_ONE, eta, out=eta)
@@ -393,8 +440,16 @@ class _Lockstep:
         shrink = np.multiply(eta, self.radii, out=self.scales)
         np.maximum(np.subtract(n, shrink, out=shrink), _ZERO, out=shrink)
         np.divide(shrink, np.maximum(n, _TINY, out=n), out=shrink)
-        lam = _scale_rows(self.w_by_axis, self.scales_by_axis, self.lam)
-        delta = _chain_adjoint(np.subtract(lam, g, out=v), out=self.adjoint)
+        _scale_rows(self.w_by_axis, self.scales_by_axis, self.lam)
+        return self._bound_terms(gx, g, z_by_axis)
+
+    def _bound_terms(self, gx: np.ndarray, g: np.ndarray, z_by_axis: np.ndarray) -> np.ndarray:
+        """Per cap ``t``, the bound's terms at the multipliers in ``lam``.
+
+        Term ``t`` is cap ``t``'s term plus slot ``t + 1``'s residual at ``a
+        = grad U(x) + D^T (lam - g)``, each clamped at zero.
+        """
+        delta = _chain_adjoint(np.subtract(self.lam, g, out=self.w), out=self.adjoint)
         self.residuals = self.family.fenchel_young(self.x, gx, delta, out=self.residuals)
         residuals = self.residuals[:, 1:]
         terms = self._cap_terms(self.lam_by_axis, z_by_axis)
@@ -466,9 +521,10 @@ def solve_offline(
 
     Every :data:`GAP_EVERY` iterations the solve computes a duality gap at
     its iterate, an upper bound on how far the optimum lies above it: the
-    smaller of the Frank-Wolfe gap and the bound after one preconditioned
-    step on the cap multipliers (squared commutes keep the Frank-Wolfe gap;
-    see ``_Lockstep.certify``).  It stops once the gap is at most
+    smaller of the Frank-Wolfe gap and a second bound at other cap
+    multipliers, the gradient at the best placement of the iterate's rigid
+    runs for a squared commute and one preconditioned step for a row whose
+    conjugates differ in curvature (see ``_Lockstep.certify``).  It stops once the gap is at most
     ``tol * max(1, U(x) - U(x0))``, where ``x0`` is the starting
     trajectory; ``converged`` says that this held, and ``gap`` carries the
     bound.  At ``max_iter`` the solve stops uncertified unless that last

@@ -15,9 +15,10 @@ uses the matching unit scaling.
 The scalar functions serve the per-slot online loop.  For the offline
 benchmark, :class:`CommuteUtilities` and :class:`VoyageUtilities` hold one
 frozen utility per slot as arrays and evaluate all slots at once; each also
-gives its worst-case gradient variation in closed form, and the Huber and
-voyage kinds give the curvature and Fenchel-Young residual of their
-conjugates, which tighten the offline duality gap.
+gives its worst-case gradient variation in closed form, and the curvature
+and Fenchel-Young residual of its conjugates, which tighten the offline
+duality gap; the squared commute also gives the best placement of rigid
+runs of its points.
 """
 
 from __future__ import annotations
@@ -438,9 +439,10 @@ class CommuteUtilities(_Family):
         """Per slot, the curvature of the conjugate ``U_t*`` at ``grad``, the gradient at ``x``.
 
         ``None`` for the squared kind, whose conjugate ``0.5 |a|^2 - <a, lead>``
-        has curvature 1 at every slot.  The Huber kind's is 1 where
-        ``|grad| <= v`` and ``1 / mu`` beyond, the inverse of the penalty's
-        least curvature there.
+        has curvature 1 at every slot, so that :meth:`rigid_optimum` places
+        its runs by plain means.  The Huber kind's is 1 where ``|grad| <= v``
+        and ``1 / mu`` beyond, the inverse of the penalty's least curvature
+        there.
         """
         if self.kind == "squared":
             return None
@@ -450,15 +452,20 @@ class CommuteUtilities(_Family):
     def fenchel_young(
         self, x: np.ndarray, grad: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Per slot, ``U_t*(a) - U_t(x) + <a, x> >= 0`` at ``a = grad + delta`` (Huber kind).
+        """Per slot, ``U_t*(a) - U_t(x) + <a, x> >= 0`` at ``a = grad + delta``.
 
-        ``grad`` is the gradient at ``x``, where the residual is zero.  With
-        ``h`` the penalty, ``U_t*(a) = h*(|a|) - <a, lead>``, where ``h*(s)``
-        is ``s^2 / 2`` up to ``v`` and ``mu d^2 / 2 + (1 - mu) v^2 / 2`` beyond,
-        ``d = (s - (1 - mu) v) / mu``; so the residual is
-        ``h*(|a|) + h(|x - lead|) + <a, x - lead>``.  Written into ``out``, of
-        ``x``'s shape less its last axis, if given.
+        ``grad`` is the gradient at ``x``, where the residual is zero.  The
+        squared kind's residual is ``|delta|^2 / 2``.  With ``h`` the Huber
+        penalty, ``U_t*(a) = h*(|a|) - <a, lead>``, where ``h*(s)`` is ``s^2 /
+        2`` up to ``v`` and ``mu d^2 / 2 + (1 - mu) v^2 / 2`` beyond, ``d = (s -
+        (1 - mu) v) / mu``; so the residual is ``h*(|a|) + h(|x - lead|) + <a,
+        x - lead>``.  Written into ``out``, of ``x``'s shape less its last
+        axis, if given.
         """
+        if self.kind == "squared":
+            sq = np.multiply(delta, delta)
+            half = np.add(sq[..., 0], sq[..., 1], out=out)
+            return np.multiply(_HALF, half, out=half)
         a = np.add(grad, delta)
         s = np.hypot(a[..., :1], a[..., 1:])
         d = np.divide(np.subtract(s, self._lin), self._mu)
@@ -472,6 +479,25 @@ class CommuteUtilities(_Family):
         inner = np.multiply(a[..., 0], e[..., 0], out=out)
         np.add(inner, np.multiply(a[..., 1], e[..., 1]), out=inner)
         return np.add(conj[..., 0], inner, out=inner)
+
+    def rigid_optimum(
+        self, x: np.ndarray, edges: np.ndarray, fixed: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """``x`` with each run of points moved as one rigid body to its best place (squared kind).
+
+        The points, flattened over the rows, form runs: run ``i`` holds the
+        points from flat index ``edges[i]`` up to ``edges[i + 1]``, and the
+        last edge is the number of points.  A run translated by ``m`` scores
+        best at ``m`` the mean of its pulls ``lead - x``, which puts its
+        anchor at the mean of ``lead - offset`` over the run.  The runs
+        numbered in ``fixed`` stay.  Written into ``out``, of ``x``'s shape.
+        """
+        pull = np.subtract(self.leads, x, out=out)
+        sums = np.add.reduceat(pull.reshape(-1, 2), edges[:-1], axis=0)
+        counts = np.subtract(edges[1:], edges[:-1])
+        sums[fixed] = 0.0
+        shift = np.repeat(np.divide(sums, counts[:, None], out=sums), counts, axis=0)
+        return np.add(x, shift.reshape(x.shape), out=out)
 
 
 class VoyageUtilities(_Family):

@@ -421,6 +421,38 @@ class TestSweepCommand:
         assert (out / "trace_delta_0.csv").exists()
         assert (out / "trace_delta_2.csv").exists()
 
+    @pytest.mark.parametrize(
+        "param, values", [("noise_sigma", "0.1,0.1000001"), ("noise_sigma", "1,1"), ("delta", "2,0,2.0")]
+    )
+    def test_values_sharing_a_trace_name_exit_2_before_any_row(
+        self, tmp_path, capsys, monkeypatch, param, values
+    ):
+        # one trace file per row: a second row of the same label would overwrite
+        # the first, and the manifest would list its path twice
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(trajsim.cli, "sweep", no_rows)
+        cfg = write(tmp_path, D2D_DOC)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", cfg, "--param", param, "--values", values]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_distinct_labels_keep_their_trace_names(self, tmp_path):
+        cfg = write(tmp_path, D2D_DOC)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", cfg, "--param", "noise_sigma", "--values", "0.1,0.25,2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        traces = sorted(p.name for p in out.glob("trace_*.csv"))
+        assert traces == [
+            "trace_noise_sigma_0p1.csv", "trace_noise_sigma_0p25.csv", "trace_noise_sigma_2.csv"
+        ]
+        paths = [Path(p).name for p in manifest["outputs"]]
+        assert len(paths) == len(set(paths)) == 4
+
     def test_unconverged_rows_warn_on_stderr(self, tmp_path, capsys, monkeypatch):
         cfg = write(tmp_path, D2D_DOC)
         argv = ["sweep", "--config", cfg, "--param", "delta", "--values", "0,1,2"]

@@ -826,7 +826,7 @@ class TestDualStepCertificate:
         assert zero.utilities.curvature(None)[5] == math.inf
         assert zero.utilities.fenchel_young(None, None, np.zeros((12, 2)))[5] == math.inf
 
-    @pytest.mark.parametrize("kind", ["huber", "voyage"])
+    @pytest.mark.parametrize("kind", ["squared", "huber", "voyage"])
     def test_padded_rows_certify_as_solo_rows(self, kind):
         instances = [_random_problem(kind, T, seed) for T, seed in ((30, 1), (7, 2), (2, 3), (19, 4))]
         problems = [p for p, _ in instances]
@@ -841,6 +841,82 @@ class TestDualStepCertificate:
                 solo.certify(row, solo.values(row), GAP_TOL)
                 assert solo.gaps[0] == batch.gaps[r]
                 assert solo.gaps[0] <= _reference_fw_gap(p, row[0])[1] * (1.0 + 1e-12)
+
+
+def _free_chain(radii) -> OfflineProblem:
+    """A squared row at the start, its leads near it, its caps centred on staying put."""
+    rng = np.random.default_rng(len(radii))
+    leads = rng.uniform(-3.0, 3.0, (len(radii) + 1, 2))
+    return quadratic_problem((0.0, 0.0), leads, radii)
+
+
+def _rigid_run_shortfall(problem: OfflineProblem, runs: list[list[int]]) -> float:
+    """The shortfall of staying put when each run of slots moves rigidly and freely.
+
+    Each run shifts by the mean of its pulls; the run that holds the start
+    stays put.
+    """
+    pull = problem.utilities.leads - np.asarray(problem.start)
+    total = 0.0
+    for run in runs:
+        if 0 not in run:
+            total += 0.5 * len(run) * float(np.sum(pull[run].mean(axis=0) ** 2))
+    return total
+
+
+class TestRigidRunBound:
+    """The squared rows' second bound, at its limiting cases.
+
+    From the warm start at zero displacement every cap whose radius is
+    positive is free, and the Frank-Wolfe gap ``sum_t r_t |g_t|`` of the huge
+    radii here dwarfs the rigid-run bound, so each row's gap is that bound.
+    """
+
+    def test_all_caps_free_gives_the_unconstrained_shortfall(self):
+        problem = _free_chain([1e3] * 7)
+        lock = _Lockstep([problem], [None])
+        with np.errstate(all="raise"):
+            lock.certify(lock.z0, lock.u0, GAP_TOL)
+        pull = problem.utilities.leads[1:] - np.asarray(problem.start)
+        assert lock.gaps[0] == pytest.approx(0.5 * float(np.sum(pull**2)), rel=1e-12)
+
+    def test_all_caps_filled_gives_the_frank_wolfe_gap(self):
+        problem = _free_chain([0.5] * 7)
+        # every warm-start step is longer than its cap, so the clamp fills each cap
+        x0 = [(3.0 * t, -2.0 * t) for t in range(8)]
+        lock = _Lockstep([problem], [x0])
+        z = lock.z0
+        assert np.all(np.hypot(z[0, :, 0], z[0, :, 1]) >= 0.5 * (1.0 - 1e-9))
+        with np.errstate(all="raise"):
+            lock.certify(z, lock.values(z), GAP_TOL)
+        x, fw = _reference_fw_gap(problem, z[0])
+        assert lock.gaps[0] == pytest.approx(fw, rel=1e-12)
+        tight = solve_offline(problem, tol=1e-12)
+        assert tight.utility - problem.utilities.total(x) <= lock.gaps[0] + _rounding(tight.utility)
+
+    @pytest.mark.parametrize(
+        "radii, runs",
+        [
+            ([1e3, 0.0, 1e3, 1e3, 0.0, 0.0, 1e3], [[0], [1, 2], [3], [4, 5, 6], [7]]),
+            ([0.0, 0.0, 1e3, 1e3, 1e3, 1e3, 0.0], [[0, 1, 2], [3], [4], [5], [6, 7]]),
+        ],
+    )
+    def test_a_real_zero_radius_cap_joins_its_slots_and_a_padded_one_does_not(self, radii, runs):
+        # the same row solo and padded by a longer one: the padded caps have
+        # radius zero too, but they never freeze, so the row's last run stays
+        # its own; here the bound is the exact shortfall
+        problem = _free_chain(radii)
+        longer = _free_chain([1e3] * 11)
+        want = _rigid_run_shortfall(problem, runs)
+        with np.errstate(all="raise"):
+            solo = _Lockstep([problem], [None])
+            solo.certify(solo.z0, solo.u0, GAP_TOL)
+            batch = _Lockstep([problem, longer], [None, None])
+            batch.certify(batch.z0, batch.u0, GAP_TOL)
+        assert solo.gaps[0] == batch.gaps[0] == pytest.approx(want, rel=1e-12)
+        tight = solve_offline(problem, tol=1e-12)
+        shortfall = tight.utility - problem.utilities.total([problem.start] * problem.horizon)
+        assert shortfall == pytest.approx(want, rel=1e-6)
 
 
 class TestWorkspace:
