@@ -44,14 +44,11 @@ from .objectives import (
     alpha_schedule,
     d2d_gradient,
     d2d_step_size,
-    d2d_utility,
     directional_weight,
-    huber_value,
     lambda_increasing,
     leading_path,
     ocean_gradient,
     ocean_step_size,
-    ocean_utility,
     rate,
 )
 from .scenarios import (

@@ -12,13 +12,14 @@ Conventions used throughout: the squared penalty is ``-0.5 * d^2`` so its
 gradient toward the leading path is exactly ``ell - x``; the robust penalty
 uses the matching unit scaling.
 
-The scalar functions serve the per-slot online loop.  For the offline
-benchmark, :class:`CommuteUtilities` and :class:`VoyageUtilities` hold one
-frozen utility per slot as arrays and evaluate all slots at once; each also
-gives its worst-case gradient variation in closed form, and the curvature
-and Fenchel-Young residual of its conjugates, which tighten the offline
-duality gap; the squared commute also gives the best placement of rigid
-runs of its points.
+The online loop uses only the scalar gradients and step sizes; the scalar
+values are test references and back ``values``.  :class:`CommuteUtilities`
+and :class:`VoyageUtilities` hold one frozen utility per slot as arrays and
+evaluate all slots at once, for the trace, the regret and the offline
+benchmark alike; each also gives its worst-case gradient variation in closed
+form, and the curvature and Fenchel-Young residual of its conjugates, which
+tighten the offline duality gap; the squared commute also gives the best
+placement of rigid runs of its points.
 """
 
 from __future__ import annotations
@@ -254,11 +255,7 @@ def ocean_step_size(
 
 # ---------------------------------------------------------------------------
 # whole-horizon families: one frozen utility per slot, evaluated over (T, 2)
-# arrays by the offline benchmark
-
-
-# slots per block when a family's arrays are converted to floats for evaluation
-_EVAL_BLOCK = 512
+# arrays for the trace, the regret and the offline benchmark
 
 
 def _constant(value) -> np.ndarray:
@@ -303,9 +300,10 @@ class _Family:
     """What both families derive from their per-slot forms: the values and the total."""
 
     def evaluate(self, points) -> list[float]:
-        """Slot ``t``'s utility at ``points[t]``, through the family's scalar utility."""
+        """Each slot's share of :meth:`total` at ``points``, a point list or ``(T, 2)`` array."""
         _check_horizon(points, self.horizon)
-        return self._evaluate(points)
+        terms = self.slot_terms(np.asarray(points, dtype=float))
+        return (self.total_scale * terms.reshape(len(terms), -1).sum(axis=1)).tolist()
 
     def total(self, points) -> float:
         _check_horizon(points, self.horizon)
@@ -317,12 +315,14 @@ class CommuteUtilities(_Family):
     """Commute utilities ``d2d_utility(x, leads[t], v, mu, kind)``, t = 0..T-1.
 
     ``v`` is the per-slot displacement cap and ``mu`` the curvature of the
-    robust penalty.  The array gradient is the pull ``leads - x`` for the
-    squared kind; for the Huber kind it is :func:`d2d_gradient`'s formula,
-    equal to it slot by slot up to rounding (``np.hypot`` and ``math.hypot``
-    may differ in the last bit).  Stacked (:meth:`stack`), the leads are
-    ``(R, tmax, 2)``, and ``v``/``mu`` are floats shared by the rows or
-    ``(R, 1, 1)`` arrays.
+    robust penalty.  The values and the array gradient agree with
+    :func:`d2d_utility` and :func:`d2d_gradient` to rounding, not bit for bit
+    (``np.hypot`` and ``math.hypot`` may differ in the last bit; the squared
+    value sums squares where the scalar one squares a ``hypot``).  The array
+    gradient is the pull ``leads - x`` for the squared kind and
+    :func:`d2d_gradient`'s formula for the Huber kind.  Stacked
+    (:meth:`stack`), the leads are ``(R, tmax, 2)``, and ``v``/``mu`` are
+    floats shared by the rows or ``(R, 1, 1)`` arrays.
     """
 
     smoothness = D2D_SMOOTHNESS
@@ -357,16 +357,11 @@ class CommuteUtilities(_Family):
 
     @property
     def values(self) -> list[Callable[[Point], float]]:
-        """Slot ``t``'s utility as a callable, through the scalar :func:`d2d_utility`."""
+        """The benchmark's per-slot :func:`d2d_utility` callables, until it reads evaluate."""
         return [
             partial(d2d_utility, ell=e, v_max=self.v, mu=self.mu, kind=self.kind)
             for e in self.leads.tolist()
         ]
-
-    def _evaluate(self, points) -> list[float]:
-        """Slot ``t``'s utility at ``points[t]``, through the scalar :func:`d2d_utility`."""
-        v, mu, kind = self.v, self.mu, self.kind
-        return [d2d_utility(p, e, v, mu, kind) for p, e in zip(points, self.leads.tolist())]
 
     def variation_terms(self, region: Box2D) -> tuple[list[float], bool]:
         """Per pair ``t``, the maximum over ``region`` of ``|grad U_{t+1} - grad U_t|^2``.
@@ -395,9 +390,8 @@ class CommuteUtilities(_Family):
         if self.kind == "squared":
             d = np.subtract(x, self.leads, out=out)
             return np.multiply(d, d, out=d)
-        # the elementwise arithmetic of huber_value; np.hypot may differ from
-        # math.hypot in the last bit, but the total only steers the ascent and
-        # its pairwise sum rounds differently from a per-slot sum anyway
+        # the elementwise arithmetic of huber_value, with np.hypot, which may
+        # differ from math.hypot in the last bit
         d, d0, d1, n, t, inside = self._scratch(x.shape)
         np.subtract(x, self.leads, out=d)
         np.hypot(d0, d1, out=n)
@@ -504,7 +498,8 @@ class VoyageUtilities(_Family):
     """Voyage utilities ``ocean_utility(x, prev[t], goal[t], current[t], lam[t])``.
 
     ``lam`` is ``(T,)``; ``goal``, ``current`` and ``prev`` are ``(T, 2)``.
-    Stacked (:meth:`stack`), each gains a leading row axis.
+    The values agree with :func:`ocean_utility` to rounding.  Stacked
+    (:meth:`stack`), each gains a leading row axis.
     """
 
     stack_key = ("voyage",)
@@ -536,28 +531,13 @@ class VoyageUtilities(_Family):
 
     @property
     def values(self) -> list[Callable[[Point], float]]:
-        """Slot ``t``'s utility as a callable, through the scalar :func:`ocean_utility`."""
+        """The benchmark's per-slot :func:`ocean_utility` callables, until it reads evaluate."""
         return [
             partial(ocean_utility, x_prev=xp, d=g, v_o=vo, lam=lam)
             for lam, g, vo, xp in zip(
                 self.lam.tolist(), self.goal.tolist(), self.current.tolist(), self.prev.tolist()
             )
         ]
-
-    def _evaluate(self, points) -> list[float]:
-        """Slot ``t``'s utility at ``points[t]``, through the scalar :func:`ocean_utility`.
-
-        The arrays become Python floats :data:`_EVAL_BLOCK` slots at a time, so
-        a long horizon never holds all four of them as floats at once.
-        """
-        out: list[float] = []
-        for i in range(0, len(points), _EVAL_BLOCK):
-            s = slice(i, i + _EVAL_BLOCK)
-            out += map(
-                ocean_utility, points[s], self.prev[s].tolist(), self.goal[s].tolist(),
-                self.current[s].tolist(), self.lam[s].tolist(),
-            )
-        return out
 
     def variation_terms(self, region: Box2D) -> tuple[list[float], bool]:
         """Per pair ``t``, the maximum over ``region`` of ``|grad U_{t+1} - grad U_t|^2``.

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trajsim import objectives as obj
 from trajsim.errors import GridTooCoarse, HorizonMismatch
 from trajsim.field import UniformSpec, synth_field
-from trajsim.geom import dist, left_sum, norm_sq, sub
+from trajsim.geom import dist, dot, left_sum, norm_sq, sub
 from trajsim.metrics import (
     GAP_TOL,
     OfflineProblem,
@@ -36,6 +36,11 @@ TEN_BOX = Box2D((0.0, 0.0), (10.0, 10.0))
 # quarter-meter coordinates: midpoints and half steps are exact floats
 QUARTERS = st.integers(-40, 40).map(lambda k: k / 4)
 COORDS = st.floats(-1e6, 1e6)
+# 40-bit mantissas on a 2**-30 grid: differences are 0 or at least 2**-30, so
+# no square reaches the subnormal range, where rounding is absolute, not relative
+GRID = st.integers(-(2**40), 2**40).map(lambda k: k * 2.0**-30)
+GRID_POINTS = st.tuples(GRID, GRID)
+UNIT = st.integers(0, 2**30).map(lambda k: k * 2.0**-30)
 
 
 def quadratic_sequence(leads):
@@ -604,7 +609,7 @@ class TestUtilitySequenceBatch:
         per_slot = [obj.ocean_gradient(p, g, c, l) for p, g, c, l in zip(pts, goals, currents, lam)]
         assert np.array_equal(voyage.gradient_array(x), per_slot)
 
-    def test_evaluate_equals_the_slot_callables_bitwise(self):
+    def test_evaluate_is_each_slots_share_of_total_bitwise(self):
         rng = np.random.default_rng(7)
         T = 9
         x = rng.normal(0.0, 3.0, (T, 2))
@@ -618,9 +623,45 @@ class TestUtilitySequenceBatch:
             )
         ]
         for family in families:
+            want = [family.total_scale * float(np.sum(row)) for row in family.slot_terms(x)]
             for pts in (x, [tuple(p) for p in x.tolist()]):
-                want = [u(p) for u, p in zip(family.values, pts)]
                 assert list(map(repr, family.evaluate(pts))) == list(map(repr, want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), T=st.integers(1, 8), kind=st.sampled_from(["squared", "huber", "voyage"]))
+    def test_evaluate_agrees_with_the_scalar_references_to_rounding(self, data, T, kind):
+        # Both forms take the same coordinate differences; they round the
+        # squared distance differently (a sum of squares against a squared
+        # hypot), so each slot may differ by a few ulps of its terms' magnitudes
+        def draw(strategy):
+            return data.draw(st.lists(strategy, min_size=T, max_size=T))
+
+        pts = draw(GRID_POINTS)
+        if kind == "voyage":
+            lam, goals, currents, prevs = draw(UNIT), draw(GRID_POINTS), draw(GRID_POINTS), draw(GRID_POINTS)
+            family = VoyageUtilities(lam, goals, currents, prevs)
+            slots = list(zip(pts, prevs, goals, currents, lam))
+            want = [obj.ocean_utility(*slot) for slot in slots]
+            # the quadratic part and the drift part
+            magnitudes = [
+                l * dist(x, g) ** 2 + abs((1.0 - l) * dot(sub(xp, x), c)) for x, xp, g, c, l in slots
+            ]
+        else:
+            leads = draw(GRID_POINTS)
+            v = data.draw(st.integers(1, 2**40).map(lambda k: k * 2.0**-30))
+            mu = data.draw(st.integers(1, 2**30).map(lambda k: k * 2.0**-30))
+            family = CommuteUtilities(leads, v, mu, kind)
+            want = [obj.d2d_utility(x, e, v, mu, kind) for x, e in zip(pts, leads)]
+            # inside the cap the quadratic; beyond it the Huber penalty's
+            # linear, quadratic and constant parts
+            magnitudes = [
+                0.5 * d * d if kind == "squared" or d <= v
+                else v * (1.0 - mu) * d + 0.5 * mu * d * d + (1.0 - mu) * v * v / 2.0
+                for d in (dist(x, e) for x, e in zip(pts, leads))
+            ]
+        eps = np.finfo(float).eps
+        for got, ref, m in zip(family.evaluate(pts), want, magnitudes):
+            assert abs(got - ref) <= 8.0 * eps * m, (got, ref, m)
 
 
 def _random_problem(kind: str, T: int, seed: int) -> tuple[OfflineProblem, list | None]:

@@ -87,20 +87,23 @@ HUBER_COMMUTE_DOC = {**COMMUTE_DOC, "d2d": {**COMMUTE_DOC["d2d"], "utility": "hu
 BOXED_COMMUTE_DOC = {**COMMUTE_DOC, "feasible_box_m": {"lo": [-100, 0], "hi": [900, 700]}}
 
 GOLDEN = {
-    ("voyage", "run", "trace.csv"): "4df5d65c652fc0fc57ac80dee9ba7372021de6d09b240a57380c1bf2994dbc5c",
-    ("voyage", "run", "summary.csv"): "897972fb83d035fb4ef80801240559522733252c38413f3a338970a723e6d197",
-    ("voyage", "benchmark", "trace.csv"): "4df5d65c652fc0fc57ac80dee9ba7372021de6d09b240a57380c1bf2994dbc5c",
+    # voyage, all four: re-taken when evaluate became slot_terms' per-slot share; utility cells, regret moved
+    ("voyage", "run", "trace.csv"): "ec877a7ae28ee4f291689ea9b1571178819e06795ac8c208626f03480f9247be",
+    ("voyage", "run", "summary.csv"): "443e5c6b39f1097659c3a930da52f08033d2e44c7ac9d482e1c988ec0af8b263",
+    ("voyage", "benchmark", "trace.csv"): "ec877a7ae28ee4f291689ea9b1571178819e06795ac8c208626f03480f9247be",
     # re-taken when the gap gained the one-step dual bound: same 20 iterations
     # and regret; offline_gap 0.243265 became 0.242093
     ("voyage", "benchmark", "regret_report.json"): (
-        "fb1d523ff7545dfa6b06408b889db7c305cb7e47edfcdfff13e45305b1931988"
+        "179ef465efbf1bc5a19f6614fd8c0ff7f8e715d273ee488afd171d9b188652b1"
     ),
-    ("commute", "run", "trace.csv"): "e191860d31839af843bdded3c595de03ccaec68fead3c96982579abaf14121cd",
+    # commute trace: re-taken when evaluate became slot_terms' per-slot share; utility cells moved
+    ("commute", "run", "trace.csv"): "6b2c3aa3d900609b1d0dd290846fffa0f214c0ee4c3727b32ef6b93070481f6e",
     # re-taken when squared rows gained the rigid-run bound: the solve stops
     # at 10 iterations, not 20; regret 631963.70 became 631764.92 and S_T
     # 37500.40 became 37497.32
     ("commute", "run", "summary.csv"): "1617858fe80ae0269c9c70c45b255184ac00af39dabf37b1e5cc53f4b6e46b65",
-    ("commute", "benchmark", "trace.csv"): "e191860d31839af843bdded3c595de03ccaec68fead3c96982579abaf14121cd",
+    # commute trace: re-taken when evaluate became slot_terms' per-slot share; utility cells moved
+    ("commute", "benchmark", "trace.csv"): "6b2c3aa3d900609b1d0dd290846fffa0f214c0ee4c3727b32ef6b93070481f6e",
     # re-taken with the summary above, for the same earlier stop
     ("commute", "benchmark", "regret_report.json"): (
         "8220972268df061769a57c763ed0724288cf08a3a3662039c443fadcbe9328a3"
@@ -114,8 +117,9 @@ GOLDEN = {
     ("commute-huber", "benchmark", "regret_report.json"): (
         "d6a9c2fc34a5e5c6b2d4322ba72b96379305e5b191dcbdfac835e131729d71f7"
     ),
+    # commute trace: re-taken when evaluate became slot_terms' per-slot share; utility cells moved
     ("commute-boxed", "benchmark", "trace.csv"): (
-        "a31b909a695a0edf182cf09ad992bc888755e27a669713870fdc0f2b5c670af5"
+        "df7b34394e285afc4e3ea3a3fc5f63f838eb7560d0887c772e0d9dbee8f255a8"
     ),
     # re-taken when the box solve replaced the Dykstra restoration: the
     # offline total -1705040.798 became -1705075.642 with a gap of 61.8
@@ -159,20 +163,22 @@ VOYAGE_TIMED_DOC["ocean"]["field"]["t_grid_s"] = VOYAGE_DOC["ocean"]["field"]["t
 # the shipped configs as they are: gradient noise, the forecast perturbation
 # and the peer's position noise all on
 NOISY_GOLDEN = {
+    # voyage, all four: re-taken when evaluate became slot_terms' per-slot share; utility cells, regret moved
     ("voyage", "standard", "trace.csv"): (
-        "f698260fec00f57c67ebdf620697aa2519628d1a06a0d7238aaca8928d5a7240"
+        "7001df4dc292d1d1b835f880cdd93965a5512b1de9a99db79646e31f737f9787"
     ),
     ("voyage", "standard", "summary.csv"): (
-        "496245b372a9507322de1e533430d713eeae7030cd49cc555c04310a2ef64b78"
+        "696cbfd5a515977a6bf95baf8fd4d00c7e270de9698b034d2cd82c4d19be1336"
     ),
     ("voyage", "lookahead", "trace.csv"): (
-        "f698260fec00f57c67ebdf620697aa2519628d1a06a0d7238aaca8928d5a7240"
+        "7001df4dc292d1d1b835f880cdd93965a5512b1de9a99db79646e31f737f9787"
     ),
     ("voyage", "lookahead", "summary.csv"): (
-        "496245b372a9507322de1e533430d713eeae7030cd49cc555c04310a2ef64b78"
+        "696cbfd5a515977a6bf95baf8fd4d00c7e270de9698b034d2cd82c4d19be1336"
     ),
+    # commute trace: re-taken when evaluate became slot_terms' per-slot share; utility cells moved
     ("commute", "standard", "trace.csv"): (
-        "2b2fbf43fd12699ea0c2c5d9718fd268ee0edb7f148bd743f8fbdccd1e1ddaa5"
+        "fd69c8ab557957d7c1b25fdfe24c9ba5b152e16df840ace13786d6a661aa3808"
     ),
     # re-taken when squared rows gained the rigid-run bound: the solve stops
     # at 10 iterations, not 20; regret 631945.53 became 631747.18, offline_gap
@@ -181,14 +187,16 @@ NOISY_GOLDEN = {
     ("commute", "standard", "summary.csv"): (
         "e53a8ea96f66b6d25e7f6931ada9471658d1a4e4a665957cd67f9ac9b112330e"
     ),
+    # commute trace: re-taken when evaluate became slot_terms' per-slot share; utility cells moved
     ("commute", "lookahead", "trace.csv"): (
-        "b4b78f582f96da5eca786aa6589edd1f7cb1d593ca4e21123ae01343088ec12b"
+        "05c9549b4b14bc3f36e3f2dff3de919e28466d46dda637867be02c502da0e5f1"
     ),
     ("commute", "lookahead", "summary.csv"): (
         "607d8314cf5ee1fe5c04f31d2c4b7638fb9891ff15fe840a44aa102c343e560a"
     ),
+    # voyage: re-taken when evaluate became slot_terms' per-slot share; utility cells, regret moved
     ("voyage-timed", "lookahead", "trace.csv"): (
-        "e559d2d34e6eb005927a8a58e4e792313e8007f23dd3340f685792195a13298c"
+        "655e8b07d6c54cace35e741ba4c383a1309bbebfbae55da64558cf3241a45c45"
     ),
     ("voyage-timed", "lookahead", "summary.csv"): (
         "1d216d1924bf96e757273fe754b7cb90906adadd7cf60bc254726c893c83d8b1"
@@ -221,20 +229,24 @@ def test_noisy_outputs_match_golden_digests(tmp_path, capsys):
 SWEEPS = {"voyage": (VOYAGE_DOC, "0,10,25,40"), "commute": (COMMUTE_DOC, "0,2,5,9")}
 
 SWEEP_GOLDEN = {
-    ("voyage", "summary.csv"): "e429b19932e39d4befd047302a7875561b64c93fbff8fe1ba0cd3cf1d8d4c46d",
-    ("voyage", "trace_delta_0.csv"): "31127865e57b22f7da45f1e0d7fe3e9dddbafeb8052cc9aee0a1f3359904ca7e",
-    ("voyage", "trace_delta_10.csv"): "33c50d23c53a1afe54082088c739e16c7c171a829674621af1597607963ffa52",
-    ("voyage", "trace_delta_25.csv"): "c9fcbd21917b56eb5f90682c1206a443db0b8c1cae83f6aeed3c8984e0e7f2a6",
-    ("voyage", "trace_delta_40.csv"): "cc30c2255300a640c4822263790379119b4cd2b16bd65c6e38f2820e19df1789",
+    # re-taken when evaluate became slot_terms' per-slot share; some rows' regret moved
+    ("voyage", "summary.csv"): "c2a6738b83f2c87076fe3c617255e0da68ed7f692c002183aba94ff6323ffb31",
+    # voyage: re-taken when evaluate became slot_terms' per-slot share; utility cells, regret moved
+    ("voyage", "trace_delta_0.csv"): "31d7ce39b793f3c62bc97a9f9ea2a004ec396d7a19e5fc6a860b0e008aff1c8e",
+    ("voyage", "trace_delta_10.csv"): "b3521201a273e3f02b1302f9b5f3168386bf2d11dd6862f37b647f21a14a82dc",
+    ("voyage", "trace_delta_25.csv"): "d9f921b22d4bfe95458ab0f3c9e43b02b86775b8eacbcd55d4f9b9ebd86891af",
+    ("voyage", "trace_delta_40.csv"): "b9bcc01be43932044fcbd0a98597415251d230a09662f82584fa9e67980c666a",
     # re-taken when squared rows gained the rigid-run bound: delta 5 stops at
     # 20 iterations, not 40, and delta 9 at 30, not 70 (regret 620225.86 and
     # 554117.37 became 620042.64 and 553967.89); deltas 0 and 2 still stop at
     # 10 on the Frank-Wolfe gap
-    ("commute", "summary.csv"): "6dbe60fdf86cc9508224e9adecb5708a981570b8f8a01e1f561b25d2a8418c26",
-    ("commute", "trace_delta_0.csv"): "1e022ef24de42247f869a5c710eeea2262588a7ca2bfcc3d179f5d374c0470d8",
-    ("commute", "trace_delta_2.csv"): "28700a97d66b9876d3e7ca67260894c86e44dba42ab7169241de400cce972e58",
-    ("commute", "trace_delta_5.csv"): "326504c17c8ef9912115e400758780c2da6e23523ff09aa4de8da0f1df245ac6",
-    ("commute", "trace_delta_9.csv"): "5797ced8448f5ef1aaf771eadd8234fc2925c6630ff049122527d897175b9caf",
+    # re-taken when evaluate became slot_terms' per-slot share; some rows' regret moved
+    ("commute", "summary.csv"): "381da523f753cd1f05464c8d145f2f10a9ad33a5f0c39dad60f4a035dc17ec7a",
+    # commute traces: re-taken when evaluate became slot_terms' per-slot share; utility cells moved
+    ("commute", "trace_delta_0.csv"): "ff85b890121dd77fd1977ae8de0ce350cdd8b1a4b53c0694db4814cb3f14f8a2",
+    ("commute", "trace_delta_2.csv"): "203ec68ae51a3df5d455151aa7382d16e578f75ecf4adbdec673711c1fa5a5bb",
+    ("commute", "trace_delta_5.csv"): "917fe1851a985b10cfc233739f589860f2682292de14ec23bab3b8e452f9366e",
+    ("commute", "trace_delta_9.csv"): "0be86d615186973812116ba3d358b686f6e6351a6a0412ed7918e6ca5cafc825",
 }
 
 
