@@ -7,7 +7,11 @@ function of ``(seed, slot)``, which makes replays bit-identical: each slot's
 normals come from Box-Muller on two SplitMix64 outputs keyed by the seed
 and the slot counter (:func:`normal_pair`), so a draw costs O(1) whatever
 the slot, and it does not depend on the horizon or on which slots were
-drawn before.
+drawn before.  So an episode draws its noise ahead of the loop, many slots
+per array pass (:func:`normal_pairs`, :meth:`NoiseModel.draws`), bit for
+bit the per-slot draw: the 64-bit mixing wraps on ``uint64`` arrays, and
+the logarithm, cosine and sine are ``math``'s, mapped over the array, since
+numpy's logarithm differs from it in the last bit.
 
 A driver (:class:`EpisodeDriver`) answers three calls per slot.
 ``plan(t, x_hat, mode)`` returns the exact and the observed gradient and
@@ -23,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Protocol
 
+import numpy as np
+
 from .errors import (
     INTEGER,
     NONNEGATIVE,
@@ -32,7 +38,7 @@ from .errors import (
     check,
     one_of,
 )
-from .geom import Point, Vector
+from .geom import Point, Vector, mapped, points
 from .sets import Box2D
 
 SLACK_TOL = 1e-9
@@ -66,6 +72,32 @@ def _keyed_normal_pair(key: int, t: int) -> tuple[float, float]:
     angle = _TWO_PI * ((_mix64((c + _GOLDEN) & _MASK64) >> 11) * _ULP53)
     r = math.sqrt(-2.0 * math.log(u1))
     return (r * math.cos(angle), r * math.sin(angle))
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` on a ``uint64`` array; array products wrap mod 2^64 without a warning."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def _keyed_normal_pairs(key: int, t0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_keyed_normal_pair` for ``t = t0 .. t0 + n - 1``, as two arrays."""
+    t = np.arange(t0, t0 + n, dtype=np.uint64)
+    c = t * np.uint64(2 * _GOLDEN & _MASK64) + np.uint64(key)
+    u1 = ((_mix64_array(c) >> 11) + 1).astype(float) * _ULP53
+    angle = _TWO_PI * ((_mix64_array(c + np.uint64(_GOLDEN)) >> 11).astype(float) * _ULP53)
+    # IEEE rounds the square root and the products exactly, so numpy may take them
+    r = np.sqrt(-2.0 * mapped(math.log, u1))
+    return r * mapped(math.cos, angle), r * mapped(math.sin, angle)
+
+
+def normal_pairs(seed: int, t0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``normal_pair(seed, t)`` for ``t = t0 .. t0 + n - 1``, bit for bit, as two arrays.
+
+    ``t0`` is at least 0.
+    """
+    return _keyed_normal_pairs(_mix64(seed & _MASK64), t0, n)
 
 
 def normal_pair(seed: int, t: int) -> tuple[float, float]:
@@ -123,6 +155,29 @@ class NoiseModel:
         z0, z1 = _keyed_normal_pair(self._key, t)
         return (sigma * z0, sigma * z1)
 
+    def draws(self, n: int, t0: int = 1) -> tuple[list[float], list[Vector]]:
+        """``[eps(t)]`` and ``[draw(t)]`` for ``t = t0 .. t0 + n - 1``, in one array pass."""
+        if self.kind == "none":
+            return [0.0] * n, [(0.0, 0.0)] * n
+        q = -self.decay_q
+        eps = [self.eps0 * t**q for t in range(t0, t0 + n)]
+        z0, z1 = _keyed_normal_pairs(self._key, t0, n)
+        with np.errstate(all="ignore"):  # as quiet as float arithmetic
+            sigma = np.array(eps) / 2.0**0.5
+            return eps, points(sigma * z0, sigma * z1)
+
+
+# Slots per array pass of an episode's noise draw: a block's floats live only
+# while the loop walks it, so a long episode never holds the whole horizon's.
+NOISE_BLOCK = 1024
+
+
+def _slot_noise(noise: NoiseModel, steps: int):
+    """``(t, eps(t), draw(t))`` for ``t = 1 .. steps``, drawn one block at a time."""
+    for t0 in range(1, steps + 1, NOISE_BLOCK):
+        n = min(NOISE_BLOCK, steps + 1 - t0)
+        yield from zip(range(t0, t0 + n), *noise.draws(n, t0))
+
 
 class EngineState(NamedTuple):
     """Where the agent is at slot ``t`` plus its running gradient-norm max."""
@@ -174,7 +229,8 @@ class EpisodeDriver(Protocol):
 def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
     """Run ``horizon - 1`` steps from the driver's start.
 
-    Returns the waypoint list (length ``horizon``) and one
+    The driver's noise is drawn :data:`NOISE_BLOCK` steps ahead, one array
+    pass per block.  Returns the waypoint list (length ``horizon``) and one
     :class:`StepRecord` per executed step.  Raises
     :class:`InfeasibleStepSize` if the step-size policy fails at some slot
     or the executed step violates its coupled constraint; a NaN slack
@@ -182,17 +238,15 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
     """
     if mode not in ("standard", "lookahead"):
         raise ValueError(f"unknown mode {mode!r}")
-    start, region, noise = driver.start, driver.region, driver.noise
+    start, region = driver.start, driver.region
     plan, step_size, slack_of = driver.plan, driver.gamma, driver.slack
-    eps, draw, hypot = noise.eps, noise.draw, math.hypot
+    hypot = math.hypot
     state = EngineState(1, start, start)
     waypoints: list[Point] = [start]
     records: list[StepRecord] = []
-    for t in range(1, driver.horizon):
+    for t, eps_t, n in _slot_noise(driver.noise, driver.horizon - 1):
         x_hat = state.x_hat
         grad_true, grad_obs = plan(t, x_hat, mode)
-        eps_t = eps(t)
-        n = draw(t, eps_t)
         grad_tilde = (grad_obs[0] + n[0], grad_obs[1] + n[1])
         gbar = max(state.gbar_running, hypot(grad_tilde[0], grad_tilde[1]))
         try:

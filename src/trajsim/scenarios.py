@@ -1,9 +1,10 @@
 """End-to-end experiment runners: commute, voyage, adversary game, sweeps.
 
-A scenario resolves its configuration into per-slot schedules, drives the
-engine one slot at a time, and assembles an :class:`EpisodeReport` holding
-the trajectory, step records, per-slot series, and (optionally) the regret
-report against the offline benchmark.
+A scenario resolves its configuration into per-slot schedules, computed
+once per episode as arrays, drives the engine one slot at a time, and
+assembles an :class:`EpisodeReport` holding the trajectory, step records,
+per-slot series, and (optionally) the regret report against the offline
+benchmark.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import objectives as obj
-from .engine import _MASK64, Mode, NoiseModel, StepRecord, normal_pair, run_episode, slot_seed
+from .engine import _MASK64, Mode, NoiseModel, StepRecord, normal_pairs, run_episode, slot_seed
 from .errors import (
     COUNT,
     FINITE,
@@ -34,14 +35,8 @@ from .errors import (
     one_of,
 )
 from .field import FieldPerturbation, VelocityField, perturb_field, sample_velocity
-from .geom import Point, Vector, dist, left_sum, lerp
-from .metrics import (
-    OfflineProblem,
-    RegretReport,
-    build_regret_report,
-    energy_cost,
-    solve_offline_batch,
-)
+from .geom import Point, Vector, as_array, dist, left_sum, lerp, mapped, points
+from .metrics import OfflineProblem, RegretReport, build_regret_report, solve_offline_batch
 from .sets import Box2D
 
 # Offsets deriving independent per-purpose streams from the master seed.
@@ -77,6 +72,21 @@ class PathSpec:
             return self.start
         travelled = min(self.speed_mps * slot_duration * (t - 1), total)
         return lerp(self.start, self.end, travelled / total)
+
+    def track(self, horizon: int, slot_duration: float) -> list[Point]:
+        """``[at(t, slot_duration) for t = 1 .. horizon]`` in one array pass, bit for bit.
+
+        A static schedule repeats its one ``start`` object, as :meth:`at`
+        returns it; the trace writer's goal-cell cache tests goals by identity.
+        """
+        total = dist(self.start, self.end)
+        if self.speed_mps == 0.0 or total == 0.0:
+            return [self.start] * horizon
+        (s0, s1), (e0, e1) = self.start, self.end
+        with np.errstate(all="ignore"):  # as quiet as float arithmetic
+            run = self.speed_mps * slot_duration * np.arange(horizon, dtype=float)
+            w = np.minimum(run, total) / total
+            return points(s0 + w * (e0 - s0), s1 + w * (e1 - s1))
 
 
 ADVERSARY_POLICIES = ("ioga", "zero", "random")
@@ -255,30 +265,33 @@ class EpisodeReport:
         return dist(self.trajectory[-1], self.goals[-1])
 
 
-def _auto_region(cfg: ScenarioConfig, anchors: Sequence[Point]) -> Box2D:
-    """Feasible box: configured one, else a generous hull of the instance."""
+def _auto_region(cfg: ScenarioConfig, *anchors: np.ndarray) -> Box2D:
+    """Feasible box: configured one, else a generous hull of the ``(n, 2)`` anchor arrays."""
     if cfg.feasible_box is not None:
         return cfg.feasible_box
-    xs = [p[0] for p in anchors]
-    ys = [p[1] for p in anchors]
+    hull = np.vstack(((cfg.start,), *anchors))
     if cfg.ocean_field is not None:
-        (blo, bhi) = cfg.ocean_field.bbox()
-        xs += [blo[0], bhi[0]]
-        ys += [blo[1], bhi[1]]
-    span = max(xs) - min(xs) + max(ys) - min(ys)
-    pad = max(10.0 * cfg.v_slot, 0.5 * span, 1.0)
-    return Box2D((min(xs) - pad, min(ys) - pad), (max(xs) + pad, max(ys) + pad))
+        hull = np.vstack((hull, cfg.ocean_field.bbox()))
+    # the start is finite, and min and max skip a NaN anchor after it
+    (x0, y0), (x1, y1) = np.nanmin(hull, axis=0).tolist(), np.nanmax(hull, axis=0).tolist()
+    pad = max(10.0 * cfg.v_slot, 0.5 * (x1 - x0 + y1 - y0), 1.0)
+    return Box2D((x0 - pad, y0 - pad), (x1 + pad, y1 + pad))
 
 
 class _Driver:
     """Set-up and per-slot bookkeeping shared by the commute and voyage drivers.
 
+    The set-up computes what the agent's position cannot change, once per
+    episode as arrays: the goal schedule here, and the commute's peer, goal
+    weights and leads in its subclass.  ``plan`` indexes these lists.
     A subclass sets ``region`` and implements the :class:`~trajsim.engine.EpisodeDriver`
     calls; its ``plan`` starts with :meth:`source_slot`, and its step sizes take
     the default ``L``, its family's ``smoothness``.  Once the episode is done,
     ``freeze(traj)`` returns the offline benchmark (an :class:`OfflineProblem`
     over the frozen utility family, its step caps and the box), the per-step
-    energies and the link-rate series (``None`` without a link).
+    energies and the link-rate series (``None`` without a link), each
+    computed from the trajectory as an array.  By then ``lambdas`` and
+    ``alphas`` hold one value per step.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -289,9 +302,10 @@ class _Driver:
             cfg.gradient_noise,
             seed=cfg.gradient_noise.seed or cfg.derived_seed(_GRAD_SEED_OFFSET),
         )
-        tau = cfg.slot_duration_s
-        self.goals = [cfg.goal.at(t, tau) for t in range(1, self.horizon + 1)]
-        self.arrived = False
+        self.goals = cfg.goal.track(self.horizon, cfg.slot_duration_s)
+        self.goal_array = as_array(self.goals)
+        # the slot whose waypoint latched arrival at its goal, if any
+        self.arrival: int | None = None
         self.lambdas: list[float] = []
         self.alphas: list[float] = []
         self.v = cfg.v_slot
@@ -299,46 +313,60 @@ class _Driver:
 
     def source_slot(self, t: int, x_hat: Point, mode: Mode) -> int:
         """Latch arrival at slot ``t``'s goal; return the slot whose gradient drives the step."""
-        if not self.arrived and dist(x_hat, self.goals[t - 1]) <= ARRIVAL_TOL_M:
-            self.arrived = True
+        if self.arrival is None and dist(x_hat, self.goals[t - 1]) <= ARRIVAL_TOL_M:
+            self.arrival = t
         return t + 1 if mode == "lookahead" else t
 
 
 class _D2DDriver(_Driver):
-    """Per-episode state machine for the commute scenario."""
+    """Per-episode state machine for the commute scenario.
+
+    Before the arrival latch, slot ``t``'s goal weight is ``t / T`` and its
+    leads are ``leading_path(peer, goal, 1 - t / T)`` of the true and of the
+    observed (jittered) peer; the set-up computes all three for every slot.
+    After the latch the agent holds the goal: the weight is 1 and ``plan``
+    blends at 0 on the peer.  The path changes the weights and leads only
+    through the latch slot, so ``freeze`` writes ``lambdas`` and the leads of
+    the executed steps.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         super().__init__(cfg)
-        tau = cfg.slot_duration_s
-        self.peers = [cfg.peer.at(t, tau) for t in range(1, self.horizon + 1)]
-        self.region = _auto_region(cfg, [cfg.start, *self.goals, *self.peers])
-        # std of the zero-mean Gaussian jitter on the peer's reported position
-        self.peer_std = cfg.peer_noise_std_m
-        self.peer_seed = cfg.derived_seed(_PEER_SEED_OFFSET)
-        self.leads_true: list[Point] = []
+        T = self.horizon
+        self.peers = cfg.peer.track(T, cfg.slot_duration_s)
+        goals, peers = self.goal_array, as_array(self.peers)
+        self.region = _auto_region(cfg, goals, peers)
+        weights = np.arange(1, T + 1) / T  # lambda_increasing(t, T), t = 1 .. T
+        self.weights = weights.tolist()
+        # leading_path's blend lam * y + (1 - lam) * d, at lam = 1 - t / T
+        lam = (1.0 - weights)[:, None]
+        self.peer_array, self.mu, std = peers, cfg.mu, cfg.peer_noise_std_m
+        # the peer's reported position, jittered by std-scaled normals; None without jitter
+        self.observed = None
+        with np.errstate(all="ignore"):  # as quiet as float arithmetic
+            self.lead_array = lam * peers + (1.0 - lam) * goals
+            # without jitter the observed leads are the true ones, and plan takes one gradient
+            self.leads = self.leads_obs = points(*self.lead_array.T)
+            if std != 0.0:
+                z0, z1 = normal_pairs(cfg.derived_seed(_PEER_SEED_OFFSET), 1, T)
+                self.observed = np.stack([peers[:, 0] + std * z0, peers[:, 1] + std * z1], axis=1)
+                self.leads_obs = points(*(lam * self.observed + (1.0 - lam) * goals).T)
 
     def goal_weight(self, t: int) -> float:
-        if self.arrived:
-            return 1.0
-        return obj.lambda_increasing(min(t, self.horizon), self.horizon)
+        return 1.0 if self.arrival is not None else self.weights[min(t, self.horizon) - 1]
 
     def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]:
-        tg = self.source_slot(t, x_hat, mode)
-        ig = min(tg, self.horizon) - 1
-        y_true, goal, v, mu = self.peers[ig], self.goals[ig], self.v, self.cfg.mu
-        lam = self.goal_weight(tg)
-        ell = obj.leading_path(y_true, goal, 1.0 - lam)
-        grad_true = grad_obs = obj.d2d_gradient(x_hat, ell, v, mu)
-        if self.peer_std != 0.0:  # the agent sees the peer's jittered position
-            z0, z1 = normal_pair(self.peer_seed, tg)
-            y_obs = (y_true[0] + self.peer_std * z0, y_true[1] + self.peer_std * z1)
-            grad_obs = obj.d2d_gradient(x_hat, obj.leading_path(y_obs, goal, 1.0 - lam), v, mu)
-        if tg != t:  # bookkeeping stays on the current slot, whatever the gradient source
-            lam = self.goal_weight(t)
-            ell = obj.leading_path(self.peers[t - 1], self.goals[t - 1], 1.0 - lam)
-        self.lambdas.append(lam)
-        self.alphas.append(1.0)
-        self.leads_true.append(ell)
+        i = min(self.source_slot(t, x_hat, mode), self.horizon) - 1
+        if self.arrival is None:
+            ell, ell_obs = self.leads[i], self.leads_obs[i]
+        else:
+            goal = self.goals[i]
+            ell = ell_obs = obj.leading_path(self.peers[i], goal, 0.0)
+            if self.observed is not None:
+                ell_obs = obj.leading_path(self.observed[i].tolist(), goal, 0.0)
+        grad_true = grad_obs = obj.d2d_gradient(x_hat, ell, self.v, self.mu)
+        if ell_obs is not ell:
+            grad_obs = obj.d2d_gradient(x_hat, ell_obs, self.v, self.mu)
         return grad_true, grad_obs
 
     def gamma(self, grad_tilde: Vector, gbar: float) -> float:
@@ -348,22 +376,35 @@ class _D2DDriver(_Driver):
         return dist(a, b) - self.v
 
     def freeze(self, traj: list[Point]):
-        """The commute's offline problem, step energies and link rates."""
-        cfg = self.cfg
-        lam = self.goal_weight(self.horizon)
-        leads = self.leads_true + [obj.leading_path(self.peers[-1], self.goals[-1], 1.0 - lam)]
+        """The commute's offline problem, step energies and link rates.
+
+        The energies and rates are :func:`~trajsim.metrics.energy_cost` of each
+        step in still water and :func:`~trajsim.objectives.rate` of each slot,
+        bit for bit.
+        """
+        cfg, steps = self.cfg, self.horizon - 1
+        held = steps if self.arrival is None else self.arrival - 1  # steps before the latch
+        self.lambdas = self.weights[:held] + [1.0] * (steps - held)
+        self.alphas = [1.0] * steps
+        # the last slot's lead blends at 0 on the peer whether or not the latch fired
+        leads = self.lead_array
+        if held < steps:
+            leads = leads.copy()
+            pairs = zip(self.peers[held:steps], self.goals[held:steps])
+            leads[held:steps] = [obj.leading_path(y, d, 0.0) for y, d in pairs]
         family = obj.CommuteUtilities(leads, cfg.v_slot, cfg.mu, cfg.utility_kind)
-        rate_series = [
-            obj.rate(x, y, cfg.alpha_p, cfg.bandwidth_hz, cfg.noise_power)
-            for x, y in zip(traj, self.peers)
-        ]
-        energy_steps = [
-            energy_cost([a, b], None, cfg.drag_coefficient, cfg.slot_duration_s)
-            for a, b in zip(traj, traj[1:])
-        ]
-        centers, radii = np.zeros((self.horizon - 1, 2)), np.full(self.horizon - 1, cfg.v_slot)
+        path, tau, q = as_array(traj), cfg.slot_duration_s, -cfg.alpha_p
+        with np.errstate(all="ignore"):  # as quiet as float arithmetic
+            gap = path - self.peer_array
+            d = np.maximum(mapped(math.hypot, *gap.T), obj.RATE_MIN_DISTANCE_M)
+            rss = np.array([x**q for x in d.tolist()])
+            rates = cfg.bandwidth_hz * mapped(math.log2, 1.0 + rss / (rss + cfg.noise_power))
+            speed = mapped(math.hypot, *(np.diff(path, axis=0) / tau).T)
+            cubes = np.array([s**3 for s in speed.tolist()])
+            energy = 0.0 + cfg.drag_coefficient * cubes * tau
+        centers, radii = np.zeros((steps, 2)), np.full(steps, cfg.v_slot)
         problem = OfflineProblem(self.start, family, centers, radii, self.region)
-        return problem, energy_steps, rate_series
+        return problem, energy.tolist(), rates.tolist()
 
 
 class _OceanDriver(_Driver):
@@ -371,7 +412,7 @@ class _OceanDriver(_Driver):
 
     def __init__(self, cfg: ScenarioConfig):
         super().__init__(cfg)
-        self.region = _auto_region(cfg, [cfg.start, *self.goals])
+        self.region = _auto_region(cfg, self.goal_array)
         self.truth = cfg.ocean_field
         pert = cfg.perturbation
         if pert is not None and pert.seed == 0:
@@ -402,7 +443,7 @@ class _OceanDriver(_Driver):
         goal = self.goals[min(t, self.horizon) - 1]
         eta, theta = obj.current_strength_angle(goal, x_hat, vo_meas, self.v_o_max_slot)
         half = math.cos(theta / 2.0)
-        if self.arrived:
+        if self.arrival is not None:
             lam = 1.0
         elif self.increasing:
             lam = min(t, self.horizon) / self.horizon
@@ -441,19 +482,20 @@ class _OceanDriver(_Driver):
         # measured there; slot T has no executed step and reuses the last weights
         lams, currents = self.lambdas, self.currents_true
         lams = lams + [lams[-1] if lams else 1.0]
-        currents = currents + [currents[-1] if currents else (0.0, 0.0)]
-        family = obj.VoyageUtilities(lams, self.goals, currents, [traj[0], *traj[:-1]])
-        tau = self.tau
-        energy_steps = []
-        for t, (a, b) in enumerate(zip(traj, traj[1:])):
-            vo = self.currents_true[t]  # m/slot at the visited waypoint
-            rel_speed = math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) / tau
-            energy_steps.append(self.cfg.drag_coefficient * rel_speed**3 * tau)
+        currents = as_array(currents + [currents[-1] if currents else (0.0, 0.0)])
+        path, tau = as_array(traj), self.tau
+        prev = np.vstack((path[:1], path[:-1]))
+        family = obj.VoyageUtilities(lams, self.goal_array, currents, prev)
+        with np.errstate(all="ignore"):  # as quiet as float arithmetic
+            # the step relative to the true current at the visited waypoint, in m/slot
+            rel = np.diff(path, axis=0) - currents[:-1]
+            speed = mapped(math.hypot, *rel.T) / tau
+            energy = self.cfg.drag_coefficient * np.array([s**3 for s in speed.tolist()]) * tau
         # one cap per executed step: the true current at the visited waypoint
         # (the family's currents but the last), the throttled speed
         radii = np.array(self.alphas, dtype=float) * self.v
         problem = OfflineProblem(self.start, family, family.current[:-1], radii, self.region)
-        return problem, energy_steps, None
+        return problem, energy.tolist(), None
 
 
 _DRIVERS = {"d2d": _D2DDriver, "ocean": _OceanDriver}

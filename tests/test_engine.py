@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from episode_reference import run_episode_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trajsim.engine
 from trajsim.engine import (
+    NOISE_BLOCK,
     EngineState,
     NoiseModel,
     ioga_step,
     normal_pair,
+    normal_pairs,
     run_episode,
 )
 from trajsim.errors import EmptyStepInterval, InfeasibleStepSize, SchemaError
@@ -126,6 +131,60 @@ class TestNoiseStream:
         monkeypatch.setattr(trajsim.engine, "_mix64", lambda z: h)
         z0, z1 = normal_pair(1, 1)
         assert math.isfinite(z0) and math.isfinite(z1)
+
+
+def _bits(values) -> bytes:
+    """The float64 bits of a (nested) float sequence; tells -0.0 from 0.0."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestBatchNoise:
+    """The one-pass horizon draw against the per-slot scalar draw, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(-(2**70), 2**70), t0=st.integers(0, 10**7), n=st.integers(0, 300))
+    # the seeds that exercise the & _MASK64 wrap
+    @example(seed=0, t0=0, n=300)
+    @example(seed=-1, t0=1, n=300)
+    @example(seed=2**63, t0=10**7, n=300)
+    @example(seed=2**64 - 1, t0=10**7, n=300)
+    def test_normal_pairs_equal_the_scalar_pairs(self, seed, t0, n):
+        z0, z1 = normal_pairs(seed, t0, n)
+        want = [normal_pair(seed, t) for t in range(t0, t0 + n)]
+        assert _bits(np.stack([z0, z1], axis=-1)) == _bits(want)
+
+    @pytest.mark.parametrize("n, t0", [(0, 1), (1, 1), (5000, 1), (700, 1025)])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NoiseModel(kind="none"),
+            NoiseModel(kind="gaussian_decaying", eps0=0.3, decay_q=0.7, seed=2**64 - 1),
+            NoiseModel(kind="gaussian_decaying", eps0=0.0, decay_q=1.0, seed=9),
+            # the draws overflow to inf as quietly as the scalar products
+            NoiseModel(kind="gaussian_decaying", eps0=1e308, decay_q=0.0, seed=9),
+        ],
+        ids=["none", "gaussian_decaying", "eps0_zero", "eps0_overflowing"],
+    )
+    def test_draws_equal_the_per_slot_calls(self, model, n, t0):
+        eps, draws = model.draws(n) if t0 == 1 else model.draws(n, t0)
+        slots = range(t0, t0 + n)
+        assert _bits(eps) == _bits([model.eps(t) for t in slots])
+        assert _bits(draws) == _bits([model.draw(t) for t in slots])
+        assert all(type(e) is float for e in eps)
+        assert all(type(c) is float for d in draws for c in d)
+
+
+    @pytest.mark.parametrize("mode", ["standard", "lookahead"])
+    def test_blocked_episode_equals_the_per_slot_loop(self, mode):
+        # two and a half noise blocks, each drawn in one array pass
+        T = 5 * NOISE_BLOCK // 2
+        targets = [(0.01 * t, 3.0 * math.sin(0.01 * t)) for t in range(1, T + 1)]
+        noise = NoiseModel(kind="gaussian_decaying", eps0=0.3, decay_q=0.4, seed=17)
+        got = run_episode(_ChaserDriver(targets, T, noise), mode)
+        want = run_episode_reference(_ChaserDriver(targets, T, noise), mode)
+        # element by element, so that a failure names its first slot quickly
+        for got_part, want_part in zip(got, want):
+            assert list(map(repr, got_part)) == list(map(repr, want_part))
 
 
 class TestIogaStep:

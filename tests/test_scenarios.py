@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from episode_reference import ReferenceCommute, run_episode_reference
 from trajsim import objectives as obj
-from trajsim.engine import NoiseModel
+from trajsim.engine import NoiseModel, run_episode
 from trajsim.errors import InfeasibleStepSize, SchemaError
 from trajsim.field import FieldPerturbation, UniformSpec, synth_field
 from trajsim.geom import dist, dot, left_sum, norm, sub
@@ -20,6 +21,7 @@ from trajsim.scenarios import (
     AdversaryParams,
     PathSpec,
     ScenarioConfig,
+    _D2DDriver,
     apply_sweep_value,
     run_adversary,
     run_scenario,
@@ -255,6 +257,36 @@ class TestPathSpec:
         assert p.at(3, 1.0) == (4.0, 0.0)
         assert p.at(100, 1.0) == (10.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PathSpec((0.3, 3.0), (12.1, -3.7), speed_mps=1.3),  # clamps at its end
+            PathSpec((0.3, 3.0), (12.1, -3.7), speed_mps=0.0),
+            PathSpec((1.5, -2.0), (1.5, -2.0), speed_mps=0.7),
+            PathSpec((-0.0, 5.0), (-0.0, -7.3), speed_mps=0.9),
+            PathSpec((2.0, -0.0), (-0.0, 0.0), speed_mps=0.25),
+            PathSpec((0.0, 1.0), (3.0, -1.0), speed_mps=1e308),  # the walked length overflows
+        ],
+        ids=[
+            "clamped-walk", "zero-speed", "equal-endpoints", "minus-zero-start", "minus-zero-end",
+            "overflowing-walk",
+        ],
+    )
+    @pytest.mark.parametrize("tau", [1.0, 0.3])
+    def test_track_equals_at_bit_for_bit(self, spec, tau):
+        want = [spec.at(t, tau) for t in range(1, 61)]
+        got = spec.track(60, tau)
+        assert _reprs(got) == _reprs(want)
+        assert all(type(c) is float for p in got for c in p)
+
+    def test_static_track_repeats_the_start_object(self):
+        spec = PathSpec((1.0, 2.0), (1.0, 2.0))
+        assert all(p is spec.start for p in spec.track(5, 1.0))
+        # the trace writer's goal-cell cache tests goals by identity
+        for report in (run_scenario(d2d_config(), benchmark=False),
+                       run_scenario(ocean_config(), benchmark=False)):
+            assert all(goal is report.goals[0] for goal in report.goals)
+
 
 class TestRunD2D:
     def test_starts_exactly_at_s(self):
@@ -461,6 +493,22 @@ class TestRunOcean:
             cross = step[0] * unit[1] - step[1] * unit[0]
             assert abs(cross) <= 1e-9
         assert rep.final_goal_distance <= cfg.v_slot
+
+    # a drag of 1e308 overflows some energies to inf, as quietly as float arithmetic does
+    @pytest.mark.parametrize("drag, tau", [(1.0, 2.0), (1e308, 10.0)])
+    def test_energy_steps_are_the_per_step_formula(self, drag, tau):
+        fld = synth_field(UniformSpec(0.25, -0.1), (-100.0, 300.0), (-100.0, 300.0))
+        rep = run_scenario(
+            ocean_config(ocean_field=fld, drag_coefficient=drag, slot_duration_s=tau),
+            benchmark=False,
+        )
+        traj, currents = rep.trajectory, rep.problem.centers.tolist()
+        want = []
+        for a, b, vo in zip(traj, traj[1:], currents):
+            speed = math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) / tau
+            want.append(drag * speed**3 * tau)
+        assert _reprs(rep.energy_steps) == _reprs(want)
+        assert math.inf in want or drag == 1.0
 
     def test_alpha_throttle_caps_steps(self):
         fld = synth_field(UniformSpec(0.25, -0.1), (-100.0, 300.0), (-100.0, 300.0))
@@ -795,3 +843,112 @@ class TestOfflineCertificate:
         sol = solve_offline(problem, x0=report.trajectory)
         assert sol.converged and sol.max_violation <= 1e-9
         assert math.isfinite(sol.gap) and sol.gap >= 0.0
+
+
+def _reprs(values):
+    """Each element's ``repr``: equal bits, -0.0 told from 0.0, and a quick diff on failure."""
+    return list(map(repr, values)) if isinstance(values, list) else repr(values)
+
+
+def _outcome(run):
+    """What a run returns, or the type and message of the error it raises."""
+    try:
+        return run()
+    except InfeasibleStepSize as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 4.75, 9.0])
+_POINTS = st.tuples(_COORDS, _COORDS)
+
+
+@st.composite
+def small_commutes(draw):
+    """Commutes of up to about 40 slots over small geometry; the corners come as examples."""
+    goal_speed = draw(st.sampled_from([0.0, 0.0, 0.3]))
+    noise = draw(st.sampled_from([
+        NoiseModel(),
+        NoiseModel("gaussian_decaying", 0.05, 1.0, 0),
+        NoiseModel("gaussian_decaying", 0.0, 0.5, 3),
+    ]))
+    return d2d_config(
+        start=draw(_POINTS),
+        goal=PathSpec(draw(_POINTS), draw(_POINTS), goal_speed),
+        peer=PathSpec(draw(_POINTS), draw(_POINTS), draw(st.sampled_from([0.0, 0.8, 2.5]))),
+        peer_noise_std_m=draw(st.sampled_from([0.0, 0.4, 2.0])),
+        delta=draw(st.integers(0, 30)),
+        utility_kind=draw(st.sampled_from(["squared", "huber"])),
+        mu=draw(st.sampled_from([1e-3, 0.2])),
+        gradient_noise=noise,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        # a negative drag makes a held slot's energy -0.0 before the sum's 0.0 +
+        drag_coefficient=draw(st.sampled_from([1.0, -0.5])),
+    )
+
+
+# the agent starts on its goal, so the arrival latch fires at slot 1; jittered
+# and not, the goal with a -0.0 coordinate
+_LATCH_AT_ONCE = dict(
+    start=(-0.0, 4.75),
+    goal=PathSpec((-0.0, 4.75), (-0.0, 4.75)),
+    peer=PathSpec((-2.5, 1.0), (9.0, 1.0), speed_mps=0.8),
+    delta=12,
+)
+# the peer waits on the goal, so the agent reaches it mid-episode and holds it
+_LATCH_LATER = dict(
+    start=(0.0, 0.0),
+    goal=PathSpec((4.75, -0.0), (4.75, -0.0)),
+    peer=PathSpec((4.75, -0.0), (4.75, -0.0)),
+    delta=25,
+)
+
+
+class TestPrecomputedCommute:
+    """The precomputed commute against the per-slot one in ``episode_reference``, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=small_commutes(), mode=st.sampled_from(["standard", "lookahead"]))
+    @example(cfg=d2d_config(**_LATCH_AT_ONCE), mode="standard")
+    @example(cfg=d2d_config(**_LATCH_AT_ONCE, peer_noise_std_m=0.4), mode="lookahead")
+    @example(cfg=d2d_config(**_LATCH_LATER), mode="standard")
+    @example(cfg=d2d_config(**_LATCH_LATER, drag_coefficient=-0.5), mode="lookahead")
+    @example(
+        cfg=d2d_config(goal=PathSpec((9.0, -0.0), (1.0, -2.5), 0.3), peer_noise_std_m=2.0, delta=9),
+        mode="lookahead",
+    )
+    # overflowing schedules: float arithmetic makes inf and NaN quietly, and so must the arrays
+    @example(cfg=d2d_config(peer_noise_std_m=1e308), mode="standard")
+    @example(cfg=d2d_config(drag_coefficient=1e308, slot_duration_s=2.0), mode="standard")
+    @example(
+        cfg=d2d_config(peer=PathSpec((0.0, 0.0), (5.0, 5.0), 1e308), slot_duration_s=2.0),
+        mode="standard",
+    )
+    def test_matches_the_per_slot_commute(self, cfg, mode):
+        ref = ReferenceCommute(cfg)
+        driver = _D2DDriver(cfg)
+        assert driver.region == ref.region
+        got = _outcome(lambda: run_episode(driver, mode))
+        want = _outcome(lambda: run_episode_reference(ref, mode))
+        assert [_reprs(part) for part in got] == [_reprs(part) for part in want]
+        if isinstance(want[0], str):
+            return  # both failed at the same slot with the same message
+        problem, energy_steps, rate_series = driver.freeze(got[0])
+        leads, ref_energy, ref_rates = ref.freeze(want[0])
+        assert _reprs(driver.lambdas) == _reprs(ref.lambdas)
+        assert _reprs(driver.alphas) == _reprs(ref.alphas)
+        # the frozen family's leads are leads_true plus the last slot's
+        assert _reprs(problem.utilities.leads.tolist()) == _reprs(list(map(list, leads)))
+        assert _reprs(energy_steps) == _reprs(ref_energy)
+        assert _reprs(rate_series) == _reprs(ref_rates)
+
+    @pytest.mark.parametrize("mode", ["standard", "lookahead"])
+    @pytest.mark.parametrize(
+        "case, slot", [(_LATCH_AT_ONCE, 1), (_LATCH_LATER, None)], ids=["at-once", "later"]
+    )
+    def test_the_latch_examples_latch(self, case, slot, mode):
+        driver = _D2DDriver(d2d_config(**case))
+        run_episode(driver, mode)
+        if slot is None:
+            assert 1 < driver.arrival < driver.horizon - 1
+        else:
+            assert driver.arrival == slot
