@@ -39,8 +39,13 @@ ORACLE_MAX_NODES = 101
 # the offline ascent stops a row once its duality gap is at most this share
 # of its gain over the start, max(1, U(x) - U(x0)): the default ``tol``
 GAP_TOL = 1e-3
-# iterations between two gap checks; each check costs one gradient
+# the ascent's gap checks fall on multiples of this many iterations: after a
+# failing check a row waits until the trend of its gaps says the next one can
+# pass, at least this many iterations and at most _MAX_WAIT times as many.  A
+# check costs a gradient and the certificate's kernels: on a T = 128 Huber
+# row, about three iterations
 GAP_EVERY = 10
+_MAX_WAIT = 4
 # a box-binding row's rounds ascend until their box gap is this share of the
 # gap the stop still needs; the cap penalty starts at the smoothness and grows
 # this much after a round that cut the largest cap violation less than 4x
@@ -104,6 +109,7 @@ class OfflineProblem:
 class OfflineSolution:
     points: list[Point]
     utility: float
+    # ascent iterations; a box-binding row counts its box solve's
     iterations: int
     converged: bool
     max_violation: float
@@ -112,6 +118,10 @@ class OfflineSolution:
     warning: str | None = None
     # momentum restarts taken by the accelerated ascent
     restarts: int = 0
+    # gap checks: the duality gaps the solve computed and tested against a
+    # stop (the ascent's scheduled checks; a box solve's inner box gaps and
+    # round bounds)
+    checks: int = 0
 
 
 def _clamp_balls(z: np.ndarray, radii: np.ndarray, floors: np.ndarray) -> np.ndarray:
@@ -160,11 +170,14 @@ class _Lockstep:
 
     It keeps the problems it was given.  Per row it tracks the problem index
     (``ids``), the momentum ``t_k``, the momentum restarts, the total at the
-    start ``u0`` and the duality gap at the last check (``gaps``);
-    :meth:`_load` builds every array for those rows, and :meth:`take` is the
-    one place a row leaves, from the lists and the arrays alike.
-    ``results`` holds each stopped row's waypoints, iteration count, restart
-    count, gap and whether the gap met the stop, by problem index.
+    start ``u0``, the duality gap at the last check (``gaps``) and the
+    row's check schedule: the iteration its next check is due (``due``),
+    its last check's iteration and gap over the stop's threshold
+    (``last``), and its checks so far (``checks``); :meth:`_load` builds
+    every array for those rows, and :meth:`take` is the one place a row
+    leaves, from the lists and the arrays alike.  ``results`` holds each
+    stopped row's waypoints, iteration count, restart count, gap, whether
+    the gap met the stop and check count, by problem index.
 
     Displacements, cap centers and radii are zero-padded past each row's
     ``T - 1`` caps; a padded cap has radius zero, so its displacement stays
@@ -181,6 +194,9 @@ class _Lockstep:
     it; what a method returns to its caller is never one of them.
     """
 
+    # the per-row lists, by attribute name: take() cuts each to the rows it keeps
+    _ROW_STATE = ("ids", "t_k", "restarts", "u0", "gaps", "due", "last", "checks")
+
     def __init__(self, problems: Sequence[OfflineProblem], x0s: Sequence):
         n = len(problems)
         self.problems = problems
@@ -188,6 +204,9 @@ class _Lockstep:
         self.t_k = [1.0] * n
         self.restarts = [0] * n
         self.gaps = [math.inf] * n
+        self.due = [0] * n
+        self.last: list = [None] * n
+        self.checks = [0] * n
         self.results: list = [None] * n
         self._load()
         # the warm starts, as clamped displacements
@@ -268,10 +287,9 @@ class _Lockstep:
 
         Returns the ascent's ``z``, ``z_prev`` and ``totals`` cut to those rows.
         """
-        state = (self.ids, self.t_k, self.restarts, self.u0, self.gaps)
-        self.ids, self.t_k, self.restarts, self.u0, self.gaps = (
-            [seq[j] for j in rows] for seq in state
-        )
+        for name in self._ROW_STATE:
+            seq = getattr(self, name)
+            setattr(self, name, [seq[j] for j in rows])
         self._load()
         width = self.centers.shape[1]
         return z[rows, :width], z_prev[rows, :width], [totals[j] for j in rows]
@@ -282,7 +300,7 @@ class _Lockstep:
         for j in rows:
             waypoints = x[j, : self.horizons[j]].copy()
             self.results[self.ids[j]] = (
-                waypoints, iterations, self.restarts[j], self.gaps[j], met[j]
+                waypoints, iterations, self.restarts[j], self.gaps[j], met[j], self.checks[j]
             )
 
     def rebuild(self, z: np.ndarray) -> np.ndarray:
@@ -317,20 +335,24 @@ class _Lockstep:
         return np.add.reduceat(buffer.ravel(), segments)[::2].tolist()
 
     def values(self, z: np.ndarray, rows: Iterable[int] | None = None) -> list[float]:
-        """Totals of the given rows (all by default) at displacements ``z``."""
+        """Totals of the given rows (all by default) at displacements ``z``.
+
+        The waypoints stay in ``x`` and the slot terms in ``terms``, for a
+        check at ``z`` to read.
+        """
         self.terms = self.family.slot_terms(self.rebuild(z), out=self.terms)
         scale = self.family.total_scale
         sums = self._row_sums(self.terms, self.horizons)
         return [scale * sums[r] for r in (range(len(sums)) if rows is None else rows)]
 
-    def gradient(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The family's gradient at the waypoints of ``z``, and the gradient in ``z``.
+    def gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The family's gradient at waypoints ``x``, and the gradient in their displacements.
 
         Padded slots get a zero waypoint gradient.  The gradient in ``z`` is
         per cap ``t`` the sum of the waypoint gradients ``gx[:, s]`` over
         ``s > t``.
         """
-        gx = self.family.gradient_array(self.rebuild(z), out=self.gx)
+        gx = self.family.gradient_array(x, out=self.gx)
         if self.pad is not None:
             np.put(gx, self.pad, -0.0)
         np.add.accumulate(gx[:, ::-1], axis=1, out=self.sums_reversed)
@@ -341,7 +363,7 @@ class _Lockstep:
 
         The radial clamp of :func:`_clamp_balls`, on the workspace.
         """
-        w = np.multiply(self.step, self.gradient(z)[1], out=self.w)
+        w = np.multiply(self.step, self.gradient(self.rebuild(z))[1], out=self.w)
         np.add(z, w, out=w)
         n = np.hypot(*self.w_coords, out=self.norms)
         np.divide(self.radii, np.maximum(n, self.floors, out=n), out=self.scales)
@@ -361,6 +383,10 @@ class _Lockstep:
     def certify(self, z: np.ndarray, totals: list[float], tol: float) -> list[bool]:
         """Refresh each row's gap at ``z``; whether it is at most ``tol * max(1, U - U(x0))``.
 
+        ``z`` is the point of the last :meth:`values` call, whose waypoints
+        and slot terms the check reads; each row's threshold goes to
+        ``limits``.
+
         Any cap multipliers ``lam`` bound the shortfall by weak duality:
         ``U* - U(z) <= sum_t (r_t |lam_t| - <lam_t, z_t>) + sum_{s>=1} FY_s(a_s)``
         with ``a = grad U(x) + D^T (lam - g)``, ``(D^T v)_s = v_{s-1} - v_s``,
@@ -377,7 +403,7 @@ class _Lockstep:
         term is nonnegative for ``|z_t| <= r_t``; one that rounds below zero
         counts as zero, which only loosens the bound.
         """
-        gx, g = self.gradient(z)
+        gx, g = self.gradient(self.x)
         z_by_axis = _by_axis(z)
         self.gaps = self._row_sums(self._cap_terms(self.g_by_axis, z_by_axis), self.cap_counts)
         kappa = self.family.curvature(gx)
@@ -394,7 +420,23 @@ class _Lockstep:
                 terms = self._dual_step_terms(gx, g, z_by_axis, kappa)
                 bounds = self._row_sums(terms, self.cap_counts)
                 self.gaps = [min(f, b) if s else f for f, b, s in zip(self.gaps, bounds, stepped)]
-        return [gap <= tol * max(1.0, f - f0) for gap, f, f0 in zip(self.gaps, totals, self.u0)]
+        self.limits = [tol * max(1.0, f - f0) for f, f0 in zip(totals, self.u0)]
+        return [gap <= limit for gap, limit in zip(self.gaps, self.limits)]
+
+    def schedule(self, iteration: int, max_iter: int) -> list[bool]:
+        """Which rows are due at ``iteration``; each due row counts the check and sets its next.
+
+        It reads the gaps and thresholds of the :meth:`certify` call just
+        made; the next check is :func:`_next_check`'s, or ``max_iter``.
+        """
+        due = [d <= iteration for d in self.due]
+        for j in (j for j, d in enumerate(due) if d):
+            self.checks[j] += 1
+            limit = self.limits[j]
+            ratio = self.gaps[j] / limit if limit > 0.0 else math.inf
+            self.due[j] = min(_next_check(iteration, ratio, self.last[j]), max_iter)
+            self.last[j] = (iteration, ratio)
+        return due
 
     def _rigid_run_point(self, z: np.ndarray) -> None:
         """Set ``lam`` to the gradient in ``z`` at the best placement of the iterate's rigid runs.
@@ -450,33 +492,63 @@ class _Lockstep:
         = grad U(x) + D^T (lam - g)``, each clamped at zero.
         """
         delta = _chain_adjoint(np.subtract(self.lam, g, out=self.w), out=self.adjoint)
-        self.residuals = self.family.fenchel_young(self.x, gx, delta, out=self.residuals)
+        self.residuals = self.family.fenchel_young(
+            self.x, gx, delta, self.terms, out=self.residuals
+        )
         residuals = self.residuals[:, 1:]
         terms = self._cap_terms(self.lam_by_axis, z_by_axis)
         return np.add(terms, np.maximum(residuals, _ZERO, out=residuals), out=terms)
 
 
+def _next_check(iteration: int, ratio: float, last: tuple[int, float] | None) -> int:
+    """When a row checks next, after a failing check at ``iteration``.
+
+    ``ratio`` is that check's gap over the stop's threshold, and ``last``
+    the row's check before it, an iteration and its ratio.  The gap falls
+    about geometrically, so the line through the logs of the two ratios
+    predicts the iteration where the ratio reaches 1.  The wait until it is
+    rounded down to a multiple of :data:`GAP_EVERY`, and kept between one
+    and ``_MAX_WAIT`` of them; a row without an earlier check, or whose
+    ratio did not fall since it, waits one.
+    """
+    fall = last[1] / ratio if last is not None and 1.0 < ratio < math.inf else 0.0
+    if not fall > 1.0:
+        return iteration + GAP_EVERY
+    ahead = math.log(ratio) * (iteration - last[0]) / math.log(fall)
+    waits = int(min(ahead, _MAX_WAIT * GAP_EVERY)) // GAP_EVERY
+    return iteration + max(waits, 1) * GAP_EVERY
+
+
 def _ascend(
     problems: Sequence[OfflineProblem], x0s: Sequence, max_iter: int, tol: float
-) -> list[tuple[np.ndarray, int, int, float, bool]]:
+) -> list[tuple[np.ndarray, int, int, float, bool, int]]:
     """Accelerated projected ascent on all rows at once, with per-row state.
 
-    Momentum, the restart test, the gap stop and the iteration count are
-    kept per row, and a row that stops leaves the lockstep; every numpy call
-    covers all rows still ascending.  Every :data:`GAP_EVERY` iterations,
-    and at ``max_iter``, each row's gap is checked against ``tol``.  Returns
-    each row's waypoints, iteration count, restart count, gap and whether
-    the gap met the stop.  The iterates ``z``, ``z_prev`` and ``z_new`` take
-    turns in three arrays.
+    Momentum, the restart test, the gap stop, the check schedule and the
+    iteration count are kept per row, and a row that stops leaves the
+    lockstep; every numpy call covers all rows still ascending.  Each row is
+    checked at iteration 0, then at the iterations :func:`_next_check`
+    schedules after each failing check, and at ``max_iter``.  A check
+    computes every row's gap, and only the rows due then act on theirs, so
+    a row stops where it would stop alone.  The check reads the waypoints
+    and slot terms of the restart test's totals at the same iterate; after
+    a restart those hold the restarted point of every row, and the check
+    computes them afresh.  Returns each row's waypoints, iteration count,
+    restart count, gap, whether the gap met the stop and check count.  The
+    iterates ``z``, ``z_prev`` and ``z_new`` take turns in three arrays.
     """
     st = _Lockstep(problems, x0s)
     z, z_prev, z_new = st.z0, st.z0.copy(), np.empty_like(st.z0)
     f_curr = list(st.u0)
-    iterations = 0
+    iterations = next_due = 0
+    stale = False
     while True:
-        if iterations % GAP_EVERY == 0 or iterations >= max_iter:
+        if iterations >= next_due:
+            if stale:
+                st.values(z)
             met = st.certify(z, f_curr, tol)
-            done = [m or iterations >= max_iter for m in met]
+            due = st.schedule(iterations, max_iter)
+            done = [d and (m or iterations >= max_iter) for d, m in zip(due, met)]
             if any(done):
                 st.record([j for j, d in enumerate(done) if d], z, iterations, met)
                 if all(done):
@@ -484,6 +556,7 @@ def _ascend(
                 keep = [j for j, d in enumerate(done) if not d]
                 z, z_prev, f_curr = st.take(keep, z, z_prev, f_curr)
                 z_new = np.empty_like(z)
+            next_due = min(st.due)
         iterations += 1
         t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) for t in st.t_k]
         beta = row_scalars([(t - 1.0) / tn for t, tn in zip(st.t_k, t_next)])
@@ -492,6 +565,7 @@ def _ascend(
         z_new = st.ascent_step(y, out=z_new)
         f_new = st.values(z_new)
         back = [j for j, (fn, fc) in enumerate(zip(f_new, f_curr)) if fn < fc]
+        stale = bool(back)
         if back:
             # momentum overshoot: restart these rows from a plain projected step
             z_back = st.ascent_step(z)
@@ -519,16 +593,20 @@ def solve_offline(
     restarts whenever the objective decreases.  The step size follows from
     the horizon.
 
-    Every :data:`GAP_EVERY` iterations the solve computes a duality gap at
-    its iterate, an upper bound on how far the optimum lies above it: the
-    smaller of the Frank-Wolfe gap and a second bound at other cap
-    multipliers, the gradient at the best placement of the iterate's rigid
-    runs for a squared commute and one preconditioned step for a row whose
-    conjugates differ in curvature (see ``_Lockstep.certify``).  It stops once the gap is at most
-    ``tol * max(1, U(x) - U(x0))``, where ``x0`` is the starting
+    At checks the solve computes a duality gap at its iterate, an upper
+    bound on how far the optimum lies above it: the smaller of the
+    Frank-Wolfe gap and a second bound at other cap multipliers, the
+    gradient at the best placement of the iterate's rigid runs for a
+    squared commute and one preconditioned step for a row whose conjugates
+    differ in curvature (see ``_Lockstep.certify``).  It stops once the gap
+    is at most ``tol * max(1, U(x) - U(x0))``, where ``x0`` is the starting
     trajectory; ``converged`` says that this held, and ``gap`` carries the
-    bound.  At ``max_iter`` the solve stops uncertified unless that last
-    check passes.
+    bound.  The first check is at iteration 0.  After a failing one, the
+    next waits until the gap's geometric trend over the last two checks
+    reaches the threshold: a whole number of :data:`GAP_EVERY` iterations,
+    from one to four of them (``_next_check``).  At ``max_iter`` the solve
+    checks once more and stops uncertified unless that check passes.
+    ``checks`` counts the gaps computed, ``restarts`` the momentum restarts.
 
     The region membership is verified afterwards.  In the rare case that
     the box binds, the row is solved again alone in waypoint space
@@ -580,24 +658,25 @@ def _finish(
     if ascent is None:  # T == 1: the start pin is the whole trajectory
         pts = [problem.start]
         return OfflineSolution(pts, us.total(pts), 0, True, 0.0, 0.0)
-    x, iterations, restarts, gap, met = ascent
+    x, iterations, restarts, gap, met, checks = ascent
     cons = (problem.start, problem.centers, problem.radii, problem.region)
     box_excess, violation = _violation(x, *cons)
     if box_excess > 1e-9:
-        x, iterations, restarts, gap, met = _solve_boxed(problem, x0, max_iter, tol)
+        x, iterations, restarts, gap, met, checks = _solve_boxed(problem, x0, max_iter, tol)
         violation = _violation(x, *cons)[1]
     converged = violation <= 1e-6 and met
     warning = f"final violation {violation:.3e} above 1e-6" if violation > 1e-6 else None
     pts = [(p[0], p[1]) for p in x.tolist()]
     return OfflineSolution(
         points=pts,
-        utility=us.total(pts),
+        utility=us.total(x),
         iterations=iterations,
         converged=converged,
         max_violation=violation,
         warning=warning,
         restarts=restarts,
         gap=gap,
+        checks=checks,
     )
 
 
@@ -657,7 +736,7 @@ def _retract(x: np.ndarray, start: np.ndarray, c: np.ndarray, r: np.ndarray) -> 
 
 def _solve_boxed(
     problem: OfflineProblem, x0: Sequence[Point] | None, max_iter: int, tol: float
-) -> tuple[np.ndarray, int, int, float, bool]:
+) -> tuple[np.ndarray, int, int, float, bool, int]:
     """Augmented-Lagrangian ascent of one box-binding row over its waypoints.
 
     The box and the start pin are a clip; the caps ``|w_t| <= r_t``, ``w = D x
@@ -667,7 +746,8 @@ def _solve_boxed(
     ``l(x) = U(x) - sum <lam_t, w_t> + sum r_t |lam_t| >= U`` where the caps
     hold, so ``l`` plus its box gap bounds the optimum; the gap is that bound
     minus the utility of the :func:`_retract`-ed iterate.  The row starts at
-    ``x0`` clipped into the box, or else stays put.
+    ``x0`` clipped into the box, or else stays put.  Its checks count the
+    rounds' box gaps, every :data:`GAP_EVERY` iterations, and their bounds.
     """
     us = problem.utilities
     start = np.array(problem.start)
@@ -683,7 +763,7 @@ def _solve_boxed(
     rho = us.smoothness
     violation = math.inf
     inner = _INNER_SHARE * tol
-    iterations = restarts = 0
+    iterations = restarts = checks = 0
 
     def excess(x: np.ndarray) -> np.ndarray:
         q = x[1:] - x[:-1] - shift  # w + lam / rho
@@ -697,8 +777,10 @@ def _solve_boxed(
         step = 1.0 / (us.smoothness + 4.0 * rho)
         x_prev, t_k, k = x, 1.0, 0
         while iterations < max_iter:
-            if k % GAP_EVERY == 0 and _box_gap(ascent(x), x, lo, hi) <= inner:
-                break
+            if k % GAP_EVERY == 0:
+                checks += 1
+                if _box_gap(ascent(x), x, lo, hi) <= inner:
+                    break
             k += 1
             iterations += 1
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
@@ -720,8 +802,9 @@ def _solve_boxed(
         cap_gap = _violation(x_f, problem.start, centers, radii, problem.region)[1]
         gap = max(bound - u, 0.0) if cap_gap <= 1e-9 else math.inf
         met = gap <= tol * max(1.0, u - u0)
+        checks += 1
         if met or iterations >= max_iter:
-            return x_f, iterations, restarts, gap, met
+            return x_f, iterations, restarts, gap, met, checks
         inner = _INNER_SHARE * min(gap, tol * max(1.0, u_hat - u0))
         worst = float(np.max(np.hypot(w[:, 0], w[:, 1]) - radii, initial=0.0))
         if worst > 0.25 * violation:

@@ -444,7 +444,12 @@ class CommuteUtilities(_Family):
         return np.where(n <= self.v, 1.0, 1.0 / self.mu)[..., 0]
 
     def fenchel_young(
-        self, x: np.ndarray, grad: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None
+        self,
+        x: np.ndarray,
+        grad: np.ndarray,
+        delta: np.ndarray,
+        terms: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per slot, ``U_t*(a) - U_t(x) + <a, x> >= 0`` at ``a = grad + delta``.
 
@@ -453,8 +458,9 @@ class CommuteUtilities(_Family):
         penalty, ``U_t*(a) = h*(|a|) - <a, lead>``, where ``h*(s)`` is ``s^2 /
         2`` up to ``v`` and ``mu d^2 / 2 + (1 - mu) v^2 / 2`` beyond, ``d = (s -
         (1 - mu) v) / mu``; so the residual is ``h*(|a|) + h(|x - lead|) + <a,
-        x - lead>``.  Written into ``out``, of ``x``'s shape less its last
-        axis, if given.
+        x - lead>``.  ``terms`` is :meth:`slot_terms` at ``x``, which the
+        Huber kind reads as ``h(|x - lead|)``.  Written into ``out``, of
+        ``x``'s shape less its last axis, if given.
         """
         if self.kind == "squared":
             sq = np.multiply(delta, delta)
@@ -468,7 +474,7 @@ class CommuteUtilities(_Family):
         near = np.multiply(_HALF, s)
         np.multiply(near, s, out=near)
         np.copyto(conj, near, where=s <= self._v)
-        np.add(conj, self.slot_terms(x, out=near), out=conj)
+        np.add(conj, terms, out=conj)
         e = x - self.leads
         inner = np.multiply(a[..., 0], e[..., 0], out=out)
         np.add(inner, np.multiply(a[..., 1], e[..., 1]), out=inner)
@@ -594,15 +600,20 @@ class VoyageUtilities(_Family):
         return self._over_lam(0.5)
 
     def fenchel_young(
-        self, x: np.ndarray, grad: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None
+        self,
+        x: np.ndarray,
+        grad: np.ndarray,
+        delta: np.ndarray,
+        terms: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per slot, ``U_t*(a) - U_t(x) + <a, x> >= 0`` at ``a = grad + delta``.
 
         ``grad`` is the gradient at ``x``; the quadratic's residual is
         ``|a - grad|^2 / (4 lam)``.  At ``lam = 0`` the utility is linear and its
         conjugate is infinite off the gradient, so the residual counts as
-        infinite.  Written into ``out``, of ``x``'s shape less its last axis,
-        if given.
+        infinite.  ``terms``, :meth:`slot_terms` at ``x``, goes unread.
+        Written into ``out``, of ``x``'s shape less its last axis, if given.
         """
         return self._over_lam(0.25 * (delta[..., 0] ** 2 + delta[..., 1] ** 2), out)
 

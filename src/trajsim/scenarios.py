@@ -287,10 +287,10 @@ class _Driver:
     A subclass sets ``region`` and implements the :class:`~trajsim.engine.EpisodeDriver`
     calls; its ``plan`` starts with :meth:`source_slot`, and its step sizes take
     the default ``L``, its family's ``smoothness``.  Once the episode is done,
-    ``freeze(traj)`` returns the offline benchmark (an :class:`OfflineProblem`
-    over the frozen utility family, its step caps and the box), the per-step
-    energies and the link-rate series (``None`` without a link), each
-    computed from the trajectory as an array.  By then ``lambdas`` and
+    ``freeze(path)``, given the trajectory as a ``(T, 2)`` array, returns the
+    offline benchmark (an :class:`OfflineProblem` over the frozen utility
+    family, its step caps and the box), the per-step energies and the
+    link-rate series (``None`` without a link).  By then ``lambdas`` and
     ``alphas`` hold one value per step.
     """
 
@@ -375,7 +375,7 @@ class _D2DDriver(_Driver):
     def slack(self, a: Point, b: Point) -> float:
         return dist(a, b) - self.v
 
-    def freeze(self, traj: list[Point]):
+    def freeze(self, path: np.ndarray):
         """The commute's offline problem, step energies and link rates.
 
         The energies and rates are :func:`~trajsim.metrics.energy_cost` of each
@@ -393,7 +393,7 @@ class _D2DDriver(_Driver):
             pairs = zip(self.peers[held:steps], self.goals[held:steps])
             leads[held:steps] = [obj.leading_path(y, d, 0.0) for y, d in pairs]
         family = obj.CommuteUtilities(leads, cfg.v_slot, cfg.mu, cfg.utility_kind)
-        path, tau, q = as_array(traj), cfg.slot_duration_s, -cfg.alpha_p
+        tau, q = cfg.slot_duration_s, -cfg.alpha_p
         with np.errstate(all="ignore"):  # as quiet as float arithmetic
             gap = path - self.peer_array
             d = np.maximum(mapped(math.hypot, *gap.T), obj.RATE_MIN_DISTANCE_M)
@@ -476,14 +476,14 @@ class _OceanDriver(_Driver):
         vo = self.vo
         return math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) - self.alpha * self.v
 
-    def freeze(self, traj: list[Point]):
+    def freeze(self, path: np.ndarray):
         """The voyage's offline problem and step energies; a voyage has no link rates."""
         # slot t's drift reference is the previous online waypoint and the current
         # measured there; slot T has no executed step and reuses the last weights
         lams, currents = self.lambdas, self.currents_true
         lams = lams + [lams[-1] if lams else 1.0]
         currents = as_array(currents + [currents[-1] if currents else (0.0, 0.0)])
-        path, tau = as_array(traj), self.tau
+        tau = self.tau
         prev = np.vstack((path[:1], path[:-1]))
         family = obj.VoyageUtilities(lams, self.goal_array, currents, prev)
         with np.errstate(all="ignore"):  # as quiet as float arithmetic
@@ -509,7 +509,8 @@ def run_scenario(config: ScenarioConfig, mode: Mode = "standard", benchmark: boo
     t0 = time.perf_counter()
     driver = driver_class(config)
     traj, records = run_episode(driver, mode)
-    problem, energy_steps, rate_series = driver.freeze(traj)
+    path = as_array(traj)
+    problem, energy_steps, rate_series = driver.freeze(path)
     report = EpisodeReport(
         kind=config.kind,
         trajectory=traj,
@@ -517,7 +518,7 @@ def run_scenario(config: ScenarioConfig, mode: Mode = "standard", benchmark: boo
         goals=driver.goals,
         lambdas=driver.lambdas,
         alphas=driver.alphas,
-        utilities=problem.utilities.evaluate(traj),
+        utilities=problem.utilities.evaluate(path),
         energy_steps=energy_steps,
         rate_series=rate_series,
         regret_report=None,

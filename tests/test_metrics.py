@@ -8,16 +8,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trajsim import metrics
 from trajsim import objectives as obj
 from trajsim.errors import GridTooCoarse, HorizonMismatch
 from trajsim.field import UniformSpec, synth_field
 from trajsim.geom import dist, dot, left_sum, norm_sq, sub
 from trajsim.metrics import (
+    GAP_EVERY,
     GAP_TOL,
     OfflineProblem,
     OracleGrid,
     _finish,
     _Lockstep,
+    _next_check,
     _violation,
     cumulative_error,
     dp_oracle,
@@ -221,28 +224,28 @@ class TestCertification:
         ids=["first-cap", "second-cap", "start-pin"],
     )
     def test_violating_solution_is_reported(self, pts, worst):
-        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True), None, 100, GAP_TOL)
+        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True, 3), None, 100, GAP_TOL)
         assert sol.points == pts
         assert sol.max_violation == worst
         assert not sol.converged
         assert sol.warning == f"final violation {worst:.3e} above 1e-6"
-        assert (sol.iterations, sol.restarts, sol.gap) == (7, 2, 0.5)
+        assert (sol.iterations, sol.restarts, sol.gap, sol.checks) == (7, 2, 0.5, 3)
 
     def test_feasible_solution_is_certified(self):
         pts = [(1.0, 5.0), (2.0, 5.0), (0.5, 5.0)]
-        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True), None, 100, GAP_TOL)
+        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True, 3), None, 100, GAP_TOL)
         assert sol.points == pts
         assert sol.converged and sol.max_violation == 0.0 and sol.warning is None
         assert sol.gap == 0.5
 
     def test_unmet_gap_is_not_converged(self):
         pts = [(1.0, 5.0), (2.0, 5.0), (0.5, 5.0)]
-        sol = _finish(self.problem(), (np.array(pts), 100, 2, 0.5, False), None, 100, GAP_TOL)
+        sol = _finish(self.problem(), (np.array(pts), 100, 2, 0.5, False, 11), None, 100, GAP_TOL)
         assert not sol.converged and sol.gap == 0.5 and sol.warning is None
 
     def test_box_excess_hands_the_row_to_restoration(self):
         pts = [(1.0, 5.0), (1.0, 5.0), (-1.0, 5.0)]
-        ascent = (np.array(pts), 7, 2, 0.5, True)
+        ascent = (np.array(pts), 7, 2, 0.5, True, 3)
         # the box solve retracts toward staying put, which the second cap
         # (center (-2, 0), radius 1) forbids; an iterate the retraction cannot
         # make feasible certifies nothing, and 100 iterations end on one
@@ -255,6 +258,8 @@ class TestCertification:
         assert sol.converged and sol.max_violation <= 1e-9 and sol.warning is None
         assert all(TEN_BOX.contains(p, tol=1e-9) for p in sol.points)
         assert math.isfinite(sol.gap) and sol.gap >= 0.0
+        # the checks are the box solve's own: at least one inner gap and one bound
+        assert sol.checks >= 2
 
 
 class TestDpOracle:
@@ -694,7 +699,7 @@ def _boxed_problem(T: int) -> OfflineProblem:
 def _outcome(sol):
     return (
         sol.points, sol.utility, sol.iterations, sol.restarts,
-        sol.converged, sol.warning, sol.max_violation, sol.gap,
+        sol.converged, sol.warning, sol.max_violation, sol.gap, sol.checks,
     )
 
 
@@ -731,7 +736,8 @@ class TestDualityGap:
         kind=st.sampled_from(["squared", "huber", "voyage"]),
         T=st.integers(2, 12),
         seed=st.integers(0, 2**32 - 1),
-        max_iter=st.sampled_from([0, 1, 10, 100_000]),
+        # 7 and 25 end between two scheduled checks: the max_iter check still runs
+        max_iter=st.sampled_from([0, 1, 7, 10, 25, 100_000]),
     )
     def test_gap_bounds_the_shortfall_of_a_tight_solve(self, kind, T, seed, max_iter):
         problem, x0 = _random_problem(kind, T, seed)
@@ -829,8 +835,9 @@ class TestDualStepCertificate:
         grad = us.gradient_array(x)
         delta = rng.normal(0.0, scale, (T, 2))
         a = grad + delta
-        at_gradient = us.fenchel_young(x, grad, np.zeros_like(x))
-        residual = us.fenchel_young(x, grad, delta)
+        terms = us.slot_terms(x)
+        at_gradient = us.fenchel_young(x, grad, np.zeros_like(x), terms)
+        residual = us.fenchel_young(x, grad, delta, terms)
         y = _maximizer(us, a)
         u_x, u_y = np.array(us.evaluate(x.tolist())), np.array(us.evaluate(y.tolist()))
         ax, ay = np.einsum("ij,ij->i", a, x), np.einsum("ij,ij->i", a, y)
@@ -865,7 +872,7 @@ class TestDualStepCertificate:
         gap, fw = gaps["positive"]
         assert gap < fw
         assert zero.utilities.curvature(None)[5] == math.inf
-        assert zero.utilities.fenchel_young(None, None, np.zeros((12, 2)))[5] == math.inf
+        assert zero.utilities.fenchel_young(None, None, np.zeros((12, 2)), None)[5] == math.inf
 
     @pytest.mark.parametrize("kind", ["squared", "huber", "voyage"])
     def test_padded_rows_certify_as_solo_rows(self, kind):
@@ -1081,7 +1088,7 @@ class TestSolveOfflineBatch:
             max_size=6,
         ),
         boxed_at=st.integers(0, 8),
-        max_iter=st.sampled_from([0, 1, 5, 100_000]),
+        max_iter=st.sampled_from([0, 1, 5, 7, 25, 100_000]),
     )
     def test_lockstep_rows_equal_solo_solves(self, rows, boxed_at, max_iter):
         # T = 1 and T = 2 rows of every family ride along in every batch
@@ -1094,3 +1101,108 @@ class TestSolveOfflineBatch:
             batch = solve_offline_batch(problems, x0s, max_iter=max_iter)
             solo = [solve_offline(p, x0=x0, max_iter=max_iter) for p, x0 in instances]
         assert [_outcome(s) for s in batch] == [_outcome(s) for s in solo]
+
+
+class TestScheduledChecks:
+    """A row checks its gap when the trend of its gaps says the check can pass."""
+
+    @pytest.mark.parametrize(
+        "iteration, ratio, last, due",
+        [
+            (0, 50.0, None, 10),  # no earlier check
+            (10, 50.0, (0, 50.0), 20),  # the ratio did not fall
+            (10, 60.0, (0, 50.0), 20),  # it rose
+            (30, 6.0, (20, 12.0), 50),  # 1 is 25.8 iterations ahead: two waits
+            (30, 1.5, (20, 100.0), 40),  # 1 iteration ahead: still one wait
+            (30, 1e6, (20, 2e6), 70),  # 199 iterations ahead: four waits at most
+            (30, 2.0, (20, 2.0000000000000004), 70),  # the least fall there is
+            (30, 3.0, (20, math.inf), 40),  # a fall from inf is as steep as can be
+            (30, math.inf, (20, math.inf), 40),
+            (30, math.nan, (20, 4.0), 40),
+            (30, 3.0, (20, math.nan), 40),
+            (30, 0.5, (20, 4.0), 40),  # a passing ratio never extrapolates
+        ],
+    )
+    def test_next_check_extrapolates_the_log_of_the_ratio(self, iteration, ratio, last, due):
+        assert _next_check(iteration, ratio, last) == due
+
+    @given(
+        iteration=st.integers(0, 10**9).map(lambda k: k * GAP_EVERY),
+        ratio=st.floats(allow_nan=True, allow_infinity=True),
+        last=st.none() | st.tuples(st.integers(0, 10**9), st.floats(allow_nan=True)),
+    )
+    def test_next_check_waits_whole_multiples_within_the_cap(self, iteration, ratio, last):
+        if last is not None:
+            last = (iteration - GAP_EVERY * (1 + last[0] % 50), last[1])
+        wait = _next_check(iteration, ratio, last) - iteration
+        assert wait in [GAP_EVERY * k for k in range(1, metrics._MAX_WAIT + 1)]
+
+    @pytest.mark.parametrize("max_iter", [7, 25])
+    def test_the_max_iter_check_runs_between_scheduled_checks(self, monkeypatch, max_iter):
+        problem, x0 = _random_problem("huber", 40, 3)
+        seen = []
+
+        def spy(iteration, ratio, last):
+            seen.append(iteration)
+            return _next_check(iteration, ratio, last)
+
+        monkeypatch.setattr(metrics, "_next_check", spy)
+        sol = solve_offline(problem, x0=x0, max_iter=max_iter, tol=1e-12)
+        assert not sol.converged and sol.iterations == max_iter
+        assert seen[-1] == max_iter and sol.checks == len(seen)
+        assert all(k % GAP_EVERY == 0 for k in seen[:-1])
+
+    def test_rows_due_at_different_iterations_equal_solo_solves(self, monkeypatch):
+        instances = [_random_problem(kind, T, seed) for kind, T, seed in (
+            ("huber", 40, 3), ("huber", 25, 8), ("huber", 12, 5), ("huber", 33, 21),
+        )]
+        calls = []
+        certify = _Lockstep.certify
+
+        def counting(self, z, totals, tol):
+            calls.append(len(self.ids))
+            return certify(self, z, totals, tol)
+
+        monkeypatch.setattr(_Lockstep, "certify", counting)
+        with np.errstate(all="raise"):
+            batch = solve_offline_batch([p for p, _ in instances], [x0 for _, x0 in instances])
+        lockstep_checks = len(calls)
+        solo = [solve_offline(p, x0=x0) for p, x0 in instances]
+        assert [_outcome(s) for s in batch] == [_outcome(s) for s in solo]
+        assert all(s.converged for s in batch)
+        # the batch ran checks at which its longest-running row was not due
+        assert lockstep_checks > max(s.checks for s in batch)
+        assert len({s.iterations for s in batch}) > 1
+
+    def test_reused_terms_equal_fresh_slot_terms_after_a_restart(self, monkeypatch):
+        # a check every iteration; the chain's row restarts where the other row
+        # does not, so the restart test leaves the restarted point of both rows
+        monkeypatch.setattr(metrics, "GAP_EVERY", 1)
+        monkeypatch.setattr(metrics, "_MAX_WAIT", 1)
+        events = []
+        values, certify = _Lockstep.values, _Lockstep.certify
+
+        def spy_values(self, z, rows=None):
+            events.append("restart" if rows is not None and len(rows) < len(self.ids) else "values")
+            return values(self, z, rows)
+
+        def spy_certify(self, z, totals, tol):
+            held_x, held_terms = self.x.copy(), self.terms.copy()
+            fresh_x = self.rebuild(z).copy()
+            fresh_terms = self.family.slot_terms(fresh_x)
+            same_x = held_x.tobytes() == fresh_x.tobytes()
+            events.append(same_x and held_terms.tobytes() == fresh_terms.tobytes())
+            return certify(self, z, totals, tol)
+
+        monkeypatch.setattr(_Lockstep, "values", spy_values)
+        monkeypatch.setattr(_Lockstep, "certify", spy_certify)
+        other, x0 = _random_problem("squared", 40, 3)
+        sols = solve_offline_batch([_restart_chain(), other], [None, x0], tol=1e-12)
+        assert sols[0].restarts > 0 and sols[0].checks == sols[0].iterations + 1
+        checks = [e for e in events if isinstance(e, bool)]
+        assert checks and all(checks)
+        after_restart = [
+            events[i] for i in range(len(events))
+            if isinstance(events[i], bool) and "restart" in events[max(0, i - 3):i]
+        ]
+        assert after_restart and all(after_restart)

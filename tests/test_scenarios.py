@@ -8,11 +8,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from episode_reference import ReferenceCommute, run_episode_reference
+from trajsim import metrics
 from trajsim import objectives as obj
 from trajsim.engine import NoiseModel, run_episode
 from trajsim.errors import InfeasibleStepSize, SchemaError
 from trajsim.field import FieldPerturbation, UniformSpec, synth_field
-from trajsim.geom import dist, dot, left_sum, norm, sub
+from trajsim.geom import as_array, dist, dot, left_sum, norm, sub
 from trajsim.metrics import _violation, solve_offline
 from trajsim.objectives import CommuteUtilities
 from trajsim.scenarios import (
@@ -398,7 +399,6 @@ class _PerSlotHuber:
         self.horizon = family.horizon
         self.values = family.values
         self.curvature = family.curvature
-        self.fenchel_young = family.fenchel_young
         self.stack_key = ("per-slot", id(self))
 
     def stack(self, families, tmax):
@@ -407,6 +407,10 @@ class _PerSlotHuber:
 
     def slot_terms(self, x, out=None):
         return np.array([u(p) for u, p in zip(self.values, x[0].tolist())])
+
+    def fenchel_young(self, x, grad, delta, terms, out=None):
+        # the terms a solver holds are the scalar values, not the family's own
+        return self.family.fenchel_young(x, grad, delta, self.family.slot_terms(x), out=out)
 
     def total(self, points):
         return sum(u(p) for u, p in zip(self.values, points))
@@ -799,6 +803,18 @@ class TestOfflineCertificate:
         assert tight.converged
         assert tight.utility - sol.utility <= sol.gap + 1e-9 * (1.0 + abs(tight.utility))
 
+    def test_long_huber_commute_runs_half_the_checks_of_a_check_every_ten(self, monkeypatch):
+        # most of its checks are certain to fail: the gap falls smoothly, and
+        # the schedule skips the checks its trend rules out
+        report = _long_huber_commute()
+        sol = solve_offline(report.problem, x0=report.trajectory)
+        monkeypatch.setattr(metrics, "_MAX_WAIT", 1)
+        every_ten = solve_offline(report.problem, x0=report.trajectory)
+        assert every_ten.checks == every_ten.iterations // metrics.GAP_EVERY + 1
+        assert sol.converged and every_ten.converged
+        assert sol.checks <= every_ten.checks / 2
+        assert sol.iterations <= 1.02 * every_ten.iterations
+
     def test_long_squared_commute_stops_in_under_half_the_frank_wolfe_iterations(self):
         # on the Frank-Wolfe gap alone this solve stops at 600 iterations; the
         # rigid-run bound stops it at 110, and still covers the true shortfall
@@ -932,7 +948,7 @@ class TestPrecomputedCommute:
         assert [_reprs(part) for part in got] == [_reprs(part) for part in want]
         if isinstance(want[0], str):
             return  # both failed at the same slot with the same message
-        problem, energy_steps, rate_series = driver.freeze(got[0])
+        problem, energy_steps, rate_series = driver.freeze(as_array(got[0]))
         leads, ref_energy, ref_rates = ref.freeze(want[0])
         assert _reprs(driver.lambdas) == _reprs(ref.lambdas)
         assert _reprs(driver.alphas) == _reprs(ref.alphas)
