@@ -2,9 +2,14 @@
 
 Fields are immutable once built: loading, perturbing, and synthesizing all
 return new objects, and sampling is a pure read, so one field can back any
-number of concurrent episodes.  Each field keeps a lazy cache of the lattice
-cells it has been sampled in, as Python floats; two threads filling the same
-cell at once store equal values.
+number of concurrent episodes.  Each field keeps two lazy caches.  One holds
+the lattice cells it has been sampled in, as Python floats; two threads
+filling the same cell at once store equal values.  The other is a memo of
+the last interior cell sampled: its bounds on each axis, its cell values
+and the grid terms of its weights, as one tuple.  A sample that falls in
+that cell reuses them and skips the bracket search.  The memo is read once
+into a local and replaced whole, so a concurrent sample can only cost
+another thread a miss, never a wrong value.
 
 File format (UTF-8 CSV): header exactly ``t,x,y,u,v`` with units s, m, m,
 m/s, m/s; one row per lattice node of a complete regular lattice.
@@ -24,6 +29,8 @@ from .errors import COUNT, FRACTION, LatticeError, ParseError, UnitsError, check
 from .geom import Point, Vector
 
 _HEADER = ["t", "x", "y", "u", "v"]
+# the memo before any interior sample: NaN bounds fail every comparison
+_NO_BRACKET = (math.nan,) * 6 + ((), 0.0, 1.0, 0.0, 1.0, None, None)
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,9 @@ class VelocityField:
     # c[0..7] of u, then of v, in (k, j, i) order, each odd entry c[n] stored
     # as its difference c[n] - c[n-1] along x
     _cells: dict = field(init=False, repr=False, compare=False)
+    # the last interior bracket: (x lo, x hi, y lo, y hi, t lo, t hi, cell,
+    # g[i0] and g[i1] - g[i0] along x, along y, then along t or None twice)
+    _last: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("x_grid", "y_grid", "t_grid"):
@@ -68,6 +78,7 @@ class VelocityField:
             raise ValueError(f"field top speed must be finite, got {speed_max}")
         object.__setattr__(self, "v_o_max", speed_max)
         object.__setattr__(self, "_cells", {})
+        object.__setattr__(self, "_last", _NO_BRACKET)
 
     def bbox(self) -> tuple[Point, Point]:
         return (
@@ -131,11 +142,46 @@ def load_field(path) -> VelocityField:
 
 def _fill_cell(f: VelocityField, key: tuple[int, ...]) -> tuple[float, ...]:
     k0, k1, j0, j1, i0, i1 = key
-    corners = np.ix_((k0, k1), (j0, j1), (i0, i1))
-    a = np.stack((f.u[corners], f.v[corners])).reshape(2, 8)
-    a[:, 1::2] -= a[:, ::2]
-    f._cells[key] = cell = tuple(a.ravel().tolist())
+    cell = []
+    for comp in (f.u.item, f.v.item):
+        for k in (k0, k1):
+            for j in (j0, j1):
+                c = comp(k, j, i0)
+                cell += (c, comp(k, j, i1) - c)
+    f._cells[key] = cell = tuple(cell)
     return cell
+
+
+def _axis(g: tuple[float, ...], c: float) -> tuple:
+    """``c``'s bracket ``(i0, i1, w)`` on grid ``g``, clamped outside, then
+    the memo's ``(lo, hi, g[i0], g[i1] - g[i0])`` for it, or ``None`` if clamped."""
+    if g[0] < c < g[-1]:
+        i1 = bisect_right(g, c)
+        i0 = i1 - 1
+        g0, d = g[i0], g[i1] - g[i0]
+        # c == g[0] is clamped, so the first cell starts just above g[0]
+        lo = g0 if i0 else math.nextafter(g0, math.inf)
+        return i0, i1, (c - g0) / d, (lo, g[i1], g0, d)
+    i0 = 0 if c <= g[0] else len(g) - 1
+    return i0, i0, 0.0, None
+
+
+def _bracket(f: VelocityField, x: float, y: float, t: float) -> tuple:
+    """The full search: bracket each axis and look up the cell.  Sets the
+    memo when both space axes are interior, and time is interior or has one
+    node (then every time is in the cell)."""
+    i0, i1, wx, mx = _axis(f.x_grid, x)
+    j0, j1, wy, my = _axis(f.y_grid, y)
+    k0, k1, _, mt = _axis(f.t_grid, t)
+    if mt is None and len(f.t_grid) == 1:
+        mt = (-math.inf, math.inf, None, None)  # no time weight
+    key = (k0, k1, j0, j1, i0, i1)
+    c = f._cells.get(key) or _fill_cell(f, key)
+    if mx is not None and my is not None and mt is not None:
+        memo = (*mx[:2], *my[:2], *mt[:2], c, *mx[2:], *my[2:], *mt[2:])
+        object.__setattr__(f, "_last", memo)
+    gt, dt = mt[2:] if mt is not None else (None, None)
+    return c, wx, wy, gt, dt
 
 
 def sample_velocity(f: VelocityField, p: Point, t: float) -> Vector:
@@ -144,38 +190,27 @@ def sample_velocity(f: VelocityField, p: Point, t: float) -> Vector:
     Bilinear in space and linear in time, exact at lattice nodes.  Queries
     outside the lattice clamp to the nearest boundary node, since a vehicle
     may legitimately exit the forecast box.
+
+    A sample inside the field's last interior cell reads the cell and its
+    weight terms from the memo (see the module docstring) and runs the same
+    arithmetic in the same order, so it returns the full search's bits.  The
+    memo is one tuple read once into a local: a thread that replaces it
+    meanwhile can cost a miss, never a wrong value.  NaN fails every bound,
+    so it always takes the full search.
     """
     x, y = p
-    g = f.x_grid
-    if g[0] < x < g[-1]:
-        i1 = bisect_right(g, x)
-        i0 = i1 - 1
-        wx = (x - g[i0]) / (g[i1] - g[i0])
+    xlo, xhi, ylo, yhi, tlo, thi, c, gx, dx, gy, dy, gt, dt = f._last
+    if xlo <= x < xhi and ylo <= y < yhi and tlo <= t < thi:
+        wx = (x - gx) / dx
+        wy = (y - gy) / dy
     else:
-        i0 = i1 = 0 if x <= g[0] else len(g) - 1
-        wx = 0.0
-    g = f.y_grid
-    if g[0] < y < g[-1]:
-        j1 = bisect_right(g, y)
-        j0 = j1 - 1
-        wy = (y - g[j0]) / (g[j1] - g[j0])
-    else:
-        j0 = j1 = 0 if y <= g[0] else len(g) - 1
-        wy = 0.0
-    g = f.t_grid
-    if g[0] < t < g[-1]:
-        k1 = bisect_right(g, t)
-        k0 = k1 - 1
-    else:
-        k0 = k1 = 0 if t <= g[0] else len(g) - 1
-    key = (k0, k1, j0, j1, i0, i1)
-    c = f._cells.get(key) or _fill_cell(f, key)
+        c, wx, wy, gt, dt = _bracket(f, x, y, t)
     a, b = c[0] + wx * c[1], c[2] + wx * c[3]
     u = a + wy * (b - a)
     a, b = c[8] + wx * c[9], c[10] + wx * c[11]
     v = a + wy * (b - a)
-    if k1 != k0:
-        wt = (t - g[k0]) / (g[k1] - g[k0])
+    if dt is not None:
+        wt = (t - gt) / dt
         a, b = c[4] + wx * c[5], c[6] + wx * c[7]
         u = u + wt * (a + wy * (b - a) - u)
         a, b = c[12] + wx * c[13], c[14] + wx * c[15]

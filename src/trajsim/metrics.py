@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GridTooCoarse
 from .field import VelocityField, sample_velocity
-from .geom import Point, as_point, dist, left_sum, lerp, norm_sq, sub
+from .geom import Point, as_array, as_point, dist, left_sum, lerp
 from .objectives import Utilities, _constant, _pad, row_scalars
 from .sets import Box2D, StepCap
 
@@ -889,9 +889,19 @@ def dp_oracle(problem: OfflineProblem, grid: OracleGrid) -> OracleSolution:
     return OracleSolution(points=points, utility=float(value[end]))
 
 
-def squared_path_length(traj: Sequence[Point]) -> float:
-    """Sum of squared displacements along a trajectory."""
-    return left_sum((norm_sq(sub(b, a)) for a, b in zip(traj, traj[1:])), 0.0)
+def squared_path_length(traj: Sequence[Point] | np.ndarray) -> float:
+    """Sum of squared displacements along a trajectory, a point list or ``(T, 2)`` array.
+
+    Each square is ``norm_sq(sub(b, a))``'s, and ``np.add.accumulate`` adds
+    them strictly left to right, so the sum keeps ``left_sum``'s bits.
+    """
+    x = traj if isinstance(traj, np.ndarray) else as_array(traj)
+    if len(x) <= 1:
+        return 0.0
+    with np.errstate(all="ignore"):  # as quiet as float arithmetic
+        d = x[1:] - x[:-1]
+        d0, d1 = d[:, 0], d[:, 1]
+        return float(np.add.accumulate(d0 * d0 + d1 * d1)[-1])
 
 
 @dataclass(frozen=True)
@@ -1003,7 +1013,8 @@ def build_regret_report(
     problem, traj, cfg = report.problem, report.trajectory, report.config
     sol = solution if solution is not None else solve_offline(problem, x0=traj)
     us = problem.utilities
-    offline_u = tuple(us.evaluate(sol.points))
+    x = as_array(sol.points)
+    offline_u = tuple(us.evaluate(x))
     online_u = tuple(report.utilities)
     gv = gradient_variation(us, problem.region)
     straight = straight_line_trajectory(traj[0], report.goals[-1], len(traj))
@@ -1012,7 +1023,7 @@ def build_regret_report(
         offline_utilities=offline_u,
         online_utilities=online_u,
         regret=left_sum(offline_u) - left_sum(online_u),
-        s_t=squared_path_length(sol.points),
+        s_t=squared_path_length(x),
         g_t=gv.value,
         g_t_exact=gv.exact,
         e_t_bound=cumulative_error([r.eps_sq_bound for r in report.records]),

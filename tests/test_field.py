@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from field_reference import bracket, sample_velocity_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajsim import field as field_module
 from trajsim.errors import LatticeError, ParseError, SchemaError, UnitsError
 from trajsim.field import (
     AwayFromGoalSpec,
@@ -199,6 +202,177 @@ class TestSampling:
     def test_descending_grid_rejected(self):
         with pytest.raises(ValueError):
             VelocityField((1.0, 0.0), (0.0, 1.0), (0.0,), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
+
+
+def random_field(seed, nx=5, ny=4, nt=1):
+    rng = np.random.default_rng(seed)
+    xs = tuple(np.cumsum(rng.uniform(0.5, 3.0, nx)) - 4.0)
+    ys = tuple(np.cumsum(rng.uniform(0.5, 3.0, ny)) - 4.0)
+    ts = tuple(np.cumsum(rng.uniform(0.5, 5.0, nt)))
+    u = rng.choice([rng.normal(0, 1), 0.0, -0.0, -1.5], (nt, ny, nx))
+    v = rng.normal(0, 1, (nt, ny, nx))
+    return VelocityField(xs, ys, ts, u, v)
+
+
+def same_as_loop(f, p, t):
+    got, want = sample_velocity(f, p, t), sample_velocity_loop(f, p, t)
+    return type(got[0]) is float and type(got[1]) is float and repr(got) == repr(want)
+
+
+class TestLastCellMemo:
+    """A sample in the field's last interior cell skips the search, and keeps its bits."""
+
+    def count_searches(self, monkeypatch):
+        calls = []
+        search = field_module._bracket
+
+        def counted(*args):
+            calls.append(args[1:])
+            return search(*args)
+
+        monkeypatch.setattr(field_module, "_bracket", counted)
+        return calls
+
+    def test_a_sample_in_the_same_cell_skips_the_search(self, monkeypatch):
+        f = random_field(1, nt=3)
+        calls = self.count_searches(monkeypatch)
+        x0, x1 = f.x_grid[1:3]
+        y0, y1 = f.y_grid[1:3]
+        t0, t1 = f.t_grid[:2]
+        for w in (0.25, 0.5, 0.0, 0.75):
+            p, t = (x0 + w * (x1 - x0), y0 + w * (y1 - y0)), t0 + (0.9 - 0.8 * w) * (t1 - t0)
+            assert same_as_loop(f, p, t)
+        # the first sample searches; the rest, node (x0, y0) included, hit
+        assert len(calls) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), nt=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_walks_keep_the_loop_forms_bits(self, data, nt, seed):
+        f = random_field(seed, data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)), nt)
+        xs, ys, ts = f.x_grid, f.y_grid, f.t_grid
+
+        def step(grid, c):
+            # small steps mostly stay in a cell; a jump lands on a node or its neighbour
+            cell = (grid[-1] - grid[0]) / len(grid) if len(grid) > 1 else 1.0
+            return data.draw(
+                st.one_of(
+                    st.floats(-0.2, 0.2).map(lambda s: c + s * cell),
+                    st.just(c),
+                    st.sampled_from(grid),
+                    st.sampled_from(grid).map(lambda g: math.nextafter(g, -math.inf)),
+                    st.sampled_from(grid).map(lambda g: math.nextafter(g, math.inf)),
+                )
+            )
+
+        p = (data.draw(st.floats(xs[0] - 1, xs[-1] + 1)), data.draw(st.floats(ys[0] - 1, ys[-1] + 1)))
+        t = data.draw(st.floats(ts[0] - 1, ts[-1] + 1))
+        for _ in range(25):
+            assert same_as_loop(f, p, t), (p, t)
+            p, t = (step(xs, p[0]), step(ys, p[1])), step(ts, t)
+
+    @pytest.mark.parametrize("nt", [1, 3])
+    def test_the_low_edge_after_a_hit_in_the_first_cell(self, nt):
+        f = random_field(2, nt=nt)
+        x0, x1 = f.x_grid[:2]
+        y0, y1 = f.y_grid[:2]
+        t = f.t_grid[0] + 0.5 if nt > 1 else 0.0
+        for p in [(0.5 * (x0 + x1), 0.5 * (y0 + y1)), (0.25 * x0 + 0.75 * x1, 0.5 * (y0 + y1))]:
+            assert same_as_loop(f, p, t)
+        # the memo's first cell starts just above g[0]: g[0] itself is clamped
+        assert f._last[0] == math.nextafter(x0, math.inf)
+        for p in [(x0, 0.5 * (y0 + y1)), (0.5 * (x0 + x1), y0), (x0, y0), (math.nextafter(x0, math.inf), y0)]:
+            assert same_as_loop(f, (0.5 * (x0 + x1), 0.5 * (y0 + y1)), t)
+            assert same_as_loop(f, p, t), p
+
+    def test_minus_zero_corner_on_the_low_edge(self):
+        # x on g[0] clamps, so -0.0 + 0.0 * 0.0 gives 0.0; read through the
+        # first cell's bracket it would stay -0.0, which repr tells apart
+        xs, ys = (0.0, 1.0, 2.0), (0.0, 1.0, 2.0)
+        u = np.array([[[5.0, 5.0, 5.0], [-0.0, -2.0, 5.0], [-1.0, -1.0, 5.0]]])
+        f = VelocityField(xs, ys, (0.0,), u, -u)
+        assert same_as_loop(f, (0.5, 1.5), 0.0)
+        assert same_as_loop(f, (0.0, 1.0), 0.0)
+        assert repr(sample_velocity(f, (0.0, 1.0), 0.0)) == "(0.0, 0.0)"
+
+    @pytest.mark.parametrize("nt", [1, 3])
+    def test_nan_after_a_hit_takes_the_full_path(self, nt):
+        # the loop form's bisect cannot place NaN; a field without a memo can
+        f = random_field(3, nt=nt)
+        fresh = VelocityField(f.x_grid, f.y_grid, f.t_grid, f.u, f.v)
+        inside = (0.5 * (f.x_grid[1] + f.x_grid[2]), 0.5 * (f.y_grid[1] + f.y_grid[2]))
+        t = 0.5 * (f.t_grid[0] + f.t_grid[1]) if nt > 1 else f.t_grid[0]
+        for p, tt in [((math.nan, inside[1]), t), ((inside[0], math.nan), t), (inside, math.nan)]:
+            assert same_as_loop(f, inside, t)
+            assert f._last[0] <= inside[0] < f._last[1]
+            got = sample_velocity(f, p, tt)
+            assert repr(got) == repr(sample_velocity(fresh, p, tt)), (p, tt)
+            assert not math.isnan(got[0]) and not math.isnan(got[1])
+
+    @pytest.mark.parametrize("nt", [1, 3])
+    def test_numpy_scalars_after_a_hit(self, nt):
+        f = random_field(4, nt=nt)
+        x, y = 0.3 * f.x_grid[1] + 0.7 * f.x_grid[2], 0.6 * f.y_grid[0] + 0.4 * f.y_grid[1]
+        t = 0.5 * (f.t_grid[0] + f.t_grid[1]) if nt > 1 else 7.0
+        assert same_as_loop(f, (x, y), t)
+        for p, tt in [
+            ((np.float64(x), np.float64(y)), np.float64(t)),
+            ((np.float64(x + 0.01), y), t),
+            ((x, y), np.float64(t)),
+            (np.array([x, y]), t),
+        ]:
+            assert same_as_loop(f, p, tt), (p, tt)
+
+    def test_one_time_node_matches_at_any_time(self):
+        f = random_field(5, nt=1)
+        p = (0.5 * (f.x_grid[0] + f.x_grid[1]), 0.5 * (f.y_grid[0] + f.y_grid[1]))
+        for t in (0.0, -1e9, 1e9, f.t_grid[0], math.inf, -math.inf, 3.5):
+            assert same_as_loop(f, p, t), t
+        assert f._last[4:6] == (-math.inf, math.inf)
+
+    def test_time_walk_across_nodes(self):
+        f = random_field(6, nt=4)
+        p = (0.5 * (f.x_grid[1] + f.x_grid[2]), 0.5 * (f.y_grid[1] + f.y_grid[2]))
+        ts = f.t_grid
+        # from before the grid, through every node and its neighbours, to past its end
+        times = np.linspace(ts[0] - 2.0, ts[-1] + 2.0, 97).tolist()
+        times += [c for g in ts for c in (math.nextafter(g, -math.inf), g, math.nextafter(g, math.inf))]
+        for t in sorted(times):
+            assert same_as_loop(f, p, t), t
+        for t in sorted(times, reverse=True):
+            assert same_as_loop(f, p, t), t
+
+    def test_threads_sharing_a_field_get_the_loop_forms_bits(self):
+        # more threads than the two cores, each walking its own path over one field
+        f = random_field(7, nx=8, ny=8, nt=3)
+        rng = np.random.default_rng(7)
+        xs, ys, ts = f.x_grid, f.y_grid, f.t_grid
+
+        def walk(n):
+            steps = rng.normal(0, 0.15, (n, 3)) * ((xs[-1] - xs[0]) / 8, (ys[-1] - ys[0]) / 8, 1.0)
+            start = (rng.uniform(xs[0], xs[-1]), rng.uniform(ys[0], ys[-1]), rng.uniform(ts[0], ts[-1]))
+            return [((a, b), c) for a, b, c in (start + np.cumsum(steps, axis=0)).tolist()]
+
+        walks = [walk(3000) for _ in range(3)]
+        wants = [[repr(sample_velocity_loop(f, p, t)) for p, t in w] for w in walks]
+        gots = [[] for _ in walks]
+        start = threading.Barrier(len(walks))
+
+        def run(k):
+            start.wait(timeout=60)
+            gots[k].extend(repr(sample_velocity(f, p, t)) for p, t in walks[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-sample
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(walks))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert gots == wants
 
 
 class TestPerturbation:

@@ -394,6 +394,31 @@ class TestVariationMeasures:
         parts = squared_path_length(traj[:7]) + squared_path_length(traj[6:])
         assert whole == pytest.approx(parts)
 
+    @pytest.mark.parametrize("T", [0, 1, 2, 2048])
+    def test_path_length_keeps_the_point_loop_bits(self, T):
+        # magnitudes from 1e-3 to 1e5, so a reordered sum would round differently
+        rng = np.random.default_rng(T)
+        x = rng.normal(0, 1, (T, 2)) * 10.0 ** rng.integers(-3, 6, (T, 2))
+        x[rng.random((T, 2)) < 0.2] = -0.0
+        x[rng.random((T, 2)) < 0.1] = 0.0
+        pts = [(float(a), float(b)) for a, b in x]
+        want = left_sum((norm_sq(sub(b, a)) for a, b in zip(pts, pts[1:])), 0.0)
+        assert repr(squared_path_length(pts)) == repr(want)
+        assert repr(squared_path_length(x)) == repr(want)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(1e308, 0.0), (-1e308, 0.0)],  # the difference overflows
+            [(0.0, 1e200), (0.0, -1e200), (1.0, 2.0)],  # the square overflows
+            [(1e308, 0.0), (-1e308, 0.0), (1e308, 0.0)],
+            [(math.inf, 0.0), (math.inf, 1.0)],  # inf - inf is NaN
+        ],
+    )
+    def test_path_length_overflows_quietly_like_the_point_loop(self, pts):
+        want = left_sum((norm_sq(sub(b, a)) for a, b in zip(pts, pts[1:])), 0.0)
+        assert repr(squared_path_length(pts)) == repr(want)
+
     def test_time_invariant_gradient_variation_is_zero(self):
         seq = quadratic_sequence([(2.0, 2.0)] * 6)
         gv = gradient_variation(seq, TEN_BOX)

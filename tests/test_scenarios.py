@@ -13,7 +13,7 @@ from trajsim import objectives as obj
 from trajsim.engine import NoiseModel, run_episode
 from trajsim.errors import InfeasibleStepSize, SchemaError
 from trajsim.field import FieldPerturbation, UniformSpec, synth_field
-from trajsim.geom import as_array, dist, dot, left_sum, norm, sub
+from trajsim.geom import as_array, dist, dot, left_sum, norm, norm_sq, sub
 from trajsim.metrics import _violation, solve_offline
 from trajsim.objectives import CommuteUtilities
 from trajsim.scenarios import (
@@ -337,6 +337,30 @@ class TestRunD2D:
         assert rr.regret >= -1e-6
         assert rr.s_t >= 0 and rr.g_t >= 0 and rr.e_t_realized >= 0
         assert rr.final_goal_distance == dist(rep.trajectory[-1], rep.goals[-1])
+
+    @pytest.mark.parametrize("T", [1, 2, 2048])
+    def test_regret_report_reads_the_point_list_bits(self, T):
+        """S_T and the offline utilities, read from the solution as an array,
+        are the point-list forms' bits, -0.0 coordinates included."""
+        if T == 2048:
+            report = _bench_commute("squared", T)
+        else:
+            report = run_scenario(
+                d2d_config(goal=PathSpec((0.0, 0.0), (0.0, 0.0)), peer=PathSpec((0.0, 3.0), (0.0, 3.0)), delta=T - 1),
+                benchmark=False,
+            )
+        assert report.problem.horizon == T
+        rng = np.random.default_rng(T)
+        x = rng.normal(0, 1, (T, 2)) * 10.0 ** rng.integers(-3, 4, (T, 2))
+        x[rng.random((T, 2)) < 0.3] = -0.0
+        x[0] = (-0.0, -0.0)
+        pts = [(float(a), float(b)) for a, b in x]
+        sol = replace(solve_offline(report.problem, x0=report.trajectory), points=pts)
+        rr = metrics.build_regret_report(report, sol)
+        us = report.problem.utilities
+        assert repr(rr.offline_utilities) == repr(tuple(us.evaluate(pts)))
+        s_t = left_sum((norm_sq(sub(b, a)) for a, b in zip(pts, pts[1:])), 0.0)
+        assert repr(rr.s_t) == repr(s_t)
 
     def test_knee_region_with_shared_start(self):
         # both users leave one point for opposite destinations: they travel
