@@ -31,6 +31,8 @@ from .geom import Point, Vector
 _HEADER = ["t", "x", "y", "u", "v"]
 # the memo before any interior sample: NaN bounds fail every comparison
 _NO_BRACKET = (math.nan,) * 6 + ((), 0.0, 1.0, 0.0, 1.0, None, None)
+# the full search's answer for a NaN coordinate: NaN weights on any cell
+_NAN_BRACKET = ((0.0,) * 16, math.nan, math.nan, None, None)
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,10 @@ def _axis(g: tuple[float, ...], c: float) -> tuple:
 def _bracket(f: VelocityField, x: float, y: float, t: float) -> tuple:
     """The full search: bracket each axis and look up the cell.  Sets the
     memo when both space axes are interior, and time is interior or has one
-    node (then every time is in the cell)."""
+    node (then every time is in the cell).  A NaN x or y, or a NaN t where
+    time has more than one node, has no cell: its weights are NaN."""
+    if x != x or y != y or (t != t and len(f.t_grid) > 1):
+        return _NAN_BRACKET
     i0, i1, wx, mx = _axis(f.x_grid, x)
     j0, j1, wy, my = _axis(f.y_grid, y)
     k0, k1, _, mt = _axis(f.t_grid, t)
@@ -196,7 +201,8 @@ def sample_velocity(f: VelocityField, p: Point, t: float) -> Vector:
     arithmetic in the same order, so it returns the full search's bits.  The
     memo is one tuple read once into a local: a thread that replaces it
     meanwhile can cost a miss, never a wrong value.  NaN fails every bound,
-    so it always takes the full search.
+    so it always takes the full search, which returns ``(nan, nan)`` for a
+    NaN ``x`` or ``y``, and for a NaN ``t`` unless time has a single node.
     """
     x, y = p
     xlo, xhi, ylo, yhi, tlo, thi, c, gx, dx, gy, dy, gt, dt = f._last

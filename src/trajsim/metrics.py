@@ -9,11 +9,14 @@ commute, the bound at the best placement of the iterate's rigid runs of
 filled caps (the unconstrained shortfall when every cap is free, the
 Frank-Wolfe gap when every cap is filled); where a row's conjugate
 utilities differ in curvature, the bound one preconditioned dual step
-reaches.  The caps, the start pin and the box are held as arrays: the
-ascent and its gap, the augmented-Lagrangian solve of a row whose box binds
-and the feasibility check of every solution all work on them directly.  The
-dynamic-programming oracle re-solves small instances on a grid and exists
-purely to validate the solver.
+reaches.  The ascent restarts its momentum where a step lowers the total,
+and computes the totals only at the gap checks and at the steps whose gain
+the descent lemma of FISTA cannot prove from the iterates alone.  The caps,
+the start pin and the box are held as arrays: the ascent and its gap, the
+augmented-Lagrangian solve of a row whose box binds and the feasibility
+check of every solution all work on them directly.  The dynamic-programming
+oracle re-solves small instances on a grid and exists purely to validate the
+solver.
 """
 
 from __future__ import annotations
@@ -56,6 +59,15 @@ _ZERO, _ONE, _TINY = map(_constant, (0.0, 1.0, np.finfo(float).tiny))
 # a cap is filled, and its displacement frozen for the rigid-run bound, once
 # its displacement is at least this share of its radius
 _FILLED = 1.0 - 1e-9
+# the restart test takes a step's gain as proved once the descent lemma's
+# bound on it exceeds this times the row's horizon T and max(1, |total|)
+# (_Lockstep.rose).  A computed total adds at most 2 T slot terms, each a
+# few roundings off, at waypoints whose prefix sums are a few T ulps off,
+# so it lies some T ulps of its terms' size from the exact total; that size
+# is |total| where the terms share a sign (every commute's, and the
+# voyage's, whose goal term outweighs its drift term).  2**10 covers the
+# constants, both totals and the rounding of the bound itself
+_MARGIN = 2.0**10 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,10 +199,10 @@ class _Lockstep:
     own slots only, so they equal the solo row's bit for bit; a reduce over
     the padded row would pair its terms differently.
 
-    Every array a step, a total or a check computes lives in one workspace
-    that :meth:`_load` allocates, with the views the kernels read, so an
-    iteration writes through ``out=`` and allocates only the families'
-    scratch.  A workspace array is overwritten by the next call that uses
+    Every array a step, its descent-lemma bound, a total or a check
+    computes lives in one workspace that :meth:`_load` allocates, with the
+    views the kernels read, so an iteration writes through ``out=`` and
+    allocates only the families' scratch.  A workspace array is overwritten by the next call that uses
     it; what a method returns to its caller is never one of them.
     """
 
@@ -230,7 +242,8 @@ class _Lockstep:
         self.centers = _pad([p.centers for p in problems], tmax - 1)
         self.radii = _pad([p.radii for p in problems], tmax - 1)
         self.floors = np.maximum(self.radii, np.finfo(float).tiny)
-        self.step = _constant(row_scalars([_step_size(p) for p in problems]))
+        self.steps = [_step_size(p) for p in problems]
+        self.step = _constant(row_scalars(self.steps))
         self.x = np.empty((len(problems), tmax, 2))
         self.x[:, 0] = self.starts
         self.x_rest = self.x[:, 1:]
@@ -253,10 +266,12 @@ class _Lockstep:
         self.sums_reversed = self.sums[:, ::-1]
         self.g = self.sums[:, 1:]
         self.adjoint = np.empty_like(self.x)
-        # displacement-sized: the momentum point, the step point (then the
-        # squared displacements, or the dual point), the cap multipliers, and
+        # displacement-sized: the momentum point, its offset from the iterate,
+        # the step point (then the squared displacements, the dual point, or
+        # the step's offset from the momentum point), the cap multipliers, and
         # the coordinates each reads
         self.y = np.empty_like(self.centers)
+        self.momentum = np.empty_like(self.centers)
         self.w = np.empty_like(self.centers)
         self.lam = np.empty_like(self.centers)
         self.g_by_axis, self.w_by_axis, self.lam_by_axis = map(_by_axis, (self.g, self.w, self.lam))
@@ -368,6 +383,38 @@ class _Lockstep:
         n = np.hypot(*self.w_coords, out=self.norms)
         np.divide(self.radii, np.maximum(n, self.floors, out=n), out=self.scales)
         return _scale_rows(self.w_by_axis, self.scales_by_axis, out)
+
+    def margins(self, totals: list[float]):
+        """Per row, the least ``|a|^2 + 2 <y - z, a>`` that :meth:`rose` accepts.
+
+        It is ``2 * step`` times the row's rounding margin, ``_MARGIN * T *
+        max(1, |total|)``, at ``totals``, the row's last computed total: a
+        float for a lone row, else an ``(R,)`` array.
+        """
+        margins = [
+            2.0 * step * _MARGIN * horizon * max(1.0, abs(f))
+            for step, horizon, f in zip(self.steps, self.horizons, totals)
+        ]
+        return margins[0] if len(margins) == 1 else np.array(margins)
+
+    def rose(self, z: np.ndarray, y: np.ndarray, z_new: np.ndarray, margins) -> bool:
+        """Whether the descent lemma proves that every row's total rose from ``z`` to ``z_new``.
+
+        ``z_new`` is :meth:`ascent_step` from ``y``, and ``z`` is feasible.
+        For a concave total whose gradient in ``z`` is ``1 / step``-Lipschitz,
+        ``U(z_new) - U(z) >= (|a|^2 / 2 + <y - z, a>) / step`` with ``a =
+        z_new - y`` (Beck & Teboulle 2009, Lemma 2.3).  True when that bound
+        exceeds each row's rounding margin (``margins``, from
+        :meth:`margins`), so that the two totals, were they computed, would
+        not compare as a decrease.  Padded caps hold zeros, which add
+        nothing to a row's sum.
+        """
+        a = np.subtract(z_new, y, out=self.w)
+        b = np.subtract(y, z, out=self.momentum)
+        if len(self.ids) == 1:
+            return float(np.vdot(a, a) + 2.0 * np.vdot(b, a)) > margins
+        rows = np.einsum("rij,rij->r", a, a) + 2.0 * np.einsum("rij,rij->r", b, a)
+        return bool((rows > margins).all())
 
     def _cap_terms(self, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Per cap, ``r_t |lam_t| - <lam_t, z_t>`` clamped at zero, into ``cap_terms``.
@@ -530,22 +577,30 @@ def _ascend(
     checked at iteration 0, then at the iterations :func:`_next_check`
     schedules after each failing check, and at ``max_iter``.  A check
     computes every row's gap, and only the rows due then act on theirs, so
-    a row stops where it would stop alone.  The check reads the waypoints
-    and slot terms of the restart test's totals at the same iterate; after
-    a restart those hold the restarted point of every row, and the check
-    computes them afresh.  Returns each row's waypoints, iteration count,
-    restart count, gap, whether the gap met the stop and check count.  The
-    iterates ``z``, ``z_prev`` and ``z_new`` take turns in three arrays.
+    a row stops where it would stop alone.
+
+    A row restarts its momentum when its computed total falls.  The totals
+    are computed only where that test needs them: a step whose gain the
+    descent lemma proves in every row (:meth:`_Lockstep.rose`) cannot fall,
+    so it skips them.  Otherwise the test runs on the computed totals at
+    the iterate, computed first if skipped, and at the step.  So every
+    restart, and with it every iterate, is the one the totals of every step
+    would give.  A check reads the totals, waypoints and slot terms at its
+    iterate, computing them unless the last totals computed were those.
+    Returns each row's waypoints, iteration count, restart count, gap,
+    whether the gap met the stop and check count.  The iterates ``z``,
+    ``z_prev`` and ``z_new`` take turns in three arrays.
     """
     st = _Lockstep(problems, x0s)
     z, z_prev, z_new = st.z0, st.z0.copy(), np.empty_like(st.z0)
     f_curr = list(st.u0)
     iterations = next_due = 0
-    stale = False
+    # whether f_curr, and the waypoints and slot terms in st, are z's
+    fresh = True
     while True:
         if iterations >= next_due:
-            if stale:
-                st.values(z)
+            if not fresh:
+                f_curr, fresh = st.values(z), True
             met = st.certify(z, f_curr, tol)
             due = st.schedule(iterations, max_iter)
             done = [d and (m or iterations >= max_iter) for d, m in zip(due, met)]
@@ -557,25 +612,32 @@ def _ascend(
                 z, z_prev, f_curr = st.take(keep, z, z_prev, f_curr)
                 z_new = np.empty_like(z)
             next_due = min(st.due)
+            margins = st.margins(f_curr)
         iterations += 1
         t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) for t in st.t_k]
         beta = row_scalars([(t - 1.0) / tn for t, tn in zip(st.t_k, t_next)])
         y = np.subtract(z, z_prev, out=st.y)
         np.add(z, np.multiply(beta, y, out=y), out=y)
         z_new = st.ascent_step(y, out=z_new)
-        f_new = st.values(z_new)
-        back = [j for j, (fn, fc) in enumerate(zip(f_new, f_curr)) if fn < fc]
-        stale = bool(back)
-        if back:
-            # momentum overshoot: restart these rows from a plain projected step
-            z_back = st.ascent_step(z)
-            for j, f in zip(back, st.values(z_back, back)):
-                st.restarts[j] += 1
-                t_next[j] = 1.0
-                f_new[j] = f
-            z_new[back] = z_back[back]
+        if st.rose(z, y, z_new, margins):
+            fresh = False
+        else:
+            if not fresh:
+                f_curr = st.values(z)
+            f_new = st.values(z_new)
+            back = [j for j, (fn, fc) in enumerate(zip(f_new, f_curr)) if fn < fc]
+            fresh = not back
+            if back:
+                # momentum overshoot: restart these rows from a plain projected step
+                z_back = st.ascent_step(z)
+                for j, f in zip(back, st.values(z_back, back)):
+                    st.restarts[j] += 1
+                    t_next[j] = 1.0
+                    f_new[j] = f
+                z_new[back] = z_back[back]
+            f_curr = f_new
+            margins = st.margins(f_curr)
         z_prev, z, z_new, st.t_k = z, z_new, z_prev, t_next
-        f_curr = f_new
 
 
 def solve_offline(
@@ -590,8 +652,11 @@ def solve_offline(
     displacement coordinates ``z_t = x_{t+1} - x_t - center_t``, where the
     coupled caps become independent balls with exact closed-form
     projections; the waypoints are rebuilt by prefix sums.  Momentum
-    restarts whenever the objective decreases.  The step size follows from
-    the horizon.
+    restarts whenever a step lowers the computed objective.  The descent
+    lemma (Beck & Teboulle 2009, Lemma 2.3) proves most steps rose by more
+    than rounding from the iterates alone, and the objective is computed
+    only for the steps it leaves unsure and at the gap checks.  The step
+    size follows from the horizon.
 
     At checks the solve computes a duality gap at its iterate, an upper
     bound on how far the optimum lies above it: the smaller of the

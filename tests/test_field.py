@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajsim import field as field_module
+from trajsim import parse_config
 from trajsim.errors import LatticeError, ParseError, SchemaError, UnitsError
 from trajsim.field import (
     AwayFromGoalSpec,
@@ -296,7 +298,8 @@ class TestLastCellMemo:
 
     @pytest.mark.parametrize("nt", [1, 3])
     def test_nan_after_a_hit_takes_the_full_path(self, nt):
-        # the loop form's bisect cannot place NaN; a field without a memo can
+        # the loop form's bisect cannot place NaN; a field without a memo can.
+        # A NaN position has no current, nor has a NaN time where time varies
         f = random_field(3, nt=nt)
         fresh = VelocityField(f.x_grid, f.y_grid, f.t_grid, f.u, f.v)
         inside = (0.5 * (f.x_grid[1] + f.x_grid[2]), 0.5 * (f.y_grid[1] + f.y_grid[2]))
@@ -306,7 +309,18 @@ class TestLastCellMemo:
             assert f._last[0] <= inside[0] < f._last[1]
             got = sample_velocity(f, p, tt)
             assert repr(got) == repr(sample_velocity(fresh, p, tt)), (p, tt)
-            assert not math.isnan(got[0]) and not math.isnan(got[1])
+            unknown = math.isnan(p[0]) or math.isnan(p[1]) or nt > 1
+            assert math.isnan(got[0]) == math.isnan(got[1]) == unknown, (p, tt)
+
+    def test_nan_position_on_the_sample_voyage_is_not_the_far_corner(self):
+        # the clamp used to place NaN on each axis's last node
+        config = Path(__file__).resolve().parents[1] / "configs" / "voyage.json"
+        f = parse_config(config).ocean_field
+        corner = sample_velocity(f, (f.x_grid[-1], 10.0), 0.0)
+        assert all(map(math.isfinite, corner))
+        for p in [(math.nan, 10.0), (10.0, math.nan), (math.nan, math.nan)]:
+            got = sample_velocity(f, p, 0.0)
+            assert math.isnan(got[0]) and math.isnan(got[1]), p
 
     @pytest.mark.parametrize("nt", [1, 3])
     def test_numpy_scalars_after_a_hit(self, nt):

@@ -1,8 +1,11 @@
 import hashlib
+import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
+import ascent_reference
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 
 from trajsim import metrics
 from trajsim import objectives as obj
+from trajsim.config import parse_config_doc
+from trajsim.engine import NoiseModel
 from trajsim.errors import GridTooCoarse, HorizonMismatch
 from trajsim.field import UniformSpec, synth_field
 from trajsim.geom import dist, dot, left_sum, norm_sq, sub
@@ -32,8 +37,10 @@ from trajsim.metrics import (
     straight_line_trajectory,
 )
 from trajsim.objectives import CommuteUtilities, VoyageUtilities
+from trajsim.scenarios import PathSpec, ScenarioConfig, run_scenario
 from trajsim.sets import Box2D
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BIG_BOX = Box2D((-1e6, -1e6), (1e6, 1e6))
 TEN_BOX = Box2D((0.0, 0.0), (10.0, 10.0))
 # quarter-meter coordinates: midpoints and half steps are exact floats
@@ -1231,3 +1238,158 @@ class TestScheduledChecks:
             if isinstance(events[i], bool) and "restart" in events[max(0, i - 3):i]
         ]
         assert after_restart and all(after_restart)
+
+
+def _huber_commute_124():
+    """The stock commute as a Huber commute with 100 slack slots (T = 124): its episode."""
+    doc = json.loads((CONFIGS / "commute.json").read_text(encoding="utf-8"))
+    doc["d2d"]["utility"] = "huber"
+    doc["delta_slots"] = 100
+    return run_scenario(parse_config_doc(doc), benchmark=False)
+
+
+def _c02_episode(T: int):
+    """Acceptance criterion c02's noisy squared commute at horizon ``T``."""
+    cfg = ScenarioConfig(
+        kind="d2d",
+        start=(0.0, 0.0),
+        goal=PathSpec((2.0, 1.0), (2.0, 1.0)),
+        peer=PathSpec((0.0, 0.0), (0.0, 0.0)),
+        delta=T - 3,
+        v_max_mps=1.0,
+        utility_kind="squared",
+        mu=1.0,
+        alpha_min=0.01,
+        gradient_noise=NoiseModel(kind="gaussian_decaying", eps0=0.5, decay_q=1.0, seed=9),
+        seed=7,
+    )
+    return run_scenario(cfg, benchmark=False)
+
+
+def _ref_pin(sol) -> tuple:
+    """:func:`_pin` and the check count."""
+    return _pin(sol) + (sol.checks,)
+
+
+def _assert_reference_solves(problems, x0s, **kwargs):
+    """``solve_offline_batch`` and each row's ``solve_offline`` equal the reference ascent's."""
+    want = [_ref_pin(s) for s in ascent_reference.solve_offline_batch(problems, x0s, **kwargs)]
+    assert [_ref_pin(s) for s in solve_offline_batch(problems, x0s, **kwargs)] == want
+    solo = [solve_offline(p, x0=x0, **kwargs) for p, x0 in zip(problems, x0s)]
+    assert [_ref_pin(s) for s in solo] == want
+    return want
+
+
+def _proof_checked(seen: list):
+    """:meth:`_Lockstep.rose`, checking each step it proves by the computed totals.
+
+    Such a step's total at ``z_new`` must not lie below the total at ``z``
+    in any row.  Computing them leaves the waypoints and slot terms at
+    ``z_new``, which the ascent computes afresh before it reads them.
+    ``seen`` collects the results, one per step.
+    """
+    rose = _Lockstep.rose
+
+    def checked(self, z, y, z_new, margins):
+        proved = rose(self, z, y, z_new, margins)
+        if proved:
+            before, after = self.values(z), self.values(z_new)
+            assert all(a >= b for a, b in zip(after, before)), (before, after)
+        seen.append(proved)
+        return proved
+
+    return checked
+
+
+@pytest.fixture
+def rose_checked(monkeypatch):
+    """The steps' ``rose`` results, each proved step checked by :func:`_proof_checked`."""
+    seen: list = []
+    monkeypatch.setattr(_Lockstep, "rose", _proof_checked(seen))
+    return seen
+
+
+class TestCertifiedRestart:
+    """The ascent computes its totals only where the descent lemma leaves a step unsure.
+
+    Every solve equals the reference ascent, which computes them every step
+    (``tests/ascent_reference.py``), in iterations, restarts, checks, gap and
+    waypoints.
+    """
+
+    @pytest.mark.parametrize(
+        "kind, T, seed", [("squared", 60, 1), ("huber", 128, 2), ("voyage", 90, 3), ("huber", 40, 3)]
+    )
+    def test_solo_rows_equal_the_reference(self, rose_checked, kind, T, seed):
+        problem, x0 = _random_problem(kind, T, seed)
+        (pin,) = _assert_reference_solves([problem], [x0])
+        assert pin[0] > 0 and rose_checked.count(True) > rose_checked.count(False)
+
+    def test_padded_voyage_batch_equals_the_reference(self, rose_checked):
+        rows = [(40, 11), (30, 1), (7, 2), (2, 3), (19, 4), (25, 6)]
+        instances = [_random_problem("voyage", T, seed) for T, seed in rows]
+        pins = _assert_reference_solves([p for p, _ in instances], [x0 for _, x0 in instances])
+        assert len({pin[0] for pin in pins}) == len(rows)
+        assert any(pin[1] > 0 for pin in pins)
+
+    def test_restart_chain_takes_the_restart_branch_as_the_reference(self, rose_checked):
+        (pin,) = _assert_reference_solves([_restart_chain()], [None], tol=1e-9)
+        assert pin[1] > 0 and False in rose_checked
+
+    def test_c02_instance_equals_the_reference(self, rose_checked):
+        report = _c02_episode(1024)
+        (pin,) = _assert_reference_solves([report.problem], [report.trajectory])
+        assert pin[3] and rose_checked
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["squared", "huber", "voyage"]),
+        rows=st.lists(
+            st.tuples(st.integers(2, 60), st.integers(0, 2**32 - 1)), min_size=1, max_size=4
+        ),
+        max_iter=st.sampled_from([3, 25, 100_000]),
+    )
+    def test_batches_equal_the_reference(self, kind, rows, max_iter):
+        instances = [_random_problem(kind, T, seed) for T, seed in rows]
+        with np.errstate(all="raise"):
+            _assert_reference_solves(
+                [p for p, _ in instances], [x0 for _, x0 in instances], max_iter=max_iter
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["squared", "huber", "voyage"]),
+        rows=st.lists(
+            st.tuples(st.integers(2, 60), st.integers(0, 2**32 - 1)), min_size=1, max_size=4
+        ),
+    )
+    def test_a_proved_step_never_lowers_a_computed_total(self, kind, rows):
+        # a tight stop runs the rows on to where their steps gain little
+        instances = [_random_problem(kind, T, seed) for T, seed in rows]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Lockstep, "rose", _proof_checked([]))
+            solve_offline_batch(
+                [p for p, _ in instances], [x0 for _, x0 in instances], max_iter=3000, tol=1e-9
+            )
+
+    def test_the_totals_run_only_at_checks_and_unsure_steps(self, monkeypatch):
+        values, rose = _Lockstep.values, _Lockstep.rose
+        calls, proofs = [], []
+
+        def counting_values(self, z, rows=None):
+            calls.append(rows)
+            return values(self, z, rows)
+
+        def counting_rose(self, z, y, z_new, margins):
+            proofs.append(rose(self, z, y, z_new, margins))
+            return proofs[-1]
+
+        report = _huber_commute_124()
+        monkeypatch.setattr(_Lockstep, "values", counting_values)
+        monkeypatch.setattr(_Lockstep, "rose", counting_rose)
+        sol = solve_offline(report.problem, x0=report.trajectory)
+        assert sol.converged and sol.restarts == 0 and len(proofs) == sol.iterations
+        # one call at the start stands for iteration 0's check; each later
+        # check computes at most one, and an unsure step at most two
+        assert len(calls) <= sol.checks + 2 * proofs.count(False)
+        assert len(calls) < sol.iterations / 2
