@@ -18,7 +18,11 @@ A driver (:class:`EpisodeDriver`) answers three calls per slot.
 keeps the slot's constants on the driver; ``gamma(grad_tilde, gbar)`` and
 ``slack(a, b)`` then read them for the step size and the executed step's
 coupled constraint.  :class:`EngineState` and :class:`StepRecord` are
-named tuples, built positionally once per step.
+named tuples, built once per step by ``tuple.__new__`` on the field tuple,
+which skips the Python-level ``__new__``.  Each two-argument ``min``/``max``
+on the per-slot path is written as the comparison that returns the same
+operand (``max(a, b)`` is ``b if b > a else a``), so NaN and signed zero
+come out exactly as the builtins give them.
 """
 
 from __future__ import annotations
@@ -179,6 +183,9 @@ def _slot_noise(noise: NoiseModel, steps: int):
         yield from zip(range(t0, t0 + n), *noise.draws(n, t0))
 
 
+_new = tuple.__new__
+
+
 class EngineState(NamedTuple):
     """Where the agent is at slot ``t`` plus its running gradient-norm max."""
 
@@ -203,13 +210,16 @@ def ioga_step(state: EngineState, grad_tilde: Vector, gamma: float, region: Box2
     """One projected ascent step ``x <- P(x + grad/gamma)``; NaN ``gamma`` is rejected."""
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    (x0, x1), (g0, g1), s = state.x_hat, grad_tilde, 1.0 / gamma
+    t, x_hat, _, gbar = state
+    (x0, x1), (g0, g1), s = x_hat, grad_tilde, 1.0 / gamma
     (lo0, lo1), (hi0, hi1) = region.lo, region.hi
-    return EngineState(
-        state.t + 1,
-        (min(max(x0 + g0 * s, lo0), hi0), min(max(x1 + g1 * s, lo1), hi1)),
-        state.x_hat,
-        max(state.gbar_running, math.hypot(g0, g1)),
+    # min(max(y, lo), hi) and max(gbar, |g|), as comparisons
+    y0, y1, g = x0 + g0 * s, x1 + g1 * s, math.hypot(g0, g1)
+    y0 = lo0 if lo0 > y0 else y0
+    y1 = lo1 if lo1 > y1 else y1
+    return _new(
+        EngineState,
+        (t + 1, (hi0 if hi0 < y0 else y0, hi1 if hi1 < y1 else y1), x_hat, g if g > gbar else gbar),
     )
 
 
@@ -248,7 +258,8 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
         x_hat = state.x_hat
         grad_true, grad_obs = plan(t, x_hat, mode)
         grad_tilde = (grad_obs[0] + n[0], grad_obs[1] + n[1])
-        gbar = max(state.gbar_running, hypot(grad_tilde[0], grad_tilde[1]))
+        g, gbar = hypot(grad_tilde[0], grad_tilde[1]), state.gbar_running
+        gbar = g if g > gbar else gbar
         try:
             gamma = step_size(grad_tilde, gbar)
             state = ioga_step(state, grad_tilde, gamma, region)
@@ -259,8 +270,7 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
         if not slack <= SLACK_TOL:
             raise InfeasibleStepSize(t, f"executed step violates its constraint by {slack:.3e}")
         e0, e1 = grad_tilde[0] - grad_true[0], grad_tilde[1] - grad_true[1]
-        records.append(
-            StepRecord(t, x_hat, x_next, gamma, grad_tilde, e0 * e0 + e1 * e1, eps_t * eps_t, slack)
-        )
+        fields = (t, x_hat, x_next, gamma, grad_tilde, e0 * e0 + e1 * e1, eps_t * eps_t, slack)
+        records.append(_new(StepRecord, fields))
         waypoints.append(x_next)
     return waypoints, records

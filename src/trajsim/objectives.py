@@ -121,7 +121,8 @@ def d2d_step_size(
         raise ValueError(f"need 0 < alpha_min <= alpha_t <= 1, got {alpha_min}, {alpha_t}")
     if gbar == 0.0:
         return margin * L
-    lower = max(gbar / (v_max * alpha_t), L)
+    lower = gbar / (v_max * alpha_t)
+    lower = L if L > lower else lower  # max(lower, L)
     upper = gbar / (v_max * alpha_min)
     chosen = margin * lower
     if chosen >= upper:
@@ -181,13 +182,15 @@ def current_strength_angle(
     if v_o_max <= 0.0:
         raise ValueError("historical max current must be positive")
     n_vo = math.hypot(v_o[0], v_o[1])
-    eta = min(n_vo / v_o_max, 1.0)
+    eta = n_vo / v_o_max
+    eta = 1.0 if 1.0 < eta else eta  # min(eta, 1.0)
     h0, h1 = d[0] - x_hat[0], d[1] - x_hat[1]
     n_h = math.hypot(h0, h1)
     if n_h == 0.0 or n_vo == 0.0:
         return eta, math.pi
     c = (h0 * v_o[0] + h1 * v_o[1]) / (n_h * n_vo)
-    return eta, math.acos(min(1.0, max(-1.0, c)))
+    c = c if c > -1.0 else -1.0  # min(1.0, max(-1.0, c))
+    return eta, math.acos(c if c < 1.0 else 1.0)
 
 
 def alpha_schedule(beta: float, delta: float, T: int, eta: float, theta: float) -> float:
@@ -249,8 +252,8 @@ def ocean_step_size(
     b = 2.0 * dot(grad_tilde, v_o)
     disc = b * b - 4.0 * a * g2
     # a < 0 and g2 > 0 force disc > 0 and exactly one positive root
-    root = (b - math.sqrt(disc)) / (2.0 * a)
-    return max(root, margin * L)
+    root, floor = (b - math.sqrt(disc)) / (2.0 * a), margin * L
+    return floor if floor > root else root  # max(root, floor)
 
 
 # ---------------------------------------------------------------------------

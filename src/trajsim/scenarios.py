@@ -285,8 +285,11 @@ class _Driver:
     episode as arrays: the goal schedule here, and the commute's peer, goal
     weights and leads in its subclass.  ``plan`` indexes these lists.
     A subclass sets ``region`` and implements the :class:`~trajsim.engine.EpisodeDriver`
-    calls; its ``plan`` starts with :meth:`source_slot`, and its step sizes take
-    the default ``L``, its family's ``smoothness``.  Once the episode is done,
+    calls in one body each.  Its ``plan(t, ...)`` first latches ``arrival``
+    once the waypoint is within :data:`ARRIVAL_TOL_M` of slot ``t``'s goal,
+    and takes the step's gradient from slot ``t``, or from ``t + 1`` in
+    lookahead mode (clamped at the horizon); its step sizes take the default
+    ``L``, its family's ``smoothness``.  Once the episode is done,
     ``freeze(path)``, given the trajectory as a ``(T, 2)`` array, returns the
     offline benchmark (an :class:`OfflineProblem` over the frozen utility
     family, its step caps and the box), the per-step energies and the
@@ -310,12 +313,6 @@ class _Driver:
         self.alphas: list[float] = []
         self.v = cfg.v_slot
         self.margin = cfg.margin
-
-    def source_slot(self, t: int, x_hat: Point, mode: Mode) -> int:
-        """Latch arrival at slot ``t``'s goal; return the slot whose gradient drives the step."""
-        if self.arrival is None and dist(x_hat, self.goals[t - 1]) <= ARRIVAL_TOL_M:
-            self.arrival = t
-        return t + 1 if mode == "lookahead" else t
 
 
 class _D2DDriver(_Driver):
@@ -352,11 +349,11 @@ class _D2DDriver(_Driver):
                 self.observed = np.stack([peers[:, 0] + std * z0, peers[:, 1] + std * z1], axis=1)
                 self.leads_obs = points(*(lam * self.observed + (1.0 - lam) * goals).T)
 
-    def goal_weight(self, t: int) -> float:
-        return 1.0 if self.arrival is not None else self.weights[min(t, self.horizon) - 1]
-
     def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]:
-        i = min(self.source_slot(t, x_hat, mode), self.horizon) - 1
+        if self.arrival is None and dist(x_hat, self.goals[t - 1]) <= ARRIVAL_TOL_M:
+            self.arrival = t
+        s, T = (t + 1 if mode == "lookahead" else t), self.horizon
+        i = (T if T < s else s) - 1
         if self.arrival is None:
             ell, ell_obs = self.leads[i], self.leads_obs[i]
         else:
@@ -427,47 +424,47 @@ class _OceanDriver(_Driver):
         self.neg_beta = -cfg.beta
         self.delta_per_slot = cfg.delta / self.horizon
 
-    def _currents(self, p: Point, t: int) -> tuple[Vector, Vector]:
-        """True and measured current at ``p`` in slot ``t``, in m/slot."""
-        tau = self.tau
-        s = (t - 1) * tau
-        u, v = sample_velocity(self.truth, p, s)
-        true = (u * tau, v * tau)
-        if self.measured is self.truth:
-            return true, true
-        u, v = sample_velocity(self.measured, p, s)
-        return true, (u * tau, v * tau)
-
-    def weights(self, t: int, x_hat: Point, vo_meas: Vector) -> tuple[float, float]:
-        """Goal weight and speed throttle for slot ``t`` at ``x_hat``; ``cos(theta / 2)`` once."""
-        goal = self.goals[min(t, self.horizon) - 1]
-        eta, theta = obj.current_strength_angle(goal, x_hat, vo_meas, self.v_o_max_slot)
-        half = math.cos(theta / 2.0)
-        if self.arrival is not None:
-            lam = 1.0
-        elif self.increasing:
-            lam = min(t, self.horizon) / self.horizon
-        else:
-            lam = 1.0 - eta * half * half
-        return lam, math.exp(self.neg_beta * (self.delta_per_slot + eta * half))
-
     def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]:
-        tg = self.source_slot(t, x_hat, mode)
-        vo_true, vo_meas = self._currents(x_hat, tg)
-        lam, alpha = self.weights(tg, x_hat, vo_meas)
-        goal = self.goals[min(tg, self.horizon) - 1]
-        grad_true = grad_obs = obj.ocean_gradient(x_hat, goal, vo_true, lam)
-        if vo_meas is not vo_true:
-            grad_obs = obj.ocean_gradient(x_hat, goal, vo_meas, lam)
-        if tg != t:  # constraint and utility bookkeeping always live on the current slot
-            vo_true, vo_meas = self._currents(x_hat, t)
-            lam, alpha = self.weights(t, x_hat, vo_meas)
+        """Slot ``t``'s gradients at ``x_hat``, or slot ``t + 1``'s in lookahead mode.
+
+        Each slot ``s`` the loop visits samples its currents at ``x_hat`` and
+        time ``(s - 1) * tau``, in m/slot, and takes its goal weight and
+        throttle from the paper's schedules with one ``cos(theta / 2)``.
+        Lookahead visits ``t + 1`` for the gradients, then ``t`` for the
+        constraint and the utility bookkeeping.
+        """
+        goals, T, tau, truth, measured = self.goals, self.horizon, self.tau, self.truth, self.measured
+        if self.arrival is None and dist(x_hat, goals[t - 1]) <= ARRIVAL_TOL_M:
+            self.arrival = t
+        grads = None
+        for s in (t + 1, t) if mode == "lookahead" else (t,):
+            k, time_s = (T if T < s else s), (s - 1) * tau
+            u, v = sample_velocity(truth, x_hat, time_s)
+            vo_true = vo_meas = (u * tau, v * tau)
+            if measured is not truth:
+                u, v = sample_velocity(measured, x_hat, time_s)
+                vo_meas = (u * tau, v * tau)
+            goal = goals[k - 1]
+            eta, theta = obj.current_strength_angle(goal, x_hat, vo_meas, self.v_o_max_slot)
+            half = math.cos(theta / 2.0)
+            if self.arrival is not None:
+                lam = 1.0
+            elif self.increasing:
+                lam = k / T
+            else:
+                lam = 1.0 - eta * half * half
+            alpha = math.exp(self.neg_beta * (self.delta_per_slot + eta * half))
+            if grads is None:
+                grad_true = grad_obs = obj.ocean_gradient(x_hat, goal, vo_true, lam)
+                if vo_meas is not vo_true:
+                    grad_obs = obj.ocean_gradient(x_hat, goal, vo_meas, lam)
+                grads = grad_true, grad_obs
         self.lambdas.append(lam)
         self.alphas.append(alpha)
         self.currents_true.append(vo_true)
         # the step's true current and throttle, for gamma and slack
         self.vo, self.alpha = vo_true, alpha
-        return grad_true, grad_obs
+        return grads
 
     def gamma(self, grad_tilde: Vector, gbar: float) -> float:
         return obj.ocean_step_size(grad_tilde, self.vo, self.alpha, self.v, margin=self.margin)

@@ -6,18 +6,93 @@ scalar draws, blends its leads with ``leading_path``, and the set-up
 samples the goal and peer schedules with ``PathSpec.at``.  ``freeze``
 returns the whole horizon's leads, the step energies from ``energy_cost``
 and the link rates from ``rate``.
+
+The projected step and the three per-slot objectives that clamp with
+comparisons in the library (``ioga_step``, ``d2d_step_size``,
+``current_strength_angle`` and ``ocean_step_size``) are kept here as they
+were written with the builtin two-argument ``min`` and ``max``, and the
+named tuples built through their Python-level ``__new__``.
 """
 
 import math
 from dataclasses import replace
 
 from trajsim import objectives as obj
-from trajsim.engine import SLACK_TOL, EngineState, StepRecord, ioga_step, normal_pair
+from trajsim.engine import SLACK_TOL, EngineState, StepRecord, normal_pair
 from trajsim.errors import EmptyStepInterval, InfeasibleStepSize, RootExistence
-from trajsim.geom import dist
+from trajsim.geom import dist, dot, norm, norm_sq
 from trajsim.metrics import energy_cost
 from trajsim.scenarios import _GRAD_SEED_OFFSET, _PEER_SEED_OFFSET, ARRIVAL_TOL_M
 from trajsim.sets import Box2D
+
+
+def ioga_step(state, grad_tilde, gamma, region):
+    """One projected ascent step ``x <- P(x + grad/gamma)``; NaN ``gamma`` is rejected."""
+    if not gamma > 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    (x0, x1), (g0, g1), s = state.x_hat, grad_tilde, 1.0 / gamma
+    (lo0, lo1), (hi0, hi1) = region.lo, region.hi
+    return EngineState(
+        state.t + 1,
+        (min(max(x0 + g0 * s, lo0), hi0), min(max(x1 + g1 * s, lo1), hi1)),
+        state.x_hat,
+        max(state.gbar_running, math.hypot(g0, g1)),
+    )
+
+
+def d2d_step_size(gbar, v_max, alpha_t, alpha_min, L=obj.D2D_SMOOTHNESS, margin=1.01):
+    if gbar < 0.0:
+        raise ValueError("gbar must be nonnegative")
+    if not 0.0 < alpha_min <= alpha_t <= 1.0:
+        raise ValueError(f"need 0 < alpha_min <= alpha_t <= 1, got {alpha_min}, {alpha_t}")
+    if gbar == 0.0:
+        return margin * L
+    lower = max(gbar / (v_max * alpha_t), L)
+    upper = gbar / (v_max * alpha_min)
+    chosen = margin * lower
+    if chosen >= upper:
+        raise EmptyStepInterval(lower, upper, chosen)
+    return chosen
+
+
+def current_strength_angle(d, x_hat, v_o, v_o_max):
+    if v_o_max <= 0.0:
+        raise ValueError("historical max current must be positive")
+    n_vo = math.hypot(v_o[0], v_o[1])
+    eta = min(n_vo / v_o_max, 1.0)
+    h0, h1 = d[0] - x_hat[0], d[1] - x_hat[1]
+    n_h = math.hypot(h0, h1)
+    if n_h == 0.0 or n_vo == 0.0:
+        return eta, math.pi
+    c = (h0 * v_o[0] + h1 * v_o[1]) / (n_h * n_vo)
+    return eta, math.acos(min(1.0, max(-1.0, c)))
+
+
+def ocean_step_size(grad_tilde, v_o, alpha_t, v_max, L=obj.OCEAN_SMOOTHNESS, margin=1.01):
+    speed_cap = alpha_t * v_max
+    vo_norm = norm(v_o)
+    if speed_cap <= vo_norm:
+        raise RootExistence(alpha_t, vo_norm / v_max)
+    g2 = norm_sq(grad_tilde)
+    if g2 == 0.0:
+        return margin * L
+    a = vo_norm * vo_norm - speed_cap * speed_cap
+    b = 2.0 * dot(grad_tilde, v_o)
+    disc = b * b - 4.0 * a * g2
+    root = (b - math.sqrt(disc)) / (2.0 * a)
+    return max(root, margin * L)
+
+
+# the floats where a comparison and the builtin min/max could part
+EDGE_FLOATS = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 5e-324)
+
+
+def outcome(fn, *args):
+    """``repr`` of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the raise is part of the outcome
+        return type(exc), str(exc)
 
 
 def auto_region(cfg, anchors):

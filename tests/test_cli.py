@@ -7,9 +7,12 @@ import sys
 import time
 from pathlib import Path
 
+import ascent_reference
 import pytest
+from field_reference import sample_velocity_loop
 
 import trajsim
+from trajsim import NoiseModel, parse_config, perturb_field, run_scenario, sample_velocity
 from trajsim.cli import main
 from trajsim.traces import SUMMARY_HEADER, read_trace
 
@@ -616,6 +619,63 @@ class TestAdversaryCommand:
     def test_adversary_params_errors_name_the_flag(self, tmp_path, capsys, T, W, message):
         assert main(["adversary", "--T", T, "--W", W, "--out", str(tmp_path / "adv")]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+
+class TestStockConfigReplays:
+    """The sample configs' runs against their reference forms, and each run against its replay."""
+
+    def test_batch_noise_stream(self, tmp_path):
+        # the episode's one-pass draw is the per-slot draw, bit for bit
+        n = 100_000
+        for seed in (1, 20011, 2**64 - 1):
+            model = NoiseModel("gaussian_decaying", 0.1, 0.5, seed)
+            eps, draws = model.draws(n)
+            # compared outside the assert, so that a failure is not a diff of megabytes
+            same_eps = repr(eps) == repr([model.eps(t) for t in range(1, n + 1)])
+            same_draws = repr(draws) == repr([model.draw(t) for t in range(1, n + 1)])
+            assert same_eps and same_draws, (seed, same_eps, same_draws)
+        cfg = str(CONFIGS / "commute.json")
+        for run in "ab":
+            out = str(tmp_path / run)
+            assert main(["run", "--mode", "lookahead", "--config", cfg, "--out", out]) == 0
+        assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+
+    def test_field_sampler_memo(self, tmp_path):
+        path = CONFIGS / "voyage.json"
+        for run in "ab":
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / run)]) == 0
+        trace = tmp_path / "a" / "trace.csv"
+        assert trace.read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+        # the voyage's two fields, sampled in the episode's order along its path:
+        # each sample, a memo hit or not, is the loop form's, bit for bit
+        cfg = parse_config(path)
+        fields = (cfg.ocean_field, perturb_field(cfg.ocean_field, cfg.perturbation))
+        assert fields[1] is not fields[0]
+        tau = cfg.slot_duration_s
+        rows = read_trace(trace)
+        for t, row in enumerate(rows):
+            p, s = (row["x1"], row["x2"]), t * tau
+            for f in fields:
+                got, want = sample_velocity(f, p, s), sample_velocity_loop(f, p, s)
+                assert repr(got) == repr(want), (t, p, got, want)
+        assert len(rows) > 1, rows
+
+    def test_certified_restart(self, tmp_path):
+        # the ascent computes its totals only for the steps the descent lemma
+        # leaves unsure; its solve must be the one of the loop that computes
+        # them every step, on the T = 124 Huber commute
+        doc = json.loads((CONFIGS / "commute.json").read_text(encoding="utf-8"))
+        doc["d2d"]["utility"], doc["delta_slots"] = "huber", 100
+        cfg = write(tmp_path, doc, "restart_huber.json")
+        for run in "ab":
+            assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        report = (tmp_path / "a" / "regret_report.json").read_bytes()
+        assert report == (tmp_path / "b" / "regret_report.json").read_bytes()
+        episode = run_scenario(parse_config(cfg), benchmark=False)
+        (ref,) = ascent_reference.solve_offline_batch([episode.problem], [episode.trajectory])
+        got = json.loads(report)
+        want = {"solver_iterations": ref.iterations, "solver_restarts": ref.restarts, "offline_gap": ref.gap}
+        assert {k: got[k] for k in want} == want, (got, want)
 
 
 def test_import_leaves_scipy_out():

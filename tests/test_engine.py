@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from episode_reference import run_episode_reference
+import episode_reference
+from episode_reference import EDGE_FLOATS, outcome, run_episode_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,19 @@ from trajsim.geom import dist, norm, norm_sq, sub
 from trajsim.sets import Box2D
 
 FREE = Box2D((-1e9, -1e9), (1e9, 1e9))
+
+REALS = st.floats() | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def steps(draw):
+    """A state, gradient, rate and box for ``ioga_step``; waypoints may sit on a face."""
+    a, b, c, d = (draw(REALS) for _ in range(4))
+    # Box2D rejects lo > hi and takes a NaN bound
+    (lo0, hi0), (lo1, hi1) = (b, a) if a > b else (a, b), (d, c) if c > d else (c, d)
+    x = (draw(REALS | st.sampled_from([lo0, hi0])), draw(REALS | st.sampled_from([lo1, hi1])))
+    state = EngineState(draw(st.integers(1, 10**6)), x, (0.0, 0.0), draw(REALS))
+    return state, (draw(REALS), draw(REALS)), draw(REALS), Box2D((lo0, lo1), (hi0, hi1))
 
 
 class TestNoiseModel:
@@ -97,7 +111,7 @@ class TestNoiseStream:
         for t in (1, 2, 3):
             _, grad_obs = driver.plan(t, x, "standard")
             z0, z1 = model.draw(t)
-            lam = driver.goal_weight(t)
+            lam = driver.weights[t - 1]
             ell = leading_path((0.0 + z0, 3.0 + z1), driver.goals[t - 1], 1.0 - lam)
             assert grad_obs == d2d_gradient(x, ell, driver.v, cfg.mu)
 
@@ -216,6 +230,15 @@ class TestIogaStep:
         state = EngineState(t=1, x_hat=(0.0, 0.0), x_prev=(0.0, 0.0))
         with pytest.raises(ValueError):
             ioga_step(state, (1.0, 0.0), math.nan, FREE)
+
+    @settings(max_examples=400, deadline=None)
+    @given(args=steps())
+    # zero steps onto a face of the other sign: max(-0.0, 0.0) keeps -0.0 and
+    # max(0.0, -0.0) keeps 0.0; a NaN stays NaN
+    @example(args=(EngineState(1, (-0.0, 0.0), (0.0, 0.0)), (-0.0, 0.0), 1.0, Box2D((0.0, -0.0), (1.0, 0.0))))
+    @example(args=(EngineState(1, (math.nan, 1.0), (0.0, 0.0), math.nan), (0.0, math.inf), 2.0, FREE))
+    def test_comparisons_keep_the_builtin_clamps(self, args):
+        assert outcome(ioga_step, *args) == outcome(episode_reference.ioga_step, *args)
 
 
 class _ChaserDriver:

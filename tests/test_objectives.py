@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajsim import objectives as obj
 from trajsim.errors import EmptyStepInterval, RootExistence
 from trajsim.geom import dist, norm
 
+import episode_reference as ref
+from episode_reference import EDGE_FLOATS, outcome
 from gradient_reference import d2d_gradient_piecewise
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 coords = st.floats(-20.0, 20.0, allow_nan=False)
 points = st.tuples(coords, coords)
+# edge floats among plain ones that pass the range checks
+edgy = st.sampled_from(EDGE_FLOATS) | st.floats()
+mixed = edgy | st.floats(0.0, 4.0)
 
 
 def central_difference(f, x, h=1e-5):
@@ -314,3 +319,38 @@ class TestOceanStepSize:
             assert rel <= alpha * v + 1e-9
             if gamma > 2.0 * 1.01:  # unclamped: the cap binds exactly
                 assert rel == pytest.approx(alpha * v, rel=1e-9)
+
+
+class TestComparisonClamps:
+    """The per-slot clamps written as comparisons give the builtin min/max's bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(args=st.tuples(mixed, mixed, mixed | unit, unit | mixed, mixed, mixed))
+    # a NaN ratio, and a ratio of -0.0 against L = 0.0
+    @example(args=(1.0, math.nan, 1.0, 0.5, 1.0, 1.01))
+    @example(args=(1.0, -math.inf, 1.0, 0.5, 0.0, 1.01))
+    def test_d2d_step_size(self, args):
+        assert outcome(obj.d2d_step_size, *args) == outcome(ref.d2d_step_size, *args)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        d=st.tuples(mixed, mixed),
+        x=st.tuples(mixed, mixed),
+        v_o=st.tuples(mixed, mixed),
+        scale=st.none() | mixed | st.floats(-4.0, 0.0),
+        v_o_max=mixed,
+    )
+    def test_current_strength_angle(self, d, x, v_o, scale, v_o_max):
+        if scale is not None:  # a current along the heading, where the cosine rounds past 1
+            v_o = (scale * (d[0] - x[0]), scale * (d[1] - x[1]))
+        args = (d, x, v_o, v_o_max)
+        assert outcome(obj.current_strength_angle, *args) == outcome(ref.current_strength_angle, *args)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        args=st.tuples(
+            st.tuples(mixed, mixed), st.tuples(edgy | coords, edgy | coords), mixed, mixed, mixed, mixed
+        )
+    )
+    def test_ocean_step_size(self, args):
+        assert outcome(obj.ocean_step_size, *args) == outcome(ref.ocean_step_size, *args)

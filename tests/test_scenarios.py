@@ -12,11 +12,12 @@ from trajsim import metrics
 from trajsim import objectives as obj
 from trajsim.engine import NoiseModel, run_episode
 from trajsim.errors import InfeasibleStepSize, SchemaError
-from trajsim.field import FieldPerturbation, UniformSpec, synth_field
+from trajsim.field import FieldPerturbation, GyreSpec, UniformSpec, synth_field
 from trajsim.geom import as_array, dist, dot, left_sum, norm, norm_sq, sub
 from trajsim.metrics import _violation, solve_offline
 from trajsim.objectives import CommuteUtilities
 from trajsim.scenarios import (
+    ARRIVAL_TOL_M,
     MAX_ADVERSARY_T,
     MAX_ADVERSARY_W,
     AdversaryParams,
@@ -582,9 +583,12 @@ class TestOceanWeights:
     """The driver's one-pass weights against the stepwise scalar forms, bit for bit."""
 
     @pytest.mark.parametrize("strategy", ["direction_dependent", "increasing"])
-    def test_weights_match_objectives_bitwise(self, strategy):
+    def test_weights_match_objectives_bitwise(self, strategy, monkeypatch):
+        from trajsim import scenarios
         from trajsim.scenarios import _OceanDriver
 
+        # plan samples the loop's current vo, in m/s, which is m/slot at 1 s slots
+        monkeypatch.setattr(scenarios, "sample_velocity", lambda field, p, s: vo)
         rng = np.random.default_rng(5)
         driver = _OceanDriver(ocean_config(lambda_strategy=strategy, delta=17, beta=0.7))
         # currents of up to about 2 m/slot, so eta also reaches its clamp at 1
@@ -607,7 +611,34 @@ class TestOceanWeights:
             else:
                 lam = obj.directional_weight(eta, theta)
             alpha = obj.alpha_schedule(0.7, 17, T, eta, theta)
-            assert repr(driver.weights(t, x, vo)) == repr((lam, alpha))
+            driver.arrival = None  # the waypoint on the goal latches arrival
+            driver.plan(t, x, "standard")
+            assert repr((driver.lambdas[-1], driver.alphas[-1])) == repr((lam, alpha))
+
+    @pytest.mark.parametrize("mode", ["standard", "lookahead"])
+    @pytest.mark.parametrize("strategy", ["direction_dependent", "increasing"])
+    def test_episode_runs_the_public_schedules(self, strategy, mode):
+        """Each slot's weight and throttle are the paper's schedules of its record's angle."""
+        axis = tuple(np.linspace(-100.0, 300.0, 21))
+        gyre = synth_field(GyreSpec((25.0, 25.0), 0.3, 20.0), axis, axis)
+        cfg = ocean_config(ocean_field=gyre, lambda_strategy=strategy, slot_duration_s=2.0)
+        report = run_scenario(cfg, mode, benchmark=False)
+        T, current = report.horizon, report.problem.utilities.current.tolist()
+        v_o_max = max(gyre.v_o_max * cfg.slot_duration_s, 1e-12)
+        lams, alphas = [], []
+        for r in report.records:
+            goal = report.goals[r.t - 1]
+            assert dist(r.x_before, goal) > ARRIVAL_TOL_M  # arrival would pin the weight at 1
+            vo = tuple(current[r.t - 1])
+            eta, theta = obj.current_strength_angle(goal, r.x_before, vo, v_o_max)
+            if strategy == "increasing":
+                lams.append(obj.lambda_increasing(r.t, T))
+            else:
+                lams.append(obj.directional_weight(eta, theta))
+            alphas.append(obj.alpha_schedule(cfg.beta, cfg.delta, T, eta, theta))
+        assert len(set(alphas)) > T // 2  # the current turns along the path
+        assert repr(report.lambdas) == repr(lams)
+        assert repr(report.alphas) == repr(alphas)
 
 
 class TestAdversary:
