@@ -17,18 +17,22 @@ A driver (:class:`EpisodeDriver`) answers three calls per slot.
 ``plan(t, x_hat, mode)`` returns the exact and the observed gradient and
 keeps the slot's constants on the driver; ``gamma(grad_tilde, gbar)`` and
 ``slack(a, b)`` then read them for the step size and the executed step's
-coupled constraint.  :class:`EngineState` and :class:`StepRecord` are
-named tuples, built once per step by ``tuple.__new__`` on the field tuple,
-which skips the Python-level ``__new__``.  Each two-argument ``min``/``max``
-on the per-slot path is written as the comparison that returns the same
-operand (``max(a, b)`` is ``b if b > a else a``), so NaN and signed zero
-come out exactly as the builtins give them.
+coupled constraint.  :class:`EngineState` is a named tuple, built once per
+step by ``tuple.__new__``, which skips the Python-level ``__new__``.  The
+steps go to float columns (:class:`StepColumns`), which keep no per-step
+tuple for the garbage collector and build a :class:`StepRecord` only when
+it is read.  Each two-argument ``min``/``max`` on the per-slot path is
+written as the comparison that returns the same operand (``max(a, b)`` is
+``b if b > a else a``), so NaN and signed zero come out exactly as the
+builtins give them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import Literal, NamedTuple, Protocol
 
 import numpy as np
@@ -206,6 +210,40 @@ class StepRecord(NamedTuple):
     constraint_slack: float
 
 
+class StepColumns(Sequence[StepRecord]):
+    """An episode's steps as float columns, read as a ``Sequence[StepRecord]``.
+
+    Entry ``i`` of each column is step ``i + 1``'s: the step size, the noisy
+    gradient and its norm, the realized and the bounded squared error, and
+    the slack.  Step ``i + 1``'s record, from waypoints ``i`` and ``i + 1``,
+    is built each time it is read.
+    """
+
+    COLUMNS = ("gamma", "g0", "g1", "grad_norm", "eps_sq_realized", "eps_sq_bound", "slack")
+
+    def __init__(self, waypoints: list[Point]):
+        self.waypoints = waypoints
+        for name in self.COLUMNS:
+            setattr(self, name, [])
+
+    def __len__(self) -> int:
+        return len(self.gamma)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i, w = range(len(self))[i], self.waypoints
+        fields = (i + 1, w[i], w[i + 1], self.gamma[i], (self.g0[i], self.g1[i]),
+                  self.eps_sq_realized[i], self.eps_sq_bound[i], self.slack[i])
+        return _new(StepRecord, fields)
+
+    def __iter__(self):
+        w = self.waypoints
+        rows = zip(count(1), w, islice(w, 1, None), self.gamma, zip(self.g0, self.g1),
+                   self.eps_sq_realized, self.eps_sq_bound, self.slack)
+        return (_new(StepRecord, row) for row in rows)
+
+
 def ioga_step(state: EngineState, grad_tilde: Vector, gamma: float, region: Box2D) -> EngineState:
     """One projected ascent step ``x <- P(x + grad/gamma)``; NaN ``gamma`` is rejected."""
     if not gamma > 0.0:
@@ -240,8 +278,8 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
     """Run ``horizon - 1`` steps from the driver's start.
 
     The driver's noise is drawn :data:`NOISE_BLOCK` steps ahead, one array
-    pass per block.  Returns the waypoint list (length ``horizon``) and one
-    :class:`StepRecord` per executed step.  Raises
+    pass per block.  Returns the waypoint list (length ``horizon``) and the
+    executed steps as :class:`StepColumns`.  Raises
     :class:`InfeasibleStepSize` if the step-size policy fails at some slot
     or the executed step violates its coupled constraint; a NaN slack
     counts as a violation.
@@ -253,12 +291,15 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
     hypot = math.hypot
     state = EngineState(1, start, start)
     waypoints: list[Point] = [start]
-    records: list[StepRecord] = []
+    records = StepColumns(waypoints)
+    puts = [getattr(records, name).append for name in records.COLUMNS]
+    put_gamma, put_g0, put_g1, put_norm, put_err, put_bound, put_slack = puts
     for t, eps_t, n in _slot_noise(driver.noise, driver.horizon - 1):
         x_hat = state.x_hat
         grad_true, grad_obs = plan(t, x_hat, mode)
-        grad_tilde = (grad_obs[0] + n[0], grad_obs[1] + n[1])
-        g, gbar = hypot(grad_tilde[0], grad_tilde[1]), state.gbar_running
+        g0, g1 = grad_obs[0] + n[0], grad_obs[1] + n[1]
+        grad_tilde = (g0, g1)
+        g, gbar = hypot(g0, g1), state.gbar_running
         gbar = g if g > gbar else gbar
         try:
             gamma = step_size(grad_tilde, gbar)
@@ -269,8 +310,13 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
         slack = slack_of(x_hat, x_next)
         if not slack <= SLACK_TOL:
             raise InfeasibleStepSize(t, f"executed step violates its constraint by {slack:.3e}")
-        e0, e1 = grad_tilde[0] - grad_true[0], grad_tilde[1] - grad_true[1]
-        fields = (t, x_hat, x_next, gamma, grad_tilde, e0 * e0 + e1 * e1, eps_t * eps_t, slack)
-        records.append(_new(StepRecord, fields))
+        e0, e1 = g0 - grad_true[0], g1 - grad_true[1]
+        put_gamma(gamma)
+        put_g0(g0)
+        put_g1(g1)
+        put_norm(g)
+        put_err(e0 * e0 + e1 * e1)
+        put_bound(eps_t * eps_t)
+        put_slack(slack)
         waypoints.append(x_next)
     return waypoints, records

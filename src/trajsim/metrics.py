@@ -1091,8 +1091,8 @@ def build_regret_report(
         s_t=squared_path_length(x),
         g_t=gv.value,
         g_t_exact=gv.exact,
-        e_t_bound=cumulative_error([r.eps_sq_bound for r in report.records]),
-        e_t_realized=cumulative_error([r.eps_sq_realized for r in report.records]),
+        e_t_bound=cumulative_error(report.records.eps_sq_bound),
+        e_t_realized=cumulative_error(report.records.eps_sq_realized),
         energy_online=report.energy_total,
         energy_straight=energy_cost(straight, fld, cfg.drag_coefficient, cfg.slot_duration_s),
         final_goal_distance=report.final_goal_distance,

@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import objectives as obj
-from .engine import _MASK64, Mode, NoiseModel, StepRecord, normal_pairs, run_episode, slot_seed
+from .engine import _MASK64, Mode, NoiseModel, StepColumns, normal_pairs, run_episode, slot_seed
 from .errors import (
     COUNT,
     FINITE,
@@ -234,7 +234,7 @@ class EpisodeReport:
 
     kind: Kind
     trajectory: list[Point]
-    records: list[StepRecord]
+    records: StepColumns
     goals: list[Point]
     lambdas: list[float]
     alphas: list[float]
@@ -417,7 +417,8 @@ class _OceanDriver(_Driver):
         self.measured = perturb_field(self.truth, pert) if pert else self.truth
         # historical maximum comes from the unperturbed record
         self.v_o_max_slot = max(self.truth.v_o_max * cfg.slot_duration_s, 1e-12)
-        self.currents_true: list[Vector] = []  # m/slot, at visited waypoints
+        self.current_u: list[float] = []  # m/slot, the true current at visited waypoints
+        self.current_v: list[float] = []
         self.tau = cfg.slot_duration_s
         self.increasing = cfg.lambda_strategy == "increasing"
         # alpha_schedule's -beta and delta / T
@@ -461,7 +462,8 @@ class _OceanDriver(_Driver):
                 grads = grad_true, grad_obs
         self.lambdas.append(lam)
         self.alphas.append(alpha)
-        self.currents_true.append(vo_true)
+        self.current_u.append(vo_true[0])
+        self.current_v.append(vo_true[1])
         # the step's true current and throttle, for gamma and slack
         self.vo, self.alpha = vo_true, alpha
         return grads
@@ -477,9 +479,9 @@ class _OceanDriver(_Driver):
         """The voyage's offline problem and step energies; a voyage has no link rates."""
         # slot t's drift reference is the previous online waypoint and the current
         # measured there; slot T has no executed step and reuses the last weights
-        lams, currents = self.lambdas, self.currents_true
+        lams, u, v = self.lambdas, self.current_u, self.current_v
         lams = lams + [lams[-1] if lams else 1.0]
-        currents = as_array(currents + [currents[-1] if currents else (0.0, 0.0)])
+        currents = np.column_stack((u + [u[-1] if u else 0.0], v + [v[-1] if v else 0.0]))
         tau = self.tau
         prev = np.vstack((path[:1], path[:-1]))
         family = obj.VoyageUtilities(lams, self.goal_array, currents, prev)

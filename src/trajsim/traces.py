@@ -4,11 +4,13 @@ Floats are written with ``repr`` so files are byte-stable across runs and
 parse back to the exact same values; taking a field that does not apply to
 a scenario kind leaves its cell empty.
 
-The trace holds only numbers, so :func:`emit_trace` formats each row as one
-preformatted line instead of going through the csv module, and writes the
-lines in chunks of :data:`_CHUNK_ROWS` so that a long trace is never one
-string in memory.  The bytes are the csv module's: CRLF line ends, and a
-number written as ``str(v)``, which is ``repr`` for a float (an
+The trace holds only numbers, so :func:`emit_trace` zips the report's
+series with its step columns (:class:`~trajsim.engine.StepColumns`; the
+``grad_norm`` cell is the stored norm of the noisy gradient), formats each
+row as one preformatted line instead of going through the csv module, and
+writes the lines in chunks of :data:`_CHUNK_ROWS` so that a long trace is
+never one string in memory.  The bytes are the csv module's: CRLF line
+ends, and a number written as ``str(v)``, which is ``repr`` for a float (an
 ``np.float64`` gives ``repr(float(v))``) and the digits for an int.  The
 last row's step cells are empty, as the csv module writes ``None``.
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import csv
 from itertools import islice
-from math import hypot
 from pathlib import Path
 from typing import Sequence
 
@@ -67,20 +68,16 @@ _TRACE_ROW = "%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n"
 def _trace_lines(report: EpisodeReport):
     """The trace's data rows as CRLF-terminated lines."""
     T = report.horizon
-    traj, goals, utils = report.trajectory, report.goals, report.utilities
+    traj, goals, utils, recs = report.trajectory, report.goals, report.utilities, report.records
     goal_cells = last_goal = None
-    for t, x, goal, u, rec, lam, alpha, energy in zip(
-        range(1, T), traj, goals, utils, report.records,
-        report.lambdas, report.alphas, report.energy_steps,
+    for t, x, goal, lam, alpha, gamma, g, err, u, energy, slack in zip(
+        range(1, T), traj, goals, report.lambdas, report.alphas, recs.gamma,
+        recs.grad_norm, recs.eps_sq_realized, utils, report.energy_steps, recs.slack,
     ):
         # An identity test, not ==: -0.0 == 0.0 but the two reprs differ.
         if goal is not last_goal:
             last_goal, goal_cells = goal, "%s,%s" % (goal[0], goal[1])
-        g = rec.grad_tilde
-        yield _TRACE_ROW % (
-            t, x[0], x[1], goal_cells, lam, alpha, rec.gamma, hypot(g[0], g[1]),
-            rec.eps_sq_realized, u, energy, rec.constraint_slack,
-        )
+        yield _TRACE_ROW % (t, x[0], x[1], goal_cells, lam, alpha, gamma, g, err, u, energy, slack)
     x, goal = traj[-1], goals[-1]
     yield "%d,%s,%s,%s,%s,,,,,,%s,,\r\n" % (T, x[0], x[1], goal[0], goal[1], utils[-1])
 

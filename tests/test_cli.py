@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import math
@@ -8,12 +9,14 @@ import time
 from pathlib import Path
 
 import ascent_reference
+import numpy as np
 import pytest
 from field_reference import sample_velocity_loop
 
 import trajsim
 from trajsim import NoiseModel, parse_config, perturb_field, run_scenario, sample_velocity
 from trajsim.cli import main
+from trajsim.geom import norm
 from trajsim.traces import SUMMARY_HEADER, read_trace
 
 D2D_DOC = {
@@ -676,6 +679,40 @@ class TestStockConfigReplays:
         got = json.loads(report)
         want = {"solver_iterations": ref.iterations, "solver_restarts": ref.restarts, "offline_gap": ref.gap}
         assert {k: got[k] for k in want} == want, (got, want)
+
+    def test_exact_huber_gradient_variation(self, tmp_path):
+        doc = json.loads((CONFIGS / "commute.json").read_text(encoding="utf-8"))
+        doc["d2d"]["utility"] = "huber"
+        cfg = write(tmp_path, doc, "commute_huber.json")
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "regret_report.json").read_text(encoding="utf-8"))
+        assert doc["G_T_exact"] is True, doc
+        g_t = doc["G_T"]
+        assert isinstance(g_t, float) and math.isfinite(g_t) and g_t > 0.0, doc
+        assert doc["solver_converged"] is True, doc
+        # the stop rule: the solve starts at the online path, so its gain is the regret
+        gap = doc["offline_gap"]
+        assert isinstance(gap, float) and math.isfinite(gap) and gap >= 0.0, gap
+        assert gap <= 1e-3 * max(1.0, doc["regret"]) * (1.0 + 1e-9), doc
+        assert doc["regret_upper"] >= doc["regret"], doc
+
+    def test_one_utility_formula(self, tmp_path):
+        for name in ("commute", "voyage"):
+            path, out = CONFIGS / f"{name}.json", tmp_path / name
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            report = run_scenario(parse_config(path), benchmark=False)
+            family = report.problem.utilities
+            # each trace utility cell is its slot's share of the family's total, bit for bit
+            rows = read_trace(out / "trace.csv")
+            terms = family.slot_terms(np.array([(row["x1"], row["x2"]) for row in rows]))
+            want = [repr(family.total_scale * float(np.sum(t))) for t in terms]
+            got = [repr(row["utility"]) for row in rows]
+            assert got == want, (name, [(g, w) for g, w in zip(got, want) if g != w][:3])
+            # and each grad_norm cell is the norm of its step's noisy gradient
+            with open(out / "trace.csv", encoding="utf-8", newline="") as fh:
+                cells = [row["grad_norm"] for row in csv.DictReader(fh)]
+            norms = [repr(norm(rec.grad_tilde)) for rec in report.records]
+            assert cells == norms + [""], name
 
 
 def test_import_leaves_scipy_out():

@@ -13,9 +13,10 @@ from trace_reference import emit_trace_csv
 
 import trajsim.config
 from trajsim.config import _DOC_PATHS, RunManifest, config_hash, parse_config, parse_config_doc
-from trajsim.engine import NoiseModel, StepRecord
+from trajsim.engine import NoiseModel, StepColumns
 from trajsim.errors import SchemaError, TrajsimError, UnitsError
 from trajsim.field import FieldPerturbation
+from trajsim.geom import norm
 from trajsim.scenarios import (
     MAX_ADVERSARY_T,
     AdversaryParams,
@@ -454,10 +455,12 @@ def _synthetic_report(T, goals, cell):
         return cell(), cell()
 
     traj = [pair() for _ in range(T)]
-    records = [
-        StepRecord(t, traj[t - 1], traj[t], cell(), pair(), cell(), cell(), cell())
-        for t in range(1, T)
-    ]
+    records = StepColumns(traj)
+    for _ in range(1, T):
+        gamma, (g0, g1), err, bound, slack = cell(), pair(), cell(), cell(), cell()
+        row = (gamma, g0, g1, norm((g0, g1)), err, bound, slack)
+        for name, value in zip(records.COLUMNS, row):
+            getattr(records, name).append(value)
     return EpisodeReport(
         kind="ocean",
         trajectory=traj,

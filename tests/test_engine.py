@@ -12,6 +12,7 @@ from trajsim.engine import (
     NOISE_BLOCK,
     EngineState,
     NoiseModel,
+    StepRecord,
     ioga_step,
     normal_pair,
     normal_pairs,
@@ -88,7 +89,7 @@ class TestNoiseStream:
         noise = NoiseModel(kind="gaussian_decaying", eps0=0.3, decay_q=0.4, seed=17)
         _, short = run_episode(_ChaserDriver(targets, 12, noise))
         _, long = run_episode(_ChaserDriver(targets, 40, noise))
-        assert short == long[: len(short)]
+        assert list(short) == long[: len(short)]
 
     def test_peer_observation_shares_the_draw(self):
         from trajsim.objectives import d2d_gradient, leading_path
@@ -273,7 +274,7 @@ class TestRunEpisode:
         driver = _ChaserDriver([(5.0, 5.0)], horizon=1)
         traj, records = run_episode(driver)
         assert traj == [(0.0, 0.0)]
-        assert records == []
+        assert list(records) == []
 
     def test_every_record_satisfies_slack(self):
         targets = [(float(t), 0.5 * t) for t in range(1, 13)]
@@ -317,6 +318,27 @@ class TestRunEpisode:
         for rec in records:
             assert rec.eps_sq_realized >= 0.0
             assert rec.eps_sq_bound == pytest.approx(0.16 * rec.t ** -1.0)
+
+    def test_columns_read_as_a_sequence_of_records(self):
+        targets = [(float(t), 0.5 * t) for t in range(1, 8)]
+        noise = NoiseModel(kind="gaussian_decaying", eps0=0.2, decay_q=0.3, seed=5)
+        traj, cols = run_episode(_ChaserDriver(targets, 7, noise))
+        want = run_episode_reference(_ChaserDriver(targets, 7, noise))[1]
+        assert len(cols) == len(want) == 6
+        assert all(type(rec) is StepRecord for rec in cols)
+        assert list(cols) == want
+        assert [cols[i] for i in range(-6, 6)] == want + want
+        for s in (slice(None), slice(1, 5, 2), slice(-2, None), slice(None, None, -1), slice(9, None)):
+            assert cols[s] == want[s], s
+        for i in (6, -7, len(traj)):
+            with pytest.raises(IndexError):
+                cols[i]
+        assert want[3] in cols and cols.index(want[3]) == 3
+        assert list(reversed(cols)) == want[::-1]
+        assert [x for rec in cols for x in (rec.x_before, rec.x_after)] == [
+            x for pair in zip(traj, traj[1:]) for x in pair
+        ]
+        assert cols.grad_norm == [norm(rec.grad_tilde) for rec in want]
 
     def test_infeasible_policy_surfaces_slot(self):
         class BadGamma(_ChaserDriver):
