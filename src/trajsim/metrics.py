@@ -11,8 +11,11 @@ Frank-Wolfe gap when every cap is filled); where a row's conjugate
 utilities differ in curvature, the bound one preconditioned dual step
 reaches.  The ascent restarts its momentum where a step lowers the total,
 and computes the totals only at the gap checks and at the steps whose gain
-the descent lemma of FISTA cannot prove from the iterates alone.  The caps,
-the start pin and the box are held as arrays: the ascent and its gap, the
+the descent lemma of FISTA cannot prove from the iterates alone.  Once a
+row's binding caps settle far from its stop, an active-set Newton finish
+solves the KKT system of those caps, block tridiagonal in waypoint space,
+in O(T), and certifies its point with the same gap.  The caps, the start
+pin and the box are held as arrays: the ascent and its gap, the
 augmented-Lagrangian solve of a row whose box binds and the feasibility
 check of every solution all work on them directly.  The dynamic-programming
 oracle re-solves small instances on a grid and exists purely to validate the
@@ -49,6 +52,11 @@ GAP_TOL = 1e-3
 # row, about three iterations
 GAP_EVERY = 10
 _MAX_WAIT = 4
+# the most KKT solves in one attempt of the Newton finish, and the most
+# attempts per row: at T = 4096 every attempt failed, and one at each change
+# of the binding caps cost 40 solves
+_NEWTON_SOLVES = 4
+_NEWTON_ATTEMPTS = 2
 # a box-binding row's rounds ascend until their box gap is this share of the
 # gap the stop still needs; the cap penalty starts at the smoothness and grows
 # this much after a round that cut the largest cap violation less than 4x
@@ -131,9 +139,11 @@ class OfflineSolution:
     # momentum restarts taken by the accelerated ascent
     restarts: int = 0
     # gap checks: the duality gaps the solve computed and tested against a
-    # stop (the ascent's scheduled checks; a box solve's inner box gaps and
-    # round bounds)
+    # stop (the ascent's scheduled checks and the Newton finish's
+    # certifications; a box solve's inner box gaps and round bounds)
     checks: int = 0
+    # KKT solves of the Newton finish, failed attempts' included
+    newton_solves: int = 0
 
 
 def _clamp_balls(z: np.ndarray, radii: np.ndarray, floors: np.ndarray) -> np.ndarray:
@@ -185,11 +195,13 @@ class _Lockstep:
     start ``u0``, the duality gap at the last check (``gaps``) and the
     row's check schedule: the iteration its next check is due (``due``),
     its last check's iteration and gap over the stop's threshold
-    (``last``), and its checks so far (``checks``); :meth:`_load` builds
-    every array for those rows, and :meth:`take` is the one place a row
-    leaves, from the lists and the arrays alike.  ``results`` holds each
-    stopped row's waypoints, iteration count, restart count, gap, whether
-    the gap met the stop and check count, by problem index.
+    (``last``), its checks so far (``checks``), and for the Newton finish
+    its KKT solves, binding caps and failed attempts' binding caps
+    (``solves``, ``binding``, ``tried``); :meth:`_load` builds every array
+    for those rows, and :meth:`take` is the one place a row leaves, from
+    the lists and the arrays alike.  ``results`` holds each stopped row's
+    waypoints, iteration, restart and check counts, gap, whether the gap
+    met the stop and Newton solves, by problem index.
 
     Displacements, cap centers and radii are zero-padded past each row's
     ``T - 1`` caps; a padded cap has radius zero, so its displacement stays
@@ -202,12 +214,14 @@ class _Lockstep:
     Every array a step, its descent-lemma bound, a total or a check
     computes lives in one workspace that :meth:`_load` allocates, with the
     views the kernels read, so an iteration writes through ``out=`` and
-    allocates only the families' scratch.  A workspace array is overwritten by the next call that uses
-    it; what a method returns to its caller is never one of them.
+    allocates only the families' scratch.  A workspace array is overwritten
+    by the next call that uses it; what a method returns to its caller is
+    never one of them.
     """
 
     # the per-row lists, by attribute name: take() cuts each to the rows it keeps
-    _ROW_STATE = ("ids", "t_k", "restarts", "u0", "gaps", "due", "last", "checks")
+    _ROW_STATE = ("ids", "t_k", "restarts", "u0", "gaps", "due", "last", "checks", "solves",
+                  "binding", "tried")
 
     def __init__(self, problems: Sequence[OfflineProblem], x0s: Sequence):
         n = len(problems)
@@ -219,6 +233,7 @@ class _Lockstep:
         self.due = [0] * n
         self.last: list = [None] * n
         self.checks = [0] * n
+        self.solves, self.binding, self.tried = [0] * n, [None] * n, [()] * n
         self.results: list = [None] * n
         self._load()
         # the warm starts, as clamped displacements
@@ -315,7 +330,8 @@ class _Lockstep:
         for j in rows:
             waypoints = x[j, : self.horizons[j]].copy()
             self.results[self.ids[j]] = (
-                waypoints, iterations, self.restarts[j], self.gaps[j], met[j], self.checks[j]
+                waypoints, iterations, self.restarts[j], self.gaps[j], met[j], self.checks[j],
+                self.solves[j],
             )
 
     def rebuild(self, z: np.ndarray) -> np.ndarray:
@@ -470,20 +486,85 @@ class _Lockstep:
         self.limits = [tol * max(1.0, f - f0) for f, f0 in zip(totals, self.u0)]
         return [gap <= limit for gap, limit in zip(self.gaps, self.limits)]
 
-    def schedule(self, iteration: int, max_iter: int) -> list[bool]:
+    def schedule(self, z: np.ndarray, iteration: int, max_iter: int) -> list[bool]:
         """Which rows are due at ``iteration``; each due row counts the check and sets its next.
 
         It reads the gaps and thresholds of the :meth:`certify` call just
-        made; the next check is :func:`_next_check`'s, or ``max_iter``.
+        made at ``z``; the next check is :func:`_next_check`'s, or
+        ``max_iter``.  ``settled`` lists the due rows whose Newton finish may
+        run: their binding caps, the caps ``z`` fills, are their last
+        check's and no failed attempt's, they have attempts left, and their
+        gap trend (:func:`_ahead`) is more than ``_MAX_WAIT`` waits away.
         """
         due = [d <= iteration for d in self.due]
+        sq = np.multiply(z, z, out=self.w)
+        filled = np.greater_equal(np.add(sq[..., 0], sq[..., 1]), self.filled)
+        self.settled = []
         for j in (j for j, d in enumerate(due) if d):
             self.checks[j] += 1
             limit = self.limits[j]
             ratio = self.gaps[j] / limit if limit > 0.0 else math.inf
+            binding, tried = filled[j, : self.cap_counts[j]].tobytes(), self.tried[j]
+            settled = binding == self.binding[j] and binding not in tried
+            if settled and len(tried) < _NEWTON_ATTEMPTS and iteration < max_iter:
+                if _ahead(iteration, ratio, self.last[j]) > _MAX_WAIT * GAP_EVERY:
+                    self.settled.append(j)
+            self.binding[j] = binding
             self.due[j] = min(_next_check(iteration, ratio, self.last[j]), max_iter)
             self.last[j] = (iteration, ratio)
         return due
+
+    def finish(self, j: int, z: np.ndarray, total: float, tol: float) -> bool:
+        """Try the Newton finish on row ``j`` at ``z``; whether it certified the row.
+
+        Semismooth SQP in waypoint space (Qi & Sun 1993; Nocedal & Wright,
+        ch. 18): :func:`_kkt_solve` holds the binding caps at ``|w_t| =
+        r_t``, its Hessian's multipliers read off the gradient in ``z``,
+        then off the last solve.  A free cap the step would break joins the
+        binding set, or else the most negative multiplier's cap leaves it,
+        and the solve is redone; otherwise the step is clamped into the caps
+        and certified on a lockstep of the row alone.  A certified point with
+        a total of at least ``total``, the ascent's, goes into ``z[j]`` and
+        its gap into ``gaps``; after ``_NEWTON_SOLVES`` solves or a singular
+        pivot the attempt changes nothing but the counts.
+        """
+        problem, caps = self.problems[self.ids[j]], self.cap_counts[j]
+        us, r = problem.utilities, problem.radii
+        active = np.frombuffer(self.binding[j], dtype=bool).copy()
+        solo = _Lockstep([problem], [None])
+        solo.u0 = [self.u0[j]]
+        zr, nu, x = z[j : j + 1, :caps].copy(), None, None
+        with np.errstate(all="ignore"):  # a step that overflows certifies nothing
+            for _ in range(_NEWTON_SOLVES):
+                if x is None:
+                    gx, g = solo.gradient(solo.rebuild(zr))
+                    x, w = solo.x[0].copy(), zr[0]
+                    ww = (w * w).sum(axis=1)
+                    if nu is None:  # the multipliers whose pulls nu_t w_t best match g
+                        nu = np.maximum((g[0] * w).sum(axis=1), 0.0) / np.maximum(ww, _TINY)
+                    point = (us.hessian_blocks(x), gx[0].copy(), w, 0.5 * (ww - r * r))
+                step = _kkt_solve(*point, nu, active)
+                self.solves[j] += 1
+                if step is None:
+                    break
+                x_new = x + step[0]
+                w_new = x_new[1:] - x_new[:-1] - problem.centers
+                broken = ~active & ((w_new * w_new).sum(axis=1) > r * r)
+                if broken.any():
+                    active |= broken
+                elif step[1].min(initial=0.0) < 0.0:
+                    active[np.argmin(step[1])] = False
+                else:
+                    zr = _clamp_balls(w_new, r, solo.floors[0])[None]
+                    totals = solo.values(zr)
+                    self.checks[j] += 1
+                    if solo.certify(zr, totals, tol)[0] and totals[0] >= total:
+                        z[j, :caps] = zr[0]
+                        self.gaps[j] = solo.gaps[0]
+                        return True
+                    nu, x = step[1], None
+        self.tried[j] += (self.binding[j],)
+        return False
 
     def _rigid_run_point(self, z: np.ndarray) -> None:
         """Set ``lam`` to the gradient in ``z`` at the best placement of the iterate's rigid runs.
@@ -547,28 +628,101 @@ class _Lockstep:
         return np.add(terms, np.maximum(residuals, _ZERO, out=residuals), out=terms)
 
 
-def _next_check(iteration: int, ratio: float, last: tuple[int, float] | None) -> int:
-    """When a row checks next, after a failing check at ``iteration``.
+def _ahead(iteration: int, ratio: float, last: tuple[int, float] | None) -> float:
+    """How many iterations after ``iteration`` a row's gap trend reaches its stop; 0 for none.
 
-    ``ratio`` is that check's gap over the stop's threshold, and ``last``
-    the row's check before it, an iteration and its ratio.  The gap falls
-    about geometrically, so the line through the logs of the two ratios
-    predicts the iteration where the ratio reaches 1.  The wait until it is
-    rounded down to a multiple of :data:`GAP_EVERY`, and kept between one
-    and ``_MAX_WAIT`` of them; a row without an earlier check, or whose
-    ratio did not fall since it, waits one.
+    ``ratio`` is the check's gap over the stop's threshold, ``last`` the
+    row's check before, an iteration and its ratio.  The gap falls about
+    geometrically: the line through the logs of the two ratios meets 1
+    there.  A row without an earlier check, or whose ratio did not fall,
+    has no trend.
     """
     fall = last[1] / ratio if last is not None and 1.0 < ratio < math.inf else 0.0
     if not fall > 1.0:
-        return iteration + GAP_EVERY
-    ahead = math.log(ratio) * (iteration - last[0]) / math.log(fall)
-    waits = int(min(ahead, _MAX_WAIT * GAP_EVERY)) // GAP_EVERY
+        return 0.0
+    return math.log(ratio) * (iteration - last[0]) / math.log(fall)
+
+
+def _next_check(iteration: int, ratio: float, last: tuple[int, float] | None) -> int:
+    """When a row checks next, after a failing check at ``iteration``.
+
+    The wait until :func:`_ahead`'s iteration, rounded down to a multiple of
+    :data:`GAP_EVERY` and kept between one and ``_MAX_WAIT`` of them.
+    """
+    waits = int(min(_ahead(iteration, ratio, last), _MAX_WAIT * GAP_EVERY)) // GAP_EVERY
     return iteration + max(waits, 1) * GAP_EVERY
+
+
+def _kkt_solve(
+    hess: np.ndarray, grad: np.ndarray, w: np.ndarray, phi: np.ndarray, nu: np.ndarray, active
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The Newton step ``(dx, nu_new)`` on the KKT system that holds the ``active`` caps.
+
+    ``hess`` ``(T, 3)`` and ``grad`` ``(T, 2)`` are each slot's Hessian
+    blocks and gradient, ``w`` the cap displacements, ``phi`` ``(|w|^2 -
+    r^2) / 2`` and ``nu`` the Hessian's multipliers.  With ``x_0`` pinned,
+    per slot ``s`` and active cap ``t``: ``(H_s - (nu_{s-1} + nu_s) I) dx_s
+    + nu_{s-1} dx_{s-1} + nu_s dx_{s+1} - w_{s-1} nu'_{s-1} + w_s nu'_s =
+    -grad_s`` and ``<w_t, dx_t - dx_{t+1}> = phi_t``, free caps left out.
+    In slot unknowns ``(dx_s, nu'_{s-1})`` it is block tridiagonal, blocks
+    at most 3 x 3, and only ``dx_s``'s rows reach the next block, through
+    ``[nu_s I | w_s]``: block elimination carries the ``dx`` part ``P`` of
+    each eliminated block's inverse, in O(T) float arithmetic.  A block
+    pivots on its ``dx`` part, then its multiplier, which for ``H_s``
+    negative definite and ``nu >= 0`` are negative and positive definite
+    (Haynsworth inertia additivity); a pivot that is not, as for a zero
+    ``H_s`` or a zero-radius cap, returns None.
+    """
+    nu = np.where(active, nu, 0.0)
+    shift = nu.copy()  # per slot s >= 1, nu_{s-1} + nu_s
+    shift[:-1] += nu[1:]
+    diag = (hess[1:] - shift[:, None] * [1.0, 0.0, 1.0]).tolist()
+    blocks = list(zip(diag, *(a.tolist() for a in (grad[1:], w, phi, nu, active))))
+    p00 = p01 = p11 = q0 = q1 = 0.0
+    sweep = []
+    for (a00, a01, a11), (g0, g1), (w0, w1), f, n, on in blocks:
+        y0, y1 = -g0, -g1
+        if on:
+            # fold the previous block in: S = D - C^T P C
+            pw0, pw1 = p00 * w0 + p01 * w1, p01 * w0 + p11 * w1
+            nn = n * n
+            a00, a01, a11 = a00 - nn * p00, a01 - nn * p01, a11 - nn * p11
+            b0, b1, d = -w0 - n * pw0, -w1 - n * pw1, -(w0 * pw0 + w1 * pw1)
+            yv = f - (w0 * q0 + w1 * q1)
+            y0, y1 = y0 - n * q0, y1 - n * q1
+        det = a00 * a11 - a01 * a01
+        if not det > 0.0:
+            return None
+        p00, p01, p11 = a11 / det, -a01 / det, a00 / det
+        q0, q1 = p00 * y0 + p01 * y1, p01 * y0 + p11 * y1
+        v = m0 = m1 = 0.0
+        if on:
+            k0, k1 = p00 * b0 + p01 * b1, p01 * b0 + p11 * b1
+            e = d - (b0 * k0 + b1 * k1)
+            if not e > 0.0:
+                return None
+            m0, m1 = k0 / e, k1 / e
+            v = (yv - (k0 * y0 + k1 * y1)) / e
+            q0, q1 = q0 - k0 * v, q1 - k1 * v
+            p00, p01, p11 = p00 + k0 * m0, p01 + k0 * m1, p11 + k1 * m1
+        sweep.append((q0, q1, p00, p01, p11, v, m0, m1))
+    dx, nu_new = [], []
+    t0 = t1 = 0.0
+    for (q0, q1, p00, p01, p11, v, m0, m1), block in zip(sweep[::-1], blocks[::-1]):
+        (w0, w1), n, on = block[2], block[4], block[5]
+        x0, x1 = q0 - (p00 * t0 + p01 * t1), q1 - (p01 * t0 + p11 * t1)
+        nv = v + (m0 * t0 + m1 * t1) if on else 0.0
+        dx.append((x0, x1))
+        nu_new.append(nv)
+        # C_{s-1} times this block's unknowns, for the block before
+        t0, t1 = (n * x0 + w0 * nv, n * x1 + w1 * nv) if on else (0.0, 0.0)
+    dx.append((0.0, 0.0))
+    return np.array(dx[::-1]), np.array(nu_new[::-1])
 
 
 def _ascend(
     problems: Sequence[OfflineProblem], x0s: Sequence, max_iter: int, tol: float
-) -> list[tuple[np.ndarray, int, int, float, bool, int]]:
+) -> list[tuple[np.ndarray, int, int, float, bool, int, int]]:
     """Accelerated projected ascent on all rows at once, with per-row state.
 
     Momentum, the restart test, the gap stop, the check schedule and the
@@ -577,7 +731,9 @@ def _ascend(
     checked at iteration 0, then at the iterations :func:`_next_check`
     schedules after each failing check, and at ``max_iter``.  A check
     computes every row's gap, and only the rows due then act on theirs, so
-    a row stops where it would stop alone.
+    a row stops where it would stop alone.  A due row whose binding caps
+    settled tries the Newton finish (:meth:`_Lockstep.finish`), which works
+    on that row alone, and stops where the finish certifies it.
 
     A row restarts its momentum when its computed total falls.  The totals
     are computed only where that test needs them: a step whose gain the
@@ -588,8 +744,8 @@ def _ascend(
     would give.  A check reads the totals, waypoints and slot terms at its
     iterate, computing them unless the last totals computed were those.
     Returns each row's waypoints, iteration count, restart count, gap,
-    whether the gap met the stop and check count.  The iterates ``z``,
-    ``z_prev`` and ``z_new`` take turns in three arrays.
+    whether the gap met the stop, check count and Newton solves.  The
+    iterates ``z``, ``z_prev`` and ``z_new`` take turns in three arrays.
     """
     st = _Lockstep(problems, x0s)
     z, z_prev, z_new = st.z0, st.z0.copy(), np.empty_like(st.z0)
@@ -602,7 +758,9 @@ def _ascend(
             if not fresh:
                 f_curr, fresh = st.values(z), True
             met = st.certify(z, f_curr, tol)
-            due = st.schedule(iterations, max_iter)
+            due = st.schedule(z, iterations, max_iter)
+            for j in st.settled:
+                met[j] = st.finish(j, z, f_curr[j], tol)
             done = [d and (m or iterations >= max_iter) for d, m in zip(due, met)]
             if any(done):
                 st.record([j for j, d in enumerate(done) if d], z, iterations, met)
@@ -679,6 +837,14 @@ def solve_offline(
     augmented Lagrangian whose duality gap certifies the row under the same
     stop and the same ``max_iter``.
 
+    Where a row's binding caps are the same at two checks and the gap trend
+    puts the stop more than four waits away, an active-set Newton finish
+    (``_Lockstep.finish``) solves the O(T) KKT system of those caps, and a
+    step that the gap certifies ends the row; ``iterations`` stays the
+    ascent's, ``newton_solves`` counts the KKT solves and ``checks`` the
+    finish's certifications too.  A failed attempt leaves the ascent as it
+    was.
+
     ``x0`` (e.g. the online trajectory the benchmark compares against)
     warm-starts the solve; without it the start is zero displacement from
     the cap centers, or staying put for a box-binding row.  A solution that
@@ -723,11 +889,11 @@ def _finish(
     if ascent is None:  # T == 1: the start pin is the whole trajectory
         pts = [problem.start]
         return OfflineSolution(pts, us.total(pts), 0, True, 0.0, 0.0)
-    x, iterations, restarts, gap, met, checks = ascent
+    x, iterations, restarts, gap, met, checks, solves = ascent
     cons = (problem.start, problem.centers, problem.radii, problem.region)
     box_excess, violation = _violation(x, *cons)
     if box_excess > 1e-9:
-        x, iterations, restarts, gap, met, checks = _solve_boxed(problem, x0, max_iter, tol)
+        x, iterations, restarts, gap, met, checks, solves = _solve_boxed(problem, x0, max_iter, tol)
         violation = _violation(x, *cons)[1]
     converged = violation <= 1e-6 and met
     warning = f"final violation {violation:.3e} above 1e-6" if violation > 1e-6 else None
@@ -742,6 +908,7 @@ def _finish(
         restarts=restarts,
         gap=gap,
         checks=checks,
+        newton_solves=solves,
     )
 
 
@@ -801,7 +968,7 @@ def _retract(x: np.ndarray, start: np.ndarray, c: np.ndarray, r: np.ndarray) -> 
 
 def _solve_boxed(
     problem: OfflineProblem, x0: Sequence[Point] | None, max_iter: int, tol: float
-) -> tuple[np.ndarray, int, int, float, bool, int]:
+) -> tuple[np.ndarray, int, int, float, bool, int, int]:
     """Augmented-Lagrangian ascent of one box-binding row over its waypoints.
 
     The box and the start pin are a clip; the caps ``|w_t| <= r_t``, ``w = D x
@@ -812,7 +979,8 @@ def _solve_boxed(
     hold, so ``l`` plus its box gap bounds the optimum; the gap is that bound
     minus the utility of the :func:`_retract`-ed iterate.  The row starts at
     ``x0`` clipped into the box, or else stays put.  Its checks count the
-    rounds' box gaps, every :data:`GAP_EVERY` iterations, and their bounds.
+    rounds' box gaps, every :data:`GAP_EVERY` iterations, and their bounds;
+    it makes no Newton solves.
     """
     us = problem.utilities
     start = np.array(problem.start)
@@ -869,7 +1037,7 @@ def _solve_boxed(
         met = gap <= tol * max(1.0, u - u0)
         checks += 1
         if met or iterations >= max_iter:
-            return x_f, iterations, restarts, gap, met, checks
+            return x_f, iterations, restarts, gap, met, checks, 0
         inner = _INNER_SHARE * min(gap, tol * max(1.0, u_hat - u0))
         worst = float(np.max(np.hypot(w[:, 0], w[:, 1]) - radii, initial=0.0))
         if worst > 0.25 * violation:
@@ -1053,6 +1221,7 @@ class RegretReport:
     solver_warning: str | None = None
     solver_iterations: int = 0
     solver_restarts: int = 0
+    solver_newton_solves: int = 0
     # the offline solution's duality gap; None for a report built without it
     offline_gap: float | None = None
 
@@ -1100,5 +1269,6 @@ def build_regret_report(
         solver_warning=sol.warning,
         solver_iterations=sol.iterations,
         solver_restarts=sol.restarts,
+        solver_newton_solves=sol.newton_solves,
         offline_gap=sol.gap,
     )

@@ -17,9 +17,10 @@ values are test references and back ``values``.  :class:`CommuteUtilities`
 and :class:`VoyageUtilities` hold one frozen utility per slot as arrays and
 evaluate all slots at once, for the trace, the regret and the offline
 benchmark alike; each also gives its worst-case gradient variation in closed
-form, and the curvature and Fenchel-Young residual of its conjugates, which
-tighten the offline duality gap; the squared commute also gives the best
-placement of rigid runs of its points.
+form, the curvature and Fenchel-Young residual of its conjugates, which
+tighten the offline duality gap, and its Hessian blocks, for the offline
+Newton finish; the squared commute also gives the best placement of rigid
+runs of its points.
 """
 
 from __future__ import annotations
@@ -446,6 +447,24 @@ class CommuteUtilities(_Family):
         n = np.hypot(grad[..., :1], grad[..., 1:])
         return np.where(n <= self.v, 1.0, 1.0 / self.mu)[..., 0]
 
+    def hessian_blocks(self, x: np.ndarray) -> np.ndarray:
+        """Per point of ``x`` (one row), its slot's Hessian ``[[a, b], [b, c]]`` as ``(a, b, c)``.
+
+        ``-I`` for the squared kind, and for the Huber kind within ``v`` of
+        the lead; beyond, ``-(mu I + (1 - mu) (v / n) (I - d d^T / n^2))``
+        with ``d = x - lead`` and ``n = |d|``.
+        """
+        out = np.zeros(x.shape[:-1] + (3,))
+        out[:, 0] = out[:, 2] = -1.0
+        if self.kind == "huber":
+            d = x - self.leads
+            n = np.hypot(d[:, 0], d[:, 1])
+            far = n > self.v
+            mu, n, (d0, d1) = self.mu, n[far], d[far].T
+            k = (1.0 - mu) * self.v / (n * n * n)
+            out[far] = np.column_stack((-mu - k * d1 * d1, k * d0 * d1, -mu - k * d0 * d0))
+        return out
+
     def fenchel_young(
         self,
         x: np.ndarray,
@@ -601,6 +620,11 @@ class VoyageUtilities(_Family):
         drift - a``, ``drift = (1 - lam) current``.
         """
         return self._over_lam(0.5)
+
+    def hessian_blocks(self, x: np.ndarray) -> np.ndarray:
+        """Per point of ``x`` (one row), the Hessian ``-2 lam I`` of its slot as ``(a, b, c)``."""
+        a = -2.0 * self.lam
+        return np.column_stack((a, np.zeros_like(a), a))
 
     def fenchel_young(
         self,

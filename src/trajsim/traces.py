@@ -176,5 +176,6 @@ def write_regret_report(rr: RegretReport, path: Path) -> None:
         "solver_warning": rr.solver_warning,
         "solver_iterations": rr.solver_iterations,
         "solver_restarts": rr.solver_restarts,
+        "solver_newton_solves": rr.solver_newton_solves,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -3,7 +3,8 @@
 It is ``metrics._ascend`` as it ran with the totals computed every
 iteration: each step's restart test compares the two computed totals, and a
 check after a restart computes the waypoints and slot terms afresh.  It
-drives the library's own ``_Lockstep``, so only the loop is kept here.
+drives the library's own ``_Lockstep``, so only the loop is kept here; its
+checks hand settled rows to the same Newton finish as the library's.
 :func:`solve_offline_batch` runs the library's solve on this loop.
 """
 
@@ -28,7 +29,9 @@ def ascend(problems, x0s, max_iter, tol):
             if stale:
                 st.values(z)
             met = st.certify(z, f_curr, tol)
-            due = st.schedule(iterations, max_iter)
+            due = st.schedule(z, iterations, max_iter)
+            for j in st.settled:
+                met[j] = st.finish(j, z, f_curr[j], tol)
             done = [d and (m or iterations >= max_iter) for d, m in zip(due, met)]
             if any(done):
                 st.record([j for j, d in enumerate(done) if d], z, iterations, met)

@@ -14,9 +14,12 @@ import pytest
 from field_reference import sample_velocity_loop
 
 import trajsim
-from trajsim import NoiseModel, parse_config, perturb_field, run_scenario, sample_velocity
+from trajsim import (
+    NoiseModel, parse_config, perturb_field, run_scenario, sample_velocity, solve_offline,
+)
 from trajsim.cli import main
 from trajsim.geom import norm
+from trajsim.metrics import GAP_EVERY
 from trajsim.traces import SUMMARY_HEADER, read_trace
 
 D2D_DOC = {
@@ -496,6 +499,7 @@ class TestBenchmarkCommand:
         assert isinstance(doc["solver_iterations"], int) and doc["solver_iterations"] >= 1
         assert isinstance(doc["solver_restarts"], int)
         assert 0 <= doc["solver_restarts"] <= doc["solver_iterations"]
+        assert isinstance(doc["solver_newton_solves"], int) and doc["solver_newton_solves"] >= 0
 
     def test_report_carries_the_regret_interval(self, tmp_path):
         cfg = write(tmp_path, D2D_DOC)
@@ -695,6 +699,49 @@ class TestStockConfigReplays:
         assert isinstance(gap, float) and math.isfinite(gap) and gap >= 0.0, gap
         assert gap <= 1e-3 * max(1.0, doc["regret"]) * (1.0 + 1e-9), doc
         assert doc["regret_upper"] >= doc["regret"], doc
+
+    def test_certified_offline_benchmark(self, tmp_path):
+        cfg, out = str(CONFIGS / "commute.json"), tmp_path / "benchmark"
+        assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "regret_report.json").read_text(encoding="utf-8"))
+        gap = doc["offline_gap"]
+        assert isinstance(gap, float) and math.isfinite(gap) and gap >= 0.0, gap
+        assert doc["regret_upper"] >= doc["regret"], doc
+        assert doc["solver_converged"] is True, doc
+        # the stop rule: the solve starts at the online path, so its gain is the regret
+        assert gap <= 1e-3 * max(1.0, doc["regret"]) * (1.0 + 1e-9), doc
+
+    def test_certified_box_binding_offline_benchmark(self, tmp_path):
+        doc = json.loads((CONFIGS / "commute.json").read_text(encoding="utf-8"))
+        doc["feasible_box_m"] = {"lo": [-100, 0], "hi": [900, 700]}
+        cfg, out = write(tmp_path, doc, "commute_boxed.json"), tmp_path / "benchmark_boxed"
+        assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "regret_report.json").read_text(encoding="utf-8"))
+        assert doc["solver_converged"] is True, doc
+        gap = doc["offline_gap"]
+        assert isinstance(gap, float) and math.isfinite(gap) and gap >= 0.0, gap
+        assert doc["regret_upper"] >= doc["regret"], doc
+
+    def test_scheduled_gap_checks(self, tmp_path):
+        # the stock commute's Huber solve stops at 40 iterations, where each
+        # of its five checks is needed; 100 slack slots make it long enough
+        # (T = 124) for the schedule to skip the checks its trend rules out
+        doc = json.loads((CONFIGS / "commute.json").read_text(encoding="utf-8"))
+        doc["d2d"]["utility"], doc["delta_slots"] = "huber", 100
+        cfg = write(tmp_path, doc, "commute_huber_long.json")
+        report = run_scenario(parse_config(cfg), benchmark=False)
+        sol = solve_offline(report.problem, x0=report.trajectory)
+        u0 = report.problem.utilities.total(report.trajectory)
+        assert sol.converged, sol
+        assert sol.gap <= 1e-3 * max(1.0, sol.utility - u0), (sol.gap, sol.utility, u0)
+        # a check every GAP_EVERY iterations would run iterations / GAP_EVERY + 1
+        assert sol.checks < sol.iterations / GAP_EVERY, (sol.checks, sol.iterations)
+        for run in "ab":
+            assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        report = (tmp_path / "a" / "regret_report.json").read_bytes()
+        assert report == (tmp_path / "b" / "regret_report.json").read_bytes()
+        # the Newton finish ends this solve, and the report says so
+        assert json.loads(report)["solver_newton_solves"] == sol.newton_solves > 0
 
     def test_one_utility_formula(self, tmp_path):
         for name in ("commute", "voyage"):

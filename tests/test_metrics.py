@@ -25,6 +25,7 @@ from trajsim.metrics import (
     OracleGrid,
     _finish,
     _Lockstep,
+    _kkt_solve,
     _next_check,
     _violation,
     cumulative_error,
@@ -38,6 +39,7 @@ from trajsim.metrics import (
 )
 from trajsim.objectives import CommuteUtilities, VoyageUtilities
 from trajsim.scenarios import PathSpec, ScenarioConfig, run_scenario
+from trajsim.scenarios import sweep as run_sweep
 from trajsim.sets import Box2D
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -231,28 +233,30 @@ class TestCertification:
         ids=["first-cap", "second-cap", "start-pin"],
     )
     def test_violating_solution_is_reported(self, pts, worst):
-        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True, 3), None, 100, GAP_TOL)
+        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True, 3, 5), None, 100, GAP_TOL)
         assert sol.points == pts
         assert sol.max_violation == worst
         assert not sol.converged
         assert sol.warning == f"final violation {worst:.3e} above 1e-6"
-        assert (sol.iterations, sol.restarts, sol.gap, sol.checks) == (7, 2, 0.5, 3)
+        got = (sol.iterations, sol.restarts, sol.gap, sol.checks, sol.newton_solves)
+        assert got == (7, 2, 0.5, 3, 5)
 
     def test_feasible_solution_is_certified(self):
         pts = [(1.0, 5.0), (2.0, 5.0), (0.5, 5.0)]
-        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True, 3), None, 100, GAP_TOL)
+        sol = _finish(self.problem(), (np.array(pts), 7, 2, 0.5, True, 3, 0), None, 100, GAP_TOL)
         assert sol.points == pts
         assert sol.converged and sol.max_violation == 0.0 and sol.warning is None
         assert sol.gap == 0.5
 
     def test_unmet_gap_is_not_converged(self):
         pts = [(1.0, 5.0), (2.0, 5.0), (0.5, 5.0)]
-        sol = _finish(self.problem(), (np.array(pts), 100, 2, 0.5, False, 11), None, 100, GAP_TOL)
+        ascent = (np.array(pts), 100, 2, 0.5, False, 11, 0)
+        sol = _finish(self.problem(), ascent, None, 100, GAP_TOL)
         assert not sol.converged and sol.gap == 0.5 and sol.warning is None
 
     def test_box_excess_hands_the_row_to_restoration(self):
         pts = [(1.0, 5.0), (1.0, 5.0), (-1.0, 5.0)]
-        ascent = (np.array(pts), 7, 2, 0.5, True, 3)
+        ascent = (np.array(pts), 7, 2, 0.5, True, 3, 4)
         # the box solve retracts toward staying put, which the second cap
         # (center (-2, 0), radius 1) forbids; an iterate the retraction cannot
         # make feasible certifies nothing, and 100 iterations end on one
@@ -266,7 +270,7 @@ class TestCertification:
         assert all(TEN_BOX.contains(p, tol=1e-9) for p in sol.points)
         assert math.isfinite(sol.gap) and sol.gap >= 0.0
         # the checks are the box solve's own: at least one inner gap and one bound
-        assert sol.checks >= 2
+        assert sol.checks >= 2 and sol.newton_solves == 0
 
 
 class TestDpOracle:
@@ -728,10 +732,15 @@ def _boxed_problem(T: int) -> OfflineProblem:
     return quadratic_problem((0.0, 0.0), leads, np.ones(T - 1), region=box)
 
 
+def _without_newton_finish(monkeypatch):
+    """Turn the offline ascent's Newton finish off: every attempt fails at once."""
+    monkeypatch.setattr(_Lockstep, "finish", lambda self, j, z, total, tol: False)
+
+
 def _outcome(sol):
     return (
         sol.points, sol.utility, sol.iterations, sol.restarts,
-        sol.converged, sol.warning, sol.max_violation, sol.gap, sol.checks,
+        sol.converged, sol.warning, sol.max_violation, sol.gap, sol.checks, sol.newton_solves,
     )
 
 
@@ -1208,7 +1217,9 @@ class TestScheduledChecks:
 
     def test_reused_terms_equal_fresh_slot_terms_after_a_restart(self, monkeypatch):
         # a check every iteration; the chain's row restarts where the other row
-        # does not, so the restart test leaves the restarted point of both rows
+        # does not, so the restart test leaves the restarted point of both rows.
+        # The Newton finish, off here, certifies the chain before its restart
+        _without_newton_finish(monkeypatch)
         monkeypatch.setattr(metrics, "GAP_EVERY", 1)
         monkeypatch.setattr(metrics, "_MAX_WAIT", 1)
         events = []
@@ -1393,3 +1404,209 @@ class TestCertifiedRestart:
         # check computes at most one, and an unsure step at most two
         assert len(calls) <= sol.checks + 2 * proofs.count(False)
         assert len(calls) < sol.iterations / 2
+
+
+def _huber_commute(T: int, seed: int, utility: str = "huber"):
+    """A commute of horizon ``T`` whose peer walks at twice the cap and crosses back."""
+    straight = round(0.43 * T)
+    d = straight / math.sqrt(2.0)
+    cfg = ScenarioConfig(
+        kind="d2d",
+        start=(0.0, 0.0),
+        goal=PathSpec((d, d), (d, d)),
+        peer=PathSpec((0.18 * T, -0.07 * T), (0.35 * T, 0.17 * T), speed_mps=2.0),
+        peer_noise_std_m=1.0,
+        delta=T - straight,
+        v_max_mps=1.0,
+        utility_kind=utility,
+        mu=0.001,
+        gradient_noise=NoiseModel("gaussian_decaying", 0.1, 1.0, seed + 1),
+        seed=seed,
+    )
+    return run_scenario(cfg, benchmark=False)
+
+
+def _dense_kkt(hess, grad, w, phi, nu, active):
+    """The system :func:`_kkt_solve` solves, as a dense matrix solved by ``np.linalg.solve``."""
+    T = len(grad)
+    caps = np.flatnonzero(active)
+    n = 2 * (T - 1) + len(caps)
+    K, rhs = np.zeros((n, n)), np.zeros(n)
+    col = {t: 2 * (T - 1) + i for i, t in enumerate(caps)}
+    nu = np.where(active, nu, 0.0)
+    for s in range(1, T):
+        rows = slice(2 * s - 2, 2 * s)
+        a, b, c = hess[s]
+        K[rows, rows] = [[a, b], [b, c]]
+        rhs[rows] = -grad[s]
+        for t, sign in ((s - 1, -1.0), (s, 1.0)):
+            if t in col:
+                K[rows, rows] -= nu[t] * np.eye(2)
+                K[rows, col[t]] = sign * w[t]
+                other = s + 1 if sign > 0 else s - 1
+                if other >= 1:
+                    K[rows, 2 * other - 2 : 2 * other] = nu[t] * np.eye(2)
+    for t, i in col.items():
+        K[i, 2 * t : 2 * t + 2] = -w[t]
+        if t >= 1:
+            K[i, 2 * t - 2 : 2 * t] = w[t]
+        rhs[i] = phi[t]
+    sol = np.linalg.solve(K, rhs)
+    dx = np.vstack((np.zeros(2), sol[: 2 * (T - 1)].reshape(-1, 2)))
+    nu_new = np.zeros(T - 1)
+    nu_new[caps] = sol[2 * (T - 1) :]
+    return dx, nu_new
+
+
+class TestNewtonFinish:
+    """Once a row's binding caps settle, active-set Newton steps on its KKT system finish it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        binding=st.floats(0.0, 1.0),
+    )
+    def test_kkt_solve_equals_a_dense_solve(self, T, seed, binding):
+        rng = np.random.default_rng(seed)
+        # negative definite blocks of each family's kinds: -I, -2 lam I and a Huber far block
+        kinds = rng.integers(3, size=T)
+        d = rng.normal(size=(T, 2))
+        n = np.hypot(d[:, 0], d[:, 1])
+        k = rng.uniform(0.1, 1.0, T) / n**3
+        mu = rng.uniform(1e-3, 1.0, T)
+        lam = rng.uniform(0.05, 1.0, T)
+        hess = np.where(
+            (kinds == 0)[:, None], [-1.0, 0.0, -1.0],
+            np.where(
+                (kinds == 1)[:, None],
+                np.column_stack((-2.0 * lam, 0.0 * lam, -2.0 * lam)),
+                np.column_stack(
+                    (-mu - k * d[:, 1] ** 2, k * d[:, 0] * d[:, 1], -mu - k * d[:, 0] ** 2)
+                ),
+            ),
+        )
+        grad = rng.normal(size=(T, 2))
+        w = rng.normal(size=(T - 1, 2))
+        phi = rng.normal(scale=0.1, size=T - 1)
+        nu = rng.uniform(0.0, 2.0, T - 1) * (rng.random(T - 1) < 0.8)
+        active = rng.random(T - 1) < binding
+        got = _kkt_solve(hess, grad, w, phi, nu, active)
+        want = _dense_kkt(hess, grad, w, phi, nu, active)
+        assert got is not None
+        for g, ref in zip(got, want):
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(g - ref)) <= 1e-10 * scale, (g, ref)
+        assert got[0][0].tolist() == [0.0, 0.0]
+        assert (got[1][~active] == 0.0).all()
+
+    def test_singular_pivots_fail_the_solve(self):
+        hess = np.array([[-1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, -1.0]])
+        grad, w, phi = np.ones((3, 2)), np.ones((2, 2)), np.zeros(2)
+        # a zero goal weight on a slot no binding cap holds
+        assert _kkt_solve(hess, grad, w, phi, np.zeros(2), np.array([False, False])) is None
+        assert _kkt_solve(hess, grad, w, phi, np.ones(2), np.array([True, False])) is not None
+        # a binding cap of zero radius, whose displacement is zero
+        hess[1] = [-1.0, 0.0, -1.0]
+        both = np.array([True, True])
+        assert _kkt_solve(hess, grad, np.zeros((2, 2)), phi, np.ones(2), both) is None
+
+    @pytest.mark.parametrize("kind", ["squared", "huber", "voyage"])
+    def test_hessian_blocks_are_the_gradients_derivatives(self, kind):
+        problem, _ = _random_problem(kind, 30, 4)
+        us = problem.utilities
+        rng = np.random.default_rng(5)
+        # points both within and beyond v of the Huber leads
+        x = rng.normal(0.0, 2.0, (30, 2))
+        if kind != "voyage":
+            x += us.leads
+        h, eps = us.hessian_blocks(x), 1e-6
+        for axis, (first, second) in enumerate(((0, 1), (1, 2))):
+            step = np.zeros(2)
+            step[axis] = eps
+            dg = (us.gradient_array(x + step) - us.gradient_array(x - step)) / (2.0 * eps)
+            assert np.allclose(dg[:, 0], h[:, first], atol=1e-6)
+            assert np.allclose(dg[:, 1], h[:, second], atol=1e-6)
+
+    @pytest.mark.parametrize("T, seed", [(128, 1), (128, 2), (96, 3), (124, 0)])
+    def test_the_finish_is_certified_inside_the_caps(self, monkeypatch, T, seed):
+        report = _huber_commute_124() if seed == 0 else _huber_commute(T, seed)
+        problem = report.problem
+        finish, seen = _Lockstep.finish, []
+
+        def spy(self, j, z, total, tol):
+            seen.append((total, self.u0[j]))
+            return finish(self, j, z, total, tol)
+
+        monkeypatch.setattr(_Lockstep, "finish", spy)
+        sol = solve_offline(problem, x0=report.trajectory)
+        assert len(seen) == 1 and 1 <= sol.newton_solves <= 3
+        (total, u0), x = seen[0], np.array(sol.points)
+        # every cap holds to 1e-9, the start is pinned and the stop is met
+        w = x[1:] - x[:-1] - problem.centers
+        assert np.max(np.hypot(w[:, 0], w[:, 1]) - problem.radii) <= 1e-9
+        assert sol.max_violation <= 1e-9 and sol.points[0] == problem.start
+        assert sol.converged and sol.gap <= GAP_TOL * max(1.0, sol.utility - u0)
+        assert sol.utility >= total
+        # it stops the ascent before the ascent alone would stop
+        _without_newton_finish(monkeypatch)
+        alone = solve_offline(problem, x0=report.trajectory)
+        assert sol.iterations < alone.iterations and alone.newton_solves == 0
+        assert sol.gap < alone.gap and sol.utility > alone.utility
+
+    @pytest.mark.parametrize("wrong", ["none", "all", "total"])
+    def test_a_failed_attempt_leaves_the_ascent_as_it_is(self, monkeypatch, wrong):
+        # a wrong binding set needs a second solve, which one solve per attempt
+        # forbids; an unreachable total fails every certification instead
+        report = _huber_commute(128, 1)
+        instances = [(report.problem, report.trajectory), _random_problem("huber", 40, 3)]
+        problems, x0s = [p for p, _ in instances], [x0 for _, x0 in instances]
+        finish, results = _Lockstep.finish, []
+
+        def forced(self, j, z, total, tol):
+            caps = len(self.binding[j])
+            if wrong != "total":
+                self.binding[j] = bytes(caps) if wrong == "none" else b"\x01" * caps
+            results.append(finish(self, j, z, math.inf if wrong == "total" else total, tol))
+            return results[-1]
+
+        with monkeypatch.context() as m:
+            if wrong != "total":
+                m.setattr(metrics, "_NEWTON_SOLVES", 1)
+            m.setattr(_Lockstep, "finish", forced)
+            failed = solve_offline_batch(problems, x0s)
+            failed_solo = solve_offline(report.problem, x0=report.trajectory)
+        _without_newton_finish(monkeypatch)
+        alone = solve_offline_batch(problems, x0s)
+        # every attempt failed, in the batch and alone, each after its solves
+        assert results and not any(results) and len(results) % 2 == 0
+        solves = metrics._NEWTON_SOLVES if wrong == "total" else 1
+        assert failed[0].newton_solves == failed_solo.newton_solves == solves * len(results) // 2
+        # only the counts of the finish's work differ from the ascent alone
+        assert [_outcome(s)[:-2] for s in failed + [failed_solo]] == [
+            _outcome(s)[:-2] for s in alone + alone[:1]
+        ]
+        assert failed[1].checks == alone[1].checks and failed[1].newton_solves == 0
+        extra = failed_solo.checks - alone[0].checks
+        assert failed[0].checks - alone[0].checks == extra and (extra > 0) == (wrong == "total")
+
+    def test_finished_rows_equal_solo_solves(self):
+        reports = [_huber_commute(T, seed) for T, seed in ((128, 1), (96, 2), (64, 4))]
+        instances = [(r.problem, r.trajectory) for r in reports]
+        instances += [_random_problem("huber", T, seed) for T, seed in ((40, 3), (25, 8), (60, 19))]
+        problems, x0s = [p for p, _ in instances], [x0 for _, x0 in instances]
+        with np.errstate(all="raise"):
+            batch = solve_offline_batch(problems, x0s)
+            solo = [solve_offline(p, x0=x0) for p, x0 in instances]
+        assert [_outcome(s) for s in batch] == [_outcome(s) for s in solo]
+        assert sum(s.newton_solves > 0 and s.converged for s in batch) >= 3
+
+    def test_long_squared_commutes_and_voyage_sweeps_never_start_the_finish(self, monkeypatch):
+        # their gaps reach the stop before the trend asks for the finish
+        calls = []
+        monkeypatch.setattr(_Lockstep, "finish", lambda self, j, z, total, tol: calls.append(j))
+        report = _huber_commute(2048, 1, "squared")
+        solve_offline(report.problem, x0=report.trajectory)
+        cfg = parse_config_doc(json.loads((CONFIGS / "voyage.json").read_text(encoding="utf-8")))
+        run_sweep(cfg, "delta", [float(d) for d in range(0, 90, 9)])
+        assert calls == []

@@ -93,8 +93,9 @@ GOLDEN = {
     ("voyage", "benchmark", "trace.csv"): "ec877a7ae28ee4f291689ea9b1571178819e06795ac8c208626f03480f9247be",
     # re-taken when the gap gained the one-step dual bound: same 20 iterations
     # and regret; offline_gap 0.243265 became 0.242093
+    # re-taken when the report gained solver_newton_solves (0 here): no other byte moved
     ("voyage", "benchmark", "regret_report.json"): (
-        "179ef465efbf1bc5a19f6614fd8c0ff7f8e715d273ee488afd171d9b188652b1"
+        "4603a8604e1fc1d3614081c032684285b1ef240999ce95737d247d0ba56d3ffc"
     ),
     # commute trace: re-taken when evaluate became slot_terms' per-slot share; utility cells moved
     ("commute", "run", "trace.csv"): "6b2c3aa3d900609b1d0dd290846fffa0f214c0ee4c3727b32ef6b93070481f6e",
@@ -105,8 +106,9 @@ GOLDEN = {
     # commute trace: re-taken when evaluate became slot_terms' per-slot share; utility cells moved
     ("commute", "benchmark", "trace.csv"): "6b2c3aa3d900609b1d0dd290846fffa0f214c0ee4c3727b32ef6b93070481f6e",
     # re-taken with the summary above, for the same earlier stop
+    # re-taken when the report gained solver_newton_solves (0 here): no other byte moved
     ("commute", "benchmark", "regret_report.json"): (
-        "8220972268df061769a57c763ed0724288cf08a3a3662039c443fadcbe9328a3"
+        "c8ecf8fc8a4e0773e65c03bb951f26276709d6cdf1ec7c1e3f50eb1f3d1ab183"
     ),
     ("commute-huber", "benchmark", "trace.csv"): (
         "77f30993cbb7be5fe981627a2d99e6ed3b3e483ce9e1787ea72b66f92d6cceb6"
@@ -114,8 +116,9 @@ GOLDEN = {
     # re-taken when the gap gained the one-step dual bound: the solve stops
     # at 30 iterations, not 50; regret 210301.76 became 210221.66 and
     # offline_gap 197.14 became 116.94
+    # re-taken when the report gained solver_newton_solves (0 here): no other byte moved
     ("commute-huber", "benchmark", "regret_report.json"): (
-        "d6a9c2fc34a5e5c6b2d4322ba72b96379305e5b191dcbdfac835e131729d71f7"
+        "f9db368519ec9488f050137d7f741596a737f17789b68ab51b9838931290e25f"
     ),
     # commute trace: re-taken when evaluate became slot_terms' per-slot share; utility cells moved
     ("commute-boxed", "benchmark", "trace.csv"): (
@@ -123,8 +126,9 @@ GOLDEN = {
     ),
     # re-taken when the box solve replaced the Dykstra restoration: the
     # offline total -1705040.798 became -1705075.642 with a gap of 61.8
+    # re-taken when the report gained solver_newton_solves (0 here): no other byte moved
     ("commute-boxed", "benchmark", "regret_report.json"): (
-        "9173fb914cbd99089c9a3e8bc47880812d9257d10191e1ba3e6d8fb096be1fa9"
+        "27774f2333d8a4bde0b6f1c89a5298407ba5499e3c461fe1205a337984bf71a9"
     ),
 }
 

@@ -75,6 +75,11 @@ def _long_huber_commute():
     return _bench_commute("huber", 128)
 
 
+def _without_newton_finish(monkeypatch):
+    """Turn the offline ascent's Newton finish off: every attempt fails at once."""
+    monkeypatch.setattr(metrics._Lockstep, "finish", lambda self, j, z, total, tol: False)
+
+
 def ocean_config(**overrides):
     base = dict(
         kind="ocean",
@@ -543,8 +548,15 @@ class TestRunOcean:
         fld = synth_field(UniformSpec(0.25, -0.1), (-100.0, 300.0), (-100.0, 300.0))
         cfg = ocean_config(ocean_field=fld, lambda_strategy="increasing")
         rep = run_scenario(cfg, benchmark=False)
-        for rec, alpha, vo in zip(rep.records, rep.alphas, (r for r in rep.records)):
-            assert rec.constraint_slack <= 1e-9
+        v = cfg.v_slot
+        assert rep.problem.radii.tolist() == [alpha * v for alpha in rep.alphas]
+        # each step's speed relative to the true current it met, from the path itself
+        x = np.array(rep.trajectory)
+        rel = x[1:] - x[:-1] - rep.problem.centers
+        speeds = np.hypot(rel[:, 0], rel[:, 1]).tolist()
+        assert len(speeds) == len(rep.alphas) > 0
+        for t, (speed, alpha) in enumerate(zip(speeds, rep.alphas)):
+            assert speed <= alpha * v + 1e-9, (t, speed, alpha * v)
 
     def test_strong_current_raises_infeasible(self):
         fld = synth_field(UniformSpec(0.9, 0.0), (-100.0, 300.0), (-100.0, 300.0))
@@ -860,8 +872,10 @@ class TestOfflineCertificate:
 
     def test_long_huber_commute_runs_half_the_checks_of_a_check_every_ten(self, monkeypatch):
         # most of its checks are certain to fail: the gap falls smoothly, and
-        # the schedule skips the checks its trend rules out
+        # the schedule skips the checks its trend rules out.  The Newton
+        # finish, off here, certifies this solve after half its iterations
         report = _long_huber_commute()
+        _without_newton_finish(monkeypatch)
         sol = solve_offline(report.problem, x0=report.trajectory)
         monkeypatch.setattr(metrics, "_MAX_WAIT", 1)
         every_ten = solve_offline(report.problem, x0=report.trajectory)
@@ -880,10 +894,19 @@ class TestOfflineCertificate:
         assert tight.converged
         assert tight.utility - sol.utility <= sol.gap + 1e-9 * (1.0 + abs(tight.utility))
 
-    def test_long_huber_commute_solve_is_pinned_bit_for_bit(self):
-        # taken before the ascent ran on a preallocated workspace, which must
-        # not move one bit of any solve
+    def test_long_huber_commute_solve_is_pinned_bit_for_bit(self, monkeypatch):
+        # re-taken when the Newton finish came in: it certifies the solve
+        # with 3 KKT solves at iteration 180, at a gap of 3.3e-5, not 0.101
         report = _long_huber_commute()
+        sol = solve_offline(report.problem, x0=report.trajectory)
+        digest = hashlib.sha256(np.array(sol.points).tobytes()).hexdigest()
+        assert (sol.iterations, sol.restarts, repr(sol.gap), sol.converged, sol.newton_solves) == (
+            180, 0, "3.304754386726371e-05", True, 3
+        )
+        assert digest == "89113283d9eef83c5942637d63f85fba78a1e86899f3fb8528da6f1f43d50758"
+        # taken before the ascent ran on a preallocated workspace, which must
+        # not move one bit of any solve; the ascent alone still gives it
+        _without_newton_finish(monkeypatch)
         sol = solve_offline(report.problem, x0=report.trajectory)
         digest = hashlib.sha256(np.array(sol.points).tobytes()).hexdigest()
         assert (sol.iterations, sol.restarts, repr(sol.gap), sol.converged) == (
