@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunManifest, config_hash, parse_config
+from .config import RunManifest, load_config
 from .errors import (
     InfeasibleStepSize,
     LatticeError,
@@ -53,11 +53,11 @@ def _default_seed() -> int | None:
 
 
 def _load(args) -> tuple:
-    cfg = parse_config(args.config)
+    cfg, digest = load_config(args.config)
     seed = args.seed if args.seed is not None else _default_seed()
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    return cfg, config_hash(args.config)
+    return cfg, digest
 
 
 def _outdir(args) -> Path:
@@ -263,9 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser main() reuses, built at its first call: parse_args keeps no state
+# from one call to the next, and building one costs about a millisecond
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; safe to call repeatedly in one process.
+
+    The parser is built once per process.  Everything a command reads
+    besides its arguments, ``TRAJSIM_SEED`` included, is read per call.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except _CONFIG_ERRORS as exc:

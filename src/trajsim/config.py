@@ -301,21 +301,32 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
 
 def parse_config(path) -> ScenarioConfig:
     """Read, validate, and resolve a JSON config file."""
-    p = Path(path)
+    return parse_config_doc(_read_doc(path), base_dir=Path(path).parent)
+
+
+def load_config(path) -> tuple[ScenarioConfig, str]:
+    """:func:`parse_config` and :func:`config_hash` of a config file, from one read of it."""
+    doc = _read_doc(path)
+    return parse_config_doc(doc, base_dir=Path(path).parent), _digest(doc)
+
+
+def _read_doc(path):
     try:
-        text = p.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(str(path), f"cannot read config: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
-    return parse_config_doc(doc, base_dir=p.parent)
 
 
 def config_hash(path) -> str:
     """Stable digest of the canonicalized config text."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    return _digest(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _digest(doc) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

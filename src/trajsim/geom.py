@@ -1,4 +1,5 @@
-"""Tiny 2-D vector helpers on plain float tuples, a left-to-right sum, and
+"""Tiny 2-D vector helpers on plain float tuples, left-to-right sums, the
+elementwise functions that keep ``math``'s and ``**``'s bits on arrays, and
 the bridges between coordinate arrays and float-tuple points.
 
 The per-slot simulation loop runs one waypoint at a time, so the vector
@@ -9,7 +10,7 @@ computed as arrays before the loop and handed to it as points.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +31,16 @@ def left_sum(values: Iterable[float], start=0):
     return total
 
 
+def left_sum_array(a: np.ndarray) -> float:
+    """``left_sum(a.tolist(), 0.0)`` of a 1-D float array, bit for bit.
+
+    ``np.add.accumulate`` adds strictly left to right, where ``np.sum``
+    adds pairwise.  Like any numpy arithmetic it warns on overflow unless
+    the caller runs it under ``np.errstate``.
+    """
+    return float(np.add.accumulate(np.concatenate(([0.0], a)))[-1])
+
+
 def mapped(fn, *columns: np.ndarray) -> np.ndarray:
     """``fn`` over the columns' elements as Python floats, as an array.
 
@@ -38,6 +49,16 @@ def mapped(fn, *columns: np.ndarray) -> np.ndarray:
     its bits maps these.
     """
     return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+def powers(x: np.ndarray, k) -> np.ndarray:
+    """``x ** k`` per element of a 1-D array, as ``builtins.pow`` of Python floats.
+
+    ``pow`` is what ``**`` calls, so the bits and the ``OverflowError`` are
+    ``**``'s; numpy's ``power`` and ``square`` may differ in the last bit.
+    ``k`` is converted to a float once, where ``**`` converts it per call.
+    """
+    return np.fromiter(map(pow, x.tolist(), repeat(float(k))), float, len(x))
 
 
 def points(xs: np.ndarray, ys: np.ndarray) -> list[Point]:

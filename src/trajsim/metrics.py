@@ -19,7 +19,11 @@ pin and the box are held as arrays: the ascent and its gap, the
 augmented-Lagrangian solve of a row whose box binds and the feasibility
 check of every solution all work on them directly.  The dynamic-programming
 oracle re-solves small instances on a grid and exists purely to validate the
-solver.
+solver.  The regret report's scalar metrics (G_T's terms, the straight-line
+path and the energies, the error sums) are array passes with the bits of
+the per-slot loops they replaced: numpy only for ``+ - * /`` and
+comparisons, ``math.hypot`` and ``**`` mapped over the slots, and sums
+added left to right from 0.0.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ import numpy as np
 
 from .errors import GridTooCoarse
 from .field import VelocityField, sample_velocity
-from .geom import Point, as_array, as_point, dist, left_sum, lerp
+from .geom import (
+    Point, as_array, as_point, dist, left_sum, left_sum_array, mapped, points, powers,
+)
 from .objectives import Utilities, _constant, _pad, row_scalars
 from .sets import Box2D, StepCap
 
@@ -494,7 +500,9 @@ class _Lockstep:
         ``max_iter``.  ``settled`` lists the due rows whose Newton finish may
         run: their binding caps, the caps ``z`` fills, are their last
         check's and no failed attempt's, they have attempts left, and their
-        gap trend (:func:`_ahead`) is more than ``_MAX_WAIT`` waits away.
+        gap trend (:func:`_ahead`) is more than ``_MAX_WAIT`` waits away.  A
+        row with a cap of radius zero never runs it: that cap is always
+        filled, and its multiplier's pivot in :func:`_kkt_solve` is 0.
         """
         due = [d <= iteration for d in self.due]
         sq = np.multiply(z, z, out=self.w)
@@ -507,7 +515,8 @@ class _Lockstep:
             binding, tried = filled[j, : self.cap_counts[j]].tobytes(), self.tried[j]
             settled = binding == self.binding[j] and binding not in tried
             if settled and len(tried) < _NEWTON_ATTEMPTS and iteration < max_iter:
-                if _ahead(iteration, ratio, self.last[j]) > _MAX_WAIT * GAP_EVERY:
+                ahead = _ahead(iteration, ratio, self.last[j])
+                if ahead > _MAX_WAIT * GAP_EVERY and self.problems[self.ids[j]].radii.all():
                     self.settled.append(j)
             self.binding[j] = binding
             self.due[j] = min(_next_check(iteration, ratio, self.last[j]), max_iter)
@@ -1125,8 +1134,7 @@ def dp_oracle(problem: OfflineProblem, grid: OracleGrid) -> OracleSolution:
 def squared_path_length(traj: Sequence[Point] | np.ndarray) -> float:
     """Sum of squared displacements along a trajectory, a point list or ``(T, 2)`` array.
 
-    Each square is ``norm_sq(sub(b, a))``'s, and ``np.add.accumulate`` adds
-    them strictly left to right, so the sum keeps ``left_sum``'s bits.
+    Each square is ``norm_sq(sub(b, a))``'s, and the sum keeps ``left_sum``'s bits.
     """
     x = traj if isinstance(traj, np.ndarray) else as_array(traj)
     if len(x) <= 1:
@@ -1134,7 +1142,7 @@ def squared_path_length(traj: Sequence[Point] | np.ndarray) -> float:
     with np.errstate(all="ignore"):  # as quiet as float arithmetic
         d = x[1:] - x[:-1]
         d0, d1 = d[:, 0], d[:, 1]
-        return float(np.add.accumulate(d0 * d0 + d1 * d1)[-1])
+        return left_sum_array(d0 * d0 + d1 * d1)
 
 
 @dataclass(frozen=True)
@@ -1158,11 +1166,18 @@ def gradient_variation(utilities: Utilities, region: Box2D) -> GradientVariation
 
 
 def cumulative_error(eps_sq: Sequence[float]) -> float:
-    """Sum of per-slot squared error bounds."""
-    for i, e in enumerate(eps_sq):
-        if e < 0.0:
-            raise ValueError(f"eps_sq[{i}] = {e} is negative")
-    return left_sum(eps_sq, 0.0)
+    """Sum of per-slot squared error bounds.
+
+    A negative entry raises ``ValueError`` naming the first one.  The sum is
+    :func:`~trajsim.geom.left_sum`'s from 0.0, taken as an array pass.
+    """
+    e = np.asarray(eps_sq, dtype=float)
+    negative = np.flatnonzero(e < 0.0)
+    if len(negative):
+        i = int(negative[0])
+        raise ValueError(f"eps_sq[{i}] = {eps_sq[i]} is negative")
+    with np.errstate(all="ignore"):  # as quiet as float arithmetic
+        return left_sum_array(e)
 
 
 def energy_cost(
@@ -1177,29 +1192,38 @@ def energy_cost(
     ``(dx - v_o * tau) / tau`` against the local current (sampled at the
     slot's starting waypoint), costing ``c_d * speed^3 * tau``.  A ``None``
     field means still water, so relative speed equals ground speed.
+
+    The current is sampled once per slot, in slot order; the rest is one
+    array pass with the per-slot loop's bits: numpy's ``+ - * /``,
+    ``math.hypot`` and ``**`` mapped over the slots, and the energies added
+    left to right from 0.0.
     """
     if slot_duration <= 0.0:
         raise ValueError("slot duration must be positive")
     tau = slot_duration
-    total = 0.0
-    for t, (a, b) in enumerate(zip(traj, traj[1:]), start=1):
-        if fld is None:
-            vo = (0.0, 0.0)
-        else:
-            vo = sample_velocity(fld, a, (t - 1) * tau)
-        rel = ((b[0] - a[0]) / tau - vo[0], (b[1] - a[1]) / tau - vo[1])
-        speed = math.hypot(rel[0], rel[1])
-        total += c_d * speed**3 * tau
-    return total
+    x = traj if isinstance(traj, np.ndarray) else as_array(traj)
+    if len(x) < 2:
+        return 0.0
+    with np.errstate(all="ignore"):  # as quiet as float arithmetic
+        rel = (x[1:] - x[:-1]) / tau
+        if fld is not None:
+            rel -= as_array([sample_velocity(fld, a, t * tau) for t, a in enumerate(traj[:-1])])
+        cubes = powers(mapped(math.hypot, *rel.T), 3)
+        return left_sum_array(c_d * cubes * tau)
 
 
 def straight_line_trajectory(s: Point, d: Point, T: int) -> list[Point]:
-    """Uniformly spaced waypoints from ``s`` to ``d`` over ``T`` slots."""
+    """Uniformly spaced waypoints from ``s`` to ``d`` over ``T`` slots.
+
+    Waypoint ``t`` is ``lerp(s, d, t / (T - 1))``, computed as one array pass.
+    """
     if T < 1:
         raise ValueError("horizon must be >= 1")
     if T == 1:
         return [s]
-    return [lerp(s, d, t / (T - 1)) for t in range(T)]
+    w = np.arange(T) / (T - 1)
+    with np.errstate(all="ignore"):  # as quiet as float arithmetic
+        return points(s[0] + w * (d[0] - s[0]), s[1] + w * (d[1] - s[1]))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import EmptyStepInterval, HorizonMismatch, RootExistence
-from .geom import Point, Vector, dist, dot, norm, norm_sq, sub
+from .geom import Point, Vector, dist, dot, mapped, norm, norm_sq, powers, sub
 from .sets import Box2D
 
 # Distance floor (meters) below which the far-field path-loss model of
@@ -375,15 +375,22 @@ class CommuteUtilities(_Family):
         Huber kind's is at most ``mu |b| + (1 - mu) min(|b|, 2 v)`` long,
         attained at the leads' midpoint.  The flag says whether every maximum
         is attained in ``region``; if not, the terms are upper bounds.
+
+        One array pass with the per-pair formula's bits: numpy's ``+ - *``,
+        ``math.hypot`` and ``**`` mapped over the pairs, and the builtin
+        ``min(n, cap)`` as the comparison it makes.
         """
-        steps = (self.leads[1:] - self.leads[:-1]).tolist()
-        if self.kind == "squared":
-            return [b[0] ** 2 + b[1] ** 2 for b in steps], True
-        mu, cap = self.mu, 2.0 * self.v
-        norms = [math.hypot(*b) for b in steps]
-        terms = [(mu * n + (1.0 - mu) * min(n, cap)) ** 2 for n in norms]
-        mids = (0.5 * (self.leads[1:] + self.leads[:-1])).tolist()
-        return terms, all(region.contains(m) for m in mids)
+        with np.errstate(all="ignore"):  # as quiet as float arithmetic
+            b = self.leads[1:] - self.leads[:-1]
+            if self.kind == "squared":
+                return (powers(b[:, 0], 2) + powers(b[:, 1], 2)).tolist(), True
+            mu, cap = self.mu, 2.0 * self.v
+            n = mapped(math.hypot, b[:, 0], b[:, 1])
+            terms = powers(mu * n + (1.0 - mu) * np.where(cap < n, cap, n), 2)
+            m = 0.5 * (self.leads[1:] + self.leads[:-1])
+        (lo0, lo1), (hi0, hi1) = region.lo, region.hi
+        inside = (lo0 <= m[:, 0]) & (m[:, 0] <= hi0) & (lo1 <= m[:, 1]) & (m[:, 1] <= hi1)
+        return terms.tolist(), bool(inside.all())
 
     def slot_terms(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-slot terms whose sum times :attr:`total_scale` is the total.
@@ -572,17 +579,22 @@ class VoyageUtilities(_Family):
 
         The difference is ``a[t] x + b[t]``, affine in ``x``, so its convex
         squared norm peaks at a vertex of the box: every term is exact.
+
+        One array pass with the per-pair formula's bits: numpy's ``+ - *``,
+        ``**`` mapped over the pairs, and the builtin ``max`` over the
+        vertices as the comparisons it makes.
         """
         lam = self.lam
-        pull = lam[:, None] * self.goal
-        drift = (1.0 - lam)[:, None] * self.current
-        a = -2.0 * (lam[1:] - lam[:-1])
-        b = 2.0 * (pull[1:] - pull[:-1]) + drift[1:] - drift[:-1]
-        corners = region.vertices()
-        return [
-            max((a_t * c[0] + b_t[0]) ** 2 + (a_t * c[1] + b_t[1]) ** 2 for c in corners)
-            for a_t, b_t in zip(a.tolist(), b.tolist())
-        ], True
+        with np.errstate(all="ignore"):  # as quiet as float arithmetic
+            pull = lam[:, None] * self.goal
+            drift = (1.0 - lam)[:, None] * self.current
+            a = -2.0 * (lam[1:] - lam[:-1])
+            b = 2.0 * (pull[1:] - pull[:-1]) + drift[1:] - drift[:-1]
+            best = None
+            for c0, c1 in region.vertices():
+                term = powers(a * c0 + b[:, 0], 2) + powers(a * c1 + b[:, 1], 2)
+                best = term if best is None else np.where(term > best, term, best)
+        return best.tolist(), True
 
     def slot_terms(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-slot terms whose sum times :attr:`total_scale` is the total.

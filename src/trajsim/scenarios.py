@@ -35,7 +35,7 @@ from .errors import (
     one_of,
 )
 from .field import FieldPerturbation, VelocityField, perturb_field, sample_velocity
-from .geom import Point, Vector, as_array, dist, left_sum, lerp, mapped, points
+from .geom import Point, Vector, as_array, dist, left_sum, lerp, mapped, points, powers
 from .metrics import OfflineProblem, RegretReport, build_regret_report, solve_offline_batch
 from .sets import Box2D
 
@@ -394,10 +394,10 @@ class _D2DDriver(_Driver):
         with np.errstate(all="ignore"):  # as quiet as float arithmetic
             gap = path - self.peer_array
             d = np.maximum(mapped(math.hypot, *gap.T), obj.RATE_MIN_DISTANCE_M)
-            rss = np.array([x**q for x in d.tolist()])
+            rss = powers(d, q)
             rates = cfg.bandwidth_hz * mapped(math.log2, 1.0 + rss / (rss + cfg.noise_power))
             speed = mapped(math.hypot, *(np.diff(path, axis=0) / tau).T)
-            cubes = np.array([s**3 for s in speed.tolist()])
+            cubes = powers(speed, 3)
             energy = 0.0 + cfg.drag_coefficient * cubes * tau
         centers, radii = np.zeros((steps, 2)), np.full(steps, cfg.v_slot)
         problem = OfflineProblem(self.start, family, centers, radii, self.region)
@@ -489,7 +489,7 @@ class _OceanDriver(_Driver):
             # the step relative to the true current at the visited waypoint, in m/slot
             rel = np.diff(path, axis=0) - currents[:-1]
             speed = mapped(math.hypot, *rel.T) / tau
-            energy = self.cfg.drag_coefficient * np.array([s**3 for s in speed.tolist()]) * tau
+            energy = self.cfg.drag_coefficient * powers(speed, 3) * tau
         # one cap per executed step: the true current at the visited waypoint
         # (the family's currents but the last), the throttled speed
         radii = np.array(self.alphas, dtype=float) * self.v

@@ -4,8 +4,8 @@ It is the commute driver and the engine loop as they ran one slot at a
 time: every slot draws its gradient noise and its peer jitter with the
 scalar draws, blends its leads with ``leading_path``, and the set-up
 samples the goal and peer schedules with ``PathSpec.at``.  ``freeze``
-returns the whole horizon's leads, the step energies from ``energy_cost``
-and the link rates from ``rate``.
+returns the whole horizon's leads, the step energies from the per-slot
+``energy_cost`` loop (``report_reference``) and the link rates from ``rate``.
 
 The projected step and the three per-slot objectives that clamp with
 comparisons in the library (``ioga_step``, ``d2d_step_size``,
@@ -17,11 +17,12 @@ named tuples built through their Python-level ``__new__``.
 import math
 from dataclasses import replace
 
+from report_reference import energy_cost
+
 from trajsim import objectives as obj
 from trajsim.engine import SLACK_TOL, EngineState, StepRecord, normal_pair
 from trajsim.errors import EmptyStepInterval, InfeasibleStepSize, RootExistence
 from trajsim.geom import dist, dot, norm, norm_sq
-from trajsim.metrics import energy_cost
 from trajsim.scenarios import _GRAD_SEED_OFFSET, _PEER_SEED_OFFSET, ARRIVAL_TOL_M
 from trajsim.sets import Box2D
 

@@ -15,8 +15,10 @@ from field_reference import sample_velocity_loop
 
 import trajsim
 from trajsim import (
-    NoiseModel, parse_config, perturb_field, run_scenario, sample_velocity, solve_offline,
+    NoiseModel, config_hash, parse_config, perturb_field, run_scenario, sample_velocity,
+    solve_offline,
 )
+from trajsim import cli
 from trajsim.cli import main
 from trajsim.geom import norm
 from trajsim.metrics import GAP_EVERY
@@ -519,6 +521,88 @@ class TestBenchmarkCommand:
         assert math.isfinite(doc["offline_gap"]) and doc["offline_gap"] >= 0.0
         assert doc["regret_upper"] == doc["regret"] + doc["offline_gap"]
         assert doc["solver_converged"] is True
+
+
+def _outputs(out: Path) -> dict:
+    """Every file a command wrote, by name; the manifest without its clock reading or ``out``."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    manifest = json.loads(files.pop("manifest.json"))
+    assert manifest.pop("started_at")
+    manifest["outputs"] = [str(Path(o).relative_to(out)) for o in manifest["outputs"]]
+    return dict(files, manifest=manifest)
+
+
+class TestKeptParser:
+    """``main`` builds its parser once per process and reads everything else per call."""
+
+    def test_import_builds_no_parser(self):
+        proc = run_python("-c", "import trajsim.cli as c; print(c._parser is None)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
+    def test_parser_is_built_once_across_calls(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def spy():
+            built.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cfg = write(tmp_path, D2D_DOC)
+        for i in range(3):
+            assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / f"o{i}")]) == 0
+        with pytest.raises(SystemExit):
+            main(["run", "--config", cfg])
+        assert len(built) == 1
+        assert build() is not build()
+
+    @pytest.mark.parametrize("command", ["run", "benchmark"])
+    def test_calls_after_help_and_a_usage_error_write_a_first_calls_bytes(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.setattr(cli, "_parser", None)
+        cfg = write(tmp_path, D2D_DOC)
+        argv = [command, "--config", cfg, "--out"]
+        assert main(argv + [str(tmp_path / "first")]) == 0
+        first_out = capsys.readouterr().out
+        for bad, code in ((["--help"], 0), ([command, "--help"], 0), ([command, "--bogus"], 2),
+                          (["nosuch"], 2), ([command, "--seed", "x", "--config", cfg], 2)):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == code, bad
+        capsys.readouterr()
+        assert main(argv + [str(tmp_path / "again")]) == 0
+        assert capsys.readouterr().out == first_out
+        assert _outputs(tmp_path / "again") == _outputs(tmp_path / "first")
+
+    def test_seed_from_the_environment_is_read_per_call(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path, D2D_DOC)
+        for seed in ("21", "22"):
+            monkeypatch.setenv("TRAJSIM_SEED", seed)
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / f"env{seed}")]) == 0
+        monkeypatch.delenv("TRAJSIM_SEED")
+        for seed in ("21", "22"):
+            out = str(tmp_path / seed)
+            assert main(["run", "--config", cfg, "--seed", seed, "--out", out]) == 0
+            env, flag = _outputs(tmp_path / f"env{seed}"), _outputs(tmp_path / seed)
+            assert env == flag and env["manifest"]["seed"] == int(seed)
+        traces = [_outputs(tmp_path / f"env{seed}")["trace.csv"] for seed in ("21", "22")]
+        assert traces[0] != traces[1]
+
+    @pytest.mark.parametrize("command", ["run", "benchmark", "sweep"])
+    def test_manifest_hash_is_the_config_files_hash(self, tmp_path, command):
+        # keys out of order and spaced: the digest is of the canonical document
+        text = json.dumps(dict(reversed(list(D2D_DOC.items()))), indent=3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--param", "delta", "--values", "1,2"]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config_hash"] == config_hash(cfg) == config_hash(write(tmp_path, D2D_DOC))
 
 
 class TestOracleCommand:

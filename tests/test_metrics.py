@@ -7,8 +7,10 @@ from pathlib import Path
 
 import ascent_reference
 import numpy as np
+import report_reference as report_ref
 import pytest
-from hypothesis import assume, given, settings
+from episode_reference import outcome
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trajsim import metrics
@@ -16,8 +18,8 @@ from trajsim import objectives as obj
 from trajsim.config import parse_config_doc
 from trajsim.engine import NoiseModel
 from trajsim.errors import GridTooCoarse, HorizonMismatch
-from trajsim.field import UniformSpec, synth_field
-from trajsim.geom import dist, dot, left_sum, norm_sq, sub
+from trajsim.field import GyreSpec, UniformSpec, synth_field
+from trajsim.geom import dist, dot, left_sum, norm_sq, powers, sub
 from trajsim.metrics import (
     GAP_EVERY,
     GAP_TOL,
@@ -631,6 +633,156 @@ class TestEnergy:
         against = synth_field(UniformSpec(-0.5, 0.0), (0.0, 20.0), (-10.0, 10.0))
         detour = [(0.0, 0.0), (2.0, 2.0), (4.0, 3.0), (6.0, 2.0), (8.0, 1.0), (10.0, 0.0)]
         assert self.conserved(detour, (10.0, 0.0), against) < 0.0
+
+
+# NaN, signed zeros, infinities, subnormals, the smallest normal, and values
+# whose square (1e155) or cube (1e103) overflows, among all floats
+EDGES = st.sampled_from(
+    [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+     1.0, -1.0, 1e103, -1e103, 1e155, -1e155, 1e300]
+) | st.floats()
+EDGE_POINTS = st.tuples(EDGES, EDGES)
+
+
+def _quiet(fn, *args):
+    """:func:`outcome` of a reference whose numpy set-up may meet NaN or overflow."""
+    with np.errstate(all="ignore"):
+        return outcome(fn, *args)
+
+
+class TestArrayPassesKeepTheLoopBits:
+    """Each of the regret report's array passes against its per-slot loop, by ``repr``."""
+
+    FIELDS = {
+        None: None,
+        "uniform": synth_field(UniformSpec(0.5, -0.25), (0.0, 100.0), (-100.0, 100.0)),
+        "gyre": synth_field(
+            GyreSpec((20.0, 30.0), 0.4, 25.0), np.linspace(0.0, 60.0, 7),
+            np.linspace(0.0, 60.0, 5), (0.0, 3.0, 9.0),
+        ),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(EDGES, max_size=12), k=st.sampled_from([2, 3, 2.0, 3.0]))
+    def test_powers_are_the_freeze_comprehensions(self, x, k):
+        a = np.array(x, dtype=float)
+        assert outcome(lambda: powers(a, k).tolist()) == _quiet(
+            lambda: report_ref.power_list(a, k).tolist()
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(st.floats(0.0) | st.sampled_from([0.0, 5e-324, 1e-200]), max_size=12),
+           q=st.sampled_from([-2.0, -3.5, -4.0]))
+    def test_powers_of_the_rate_distances(self, x, q):
+        a = np.array(x, dtype=float)
+        assert outcome(lambda: powers(a, q).tolist()) == _quiet(
+            lambda: report_ref.power_list(a, q).tolist()
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        leads=st.lists(EDGE_POINTS, min_size=1, max_size=8),
+        v=EDGES,
+        mu=EDGES,
+        kind=st.sampled_from(["squared", "huber"]),
+        corners=st.tuples(EDGE_POINTS, EDGE_POINTS).filter(
+            lambda c: all(lo <= hi for lo, hi in zip(*c))
+        ),
+    )
+    # a NaN cap, which the builtin min(n, cap) passes over
+    @example([(0.0, 0.0), (3.0, 4.0)], math.nan, 0.5, "huber", ((0.0, 0.0), (1.0, 1.0)))
+    def test_commute_variation_terms(self, leads, v, mu, kind, corners):
+        us = CommuteUtilities(leads, v, mu, kind)
+        region = Box2D(*corners)
+        want = _quiet(report_ref.commute_variation_terms, us, region)
+        assert outcome(us.variation_terms, region) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(EDGES, EDGE_POINTS, EDGE_POINTS), min_size=1, max_size=8),
+        corners=st.tuples(EDGE_POINTS, EDGE_POINTS).filter(
+            lambda c: all(lo <= hi for lo, hi in zip(*c))
+        ),
+    )
+    # equal weights meet an infinite vertex: 0 * inf is NaN at the second and
+    # third vertices, which the builtin max passes over
+    @example([(0.5, (1.0, 2.0), (0.1, 0.0)), (0.5, (3.0, 1.0), (0.0, 0.2))],
+             ((0.0, 0.0), (math.inf, 0.0)))
+    def test_voyage_variation_terms(self, rows, corners):
+        lam, goals, currents = (list(c) for c in zip(*rows))
+        with np.errstate(all="ignore"):
+            us = VoyageUtilities(lam, goals, currents, goals)
+        region = Box2D(*corners)
+        want = _quiet(report_ref.voyage_variation_terms, us, region)
+        assert outcome(us.variation_terms, region) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(eps_sq=st.lists(EDGES, max_size=12))
+    def test_cumulative_error(self, eps_sq):
+        want = outcome(report_ref.cumulative_error, eps_sq)
+        assert outcome(cumulative_error, eps_sq) == want
+
+    @pytest.mark.parametrize("eps_sq, index", [
+        ([0.1, -0.1], 1), ([-0.0, 0.0, -5e-324], 2), ([math.nan, -math.inf, -1.0], 1),
+    ])
+    def test_a_negative_error_names_the_first(self, eps_sq, index):
+        with pytest.raises(ValueError, match=rf"^eps_sq\[{index}\] = "):
+            cumulative_error(eps_sq)
+        assert outcome(cumulative_error, eps_sq) == outcome(report_ref.cumulative_error, eps_sq)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        traj=st.lists(EDGE_POINTS, max_size=8),
+        field=st.sampled_from([None, "uniform", "gyre"]),
+        c_d=EDGES,
+        tau=EDGES,
+    )
+    def test_energy_cost(self, traj, field, c_d, tau):
+        fld = self.FIELDS[field]
+        want = outcome(report_ref.energy_cost, traj, fld, c_d, tau)
+        assert outcome(energy_cost, traj, fld, c_d, tau) == want
+        if len(traj) > 1 and want[0] is not ValueError:
+            assert outcome(energy_cost, np.array(traj), fld, c_d, tau) == want
+
+    def test_energy_cost_overflow_raises_the_loops_error(self):
+        traj = [(0.0, 0.0), (1.0, 1.0), (1e200, 0.0), (math.inf, 0.0)]
+        want = outcome(report_ref.energy_cost, traj, None, 1.0, 1.0)
+        assert want[0] is OverflowError
+        assert outcome(energy_cost, traj, None, 1.0, 1.0) == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_long_mixed_magnitude_inputs(self, seed):
+        # 2048 slots of magnitudes 1e-3 to 1e5: a sum or a product taken in
+        # another order would round differently somewhere
+        rng = np.random.default_rng(seed)
+        T = 2048
+        x = rng.normal(0.0, 1.0, (T, 2)) * 10.0 ** rng.integers(-3, 6, (T, 2))
+        traj = [tuple(p) for p in x.tolist()]
+        c_d, tau = rng.uniform(0.1, 3.0, 2).tolist()
+        gyre = synth_field(GyreSpec((0.0, 0.0), 0.4, 1e4), np.linspace(-1e5, 1e5, 9),
+                           np.linspace(-1e5, 1e5, 9), (0.0, 500.0, 3000.0))
+        for fld in (None, gyre):
+            want = report_ref.energy_cost(traj, fld, c_d, tau)
+            assert repr(energy_cost(traj, fld, c_d, tau)) == repr(want)
+        eps_sq = np.abs(x[:, 0]).tolist()
+        assert repr(cumulative_error(eps_sq)) == repr(report_ref.cumulative_error(eps_sq))
+        s, d = traj[0], traj[-1]
+        want = report_ref.straight_line_trajectory(s, d, T)
+        assert repr(straight_line_trajectory(s, d, T)) == repr(want)
+        region = Box2D((-1e4, -2e4), (3e4, 1e4))
+        for kind in ("squared", "huber"):
+            us = CommuteUtilities(x, 700.0, 0.3, kind)
+            want = report_ref.commute_variation_terms(us, region)
+            assert repr(us.variation_terms(region)) == repr(want)
+        us = VoyageUtilities(rng.uniform(0.0, 1.0, T), x, x[::-1] * 1e-3, x)
+        want = report_ref.voyage_variation_terms(us, region)
+        assert repr(us.variation_terms(region)) == repr(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=EDGE_POINTS, d=EDGE_POINTS, T=st.integers(-1, 40))
+    def test_straight_line_trajectory(self, s, d, T):
+        want = outcome(report_ref.straight_line_trajectory, s, d, T)
+        assert outcome(straight_line_trajectory, s, d, T) == want
 
 
 class TestUtilitySequenceBatch:
@@ -1600,6 +1752,23 @@ class TestNewtonFinish:
             solo = [solve_offline(p, x0=x0) for p, x0 in instances]
         assert [_outcome(s) for s in batch] == [_outcome(s) for s in solo]
         assert sum(s.newton_solves > 0 and s.converged for s in batch) >= 3
+
+    # the instances among 300 (100 seeds per kind, T = 5 + 7 seed mod 56) on
+    # which a finish started and failed at its first, singular, solve
+    @pytest.mark.parametrize("kind, T, seed", [
+        ("squared", 47, 14), ("squared", 47, 22), ("squared", 40, 29), ("squared", 19, 66),
+        ("huber", 12, 65), ("huber", 26, 75), ("huber", 19, 90),
+        ("voyage", 33, 28), ("voyage", 26, 35), ("voyage", 47, 46), ("voyage", 40, 53),
+        ("voyage", 47, 54), ("voyage", 19, 74), ("voyage", 12, 81),
+    ])
+    def test_a_zero_radius_cap_never_starts_the_finish(self, monkeypatch, kind, T, seed):
+        problem, x0 = _random_problem(kind, T, seed)
+        assert not problem.radii.all()
+        sol = solve_offline(problem, x0=x0)
+        _without_newton_finish(monkeypatch)
+        alone = solve_offline(problem, x0=x0)
+        assert sol.newton_solves == 0
+        assert repr(_outcome(sol)) == repr(_outcome(alone))
 
     def test_long_squared_commutes_and_voyage_sweeps_never_start_the_finish(self, monkeypatch):
         # their gaps reach the stop before the trend asks for the finish
