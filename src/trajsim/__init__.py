@@ -41,15 +41,14 @@ from .metrics import (
 from .objectives import (
     CommuteUtilities,
     VoyageUtilities,
-    alpha_schedule,
     d2d_gradient,
     d2d_step_size,
-    directional_weight,
     lambda_increasing,
     leading_path,
     ocean_gradient,
     ocean_step_size,
     rate,
+    voyage_weights,
 )
 from .scenarios import (
     AdversaryParams,

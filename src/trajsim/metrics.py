@@ -19,11 +19,12 @@ pin and the box are held as arrays: the ascent and its gap, the
 augmented-Lagrangian solve of a row whose box binds and the feasibility
 check of every solution all work on them directly.  The dynamic-programming
 oracle re-solves small instances on a grid and exists purely to validate the
-solver.  The regret report's scalar metrics (G_T's terms, the straight-line
-path and the energies, the error sums) are array passes with the bits of
-the per-slot loops they replaced: numpy only for ``+ - * /`` and
-comparisons, ``math.hypot`` and ``**`` mapped over the slots, and sums
-added left to right from 0.0.
+solver.  Both drivers' step energies are :func:`step_energies`, which
+:func:`energy_cost` sums.  The regret report's scalar metrics (G_T's
+terms, the straight-line path and the energies, the error sums) are array
+passes with the bits of the per-slot loops they replaced: numpy only for
+``+ - * /`` and comparisons, ``math.hypot`` and ``**`` mapped over the
+slots, and sums added left to right from 0.0.
 """
 
 from __future__ import annotations
@@ -1180,23 +1181,34 @@ def cumulative_error(eps_sq: Sequence[float]) -> float:
         return left_sum_array(e)
 
 
+def step_energies(
+    path: np.ndarray, currents: np.ndarray | None, c_d: float, tau: float
+) -> np.ndarray:
+    """Per step of a ``(T, 2)`` path, the cubed-relative-speed drag energy, in joules.
+
+    A step from ``a`` to ``b`` costs ``c_d * |(b - a) / tau - u|^3 * tau``,
+    with ``u`` the current met at ``a``, in m/s: one row of the ``(T - 1,
+    2)`` ``currents``, or still water for ``None``.  ``0.0 +`` makes each
+    the one-step :func:`energy_cost`, which never reads -0.0.
+    """
+    with np.errstate(all="ignore"):  # as quiet as float arithmetic
+        rel = (path[1:] - path[:-1]) / tau
+        if currents is not None:
+            rel -= currents
+        return 0.0 + c_d * powers(mapped(math.hypot, *rel.T), 3) * tau
+
+
 def energy_cost(
     traj: Sequence[Point],
     fld: VelocityField | None,
     c_d: float,
     slot_duration: float = 1.0,
 ) -> float:
-    """Cubed-relative-speed drag energy of a trajectory, in joules.
+    """Drag energy of a trajectory, in joules: its :func:`step_energies` summed.
 
-    Per slot the motors must supply the relative velocity
-    ``(dx - v_o * tau) / tau`` against the local current (sampled at the
-    slot's starting waypoint), costing ``c_d * speed^3 * tau``.  A ``None``
-    field means still water, so relative speed equals ground speed.
-
-    The current is sampled once per slot, in slot order; the rest is one
-    array pass with the per-slot loop's bits: numpy's ``+ - * /``,
-    ``math.hypot`` and ``**`` mapped over the slots, and the energies added
-    left to right from 0.0.
+    The current is sampled at each step's starting waypoint, in slot order;
+    a ``None`` field means still water.  The energies are added left to
+    right from 0.0.
     """
     if slot_duration <= 0.0:
         raise ValueError("slot duration must be positive")
@@ -1204,12 +1216,11 @@ def energy_cost(
     x = traj if isinstance(traj, np.ndarray) else as_array(traj)
     if len(x) < 2:
         return 0.0
+    currents = None
+    if fld is not None:
+        currents = as_array([sample_velocity(fld, a, t * tau) for t, a in enumerate(traj[:-1])])
     with np.errstate(all="ignore"):  # as quiet as float arithmetic
-        rel = (x[1:] - x[:-1]) / tau
-        if fld is not None:
-            rel -= as_array([sample_velocity(fld, a, t * tau) for t, a in enumerate(traj[:-1])])
-        cubes = powers(mapped(math.hypot, *rel.T), 3)
-        return left_sum_array(c_d * cubes * tau)
+        return left_sum_array(step_energies(x, currents, c_d, tau))
 
 
 def straight_line_trajectory(s: Point, d: Point, T: int) -> list[Point]:

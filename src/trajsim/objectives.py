@@ -12,15 +12,17 @@ Conventions used throughout: the squared penalty is ``-0.5 * d^2`` so its
 gradient toward the leading path is exactly ``ell - x``; the robust penalty
 uses the matching unit scaling.
 
-The online loop uses only the scalar gradients and step sizes; the scalar
-values are test references and back ``values``.  :class:`CommuteUtilities`
-and :class:`VoyageUtilities` hold one frozen utility per slot as arrays and
-evaluate all slots at once, for the trace, the regret and the offline
-benchmark alike; each also gives its worst-case gradient variation in closed
-form, the curvature and Fenchel-Young residual of its conjugates, which
-tighten the offline duality gap, and its Hessian blocks, for the offline
-Newton finish; the squared commute also gives the best placement of rigid
-runs of its points.
+The drivers call one formula per per-slot quantity: the leading path, the
+link rate, the goal weight ``t / T``, the voyage's directional weight and
+throttle (:func:`voyage_weights`), and the scalar gradients and step sizes.
+The scalar values are test references and back ``values``.
+:class:`CommuteUtilities` and :class:`VoyageUtilities` hold one frozen
+utility per slot as arrays and evaluate all slots at once, for the trace,
+the regret and the offline benchmark alike; each also gives its worst-case
+gradient variation in closed form, the curvature and Fenchel-Young residual
+of its conjugates, which tighten the offline duality gap, and its Hessian
+blocks, for the offline Newton finish; the squared commute also gives the
+best placement of rigid runs of its points.
 """
 
 from __future__ import annotations
@@ -50,9 +52,21 @@ OCEAN_SMOOTHNESS = 2.0
 # commute family
 
 
-def leading_path(y: Point, d: Point, lam: float) -> Point:
-    """Blend ``lam * y + (1 - lam) * d`` of peer position and destination."""
-    if not 0.0 <= lam <= 1.0:
+def _within(value, lo, hi) -> bool:
+    """Whether ``value``, a number or an array, lies in ``[lo, hi]`` throughout; NaN does not."""
+    if isinstance(value, np.ndarray):
+        return bool(np.all((lo <= value) & (value <= hi)))
+    return lo <= value <= hi
+
+
+def leading_path(y, d, lam):
+    """Blend ``lam * y + (1 - lam) * d`` of peer position and destination.
+
+    ``y`` and ``d`` are points and ``lam`` a float, or each is a pair of
+    coordinate arrays (such as an ``(n, 2)`` array's transpose) and ``lam``
+    a float or an array of one weight per point; the blend is the same pair.
+    """
+    if not _within(lam, 0.0, 1.0):
         raise ValueError(f"blend weight {lam} outside [0, 1]")
     return (lam * y[0] + (1.0 - lam) * d[0], lam * y[1] + (1.0 - lam) * d[1])
 
@@ -131,76 +145,59 @@ def d2d_step_size(
     return chosen
 
 
-def rate(
-    x: Point,
-    y: Point,
-    alpha_p: float,
-    bandwidth: float,
-    sigma2: float,
-) -> float:
-    """Achievable link rate between two positions, in bits/s.
+def rate(x, y, alpha_p: float, bandwidth: float, sigma2: float) -> np.ndarray:
+    """Achievable link rate between the paired rows of ``(n, 2)`` arrays, in bits/s.
 
     Path loss ``d^-alpha_p`` with the distance clamped below at
-    ``RATE_MIN_DISTANCE_M``; the rate is ``W log2(1 + rss / (rss + sigma2))``.
+    ``RATE_MIN_DISTANCE_M``; the rate is ``W log2(1 + rss / (rss + sigma2))``,
+    with ``math.hypot``, ``**`` and ``math.log2`` mapped over the pairs.
     """
     if bandwidth <= 0.0 or sigma2 <= 0.0:
         raise ValueError("bandwidth and noise power must be positive")
-    d = max(dist(x, y), RATE_MIN_DISTANCE_M)
-    rss = d ** (-alpha_p)
-    return bandwidth * math.log2(1.0 + rss / (rss + sigma2))
+    with np.errstate(all="ignore"):  # as quiet as float arithmetic
+        d = np.maximum(mapped(math.hypot, *np.subtract(x, y).T), RATE_MIN_DISTANCE_M)
+        rss = powers(d, -alpha_p)
+        return bandwidth * mapped(math.log2, 1.0 + rss / (rss + sigma2))
 
 
 # ---------------------------------------------------------------------------
 # voyage family
 
 
-def lambda_increasing(t: int, T: int) -> float:
-    """Goal weight ``t / T``; reaches 1 on the final slot."""
-    if not 1 <= t <= T:
+def lambda_increasing(t, T: int):
+    """Goal weight ``t / T`` of slot ``t``, an int or an int array; reaches 1 on the final slot."""
+    if not _within(t, 1, T):
         raise ValueError(f"slot {t} outside 1..{T}")
     return t / T
 
 
-def directional_weight(eta: float, theta: float) -> float:
-    """Goal weight ``1 - eta * cos^2(theta / 2)`` for current strength/angle."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"relative strength {eta} outside [0, 1]")
-    if not 0.0 <= theta <= math.pi + 1e-12:
-        raise ValueError(f"angle {theta} outside [0, pi]")
-    c = math.cos(theta / 2.0)
-    return 1.0 - eta * c * c
-
-
-def current_strength_angle(
-    d: Point, x_hat: Point, v_o: Vector, v_o_max: float
+def voyage_weights(
+    goal: Point, x_hat: Point, v_o: Vector, v_o_max: float, beta: float, delta: int, T: int
 ) -> tuple[float, float]:
-    """Relative strength ``eta`` of the current and its angle ``theta`` to the goal.
+    """The voyage's directional goal weight and relative-speed throttle at ``x_hat``.
 
-    Degenerate geometry (goal reached, or still water) uses angle pi, i.e.
-    the fully goal-seeking weight 1.  Strength is clamped at 1 in case a
-    measured current exceeds the historical maximum.
+    ``eta = min(|v_o| / v_o_max, 1)`` is the current's strength against the
+    historical maximum (the two share a unit, such as m/slot) and ``theta``
+    its angle to the heading toward ``goal``.  From one ``c = cos(theta /
+    2)``, the weight is ``1 - eta c^2`` and the throttle ``exp(-beta (delta
+    / T + eta c))``.  Degenerate geometry (goal reached, or still water)
+    uses angle pi, i.e. the fully goal-seeking weight 1.
     """
     if v_o_max <= 0.0:
         raise ValueError("historical max current must be positive")
     n_vo = math.hypot(v_o[0], v_o[1])
     eta = n_vo / v_o_max
     eta = 1.0 if 1.0 < eta else eta  # min(eta, 1.0)
-    h0, h1 = d[0] - x_hat[0], d[1] - x_hat[1]
+    h0, h1 = goal[0] - x_hat[0], goal[1] - x_hat[1]
     n_h = math.hypot(h0, h1)
     if n_h == 0.0 or n_vo == 0.0:
-        return eta, math.pi
-    c = (h0 * v_o[0] + h1 * v_o[1]) / (n_h * n_vo)
-    c = c if c > -1.0 else -1.0  # min(1.0, max(-1.0, c))
-    return eta, math.acos(c if c < 1.0 else 1.0)
-
-
-def alpha_schedule(beta: float, delta: float, T: int, eta: float, theta: float) -> float:
-    """Relative-speed throttle ``exp(-beta (delta/T + eta cos(theta/2)))``."""
-    if beta < 0.0 or delta < 0.0 or T < 1:
-        raise ValueError("need beta >= 0, delta >= 0, T >= 1")
-    if not 0.0 <= eta <= 1.0 or not 0.0 <= theta <= math.pi + 1e-12:
-        raise ValueError("eta in [0,1] and theta in [0,pi] required")
-    return math.exp(-beta * (delta / T + eta * math.cos(theta / 2.0)))
+        theta = math.pi
+    else:
+        c = (h0 * v_o[0] + h1 * v_o[1]) / (n_h * n_vo)
+        c = c if c > -1.0 else -1.0  # min(1.0, max(-1.0, c))
+        theta = math.acos(c if c < 1.0 else 1.0)
+    half = math.cos(theta / 2.0)
+    return 1.0 - eta * half * half, math.exp(-beta * (delta / T + eta * half))
 
 
 def ocean_utility(x: Point, x_prev: Point, d: Point, v_o: Vector, lam: float) -> float:

@@ -35,8 +35,9 @@ from .errors import (
     one_of,
 )
 from .field import FieldPerturbation, VelocityField, perturb_field, sample_velocity
-from .geom import Point, Vector, as_array, dist, left_sum, lerp, mapped, points, powers
+from .geom import Point, Vector, as_array, dist, left_sum, lerp, points
 from .metrics import OfflineProblem, RegretReport, build_regret_report, solve_offline_batch
+from .metrics import step_energies
 from .sets import Box2D
 
 # Offsets deriving independent per-purpose streams from the master seed.
@@ -333,21 +334,20 @@ class _D2DDriver(_Driver):
         self.peers = cfg.peer.track(T, cfg.slot_duration_s)
         goals, peers = self.goal_array, as_array(self.peers)
         self.region = _auto_region(cfg, goals, peers)
-        weights = np.arange(1, T + 1) / T  # lambda_increasing(t, T), t = 1 .. T
-        self.weights = weights.tolist()
-        # leading_path's blend lam * y + (1 - lam) * d, at lam = 1 - t / T
-        lam = (1.0 - weights)[:, None]
+        self.weights = obj.lambda_increasing(np.arange(1, T + 1), T)
+        lam = 1.0 - self.weights  # the leads' blend weight on the peer
         self.peer_array, self.mu, std = peers, cfg.mu, cfg.peer_noise_std_m
         # the peer's reported position, jittered by std-scaled normals; None without jitter
         self.observed = None
         with np.errstate(all="ignore"):  # as quiet as float arithmetic
-            self.lead_array = lam * peers + (1.0 - lam) * goals
+            leads = obj.leading_path(peers.T, goals.T, lam)
+            self.lead_array = np.column_stack(leads)
             # without jitter the observed leads are the true ones, and plan takes one gradient
-            self.leads = self.leads_obs = points(*self.lead_array.T)
+            self.leads = self.leads_obs = points(*leads)
             if std != 0.0:
                 z0, z1 = normal_pairs(cfg.derived_seed(_PEER_SEED_OFFSET), 1, T)
                 self.observed = np.stack([peers[:, 0] + std * z0, peers[:, 1] + std * z1], axis=1)
-                self.leads_obs = points(*(lam * self.observed + (1.0 - lam) * goals).T)
+                self.leads_obs = points(*obj.leading_path(self.observed.T, goals.T, lam))
 
     def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]:
         if self.arrival is None and dist(x_hat, self.goals[t - 1]) <= ARRIVAL_TOL_M:
@@ -375,13 +375,13 @@ class _D2DDriver(_Driver):
     def freeze(self, path: np.ndarray):
         """The commute's offline problem, step energies and link rates.
 
-        The energies and rates are :func:`~trajsim.metrics.energy_cost` of each
-        step in still water and :func:`~trajsim.objectives.rate` of each slot,
-        bit for bit.
+        The energies are :func:`~trajsim.metrics.step_energies` in still
+        water, and the rates :func:`~trajsim.objectives.rate` between each
+        waypoint and the true peer of its slot.
         """
         cfg, steps = self.cfg, self.horizon - 1
         held = steps if self.arrival is None else self.arrival - 1  # steps before the latch
-        self.lambdas = self.weights[:held] + [1.0] * (steps - held)
+        self.lambdas = self.weights[:held].tolist() + [1.0] * (steps - held)
         self.alphas = [1.0] * steps
         # the last slot's lead blends at 0 on the peer whether or not the latch fired
         leads = self.lead_array
@@ -390,15 +390,8 @@ class _D2DDriver(_Driver):
             pairs = zip(self.peers[held:steps], self.goals[held:steps])
             leads[held:steps] = [obj.leading_path(y, d, 0.0) for y, d in pairs]
         family = obj.CommuteUtilities(leads, cfg.v_slot, cfg.mu, cfg.utility_kind)
-        tau, q = cfg.slot_duration_s, -cfg.alpha_p
-        with np.errstate(all="ignore"):  # as quiet as float arithmetic
-            gap = path - self.peer_array
-            d = np.maximum(mapped(math.hypot, *gap.T), obj.RATE_MIN_DISTANCE_M)
-            rss = powers(d, q)
-            rates = cfg.bandwidth_hz * mapped(math.log2, 1.0 + rss / (rss + cfg.noise_power))
-            speed = mapped(math.hypot, *(np.diff(path, axis=0) / tau).T)
-            cubes = powers(speed, 3)
-            energy = 0.0 + cfg.drag_coefficient * cubes * tau
+        rates = obj.rate(path, self.peer_array, cfg.alpha_p, cfg.bandwidth_hz, cfg.noise_power)
+        energy = step_energies(path, None, cfg.drag_coefficient, cfg.slot_duration_s)
         centers, radii = np.zeros((steps, 2)), np.full(steps, cfg.v_slot)
         problem = OfflineProblem(self.start, family, centers, radii, self.region)
         return problem, energy.tolist(), rates.tolist()
@@ -417,24 +410,26 @@ class _OceanDriver(_Driver):
         self.measured = perturb_field(self.truth, pert) if pert else self.truth
         # historical maximum comes from the unperturbed record
         self.v_o_max_slot = max(self.truth.v_o_max * cfg.slot_duration_s, 1e-12)
-        self.current_u: list[float] = []  # m/slot, the true current at visited waypoints
+        self.current_u: list[float] = []  # m/s, the true current at visited waypoints
         self.current_v: list[float] = []
         self.tau = cfg.slot_duration_s
         self.increasing = cfg.lambda_strategy == "increasing"
-        # alpha_schedule's -beta and delta / T
-        self.neg_beta = -cfg.beta
-        self.delta_per_slot = cfg.delta / self.horizon
+        if self.increasing:  # the goal weights t / T of slots 1 .. T
+            T = self.horizon
+            self.weights = obj.lambda_increasing(np.arange(1, T + 1), T).tolist()
 
     def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]:
         """Slot ``t``'s gradients at ``x_hat``, or slot ``t + 1``'s in lookahead mode.
 
         Each slot ``s`` the loop visits samples its currents at ``x_hat`` and
-        time ``(s - 1) * tau``, in m/slot, and takes its goal weight and
-        throttle from the paper's schedules with one ``cos(theta / 2)``.
+        time ``(s - 1) * tau``, steps on them in m/slot, and takes its
+        directional goal weight and throttle from
+        :func:`~trajsim.objectives.voyage_weights`.
         Lookahead visits ``t + 1`` for the gradients, then ``t`` for the
         constraint and the utility bookkeeping.
         """
         goals, T, tau, truth, measured = self.goals, self.horizon, self.tau, self.truth, self.measured
+        beta, delta = self.cfg.beta, self.cfg.delta
         if self.arrival is None and dist(x_hat, goals[t - 1]) <= ARRIVAL_TOL_M:
             self.arrival = t
         grads = None
@@ -443,18 +438,14 @@ class _OceanDriver(_Driver):
             u, v = sample_velocity(truth, x_hat, time_s)
             vo_true = vo_meas = (u * tau, v * tau)
             if measured is not truth:
-                u, v = sample_velocity(measured, x_hat, time_s)
-                vo_meas = (u * tau, v * tau)
+                um, vm = sample_velocity(measured, x_hat, time_s)
+                vo_meas = (um * tau, vm * tau)
             goal = goals[k - 1]
-            eta, theta = obj.current_strength_angle(goal, x_hat, vo_meas, self.v_o_max_slot)
-            half = math.cos(theta / 2.0)
+            lam, alpha = obj.voyage_weights(goal, x_hat, vo_meas, self.v_o_max_slot, beta, delta, T)
             if self.arrival is not None:
                 lam = 1.0
             elif self.increasing:
-                lam = k / T
-            else:
-                lam = 1.0 - eta * half * half
-            alpha = math.exp(self.neg_beta * (self.delta_per_slot + eta * half))
+                lam = self.weights[k - 1]
             if grads is None:
                 grad_true = grad_obs = obj.ocean_gradient(x_hat, goal, vo_true, lam)
                 if vo_meas is not vo_true:
@@ -462,8 +453,8 @@ class _OceanDriver(_Driver):
                 grads = grad_true, grad_obs
         self.lambdas.append(lam)
         self.alphas.append(alpha)
-        self.current_u.append(vo_true[0])
-        self.current_v.append(vo_true[1])
+        self.current_u.append(u)
+        self.current_v.append(v)
         # the step's true current and throttle, for gamma and slack
         self.vo, self.alpha = vo_true, alpha
         return grads
@@ -478,18 +469,14 @@ class _OceanDriver(_Driver):
     def freeze(self, path: np.ndarray):
         """The voyage's offline problem and step energies; a voyage has no link rates."""
         # slot t's drift reference is the previous online waypoint and the current
-        # measured there; slot T has no executed step and reuses the last weights
+        # measured there (m/s); slot T has no executed step and reuses the last weights
         lams, u, v = self.lambdas, self.current_u, self.current_v
         lams = lams + [lams[-1] if lams else 1.0]
         currents = np.column_stack((u + [u[-1] if u else 0.0], v + [v[-1] if v else 0.0]))
-        tau = self.tau
         prev = np.vstack((path[:1], path[:-1]))
-        family = obj.VoyageUtilities(lams, self.goal_array, currents, prev)
         with np.errstate(all="ignore"):  # as quiet as float arithmetic
-            # the step relative to the true current at the visited waypoint, in m/slot
-            rel = np.diff(path, axis=0) - currents[:-1]
-            speed = mapped(math.hypot, *rel.T) / tau
-            energy = self.cfg.drag_coefficient * powers(speed, 3) * tau
+            family = obj.VoyageUtilities(lams, self.goal_array, currents * self.tau, prev)
+        energy = step_energies(path, currents[:-1], self.cfg.drag_coefficient, self.tau)
         # one cap per executed step: the true current at the visited waypoint
         # (the family's currents but the last), the throttled speed
         radii = np.array(self.alphas, dtype=float) * self.v

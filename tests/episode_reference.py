@@ -5,13 +5,16 @@ time: every slot draws its gradient noise and its peer jitter with the
 scalar draws, blends its leads with ``leading_path``, and the set-up
 samples the goal and peer schedules with ``PathSpec.at``.  ``freeze``
 returns the whole horizon's leads, the step energies from the per-slot
-``energy_cost`` loop (``report_reference``) and the link rates from ``rate``.
+``energy_cost`` loop (``report_reference``) and the link rates from the
+scalar ``rate`` kept here, one pair at a time.
 
-The projected step and the three per-slot objectives that clamp with
-comparisons in the library (``ioga_step``, ``d2d_step_size``,
-``current_strength_angle`` and ``ocean_step_size``) are kept here as they
-were written with the builtin two-argument ``min`` and ``max``, and the
-named tuples built through their Python-level ``__new__``.
+The projected step and the per-slot objectives that clamp with comparisons
+in the library (``ioga_step``, ``d2d_step_size``, the strength and angle
+of ``voyage_weights`` and ``ocean_step_size``) are kept here as they were
+written with the builtin two-argument ``min`` and ``max``, and the named
+tuples built through their Python-level ``__new__``.  ``voyage_weights``
+is the voyage driver's weight and throttle as it ran them on
+``current_strength_angle``.
 """
 
 import math
@@ -67,6 +70,21 @@ def current_strength_angle(d, x_hat, v_o, v_o_max):
         return eta, math.pi
     c = (h0 * v_o[0] + h1 * v_o[1]) / (n_h * n_vo)
     return eta, math.acos(min(1.0, max(-1.0, c)))
+
+
+def voyage_weights(goal, x_hat, v_o, v_o_max, beta, delta, T):
+    eta, theta = current_strength_angle(goal, x_hat, v_o, v_o_max)
+    half = math.cos(theta / 2.0)
+    return 1.0 - eta * half * half, math.exp(-beta * (delta / T + eta * half))
+
+
+def rate(x, y, alpha_p, bandwidth, sigma2):
+    """Link rate between two positions, in bits/s."""
+    if bandwidth <= 0.0 or sigma2 <= 0.0:
+        raise ValueError("bandwidth and noise power must be positive")
+    d = max(dist(x, y), obj.RATE_MIN_DISTANCE_M)
+    rss = d ** (-alpha_p)
+    return bandwidth * math.log2(1.0 + rss / (rss + sigma2))
 
 
 def ocean_step_size(grad_tilde, v_o, alpha_t, v_max, L=obj.OCEAN_SMOOTHNESS, margin=1.01):
@@ -169,7 +187,7 @@ class ReferenceCommute:
         lam = self.goal_weight(self.horizon)
         leads = self.leads_true + [obj.leading_path(self.peers[-1], self.goals[-1], 1.0 - lam)]
         rate_series = [
-            obj.rate(x, y, cfg.alpha_p, cfg.bandwidth_hz, cfg.noise_power)
+            rate(x, y, cfg.alpha_p, cfg.bandwidth_hz, cfg.noise_power)
             for x, y in zip(traj, self.peers)
         ]
         energy_steps = [

@@ -322,10 +322,15 @@ def test_c10_huber_c1():
 
 
 def test_c11_schedule_cells():
-    assert obj.directional_weight(1.0, 0.0) == 0.0
+    def weight(eta, theta):
+        """The goal weight under a current of strength eta at angle theta to the heading."""
+        v_o = (eta * math.cos(theta), eta * math.sin(theta))
+        return obj.voyage_weights((10.0, 0.0), (0.0, 0.0), v_o, 1.0, 0.5, 0, 10)[0]
+
+    assert weight(1.0, 0.0) == 0.0
     for theta in (0.0, 0.4, math.pi / 2, math.pi):
-        assert abs(obj.directional_weight(1e-15, theta) - 1.0) <= 1e-12
-    assert abs(obj.directional_weight(0.5, math.pi / 2) - 0.75) <= 1e-12
+        assert abs(weight(1e-15, theta) - 1.0) <= 1e-12
+    assert abs(weight(0.5, math.pi / 2) - 0.75) <= 1e-12
     report(
         "criterion 11 (goal-weight cells)",
         "strong/favorable -> 0, still water -> 1, moderate/perpendicular -> 0.75",

@@ -92,7 +92,7 @@ class TestNoiseStream:
         assert list(short) == long[: len(short)]
 
     def test_peer_observation_shares_the_draw(self):
-        from trajsim.objectives import d2d_gradient, leading_path
+        from trajsim.objectives import d2d_gradient, lambda_increasing, leading_path
         from trajsim.scenarios import _PEER_SEED_OFFSET, PathSpec, ScenarioConfig, _D2DDriver
 
         cfg = ScenarioConfig(
@@ -112,7 +112,7 @@ class TestNoiseStream:
         for t in (1, 2, 3):
             _, grad_obs = driver.plan(t, x, "standard")
             z0, z1 = model.draw(t)
-            lam = driver.weights[t - 1]
+            lam = lambda_increasing(t, driver.horizon)
             ell = leading_path((0.0 + z0, 3.0 + z1), driver.goals[t - 1], 1.0 - lam)
             assert grad_obs == d2d_gradient(x, ell, driver.v, cfg.mu)
 

@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trajsim
 from trajsim import objectives as obj
 from trajsim.errors import EmptyStepInterval, RootExistence
 from trajsim.geom import dist, norm
@@ -19,6 +22,16 @@ points = st.tuples(coords, coords)
 # edge floats among plain ones that pass the range checks
 edgy = st.sampled_from(EDGE_FLOATS) | st.floats()
 mixed = edgy | st.floats(0.0, 4.0)
+
+
+def voyage_weights(eta, theta, beta=0.5, delta=0, T=10):
+    """``voyage_weights`` for a current of strength ``eta`` at angle ``theta`` to the heading.
+
+    The agent sits at the origin with its goal along +x, and the historical
+    maximum current is 1.
+    """
+    v_o = (eta * math.cos(theta), eta * math.sin(theta))
+    return obj.voyage_weights((10.0, 0.0), (0.0, 0.0), v_o, 1.0, beta, delta, T)
 
 
 def central_difference(f, x, h=1e-5):
@@ -38,6 +51,23 @@ class TestLeadingPath:
     def test_out_of_range_weight_rejected(self):
         with pytest.raises(ValueError):
             obj.leading_path((0.0, 0.0), (1.0, 1.0), 1.5)
+        y, d = np.zeros((2, 3)), np.ones((2, 3))
+        for lam in (np.array([0.0, 1.5, 0.5]), np.array([0.0, math.nan, 0.5])):
+            with pytest.raises(ValueError):
+                obj.leading_path(y, d, lam)
+
+    def test_coordinate_arrays_blend_as_points(self):
+        rng = np.random.default_rng(3)
+        y, d = rng.normal(0.0, 50.0, (2, 4, 2))
+        lam = rng.uniform(0.0, 1.0, 4)
+        got = obj.leading_path(y.T, d.T, lam)
+        want = [obj.leading_path(a, b, w) for a, b, w in zip(y.tolist(), d.tolist(), lam.tolist())]
+        assert repr(list(zip(*(c.tolist() for c in got)))) == repr(want)
+        # one weight shared by every point
+        got = obj.leading_path(y.T, d.T, 0.0)
+        assert repr(list(zip(*(c.tolist() for c in got)))) == repr(
+            [obj.leading_path(a, b, 0.0) for a, b in zip(y.tolist(), d.tolist())]
+        )
 
 
 class TestHuber:
@@ -176,22 +206,40 @@ class TestD2DStepSize:
 
 
 class TestRate:
+    @staticmethod
+    def one(x, y, *args):
+        """The rate of one pair of positions, through the array form."""
+        (got,) = obj.rate(np.array([x]), np.array([y]), *args).tolist()
+        return got
+
     def test_unit_distance_value(self):
-        got = obj.rate((0.0, 0.0), (1.0, 0.0), 2.5, 1.0, 0.2)
+        got = self.one((0.0, 0.0), (1.0, 0.0), 2.5, 1.0, 0.2)
         assert got == pytest.approx(math.log2(1.0 + 5.0 / 6.0), rel=1e-12)
         assert got == pytest.approx(0.87447, abs=5e-6)
 
     def test_far_field_vanishes(self):
-        assert obj.rate((0.0, 0.0), (1e9, 0.0), 2.5, 1.0, 0.2) < 1e-15
+        assert self.one((0.0, 0.0), (1e9, 0.0), 2.5, 1.0, 0.2) < 1e-15
 
     def test_noiseless_limit_is_bandwidth(self):
-        got = obj.rate((0.0, 0.0), (2.0, 0.0), 2.0, 7.0, 1e-15)
+        got = self.one((0.0, 0.0), (2.0, 0.0), 2.0, 7.0, 1e-15)
         assert got == pytest.approx(7.0, rel=1e-6)
 
     def test_distance_clamped_near_zero(self):
-        at_zero = obj.rate((0.0, 0.0), (0.0, 0.0), 2.5, 1.0, 0.2)
-        at_one = obj.rate((0.0, 0.0), (1.0, 0.0), 2.5, 1.0, 0.2)
-        assert at_zero == at_one
+        x = np.zeros((3, 2))
+        y = np.array([[0.0, 0.0], [0.5, -0.5], [1.0, 0.0]])
+        at_zero, inside, at_one = obj.rate(x, y, 2.5, 1.0, 0.2).tolist()
+        assert at_zero == inside == at_one
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.tuples(edgy, coords), st.tuples(coords, edgy)), min_size=1),
+        alpha_p=st.sampled_from([2.5, -2.5, 0.0, 1e3]) | mixed,
+        sigma2=st.sampled_from([0.2, 1e-300]),
+    )
+    def test_array_has_the_per_pair_bits(self, pairs, alpha_p, sigma2):
+        x, y = (np.array(side) for side in zip(*pairs))
+        want = outcome(lambda: [ref.rate(a, b, alpha_p, 7.0, sigma2) for a, b in pairs])
+        assert outcome(lambda: obj.rate(x, y, alpha_p, 7.0, sigma2).tolist()) == want
 
 
 class TestLambdaSchedules:
@@ -200,14 +248,24 @@ class TestLambdaSchedules:
         assert obj.lambda_increasing(1, 10) == pytest.approx(0.1)
         assert obj.lambda_increasing(5, 10) == pytest.approx(0.5)
 
+    def test_increasing_over_an_array_of_slots(self):
+        T = 37
+        got = obj.lambda_increasing(np.arange(1, T + 1), T).tolist()
+        assert repr(got) == repr([obj.lambda_increasing(t, T) for t in range(1, T + 1)])
+        for slots in (np.arange(0, 3), np.arange(T - 1, T + 2)):
+            with pytest.raises(ValueError):
+                obj.lambda_increasing(slots, T)
+        with pytest.raises(ValueError):
+            obj.lambda_increasing(0, T)
+
     def test_direction_cells(self):
-        assert obj.directional_weight(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert obj.directional_weight(0.0, 1.2) == pytest.approx(1.0, abs=1e-12)
-        assert obj.directional_weight(0.5, math.pi / 2) == pytest.approx(0.75, abs=1e-12)
+        assert voyage_weights(1.0, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
+        assert voyage_weights(0.0, 1.2)[0] == pytest.approx(1.0, abs=1e-12)
+        assert voyage_weights(0.5, math.pi / 2)[0] == pytest.approx(0.75, abs=1e-12)
 
     @staticmethod
     def geometric_weight(d, x_hat, v_o, v_o_max):
-        return obj.directional_weight(*obj.current_strength_angle(d, x_hat, v_o, v_o_max))
+        return obj.voyage_weights(d, x_hat, v_o, v_o_max, 0.5, 0, 10)[0]
 
     def test_geometric_form(self):
         # favorable strong current straight toward the goal
@@ -225,22 +283,24 @@ class TestLambdaSchedules:
     @given(eta=unit, theta=st.floats(0.0, math.pi))
     @settings(max_examples=200, deadline=None)
     def test_weight_range(self, eta, theta):
-        assert 0.0 <= obj.directional_weight(eta, theta) <= 1.0
+        assert 0.0 <= voyage_weights(eta, theta)[0] <= 1.0
 
-    @given(eta=unit, theta=st.floats(0.0, math.pi), beta=st.floats(0.0, 5.0), frac=unit)
+    @given(
+        eta=unit, theta=st.floats(0.0, math.pi), beta=st.floats(0.0, 5.0), delta=st.integers(0, 40)
+    )
     @settings(max_examples=200, deadline=None)
-    def test_throttle_range(self, eta, theta, beta, frac):
-        a = obj.alpha_schedule(beta, frac * 40, 40, eta, theta)
+    def test_throttle_range(self, eta, theta, beta, delta):
+        a = voyage_weights(eta, theta, beta, delta, 40)[1]
         assert 0.0 < a <= 1.0
 
 
 class TestAlphaSchedule:
     def test_zero_exponent_cases(self):
-        assert obj.alpha_schedule(0.0, 5.0, 10, 1.0, 0.0) == 1.0
-        assert obj.alpha_schedule(3.0, 0.0, 10, 0.0, math.pi) == 1.0
+        assert voyage_weights(1.0, 0.0, beta=0.0, delta=5, T=10)[1] == 1.0
+        assert voyage_weights(0.0, math.pi, beta=3.0, delta=0, T=10)[1] == 1.0
 
     def test_worked_value(self):
-        got = obj.alpha_schedule(1.0, 1.0, 10, 1.0, 0.0)
+        got = voyage_weights(1.0, 0.0, beta=1.0, delta=1, T=10)[1]
         assert got == pytest.approx(math.exp(-1.1), rel=1e-12)
         assert got == pytest.approx(0.33287, abs=5e-6)
 
@@ -339,12 +399,15 @@ class TestComparisonClamps:
         v_o=st.tuples(mixed, mixed),
         scale=st.none() | mixed | st.floats(-4.0, 0.0),
         v_o_max=mixed,
+        beta=st.floats(0.0, 5.0) | mixed,
+        delta=st.integers(0, 50),
+        T=st.integers(1, 50),
     )
-    def test_current_strength_angle(self, d, x, v_o, scale, v_o_max):
+    def test_voyage_weights(self, d, x, v_o, scale, v_o_max, beta, delta, T):
         if scale is not None:  # a current along the heading, where the cosine rounds past 1
             v_o = (scale * (d[0] - x[0]), scale * (d[1] - x[1]))
-        args = (d, x, v_o, v_o_max)
-        assert outcome(obj.current_strength_angle, *args) == outcome(ref.current_strength_angle, *args)
+        args = (d, x, v_o, v_o_max, beta, delta, T)
+        assert outcome(obj.voyage_weights, *args) == outcome(ref.voyage_weights, *args)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -354,3 +417,30 @@ class TestComparisonClamps:
     )
     def test_ocean_step_size(self, args):
         assert outcome(obj.ocean_step_size, *args) == outcome(ref.ocean_step_size, *args)
+
+
+def test_every_exported_formula_runs_in_the_library():
+    """Each function ``trajsim`` exports from ``objectives`` is called by another library module.
+
+    A per-slot formula that only the tests call is a second definition of
+    what the drivers compute; this keeps the tests checking the one the agent runs.
+    """
+    package = Path(trajsim.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    exported = {
+        alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "objectives"
+        for alias in node.names
+    }
+    body = trees["objectives.py"].body
+    functions = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for name, tree in trees.items()
+        if name not in ("__init__.py", "objectives.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+    }
+    assert exported & functions  # the walk found the exports
+    assert sorted((exported & functions) - called) == []

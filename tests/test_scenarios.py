@@ -12,9 +12,9 @@ from trajsim import metrics
 from trajsim import objectives as obj
 from trajsim.engine import NoiseModel, run_episode
 from trajsim.errors import InfeasibleStepSize, SchemaError
-from trajsim.field import FieldPerturbation, GyreSpec, UniformSpec, synth_field
+from trajsim.field import FieldPerturbation, GyreSpec, UniformSpec, sample_velocity, synth_field
 from trajsim.geom import as_array, dist, dot, left_sum, norm, norm_sq, sub
-from trajsim.metrics import _violation, solve_offline
+from trajsim.metrics import _violation, energy_cost, solve_offline
 from trajsim.objectives import CommuteUtilities
 from trajsim.scenarios import (
     ARRIVAL_TOL_M,
@@ -536,13 +536,27 @@ class TestRunOcean:
             ocean_config(ocean_field=fld, drag_coefficient=drag, slot_duration_s=tau),
             benchmark=False,
         )
-        traj, currents = rep.trajectory, rep.problem.centers.tolist()
-        want = []
-        for a, b, vo in zip(traj, traj[1:], currents):
-            speed = math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) / tau
+        traj, want = rep.trajectory, []
+        for t, (a, b) in enumerate(zip(traj, traj[1:])):
+            # the relative velocity against the true current met at a, in m/s
+            u = sample_velocity(fld, a, t * tau)
+            speed = math.hypot((b[0] - a[0]) / tau - u[0], (b[1] - a[1]) / tau - u[1])
             want.append(drag * speed**3 * tau)
         assert _reprs(rep.energy_steps) == _reprs(want)
         assert math.inf in want or drag == 1.0
+
+    @pytest.mark.parametrize("tau", [10.0, 37.268])
+    def test_energy_steps_are_energy_cost(self, tau):
+        """Each step energy is the one-step ``energy_cost``, and the report's total is the whole."""
+        axis = tuple(np.linspace(-100.0, 300.0, 21))
+        gyre = synth_field(GyreSpec((25.0, 25.0), 0.3, 20.0), axis, axis)
+        cfg = ocean_config(ocean_field=gyre, delta=30, slot_duration_s=tau, drag_coefficient=0.7)
+        rep = run_scenario(cfg)
+        traj, steps = rep.trajectory, rep.energy_steps
+        assert len(steps) == len(traj) - 1 > 25
+        want = [energy_cost(traj[i : i + 2], gyre, 0.7, tau) for i in range(len(steps))]
+        assert _reprs(steps) == _reprs(want)
+        assert repr(rep.regret_report.energy_online) == repr(energy_cost(traj, gyre, 0.7, tau))
 
     def test_alpha_throttle_caps_steps(self):
         fld = synth_field(UniformSpec(0.25, -0.1), (-100.0, 300.0), (-100.0, 300.0))
@@ -611,18 +625,18 @@ class TestOceanWeights:
         currents = [tuple(rng.normal(0.0, 0.5, 2)) for _ in range(200)] + [(0.0, 0.0), (2.0, -1.0)]
         for t, (x, vo) in enumerate(zip(points * 2, currents * 2), start=1):
             t = min(t, T)
-            # current_strength_angle as it was written with geom helpers
+            # the paper's weight and throttle, written with geom helpers
             eta, heading = min(norm(vo) / vmax, 1.0), sub(goal, x)
             theta = math.pi
             if norm(heading) != 0.0 and norm(vo) != 0.0:
                 c = dot(heading, vo) / (norm(heading) * norm(vo))
                 theta = math.acos(min(1.0, max(-1.0, c)))
-            assert obj.current_strength_angle(goal, x, vo, vmax) == (eta, theta)
+            half = math.cos(theta / 2.0)
+            weights = (1.0 - eta * half * half, math.exp(-0.7 * (17 / T + eta * half)))
+            assert repr(obj.voyage_weights(goal, x, vo, vmax, 0.7, 17, T)) == repr(weights)
+            lam, alpha = weights
             if strategy == "increasing":
                 lam = obj.lambda_increasing(t, T)
-            else:
-                lam = obj.directional_weight(eta, theta)
-            alpha = obj.alpha_schedule(0.7, 17, T, eta, theta)
             driver.arrival = None  # the waypoint on the goal latches arrival
             driver.plan(t, x, "standard")
             assert repr((driver.lambdas[-1], driver.alphas[-1])) == repr((lam, alpha))
@@ -630,7 +644,7 @@ class TestOceanWeights:
     @pytest.mark.parametrize("mode", ["standard", "lookahead"])
     @pytest.mark.parametrize("strategy", ["direction_dependent", "increasing"])
     def test_episode_runs_the_public_schedules(self, strategy, mode):
-        """Each slot's weight and throttle are the paper's schedules of its record's angle."""
+        """Each slot's weight and throttle are the paper's schedules at its record's waypoint."""
         axis = tuple(np.linspace(-100.0, 300.0, 21))
         gyre = synth_field(GyreSpec((25.0, 25.0), 0.3, 20.0), axis, axis)
         cfg = ocean_config(ocean_field=gyre, lambda_strategy=strategy, slot_duration_s=2.0)
@@ -642,12 +656,9 @@ class TestOceanWeights:
             goal = report.goals[r.t - 1]
             assert dist(r.x_before, goal) > ARRIVAL_TOL_M  # arrival would pin the weight at 1
             vo = tuple(current[r.t - 1])
-            eta, theta = obj.current_strength_angle(goal, r.x_before, vo, v_o_max)
-            if strategy == "increasing":
-                lams.append(obj.lambda_increasing(r.t, T))
-            else:
-                lams.append(obj.directional_weight(eta, theta))
-            alphas.append(obj.alpha_schedule(cfg.beta, cfg.delta, T, eta, theta))
+            lam, alpha = obj.voyage_weights(goal, r.x_before, vo, v_o_max, cfg.beta, cfg.delta, T)
+            lams.append(obj.lambda_increasing(r.t, T) if strategy == "increasing" else lam)
+            alphas.append(alpha)
         assert len(set(alphas)) > T // 2  # the current turns along the path
         assert repr(report.lambdas) == repr(lams)
         assert repr(report.alphas) == repr(alphas)
