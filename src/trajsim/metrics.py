@@ -247,7 +247,7 @@ class _Lockstep:
         self.z0 = np.zeros_like(self.centers)
         for r, (p, x0) in enumerate(zip(problems, x0s)):
             if x0 is not None and len(x0) == p.horizon:
-                xa = np.asarray(x0, dtype=float)
+                xa = as_array(x0)
                 caps = slice(0, p.horizon - 1)
                 w = xa[1:] - xa[:-1] - p.centers
                 self.z0[r, caps] = _clamp_balls(w, p.radii, self.floors[r, caps])
@@ -1137,7 +1137,7 @@ def squared_path_length(traj: Sequence[Point] | np.ndarray) -> float:
 
     Each square is ``norm_sq(sub(b, a))``'s, and the sum keeps ``left_sum``'s bits.
     """
-    x = traj if isinstance(traj, np.ndarray) else as_array(traj)
+    x = as_array(traj)
     if len(x) <= 1:
         return 0.0
     with np.errstate(all="ignore"):  # as quiet as float arithmetic
@@ -1213,7 +1213,7 @@ def energy_cost(
     if slot_duration <= 0.0:
         raise ValueError("slot duration must be positive")
     tau = slot_duration
-    x = traj if isinstance(traj, np.ndarray) else as_array(traj)
+    x = as_array(traj)
     if len(x) < 2:
         return 0.0
     currents = None

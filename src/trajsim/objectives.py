@@ -15,7 +15,11 @@ uses the matching unit scaling.
 The drivers call one formula per per-slot quantity: the leading path, the
 link rate, the goal weight ``t / T``, the voyage's directional weight and
 throttle (:func:`voyage_weights`), and the scalar gradients and step sizes.
-The scalar values are test references and back ``values``.
+Those run once per slot, so they do their 2-vector arithmetic inline
+(``math.hypot`` and products, with the operands and the order of
+:mod:`~trajsim.geom`'s ``sub``, ``norm``, ``norm_sq`` and ``dot``) instead of
+calling the helpers.  The scalar values are test references and back
+``values``.
 :class:`CommuteUtilities` and :class:`VoyageUtilities` hold one frozen
 utility per slot as arrays and evaluate all slots at once, for the trace,
 the regret and the offline benchmark alike; each also gives its worst-case
@@ -34,7 +38,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import EmptyStepInterval, HorizonMismatch, RootExistence
-from .geom import Point, Vector, dist, dot, mapped, norm, norm_sq, powers, sub
+from .geom import Point, Vector, dist, dot, mapped, powers, sub
 from .sets import Box2D
 
 # Distance floor (meters) below which the far-field path-loss model of
@@ -102,15 +106,12 @@ def d2d_gradient(x: Point, ell: Point, v_max: float, mu: float) -> Vector:
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu {mu} outside (0, 1]")
-    pull = sub(ell, x)
+    p0, p1 = ell[0] - x[0], ell[1] - x[1]
     # radial clamp of the pull into the disc of radius v_max, the scalar
     # form of v_max / max(|pull|, v_max) in CommuteUtilities.gradient_array
-    n = norm(pull)
+    n = math.hypot(p0, p1)
     s = v_max / n if n > v_max else 1.0
-    return (
-        mu * pull[0] + (1.0 - mu) * (pull[0] * s),
-        mu * pull[1] + (1.0 - mu) * (pull[1] * s),
-    )
+    return (mu * p0 + (1.0 - mu) * (p0 * s), mu * p1 + (1.0 - mu) * (p1 * s))
 
 
 def d2d_step_size(
@@ -128,7 +129,9 @@ def d2d_step_size(
     chosen value reaches it, the interval is empty for these constants and
     :class:`EmptyStepInterval` is raised.  A zero ``gbar`` means every
     gradient so far was zero, so the step is zero for any rate and the agent
-    holds its position; ``margin * L`` is returned.
+    holds its position; ``margin * L`` is returned.  With the other
+    arguments fixed, the rate is a function of ``gbar`` alone, so a caller
+    may keep it until ``gbar`` changes.
     """
     if gbar < 0.0:
         raise ValueError("gbar must be nonnegative")
@@ -239,15 +242,16 @@ def ocean_step_size(
     stay feasible.  Requires ``alpha_t * v_max > |v_o|``, else no positive
     root exists and :class:`RootExistence` is raised.
     """
+    (g0, g1), (o0, o1) = grad_tilde, v_o
     speed_cap = alpha_t * v_max
-    vo_norm = norm(v_o)
+    vo_norm = math.hypot(o0, o1)
     if speed_cap <= vo_norm:
         raise RootExistence(alpha_t, vo_norm / v_max)
-    g2 = norm_sq(grad_tilde)
+    g2 = g0 * g0 + g1 * g1
     if g2 == 0.0:
         return margin * L
     a = vo_norm * vo_norm - speed_cap * speed_cap
-    b = 2.0 * dot(grad_tilde, v_o)
+    b = 2.0 * (g0 * o0 + g1 * o1)
     disc = b * b - 4.0 * a * g2
     # a < 0 and g2 > 0 force disc > 0 and exactly one positive root
     root, floor = (b - math.sqrt(disc)) / (2.0 * a), margin * L

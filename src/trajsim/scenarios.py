@@ -326,6 +326,13 @@ class _D2DDriver(_Driver):
     blends at 0 on the peer.  The path changes the weights and leads only
     through the latch slot, so ``freeze`` writes ``lambdas`` and the leads of
     the executed steps.
+
+    The throttle ``alpha_t`` is always 1, so the step size depends on the
+    slot only through the running gradient bound ``gbar``.  ``gamma`` keeps
+    the last ``gbar`` and its rate, and calls
+    :func:`~trajsim.objectives.d2d_step_size` only when ``gbar`` changes; a
+    raise is never kept.  While the bound holds, every step's gamma is one
+    float object, whose trace cell is formatted once.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -348,10 +355,14 @@ class _D2DDriver(_Driver):
                 z0, z1 = normal_pairs(cfg.derived_seed(_PEER_SEED_OFFSET), 1, T)
                 self.observed = np.stack([peers[:, 0] + std * z0, peers[:, 1] + std * z1], axis=1)
                 self.leads_obs = points(*obj.leading_path(self.observed.T, goals.T, lam))
+        # the last gbar and its rate; NaN differs from every gbar, so the first slot computes
+        self._gbar = self._gamma = math.nan
 
     def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]:
-        if self.arrival is None and dist(x_hat, self.goals[t - 1]) <= ARRIVAL_TOL_M:
-            self.arrival = t
+        if self.arrival is None:
+            goal = self.goals[t - 1]
+            if math.hypot(x_hat[0] - goal[0], x_hat[1] - goal[1]) <= ARRIVAL_TOL_M:
+                self.arrival = t
         s, T = (t + 1 if mode == "lookahead" else t), self.horizon
         i = (T if T < s else s) - 1
         if self.arrival is None:
@@ -367,10 +378,14 @@ class _D2DDriver(_Driver):
         return grad_true, grad_obs
 
     def gamma(self, grad_tilde: Vector, gbar: float) -> float:
-        return obj.d2d_step_size(gbar, self.v, 1.0, self.cfg.alpha_min, margin=self.margin)
+        if gbar != self._gbar:
+            L, alpha_min = obj.D2D_SMOOTHNESS, self.cfg.alpha_min
+            self._gamma = obj.d2d_step_size(gbar, self.v, 1.0, alpha_min, L, self.margin)
+            self._gbar = gbar
+        return self._gamma
 
     def slack(self, a: Point, b: Point) -> float:
-        return dist(a, b) - self.v
+        return math.hypot(a[0] - b[0], a[1] - b[1]) - self.v
 
     def freeze(self, path: np.ndarray):
         """The commute's offline problem, step energies and link rates.
@@ -430,8 +445,10 @@ class _OceanDriver(_Driver):
         """
         goals, T, tau, truth, measured = self.goals, self.horizon, self.tau, self.truth, self.measured
         beta, delta = self.cfg.beta, self.cfg.delta
-        if self.arrival is None and dist(x_hat, goals[t - 1]) <= ARRIVAL_TOL_M:
-            self.arrival = t
+        if self.arrival is None:
+            goal = goals[t - 1]
+            if math.hypot(x_hat[0] - goal[0], x_hat[1] - goal[1]) <= ARRIVAL_TOL_M:
+                self.arrival = t
         grads = None
         for s in (t + 1, t) if mode == "lookahead" else (t,):
             k, time_s = (T if T < s else s), (s - 1) * tau
@@ -460,7 +477,8 @@ class _OceanDriver(_Driver):
         return grads
 
     def gamma(self, grad_tilde: Vector, gbar: float) -> float:
-        return obj.ocean_step_size(grad_tilde, self.vo, self.alpha, self.v, margin=self.margin)
+        L = obj.OCEAN_SMOOTHNESS
+        return obj.ocean_step_size(grad_tilde, self.vo, self.alpha, self.v, L, self.margin)
 
     def slack(self, a: Point, b: Point) -> float:
         vo = self.vo

@@ -9,7 +9,11 @@ series with its step columns (:class:`~trajsim.engine.StepColumns`; the
 ``grad_norm`` cell is the stored norm of the noisy gradient), formats each
 row as one preformatted line instead of going through the csv module, and
 writes the lines in chunks of :data:`_CHUNK_ROWS` so that a long trace is
-never one string in memory.  The bytes are the csv module's: CRLF line
+never one string in memory.  A row whose goal, or whose gamma, is the
+previous row's object reuses that row's text for those cells: a static goal
+repeats one point, and the commute's gamma is one float while its gradient
+bound holds.  The test is identity, since ``0.0 == -0.0`` and ``1 == 1.0``
+write differently.  The bytes are the csv module's: CRLF line
 ends, and a number written as ``str(v)``, which is ``repr`` for a float (an
 ``np.float64`` gives ``repr(float(v))``) and the digits for an int.  The
 last row's step cells are empty, as the csv module writes ``None``.
@@ -61,7 +65,8 @@ SUMMARY_HEADER = [
 
 
 _CHUNK_ROWS = 512
-# One slot; the goal1 and goal2 cells come in preformatted as one string.
+# One slot; the goal1 and goal2 cells come in preformatted as one string,
+# and so does the gamma cell.
 _TRACE_ROW = "%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n"
 
 
@@ -69,15 +74,19 @@ def _trace_lines(report: EpisodeReport):
     """The trace's data rows as CRLF-terminated lines."""
     T = report.horizon
     traj, goals, utils, recs = report.trajectory, report.goals, report.utilities, report.records
-    goal_cells = last_goal = None
+    goal_cells = last_goal = gamma_cell = last_gamma = None
     for t, x, goal, lam, alpha, gamma, g, err, u, energy, slack in zip(
         range(1, T), traj, goals, report.lambdas, report.alphas, recs.gamma,
         recs.grad_norm, recs.eps_sq_realized, utils, report.energy_steps, recs.slack,
     ):
-        # An identity test, not ==: -0.0 == 0.0 but the two reprs differ.
+        # Identity tests, not ==: -0.0 == 0.0 but the two reprs differ.
         if goal is not last_goal:
             last_goal, goal_cells = goal, "%s,%s" % (goal[0], goal[1])
-        yield _TRACE_ROW % (t, x[0], x[1], goal_cells, lam, alpha, gamma, g, err, u, energy, slack)
+        if gamma is not last_gamma:
+            last_gamma, gamma_cell = gamma, "%s" % gamma
+        yield _TRACE_ROW % (
+            t, x[0], x[1], goal_cells, lam, alpha, gamma_cell, g, err, u, energy, slack
+        )
     x, goal = traj[-1], goals[-1]
     yield "%d,%s,%s,%s,%s,,,,,,%s,,\r\n" % (T, x[0], x[1], goal[0], goal[1], utils[-1])
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import random
 import warnings
 from pathlib import Path
@@ -448,16 +449,21 @@ _FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
 _CELLS = _FLOATS | _FLOATS.map(np.float64) | st.integers(-(10**18), 10**18)
 
 
-def _synthetic_report(T, goals, cell):
-    """An episode of ``T`` slots that visits ``goals``; ``cell()`` gives every number."""
+def _synthetic_report(T, goals, cell, gammas=None):
+    """An episode of ``T`` slots that visits ``goals``; ``cell()`` gives every number.
+
+    ``gammas``, if given, is the gamma column: one entry per step.
+    """
 
     def pair():
         return cell(), cell()
 
     traj = [pair() for _ in range(T)]
     records = StepColumns(traj)
+    gammas = iter(gammas) if gammas is not None else None
     for _ in range(1, T):
-        gamma, (g0, g1), err, bound, slack = cell(), pair(), cell(), cell(), cell()
+        gamma = next(gammas) if gammas is not None else cell()
+        (g0, g1), err, bound, slack = pair(), cell(), cell(), cell()
         row = (gamma, g0, g1, norm((g0, g1)), err, bound, slack)
         for name, value in zip(records.COLUMNS, row):
             getattr(records, name).append(value)
@@ -477,6 +483,39 @@ def _synthetic_report(T, goals, cell):
     )
 
 
+def _copy(value):
+    """An equal number that is a distinct object (a small int stays the one object)."""
+    return pickle.loads(pickle.dumps(value))
+
+
+# Gamma cells that are == but write differently, each pair in both orders.
+_TWINS = [
+    (0.0, -0.0),
+    (np.float64(0.0), -0.0),
+    (0.0, np.float64(-0.0)),
+    (1, 1.0),
+    (np.float64(-0.0), 0),
+]
+
+
+def _gamma_column(rng, pool, n):
+    """``n`` gamma cells in runs: one object repeated, equal but distinct copies, and twins."""
+    column = []
+    while len(column) < n:
+        k, kind = rng.randint(1, 6), rng.random()
+        if kind < 0.4:  # one object, as the commute repeats its kept rate
+            column += [rng.choice(pool)] * k
+        elif kind < 0.6:  # equal numbers, each its own object
+            value = rng.choice(pool)
+            column += [_copy(value) for _ in range(k)]
+        else:  # twins side by side, a run of each
+            a, b = rng.choice(_TWINS)
+            if rng.random() < 0.5:
+                a, b = b, a
+            column += [a] * k + [b] * rng.randint(1, 3)
+    return column[:n]
+
+
 @st.composite
 def synthetic_reports(draw):
     """Reports around the writer's edges, with numbers drawn from a small pool."""
@@ -492,7 +531,8 @@ def synthetic_reports(draw):
     goals = [rng.choice(goal_pool)]
     for _ in range(T - 1):
         goals.append(goals[-1] if rng.random() < 0.6 else rng.choice(goal_pool))
-    return _synthetic_report(T, goals, lambda: rng.choice(pool))
+    gammas = _gamma_column(rng, pool, T - 1) if draw(st.booleans()) else None
+    return _synthetic_report(T, goals, lambda: rng.choice(pool), gammas)
 
 
 class TestTraceWriter:
@@ -517,6 +557,20 @@ class TestTraceWriter:
         assert data == (tmp_path / "ref.csv").read_bytes()
         cells = [line.split(b",")[3:5] for line in data.splitlines()[1:]]
         assert cells == [[b"0.0", b"1.0"], [b"-0.0", b"1.0"]] * 2
+
+    def test_gammas_equal_up_to_zero_sign_or_type_are_written_apart(self, tmp_path):
+        minus = np.float64(-0.0)
+        gammas = [0.0, -0.0, -0.0, 0.0, minus, minus, 1, 1.0, _copy(2.5), 2.5, np.float64(2.5)]
+        assert gammas[0] == gammas[1] and gammas[6] == gammas[7]
+        values = iter(range(1000))
+        report = _synthetic_report(12, [(0.0, 0.0)] * 12, lambda: float(next(values)), gammas)
+        emit_trace(report, tmp_path / "new.csv")
+        emit_trace_csv(report, tmp_path / "ref.csv")
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        cells = [line.split(b",")[7] for line in data.splitlines()[1:-1]]
+        want = ["0.0", "-0.0", "-0.0", "0.0", "-0.0", "-0.0", "1", "1.0", "2.5", "2.5", "2.5"]
+        assert cells == [c.encode() for c in want]
 
 
 class TestManifest:

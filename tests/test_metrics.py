@@ -119,6 +119,18 @@ class TestSolveOffline:
         sol = solve_offline(problem, x0=warm)
         assert sol.utility >= -0.1
 
+    @pytest.mark.parametrize("source", ["squared", "huber", "voyage"])
+    def test_a_warm_start_solves_alike_in_every_form(self, source):
+        if source == "voyage":
+            problem, x0 = _random_problem("voyage", 60, 2)
+        else:
+            report = _huber_commute(128, 1, source)
+            problem, x0 = report.problem, report.trajectory
+        assert len(x0) == problem.horizon
+        forms = [x0, [list(p) for p in x0], np.array(x0)]
+        outcomes = [repr(_outcome(solve_offline(problem, x0=form))) for form in forms]
+        assert outcomes[1:] == outcomes[:1] * 2
+
     def test_single_slot(self):
         problem = quadratic_problem((1.0, 1.0), [(0.0, 0.0)], [])
         sol = solve_offline(problem)

@@ -19,9 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trajsim.cli import main
+from trajsim.config import parse_config_doc
 from trajsim.engine import NoiseModel
 from trajsim.errors import InfeasibleStepSize
 from trajsim.field import FieldPerturbation, GyreSpec, synth_field
+from trajsim.objectives import RATE_MIN_DISTANCE_M
 from trajsim.scenarios import PathSpec, ScenarioConfig, run_scenario
 from trajsim.traces import emit_trace
 
@@ -86,6 +88,26 @@ HUBER_COMMUTE_DOC = {**COMMUTE_DOC, "d2d": {**COMMUTE_DOC["d2d"], "utility": "hu
 # offline solve hands the row to the certified waypoint-space box solve
 BOXED_COMMUTE_DOC = {**COMMUTE_DOC, "feasible_box_m": {"lo": [-100, 0], "hi": [900, 700]}}
 
+# a noise-free commute whose agent runs straight through its static peer:
+# two waypoints come within the link rate's 1 m distance clamp of it and two
+# more within 2 m, so the summary's avg_rate pins the clamp's bits
+CLAMP_COMMUTE_DOC = {
+    "kind": "d2d",
+    "seed": 7,
+    "start_m": [0.0, 0.0],
+    "goal_m": [30.0, 0.0],
+    "peer": {"from_m": [12.0, 0.0], "to_m": [12.0, 0.0], "speed_mps": 0.0, "noise_std_m": 0.0},
+    "delta_slots": 6,
+    "v_max_mps": 1.0,
+    "d2d": {
+        "mu": 0.001,
+        "utility": "squared",
+        "alpha_p": 2.5,
+        "bandwidth_hz": 10000000.0,
+        "noise_power": 0.2,
+    },
+}
+
 GOLDEN = {
     # voyage, all four: re-taken when evaluate became slot_terms' per-slot share; utility cells, regret moved
     ("voyage", "run", "trace.csv"): "ec877a7ae28ee4f291689ea9b1571178819e06795ac8c208626f03480f9247be",
@@ -130,6 +152,12 @@ GOLDEN = {
     ("commute-boxed", "benchmark", "regret_report.json"): (
         "27774f2333d8a4bde0b6f1c89a5298407ba5499e3c461fe1205a337984bf71a9"
     ),
+    ("commute-clamp", "run", "trace.csv"): (
+        "7cb946ee976e86e52ed89647aa8c6ef6d779cf796ceacf0a9baa95240b273e8d"
+    ),
+    ("commute-clamp", "run", "summary.csv"): (
+        "95c2122a1ebe7a987dba71e2baeafdd320af2f044a6d8bed8240837d6d3e6cc5"
+    ),
 }
 
 
@@ -152,8 +180,15 @@ def test_noise_free_outputs_match_golden_digests(tmp_path, capsys):
         **_digests(tmp_path, "commute", COMMUTE_DOC),
         **_digests(tmp_path, "commute-huber", HUBER_COMMUTE_DOC, ("benchmark",)),
         **_digests(tmp_path, "commute-boxed", BOXED_COMMUTE_DOC, ("benchmark",)),
+        **_digests(tmp_path, "commute-clamp", CLAMP_COMMUTE_DOC, ("run",)),
     }
     assert got == GOLDEN
+
+
+def test_the_clamp_commute_comes_within_the_clamp_of_its_peer():
+    report = run_scenario(parse_config_doc(CLAMP_COMMUTE_DOC), benchmark=False)
+    gaps = sorted(math.dist(x, (12.0, 0.0)) for x in report.trajectory)
+    assert gaps[1] < RATE_MIN_DISTANCE_M <= gaps[2] <= gaps[3] < 2.0
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

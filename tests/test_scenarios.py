@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from episode_reference import ReferenceCommute, run_episode_reference
+from episode_reference import ReferenceCommute, outcome, run_episode_reference
 from trajsim import metrics
 from trajsim import objectives as obj
 from trajsim.engine import NoiseModel, run_episode
@@ -1058,3 +1058,63 @@ class TestPrecomputedCommute:
             assert 1 < driver.arrival < driver.horizon - 1
         else:
             assert driver.arrival == slot
+
+
+@st.composite
+def gbar_sequences(draw):
+    """Nondecreasing gradient bounds with repeats, from 0.0 on, with a NaN run slipped in.
+
+    A repeat is an equal number but its own object, as the engine computes
+    each slot's bound anew.
+    """
+    bound = st.floats(0.0, 1e6) | st.sampled_from([0.0, 0.25, 1.0])
+    bounds = sorted(draw(st.lists(bound, max_size=12)))
+    seq = [0.0] * draw(st.integers(0, 2))
+    for b in bounds:
+        seq += [b * 1.0 for _ in range(draw(st.integers(1, 4)))]
+    if seq and draw(st.booleans()):
+        at = draw(st.integers(0, len(seq)))
+        seq[at:at] = [math.nan] * draw(st.integers(1, 2))
+    return seq
+
+
+class TestKeptCommuteRate:
+    """``_D2DDriver.gamma`` keeps its rate while ``gbar`` holds, with a fresh call's outcome."""
+
+    # alpha_min 1: every positive gbar empties the interval; 0.5: only gbar <= 0.505 v
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gbars=gbar_sequences(),
+        alpha_min=st.sampled_from([0.05, 0.5, 1.0]) | st.floats(0.01, 1.0),
+        margin=st.sampled_from([1.0, 1.01, 3.0]),
+        v_max=st.sampled_from([0.5, 1.0]) | st.floats(0.5, 100.0),
+    )
+    @example(gbars=[0.0, 0.25, 0.25, 0.75, 0.75, math.nan, math.nan, 0.75, 2.0], alpha_min=0.5,
+             margin=1.01, v_max=1.0)
+    @example(gbars=[0.0, 0.0, 1.0, 1.0], alpha_min=1.0, margin=1.01, v_max=1.0)
+    def test_gamma_matches_a_fresh_step_size_on_every_call(self, gbars, alpha_min, margin, v_max):
+        driver = _D2DDriver(d2d_config(alpha_min=alpha_min, margin=margin, v_max_mps=v_max))
+        v, L = driver.v, obj.D2D_SMOOTHNESS
+        for call, gbar in enumerate(gbars):
+            got = outcome(driver.gamma, (0.0, 0.0), gbar)
+            want = outcome(obj.d2d_step_size, gbar, v, 1.0, alpha_min, L, margin)
+            assert (call, got) == (call, want)
+
+    @pytest.mark.parametrize("utility", ["squared", "huber"])
+    def test_an_episode_calls_the_step_size_once_per_new_gbar(self, monkeypatch, utility):
+        calls = []
+        step_size = obj.d2d_step_size
+
+        def spy(gbar, *args):
+            calls.append(gbar)
+            return step_size(gbar, *args)
+
+        monkeypatch.setattr(obj, "d2d_step_size", spy)
+        report = _bench_commute(utility, 128)
+        running, bounds = 0.0, []
+        for g in report.records.grad_norm:
+            running = g if g > running else running
+            bounds.append(running)
+        new = [b for i, b in enumerate(bounds) if i == 0 or b != bounds[i - 1]]
+        assert calls == new
+        assert 1 < len(calls) < len(bounds) // 2
