@@ -3,12 +3,16 @@
 Exit codes: 0 success, 2 configuration error, 3 infeasibility (no feasible
 step size at some slot), 4 solver non-convergence.  ``TRAJSIM_SEED`` sets
 the default seed; the ``--seed`` flag overrides it.
+
+A command runs ``_load``, then its flag checks, then ``_outdir``, so a
+rejected command leaves no output directory; an episode command ends in
+``_finish``, which writes the manifest and maps an unconverged offline
+solve to exit 4.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -16,23 +20,13 @@ from pathlib import Path
 
 from .config import RunManifest, load_config
 from .errors import (
-    InfeasibleStepSize,
-    LatticeError,
-    ParseError,
-    RootExistence,
-    SchemaError,
-    UnitsError,
+    InfeasibleStepSize, LatticeError, ParseError, RootExistence, SchemaError, UnitsError,
 )
 from .metrics import ORACLE_MAX_NODES, OracleGrid, dp_oracle, solve_offline
 from .scenarios import (
-    ADVERSARY_POLICIES,
-    AdversaryParams,
-    SweepRow,
-    run_adversary,
-    run_scenario,
-    sweep,
+    ADVERSARY_POLICIES, AdversaryParams, SweepRow, run_adversary, run_scenario, sweep,
 )
-from .traces import emit_summary, emit_trace, write_regret_report
+from .traces import emit_summary, emit_trace, write_json, write_regret_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,11 +46,14 @@ def _default_seed() -> int | None:
         raise SchemaError("TRAJSIM_SEED", f"not an integer: {raw!r}")
 
 
-def _load(args) -> tuple:
+def _load(args, game: bool = False) -> tuple:
+    """The seeded config and its digest; an adversary game is accepted only if ``game``."""
     cfg, digest = load_config(args.config)
     seed = args.seed if args.seed is not None else _default_seed()
     if seed is not None:
         cfg = replace(cfg, seed=seed)
+    if cfg.kind == "adversary" and not game:
+        raise SchemaError("kind", f"no episode runner for kind {cfg.kind!r}")
     return cfg, digest
 
 
@@ -66,26 +63,29 @@ def _outdir(args) -> Path:
     return out
 
 
+def _finish(out: Path, digest: str, seed: int, names, converged=True, warning=None) -> int:
+    """Write the manifest listing ``names``; an unconverged solve exits 4, ``warning`` on stderr."""
+    RunManifest.create(digest, seed, [str(out / n) for n in names]).write(out / "manifest.json")
+    if converged:
+        return EXIT_OK
+    if warning:
+        print(warning, file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
+
+
 def _cmd_run(args) -> int:
-    cfg, digest = _load(args)
+    cfg, digest = _load(args, game=True)
     out = _outdir(args)
     if cfg.kind == "adversary":
         return _play_adversary(out, cfg.adversary, cfg.seed)
     report = run_scenario(cfg, mode=args.mode)
-    trace_path = out / "trace.csv"
-    summary_path = out / "summary.csv"
-    emit_trace(report, trace_path)
-    emit_summary([SweepRow("", "", report)], summary_path)
-    RunManifest.create(digest, cfg.seed, [str(trace_path), str(summary_path)]).write(
-        out / "manifest.json"
-    )
+    emit_trace(report, out / "trace.csv")
+    emit_summary([SweepRow("", "", report)], out / "summary.csv")
     rr = report.regret_report
-    if rr is not None:
-        print(f"regret: {rr.regret:.6g}  final goal distance: {rr.final_goal_distance:.6g} m")
-        if not rr.solver_converged:
-            print(f"warning: offline benchmark did not converge ({rr.solver_warning})", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    print(f"regret: {rr.regret:.6g}  final goal distance: {rr.final_goal_distance:.6g} m")
+    warning = f"warning: offline benchmark did not converge ({rr.solver_warning})"
+    names = ["trace.csv", "summary.csv"]
+    return _finish(out, digest, cfg.seed, names, rr.solver_converged, warning)
 
 
 def _trace_label(value: float) -> str:
@@ -99,6 +99,8 @@ def _cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise SchemaError("--values", str(exc))
+    if not values:
+        raise SchemaError("--values", "sweep needs at least one value")
     labels = [_trace_label(v) for v in values]
     if len(set(labels)) < len(labels):
         same = sorted({label for label in labels if labels.count(label) > 1})
@@ -107,28 +109,25 @@ def _cmd_sweep(args) -> int:
         )
     out = _outdir(args)
     rows = sweep(cfg, args.param, values, mode=args.mode)
-    outputs = []
+    names = []
     for row in rows:
-        if row.report is not None:
-            trace_path = out / f"trace_{row.param}_{_trace_label(row.value)}.csv"
-            emit_trace(row.report, trace_path)
-            outputs.append(str(trace_path))
-            rr = row.report.regret_report
-            if rr is not None and not rr.solver_converged:
-                detail = f"; {rr.solver_warning}" if rr.solver_warning else ""
-                print(
-                    f"warning: {row.param}={row.value:g}: offline benchmark did not converge "
-                    f"({rr.solver_iterations} iterations{detail})",
-                    file=sys.stderr,
-                )
-        else:
+        if row.report is None:
             print(f"warning: {row.param}={row.value:g} failed: {row.error}", file=sys.stderr)
-    summary_path = out / "summary.csv"
-    emit_summary(rows, summary_path)
-    outputs.append(str(summary_path))
-    RunManifest.create(digest, cfg.seed, outputs).write(out / "manifest.json")
-    print(f"swept {args.param} over {len(values)} values -> {summary_path}")
-    return EXIT_OK
+            continue
+        names.append(f"trace_{row.param}_{_trace_label(row.value)}.csv")
+        emit_trace(row.report, out / names[-1])
+        rr = row.report.regret_report
+        if not rr.solver_converged:
+            detail = f"; {rr.solver_warning}" if rr.solver_warning else ""
+            print(
+                f"warning: {row.param}={row.value:g}: offline benchmark did not converge "
+                f"({rr.solver_iterations} iterations{detail})",
+                file=sys.stderr,
+            )
+    names.append("summary.csv")
+    emit_summary(rows, out / "summary.csv")
+    print(f"swept {args.param} over {len(values)} values -> {out / 'summary.csv'}")
+    return _finish(out, digest, cfg.seed, names)
 
 
 def _cmd_benchmark(args) -> int:
@@ -136,26 +135,19 @@ def _cmd_benchmark(args) -> int:
     out = _outdir(args)
     report = run_scenario(cfg)
     rr = report.regret_report
-    report_path = out / "regret_report.json"
-    write_regret_report(rr, report_path)
-    trace_path = out / "trace.csv"
-    emit_trace(report, trace_path)
-    RunManifest.create(digest, cfg.seed, [str(report_path), str(trace_path)]).write(
-        out / "manifest.json"
-    )
+    write_regret_report(rr, out / "regret_report.json")
+    emit_trace(report, out / "trace.csv")
     print(
         f"regret: {rr.regret:.6g}  S_T: {rr.s_t:.6g}  G_T: {rr.g_t:.6g}  "
         f"E_T: {rr.e_t_realized:.6g}"
     )
-    if not rr.solver_converged:
-        print(f"offline solver did not converge: {rr.solver_warning}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    warning = f"offline solver did not converge: {rr.solver_warning}"
+    names = ["regret_report.json", "trace.csv"]
+    return _finish(out, digest, cfg.seed, names, rr.solver_converged, warning)
 
 
 def _cmd_oracle(args) -> int:
     cfg, digest = _load(args)
-    out = _outdir(args)
     try:
         nx, ny = (int(c) for c in args.grid.lower().split("x"))
     except ValueError:
@@ -168,31 +160,26 @@ def _cmd_oracle(args) -> int:
         raise SchemaError(
             "delta_slots", f"oracle runs need horizon <= 6, this config gives {cfg.horizon}"
         )
+    out = _outdir(args)
     report = run_scenario(cfg, benchmark=False)
-    problem = report.problem
     # concentrate the grid where the episode happened, not the whole region
     anchors = [*report.trajectory, *report.goals, cfg.start]
     pad = 2.0 * cfg.v_slot
     lo = (min(p[0] for p in anchors) - pad, min(p[1] for p in anchors) - pad)
     hi = (max(p[0] for p in anchors) + pad, max(p[1] for p in anchors) + pad)
-    solution = solve_offline(problem, x0=report.trajectory)
-    oracle = dp_oracle(problem, OracleGrid(lo, hi, nx, ny))
+    solution = solve_offline(report.problem, x0=report.trajectory)
+    oracle = dp_oracle(report.problem, OracleGrid(lo, hi, nx, ny))
+    gap = solution.utility - oracle.utility
     doc = {
         "grid": f"{nx}x{ny}",
         "solver_utility": solution.utility,
         "oracle_utility": oracle.utility,
-        "gap": solution.utility - oracle.utility,
+        "gap": gap,
         "solver_converged": solution.converged,
     }
-    (out / "oracle.json").write_text(json.dumps(doc, indent=2) + "\n")
-    RunManifest.create(digest, cfg.seed, [str(out / "oracle.json")]).write(out / "manifest.json")
-    print(
-        f"solver {solution.utility:.6g} vs oracle {oracle.utility:.6g} "
-        f"(gap {solution.utility - oracle.utility:.3e})"
-    )
-    if not solution.converged:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    write_json(doc, out / "oracle.json")
+    print(f"solver {solution.utility:.6g} vs oracle {oracle.utility:.6g} (gap {gap:.3e})")
+    return _finish(out, digest, cfg.seed, ["oracle.json"], solution.converged)
 
 
 def _cmd_adversary(args) -> int:
@@ -211,7 +198,7 @@ def _play_adversary(out: Path, adv: AdversaryParams, seed: int) -> int:
     value = run_adversary(adv, seed)
     bound = 0.5 * W**2 * T
     doc = {"T": T, "W": W, "policy": adv.policy, "regret": value, "lower_bound": bound}
-    (out / "adversary.json").write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(doc, out / "adversary.json")
     print(f"adversary regret {value:.6g} (lower bound {bound:.6g})")
     return EXIT_OK
 
@@ -222,44 +209,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Online trajectory simulator with offline benchmarks and CSV traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one episode, emit trace + summary")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--mode", choices=["standard", "lookahead"], default="standard")
-    run_p.add_argument("--out", required=True)
-    run_p.set_defaults(func=_cmd_run)
-
-    sweep_p = sub.add_parser("sweep", help="run one episode per parameter value")
-    sweep_p.add_argument("--config", required=True)
-    sweep_p.add_argument("--param", choices=["delta", "noise_sigma", "horizon"], required=True)
-    sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--seed", type=int, default=None)
-    sweep_p.add_argument("--mode", choices=["standard", "lookahead"], default="standard")
-    sweep_p.add_argument("--out", required=True)
-    sweep_p.set_defaults(func=_cmd_sweep)
-
-    bench_p = sub.add_parser("benchmark", help="offline solve + regret report")
-    bench_p.add_argument("--config", required=True)
-    bench_p.add_argument("--seed", type=int, default=None)
-    bench_p.add_argument("--out", required=True)
-    bench_p.set_defaults(func=_cmd_benchmark)
-
-    oracle_p = sub.add_parser("oracle", help="compare the solver against the grid oracle")
-    oracle_p.add_argument("--config", required=True)
-    oracle_p.add_argument("--grid", default="41x41", help="grid resolution NxM")
-    oracle_p.add_argument("--seed", type=int, default=None)
-    oracle_p.add_argument("--out", required=True)
-    oracle_p.set_defaults(func=_cmd_oracle)
-
-    adv_p = sub.add_parser("adversary", help="worst-case scalar game")
-    adv_p.add_argument("--T", type=int, required=True)
-    adv_p.add_argument("--W", type=float, required=True)
-    adv_p.add_argument("--policy", choices=ADVERSARY_POLICIES, default="ioga")
-    adv_p.add_argument("--seed", type=int, default=None)
-    adv_p.add_argument("--out", required=True)
-    adv_p.set_defaults(func=_cmd_adversary)
-
+    cmds = {}
+    for name, func, help_text in (
+        ("run", _cmd_run, "run one episode, emit trace + summary"),
+        ("sweep", _cmd_sweep, "run one episode per parameter value"),
+        ("benchmark", _cmd_benchmark, "offline solve + regret report"),
+        ("oracle", _cmd_oracle, "compare the solver against the grid oracle"),
+        ("adversary", _cmd_adversary, "worst-case scalar game"),
+    ):
+        cmds[name] = p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if name != "adversary":
+            p.add_argument("--config", required=True)
+    # each command's own flags, between --config and the shared tail
+    params = ["delta", "noise_sigma", "horizon"]
+    cmds["sweep"].add_argument("--param", choices=params, required=True)
+    cmds["sweep"].add_argument("--values", required=True, help="comma-separated values")
+    cmds["oracle"].add_argument("--grid", default="41x41", help="grid resolution NxM")
+    cmds["adversary"].add_argument("--T", type=int, required=True)
+    cmds["adversary"].add_argument("--W", type=float, required=True)
+    cmds["adversary"].add_argument("--policy", choices=ADVERSARY_POLICIES, default="ioga")
+    for name, p in cmds.items():
+        p.add_argument("--seed", type=int, default=None)
+        if name in ("run", "sweep"):
+            p.add_argument("--mode", choices=["standard", "lookahead"], default="standard")
+        p.add_argument("--out", required=True)
     return parser
 
 

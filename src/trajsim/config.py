@@ -28,6 +28,7 @@ from .field import (
 )
 from .scenarios import AdversaryParams, PathSpec, ScenarioConfig
 from .sets import Box2D
+from .traces import write_json
 
 _FIELD_KEYS = {"path", "synthetic", "x_grid_m", "y_grid_m", "t_grid_s"}
 _GRID_KEYS = {"min", "max", "n"}
@@ -322,8 +323,8 @@ def _read_doc(path):
 
 
 def config_hash(path) -> str:
-    """Stable digest of the canonicalized config text."""
-    return _digest(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Stable digest of the canonicalized config text; a file it cannot read is a SchemaError."""
+    return _digest(_read_doc(path))
 
 
 def _digest(doc) -> str:
@@ -354,4 +355,4 @@ class RunManifest:
         )
 
     def write(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
+        write_json(asdict(self), path)

@@ -70,11 +70,21 @@ def as_array(pts: Sequence[Point] | np.ndarray) -> np.ndarray:
     """A point list as a ``(len, 2)`` float array, in half the time of ``np.array``.
 
     An array is passed through ``np.asarray`` as floats, so a float array is
-    returned as it is.
+    returned as it is.  Rows that are not pairs raise ``ValueError``: an
+    array of another shape, or a list with more or fewer than ``2 * len``
+    coordinates in all (rows of mixed widths that sum to exactly that are
+    not told apart, which would cost a pass over the rows).
     """
     if isinstance(pts, np.ndarray):
-        return np.asarray(pts, dtype=float)
-    return np.fromiter(chain.from_iterable(pts), float, 2 * len(pts)).reshape(-1, 2)
+        a = np.asarray(pts, dtype=float)
+        if a.ndim != 2 or a.shape[1] != 2:
+            raise ValueError(f"expected points as an (n, 2) array, got shape {a.shape}")
+        return a
+    cells = chain.from_iterable(pts)
+    a = np.fromiter(cells, float, 2 * len(pts)).reshape(-1, 2)  # too few cells raise here
+    if next(cells, None) is not None:
+        raise ValueError(f"expected {len(pts)} points as (x, y) pairs, got more coordinates")
+    return a
 
 
 def as_point(p) -> Point:

@@ -1,4 +1,5 @@
-"""CSV emission of episode traces and sweep summaries.
+"""CSV emission of episode traces and sweep summaries, their one reader, and
+the one writer of the JSON files the commands write.
 
 Floats are written with ``repr`` so files are byte-stable across runs and
 parse back to the exact same values; taking a field that does not apply to
@@ -25,6 +26,7 @@ a string that may need quoting.
 from __future__ import annotations
 
 import csv
+import json
 from itertools import islice
 from pathlib import Path
 from typing import Sequence
@@ -102,16 +104,7 @@ def emit_trace(report: EpisodeReport, path) -> None:
 
 def read_trace(path) -> list[dict[str, float | None]]:
     """Parse a trace back into per-slot dicts (inverse of :func:`emit_trace`)."""
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TRACE_HEADER:
-            raise ValueError(f"{path}: unexpected trace header {reader.fieldnames}")
-        for row in reader:
-            out.append(
-                {k: (None if v == "" else float(v)) for k, v in row.items()}
-            )
-    return out
+    return _read_csv(path, "trace", TRACE_HEADER)
 
 
 def summary_row(param: str, value, report: EpisodeReport | None) -> list:
@@ -145,27 +138,31 @@ def emit_summary(rows: Sequence[SweepRow], path) -> None:
 
 
 def read_summary(path) -> list[dict[str, float | str | None]]:
-    out = []
+    """Parse a summary back into per-row dicts; the ``param`` cell stays a string."""
+    return _read_csv(path, "summary", SUMMARY_HEADER, text=("param",))
+
+
+def _read_csv(path, kind: str, header: list[str], text=()) -> list[dict]:
+    """The rows of a CSV file whose header is ``header``; an empty cell is ``None``.
+
+    Every cell is a float but those of the ``text`` columns, which are kept as read.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != SUMMARY_HEADER:
-            raise ValueError(f"{path}: unexpected summary header {reader.fieldnames}")
-        for row in reader:
-            parsed: dict[str, float | str | None] = {}
-            for k, v in row.items():
-                if k == "param":
-                    parsed[k] = v
-                elif v == "":
-                    parsed[k] = None
-                else:
-                    parsed[k] = float(v)
-            out.append(parsed)
-    return out
+        if reader.fieldnames != header:
+            raise ValueError(f"{path}: unexpected {kind} header {reader.fieldnames}")
+        return [
+            {k: v if k in text else None if v == "" else float(v) for k, v in row.items()}
+            for row in reader
+        ]
+
+
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` as indented JSON with a final newline: every JSON file a command writes."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def write_regret_report(rr: RegretReport, path: Path) -> None:
-    import json
-
     doc = {
         "regret": rr.regret,
         "offline_gap": rr.offline_gap,
@@ -187,4 +184,4 @@ def write_regret_report(rr: RegretReport, path: Path) -> None:
         "solver_restarts": rr.solver_restarts,
         "solver_newton_solves": rr.solver_newton_solves,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_json(doc, path)

@@ -268,6 +268,7 @@ class TestRunCommand:
             ("ocean.field.x_grid_m", [0.0, 50.0, 20.0]),
             ("ocean.field.y_grid_m", [-50.0, -50.0, 150.0]),
             ("ocean.field.synthetic.radius_m", 0),
+            ("d2d.mu", 0.0),
             ("d2d.bandwidth_hz", 0.0),
             ("d2d.noise_power", -0.2),
             ("gradient_noise.decay_q", -0.5),
@@ -631,6 +632,70 @@ class TestOracleCommand:
         assert main(["oracle", "--config", cfg, "--grid", grid, "--out", str(out)]) == 2
         assert "--grid" in capsys.readouterr().err
         assert not (out / "oracle.json").exists()
+
+
+NO_EPISODE = "kind: no episode runner for kind 'adversary'"
+
+
+class TestCommandSkeleton:
+    """Every check runs before the output directory; one path writes the manifest and exit 4."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["sweep", "--config", "game", "--param", "delta", "--values", "1,2"], NO_EPISODE),
+            (["benchmark", "--config", "game"], NO_EPISODE),
+            (["oracle", "--config", "game"], NO_EPISODE),
+            (["oracle", "--config", "short", "--grid", "3y3"], "--grid: expected NxM, got '3y3'"),
+            (["oracle", "--config", "short", "--grid", "1x1"], "--grid: needs 2 to 101 nodes"),
+            (["oracle", "--config", "d2d"], "delta_slots: oracle runs need horizon <= 6"),
+            (["sweep", "--config", "d2d", "--param", "delta", "--values", ","],
+             "--values: sweep needs at least one value"),
+            (["adversary", "--T", "0", "--W", "1"], "--T: must be an integer >= 1, got 0"),
+        ],
+        ids=[
+            "sweep-game", "benchmark-game", "oracle-game", "oracle-grid-3y3", "oracle-grid-1x1",
+            "oracle-horizon", "sweep-no-values", "adversary-T0",
+        ],
+    )
+    def test_a_rejected_command_leaves_no_output_directory(self, tmp_path, capsys, argv, message):
+        # each of these but the last made its directory first; the sweep of a game exited 0
+        configs = {
+            "game": write(tmp_path, {"kind": "adversary", "adversary": {"T": 10}}, "game.json"),
+            "short": write(tmp_path, dict(D2D_DOC, goal_m=[3.0, 0.0], delta_slots=1), "short.json"),
+            "d2d": write(tmp_path, D2D_DOC),
+        }
+        out = tmp_path / "out"
+        assert main([configs.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "files", "warning"),
+        [
+            ("run", ["trace.csv", "summary.csv"], "warning: offline benchmark did not converge"),
+            ("benchmark", ["regret_report.json", "trace.csv"], "offline solver did not converge:"),
+            ("oracle", ["oracle.json"], None),
+        ],
+    )
+    def test_an_unconverged_solve_exits_4_after_its_manifest(
+        self, tmp_path, capsys, monkeypatch, command, files, warning
+    ):
+        # a three-iteration budget leaves the offline solve unconverged
+        for module in (trajsim.metrics, cli):
+            monkeypatch.setattr(module, "solve_offline", functools.partial(solve_offline, max_iter=3))
+        cfg = write(tmp_path, dict(D2D_DOC, goal_m=[3.0, 0.0], delta_slots=1))
+        out = tmp_path / "out"
+        grid = ["--grid", "9x9"] if command == "oracle" else []
+        assert main([command, "--config", cfg, *grid, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        if warning is None:
+            assert err == ""
+        else:
+            assert err.startswith(warning) and err.count("\n") == 1, err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / name) for name in files]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json"])
 
 
 class TestAdversaryCommand:

@@ -282,6 +282,23 @@ class TestParseConfig:
         with pytest.raises(SchemaError):
             parse_config(p)
 
+    @pytest.mark.parametrize("case", ["missing", "unreadable", "not-utf8", "malformed"])
+    def test_hash_of_a_bad_file_is_the_parsers_schema_error(self, tmp_path, case):
+        # a bare FileNotFoundError, IsADirectoryError or JSONDecodeError escaped before
+        p = tmp_path / "cfg.json"
+        if case == "unreadable":
+            p.mkdir()
+        elif case == "not-utf8":
+            p.write_bytes(json.dumps(MINIMAL_D2D).encode("utf-16"))
+        elif case == "malformed":
+            p.write_text("{not json", encoding="utf-8")
+        with pytest.raises(SchemaError) as hashed:
+            config_hash(p)
+        with pytest.raises(SchemaError) as parsed:
+            parse_config(p)
+        assert str(hashed.value) == str(parsed.value)
+        assert hashed.value.path == str(p)
+
     def test_hash_is_format_insensitive(self, tmp_path):
         a = write_config(tmp_path, MINIMAL_D2D, "a.json")
         b = tmp_path / "b.json"
@@ -442,6 +459,21 @@ class TestTraces:
         assert row["avg_rate"] == pytest.approx(d2d_report.avg_rate)
         assert row["final_goal_distance"] == pytest.approx(rr.final_goal_distance)
 
+
+    def test_summary_reads_back_a_failed_row(self, tmp_path):
+        # the param cell stays text, even one that looks like a number, and blanks are None
+        path = tmp_path / "summary.csv"
+        emit_summary([SweepRow("1.5", 2.0, None)], path)
+        (row,) = read_summary(path)
+        assert row == {"param": "1.5", "value": 2.0, **dict.fromkeys(SUMMARY_HEADER[2:])}
+
+    @pytest.mark.parametrize(("reader", "kind"), [(read_trace, "trace"), (read_summary, "summary")])
+    def test_a_foreign_header_is_named(self, tmp_path, reader, kind):
+        path = tmp_path / "other.csv"
+        path.write_text("t,x1\r\n1,2\r\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: unexpected {kind} header ['t', 'x1']"
 
 _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e16, 1e-5]
 _FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)

@@ -19,7 +19,7 @@ from trajsim.config import parse_config_doc
 from trajsim.engine import NoiseModel
 from trajsim.errors import GridTooCoarse, HorizonMismatch
 from trajsim.field import GyreSpec, UniformSpec, synth_field
-from trajsim.geom import dist, dot, left_sum, norm_sq, powers, sub
+from trajsim.geom import as_array, dist, dot, left_sum, norm_sq, powers, sub
 from trajsim.metrics import (
     GAP_EVERY,
     GAP_TOL,
@@ -130,6 +130,15 @@ class TestSolveOffline:
         forms = [x0, [list(p) for p in x0], np.array(x0)]
         outcomes = [repr(_outcome(solve_offline(problem, x0=form))) for form in forms]
         assert outcomes[1:] == outcomes[:1] * 2
+
+    @pytest.mark.parametrize("form", ["list", "array"])
+    def test_a_warm_start_of_triples_is_rejected(self, form):
+        # the list's flattened cells were read as pairs: a start from wrong displacements
+        leads = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        problem = quadratic_problem((0.0, 0.0), leads, [1.5, 1.5])
+        warm = [(0.0, 0.0, 7.0), (0.9, 0.0, 7.0), (1.8, 0.0, 7.0)]
+        with pytest.raises(ValueError, match="pairs|shape"):
+            solve_offline(problem, x0=warm if form == "list" else np.array(warm))
 
     def test_single_slot(self):
         problem = quadratic_problem((1.0, 1.0), [(0.0, 0.0)], [])
@@ -660,6 +669,29 @@ def _quiet(fn, *args):
     """:func:`outcome` of a reference whose numpy set-up may meet NaN or overflow."""
     with np.errstate(all="ignore"):
         return outcome(fn, *args)
+
+
+class TestAsArray:
+    def test_pairs_become_rows_and_a_float_array_passes_through(self):
+        a = as_array([(1, 2), [3.5, -0.0]])
+        assert a.dtype == float and repr(a.tolist()) == repr([[1.0, 2.0], [3.5, -0.0]])
+        assert as_array([]).shape == (0, 2)
+        assert as_array(a) is a
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(1, 2, 3), (4, 5, 6)], [(1, 2), (3, 4, 5)], [(1, 2), (3,)], [(1,), (2,)]],
+        ids=["triples", "one-wide", "one-short", "singles"],
+    )
+    def test_rows_that_are_not_pairs_raise(self, rows):
+        # [(1, 2, 3), (4, 5, 6)] used to come back as [[1, 2], [3, 4]]
+        with pytest.raises(ValueError):
+            as_array(rows)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 1), (4,), (2, 2, 1)])
+    def test_an_array_not_of_pairs_raises(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            as_array(np.zeros(shape))
 
 
 class TestArrayPassesKeepTheLoopBits:
