@@ -7,7 +7,8 @@ the default seed; the ``--seed`` flag overrides it.
 A command runs ``_load``, then its flag checks, then ``_outdir``, so a
 rejected command leaves no output directory; an episode command ends in
 ``_finish``, which writes the manifest and maps an unconverged offline
-solve to exit 4.
+solve to exit 4.  An episode found infeasible (exit 3) leaves
+``diagnostics.json`` in the directory its command made.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ def _outdir(args) -> Path:
     return out
 
 
+def _unconverged(rr) -> str:
+    """The warning for an unconverged offline solve: its iteration count, and its own warning."""
+    detail = f"; {rr.solver_warning}" if rr.solver_warning else ""
+    return f"offline benchmark did not converge ({rr.solver_iterations} iterations{detail})"
+
+
 def _finish(out: Path, digest: str, seed: int, names, converged=True, warning=None) -> int:
     """Write the manifest listing ``names``; an unconverged solve exits 4, ``warning`` on stderr."""
     RunManifest.create(digest, seed, [str(out / n) for n in names]).write(out / "manifest.json")
@@ -71,6 +78,13 @@ def _finish(out: Path, digest: str, seed: int, names, converged=True, warning=No
     if warning:
         print(warning, file=sys.stderr)
     return EXIT_NO_CONVERGENCE
+
+
+def _diagnose(out: Path, code: int, exc: Exception) -> None:
+    """Write ``diagnostics.json`` into ``out``, if the command made it: exit code, slot, error."""
+    if out.is_dir():
+        doc = {"exit_code": code, "slot": getattr(exc, "slot", None), "error": str(exc)}
+        write_json(doc, out / "diagnostics.json")
 
 
 def _cmd_run(args) -> int:
@@ -83,7 +97,7 @@ def _cmd_run(args) -> int:
     emit_summary([SweepRow("", "", report)], out / "summary.csv")
     rr = report.regret_report
     print(f"regret: {rr.regret:.6g}  final goal distance: {rr.final_goal_distance:.6g} m")
-    warning = f"warning: offline benchmark did not converge ({rr.solver_warning})"
+    warning = f"warning: {_unconverged(rr)}"
     names = ["trace.csv", "summary.csv"]
     return _finish(out, digest, cfg.seed, names, rr.solver_converged, warning)
 
@@ -118,12 +132,7 @@ def _cmd_sweep(args) -> int:
         emit_trace(row.report, out / names[-1])
         rr = row.report.regret_report
         if not rr.solver_converged:
-            detail = f"; {rr.solver_warning}" if rr.solver_warning else ""
-            print(
-                f"warning: {row.param}={row.value:g}: offline benchmark did not converge "
-                f"({rr.solver_iterations} iterations{detail})",
-                file=sys.stderr,
-            )
+            print(f"warning: {row.param}={row.value:g}: {_unconverged(rr)}", file=sys.stderr)
     names.append("summary.csv")
     emit_summary(rows, out / "summary.csv")
     print(f"swept {args.param} over {len(values)} values -> {out / 'summary.csv'}")
@@ -141,7 +150,7 @@ def _cmd_benchmark(args) -> int:
         f"regret: {rr.regret:.6g}  S_T: {rr.s_t:.6g}  G_T: {rr.g_t:.6g}  "
         f"E_T: {rr.e_t_realized:.6g}"
     )
-    warning = f"offline solver did not converge: {rr.solver_warning}"
+    warning = f"warning: {_unconverged(rr)}"
     names = ["regret_report.json", "trace.csv"]
     return _finish(out, digest, cfg.seed, names, rr.solver_converged, warning)
 
@@ -259,6 +268,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (InfeasibleStepSize, RootExistence) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        _diagnose(Path(args.out), EXIT_INFEASIBLE, exc)
         return EXIT_INFEASIBLE
 
 

@@ -59,6 +59,13 @@ GAP_TOL = 1e-3
 # row, about three iterations
 GAP_EVERY = 10
 _MAX_WAIT = 4
+# a row that can still start the Newton finish (no zero-radius cap, no failed
+# attempt) and whose gap is within this many times its threshold waits at
+# most _MAX_WAIT // 2 of them, so that the finish starts soon after its
+# binding caps settle.  Sized on the Huber commutes of T = 128 to 1024: at
+# 60, or at 45 with rows that had failed an attempt, rows of T = 512 spent
+# both attempts on binding caps that still moved
+_FINISH_RATIO = 45.0
 # the most KKT solves in one attempt of the Newton finish, and the most
 # attempts per row: at T = 4096 every attempt failed, and one at each change
 # of the binding caps cost 40 solves
@@ -504,6 +511,12 @@ class _Lockstep:
         gap trend (:func:`_ahead`) is more than ``_MAX_WAIT`` waits away.  A
         row with a cap of radius zero never runs it: that cap is always
         filled, and its multiplier's pivot in :func:`_kkt_solve` is 0.
+
+        The finish asks its own question, whether the binding caps settled,
+        and asks it more often than the gap trend would: a row with every
+        radius above zero, no failed attempt before this check and a gap
+        within ``_FINISH_RATIO`` times its threshold waits at most
+        ``_MAX_WAIT // 2`` waits.
         """
         due = [d <= iteration for d in self.due]
         sq = np.multiply(z, z, out=self.w)
@@ -514,13 +527,16 @@ class _Lockstep:
             limit = self.limits[j]
             ratio = self.gaps[j] / limit if limit > 0.0 else math.inf
             binding, tried = filled[j, : self.cap_counts[j]].tobytes(), self.tried[j]
+            whole = self.problems[self.ids[j]].radii.all()
             settled = binding == self.binding[j] and binding not in tried
             if settled and len(tried) < _NEWTON_ATTEMPTS and iteration < max_iter:
                 ahead = _ahead(iteration, ratio, self.last[j])
-                if ahead > _MAX_WAIT * GAP_EVERY and self.problems[self.ids[j]].radii.all():
+                if ahead > _MAX_WAIT * GAP_EVERY and whole:
                     self.settled.append(j)
             self.binding[j] = binding
-            self.due[j] = min(_next_check(iteration, ratio, self.last[j]), max_iter)
+            near = whole and not tried and ratio < _FINISH_RATIO
+            most = _MAX_WAIT // 2 if near else _MAX_WAIT
+            self.due[j] = min(_next_check(iteration, ratio, self.last[j], most), max_iter)
             self.last[j] = (iteration, ratio)
         return due
 
@@ -653,13 +669,17 @@ def _ahead(iteration: int, ratio: float, last: tuple[int, float] | None) -> floa
     return math.log(ratio) * (iteration - last[0]) / math.log(fall)
 
 
-def _next_check(iteration: int, ratio: float, last: tuple[int, float] | None) -> int:
+def _next_check(
+    iteration: int, ratio: float, last: tuple[int, float] | None, most: int = _MAX_WAIT
+) -> int:
     """When a row checks next, after a failing check at ``iteration``.
 
     The wait until :func:`_ahead`'s iteration, rounded down to a multiple of
-    :data:`GAP_EVERY` and kept between one and ``_MAX_WAIT`` of them.
+    :data:`GAP_EVERY` and kept between one and ``most`` of them:
+    ``_MAX_WAIT`` by default, and ``_MAX_WAIT // 2`` for a row whose Newton
+    finish may start soon (:meth:`_Lockstep.schedule`).
     """
-    waits = int(min(_ahead(iteration, ratio, last), _MAX_WAIT * GAP_EVERY)) // GAP_EVERY
+    waits = int(min(_ahead(iteration, ratio, last), most * GAP_EVERY)) // GAP_EVERY
     return iteration + max(waits, 1) * GAP_EVERY
 
 
@@ -837,7 +857,9 @@ def solve_offline(
     bound.  The first check is at iteration 0.  After a failing one, the
     next waits until the gap's geometric trend over the last two checks
     reaches the threshold: a whole number of :data:`GAP_EVERY` iterations,
-    from one to four of them (``_next_check``).  At ``max_iter`` the solve
+    from one to four of them (``_next_check``), and at most two for a row
+    that can still start the Newton finish below and whose gap is within
+    45 times its threshold (``_Lockstep.schedule``).  At ``max_iter`` the solve
     checks once more and stops uncertified unless that check passes.
     ``checks`` counts the gaps computed, ``restarts`` the momentum restarts.
 
@@ -852,8 +874,10 @@ def solve_offline(
     (``_Lockstep.finish``) solves the O(T) KKT system of those caps, and a
     step that the gap certifies ends the row; ``iterations`` stays the
     ascent's, ``newton_solves`` counts the KKT solves and ``checks`` the
-    finish's certifications too.  A failed attempt leaves the ascent as it
-    was.
+    finish's certifications too.  On the benchmark's T = 128 Huber commute
+    it certifies every row at iteration 130-160, in 2-4 solves.  A failed
+    attempt leaves the iterate as it was, and the row's checks go back to
+    the gap trend's waits.
 
     ``x0`` (e.g. the online trajectory the benchmark compares against)
     warm-starts the solve; without it the start is zero displacement from

@@ -20,6 +20,7 @@ from trajsim import (
 )
 from trajsim import cli
 from trajsim.cli import main
+from trajsim.errors import RootExistence
 from trajsim.geom import norm
 from trajsim.metrics import GAP_EVERY
 from trajsim.traces import SUMMARY_HEADER, read_trace
@@ -635,6 +636,8 @@ class TestOracleCommand:
 
 
 NO_EPISODE = "kind: no episode runner for kind 'adversary'"
+# a three-iteration solve of a three-slot commute stops on its budget
+UNCONVERGED = "warning: offline benchmark did not converge (3 iterations)"
 
 
 class TestCommandSkeleton:
@@ -673,8 +676,8 @@ class TestCommandSkeleton:
     @pytest.mark.parametrize(
         ("command", "files", "warning"),
         [
-            ("run", ["trace.csv", "summary.csv"], "warning: offline benchmark did not converge"),
-            ("benchmark", ["regret_report.json", "trace.csv"], "offline solver did not converge:"),
+            ("run", ["trace.csv", "summary.csv"], UNCONVERGED),
+            ("benchmark", ["regret_report.json", "trace.csv"], UNCONVERGED),
             ("oracle", ["oracle.json"], None),
         ],
     )
@@ -689,13 +692,32 @@ class TestCommandSkeleton:
         grid = ["--grid", "9x9"] if command == "oracle" else []
         assert main([command, "--config", cfg, *grid, "--out", str(out)]) == 4
         err = capsys.readouterr().err
-        if warning is None:
-            assert err == ""
-        else:
-            assert err.startswith(warning) and err.count("\n") == 1, err
+        assert err == ("" if warning is None else f"{warning}\n")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == [str(out / name) for name in files]
         assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json"])
+
+    def test_an_infeasible_episode_leaves_its_diagnostics(self, tmp_path, capsys):
+        # the stock voyage in a current far beyond its speed cap: no slot can move
+        doc = json.loads((CONFIGS / "voyage.json").read_text(encoding="utf-8"))
+        doc["ocean"]["field"]["synthetic"]["strength_mps"] = 1e150
+        out = tmp_path / "out"
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: slot 1: relative-speed cap infeasible")
+        assert [p.name for p in out.iterdir()] == ["diagnostics.json"]
+        diagnostics = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
+        assert diagnostics == {"exit_code": 3, "slot": 1, "error": err[len("infeasible: "):-1]}
+
+    def test_a_root_existence_error_has_no_slot(self, tmp_path, monkeypatch):
+        def infeasible(*args, **kwargs):
+            raise RootExistence(0.5, 2.0)
+
+        monkeypatch.setattr(cli, "run_scenario", infeasible)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write(tmp_path, D2D_DOC), "--out", str(out)]) == 3
+        diagnostics = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
+        assert diagnostics == {"exit_code": 3, "slot": None, "error": str(RootExistence(0.5, 2.0))}
 
 
 class TestAdversaryCommand:

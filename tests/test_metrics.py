@@ -928,9 +928,15 @@ def _boxed_problem(T: int) -> OfflineProblem:
     return quadratic_problem((0.0, 0.0), leads, np.ones(T - 1), region=box)
 
 
+def _fail_at_once(self, j, z, total, tol):
+    """:meth:`_Lockstep.finish` failing before its first solve: it records the failed attempt."""
+    self.tried[j] += (self.binding[j],)
+    return False
+
+
 def _without_newton_finish(monkeypatch):
     """Turn the offline ascent's Newton finish off: every attempt fails at once."""
-    monkeypatch.setattr(_Lockstep, "finish", lambda self, j, z, total, tol: False)
+    monkeypatch.setattr(_Lockstep, "finish", _fail_at_once)
 
 
 def _outcome(sol):
@@ -1363,6 +1369,18 @@ class TestScheduledChecks:
     def test_next_check_extrapolates_the_log_of_the_ratio(self, iteration, ratio, last, due):
         assert _next_check(iteration, ratio, last) == due
 
+    @pytest.mark.parametrize(
+        "iteration, ratio, last, most, due",
+        [
+            (30, 1e6, (20, 2e6), 2, 50),  # 199 iterations ahead: two waits at most
+            (30, 6.0, (20, 12.0), 2, 50),  # 25.8 iterations ahead: two waits either way
+            (30, 1.5, (20, 100.0), 2, 40),
+            (30, 1e6, (20, 2e6), 0, 40),  # still one wait at least
+        ],
+    )
+    def test_next_check_waits_at_most_most_waits(self, iteration, ratio, last, most, due):
+        assert _next_check(iteration, ratio, last, most) == due
+
     @given(
         iteration=st.integers(0, 10**9).map(lambda k: k * GAP_EVERY),
         ratio=st.floats(allow_nan=True, allow_infinity=True),
@@ -1379,9 +1397,9 @@ class TestScheduledChecks:
         problem, x0 = _random_problem("huber", 40, 3)
         seen = []
 
-        def spy(iteration, ratio, last):
+        def spy(iteration, ratio, last, most):
             seen.append(iteration)
-            return _next_check(iteration, ratio, last)
+            return _next_check(iteration, ratio, last, most)
 
         monkeypatch.setattr(metrics, "_next_check", spy)
         sol = solve_offline(problem, x0=x0, max_iter=max_iter, tol=1e-12)
@@ -1622,6 +1640,18 @@ def _huber_commute(T: int, seed: int, utility: str = "huber"):
     return run_scenario(cfg, benchmark=False)
 
 
+def _finish_results(monkeypatch) -> list:
+    """What each call of :meth:`_Lockstep.finish` returns from now on, in order."""
+    finish, results = _Lockstep.finish, []
+
+    def spy(self, j, z, total, tol):
+        results.append(finish(self, j, z, total, tol))
+        return results[-1]
+
+    monkeypatch.setattr(_Lockstep, "finish", spy)
+    return results
+
+
 def _dense_kkt(hess, grad, w, phi, nu, active):
     """The system :func:`_kkt_solve` solves, as a dense matrix solved by ``np.linalg.solve``."""
     T = len(grad)
@@ -1813,6 +1843,29 @@ class TestNewtonFinish:
         alone = solve_offline(problem, x0=x0)
         assert sol.newton_solves == 0
         assert repr(_outcome(sol)) == repr(_outcome(alone))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_finish_starts_soon_after_the_binding_caps_settle(self, monkeypatch, seed):
+        # near its stop a row checks at most 20 iterations apart: its finish
+        # certifies these rows at iteration 140, where 40-iteration waits
+        # started it at 180
+        results = _finish_results(monkeypatch)
+        report = _huber_commute(128, seed)
+        sol = solve_offline(report.problem, x0=report.trajectory)
+        assert sol.converged and sol.iterations <= 150 and results == [True]
+
+    @pytest.mark.parametrize("T, seed, most", [(1024, 3, 700), (512, 6, 450)])
+    def test_a_long_huber_commute_keeps_its_finish(self, monkeypatch, T, seed, most):
+        # at T = 1024 the binding caps still move by one cap per 40 iterations
+        # while the gap is 100 times its threshold.  A cadence that starts the
+        # finish on such caps spends both attempts, and the ascent alone runs
+        # on to about 1,600 iterations.  The T = 512 row fails its first
+        # attempt; checked 20 iterations apart after that, it spent its second
+        # on caps that still moved too, and ran to 860
+        results = _finish_results(monkeypatch)
+        report = _huber_commute(T, seed)
+        sol = solve_offline(report.problem, x0=report.trajectory)
+        assert sol.converged and sol.iterations <= most and results[-1:] == [True]
 
     def test_long_squared_commutes_and_voyage_sweeps_never_start_the_finish(self, monkeypatch):
         # their gaps reach the stop before the trend asks for the finish
