@@ -81,9 +81,21 @@ def _finish(out: Path, digest: str, seed: int, names, converged=True, warning=No
 
 
 def _diagnose(out: Path, code: int, exc: Exception) -> None:
-    """Write ``diagnostics.json`` into ``out``, if the command made it: exit code, slot, error."""
+    """Write ``diagnostics.json`` into ``out``, if the command made it.
+
+    It holds the exit code, the slot, its gradient bound ``gbar``, the empty
+    step-size ``interval`` as ``[lower, upper]`` and the error; a field the
+    error does not carry is null.
+    """
     if out.is_dir():
-        doc = {"exit_code": code, "slot": getattr(exc, "slot", None), "error": str(exc)}
+        interval = getattr(exc, "interval", None)
+        doc = {
+            "exit_code": code,
+            "slot": getattr(exc, "slot", None),
+            "gbar": getattr(exc, "gbar", None),
+            "interval": None if interval is None else list(interval),
+            "error": str(exc),
+        }
         write_json(doc, out / "diagnostics.json")
 
 

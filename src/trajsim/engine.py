@@ -305,11 +305,13 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
             gamma = step_size(grad_tilde, gbar)
             state = ioga_step(state, grad_tilde, gamma, region)
         except (EmptyStepInterval, RootExistence, ValueError) as exc:
-            raise InfeasibleStepSize(t, str(exc)) from exc
+            interval = (exc.lower, exc.upper) if isinstance(exc, EmptyStepInterval) else None
+            raise InfeasibleStepSize(t, str(exc), gbar, interval) from exc
         x_next = state.x_hat
         slack = slack_of(x_hat, x_next)
         if not slack <= SLACK_TOL:
-            raise InfeasibleStepSize(t, f"executed step violates its constraint by {slack:.3e}")
+            detail = f"executed step violates its constraint by {slack:.3e}"
+            raise InfeasibleStepSize(t, detail, gbar)
         e0, e1 = g0 - grad_true[0], g1 - grad_true[1]
         put_gamma(gamma)
         put_g0(g0)

@@ -36,12 +36,22 @@ class RootExistence(TrajsimError):
 
 
 class InfeasibleStepSize(TrajsimError):
-    """An episode could not take a feasible step at some slot."""
+    """An episode could not take a feasible step at some slot.
 
-    def __init__(self, slot: int, detail: str):
+    ``gbar`` is the slot's gradient bound, the running maximum of the
+    observed gradient norms.  ``interval`` is the ``(lower, upper)`` step-size
+    interval of the :class:`EmptyStepInterval` that caused the error, and
+    None for any other cause.
+    """
+
+    def __init__(
+        self, slot: int, detail: str, gbar: float, interval: tuple[float, float] | None = None
+    ):
         super().__init__(f"slot {slot}: {detail}")
         self.slot = int(slot)
         self.detail = detail
+        self.gbar = float(gbar)
+        self.interval = interval
 
 
 class GridTooCoarse(TrajsimError):

@@ -177,6 +177,18 @@ def _by_axis(a: np.ndarray) -> np.ndarray:
     return a.transpose(2, 0, 1)
 
 
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """An ``(R, n, 2)`` float array viewed as ``(R, n)`` complex pairs, sharing its memory.
+
+    Only ``np.add.accumulate`` runs on these views.  numpy adds a complex
+    pair as two separate IEEE additions and an accumulate adds strictly in
+    order, so a chain of pairs carries both coordinates' sums bit for bit,
+    NaN, infinities and ``-0.0`` included, in one dependency chain instead
+    of two.  Reductions stay on floats: they sum pairwise or by blocks.
+    """
+    return a.view(np.complex128)[..., 0]
+
+
 def _scale_rows(a: np.ndarray, scales: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``p * s[..., None]`` into ``out``, for ``a = _by_axis(p)`` and ``scales = s[None]``.
 
@@ -230,7 +242,10 @@ class _Lockstep:
     views the kernels read, so an iteration writes through ``out=`` and
     allocates only the families' scratch.  A workspace array is overwritten
     by the next call that uses it; what a method returns to its caller is
-    never one of them.
+    never one of them.  The chain sums along the horizon, the waypoints'
+    prefix sums and the gradients' suffix sums, run on :func:`_pairs` views,
+    so one accumulate adds both coordinates with the float accumulate's
+    bits; every reduction stays on the floats, as it sums pairwise.
     """
 
     # the per-row lists, by attribute name: take() cuts each to the rows it keeps
@@ -277,6 +292,7 @@ class _Lockstep:
         self.x[:, 0] = self.starts
         self.x_rest = self.x[:, 1:]
         self.disp = np.empty_like(self.centers)
+        self.x_rest_pairs, self.disp_pairs = _pairs(self.x_rest), _pairs(self.disp)
         # the start of each row at each later slot: a broadcast along the
         # short last axis costs more than the addition itself
         self.start_rest = np.repeat(self.starts[:, None], tmax - 1, axis=1)
@@ -292,7 +308,6 @@ class _Lockstep:
         # (first the rigid runs' point and its gradient).
         self.gx = np.empty_like(self.x)
         self.sums = np.empty_like(self.x)
-        self.sums_reversed = self.sums[:, ::-1]
         self.g = self.sums[:, 1:]
         self.adjoint = np.empty_like(self.x)
         # displacement-sized: the momentum point, its offset from the iterate,
@@ -304,6 +319,12 @@ class _Lockstep:
         self.w = np.empty_like(self.centers)
         self.lam = np.empty_like(self.centers)
         self.g_by_axis, self.w_by_axis, self.lam_by_axis = map(_by_axis, (self.g, self.w, self.lam))
+        # the suffix sums' pairs, reversed: the gradient's (gradient_array
+        # writes into gx) and the rigid-run point's (into adjoint)
+        self.gx_pairs_rev = _pairs(self.gx[:, ::-1])
+        self.sums_pairs_rev = _pairs(self.sums[:, ::-1])
+        self.adjoint_pairs_rev = _pairs(self.adjoint[:, :0:-1])
+        self.lam_pairs_rev = _pairs(self.lam[:, ::-1])
         self.w_coords = tuple(self.w_by_axis)
         # cap-sized: norms, scales (with the view _scale_rows reads), the cap
         # terms and their two inner products, and the dual steps
@@ -349,9 +370,13 @@ class _Lockstep:
             )
 
     def rebuild(self, z: np.ndarray) -> np.ndarray:
-        """Waypoints from start + per-slot displacements ``center + z``."""
+        """Waypoints from start + per-slot displacements ``center + z``.
+
+        The prefix sums run on the :func:`_pairs` views, both coordinates in
+        one chain, with the float accumulate's bits.
+        """
         np.add(self.centers, z, out=self.disp)
-        np.add.accumulate(self.disp, axis=1, out=self.x_rest)
+        np.add.accumulate(self.disp_pairs, axis=1, out=self.x_rest_pairs)
         np.add(self.x_rest, self.start_rest, out=self.x_rest)
         return self.x
 
@@ -395,12 +420,13 @@ class _Lockstep:
 
         Padded slots get a zero waypoint gradient.  The gradient in ``z`` is
         per cap ``t`` the sum of the waypoint gradients ``gx[:, s]`` over
-        ``s > t``.
+        ``s > t``: an accumulate on the reversed :func:`_pairs` views, which
+        keeps the float accumulate's bits.
         """
         gx = self.family.gradient_array(x, out=self.gx)
         if self.pad is not None:
             np.put(gx, self.pad, -0.0)
-        np.add.accumulate(gx[:, ::-1], axis=1, out=self.sums_reversed)
+        np.add.accumulate(self.gx_pairs_rev, axis=1, out=self.sums_pairs_rev)
         return gx, self.g
 
     def ascent_step(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -606,7 +632,8 @@ class _Lockstep:
         order where the Frank-Wolfe gap is first order.  With every cap free
         it is the unconstrained shortfall; with every cap filled, the
         Frank-Wolfe gap.  Padded slots are runs of their own, and their
-        gradient is zero.
+        gradient is zero.  The suffix sums are :meth:`gradient`'s, on
+        :func:`_pairs` views with the float accumulate's bits.
         """
         sq = np.multiply(z, z, out=self.w)
         np.less(np.add(sq[..., 0], sq[..., 1], out=self.norms), self.filled, out=self.free)
@@ -616,8 +643,8 @@ class _Lockstep:
         grad = self.family.gradient_array(x_hat, out=x_hat)
         if self.pad is not None:
             np.put(grad, self.pad, -0.0)
-        # the suffix sums of gradient(): lam_t sums grad[:, s] over s > t
-        np.add.accumulate(grad[:, :0:-1], axis=1, out=self.lam[:, ::-1])
+        # lam_t sums grad[:, s] over s > t; grad is adjoint
+        np.add.accumulate(self.adjoint_pairs_rev, axis=1, out=self.lam_pairs_rev)
 
     def _dual_step_terms(
         self, gx: np.ndarray, g: np.ndarray, z_by_axis: np.ndarray, kappa: np.ndarray
@@ -931,7 +958,7 @@ def _finish(
         violation = _violation(x, *cons)[1]
     converged = violation <= 1e-6 and met
     warning = f"final violation {violation:.3e} above 1e-6" if violation > 1e-6 else None
-    pts = [(p[0], p[1]) for p in x.tolist()]
+    pts = points(x[:, 0], x[:, 1])
     return OfflineSolution(
         points=pts,
         utility=us.total(x),

@@ -213,11 +213,13 @@ def run_episode_reference(driver, mode="standard"):
             gamma = driver.gamma(grad_tilde, gbar)
             state = ioga_step(state, grad_tilde, gamma, region)
         except (EmptyStepInterval, RootExistence, ValueError) as exc:
-            raise InfeasibleStepSize(t, str(exc)) from exc
+            interval = (exc.lower, exc.upper) if isinstance(exc, EmptyStepInterval) else None
+            raise InfeasibleStepSize(t, str(exc), gbar, interval) from exc
         x_next = state.x_hat
         slack = driver.slack(x_hat, x_next)
         if not slack <= SLACK_TOL:
-            raise InfeasibleStepSize(t, f"executed step violates its constraint by {slack:.3e}")
+            detail = f"executed step violates its constraint by {slack:.3e}"
+            raise InfeasibleStepSize(t, detail, gbar)
         e0, e1 = grad_tilde[0] - grad_true[0], grad_tilde[1] - grad_true[1]
         records.append(
             StepRecord(t, x_hat, x_next, gamma, grad_tilde, e0 * e0 + e1 * e1, eps_t * eps_t, slack)

@@ -707,7 +707,32 @@ class TestCommandSkeleton:
         assert err.startswith("infeasible: slot 1: relative-speed cap infeasible")
         assert [p.name for p in out.iterdir()] == ["diagnostics.json"]
         diagnostics = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
-        assert diagnostics == {"exit_code": 3, "slot": 1, "error": err[len("infeasible: "):-1]}
+        # a relative-speed cap has no step-size interval
+        assert diagnostics == {
+            "exit_code": 3, "slot": 1, "gbar": 1.9874953984979814e149, "interval": None,
+            "error": err[len("infeasible: "):-1],
+        }
+
+    def test_an_empty_step_interval_names_its_bounds(self, tmp_path, capsys):
+        # the stock commute whose throttle floor sits just under 1: the
+        # interval (gbar / alpha_t, gbar / alpha_min) is empty at slot 1
+        doc = json.loads((CONFIGS / "commute.json").read_text(encoding="utf-8"))
+        doc["d2d"]["alpha_min"] = 0.995
+        out = tmp_path / "out"
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: slot 1: step-size interval empty: chose 1.02353")
+        assert [p.name for p in out.iterdir()] == ["diagnostics.json"]
+        diagnostics = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
+        assert list(diagnostics) == ["exit_code", "slot", "gbar", "interval", "error"]
+        assert diagnostics["exit_code"] == 3 and diagnostics["slot"] == 1
+        assert diagnostics["error"] == err[len("infeasible: "):-1]
+        lower, upper = diagnostics["interval"]
+        assert lower == pytest.approx(1.0134, abs=1e-4)
+        assert upper == pytest.approx(1.0185, abs=1e-4)
+        # the open upper bound is gbar / (v_max * alpha_min), v_max per 37.268 s slot
+        assert upper == pytest.approx(diagnostics["gbar"] / (37.268 * 0.995), rel=1e-12)
+        assert 1.01 * lower >= upper
 
     def test_a_root_existence_error_has_no_slot(self, tmp_path, monkeypatch):
         def infeasible(*args, **kwargs):
@@ -717,7 +742,10 @@ class TestCommandSkeleton:
         out = tmp_path / "out"
         assert main(["run", "--config", write(tmp_path, D2D_DOC), "--out", str(out)]) == 3
         diagnostics = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
-        assert diagnostics == {"exit_code": 3, "slot": None, "error": str(RootExistence(0.5, 2.0))}
+        assert diagnostics == {
+            "exit_code": 3, "slot": None, "gbar": None, "interval": None,
+            "error": str(RootExistence(0.5, 2.0)),
+        }
 
 
 class TestAdversaryCommand:

@@ -343,13 +343,15 @@ class TestRunEpisode:
     def test_infeasible_policy_surfaces_slot(self):
         class BadGamma(_ChaserDriver):
             def gamma(self, grad_tilde, gbar):
+                self.gbar = gbar
                 if self.t == 3:
                     raise EmptyStepInterval(1.0, 0.5, 1.0)
                 return super().gamma(grad_tilde, gbar)
 
+        driver = BadGamma([(9.0, 9.0)] * 8, 8)
         with pytest.raises(InfeasibleStepSize) as err:
-            run_episode(BadGamma([(9.0, 9.0)] * 8, 8))
-        assert err.value.slot == 3
+            run_episode(driver)
+        assert (err.value.slot, err.value.gbar, err.value.interval) == (3, driver.gbar, (1.0, 0.5))
 
     def test_cap_violating_step_aborts(self):
         class Cheater(_ChaserDriver):

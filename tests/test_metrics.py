@@ -29,6 +29,7 @@ from trajsim.metrics import (
     _Lockstep,
     _kkt_solve,
     _next_check,
+    _pairs,
     _violation,
     cumulative_error,
     dp_oracle,
@@ -1263,6 +1264,88 @@ class TestWorkspace:
         assert fresh.values(kept[-1].copy()) == totals
         assert fresh.certify(kept[-1].copy(), totals, GAP_TOL) == met
         assert fresh.gaps == lock.gaps
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _seeded_pairs(shape: tuple, seed: int) -> np.ndarray:
+    """Random floats of wide magnitude, seeded with signed zeros, infinities, NaNs and subnormals.
+
+    Row 0 is all ``-0.0``, and the specials sit in the back half of the
+    other rows, so each chain runs over finite sums before it meets one.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2.5e-310, 1e-308]
+    n = shape[1]
+    for r in range(1, shape[0]):
+        for _ in range(3):
+            a[r, rng.integers(n // 2, n), rng.integers(2)] = specials[rng.integers(len(specials))]
+        # a subnormal-only stretch: its sums stay subnormal
+        a[r, : n // 4] = rng.choice([5e-324, -5e-324, 2.5e-310, -0.0], (n // 4, 2))
+    a[0] = -0.0
+    return a
+
+
+class TestPairChains:
+    """The chain sums add complex pairs, two IEEE additions each, in order: the float bits."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_prefix_sums_into_the_waypoint_view_keep_the_float_bits(self, seed):
+        disp = _seeded_pairs((5, 63, 2), seed)
+        x = np.empty((5, 64, 2))
+        np.add.accumulate(_pairs(disp), axis=1, out=_pairs(x[:, 1:]))
+        assert _bits(x[:, 1:]).tobytes() == _bits(np.add.accumulate(disp, axis=1)).tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_suffix_sums_into_reversed_views_keep_the_float_bits(self, seed):
+        g = _seeded_pairs((5, 64, 2), seed)
+        sums = np.empty_like(g)
+        np.add.accumulate(_pairs(g[:, ::-1]), axis=1, out=_pairs(sums[:, ::-1]))
+        want = np.add.accumulate(g[:, ::-1], axis=1)[:, ::-1]
+        assert _bits(sums).tobytes() == _bits(want).tobytes()
+        # the rigid-run point's form: slot 0 left out, written back to front
+        lam = np.empty((5, 63, 2))
+        np.add.accumulate(_pairs(g[:, :0:-1]), axis=1, out=_pairs(lam[:, ::-1]))
+        want = np.empty_like(lam)
+        np.add.accumulate(g[:, :0:-1], axis=1, out=want[:, ::-1])
+        assert _bits(lam).tobytes() == _bits(want).tobytes()
+
+    @pytest.mark.parametrize("kind", ["squared", "huber", "voyage"])
+    def test_the_lockstep_chains_keep_the_float_bits(self, kind):
+        instances = [_random_problem(kind, T, seed) for T, seed in ((30, 1), (7, 2), (19, 4))]
+        lock = _Lockstep([p for p, _ in instances], [x0 for _, x0 in instances])
+        z = lock.ascent_step(lock.z0)
+        x = lock.rebuild(z)
+        want = np.add.accumulate(lock.centers + z, axis=1) + lock.start_rest
+        assert _bits(x[:, 1:]).tobytes() == _bits(want).tobytes()
+        gx, g = lock.gradient(x)
+        want = np.add.accumulate(gx[:, ::-1], axis=1)[:, ::-1]
+        assert _bits(g).tobytes() == _bits(want[:, 1:]).tobytes()
+        if kind == "squared":
+            lock._rigid_run_point(z)
+            want = np.empty_like(lock.lam)
+            np.add.accumulate(lock.adjoint[:, :0:-1], axis=1, out=want[:, ::-1])
+            assert _bits(lock.lam).tobytes() == _bits(want).tobytes()
+
+    def test_each_pair_view_shares_its_workspace_array(self):
+        # an accumulate into a copy would leave the workspace as it was
+        instances = [_random_problem("squared", T, seed) for T, seed in ((30, 1), (7, 2), (19, 4))]
+        lock = _Lockstep([p for p, _ in instances], [x0 for _, x0 in instances])
+        for rows in ([0, 2], None):  # as loaded, then reloaded for fewer rows
+            views = {
+                "x_rest_pairs": lock.x, "disp_pairs": lock.disp, "gx_pairs_rev": lock.gx,
+                "sums_pairs_rev": lock.sums, "adjoint_pairs_rev": lock.adjoint,
+                "lam_pairs_rev": lock.lam,
+            }
+            for name, workspace in views.items():
+                view = getattr(lock, name)
+                assert view.dtype == np.complex128 and view.shape[0] == workspace.shape[0]
+                assert np.shares_memory(view, workspace), name
+            if rows:
+                lock.take(rows, lock.z0, lock.z0, lock.u0)
 
 
 class TestBoxBindingSolves:

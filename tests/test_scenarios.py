@@ -452,11 +452,17 @@ class _PerSlotHuber:
 
     def gradient_array(self, x, out=None):
         if x.ndim == 3:
-            return self.gradient_array(x[0])[None]
-        f = self.family
-        return np.array(
-            [obj.d2d_gradient(p, e, f.v, f.mu) for p, e in zip(x.tolist(), f.leads.tolist())]
-        )
+            grad = self.gradient_array(x[0])[None]
+        else:
+            f = self.family
+            grad = np.array(
+                [obj.d2d_gradient(p, e, f.v, f.mu) for p, e in zip(x.tolist(), f.leads.tolist())]
+            )
+        # as the families do, written into out if given: the solver reads it there
+        if out is not None:
+            out[...] = grad
+            return out
+        return grad
 
 
 class TestCommuteBatchForms:
