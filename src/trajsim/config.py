@@ -116,7 +116,10 @@ _SHAPES |= dict.fromkeys(("delta_slots", "utility", "lambda_strategy", "policy",
 _DOC_PATHS = {
     **{f: _key_path(s, k) for s in ("", "peer", "d2d", "ocean") for k, f in _SECTIONS[s].items()},
     **{f"adversary.{f}": f"adversary.{k}" for k, f in _SECTIONS["adversary"].items()},
+    "goal": "goal_m",
     "goal.speed_mps": "goal_m.speed_mps",
+    # the horizon runs from start_m to the goal's first point, then delta_slots more
+    "horizon": "goal_m",
     "perturbation.sigma_fraction": "ocean.perturbation.sigma_fraction",
     "perturbation.seed": "ocean.perturbation.seed",
     "feasible_box": "feasible_box_m",

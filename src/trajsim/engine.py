@@ -149,10 +149,6 @@ class NoiseModel:
             return 0.0
         return self.eps0 * t ** (-self.decay_q)
 
-    def eps_sq_bound(self, t: int) -> float:
-        eps_t = self.eps(t)
-        return eps_t * eps_t
-
     def draw(self, t: int, eps_t: float | None = None) -> Vector:
         """The slot-``t`` noise; ``eps_t``, when given, is :meth:`eps` of ``t``."""
         if self.kind == "none":

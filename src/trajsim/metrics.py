@@ -202,6 +202,15 @@ def _scale_rows(a: np.ndarray, scales: np.ndarray, out: np.ndarray | None = None
     return out
 
 
+def _check_out(result: np.ndarray, out: np.ndarray, family, method: str) -> None:
+    """Raise TypeError unless ``family.method`` returned the ``out`` array it was handed.
+
+    The lockstep reads what the families write through views of ``out``.
+    """
+    if result is not out:
+        raise TypeError(f"{type(family).__name__}.{method} did not return its out array")
+
+
 def _step_size(problem: OfflineProblem) -> float:
     """Displacement-space step ``1 / (L * sigma^2)``, ``L`` the family's smoothness.
 
@@ -224,8 +233,9 @@ class _Lockstep:
     (``last``), its checks so far (``checks``), and for the Newton finish
     its KKT solves, binding caps and failed attempts' binding caps
     (``solves``, ``binding``, ``tried``); :meth:`_load` builds every array
-    for those rows, and :meth:`take` is the one place a row leaves, from
-    the lists and the arrays alike.  ``results`` holds each stopped row's
+    for those rows.  :meth:`check` is the one gap check, and :meth:`take`,
+    which it calls, the one place a row leaves, from the lists and the
+    arrays alike.  ``results`` holds each stopped row's
     waypoints, iteration, restart and check counts, gap, whether the gap
     met the stop and Newton solves, by problem index.
 
@@ -359,16 +369,6 @@ class _Lockstep:
         width = self.centers.shape[1]
         return z[rows, :width], z_prev[rows, :width], [totals[j] for j in rows]
 
-    def record(self, rows: list[int], z: np.ndarray, iterations: int, met: list[bool]) -> None:
-        """Store the given rows' waypoints at ``z`` as their results."""
-        x = self.rebuild(z)
-        for j in rows:
-            waypoints = x[j, : self.horizons[j]].copy()
-            self.results[self.ids[j]] = (
-                waypoints, iterations, self.restarts[j], self.gaps[j], met[j], self.checks[j],
-                self.solves[j],
-            )
-
     def rebuild(self, z: np.ndarray) -> np.ndarray:
         """Waypoints from start + per-slot displacements ``center + z``.
 
@@ -424,6 +424,7 @@ class _Lockstep:
         keeps the float accumulate's bits.
         """
         gx = self.family.gradient_array(x, out=self.gx)
+        _check_out(gx, self.gx, self.family, "gradient_array")
         if self.pad is not None:
             np.put(gx, self.pad, -0.0)
         np.add.accumulate(self.gx_pairs_rev, axis=1, out=self.sums_pairs_rev)
@@ -526,45 +527,53 @@ class _Lockstep:
         self.limits = [tol * max(1.0, f - f0) for f, f0 in zip(totals, self.u0)]
         return [gap <= limit for gap, limit in zip(self.gaps, self.limits)]
 
-    def schedule(self, z: np.ndarray, iteration: int, max_iter: int) -> list[bool]:
-        """Which rows are due at ``iteration``; each due row counts the check and sets its next.
+    def check(self, z: np.ndarray, z_prev: np.ndarray, totals: list[float], iteration: int,
+              max_iter: int, tol: float):
+        """The gap check at ``iteration``, at ``z``, the point of the last :meth:`values` call.
 
-        It reads the gaps and thresholds of the :meth:`certify` call just
-        made at ``z``; the next check is :func:`_next_check`'s, or
-        ``max_iter``.  ``settled`` lists the due rows whose Newton finish may
-        run: their binding caps, the caps ``z`` fills, are their last
-        check's and no failed attempt's, they have attempts left, and their
-        gap trend (:func:`_ahead`) is more than ``_MAX_WAIT`` waits away.  A
-        row with a cap of radius zero never runs it: that cap is always
-        filled, and its multiplier's pivot in :func:`_kkt_solve` is 0.
-
-        The finish asks its own question, whether the binding caps settled,
-        and asks it more often than the gap trend would: a row with every
-        radius above zero, no failed attempt before this check and a gap
-        within ``_FINISH_RATIO`` times its threshold waits at most
-        ``_MAX_WAIT // 2`` waits.
+        It runs :meth:`certify` at ``z`` and its ``totals``.  Each row due
+        counts the check and keeps its binding caps, the caps ``z`` fills.
+        If they are its last check's and no failed attempt's, it has
+        attempts left, no cap of radius zero (always filled, with a zero
+        pivot in :func:`_kkt_solve`) and its gap trend (:func:`_ahead`) is
+        more than ``_MAX_WAIT`` waits away, the row tries :meth:`finish`.
+        Its next check is :func:`_next_check`'s, or ``max_iter``.  The
+        finish asks whether the caps settled more often than the trend
+        would: a row with every radius above zero, no failed attempt before
+        this check and a gap within ``_FINISH_RATIO`` times its threshold
+        waits at most ``_MAX_WAIT // 2`` waits.  A due row that met the stop,
+        or is at ``max_iter``, stops and goes to ``results``.  Returns
+        :meth:`take`'s ``z``, ``z_prev`` and ``totals`` for the rows still
+        ascending, or None once no row is.
         """
-        due = [d <= iteration for d in self.due]
+        met = self.certify(z, totals, tol)
         sq = np.multiply(z, z, out=self.w)
         filled = np.greater_equal(np.add(sq[..., 0], sq[..., 1]), self.filled)
-        self.settled = []
-        for j in (j for j, d in enumerate(due) if d):
+        stop = []
+        for j in [j for j, due in enumerate(self.due) if due <= iteration]:
             self.checks[j] += 1
             limit = self.limits[j]
             ratio = self.gaps[j] / limit if limit > 0.0 else math.inf
             binding, tried = filled[j, : self.cap_counts[j]].tobytes(), self.tried[j]
             whole = self.problems[self.ids[j]].radii.all()
             settled = binding == self.binding[j] and binding not in tried
-            if settled and len(tried) < _NEWTON_ATTEMPTS and iteration < max_iter:
-                ahead = _ahead(iteration, ratio, self.last[j])
-                if ahead > _MAX_WAIT * GAP_EVERY and whole:
-                    self.settled.append(j)
             self.binding[j] = binding
-            near = whole and not tried and ratio < _FINISH_RATIO
-            most = _MAX_WAIT // 2 if near else _MAX_WAIT
+            if settled and len(tried) < _NEWTON_ATTEMPTS and iteration < max_iter and whole:
+                if _ahead(iteration, ratio, self.last[j]) > _MAX_WAIT * GAP_EVERY:
+                    met[j] = self.finish(j, z, totals[j], tol)
+            most = _MAX_WAIT // 2 if whole and not tried and ratio < _FINISH_RATIO else _MAX_WAIT
             self.due[j] = min(_next_check(iteration, ratio, self.last[j], most), max_iter)
             self.last[j] = (iteration, ratio)
-        return due
+            if met[j] or iteration >= max_iter:
+                stop.append(j)
+        if not stop:
+            return z, z_prev, totals
+        x = self.rebuild(z)
+        for j in stop:
+            row = (self.restarts[j], self.gaps[j], met[j], self.checks[j], self.solves[j])
+            self.results[self.ids[j]] = (x[j, : self.horizons[j]].copy(), iteration, *row)
+        keep = [j for j in range(len(self.ids)) if j not in stop]
+        return self.take(keep, z, z_prev, totals) if keep else None
 
     def finish(self, j: int, z: np.ndarray, total: float, tol: float) -> bool:
         """Try the Newton finish on row ``j`` at ``z``; whether it certified the row.
@@ -640,7 +649,9 @@ class _Lockstep:
         edges = np.flatnonzero(self.firsts)
         pinned = np.searchsorted(edges, self.row_firsts)
         x_hat = self.family.rigid_optimum(self.x, edges, pinned, self.adjoint)
+        _check_out(x_hat, self.adjoint, self.family, "rigid_optimum")
         grad = self.family.gradient_array(x_hat, out=x_hat)
+        _check_out(grad, x_hat, self.family, "gradient_array")
         if self.pad is not None:
             np.put(grad, self.pad, -0.0)
         # lam_t sums grad[:, s] over s > t; grad is adjoint
@@ -704,7 +715,7 @@ def _next_check(
     The wait until :func:`_ahead`'s iteration, rounded down to a multiple of
     :data:`GAP_EVERY` and kept between one and ``most`` of them:
     ``_MAX_WAIT`` by default, and ``_MAX_WAIT // 2`` for a row whose Newton
-    finish may start soon (:meth:`_Lockstep.schedule`).
+    finish may start soon (:meth:`_Lockstep.check`).
     """
     waits = int(min(_ahead(iteration, ratio, last), most * GAP_EVERY)) // GAP_EVERY
     return iteration + max(waits, 1) * GAP_EVERY
@@ -786,11 +797,12 @@ def _ascend(
     iteration count are kept per row, and a row that stops leaves the
     lockstep; every numpy call covers all rows still ascending.  Each row is
     checked at iteration 0, then at the iterations :func:`_next_check`
-    schedules after each failing check, and at ``max_iter``.  A check
-    computes every row's gap, and only the rows due then act on theirs, so
-    a row stops where it would stop alone.  A due row whose binding caps
-    settled tries the Newton finish (:meth:`_Lockstep.finish`), which works
-    on that row alone, and stops where the finish certifies it.
+    schedules after each failing check, and at ``max_iter``.  Each check is
+    one :meth:`_Lockstep.check` call: it computes every row's gap, and only
+    the rows due then act on theirs, so a row stops where it would stop
+    alone.  A due row whose binding caps settled tries the Newton finish
+    (:meth:`_Lockstep.finish`), which works on that row alone, and stops
+    where the finish certifies it.
 
     A row restarts its momentum when its computed total falls.  The totals
     are computed only where that test needs them: a step whose gain the
@@ -814,17 +826,11 @@ def _ascend(
         if iterations >= next_due:
             if not fresh:
                 f_curr, fresh = st.values(z), True
-            met = st.certify(z, f_curr, tol)
-            due = st.schedule(z, iterations, max_iter)
-            for j in st.settled:
-                met[j] = st.finish(j, z, f_curr[j], tol)
-            done = [d and (m or iterations >= max_iter) for d, m in zip(due, met)]
-            if any(done):
-                st.record([j for j, d in enumerate(done) if d], z, iterations, met)
-                if all(done):
-                    return st.results
-                keep = [j for j, d in enumerate(done) if not d]
-                z, z_prev, f_curr = st.take(keep, z, z_prev, f_curr)
+            left = st.check(z, z_prev, f_curr, iterations, max_iter, tol)
+            if left is None:
+                return st.results
+            z, z_prev, f_curr = left
+            if z_new.shape != z.shape:
                 z_new = np.empty_like(z)
             next_due = min(st.due)
             margins = st.margins(f_curr)
@@ -886,7 +892,7 @@ def solve_offline(
     reaches the threshold: a whole number of :data:`GAP_EVERY` iterations,
     from one to four of them (``_next_check``), and at most two for a row
     that can still start the Newton finish below and whose gap is within
-    45 times its threshold (``_Lockstep.schedule``).  At ``max_iter`` the solve
+    45 times its threshold (``_Lockstep.check``).  At ``max_iter`` the solve
     checks once more and stops uncertified unless that check passes.
     ``checks`` counts the gaps computed, ``restarts`` the momentum restarts.
 
@@ -1131,6 +1137,20 @@ class OracleSolution:
     utility: float
 
 
+def _oracle_table(problem: OfflineProblem, grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's nodes and the start that lie in the region, and their ``(T, n)`` utilities.
+
+    One comparison pass and one ``slot_terms`` call on the nodes broadcast
+    to ``(n, T, 2)``: the bits of each node's ``contains`` and ``evaluate``.
+    """
+    nodes = grid.nodes(extra=[problem.start])
+    lo, hi = np.subtract(problem.region.lo, 1e-9), np.add(problem.region.hi, 1e-9)
+    nodes = nodes[((lo <= nodes) & (nodes <= hi)).all(axis=1)]
+    n, T, us = len(nodes), problem.horizon, problem.utilities
+    terms = us.slot_terms(np.broadcast_to(nodes[:, None], (n, T, 2)))
+    return nodes, us.total_scale * terms.reshape(n, T, -1).sum(axis=2).T
+
+
 def dp_oracle(problem: OfflineProblem, grid: OracleGrid) -> OracleSolution:
     """Exact maximizer of the offline problem restricted to a grid.
 
@@ -1145,12 +1165,8 @@ def dp_oracle(problem: OfflineProblem, grid: OracleGrid) -> OracleSolution:
         raise ValueError(f"oracle limited to horizons <= 6, got {T}")
     if grid.nx > ORACLE_MAX_NODES or grid.ny > ORACLE_MAX_NODES:
         raise ValueError(f"oracle grid limited to {ORACLE_MAX_NODES} x {ORACLE_MAX_NODES}")
-    nodes = grid.nodes(extra=[problem.start])
-    inside = np.array([problem.region.contains((p[0], p[1]), tol=1e-9) for p in nodes])
-    nodes = nodes[inside]
+    nodes, utilities = _oracle_table(problem, grid)
     n = len(nodes)
-    us = problem.utilities
-    utilities = np.array([us.evaluate([(p[0], p[1])] * T) for p in nodes]).T  # (T, n)
     start_idx = int(np.argmin(np.sum((nodes - np.asarray(problem.start)) ** 2, axis=1)))
     if dist((nodes[start_idx][0], nodes[start_idx][1]), problem.start) > 1e-12:
         raise GridTooCoarse("grid does not contain the start point")

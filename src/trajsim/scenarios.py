@@ -98,6 +98,10 @@ MAX_ADVERSARY_T = 10**7
 # stays finite, and so does its bound W^2 T / 2.
 MAX_ADVERSARY_W = 1e150
 
+# The longest episode: the straight run to the goal plus delta, in slots.  An
+# episode keeps per-slot lists; c13's voyage, the longest benchmark, has 10k.
+MAX_HORIZON = 10**6
+
 # The value rules of AdversaryParams, in the order checked.
 _ADVERSARY_RULES = [
     ("horizon", (lambda x: is_count(x) and x >= 1, "must be an integer >= 1")),
@@ -195,10 +199,19 @@ class ScenarioConfig:
                 _finite_point(spec.start, f"{name}.start")
                 _finite_point(spec.end, f"{name}.end")
                 check(NONNEGATIVE, spec.speed_mps, f"{name}.speed_mps")
+                if not math.isfinite(dist(spec.start, spec.end)):
+                    raise SchemaError(name, "the walk's span from start to end must be finite")
         if self.kind == "d2d" and self.peer is None:
             raise SchemaError("peer", "commute scenarios need a peer schedule")
         if self.kind == "ocean" and self.ocean_field is None:
             raise SchemaError("ocean_field", "voyage scenarios need a current field")
+        if self.kind != "adversary":
+            # t_eta counts the run only where it is finite and v_slot is not zero
+            run = dist(self.start, self.goal.at(1, self.slot_duration_s))
+            bounded = run <= MAX_HORIZON * self.v_slot and self.delta <= MAX_HORIZON
+            if not (bounded and self.horizon <= MAX_HORIZON):
+                raise SchemaError("horizon", "the horizon (slots to reach the goal at v_max_mps, "
+                                  f"plus delta) must be at most {MAX_HORIZON:,}")
         if self.kind in ("d2d", "ocean") and self.goal.speed_mps > 0.5 * self.v_max_mps:
             warnings.warn(
                 f"goal speed {self.goal.speed_mps} m/s exceeds half the agent "

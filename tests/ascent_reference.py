@@ -3,8 +3,8 @@
 It is ``metrics._ascend`` as it ran with the totals computed every
 iteration: each step's restart test compares the two computed totals, and a
 check after a restart computes the waypoints and slot terms afresh.  It
-drives the library's own ``_Lockstep``, so only the loop is kept here; its
-checks hand settled rows to the same Newton finish as the library's.
+drives the library's own ``_Lockstep``, so only the loop is kept here; each
+check is the library's one ``_Lockstep.check`` call, Newton finish included.
 :func:`solve_offline_batch` runs the library's solve on this loop.
 """
 
@@ -28,18 +28,11 @@ def ascend(problems, x0s, max_iter, tol):
         if iterations >= next_due:
             if stale:
                 st.values(z)
-            met = st.certify(z, f_curr, tol)
-            due = st.schedule(z, iterations, max_iter)
-            for j in st.settled:
-                met[j] = st.finish(j, z, f_curr[j], tol)
-            done = [d and (m or iterations >= max_iter) for d, m in zip(due, met)]
-            if any(done):
-                st.record([j for j, d in enumerate(done) if d], z, iterations, met)
-                if all(done):
-                    return st.results
-                keep = [j for j, d in enumerate(done) if not d]
-                z, z_prev, f_curr = st.take(keep, z, z_prev, f_curr)
-                z_new = np.empty_like(z)
+            left = st.check(z, z_prev, f_curr, iterations, max_iter, tol)
+            if left is None:
+                return st.results
+            z, z_prev, f_curr = left
+            z_new = np.empty_like(z)
             next_due = min(st.due)
         iterations += 1
         t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) for t in st.t_k]

@@ -23,7 +23,7 @@ from trajsim.cli import main
 from trajsim.errors import RootExistence
 from trajsim.geom import norm
 from trajsim.metrics import GAP_EVERY
-from trajsim.traces import SUMMARY_HEADER, read_trace
+from trajsim.traces import SUMMARY_HEADER, read_summary, read_trace
 
 D2D_DOC = {
     "kind": "d2d",
@@ -638,6 +638,10 @@ class TestOracleCommand:
 NO_EPISODE = "kind: no episode runner for kind 'adversary'"
 # a three-iteration solve of a three-slot commute stops on its budget
 UNCONVERGED = "warning: offline benchmark did not converge (3 iterations)"
+HORIZON = (
+    "goal_m: the horizon (slots to reach the goal at v_max_mps, plus delta) must be at most 1,000,000"
+)
+SPAN = "the walk's span from start to end must be finite"
 
 
 class TestCommandSkeleton:
@@ -672,6 +676,39 @@ class TestCommandSkeleton:
         assert main([configs.get(a, a) for a in argv] + ["--out", str(out)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "benchmark"])
+    @pytest.mark.parametrize(
+        ("changes", "message"),
+        [
+            # each exited 1 or 3 with a traceback or a NaN violation, after
+            # making its directory; the last parsed to a 26,832,671,465-slot horizon
+            ({"start_m": [-1e308, 400.0], "goal_m": [1e308, 400.0]}, HORIZON),
+            ({"goal_m": {"from_m": [-1e308, 400.0], "to_m": [1e308, 400.0]}}, f"goal_m: {SPAN}"),
+            ({"peer.from_m": [-1e308, 400.0], "peer.to_m": [1e308, 400.0]}, f"peer: {SPAN}"),
+            ({"goal_m": [1e12, 400.0]}, HORIZON),
+        ],
+        ids=["overflowing-run", "goal-walk", "peer-walk", "far-goal"],
+    )
+    def test_a_horizon_past_the_bound_exits_2_before_its_directory(
+        self, tmp_path, capsys, command, changes, message
+    ):
+        doc = json.loads((CONFIGS / "commute.json").read_text(encoding="utf-8"))
+        for path, value in changes.items():
+            set_key(doc, path, value)
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_a_swept_row_past_the_horizon_bound_fails_alone(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(CONFIGS / "commute.json"), "--param", "delta"]
+        assert main([*argv, "--values", "0,1000000", "--out", str(out)]) == 0
+        bound = HORIZON.replace("goal_m: ", "horizon: ")
+        assert f"warning: delta=1e+06 failed: {bound}\n" in capsys.readouterr().err
+        rows = read_summary(out / "summary.csv")
+        assert [row["regret"] is not None for row in rows] == [True, False]
 
     @pytest.mark.parametrize(
         ("command", "files", "warning"),

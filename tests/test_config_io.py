@@ -20,6 +20,7 @@ from trajsim.field import FieldPerturbation
 from trajsim.geom import norm
 from trajsim.scenarios import (
     MAX_ADVERSARY_T,
+    MAX_HORIZON,
     AdversaryParams,
     EpisodeReport,
     PathSpec,
@@ -149,6 +150,8 @@ class TestConfigFuzz:
         if cfg.kind == "adversary":
             assert cfg.adversary.policy in ("ioga", "zero", "random")
             assert cfg.adversary.horizon <= MAX_ADVERSARY_T
+        else:
+            assert 1 <= cfg.horizon <= MAX_HORIZON
 
 
 class TestParseConfig:
@@ -332,6 +335,8 @@ OWNED_RULES = [
     ("ocean.perturbation.sigma_fraction", 1.5),
     ("ocean.perturbation.seed", -1),
     ("feasible_box_m", {"lo": [1.0, -5.0], "hi": [20.0, 5.0]}),
+    ("goal_m", {"from_m": [-1e308, 0.0], "to_m": [1e308, 0.0]}),
+    ("goal_m", [1e12, 0.0]),
 ]
 
 
@@ -361,6 +366,33 @@ class TestDocumentPaths:
         # alpha_p and drag_coefficient need only be finite, which the parser checks first
         renamed = {doc_path for field, doc_path in _DOC_PATHS.items() if field != doc_path}
         assert renamed <= {path for path, _ in OWNED_RULES} | {"d2d.alpha_p", "ocean.drag_coefficient"}
+
+
+class TestHorizonBound:
+    """An episode's horizon is finite and at most MAX_HORIZON slots, checked as the config is built."""
+
+    def test_the_bound_itself_is_accepted(self):
+        t_eta = parse_config_doc(MINIMAL_D2D).t_eta
+        at_bound = parse_config_doc(dict(MINIMAL_D2D, delta_slots=MAX_HORIZON - t_eta))
+        assert at_bound.horizon == MAX_HORIZON
+        with pytest.raises(SchemaError) as err:
+            parse_config_doc(dict(MINIMAL_D2D, delta_slots=MAX_HORIZON - t_eta + 1))
+        assert err.value.path == "goal_m" and f"at most {MAX_HORIZON:,}" in err.value.message
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"start_m": [-1e308, 0.0], "goal_m": [1e308, 0.0]},
+            {"delta_slots": 10**400},
+            # v_slot underflows to zero: the run cannot be counted
+            {"v_max_mps": 1e-200, "slot_duration_s": 1e-200},
+        ],
+        ids=["overflowing-run", "huge-delta", "zero-v-slot"],
+    )
+    def test_a_run_past_the_bound_names_the_goal(self, changes):
+        with pytest.raises(SchemaError) as err:
+            parse_config_doc(dict(MINIMAL_D2D, **changes))
+        assert err.value.path == "goal_m" and "the horizon" in err.value.message
 
 
 class TestLatticeBound:

@@ -61,8 +61,8 @@ class TestNoiseModel:
 
     def test_bound_matches_schedule(self):
         model = NoiseModel(kind="gaussian_decaying", eps0=1.0, decay_q=0.5, seed=0)
-        assert model.eps_sq_bound(4) == pytest.approx(0.25)
-        assert NoiseModel(kind="none").eps_sq_bound(4) == 0.0
+        assert model.eps(4) ** 2 == pytest.approx(0.25)
+        assert NoiseModel(kind="none").eps(4) ** 2 == 0.0
 
     def test_replay_is_bit_identical(self):
         model = NoiseModel(kind="gaussian_decaying", eps0=0.3, decay_q=0.2, seed=42)

@@ -29,6 +29,7 @@ from trajsim.metrics import (
     _Lockstep,
     _kkt_solve,
     _next_check,
+    _oracle_table,
     _pairs,
     _violation,
     cumulative_error,
@@ -350,6 +351,20 @@ class TestDpOracle:
             sol = solve_offline(problem)
             oracle = dp_oracle(problem, OracleGrid((0.0, 0.0), (10.0, 10.0), 41, 41))
             assert sol.utility >= oracle.utility - 1e-3
+
+
+    @pytest.mark.parametrize("kind", ["squared", "huber", "voyage"])
+    def test_the_table_has_the_per_node_bits(self, kind):
+        # the nodes a per-node contains keeps, and each one's evaluate
+        problem, _ = _random_problem(kind, 6, 7)
+        problem = replace(problem, region=Box2D((-6.0, -6.0), (6.0, 6.0)))
+        grid = OracleGrid((-12.0, -10.0), (12.0, 9.0), 41, 37)
+        nodes, table = _oracle_table(problem, grid)
+        every = grid.nodes(extra=[problem.start]).tolist()
+        inside = [p for p in every if problem.region.contains(p, tol=1e-9)]
+        assert 0 < len(inside) < len(every) and nodes.tolist() == inside
+        want = np.array([problem.utilities.evaluate([p] * 6) for p in inside]).T
+        assert table.shape == want.shape and table.tobytes() == want.tobytes()
 
 
 class TestRegret:
@@ -1347,6 +1362,23 @@ class TestPairChains:
             if rows:
                 lock.take(rows, lock.z0, lock.z0, lock.u0)
 
+    @pytest.mark.parametrize(
+        "kind, method",
+        [("squared", "gradient_array"), ("huber", "gradient_array"), ("squared", "rigid_optimum")],
+    )
+    def test_a_family_that_returns_a_new_array_is_refused(self, kind, method):
+        # the chains read the out arrays: a new array would leave them stale
+        # and the solve would run on the last call's suffix sums
+        def copied(self, *args, **kwargs):
+            return getattr(CommuteUtilities, method)(self, *args, **kwargs).copy()
+
+        problem, x0 = _random_problem(kind, 30, 1)
+        us = problem.utilities
+        copying = type("Copying", (CommuteUtilities,), {method: copied})
+        problem = replace(problem, utilities=copying(us.leads, us.v, us.mu, us.kind))
+        with pytest.raises(TypeError, match=f"^Copying.{method} did not return its out array$"):
+            solve_offline(problem, x0=x0)
+
 
 class TestBoxBindingSolves:
     def test_restoration_reaches_the_corner_optimum(self):
@@ -1936,6 +1968,27 @@ class TestNewtonFinish:
         report = _huber_commute(128, seed)
         sol = solve_offline(report.problem, x0=report.trajectory)
         assert sol.converged and sol.iterations <= 150 and results == [True]
+
+    def test_the_check_of_a_failed_attempt_keeps_the_quick_cadence(self, monkeypatch):
+        # "no failed attempt before this check": the check whose attempt fails
+        # still waits at most two waits, and only the checks after it wait four
+        waits, attempts = [], []
+
+        def spy(iteration, ratio, last, most):
+            waits.append(most)
+            return _next_check(iteration, ratio, last, most)
+
+        def failing(self, j, z, total, tol):
+            attempts.append(len(waits))
+            return _fail_at_once(self, j, z, total, tol)
+
+        monkeypatch.setattr(metrics, "_next_check", spy)
+        monkeypatch.setattr(_Lockstep, "finish", failing)
+        report = _huber_commute(128, 1)
+        solve_offline(report.problem, x0=report.trajectory)
+        first = attempts[0]
+        assert waits[first] == metrics._MAX_WAIT // 2
+        assert set(waits[first + 1 :]) == {metrics._MAX_WAIT}
 
     @pytest.mark.parametrize("T, seed, most", [(1024, 3, 700), (512, 6, 450)])
     def test_a_long_huber_commute_keeps_its_finish(self, monkeypatch, T, seed, most):

@@ -1,5 +1,6 @@
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -419,11 +420,35 @@ class TestComparisonClamps:
         assert outcome(obj.ocean_step_size, *args) == outcome(ref.ocean_step_size, *args)
 
 
+# The functions and methods that no library code references, each with its reason.
+UNREFERENCED = {
+    "engine.NoiseModel.draw": "bench/replay.py times it per call (ROADMAP item 2)",
+    "sets.Box2D.project": "bench/replay.py times it per call (ROADMAP item 2)",
+    "engine.normal_pair": "the scalar reference that normal_pairs is tested against",
+    "geom.norm": "a test-only helper",
+    "geom.norm_sq": "a test-only helper",
+}
+
+
+def _names(tree) -> list[str]:
+    """Every name ``tree`` loads or reads as an attribute."""
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
 def test_every_exported_formula_runs_in_the_library():
     """Each function ``trajsim`` exports from ``objectives`` is called by another library module.
 
     A per-slot formula that only the tests call is a second definition of
     what the drivers compute; this keeps the tests checking the one the agent runs.
+    Beyond the formulas, every top-level function and method is referenced
+    by library code outside its own body, or exported by the package, or
+    listed in :data:`UNREFERENCED` with its reason; dunder methods are
+    Python's to call.  The scan matches bare names, so a method that shares
+    its name with a used attribute passes unseen.
     """
     package = Path(trajsim.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
@@ -444,3 +469,17 @@ def test_every_exported_formula_runs_in_the_library():
     }
     assert exported & functions  # the walk found the exports
     assert sorted((exported & functions) - called) == []
+
+    public = {alias.name for node in trees["__init__.py"].body
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    uses = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            owner = [node.name] if isinstance(node, ast.ClassDef) else []
+            for f in node.body if owner else [node]:
+                if not isinstance(f, ast.FunctionDef) or f.name.startswith("__"):
+                    continue
+                if f.name not in public and uses[f.name] == _names(f).count(f.name):
+                    unused.append(".".join([name[:-3], *owner, f.name]))
+    assert sorted(unused) == sorted(UNREFERENCED)
