@@ -60,7 +60,7 @@ from .scenarios import (
     run_scenario,
     sweep,
 )
-from .sets import Box2D, StepCap
+from .sets import Box2D
 from .config import RunManifest, config_hash, parse_config
 from .traces import emit_summary, emit_trace, read_summary, read_trace
 

@@ -13,11 +13,11 @@ bit the per-slot draw: the 64-bit mixing wraps on ``uint64`` arrays, and
 the logarithm, cosine and sine are ``math``'s, mapped over the array, since
 numpy's logarithm differs from it in the last bit.
 
-A driver (:class:`EpisodeDriver`) answers three calls per slot.
-``plan(t, x_hat, mode)`` returns the exact and the observed gradient and
-keeps the slot's constants on the driver; ``gamma(grad_tilde, gbar)`` and
-``slack(a, b)`` then read them for the step size and the executed step's
-coupled constraint.  :class:`EngineState` is a named tuple, built once per
+A driver (:class:`EpisodeDriver`) answers two calls per slot.
+``plan(t, x_hat, mode)`` returns the exact and the observed gradient, keeps
+the slot's constants on the driver and publishes its step cap, ``center``
+and ``radius``; ``gamma(grad_tilde, gbar)`` then reads them for the step
+size.  :class:`EngineState` is a named tuple, built once per
 step by ``tuple.__new__``, which skips the Python-level ``__new__``.  The
 steps go to float columns (:class:`StepColumns`), which keep no per-step
 tuple for the garbage collector and build a :class:`StepRecord` only when
@@ -264,10 +264,11 @@ class EpisodeDriver(Protocol):
     horizon: int
     region: Box2D
     noise: NoiseModel
+    center: Vector
+    radius: float
 
     def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]: ...
     def gamma(self, grad_tilde: Vector, gbar: float) -> float: ...
-    def slack(self, a: Point, b: Point) -> float: ...
 
 
 def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
@@ -277,13 +278,13 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
     pass per block.  Returns the waypoint list (length ``horizon``) and the
     executed steps as :class:`StepColumns`.  Raises
     :class:`InfeasibleStepSize` if the step-size policy fails at some slot
-    or the executed step violates its coupled constraint; a NaN slack
-    counts as a violation.
+    or the executed step ``a -> b`` breaks the cap its ``plan`` published,
+    ``hypot(b - a - center) <= radius``; a NaN slack counts as a violation.
     """
     if mode not in ("standard", "lookahead"):
         raise ValueError(f"unknown mode {mode!r}")
     start, region = driver.start, driver.region
-    plan, step_size, slack_of = driver.plan, driver.gamma, driver.slack
+    plan, step_size = driver.plan, driver.gamma
     hypot = math.hypot
     state = EngineState(1, start, start)
     waypoints: list[Point] = [start]
@@ -304,7 +305,8 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
             interval = (exc.lower, exc.upper) if isinstance(exc, EmptyStepInterval) else None
             raise InfeasibleStepSize(t, str(exc), gbar, interval) from exc
         x_next = state.x_hat
-        slack = slack_of(x_hat, x_next)
+        (a0, a1), (b0, b1), (c0, c1) = x_hat, x_next, driver.center
+        slack = hypot(b0 - a0 - c0, b1 - a1 - c1) - driver.radius
         if not slack <= SLACK_TOL:
             detail = f"executed step violates its constraint by {slack:.3e}"
             raise InfeasibleStepSize(t, detail, gbar)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .field import VelocityField, sample_velocity
 from .geom import (
     Point, as_array, as_point, dist, left_sum, left_sum_array, mapped, points, powers,
 )
-from .objectives import Utilities, _constant, _pad, row_scalars
-from .sets import Box2D, StepCap
+from .objectives import Utilities, _check_horizon, _constant, _pad, row_scalars
+from .sets import Box2D
 
 if TYPE_CHECKING:
     from .scenarios import EpisodeReport
@@ -92,6 +92,9 @@ _FILLED = 1.0 - 1e-9
 _MARGIN = 2.0**10 * np.finfo(float).eps
 
 
+_Cap = NamedTuple("_Cap", [("index", int), ("center", Point), ("radius", float)])
+
+
 @dataclass(frozen=True, eq=False)
 class OfflineProblem:
     """Full-horizon trajectory problem: start pin, utilities, caps, box.
@@ -133,10 +136,10 @@ class OfflineProblem:
         return self.utilities.horizon
 
     @property
-    def caps(self) -> tuple[StepCap, ...]:
-        """The caps as :class:`~trajsim.sets.StepCap` values, built on each access."""
+    def caps(self) -> tuple[_Cap, ...]:
+        """The caps as ``(index, center, radius)`` named tuples, built on each access."""
         pairs = zip(self.centers.tolist(), self.radii.tolist())
-        return tuple(StepCap(i, c, r) for i, (c, r) in enumerate(pairs))
+        return tuple(_Cap(i, tuple(c), r) for i, (c, r) in enumerate(pairs))
 
 
 @dataclass
@@ -278,7 +281,7 @@ class _Lockstep:
         # the warm starts, as clamped displacements
         self.z0 = np.zeros_like(self.centers)
         for r, (p, x0) in enumerate(zip(problems, x0s)):
-            if x0 is not None and len(x0) == p.horizon:
+            if x0 is not None:
                 xa = as_array(x0)
                 caps = slice(0, p.horizon - 1)
                 w = xa[1:] - xa[:-1] - p.centers
@@ -489,7 +492,7 @@ class _Lockstep:
 
         ``z`` is the point of the last :meth:`values` call, whose waypoints
         and slot terms the check reads; each row's threshold goes to
-        ``limits``.
+        ``limits``, and the caps ``z`` leaves unfilled to ``free``.
 
         Any cap multipliers ``lam`` bound the shortfall by weak duality:
         ``U* - U(z) <= sum_t (r_t |lam_t| - <lam_t, z_t>) + sum_{s>=1} FY_s(a_s)``
@@ -509,10 +512,12 @@ class _Lockstep:
         """
         gx, g = self.gradient(self.x)
         z_by_axis = _by_axis(z)
+        sq = np.multiply(z, z, out=self.w)
+        np.less(np.add(sq[..., 0], sq[..., 1], out=self.norms), self.filled, out=self.free)
         self.gaps = self._row_sums(self._cap_terms(self.g_by_axis, z_by_axis), self.cap_counts)
         kappa = self.family.curvature(gx)
         if kappa is None:
-            self._rigid_run_point(z)
+            self._rigid_run_point()
             bounds = self._row_sums(self._bound_terms(gx, g, z_by_axis), self.cap_counts)
             self.gaps = [min(f, b) for f, b in zip(self.gaps, bounds)]
         else:
@@ -547,14 +552,12 @@ class _Lockstep:
         ascending, or None once no row is.
         """
         met = self.certify(z, totals, tol)
-        sq = np.multiply(z, z, out=self.w)
-        filled = np.greater_equal(np.add(sq[..., 0], sq[..., 1]), self.filled)
         stop = []
         for j in [j for j, due in enumerate(self.due) if due <= iteration]:
             self.checks[j] += 1
             limit = self.limits[j]
             ratio = self.gaps[j] / limit if limit > 0.0 else math.inf
-            binding, tried = filled[j, : self.cap_counts[j]].tobytes(), self.tried[j]
+            binding, tried = (~self.free[j, : self.cap_counts[j]]).tobytes(), self.tried[j]
             whole = self.problems[self.ids[j]].radii.all()
             settled = binding == self.binding[j] and binding not in tried
             self.binding[j] = binding
@@ -627,11 +630,11 @@ class _Lockstep:
         self.tried[j] += (self.binding[j],)
         return False
 
-    def _rigid_run_point(self, z: np.ndarray) -> None:
+    def _rigid_run_point(self) -> None:
         """Set ``lam`` to the gradient in ``z`` at the best placement of the iterate's rigid runs.
 
-        Each cap the iterate fills, ``|z_t| >= r_t (1 - 1e-9)``, is frozen;
-        a real zero-radius cap is, a padded one never.  A maximal run of
+        Each cap the iterate fills (not ``free``, as :meth:`certify` marks it)
+        is frozen; a real zero-radius cap is, a padded one never.  A maximal run of
         waypoints joined by frozen caps then moves as one rigid body to the
         place the family's :meth:`rigid_optimum` gives it; the run that holds
         the start stays.  That point ``x_hat`` may break the free caps: any
@@ -644,8 +647,6 @@ class _Lockstep:
         gradient is zero.  The suffix sums are :meth:`gradient`'s, on
         :func:`_pairs` views with the float accumulate's bits.
         """
-        sq = np.multiply(z, z, out=self.w)
-        np.less(np.add(sq[..., 0], sq[..., 1], out=self.norms), self.filled, out=self.free)
         edges = np.flatnonzero(self.firsts)
         pinned = np.searchsorted(edges, self.row_firsts)
         x_hat = self.family.rigid_optimum(self.x, edges, pinned, self.adjoint)
@@ -914,9 +915,11 @@ def solve_offline(
 
     ``x0`` (e.g. the online trajectory the benchmark compares against)
     warm-starts the solve; without it the start is zero displacement from
-    the cap centers, or staying put for a box-binding row.  A solution that
-    violates a constraint by more than 1e-6 is not converged and carries a
-    warning.  This is the batch of one of :func:`solve_offline_batch`.
+    the cap centers, or staying put for a box-binding row.  An ``x0`` of
+    another length raises :class:`~trajsim.errors.HorizonMismatch`.  A
+    solution that violates a constraint by more than 1e-6 is not converged
+    and carries a warning.  This is the batch of one of
+    :func:`solve_offline_batch`.
     """
     return solve_offline_batch([problem], [x0], max_iter=max_iter, tol=tol)[0]
 
@@ -938,7 +941,9 @@ def solve_offline_batch(
     if x0s is None:
         x0s = [None] * len(problems)
     groups: dict = {}
-    for i, p in enumerate(problems):
+    for i, (p, x0) in enumerate(zip(problems, x0s)):
+        if x0 is not None:
+            _check_horizon(x0, p.horizon)
         if p.horizon > 1:
             groups.setdefault(p.utilities.stack_key, []).append(i)
     ascents: dict[int, tuple] = {}
@@ -1055,7 +1060,7 @@ def _solve_boxed(
     centers, radii = problem.centers, problem.radii
     floors = np.maximum(radii, np.finfo(float).tiny)
     x = np.repeat(start[None], problem.horizon, axis=0)
-    if x0 is not None and len(x0) == problem.horizon:
+    if x0 is not None:
         x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     x[0] = start
     u0 = us.total(x)

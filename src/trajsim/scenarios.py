@@ -131,6 +131,7 @@ _RULES = {
     "utility_kind": one_of("squared", "huber"),
     "lambda_strategy": one_of("increasing", "direction_dependent"),
 }
+_PER_SLOT = (math.isfinite, "times slot_duration_s must be finite")
 
 
 def _finite_point(p, name: str) -> Point:
@@ -190,6 +191,7 @@ class ScenarioConfig:
         """Check every value rule, naming the field; the JSON parser keeps no copy of them."""
         for name, rule in _RULES.items():
             check(rule, getattr(self, name), name)
+        check(_PER_SLOT, self.v_slot, "v_max_mps")
         object.__setattr__(self, "start", _finite_point(self.start, "start"))
         if self.feasible_box is not None and not self.feasible_box.contains(self.start):
             raise SchemaError("feasible_box", f"does not contain start {list(self.start)}")
@@ -199,6 +201,7 @@ class ScenarioConfig:
                 _finite_point(spec.start, f"{name}.start")
                 _finite_point(spec.end, f"{name}.end")
                 check(NONNEGATIVE, spec.speed_mps, f"{name}.speed_mps")
+                check(_PER_SLOT, spec.speed_mps * self.slot_duration_s, f"{name}.speed_mps")
                 if not math.isfinite(dist(spec.start, spec.end)):
                     raise SchemaError(name, "the walk's span from start to end must be finite")
         if self.kind == "d2d" and self.peer is None:
@@ -298,7 +301,8 @@ class _Driver:
     The set-up computes what the agent's position cannot change, once per
     episode as arrays: the goal schedule here, and the commute's peer, goal
     weights and leads in its subclass.  ``plan`` indexes these lists.
-    A subclass sets ``region`` and implements the :class:`~trajsim.engine.EpisodeDriver`
+    A subclass sets ``region``, keeps the step's cap in ``center`` and
+    ``radius``, and implements the :class:`~trajsim.engine.EpisodeDriver`
     calls in one body each.  Its ``plan(t, ...)`` first latches ``arrival``
     once the waypoint is within :data:`ARRIVAL_TOL_M` of slot ``t``'s goal,
     and takes the step's gradient from slot ``t``, or from ``t + 1`` in
@@ -370,6 +374,7 @@ class _D2DDriver(_Driver):
                 self.leads_obs = points(*obj.leading_path(self.observed.T, goals.T, lam))
         # the last gbar and its rate; NaN differs from every gbar, so the first slot computes
         self._gbar = self._gamma = math.nan
+        self.center, self.radius = (0.0, 0.0), self.v
 
     def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]:
         if self.arrival is None:
@@ -397,9 +402,6 @@ class _D2DDriver(_Driver):
             self._gbar = gbar
         return self._gamma
 
-    def slack(self, a: Point, b: Point) -> float:
-        return math.hypot(a[0] - b[0], a[1] - b[1]) - self.v
-
     def freeze(self, path: np.ndarray):
         """The commute's offline problem, step energies and link rates.
 
@@ -420,7 +422,7 @@ class _D2DDriver(_Driver):
         family = obj.CommuteUtilities(leads, cfg.v_slot, cfg.mu, cfg.utility_kind)
         rates = obj.rate(path, self.peer_array, cfg.alpha_p, cfg.bandwidth_hz, cfg.noise_power)
         energy = step_energies(path, None, cfg.drag_coefficient, cfg.slot_duration_s)
-        centers, radii = np.zeros((steps, 2)), np.full(steps, cfg.v_slot)
+        centers, radii = np.zeros((steps, 2)), np.full(steps, self.radius)
         problem = OfflineProblem(self.start, family, centers, radii, self.region)
         return problem, energy.tolist(), rates.tolist()
 
@@ -485,17 +487,13 @@ class _OceanDriver(_Driver):
         self.alphas.append(alpha)
         self.current_u.append(u)
         self.current_v.append(v)
-        # the step's true current and throttle, for gamma and slack
-        self.vo, self.alpha = vo_true, alpha
+        # the step's cap, centered on the true current with the throttled speed
+        self.center, self.alpha, self.radius = vo_true, alpha, alpha * self.v
         return grads
 
     def gamma(self, grad_tilde: Vector, gbar: float) -> float:
         L = obj.OCEAN_SMOOTHNESS
-        return obj.ocean_step_size(grad_tilde, self.vo, self.alpha, self.v, L, self.margin)
-
-    def slack(self, a: Point, b: Point) -> float:
-        vo = self.vo
-        return math.hypot(b[0] - a[0] - vo[0], b[1] - a[1] - vo[1]) - self.alpha * self.v
+        return obj.ocean_step_size(grad_tilde, self.center, self.alpha, self.v, L, self.margin)
 
     def freeze(self, path: np.ndarray):
         """The voyage's offline problem and step energies; a voyage has no link rates."""

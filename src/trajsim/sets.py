@@ -1,17 +1,15 @@
-"""The feasible box, its projection, and the per-pair displacement cap.
+"""The feasible box and its projection.
 
 The feasible region of every waypoint is an axis-aligned box, projected by
-a componentwise clamp.  A :class:`StepCap` is one slot's cap as a value;
-the offline benchmark stores all caps of a horizon as arrays and projects
-onto them itself (:mod:`trajsim.metrics`).  Everything here is a pure
-function over value types and safe to share between concurrent runs.
+a componentwise clamp.  Everything here is a pure function over value types
+and safe to share between concurrent runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import Point, Vector, as_point
+from .geom import Point, as_point
 
 
 @dataclass(frozen=True)
@@ -44,18 +42,3 @@ class Box2D:
     def vertices(self) -> list[Point]:
         (x0, y0), (x1, y1) = self.lo, self.hi
         return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-
-
-@dataclass(frozen=True)
-class StepCap:
-    """Coupled constraint ``norm(x[index+1] - x[index] - center) <= radius``."""
-
-    index: int
-    center: Vector
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0.0:
-            raise ValueError(f"negative cap radius {self.radius}")
-        object.__setattr__(self, "center", as_point(self.center))
-        object.__setattr__(self, "radius", float(self.radius))

@@ -25,7 +25,7 @@ from report_reference import energy_cost
 from trajsim import objectives as obj
 from trajsim.engine import SLACK_TOL, EngineState, StepRecord, normal_pair
 from trajsim.errors import EmptyStepInterval, InfeasibleStepSize, RootExistence
-from trajsim.geom import dist, dot, norm, norm_sq
+from trajsim.geom import dist, dot, norm, norm_sq, sub
 from trajsim.scenarios import _GRAD_SEED_OFFSET, _PEER_SEED_OFFSET, ARRIVAL_TOL_M
 from trajsim.sets import Box2D
 
@@ -143,6 +143,7 @@ class ReferenceCommute:
         self.arrived = False
         self.lambdas, self.alphas, self.leads_true = [], [], []
         self.v = cfg.v_slot
+        self.center, self.radius = (0.0, 0.0), self.v
         self.peer_std = cfg.peer_noise_std_m
         self.peer_seed = cfg.derived_seed(_PEER_SEED_OFFSET)
 
@@ -177,9 +178,6 @@ class ReferenceCommute:
 
     def gamma(self, grad_tilde, gbar):
         return obj.d2d_step_size(gbar, self.v, 1.0, self.cfg.alpha_min, margin=self.cfg.margin)
-
-    def slack(self, a, b):
-        return dist(a, b) - self.v
 
     def freeze(self, traj):
         """The horizon's leads, the step energies and the link rates."""
@@ -216,7 +214,7 @@ def run_episode_reference(driver, mode="standard"):
             interval = (exc.lower, exc.upper) if isinstance(exc, EmptyStepInterval) else None
             raise InfeasibleStepSize(t, str(exc), gbar, interval) from exc
         x_next = state.x_hat
-        slack = driver.slack(x_hat, x_next)
+        slack = dist(sub(x_next, x_hat), driver.center) - driver.radius
         if not slack <= SLACK_TOL:
             detail = f"executed step violates its constraint by {slack:.3e}"
             raise InfeasibleStepSize(t, detail, gbar)

@@ -701,6 +701,28 @@ class TestCommandSkeleton:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "benchmark"])
+    @pytest.mark.parametrize(
+        ("changes", "key"),
+        [
+            # exited 3 with diagnostics.json: an infinite reach empties the step-size interval
+            ({"v_max_mps": 1e200}, "v_max_mps"),
+            ({"peer.speed_mps": 1e200}, "peer.speed_mps"),
+        ],
+        ids=["reach", "peer-walk"],
+    )
+    def test_an_overflowing_step_exits_2_before_its_directory(
+        self, tmp_path, capsys, command, changes, key
+    ):
+        doc = json.loads((CONFIGS / "commute.json").read_text(encoding="utf-8"))
+        for path, value in {"slot_duration_s": 1e200, **changes}.items():
+            set_key(doc, path, value)
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+        message = f"{key}: times slot_duration_s must be finite, got inf"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_a_swept_row_past_the_horizon_bound_fails_alone(self, tmp_path, capsys):
         out = tmp_path / "out"
         argv = ["sweep", "--config", str(CONFIGS / "commute.json"), "--param", "delta"]

@@ -151,7 +151,7 @@ class TestConfigFuzz:
             assert cfg.adversary.policy in ("ioga", "zero", "random")
             assert cfg.adversary.horizon <= MAX_ADVERSARY_T
         else:
-            assert 1 <= cfg.horizon <= MAX_HORIZON
+            assert 1 <= cfg.horizon <= MAX_HORIZON and math.isfinite(cfg.v_slot)
 
 
 class TestParseConfig:
@@ -393,6 +393,24 @@ class TestHorizonBound:
         with pytest.raises(SchemaError) as err:
             parse_config_doc(dict(MINIMAL_D2D, **changes))
         assert err.value.path == "goal_m" and "the horizon" in err.value.message
+
+    @pytest.mark.parametrize(
+        "changes, path",
+        [
+            ({"v_max_mps": 1e200}, "v_max_mps"),
+            # the walks' first points were NaN, and the horizon rule refused them
+            ({"goal_m": {"from_m": [12.0, 0.0], "to_m": [20.0, 0.0], "speed_mps": 1e200}},
+             "goal_m.speed_mps"),
+            ({"peer": dict(MINIMAL_D2D["peer"], speed_mps=1e200)}, "peer.speed_mps"),
+        ],
+        ids=["reach", "goal-walk", "peer-walk"],
+    )
+    def test_an_overflowing_step_names_its_speed(self, changes, path):
+        doc = dict(MINIMAL_D2D, slot_duration_s=1e200, **changes)
+        with pytest.raises(SchemaError) as err:
+            parse_config_doc(doc)
+        message = "times slot_duration_s must be finite, got inf"
+        assert (err.value.path, err.value.message) == (path, message)
 
 
 class TestLatticeBound:

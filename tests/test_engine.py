@@ -19,7 +19,7 @@ from trajsim.engine import (
     run_episode,
 )
 from trajsim.errors import EmptyStepInterval, InfeasibleStepSize, SchemaError
-from trajsim.geom import dist, norm, norm_sq, sub
+from trajsim.geom import norm, norm_sq, sub
 from trajsim.sets import Box2D
 
 FREE = Box2D((-1e9, -1e9), (1e9, 1e9))
@@ -252,6 +252,7 @@ class _ChaserDriver:
         self.start = (0.0, 0.0)
         self.region = region
         self.v = v
+        self.center, self.radius = (0.0, 0.0), v
 
     def plan(self, t, x_hat, mode):
         self.t = t
@@ -264,9 +265,6 @@ class _ChaserDriver:
 
     def gamma(self, grad_tilde, gbar):
         return 1.01 * max(gbar / self.v, 1.0)
-
-    def slack(self, a, b):
-        return dist(a, b) - self.v
 
 
 class TestRunEpisode:

@@ -133,6 +133,18 @@ class TestSolveOffline:
         outcomes = [repr(_outcome(solve_offline(problem, x0=form))) for form in forms]
         assert outcomes[1:] == outcomes[:1] * 2
 
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    @pytest.mark.parametrize("box", ["wide", "binding"])
+    def test_a_warm_start_of_another_length_is_refused(self, length, box):
+        # it was dropped, and the row solved cold: by the ascent, and by the box solve
+        problem = _boxed_problem(4) if box == "binding" else _random_problem("huber", 4, 1)[0]
+        warm = [problem.start] * length
+        with pytest.raises(HorizonMismatch, match=f"{length} points for horizon 4"):
+            solve_offline(problem, x0=warm)
+        with pytest.raises(HorizonMismatch):
+            solve_offline_batch([problem, problem], [[problem.start] * 4, warm])
+        assert solve_offline(problem, x0=[problem.start] * 4).converged
+
     @pytest.mark.parametrize("form", ["list", "array"])
     def test_a_warm_start_of_triples_is_rejected(self, form):
         # the list's flattened cells were read as pairs: a start from wrong displacements
@@ -932,8 +944,10 @@ def _random_problem(kind: str, T: int, seed: int) -> tuple[OfflineProblem, list 
         centers = np.zeros((T - 1, 2))
         utilities = CommuteUtilities(walk, rng.uniform(0.5, 3.0), rng.uniform(0.01, 1.0), kind)
     problem = OfflineProblem(tuple(start), utilities, centers, radii, BIG_BOX)
-    warm = rng.integers(3)  # no warm start, the random walk, or one of the wrong length
-    x0 = None if warm == 0 else [tuple(p) for p in walk.tolist()[: T + 1 - warm]]
+    # the random walk as a warm start one time in three, else none; the draw of
+    # three values keeps the later draws, and so every instance, as they were
+    warm = rng.integers(3)
+    x0 = [tuple(p) for p in walk.tolist()] if warm == 1 else None
     return problem, x0
 
 
@@ -1340,7 +1354,9 @@ class TestPairChains:
         want = np.add.accumulate(gx[:, ::-1], axis=1)[:, ::-1]
         assert _bits(g).tobytes() == _bits(want[:, 1:]).tobytes()
         if kind == "squared":
-            lock._rigid_run_point(z)
+            sq = z * z
+            np.less(sq[..., 0] + sq[..., 1], lock.filled, out=lock.free)
+            lock._rigid_run_point()
             want = np.empty_like(lock.lam)
             np.add.accumulate(lock.adjoint[:, :0:-1], axis=1, out=want[:, ::-1])
             assert _bits(lock.lam).tobytes() == _bits(want).tobytes()

@@ -1038,8 +1038,9 @@ class TestPrecomputedCommute:
     # overflowing schedules: float arithmetic makes inf and NaN quietly, and so must the arrays
     @example(cfg=d2d_config(peer_noise_std_m=1e308), mode="standard")
     @example(cfg=d2d_config(drag_coefficient=1e308, slot_duration_s=2.0), mode="standard")
+    # the peer's walked length overflows from slot 3; its step of 1e308 m does not
     @example(
-        cfg=d2d_config(peer=PathSpec((0.0, 0.0), (5.0, 5.0), 1e308), slot_duration_s=2.0),
+        cfg=d2d_config(peer=PathSpec((0.0, 0.0), (5.0, 5.0), 1e308), slot_duration_s=1.0),
         mode="standard",
     )
     def test_matches_the_per_slot_commute(self, cfg, mode):
@@ -1072,6 +1073,57 @@ class TestPrecomputedCommute:
             assert 1 < driver.arrival < driver.horizon - 1
         else:
             assert driver.arrival == slot
+
+
+_FIELD_AXIS = tuple(np.linspace(-100.0, 300.0, 21))
+_VOYAGE_FIELDS = [
+    STILL,
+    synth_field(UniformSpec(0.25, -0.1), (-100.0, 300.0), (-100.0, 300.0)),
+    synth_field(GyreSpec((25.0, 25.0), 0.3, 20.0), _FIELD_AXIS, _FIELD_AXIS),
+]
+_VOYAGE_POINTS = st.tuples(*[st.sampled_from([0.0, 10.0, 25.0, 40.5])] * 2)
+
+
+@st.composite
+def small_voyages(draw):
+    """Voyages of up to about 80 slots through still water, a uniform current or a gyre.
+
+    Every current stays below the least throttled speed, so no step-size root fails.
+    """
+    noise = draw(st.sampled_from([NoiseModel(), NoiseModel("gaussian_decaying", 0.05, 1.0, 0)]))
+    goal_speed = draw(st.sampled_from([0.0, 0.3]))
+    return ocean_config(
+        start=draw(_VOYAGE_POINTS),
+        goal=PathSpec(draw(_VOYAGE_POINTS), draw(_VOYAGE_POINTS), goal_speed),
+        delta=draw(st.integers(0, 20)),
+        slot_duration_s=draw(st.sampled_from([1.0, 2.5])),
+        lambda_strategy=draw(st.sampled_from(["increasing", "direction_dependent"])),
+        ocean_field=draw(st.sampled_from(_VOYAGE_FIELDS)),
+        perturbation=draw(st.sampled_from([None, FieldPerturbation(0.1, seed=4)])),
+        gradient_noise=noise,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestOnlineCapsAreTheOfflineCaps:
+    """The cap the engine checks each step against is the one the offline problem stores."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=small_commutes() | small_voyages(), mode=st.sampled_from(["standard", "lookahead"]))
+    @example(cfg=d2d_config(utility_kind="huber", peer_noise_std_m=0.4), mode="lookahead")
+    # the measured current differs from the true one, which centers the cap
+    @example(
+        cfg=ocean_config(ocean_field=_VOYAGE_FIELDS[2], perturbation=FieldPerturbation(0.1, 4)),
+        mode="lookahead",
+    )
+    def test_every_recorded_slack_is_the_stored_cap_s_bit_for_bit(self, cfg, mode):
+        report = _outcome(lambda: run_scenario(cfg, mode, benchmark=False))
+        if isinstance(report, tuple):
+            return  # a commute whose step-size interval emptied: no problem to compare
+        x, problem = as_array(report.trajectory), report.problem
+        w = (x[1:] - x[:-1] - problem.centers).tolist()
+        want = [math.hypot(*w_t) - r for w_t, r in zip(w, problem.radii.tolist())]
+        assert _reprs(report.records.slack) == _reprs(want)
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trajsim.geom import dist
 from trajsim.metrics import _clamp_balls
-from trajsim.sets import Box2D, StepCap
+from trajsim.sets import Box2D
 
 UNIT_BOX = Box2D((0.0, 0.0), (1.0, 1.0))
 
@@ -35,49 +35,45 @@ class TestBoxProjection:
 
 
 def project_cap(p, cap):
-    """Nearest displacement to ``p`` that ``cap`` allows, by the solver's clamp."""
-    c = np.asarray(cap.center)
-    r = np.array([cap.radius])
+    """The displacement nearest ``p`` in the cap ``(center, radius)``, by the solver's clamp."""
+    c, r = np.asarray(cap[0]), np.array([cap[1]])
     z = _clamp_balls(np.asarray([p], dtype=float) - c, r, np.maximum(r, np.finfo(float).tiny))
     return tuple((z[0] + c).tolist())
 
 
 @dataclass(frozen=True)
 class CapBall:
-    """The ball of displacements a step cap allows, projected as the offline solver does."""
+    """The ball of displacements a ``(center, radius)`` cap allows, projected as the solver does."""
 
-    cap: StepCap
+    cap: tuple
 
     def project(self, p):
         return project_cap(p, self.cap)
 
     def contains(self, p, tol=0.0):
-        return dist(p, self.cap.center) <= self.cap.radius + tol
+        center, radius = self.cap
+        return dist(p, center) <= radius + tol
 
 
 class TestBallProjection:
     def test_inside_identity(self):
-        assert project_cap((0.3, 0.4), StepCap(0, (0.0, 0.0), 1.0)) == (0.3, 0.4)
+        assert project_cap((0.3, 0.4), ((0.0, 0.0), 1.0)) == (0.3, 0.4)
 
     def test_radial_scaling(self):
-        p = project_cap((3.0, 4.0), StepCap(0, (0.0, 0.0), 1.0))
+        p = project_cap((3.0, 4.0), ((0.0, 0.0), 1.0))
         assert p == pytest.approx((0.6, 0.8), abs=1e-15)
 
     def test_degenerate_zero_radius(self):
-        assert project_cap((0.0, 0.0), StepCap(0, (0.0, 0.0), 0.0)) == (0.0, 0.0)
-        assert project_cap((5.0, 0.0), StepCap(0, (2.0, 2.0), 0.0)) == (2.0, 2.0)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            StepCap(0, (0.0, 0.0), -0.1)
+        assert project_cap((0.0, 0.0), ((0.0, 0.0), 0.0)) == (0.0, 0.0)
+        assert project_cap((5.0, 0.0), ((2.0, 2.0), 0.0)) == (2.0, 2.0)
 
 
 @pytest.mark.parametrize(
     "region",
     [
         UNIT_BOX,
-        CapBall(StepCap(0, (1.0, -2.0), 3.0)),
-        CapBall(StepCap(0, (0.0, 0.0), 0.0)),
+        CapBall(((1.0, -2.0), 3.0)),
+        CapBall(((0.0, 0.0), 0.0)),
     ],
     ids=["box", "ball", "point-ball"],
 )
