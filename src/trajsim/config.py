@@ -103,10 +103,13 @@ _SECTIONS = {
     "gradient_noise": {"kind": "kind", "eps0": "eps0", "decay_q": "decay_q", "seed": "seed"},
     "ocean.perturbation": {"sigma_fraction": "sigma_fraction", "seed": "seed"},
 }
-_TOP_KEYS = {"kind", "start_m", "goal_m", "feasible_box_m", "peer", "d2d", "ocean", "adversary"}
-_TOP_KEYS |= {"gradient_noise", *_SECTIONS[""]}
-# the top-level keys an adversary game reads
-_ADVERSARY_KEYS = ("kind", "adversary", "seed")
+# The top-level keys each kind reads, and what a document of that kind runs.
+_EPISODE_KEYS = {"kind", "start_m", "goal_m", "feasible_box_m", "gradient_noise", *_SECTIONS[""]}
+_TOP_KEYS = {
+    "d2d": ("a commute", {*_EPISODE_KEYS, "peer", "d2d"}),
+    "ocean": ("a voyage", {*_EPISODE_KEYS, "ocean"}),
+    "adversary": ("an adversary game", {"kind", "seed", "adversary"}),
+}
 # The shape check of each key whose value is not a plain _number.
 _SHAPES = {"seed": _integer, "T": _integer}
 _SHAPES |= dict.fromkeys(("delta_slots", "utility", "lambda_strategy", "policy", "kind"), _as_is)
@@ -258,15 +261,16 @@ def parse_config_doc(doc: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     Only the keys the document holds reach the dataclasses, which own every
     value rule and default; their errors come back under the document's key.
     """
-    _object(doc, _TOP_KEYS, "")
+    _object(doc, doc, "")  # any keys: the kind picks them below
     kind = _require(doc, "kind", "")
-    check(one_of("d2d", "ocean", "adversary"), kind, "kind")
+    check(one_of(*_TOP_KEYS), kind, "kind")
+    runs, keys = _TOP_KEYS[kind]
+    for key in doc:
+        if key not in keys:
+            raise SchemaError(key, f"{runs} does not read this key")
     common = _fields(doc, "")
 
     if kind == "adversary":
-        for key in doc:
-            if key not in _ADVERSARY_KEYS:
-                raise SchemaError(key, "an adversary game does not read this key")
         adv = _build(AdversaryParams, **_fields(_section(doc, "adversary"), "adversary"))
         return _build(ScenarioConfig, kind="adversary", adversary=adv, **common)
 

@@ -5,13 +5,15 @@ waypoint depends on the previous one, but runs share no state and
 independent episodes may execute concurrently.  All randomness is a pure
 function of ``(seed, slot)``, which makes replays bit-identical: each slot's
 normals come from Box-Muller on two SplitMix64 outputs keyed by the seed
-and the slot counter (:func:`normal_pair`), so a draw costs O(1) whatever
-the slot, and it does not depend on the horizon or on which slots were
-drawn before.  So an episode draws its noise ahead of the loop, many slots
-per array pass (:func:`normal_pairs`, :meth:`NoiseModel.draws`), bit for
-bit the per-slot draw: the 64-bit mixing wraps on ``uint64`` arrays, and
-the logarithm, cosine and sine are ``math``'s, mapped over the array, since
-numpy's logarithm differs from it in the last bit.
+and the slot counter, a counter-based draw, so a slot's draw does not
+depend on the horizon or on which slots were drawn before.  The stream has
+one definition, an array pass over a block of slots
+(:func:`normal_pairs`; :meth:`NoiseModel.draws` scales it by ``eps_t``),
+and a one-slot block is the per-slot draw (:meth:`NoiseModel.draw`).  An
+episode draws its noise ahead of the loop, :data:`NOISE_BLOCK` slots per
+pass.  The 64-bit mixing wraps on ``uint64`` arrays, and the logarithm,
+cosine and sine are ``math``'s, mapped over the array, since numpy's
+logarithm differs from it in the last bit.
 
 A driver (:class:`EpisodeDriver`) answers two calls per slot.
 ``plan(t, x_hat, mode)`` returns the exact and the observed gradient, keeps
@@ -73,15 +75,6 @@ _TWO_PI = 2.0 * math.pi
 _ULP53 = 2.0**-53
 
 
-def _keyed_normal_pair(key: int, t: int) -> tuple[float, float]:
-    """:func:`normal_pair` for the stream that starts at the mixed seed ``key``."""
-    c = key + 2 * t * _GOLDEN
-    u1 = ((_mix64(c & _MASK64) >> 11) + 1) * _ULP53
-    angle = _TWO_PI * ((_mix64((c + _GOLDEN) & _MASK64) >> 11) * _ULP53)
-    r = math.sqrt(-2.0 * math.log(u1))
-    return (r * math.cos(angle), r * math.sin(angle))
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """:func:`_mix64` on a ``uint64`` array; array products wrap mod 2^64 without a warning."""
     z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
@@ -90,7 +83,7 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def _keyed_normal_pairs(key: int, t0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_keyed_normal_pair` for ``t = t0 .. t0 + n - 1``, as two arrays."""
+    """:func:`normal_pairs` of the stream that starts at the mixed seed ``key``."""
     t = np.arange(t0, t0 + n, dtype=np.uint64)
     c = t * np.uint64(2 * _GOLDEN & _MASK64) + np.uint64(key)
     u1 = ((_mix64_array(c) >> 11) + 1).astype(float) * _ULP53
@@ -101,22 +94,15 @@ def _keyed_normal_pairs(key: int, t0: int, n: int) -> tuple[np.ndarray, np.ndarr
 
 
 def normal_pairs(seed: int, t0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``normal_pair(seed, t)`` for ``t = t0 .. t0 + n - 1``, bit for bit, as two arrays.
-
-    ``t0`` is at least 0.
-    """
-    return _keyed_normal_pairs(_mix64(seed & _MASK64), t0, n)
-
-
-def normal_pair(seed: int, t: int) -> tuple[float, float]:
-    """Two independent standard normals keyed by ``(seed, t)``.
+    """Two independent standard normals for each slot ``t = t0 .. t0 + n - 1``, as two arrays.
 
     Box-Muller on the splitmix64 outputs at counters ``2t`` and ``2t + 1`` of
     the stream that starts at the mixed seed: the counter steps by the golden
     gamma, not by 1, and seeds a small distance apart start far apart.  The
     first uniform lies in ``(0, 1]``, so the logarithm is always finite.
+    ``t0`` is at least 0.
     """
-    return _keyed_normal_pair(_mix64(seed & _MASK64), t)
+    return _keyed_normal_pairs(_mix64(seed & _MASK64), t0, n)
 
 
 @dataclass(frozen=True)
@@ -126,7 +112,8 @@ class NoiseModel:
     ``kind="none"`` draws exactly zero.  ``kind="gaussian_decaying"`` draws
     i.i.d. per-coordinate normals with per-slot standard deviation
     ``eps_t / sqrt(2)`` where ``eps_t = eps0 * t**-decay_q``, so the expected
-    squared norm of a draw equals the bound ``eps_t**2``.
+    squared norm of a draw equals the bound ``eps_t**2``.  :meth:`draws`
+    holds both formulas; :meth:`eps` and :meth:`draw` read one slot of it.
     """
 
     kind: Literal["none", "gaussian_decaying"] = "none"
@@ -144,23 +131,15 @@ class NoiseModel:
         object.__setattr__(self, "_key", _mix64(self.seed & _MASK64))
 
     def eps(self, t: int) -> float:
-        """The slot-``t`` scale ``eps_t``; zero for ``kind="none"``."""
-        if self.kind == "none":
-            return 0.0
-        return self.eps0 * t ** (-self.decay_q)
+        """The slot-``t`` scale ``eps_t``, the one scale of ``draws(1, t)``."""
+        return self.draws(1, t)[0][0]
 
-    def draw(self, t: int, eps_t: float | None = None) -> Vector:
-        """The slot-``t`` noise; ``eps_t``, when given, is :meth:`eps` of ``t``."""
-        if self.kind == "none":
-            return (0.0, 0.0)
-        if eps_t is None:
-            eps_t = self.eps(t)
-        sigma = eps_t / 2.0**0.5
-        z0, z1 = _keyed_normal_pair(self._key, t)
-        return (sigma * z0, sigma * z1)
+    def draw(self, t: int) -> Vector:
+        """The slot-``t`` noise, the one point of ``draws(1, t)``."""
+        return self.draws(1, t)[1][0]
 
     def draws(self, n: int, t0: int = 1) -> tuple[list[float], list[Vector]]:
-        """``[eps(t)]`` and ``[draw(t)]`` for ``t = t0 .. t0 + n - 1``, in one array pass."""
+        """The scales ``eps_t`` and the noise of slots ``t0 .. t0 + n - 1``, in one array pass."""
         if self.kind == "none":
             return [0.0] * n, [(0.0, 0.0)] * n
         q = -self.decay_q

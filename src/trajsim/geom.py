@@ -109,7 +109,3 @@ def norm_sq(a: Vector) -> float:
 
 def dist(a: Point, b: Point) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def lerp(a: Point, b: Point, w: float) -> Point:
-    return (a[0] + w * (b[0] - a[0]), a[1] + w * (b[1] - a[1]))

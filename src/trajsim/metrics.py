@@ -1298,7 +1298,7 @@ def energy_cost(
 def straight_line_trajectory(s: Point, d: Point, T: int) -> list[Point]:
     """Uniformly spaced waypoints from ``s`` to ``d`` over ``T`` slots.
 
-    Waypoint ``t`` is ``lerp(s, d, t / (T - 1))``, computed as one array pass.
+    Waypoint ``t`` is ``s + t / (T - 1) * (d - s)``, computed as one array pass.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")

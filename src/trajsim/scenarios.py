@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 import warnings
 import zlib
 from dataclasses import dataclass, replace
@@ -35,7 +34,7 @@ from .errors import (
     one_of,
 )
 from .field import FieldPerturbation, VelocityField, perturb_field, sample_velocity
-from .geom import Point, Vector, as_array, dist, left_sum, lerp, points
+from .geom import Point, Vector, as_array, dist, left_sum, points
 from .metrics import OfflineProblem, RegretReport, build_regret_report, solve_offline_batch
 from .metrics import step_energies
 from .sets import Box2D
@@ -66,26 +65,25 @@ class PathSpec:
     speed_mps: float = 0.0
 
     def at(self, t: int, slot_duration: float) -> Point:
-        if self.speed_mps == 0.0:
-            return self.start
-        total = dist(self.start, self.end)
-        if total == 0.0:
-            return self.start
-        travelled = min(self.speed_mps * slot_duration * (t - 1), total)
-        return lerp(self.start, self.end, travelled / total)
+        """The slot-``t`` point, :meth:`track`'s formula at the one slot."""
+        return self._walk(np.array([t - 1], dtype=float), slot_duration)[0]
 
     def track(self, horizon: int, slot_duration: float) -> list[Point]:
-        """``[at(t, slot_duration) for t = 1 .. horizon]`` in one array pass, bit for bit.
+        """The points of slots ``1 .. horizon``, in one array pass.
 
-        A static schedule repeats its one ``start`` object, as :meth:`at`
-        returns it; the trace writer's goal-cell cache tests goals by identity.
+        A static schedule repeats its one ``start`` object; the trace
+        writer's goal-cell cache tests goals by identity.
         """
+        return self._walk(np.arange(horizon, dtype=float), slot_duration)
+
+    def _walk(self, offsets: np.ndarray, slot_duration: float) -> list[Point]:
+        """The points ``offsets`` slots after the first, walked toward ``end`` and clamped there."""
         total = dist(self.start, self.end)
         if self.speed_mps == 0.0 or total == 0.0:
-            return [self.start] * horizon
+            return [self.start] * len(offsets)
         (s0, s1), (e0, e1) = self.start, self.end
         with np.errstate(all="ignore"):  # as quiet as float arithmetic
-            run = self.speed_mps * slot_duration * np.arange(horizon, dtype=float)
+            run = self.speed_mps * slot_duration * offsets
             w = np.minimum(run, total) / total
             return points(s0 + w * (e0 - s0), s1 + w * (e1 - s1))
 
@@ -210,7 +208,7 @@ class ScenarioConfig:
             raise SchemaError("ocean_field", "voyage scenarios need a current field")
         if self.kind != "adversary":
             # t_eta counts the run only where it is finite and v_slot is not zero
-            run = dist(self.start, self.goal.at(1, self.slot_duration_s))
+            run = dist(self.start, self.goal.start)
             bounded = run <= MAX_HORIZON * self.v_slot and self.delta <= MAX_HORIZON
             if not (bounded and self.horizon <= MAX_HORIZON):
                 raise SchemaError("horizon", "the horizon (slots to reach the goal at v_max_mps, "
@@ -230,7 +228,7 @@ class ScenarioConfig:
     @property
     def t_eta(self) -> int:
         """Slots for the straight-line run to the initial goal."""
-        d = dist(self.start, self.goal.at(1, self.slot_duration_s))
+        d = dist(self.start, self.goal.start)
         if d == 0.0:
             return 1
         # tiny backoff so an exact multiple is not pushed to the next slot
@@ -259,7 +257,6 @@ class EpisodeReport:
     energy_steps: list[float]
     rate_series: list[float] | None
     regret_report: RegretReport | None
-    wall_time_s: float
     config: ScenarioConfig
     problem: OfflineProblem | None = None
 
@@ -521,7 +518,6 @@ def run_scenario(config: ScenarioConfig, mode: Mode = "standard", benchmark: boo
     driver_class = _DRIVERS.get(config.kind)
     if driver_class is None:
         raise SchemaError("kind", f"no episode runner for kind {config.kind!r}")
-    t0 = time.perf_counter()
     driver = driver_class(config)
     traj, records = run_episode(driver, mode)
     path = as_array(traj)
@@ -537,13 +533,11 @@ def run_scenario(config: ScenarioConfig, mode: Mode = "standard", benchmark: boo
         energy_steps=energy_steps,
         rate_series=rate_series,
         regret_report=None,
-        wall_time_s=0.0,
         config=config,
         problem=problem,
     )
     if benchmark:
         report.regret_report = build_regret_report(report)
-    report.wall_time_s = time.perf_counter() - t0
     return report
 
 

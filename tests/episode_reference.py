@@ -2,11 +2,11 @@
 
 It is the commute driver and the engine loop as they ran one slot at a
 time: every slot draws its gradient noise and its peer jitter with the
-scalar draws, blends its leads with ``leading_path``, and the set-up
-samples the goal and peer schedules with ``PathSpec.at``.  ``freeze``
-returns the whole horizon's leads, the step energies from the per-slot
-``energy_cost`` loop (``report_reference``) and the link rates from the
-scalar ``rate`` kept here, one pair at a time.
+scalar draws of ``slot_reference``, blends its leads with ``leading_path``,
+and the set-up samples the goal and peer schedules with its scalar walk.
+``freeze`` returns the whole horizon's leads, the step energies from the
+per-slot ``energy_cost`` loop (``report_reference``) and the link rates
+from the scalar ``rate`` kept here, one pair at a time.
 
 The projected step and the per-slot objectives that clamp with comparisons
 in the library (``ioga_step``, ``d2d_step_size``, the strength and angle
@@ -21,9 +21,10 @@ import math
 from dataclasses import replace
 
 from report_reference import energy_cost
+from slot_reference import noise_draw, noise_eps, normal_pair, walk_at
 
 from trajsim import objectives as obj
-from trajsim.engine import SLACK_TOL, EngineState, StepRecord, normal_pair
+from trajsim.engine import SLACK_TOL, EngineState, StepRecord
 from trajsim.errors import EmptyStepInterval, InfeasibleStepSize, RootExistence
 from trajsim.geom import dist, dot, norm, norm_sq, sub
 from trajsim.scenarios import _GRAD_SEED_OFFSET, _PEER_SEED_OFFSET, ARRIVAL_TOL_M
@@ -137,8 +138,8 @@ class ReferenceCommute:
             seed=cfg.gradient_noise.seed or cfg.derived_seed(_GRAD_SEED_OFFSET),
         )
         tau = cfg.slot_duration_s
-        self.goals = [cfg.goal.at(t, tau) for t in range(1, self.horizon + 1)]
-        self.peers = [cfg.peer.at(t, tau) for t in range(1, self.horizon + 1)]
+        self.goals = [walk_at(cfg.goal, t, tau) for t in range(1, self.horizon + 1)]
+        self.peers = [walk_at(cfg.peer, t, tau) for t in range(1, self.horizon + 1)]
         self.region = auto_region(cfg, [cfg.start, *self.goals, *self.peers])
         self.arrived = False
         self.lambdas, self.alphas, self.leads_true = [], [], []
@@ -203,8 +204,8 @@ def run_episode_reference(driver, mode="standard"):
     for t in range(1, driver.horizon):
         x_hat = state.x_hat
         grad_true, grad_obs = driver.plan(t, x_hat, mode)
-        eps_t = noise.eps(t)
-        n = noise.draw(t, eps_t)
+        eps_t = noise_eps(noise, t)
+        n = noise_draw(noise, t)
         grad_tilde = (grad_obs[0] + n[0], grad_obs[1] + n[1])
         gbar = max(state.gbar_running, math.hypot(grad_tilde[0], grad_tilde[1]))
         try:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from trajsim.field import sample_velocity
-from trajsim.geom import left_sum, lerp
+from trajsim.geom import left_sum
 
 
 def power_list(x: np.ndarray, k) -> np.ndarray:
@@ -74,3 +74,7 @@ def straight_line_trajectory(s, d, T: int) -> list:
     if T == 1:
         return [s]
     return [lerp(s, d, t / (T - 1)) for t in range(T)]
+
+
+def lerp(a, b, w: float):
+    return (a[0] + w * (b[0] - a[0]), a[1] + w * (b[1] - a[1]))

@@ -12,6 +12,7 @@ import ascent_reference
 import numpy as np
 import pytest
 from field_reference import sample_velocity_loop
+from slot_reference import noise_draw, noise_eps
 
 import trajsim
 from trajsim import (
@@ -188,6 +189,15 @@ class TestRunCommand:
         assert main(["run", "--config", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {key}: an adversary game does not read this key" in capsys.readouterr().err
         assert not (tmp_path / "o" / "adversary.json").exists()
+
+    def test_other_kinds_section_is_a_config_error(self, tmp_path, capsys):
+        # the commute ran and exited 0, the voyage section unread
+        doc = json.loads((CONFIGS / "commute.json").read_text())
+        doc["ocean"] = {"beta": "nonsense", "field": 5}
+        out = tmp_path / "o"
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: ocean: a commute does not read this key\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "value", [math.nan, math.inf, 2.7, "seven"], ids=["nan", "inf", "2.7", "str"]
@@ -896,8 +906,8 @@ class TestStockConfigReplays:
             model = NoiseModel("gaussian_decaying", 0.1, 0.5, seed)
             eps, draws = model.draws(n)
             # compared outside the assert, so that a failure is not a diff of megabytes
-            same_eps = repr(eps) == repr([model.eps(t) for t in range(1, n + 1)])
-            same_draws = repr(draws) == repr([model.draw(t) for t in range(1, n + 1)])
+            same_eps = repr(eps) == repr([noise_eps(model, t) for t in range(1, n + 1)])
+            same_draws = repr(draws) == repr([noise_draw(model, t) for t in range(1, n + 1)])
             assert same_eps and same_draws, (seed, same_eps, same_draws)
         cfg = str(CONFIGS / "commute.json")
         for run in "ab":

@@ -187,6 +187,21 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, doc))
         assert "velmax" in str(err.value)
 
+    @pytest.mark.parametrize(
+        ("name", "extra", "key", "runs"),
+        [
+            ("commute.json", {"ocean": {"beta": "nonsense", "field": 5}}, "ocean", "a commute"),
+            ("voyage.json", {"peer": [1, 2], "d2d": {"mu": 7}}, "peer", "a voyage"),
+            ("voyage.json", {"d2d": {"mu": 7}}, "d2d", "a voyage"),
+        ],
+    )
+    def test_other_kinds_sections_are_refused(self, name, extra, key, runs):
+        # such a document parsed, its other kind's sections unread
+        doc = json.loads((CONFIGS / name).read_text()) | extra
+        with pytest.raises(SchemaError) as err:
+            parse_config_doc(doc, CONFIGS)
+        assert (err.value.path, err.value.message) == (key, f"{runs} does not read this key")
+
     def test_nested_unknown_key_has_path(self, tmp_path):
         doc = dict(MINIMAL_D2D, d2d={"mu": 0.1, "margn": 1.0})
         with pytest.raises(SchemaError) as err:
@@ -560,7 +575,6 @@ def _synthetic_report(T, goals, cell, gammas=None):
         energy_steps=[cell() for _ in range(T - 1)],
         rate_series=None,
         regret_report=None,
-        wall_time_s=0.0,
         config=None,
     )
 

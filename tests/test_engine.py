@@ -6,6 +6,7 @@ import episode_reference
 from episode_reference import EDGE_FLOATS, outcome, run_episode_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from slot_reference import noise_draw, noise_eps, normal_pair
 
 import trajsim.engine
 from trajsim.engine import (
@@ -14,7 +15,6 @@ from trajsim.engine import (
     NoiseModel,
     StepRecord,
     ioga_step,
-    normal_pair,
     normal_pairs,
     run_episode,
 )
@@ -51,13 +51,13 @@ class TestNoiseModel:
         assert norm_sq(n) == 0.0
 
     def test_monte_carlo_second_moment(self):
-        # eps_t = 1 * 4^-0.5 = 0.5, so E[|n|^2] = 0.25
-        total = 0.0
+        # eps_t = 1 * t^-0.5, so E[|n_t|^2] = 1 / t at every slot, 0.25 at slot 4
         n = 100_000
-        for seed in range(n):
-            model = NoiseModel(kind="gaussian_decaying", eps0=1.0, decay_q=0.5, seed=seed)
-            total += norm_sq(model.draw(4))
-        assert total / n == pytest.approx(0.25, rel=0.05)
+        model = NoiseModel(kind="gaussian_decaying", eps0=1.0, decay_q=0.5, seed=0)
+        eps, draws = model.draws(n)
+        assert eps[3] == 0.5
+        total = sum(norm_sq(d) / (e * e) for e, d in zip(eps, draws))
+        assert total / n == pytest.approx(1.0, rel=0.05)
 
     def test_bound_matches_schedule(self):
         model = NoiseModel(kind="gaussian_decaying", eps0=1.0, decay_q=0.5, seed=0)
@@ -118,15 +118,14 @@ class TestNoiseStream:
 
     def test_second_moment_and_mean_over_slots(self):
         model = NoiseModel(kind="gaussian_decaying", eps0=1.0, decay_q=0.0, seed=2024)
-        draws = np.array([model.draw(t) for t in range(1, 100_001)])
+        draws = np.array(model.draws(100_000)[1])
         assert np.isfinite(draws).all()
         assert np.mean(np.sum(draws * draws, axis=1)) == pytest.approx(1.0, rel=0.02)
         assert np.all(np.abs(draws.mean(axis=0)) < 0.01)
 
     def test_pairs_uncorrelated_within_and_across_slots(self):
         n = 100_000
-        z = np.array([normal_pair(2024, t) for t in range(1, n + 1)])
-        z0, z1 = z[:, 0], z[:, 1]
+        z0, z1 = normal_pairs(2024, 1, n)
         # five standard errors of a sample correlation of independent normals
         limit = 5.0 / math.sqrt(n)
         for a, b in [(z0, z1), (z0[:-1], z0[1:]), (z1[:-1], z1[1:]), (z1[:-1], z0[1:])]:
@@ -134,8 +133,8 @@ class TestNoiseStream:
 
     def test_adjacent_seeds_uncorrelated(self):
         n = 100_000
-        a = np.array([normal_pair(7, t) for t in range(1, n + 1)])
-        b = np.array([normal_pair(8, t) for t in range(1, n + 1)])
+        a = np.stack(normal_pairs(7, 1, n), axis=-1)
+        b = np.stack(normal_pairs(8, 1, n), axis=-1)
         limit = 5.0 / math.sqrt(n)
         for i in (0, 1):
             assert abs(np.corrcoef(a[:, i], b[:, i])[0, 1]) < limit
@@ -143,9 +142,9 @@ class TestNoiseStream:
 
     @pytest.mark.parametrize("h", [0, (1 << 64) - 1])
     def test_extreme_hashes_stay_finite(self, monkeypatch, h):
-        monkeypatch.setattr(trajsim.engine, "_mix64", lambda z: h)
-        z0, z1 = normal_pair(1, 1)
-        assert math.isfinite(z0) and math.isfinite(z1)
+        monkeypatch.setattr(trajsim.engine, "_mix64_array", lambda z: np.full_like(z, h))
+        z0, z1 = normal_pairs(1, 1, 1)
+        assert np.isfinite(z0).all() and np.isfinite(z1).all()
 
 
 def _bits(values) -> bytes:
@@ -183,8 +182,11 @@ class TestBatchNoise:
     def test_draws_equal_the_per_slot_calls(self, model, n, t0):
         eps, draws = model.draws(n) if t0 == 1 else model.draws(n, t0)
         slots = range(t0, t0 + n)
-        assert _bits(eps) == _bits([model.eps(t) for t in slots])
-        assert _bits(draws) == _bits([model.draw(t) for t in slots])
+        assert _bits(eps) == _bits([noise_eps(model, t) for t in slots])
+        assert _bits(draws) == _bits([noise_draw(model, t) for t in slots])
+        # the per-slot views are one-slot blocks
+        for t in slots[:3]:
+            assert _bits([model.eps(t), *model.draw(t)]) == _bits([eps[t - t0], *draws[t - t0]])
         assert all(type(e) is float for e in eps)
         assert all(type(c) is float for d in draws for c in d)
 

@@ -424,7 +424,7 @@ class TestComparisonClamps:
 UNREFERENCED = {
     "engine.NoiseModel.draw": "bench/replay.py times it per call (ROADMAP item 2)",
     "sets.Box2D.project": "bench/replay.py times it per call (ROADMAP item 2)",
-    "engine.normal_pair": "the scalar reference that normal_pairs is tested against",
+    "scenarios.PathSpec.at": "bench/replay.py places the commute's peer with it per slot (ROADMAP item 2)",
     "geom.norm": "a test-only helper",
     "geom.norm_sq": "a test-only helper",
 }

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from episode_reference import ReferenceCommute, outcome, run_episode_reference
+from slot_reference import walk_at
 from trajsim import metrics
 from trajsim import objectives as obj
 from trajsim.engine import NoiseModel, run_episode
@@ -285,15 +286,17 @@ class TestPathSpec:
         ],
     )
     @pytest.mark.parametrize("tau", [1.0, 0.3])
-    def test_track_equals_at_bit_for_bit(self, spec, tau):
-        want = [spec.at(t, tau) for t in range(1, 61)]
+    def test_track_and_at_equal_the_scalar_walk(self, spec, tau):
+        want = [walk_at(spec, t, tau) for t in range(1, 61)]
         got = spec.track(60, tau)
         assert _reprs(got) == _reprs(want)
+        assert _reprs([spec.at(t, tau) for t in (1, 2, 60)]) == _reprs([want[0], want[1], want[59]])
         assert all(type(c) is float for p in got for c in p)
 
     def test_static_track_repeats_the_start_object(self):
         spec = PathSpec((1.0, 2.0), (1.0, 2.0))
         assert all(p is spec.start for p in spec.track(5, 1.0))
+        assert spec.at(3, 1.0) is spec.start
         # the trace writer's goal-cell cache tests goals by identity
         for report in (run_scenario(d2d_config(), benchmark=False),
                        run_scenario(ocean_config(), benchmark=False)):
