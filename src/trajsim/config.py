@@ -126,6 +126,7 @@ _DOC_PATHS = {
     "perturbation.sigma_fraction": "ocean.perturbation.sigma_fraction",
     "perturbation.seed": "ocean.perturbation.seed",
     "feasible_box": "feasible_box_m",
+    "gyre.radius": "ocean.field.synthetic.radius_m",
 }
 
 
@@ -234,13 +235,12 @@ def _field_from_doc(doc, path: str, base_dir: Path) -> VelocityField:
         )
     elif kind == "single_gyre":
         _object(spec_doc, {"kind", "center_m", "strength_mps", "radius_m"}, path + ".synthetic")
-        spec = GyreSpec(
-            _point(_require(spec_doc, "center_m", sp, units=True), sp + "center_m"),
-            _unit_number(spec_doc, "strength_mps", sp),
-            _unit_number(spec_doc, "radius_m", sp),
+        spec = _build(
+            GyreSpec,
+            center=_point(_require(spec_doc, "center_m", sp, units=True), sp + "center_m"),
+            strength=_unit_number(spec_doc, "strength_mps", sp),
+            radius=_unit_number(spec_doc, "radius_m", sp),
         )
-        if spec.radius <= 0.0:
-            raise SchemaError(sp + "radius_m", "must be positive")
     elif kind == "away_from_goal":
         _object(spec_doc, {"kind", "goal_m", "speed_mps"}, path + ".synthetic")
         spec = AwayFromGoalSpec(

@@ -166,12 +166,11 @@ _new = tuple.__new__
 
 
 class EngineState(NamedTuple):
-    """Where the agent is at slot ``t`` plus its running gradient-norm max."""
+    """Where the agent is at slot ``t`` and was at ``t - 1``; ``run_episode`` keeps ``gbar``."""
 
     t: int
     x_hat: Point
     x_prev: Point
-    gbar_running: float = 0.0
 
 
 class StepRecord(NamedTuple):
@@ -220,20 +219,17 @@ class StepColumns(Sequence[StepRecord]):
 
 
 def ioga_step(state: EngineState, grad_tilde: Vector, gamma: float, region: Box2D) -> EngineState:
-    """One projected ascent step ``x <- P(x + grad/gamma)``; NaN ``gamma`` is rejected."""
+    """The projected ascent step ``x <- P(x + grad/gamma)`` alone; NaN ``gamma`` is rejected."""
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    t, x_hat, _, gbar = state
+    t, x_hat, _ = state
     (x0, x1), (g0, g1), s = x_hat, grad_tilde, 1.0 / gamma
     (lo0, lo1), (hi0, hi1) = region.lo, region.hi
-    # min(max(y, lo), hi) and max(gbar, |g|), as comparisons
-    y0, y1, g = x0 + g0 * s, x1 + g1 * s, math.hypot(g0, g1)
+    # min(max(y, lo), hi), as comparisons
+    y0, y1 = x0 + g0 * s, x1 + g1 * s
     y0 = lo0 if lo0 > y0 else y0
     y1 = lo1 if lo1 > y1 else y1
-    return _new(
-        EngineState,
-        (t + 1, (hi0 if hi0 < y0 else y0, hi1 if hi1 < y1 else y1), x_hat, g if g > gbar else gbar),
-    )
+    return _new(EngineState, (t + 1, (hi0 if hi0 < y0 else y0, hi1 if hi1 < y1 else y1), x_hat))
 
 
 class EpisodeDriver(Protocol):
@@ -254,7 +250,9 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
     """Run ``horizon - 1`` steps from the driver's start.
 
     The driver's noise is drawn :data:`NOISE_BLOCK` steps ahead, one array
-    pass per block.  Returns the waypoint list (length ``horizon``) and the
+    pass per block.  The loop alone keeps the running gradient bound
+    ``gbar``, the largest noisy-gradient norm so far, and hands it to the
+    driver's ``gamma``.  Returns the waypoint list (length ``horizon``) and the
     executed steps as :class:`StepColumns`.  Raises
     :class:`InfeasibleStepSize` if the step-size policy fails at some slot
     or the executed step ``a -> b`` breaks the cap its ``plan`` published,
@@ -265,7 +263,7 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
     start, region = driver.start, driver.region
     plan, step_size = driver.plan, driver.gamma
     hypot = math.hypot
-    state = EngineState(1, start, start)
+    state, gbar = EngineState(1, start, start), 0.0
     waypoints: list[Point] = [start]
     records = StepColumns(waypoints)
     puts = [getattr(records, name).append for name in records.COLUMNS]
@@ -275,7 +273,7 @@ def run_episode(driver: EpisodeDriver, mode: Mode = "standard"):
         grad_true, grad_obs = plan(t, x_hat, mode)
         g0, g1 = grad_obs[0] + n[0], grad_obs[1] + n[1]
         grad_tilde = (g0, g1)
-        g, gbar = hypot(g0, g1), state.gbar_running
+        g = hypot(g0, g1)
         gbar = g if g > gbar else gbar
         try:
             gamma = step_size(grad_tilde, gbar)

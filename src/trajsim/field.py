@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import COUNT, FRACTION, LatticeError, ParseError, UnitsError, check
+from .errors import COUNT, FRACTION, POSITIVE, LatticeError, ParseError, UnitsError, check
 from .geom import Point, Vector
 
 _HEADER = ["t", "x", "y", "u", "v"]
@@ -268,6 +268,9 @@ class GyreSpec:
     center: Point
     strength: float
     radius: float
+
+    def __post_init__(self):
+        check(POSITIVE, self.radius, "gyre.radius")
 
 
 @dataclass(frozen=True)

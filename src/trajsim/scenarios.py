@@ -297,7 +297,8 @@ class _Driver:
 
     The set-up computes what the agent's position cannot change, once per
     episode as arrays: the goal schedule here, and the commute's peer, goal
-    weights and leads in its subclass.  ``plan`` indexes these lists.
+    weights and leads in its subclass, whose latch rewrites the weights and
+    leads once.  ``plan`` indexes these lists.
     A subclass sets ``region``, keeps the step's cap in ``center`` and
     ``radius``, and implements the :class:`~trajsim.engine.EpisodeDriver`
     calls in one body each.  Its ``plan(t, ...)`` first latches ``arrival``
@@ -333,13 +334,13 @@ class _Driver:
 class _D2DDriver(_Driver):
     """Per-episode state machine for the commute scenario.
 
-    Before the arrival latch, slot ``t``'s goal weight is ``t / T`` and its
-    leads are ``leading_path(peer, goal, 1 - t / T)`` of the true and of the
-    observed (jittered) peer; the set-up computes all three for every slot.
-    After the latch the agent holds the goal: the weight is 1 and ``plan``
-    blends at 0 on the peer.  The path changes the weights and leads only
-    through the latch slot, so ``freeze`` writes ``lambdas`` and the leads of
-    the executed steps.
+    Slot ``t``'s goal weight starts at ``t / T``, and its leads are
+    ``leading_path(peer, goal, 1 - weight)`` of the true and of the observed
+    (jittered) peer.  ``_lead(k)`` writes the leads of slots ``k + 1 .. T``
+    in one array pass; the set-up calls it for every slot.  The arrival
+    latch at slot ``t`` holds the goal: ``plan`` sets the weights of slots
+    ``t .. T`` to 1 and calls ``_lead(t - 1)`` once.  ``freeze`` takes
+    ``lambdas`` from the weights and the leads from ``lead_array``.
 
     The throttle ``alpha_t`` is always 1, so the step size depends on the
     slot only through the running gradient bound ``gbar``.  ``gamma`` keeps
@@ -352,41 +353,44 @@ class _D2DDriver(_Driver):
     def __init__(self, cfg: ScenarioConfig):
         super().__init__(cfg)
         T = self.horizon
-        self.peers = cfg.peer.track(T, cfg.slot_duration_s)
-        goals, peers = self.goal_array, as_array(self.peers)
-        self.region = _auto_region(cfg, goals, peers)
+        peers = self.peer_array = as_array(cfg.peer.track(T, cfg.slot_duration_s))
+        self.region = _auto_region(cfg, self.goal_array, peers)
         self.weights = obj.lambda_increasing(np.arange(1, T + 1), T)
-        lam = 1.0 - self.weights  # the leads' blend weight on the peer
-        self.peer_array, self.mu, std = peers, cfg.mu, cfg.peer_noise_std_m
+        self.mu, std = cfg.mu, cfg.peer_noise_std_m
         # the peer's reported position, jittered by std-scaled normals; None without jitter
         self.observed = None
-        with np.errstate(all="ignore"):  # as quiet as float arithmetic
-            leads = obj.leading_path(peers.T, goals.T, lam)
-            self.lead_array = np.column_stack(leads)
-            # without jitter the observed leads are the true ones, and plan takes one gradient
-            self.leads = self.leads_obs = points(*leads)
-            if std != 0.0:
-                z0, z1 = normal_pairs(cfg.derived_seed(_PEER_SEED_OFFSET), 1, T)
+        if std != 0.0:
+            z0, z1 = normal_pairs(cfg.derived_seed(_PEER_SEED_OFFSET), 1, T)
+            with np.errstate(all="ignore"):  # as quiet as float arithmetic
                 self.observed = np.stack([peers[:, 0] + std * z0, peers[:, 1] + std * z1], axis=1)
-                self.leads_obs = points(*obj.leading_path(self.observed.T, goals.T, lam))
+        # without jitter the observed leads are the true ones, and plan takes one gradient
+        self.lead_array, self.leads = np.empty((T, 2)), []
+        self.leads_obs = self.leads if self.observed is None else []
+        self._lead(0)
         # the last gbar and its rate; NaN differs from every gbar, so the first slot computes
         self._gbar = self._gamma = math.nan
         self.center, self.radius = (0.0, 0.0), self.v
+
+    def _lead(self, k: int):
+        """Write the true and the observed leads of slots ``k + 1 .. T`` from their weights."""
+        goals, lam = self.goal_array[k:].T, 1.0 - self.weights[k:]
+        with np.errstate(all="ignore"):  # as quiet as float arithmetic
+            leads = obj.leading_path(self.peer_array[k:].T, goals, lam)
+            self.lead_array[k:, 0], self.lead_array[k:, 1] = leads
+            self.leads[k:] = points(*leads)
+            if self.observed is not None:
+                self.leads_obs[k:] = points(*obj.leading_path(self.observed[k:].T, goals, lam))
 
     def plan(self, t: int, x_hat: Point, mode: Mode) -> tuple[Vector, Vector]:
         if self.arrival is None:
             goal = self.goals[t - 1]
             if math.hypot(x_hat[0] - goal[0], x_hat[1] - goal[1]) <= ARRIVAL_TOL_M:
                 self.arrival = t
+                self.weights[t - 1:] = 1.0
+                self._lead(t - 1)
         s, T = (t + 1 if mode == "lookahead" else t), self.horizon
         i = (T if T < s else s) - 1
-        if self.arrival is None:
-            ell, ell_obs = self.leads[i], self.leads_obs[i]
-        else:
-            goal = self.goals[i]
-            ell = ell_obs = obj.leading_path(self.peers[i], goal, 0.0)
-            if self.observed is not None:
-                ell_obs = obj.leading_path(self.observed[i].tolist(), goal, 0.0)
+        ell, ell_obs = self.leads[i], self.leads_obs[i]
         grad_true = grad_obs = obj.d2d_gradient(x_hat, ell, self.v, self.mu)
         if ell_obs is not ell:
             grad_obs = obj.d2d_gradient(x_hat, ell_obs, self.v, self.mu)
@@ -407,16 +411,9 @@ class _D2DDriver(_Driver):
         waypoint and the true peer of its slot.
         """
         cfg, steps = self.cfg, self.horizon - 1
-        held = steps if self.arrival is None else self.arrival - 1  # steps before the latch
-        self.lambdas = self.weights[:held].tolist() + [1.0] * (steps - held)
+        self.lambdas = self.weights[:steps].tolist()
         self.alphas = [1.0] * steps
-        # the last slot's lead blends at 0 on the peer whether or not the latch fired
-        leads = self.lead_array
-        if held < steps:
-            leads = leads.copy()
-            pairs = zip(self.peers[held:steps], self.goals[held:steps])
-            leads[held:steps] = [obj.leading_path(y, d, 0.0) for y, d in pairs]
-        family = obj.CommuteUtilities(leads, cfg.v_slot, cfg.mu, cfg.utility_kind)
+        family = obj.CommuteUtilities(self.lead_array, cfg.v_slot, cfg.mu, cfg.utility_kind)
         rates = obj.rate(path, self.peer_array, cfg.alpha_p, cfg.bandwidth_hz, cfg.noise_power)
         energy = step_energies(path, None, cfg.drag_coefficient, cfg.slot_duration_s)
         centers, radii = np.zeros((steps, 2)), np.full(steps, self.radius)

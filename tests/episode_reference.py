@@ -41,7 +41,6 @@ def ioga_step(state, grad_tilde, gamma, region):
         state.t + 1,
         (min(max(x0 + g0 * s, lo0), hi0), min(max(x1 + g1 * s, lo1), hi1)),
         state.x_hat,
-        max(state.gbar_running, math.hypot(g0, g1)),
     )
 
 
@@ -199,7 +198,7 @@ class ReferenceCommute:
 def run_episode_reference(driver, mode="standard"):
     """The engine loop with one scalar noise draw per slot."""
     start, region, noise = driver.start, driver.region, driver.noise
-    state = EngineState(1, start, start)
+    state, gbar = EngineState(1, start, start), 0.0
     waypoints, records = [start], []
     for t in range(1, driver.horizon):
         x_hat = state.x_hat
@@ -207,7 +206,7 @@ def run_episode_reference(driver, mode="standard"):
         eps_t = noise_eps(noise, t)
         n = noise_draw(noise, t)
         grad_tilde = (grad_obs[0] + n[0], grad_obs[1] + n[1])
-        gbar = max(state.gbar_running, math.hypot(grad_tilde[0], grad_tilde[1]))
+        gbar = max(gbar, math.hypot(grad_tilde[0], grad_tilde[1]))
         try:
             gamma = driver.gamma(grad_tilde, gbar)
             state = ioga_step(state, grad_tilde, gamma, region)

@@ -349,6 +349,8 @@ OWNED_RULES = [
     ("gradient_noise.decay_q", -1.0),
     ("ocean.perturbation.sigma_fraction", 1.5),
     ("ocean.perturbation.seed", -1),
+    ("ocean.field.synthetic.radius_m", 0.0),
+    ("ocean.field.synthetic.radius_m", -1.0),
     ("feasible_box_m", {"lo": [1.0, -5.0], "hi": [20.0, 5.0]}),
     ("goal_m", {"from_m": [-1e308, 0.0], "to_m": [1e308, 0.0]}),
     ("goal_m", [1e12, 0.0]),
@@ -365,6 +367,9 @@ class TestDocumentPaths:
         elif path.startswith("ocean.") or path == "slot_duration_s":
             doc = json.loads(json.dumps(MINIMAL_VOYAGE))
             doc["ocean"]["perturbation"] = {"sigma_fraction": 0.05}
+            if "synthetic" in path:
+                gyre = {"kind": "single_gyre", "center_m": [50.0, 50.0], "strength_mps": 0.3}
+                doc["ocean"]["field"]["synthetic"] = gyre
         else:
             doc = dict(MINIMAL_D2D, goal_m={"from_m": [12.0, 0.0], "to_m": [12.0, 0.0]}, d2d={})
             doc = json.loads(json.dumps(doc))

@@ -457,6 +457,13 @@ class TestSynth:
         f = synth_field(AwayFromGoalSpec((5.0, 5.0), 2.0), (0.0, 5.0, 10.0), (0.0, 5.0, 10.0))
         assert sample_velocity(f, (5.0, 5.0), 0.0) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_gyre_radius_must_be_positive_and_finite(self, radius):
+        # a negative radius would reverse the gyre, and 0 would divide the pattern by zero
+        with pytest.raises(SchemaError) as err:
+            GyreSpec((0.0, 0.0), 0.3, radius)
+        assert err.value.path == "gyre.radius"
+
     def test_gyre_center_is_fixed_point(self):
         f = synth_field(GyreSpec((5.0, 5.0), 1.0, 3.0), (0.0, 5.0, 10.0), (0.0, 5.0, 10.0))
         assert sample_velocity(f, (5.0, 5.0), 0.0) == (0.0, 0.0)
