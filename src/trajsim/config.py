@@ -15,6 +15,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .engine import NoiseModel
 from .errors import SchemaError, UnitsError, as_real, check, one_of
 from .field import (
@@ -339,6 +341,10 @@ def _digest(doc) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# The BLAS numpy was built with, read once (a numpy before 1.25 records none).
+_BLAS = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Provenance card written next to every CLI run's outputs."""
@@ -346,6 +352,9 @@ class RunManifest:
     config_hash: str
     seed: int
     tool_version: str
+    numpy_version: str
+    blas_name: str | None
+    blas_version: str | None
     started_at: str
     outputs: tuple[str, ...]
 
@@ -357,6 +366,9 @@ class RunManifest:
             config_hash=cfg_hash,
             seed=seed,
             tool_version=__version__,
+            numpy_version=np.__version__,
+            blas_name=_BLAS.get("name"),
+            blas_version=_BLAS.get("version"),
             started_at=datetime.now(timezone.utc).isoformat(),
             outputs=tuple(outputs),
         )

@@ -1,9 +1,13 @@
 """CSV emission of episode traces and sweep summaries, their one reader, and
 the one writer of the JSON files the commands write.
 
-Floats are written with ``repr`` so files are byte-stable across runs and
-parse back to the exact same values; taking a field that does not apply to
-a scenario kind leaves its cell empty.
+A trace writes each float cell as ``%.17g``: seventeen significant digits
+round-trip every double, so :func:`read_trace` returns the exact values,
+and Python formats them with its own dtoa code, so the bytes do not depend
+on the platform.  Unlike ``repr``, it searches for no shortest digits, so
+``0.1`` writes as ``0.10000000000000001``, ``1.0`` as ``1`` and ``-0.0`` as
+``-0``.  The summary and the JSON files keep ``repr``.  Taking a field that
+does not apply to a scenario kind leaves its cell empty.
 
 The trace holds only numbers, so :func:`emit_trace` zips the report's
 series with its step columns (:class:`~trajsim.engine.StepColumns`; the
@@ -13,10 +17,8 @@ writes the lines in chunks of :data:`_CHUNK_ROWS` so that a long trace is
 never one string in memory.  A row whose goal, or whose gamma, is the
 previous row's object reuses that row's text for those cells: a static goal
 repeats one point, and the commute's gamma is one float while its gradient
-bound holds.  The test is identity, since ``0.0 == -0.0`` and ``1 == 1.0``
-write differently.  The bytes are the csv module's: CRLF line
-ends, and a number written as ``str(v)``, which is ``repr`` for a float (an
-``np.float64`` gives ``repr(float(v))``) and the digits for an int.  The
+bound holds.  The test is identity, since ``0.0 == -0.0`` but the two write
+``0`` and ``-0``.  Lines end in CRLF, the ``t`` cell is ``%d``, and the
 last row's step cells are empty, as the csv module writes ``None``.
 
 :func:`emit_summary` stays on the csv module, because its ``param`` cell is
@@ -69,7 +71,7 @@ SUMMARY_HEADER = [
 _CHUNK_ROWS = 512
 # One slot; the goal1 and goal2 cells come in preformatted as one string,
 # and so does the gamma cell.
-_TRACE_ROW = "%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n"
+_TRACE_ROW = "%d,%.17g,%.17g,%s,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
 
 
 def _trace_lines(report: EpisodeReport):
@@ -81,16 +83,18 @@ def _trace_lines(report: EpisodeReport):
         range(1, T), traj, goals, report.lambdas, report.alphas, recs.gamma,
         recs.grad_norm, recs.eps_sq_realized, utils, report.energy_steps, recs.slack,
     ):
-        # Identity tests, not ==: -0.0 == 0.0 but the two reprs differ.
+        # Identity tests, not ==: -0.0 == 0.0 but the two write -0 and 0.
         if goal is not last_goal:
-            last_goal, goal_cells = goal, "%s,%s" % (goal[0], goal[1])
+            last_goal, goal_cells = goal, "%.17g,%.17g" % (goal[0], goal[1])
         if gamma is not last_gamma:
-            last_gamma, gamma_cell = gamma, "%s" % gamma
+            last_gamma, gamma_cell = gamma, "%.17g" % gamma
         yield _TRACE_ROW % (
             t, x[0], x[1], goal_cells, lam, alpha, gamma_cell, g, err, u, energy, slack
         )
     x, goal = traj[-1], goals[-1]
-    yield "%d,%s,%s,%s,%s,,,,,,%s,,\r\n" % (T, x[0], x[1], goal[0], goal[1], utils[-1])
+    yield "%d,%.17g,%.17g,%.17g,%.17g,,,,,,%.17g,,\r\n" % (
+        T, x[0], x[1], goal[0], goal[1], utils[-1]
+    )
 
 
 def emit_trace(report: EpisodeReport, path) -> None:

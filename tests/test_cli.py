@@ -90,6 +90,9 @@ class TestRunCommand:
         assert (out / "summary.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 3
+        assert manifest["numpy_version"] == np.__version__
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert (manifest["blas_name"], manifest["blas_version"]) == (blas["name"], blas["version"])
         assert "regret" in capsys.readouterr().out
 
     def test_seed_flag_reproducibility(self, tmp_path):
@@ -1026,7 +1029,7 @@ class TestStockConfigReplays:
             # and each grad_norm cell is the norm of its step's noisy gradient
             with open(out / "trace.csv", encoding="utf-8", newline="") as fh:
                 cells = [row["grad_norm"] for row in csv.DictReader(fh)]
-            norms = [repr(norm(rec.grad_tilde)) for rec in report.records]
+            norms = ["%.17g" % norm(rec.grad_tilde) for rec in report.records]
             assert cells == norms + [""], name
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from trace_reference import emit_trace_csv
+from trace_reference import cell_bits, emit_trace_g17, trace_rows
 
 import trajsim.config
 from trajsim.config import _DOC_PATHS, RunManifest, config_hash, parse_config, parse_config_doc
@@ -644,8 +645,26 @@ class TestTraceWriter:
     def test_matches_csv_writer_bytewise(self, tmp_path_factory, report):
         out = tmp_path_factory.mktemp("trace")
         emit_trace(report, out / "new.csv")
-        emit_trace_csv(report, out / "ref.csv")
+        emit_trace_g17(report, out / "ref.csv")
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.lists(st.floats() | st.floats().map(np.float64), min_size=1, max_size=60))
+    @example(cells=[math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf])
+    @example(cells=[5e-324, -5e-324, 1e-310, -2.5e-310, 2.225073858507201e-308])
+    @example(cells=[1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308])
+    @example(cells=[0.1, 1.0, -1.0, 2.0, 1e16, 1e17, 123456789.0, np.float64(0.1)])
+    def test_float_cells_read_back_bit_for_bit(self, tmp_path_factory, cells):
+        # every cell of a report drawn from ``cells`` in turn, so each column of
+        # T - 1 or T slots, lambda and utility among them, holds every value
+        values = itertools.cycle(cells)
+        T = len(cells) + 1
+        goals = [(next(values), next(values)) for _ in range(T)]
+        report = _synthetic_report(T, goals, lambda: next(values))
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        emit_trace(report, path)
+        written = [[cell_bits(row[k]) for k in TRACE_HEADER] for row in read_trace(path)]
+        assert written == [[cell_bits(v) for v in row] for row in trace_rows(report)]
 
     def test_goals_equal_up_to_zero_sign_are_written_apart(self, tmp_path):
         goals = [(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0), (-0.0, 1.0)]
@@ -653,24 +672,25 @@ class TestTraceWriter:
         values = iter(range(1000))
         report = _synthetic_report(4, goals, lambda: float(next(values)))
         emit_trace(report, tmp_path / "new.csv")
-        emit_trace_csv(report, tmp_path / "ref.csv")
+        emit_trace_g17(report, tmp_path / "ref.csv")
         data = (tmp_path / "new.csv").read_bytes()
         assert data == (tmp_path / "ref.csv").read_bytes()
         cells = [line.split(b",")[3:5] for line in data.splitlines()[1:]]
-        assert cells == [[b"0.0", b"1.0"], [b"-0.0", b"1.0"]] * 2
+        assert cells == [[b"0", b"1"], [b"-0", b"1"]] * 2
 
-    def test_gammas_equal_up_to_zero_sign_or_type_are_written_apart(self, tmp_path):
+    def test_gammas_equal_up_to_zero_sign_are_written_apart(self, tmp_path):
+        # 1 and 1.0, and an np.float64, write one text, though each is its own object
         minus = np.float64(-0.0)
         gammas = [0.0, -0.0, -0.0, 0.0, minus, minus, 1, 1.0, _copy(2.5), 2.5, np.float64(2.5)]
         assert gammas[0] == gammas[1] and gammas[6] == gammas[7]
         values = iter(range(1000))
         report = _synthetic_report(12, [(0.0, 0.0)] * 12, lambda: float(next(values)), gammas)
         emit_trace(report, tmp_path / "new.csv")
-        emit_trace_csv(report, tmp_path / "ref.csv")
+        emit_trace_g17(report, tmp_path / "ref.csv")
         data = (tmp_path / "new.csv").read_bytes()
         assert data == (tmp_path / "ref.csv").read_bytes()
         cells = [line.split(b",")[7] for line in data.splitlines()[1:-1]]
-        want = ["0.0", "-0.0", "-0.0", "0.0", "-0.0", "-0.0", "1", "1.0", "2.5", "2.5", "2.5"]
+        want = ["0", "-0", "-0", "0", "-0", "-0", "1", "1", "2.5", "2.5", "2.5"]
         assert cells == [c.encode() for c in want]
 
 

@@ -1,17 +1,21 @@
-"""The csv-module form of ``traces.emit_trace`` that the tests check the library against.
+"""The csv-module forms of ``traces.emit_trace`` that the tests check the library against.
 
-It builds one tuple per slot and hands them all to ``csv.writer``, which
-writes ``None`` as an empty cell and every number as ``str(v)``.
+Both build one tuple per slot and hand them all to ``csv.writer``, which
+writes ``None`` as an empty cell.  :func:`emit_trace_csv` is the old format,
+every number written as ``str(v)``, which is ``repr`` for a float;
+:func:`emit_trace_g17` is today's, every number but ``t`` written ``%.17g``.
 """
 
 import csv
+import math
+import struct
 
 from trajsim.geom import norm
 from trajsim.traces import TRACE_HEADER
 
 
-def emit_trace_csv(report, path) -> None:
-    """Write one row per slot; step-level fields are empty on the last slot."""
+def trace_rows(report) -> list[tuple]:
+    """The trace's rows as tuples of numbers; the last row's step cells are ``None``."""
     T = report.horizon
     traj, goals, utils = report.trajectory, report.goals, report.utilities
     rows = [
@@ -24,7 +28,34 @@ def emit_trace_csv(report, path) -> None:
     ]
     x, goal = traj[-1], goals[-1]
     rows.append((T, x[0], x[1], goal[0], goal[1], None, None, None, None, None, utils[-1], None, None))
+    return rows
+
+
+def _write(rows, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         writer.writerows(rows)
+
+
+def emit_trace_csv(report, path) -> None:
+    """The trace as the csv module writes its numbers: ``str(v)``."""
+    _write(trace_rows(report), path)
+
+
+def emit_trace_g17(report, path) -> None:
+    """The trace with ``t`` as the csv module writes it and every other number ``%.17g``."""
+    _write(
+        [
+            (t, *(None if v is None else "%.17g" % v for v in cells))
+            for t, *cells in trace_rows(report)
+        ],
+        path,
+    )
+
+
+def cell_bits(value):
+    """A trace cell's float as its IEEE bytes, NaN of any sign or payload as ``"nan"``."""
+    if value is None:
+        return None
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
